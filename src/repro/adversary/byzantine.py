@@ -69,6 +69,9 @@ class ByzantineDinerProcess(DinersMpProcess):
     def on_message(self, ctx, src: Pid, payload: Tuple) -> None:
         return  # deaf: no acks, no surrendered forks, no missing-reports
 
+    def on_wake(self, ctx) -> None:
+        return  # deaf to wakes too: it forges on its ticks and never leaves E
+
     def on_tick(self, ctx) -> None:
         self.state = E  # never leaves the critical section
         self._eating_remaining = 2

@@ -2077,7 +2077,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="neighbour address; repeat for every neighbour")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tick-interval", type=float, default=0.01,
-                   dest="tick_interval", help="seconds between process ticks")
+                   dest="tick_interval",
+                   help="seconds between process ticks (the retransmit/"
+                   "timer period; progress itself is event-driven)")
     p.add_argument("--duration", type=float, default=0.0,
                    help="seconds to serve (0 = until interrupted)")
     p.add_argument("--lock-service", action="store_true", dest="lock_service",

@@ -86,7 +86,8 @@ class DinersMpProcess(MpProcess):
     pid / topology:
         Identity and the communication graph (for neighbour order).
     needs:
-        Called on every tick while thinking; True means "become hungry".
+        Called on every tick (and wake) while thinking; True means
+        "become hungry".
         Defaults to always-hungry (the liveness experiments' worst case).
     eat_ticks:
         How many of its own ticks a meal lasts before the process exits;
@@ -248,15 +249,30 @@ class DinersMpProcess(MpProcess):
             ctx.send(src, (TAG_MISSING, edge_key(self.pid, src), self.edge_c[src]))
 
     def on_tick(self, ctx: MpContext) -> None:
+        """Timers, then — unless the tick went to a meal — the guards."""
+        if not self._tick_timers(ctx):
+            self.on_wake(ctx)
+
+    def _tick_timers(self, ctx: MpContext) -> bool:
+        """The timer half of a tick: repair retransmission and yield
+        counters, and the eating countdown.  True when the process was
+        eating, which spends the whole tick (an exit re-enters the guards
+        on the *next* tick, never this one)."""
         if self.repair:
             self._repair_tick(ctx)
+        if self.state != E:
+            return False
+        self._eating_remaining -= 1
+        if self._eating_remaining <= 0:
+            self._exit(ctx)
+        return True
+
+    def on_wake(self, ctx: MpContext) -> None:
+        """The guard half of a tick: T→H on demand, spend request tokens,
+        surrender obliged forks, eat when every fork is held.  Nothing here
+        counts ticks, so a host may run it as often as it likes."""
         if self.state == T and self._needs():
             self.state = H
-        if self.state == E:
-            self._eating_remaining -= 1
-            if self._eating_remaining <= 0:
-                self._exit(ctx)
-            return
         if self.state == H:
             for q in ctx.neighbors:
                 if not self.holds_fork[q] and self.holds_request[q]:
@@ -270,7 +286,7 @@ class DinersMpProcess(MpProcess):
                 self._eating_remaining = self._eat_ticks
                 for q in ctx.neighbors:
                     self.fork_clean[q] = False  # eating dirties every fork
-        else:
+        elif self.state == T:
             # Thinking: nothing to defend — honour any pending requests.
             for q in ctx.neighbors:
                 self._maybe_surrender(ctx, q)

@@ -7,6 +7,12 @@ An :class:`MpProcess` owns mutable Python state and reacts to two stimuli:
   substitute for timeouts: ticks occur infinitely often under the engine's
   fairness, so tick-driven retransmission needs no clocks).
 
+A live host may also call :meth:`on_wake` — the guard half of a tick, no
+timers — right after something the process reacts to changed, instead of
+leaving it for the next tick.  :class:`~repro.mp.engine.MpEngine` never
+does: there, a wake is already expressible as a delivery followed at once
+by that process's tick.
+
 Both receive an :class:`MpContext`, the only door to the network.  The fault
 machinery requires every process to know how to *corrupt itself*
 (:meth:`corrupt` — transient faults) and how to fabricate junk payloads
@@ -97,6 +103,10 @@ class MpProcess(ABC):
 
     def on_tick(self, ctx: ProcessContext) -> None:
         """One spontaneous step; default does nothing."""
+
+    def on_wake(self, ctx: ProcessContext) -> None:
+        """Re-evaluate the guards now — a tick without its timers (no
+        retransmission, no countdowns); default does nothing."""
 
     @abstractmethod
     def corrupt(self, rng: random.Random) -> None:

@@ -162,6 +162,12 @@ class ClusterResult:
         return sum(c.get("garbage_bytes", 0) for c in self.counters.values())
 
 
+#: The two per-frame event kinds — the bulk of every run's rows.
+_TRAFFIC_EVENTS = frozenset(
+    (NetEventKind.SEND.value, NetEventKind.RECV.value)
+)
+
+
 class ClusterSupervisor:
     """Builds, runs, faults, observes, and tears down one live cluster."""
 
@@ -169,6 +175,10 @@ class ClusterSupervisor:
         self.config = config
         self.bus = EventBus()
         self.events: List[Dict[str, Any]] = []
+        #: pid -> its ``repr`` label, and a traffic row's detail items ->
+        #: the one shared, read-only detail dict (see :meth:`_collect`).
+        self._labels: Dict[Pid, str] = {}
+        self._details: Dict[tuple, Dict[str, Any]] = {}
         self.bus.subscribe_all(self._collect)
         self.nodes: Dict[Pid, NodeServer] = {}
         self.proxies: Dict[tuple, LinkProxy] = {}
@@ -217,13 +227,24 @@ class ClusterSupervisor:
     def _collect(self, event: TraceEvent) -> None:
         detail = event.detail if isinstance(event.detail, dict) else {}
         kind = event.kind.value if hasattr(event.kind, "value") else str(event.kind)
+        pid = event.pid
+        node = None
+        if pid is not None:
+            node = self._labels.get(pid)
+            if node is None:
+                node = self._labels[pid] = repr(pid)
         row: Dict[str, Any] = {
             "t": detail.get("t", 0.0),
-            "node": None if event.pid is None else repr(event.pid),
+            "node": node,
             "event": kind,
         }
         extra = {k: v for k, v in detail.items() if k != "t"}
         if extra:
+            # Rows are retained for the whole run and most of them are
+            # net-send/net-recv, whose detail only names the peer: every
+            # such row shares one dict per peer, which nothing may mutate.
+            if kind in _TRAFFIC_EVENTS:
+                extra = self._details.setdefault(tuple(extra.items()), extra)
             row["detail"] = extra
         self.events.append(row)
         if self._stream_handle is not None:
@@ -236,7 +257,6 @@ class ClusterSupervisor:
             except (OSError, ValueError):
                 self._stream_handle = None  # disk gone; keep serving
         # Every node's black box sees its own happenings as they stream by.
-        node = row["node"]
         if node is not None:
             flight = self.flights.get(node)
             if flight is not None:

@@ -7,9 +7,17 @@ real socket transport:
 * one listening socket accepts *inbound* peer links and lock clients;
 * one outbound connection per neighbour (usually via a chaos proxy)
   carries this node's sends, with automatic reconnect;
+* the node is **event-driven**: every validated peer delivery, client
+  ``acquire``, and ``release`` (or holder disconnect) is followed at once
+  by :meth:`~repro.mp.node.MpProcess.on_wake`, the guard half of a tick,
+  so a fork hop costs a round trip, not a timer period;
 * a tick loop fires :meth:`~repro.mp.node.MpProcess.on_tick` every
-  ``tick_interval`` seconds — the wall-clock realisation of the engine's
-  fairness assumption that every process takes infinitely many steps;
+  ``tick_interval`` seconds — the retransmit/timer period (repair
+  re-sends, yield counters, the client-less meal countdown) and the
+  model's guarantee that every process takes infinitely many steps even
+  when nothing arrives.  A wake is a delivery followed at once by that
+  process's tick, minus the timers, so every live execution is still a
+  schedule :class:`~repro.mp.engine.MpEngine` could have produced;
 * every inbound byte goes through the garbage-tolerant
   :class:`~repro.net.codec.Decoder`, and every decoded ``T_MSG`` is
   validated (dst is me, src is a neighbour, per-link sequence number is
@@ -26,7 +34,8 @@ a second fork (a safety matter they must never face).
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Sequence, Tuple
 
 from ..mp.diners_mp import DinersMpProcess, E as EATING, H as HUNGRY
 from ..mp.message import Message
@@ -43,6 +52,7 @@ from .codec import (
     Frame,
     T_MSG,
     T_REQ,
+    T_RSP,
     WIRE_BINARY_VERSION,
     WIRE_VERSION,
     decode_message,
@@ -60,9 +70,9 @@ Address = Tuple[str, int]
 class NetContext:
     """The live transport's :class:`~repro.mp.node.ProcessContext`.
 
-    Handed to the hosted process on every tick and message, exactly like
-    :class:`~repro.mp.node.MpContext` — ``send`` returns False when the
-    link to ``dst`` is currently down, which the simulator models as a
+    Handed to the hosted process on every tick, message and wake, exactly
+    like :class:`~repro.mp.node.MpContext` — ``send`` returns False when
+    the link to ``dst`` is currently down, which the simulator models as a
     channel refusing a message.
     """
 
@@ -77,7 +87,7 @@ class NetContext:
 
     @property
     def neighbors(self) -> Tuple[Pid, ...]:
-        return self._server.topology.neighbors(self._server.pid)
+        return self._server.neighbors
 
     @property
     def topology(self) -> Topology:
@@ -90,24 +100,27 @@ class NetContext:
 class LockDinerProcess(DinersMpProcess):
     """A Chandy–Misra philosopher exposed as a resource lock.
 
-    ``demand`` counts outstanding client acquires; the process is hungry
-    exactly while demand is positive.  Once eating, the meal is *held
-    open* until the client releases — the node server tops the meal up
-    every tick while ``holding`` — so "eating" and "client holds the
-    lock" are the same interval, which is what the soak safety checker
-    audits.
+    The process is hungry exactly while ``waiters`` — the node server's
+    own queue of acquires awaiting a grant — is non-empty; there is no
+    second count to drift from it when a waiting connection dies.  Once
+    eating, the meal is *held open* until the client releases — every
+    tick tops the countdown up while ``holding`` — so "eating" and
+    "client holds the lock" are the same interval, which is what the soak
+    safety checker audits.  A meal nobody claimed (the waiter left while
+    the forks were in flight) runs its ``eat_ticks`` down on the timer.
     """
 
     def __init__(self, pid: Pid, topology: Topology, *, seed: int = 0) -> None:
         super().__init__(
             pid,
             topology,
-            needs=lambda: self.demand > 0,
+            needs=lambda: bool(self.waiters),
             eat_ticks=2,
             seed=seed,
             repair=True,  # real links drop frames; see diners_mp docstring
         )
-        self.demand = 0
+        #: The hosting server's waiter queue, bound by :class:`NodeServer`.
+        self.waiters: Sequence = ()
         self.holding = False
 
     def on_tick(self, ctx) -> None:
@@ -117,13 +130,13 @@ class LockDinerProcess(DinersMpProcess):
 
     def grant_taken(self) -> None:
         """The server matched this meal to a waiting acquire."""
-        self.demand = max(0, self.demand - 1)
         self.holding = True
 
-    def release(self) -> None:
-        """Client released: let the meal end on the next tick."""
+    def release(self, ctx) -> None:
+        """Client released (or its connection died): exit the meal now."""
         self.holding = False
-        self._eating_remaining = min(self._eating_remaining, 1)
+        if self.state == EATING:
+            self._exit(ctx)
 
 
 class _PeerLink:
@@ -162,6 +175,8 @@ class NodeServer:
             raise ValueError(f"{pid!r} is not in the topology")
         self.pid = pid
         self.topology = topology
+        #: This node's neighbours, fixed for its lifetime (read per message).
+        self.neighbors: Tuple[Pid, ...] = topology.neighbors(pid)
         self.process = process
         self.host = host
         self.requested_port = port
@@ -198,9 +213,11 @@ class NodeServer:
         #: FIFO of ``(writer, request_id, span, binary)`` acquires awaiting
         #: a grant — ``binary`` remembers the wire layout the request came
         #: in on, so the grant goes back the same way.
-        self._waiters: List[
+        self._waiters: Deque[
             Tuple[asyncio.StreamWriter, Any, Optional[Span], bool]
-        ] = []
+        ] = deque()
+        if isinstance(process, LockDinerProcess):
+            process.waiters = self._waiters  # hungry iff someone is queued
         #: Connection currently holding the lock — its death releases the
         #: lease, else the meal stays topped up forever and starves the
         #: neighbourhood.
@@ -314,7 +331,7 @@ class NodeServer:
         ``peers`` maps each neighbour to the address this node should dial
         — the neighbour's own port, or its chaos proxy.
         """
-        for q in self.topology.neighbors(self.pid):
+        for q in self.neighbors:
             if q not in peers:
                 raise ValueError(f"no address for neighbour {q!r}")
             link = _PeerLink(peers[q])
@@ -512,17 +529,17 @@ class NodeServer:
             pass
         finally:
             self._conns.discard(writer)
-            abandoned = [s for (w, _, s, _) in self._waiters if w is writer]
-            self._waiters = [
-                entry for entry in self._waiters if entry[0] is not writer
-            ]
-            for span in abandoned:
+            abandoned = [e for e in self._waiters if e[0] is writer]
+            if abandoned:
+                # Prune in place: the hosted process reads this very queue.
+                kept = [e for e in self._waiters if e[0] is not writer]
+                self._waiters.clear()
+                self._waiters.extend(kept)
+            for _, _, span, _ in abandoned:
                 self._trace_event(span, "abandon")
                 self._trace_close(span)
             if self._holder is writer:
-                self._holder = None
-                if isinstance(self.process, LockDinerProcess):
-                    self.process.release()
+                self._release()
             writer.close()
 
     def _handle_peer_message(
@@ -534,7 +551,7 @@ class NodeServer:
             self.junk_frames += 1
             return
         src = message.src
-        if src not in self.topology.neighbors(self.pid):
+        if src not in self.neighbors:
             self.junk_frames += 1
             return
         seq = body.get("seq")
@@ -566,6 +583,7 @@ class NodeServer:
         self.publish(NetEventKind.RECV, {"src": repr(src)})
         self.process.on_message(self._ctx, src, message.payload)
         self._after_step()
+        self._wake()
 
     # ---------------------------------------------------------- lock service
 
@@ -576,7 +594,6 @@ class NodeServer:
         binary = frame.version == WIRE_BINARY_VERSION
         process = self.process
         if op == "acquire" and isinstance(process, LockDinerProcess):
-            process.demand += 1
             attrs: Dict[str, Any] = {"req": repr(req_id)}
             client_span = body.get("span")
             if isinstance(client_span, str) and client_span:
@@ -588,9 +605,9 @@ class NodeServer:
                 attrs=attrs,
             )
             self._waiters.append((writer, req_id, span, binary))
+            self._wake()
         elif op == "release" and isinstance(process, LockDinerProcess):
-            process.release()
-            self._holder = None
+            self._release()
             self._respond(
                 writer,
                 {"op": "release", "id": req_id, "ok": True},
@@ -606,8 +623,6 @@ class NodeServer:
     def _respond(
         self, writer: asyncio.StreamWriter, body: dict, *, binary: bool = False
     ) -> None:
-        from .codec import T_RSP
-
         if writer.is_closing():
             return
         if binary:
@@ -637,11 +652,27 @@ class NodeServer:
     # ------------------------------------------------------------- stepping
 
     async def _tick_loop(self) -> None:
+        """The retransmit/timer period; progress itself rides the wakes."""
         while self._running:
             await asyncio.sleep(self.tick_interval)
             self.ticks += 1
             self.process.on_tick(self._ctx)
             self._after_step()
+
+    def _wake(self) -> None:
+        """Something the process reacts to just changed: run its guards
+        now instead of on the next tick."""
+        self.process.on_wake(self._ctx)
+        self._after_step()
+
+    def _release(self) -> None:
+        """The lease is over (release request, or its holder's connection
+        died): end the meal, publish it, and let the next waiter in."""
+        self._holder = None
+        if isinstance(self.process, LockDinerProcess):
+            self.process.release(self._ctx)
+            self._after_step()
+            self._wake()
 
     def _after_step(self) -> None:
         """Detect eating-state transitions; emit GRANT/RELEASE and answer
@@ -665,7 +696,7 @@ class NodeServer:
             detail: Dict[str, Any] = {}
             granted_span: Optional[Span] = None
             if self._waiters and isinstance(self.process, LockDinerProcess):
-                writer, req_id, granted_span, binary = self._waiters.pop(0)
+                writer, req_id, granted_span, binary = self._waiters.popleft()
                 self.process.grant_taken()
                 self._holder = writer
                 self._respond(
