@@ -40,19 +40,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
+from ..artefact import CANONICAL
+
 FORMAT_VERSION = 2
 
 #: Format versions :func:`parse_line` accepts.
 ACCEPTED_FORMATS = (1, 2)
 
-#: JSON encoding used for every canonical artefact: stable across runs,
-#: machines, and dict-construction orders.
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
-
-
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON text for ``payload`` (sorted keys, compact)."""
-    return json.dumps(payload, **_CANONICAL)
+    return json.dumps(payload, **CANONICAL)
 
 
 def shard_key(kind: str, params: Mapping[str, Any], seed: int) -> str:

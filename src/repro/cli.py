@@ -2207,7 +2207,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive 10^4-10^6 logical clients through the gateway tier; "
         "report latency percentiles + fairness, exit 1 on violation",
         description="Closed- or open-loop load generation against the "
-        "lock service through the multiplexing gateway (binary v3 wire "
+        "lock service through the multiplexing gateway (packed wire "
         "frames, batching, admission control). Live mode spawns a real "
         "cluster (all the chaos flags apply) and audits neighbour "
         "exclusion over the event stream; --sim runs the seeded "

@@ -1,7 +1,7 @@
 """The lock-service gateway tier.
 
 A thin front-end that multiplexes many logical clients over a small
-pool of upstream TCP connections to the diner nodes: binary v3 framing
+pool of upstream TCP connections to the diner nodes: packed request/response frames
 on the hot path, per-connection write batching, and admission control
 with typed RETRY shedding.  The ``loadgen`` module drives 10⁴–10⁶
 logical clients through it — live over real sockets, or as a seeded

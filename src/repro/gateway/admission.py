@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..net.codec import MAX_RETRY_MS
+
 #: Typed shed reasons, carried verbatim in the RETRY response's ``error``.
 SHED_CLIENT_WINDOW = "client-window"
 SHED_QUEUE_FULL = "queue-full"
@@ -59,8 +61,11 @@ class AdmissionConfig:
             raise ValueError("max_queue_depth must be >= 1")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.retry_after_s < 0:
-            raise ValueError("retry_after_s must be >= 0")
+        # The upper bound is what a shed response can carry on the wire.
+        if not 0 <= self.retry_after_s <= MAX_RETRY_MS / 1000:
+            raise ValueError(
+                f"retry_after_s must be in [0, {MAX_RETRY_MS / 1000}]"
+            )
 
 
 class AdmissionController:

@@ -11,7 +11,7 @@ it from a heap, and the ``gateway/mux`` perf kernel drives it in a tight
 loop — all three see identical decisions.
 
 Topology model: the mux addresses nodes by *index* (the u16 ``node``
-field of a binary v3 request); each node owns ``upstreams_per_node``
+field of a packed request); each node owns ``upstreams_per_node``
 connection slots, used round-robin, so one hot node can spread over a
 few pipes while the total stays within the configured connection budget.
 """

@@ -23,9 +23,10 @@ distribution — and therefore any percentile — to within 1/cap.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List
+
+from ..artefact import write_atomic
 
 LOADGEN_FORMAT_VERSION = 1
 LOADGEN_REPORT_KIND = "loadgen-report"
@@ -86,16 +87,8 @@ def build_report(spec: Dict[str, Any], results: Dict[str, Any]) -> Dict[str, Any
 
 def write_loadgen_report(path: Path | str, report: Dict[str, Any]) -> Path:
     """The byte-stable report document (atomic replace, fsynced)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(_canonical(report), sort_keys=True, indent=2) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(body)
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    body = json.dumps(_canonical(report), sort_keys=True, indent=2)
+    return write_atomic(path, [body])
 
 
 def read_loadgen_report(path: Path | str) -> Dict[str, Any]:

@@ -7,7 +7,7 @@ speaking the same framed protocol, where many logical clients share one
 downstream connection and requests carry the target ``node`` index.
 Upstream it owns a small pool of TCP connections to the diner nodes
 (``upstreams_per_node`` per node, total capped by ``max_upstreams``),
-speaks the binary v3 hot-path frames, batches writes per
+speaks the packed lock-service frames, batches writes per
 :class:`~repro.gateway.batch.FlushPolicy`, and survives node crashes by
 abandoning in-flight operations (typed ``connection-lost`` failures) and
 re-dialling with backoff.
@@ -30,9 +30,6 @@ from ..net.codec import (
     Frame,
     T_REQ,
     T_RSP,
-    WIRE_BINARY_VERSION,
-    CodecError,
-    encode_frame,
     encode_hello,
     encode_request,
     encode_response,
@@ -135,8 +132,8 @@ class GatewayServer:
         ]
         #: gateway req_id -> in-process completion callback
         self._local: Dict[str, Callable[[Completion], None]] = {}
-        #: gateway req_id -> (downstream, original id, binary?)
-        self._remote: Dict[str, Tuple[_Downstream, Any, bool]] = {}
+        #: gateway req_id -> (downstream, original id)
+        self._remote: Dict[str, Tuple[_Downstream, str]] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._metrics: Optional[MetricsEndpoint] = None
         self.listen_port: Optional[int] = None
@@ -285,7 +282,7 @@ class GatewayServer:
             return
         remote = self._remote.pop(completion.req_id, None)
         if remote is not None:
-            downstream, original_id, binary = remote
+            downstream, original_id = remote
             self._respond_downstream(
                 downstream,
                 original_id,
@@ -293,7 +290,6 @@ class GatewayServer:
                 completion.ok,
                 error=completion.error,
                 retry_after_s=completion.retry_after_s,
-                binary=binary,
             )
 
     # ------------------------------------------------------ in-process API
@@ -375,7 +371,7 @@ class GatewayServer:
             writer.close()
             dead = [
                 req_id
-                for req_id, (ds, _, _) in self._remote.items()
+                for req_id, (ds, _) in self._remote.items()
                 if ds is downstream
             ]
             for req_id in dead:
@@ -388,18 +384,18 @@ class GatewayServer:
     ) -> None:
         if frame.is_hello:
             return  # identity is per-request on a multiplexed pipe
-        if frame.type != T_REQ or not isinstance(frame.body, dict):
+        if frame.type != T_REQ:
             self.junk_frames += 1
             return
+        # A decoded T_REQ body is ``op`` (acquire|release) + ``id`` (a short
+        # string) by the codec's schema — what goes upstream and back down
+        # is therefore always encodable; only ``node`` is optional.
         body = frame.body
-        op = str(body.get("op"))
-        original_id = body.get("id")
+        op, original_id = body["op"], body["id"]
         node = body.get("node")
-        binary = frame.version == WIRE_BINARY_VERSION
-        if not isinstance(original_id, str) or not isinstance(node, int):
+        if node is None:
             self._respond_downstream(
-                downstream, original_id, op, False,
-                error="bad-request", binary=False,
+                downstream, original_id, op, False, error="bad-request"
             )
             return
         # The logical client is the id's stem (``client.seq`` by
@@ -413,11 +409,10 @@ class GatewayServer:
                 downstream, original_id, op, False,
                 error=retry_body(decision)["error"],
                 retry_after_s=decision.retry_after_s,
-                binary=binary,
             )
             return
         upstream = self._upstreams[decision.upstream]
-        self._remote[decision.req_id] = (downstream, original_id, binary)
+        self._remote[decision.req_id] = (downstream, original_id)
         if upstream.batch is None:
             for completion in self.mux.abandon(decision.upstream, loop.time()):
                 self._route(completion)
@@ -427,33 +422,21 @@ class GatewayServer:
     def _respond_downstream(
         self,
         downstream: _Downstream,
-        original_id: Any,
+        original_id: str,
         op: str,
         ok: bool,
         *,
         error: Optional[str] = None,
         retry_after_s: float = 0.0,
-        binary: bool = False,
     ) -> None:
         if downstream.batch.closed:
             return
-        frame: Optional[bytes] = None
-        if binary:
-            try:
-                frame = encode_response(
-                    op, original_id, ok, error=error,
-                    retry_after_s=retry_after_s or None,
-                )
-            except CodecError:
-                frame = None
-        if frame is None:
-            body: Dict[str, Any] = {"op": op, "id": original_id, "ok": ok}
-            if error:
-                body["error"] = error
-            if retry_after_s:
-                body["retry_after_s"] = retry_after_s
-            frame = encode_frame(T_RSP, body)
-        downstream.batch.send(frame)
+        downstream.batch.send(
+            encode_response(
+                op, original_id, ok, error=error,
+                retry_after_s=retry_after_s or None,
+            )
+        )
 
     # -------------------------------------------------------------- gauges
 

@@ -48,8 +48,6 @@ from .cluster import (
 from .codec import (
     Decoder,
     Frame,
-    WIRE_BINARY_VERSION,
-    WIRE_TRACE_VERSION,
     WIRE_VERSION,
     CodecError,
     decode_message,
@@ -98,8 +96,6 @@ __all__ = [
     "Decoder",
     "Frame",
     "MetricsEndpoint",
-    "WIRE_BINARY_VERSION",
-    "WIRE_TRACE_VERSION",
     "WIRE_VERSION",
     "CodecError",
     "decode_message",

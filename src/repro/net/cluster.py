@@ -20,6 +20,7 @@
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import os
 import random
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO
 
+from ..artefact import CANONICAL, write_atomic
 from ..mp.diners_mp import DinersMpProcess
 from ..obs.bus import EventBus
 from ..obs.events import NetEventKind
@@ -250,8 +252,7 @@ class ClusterSupervisor:
         if self._stream_handle is not None:
             try:
                 self._stream_handle.write(
-                    json.dumps({"kind": "event", **row},
-                               sort_keys=True, separators=(",", ":")) + "\n"
+                    json.dumps({"kind": "event", **row}, **CANONICAL) + "\n"
                 )
                 self._stream_handle.flush()
             except (OSError, ValueError):
@@ -1061,8 +1062,6 @@ def write_cluster_events(path: Path | str, result: ClusterResult) -> Path:
     """The event-log artefact: header (with the fault schedule), then one
     line per observed event in time order."""
     source = "soak-events" if result.mode == "soak" else "cluster-events"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "format": EVENTS_FORMAT_VERSION,
         "kind": "header",
@@ -1073,19 +1072,7 @@ def write_cluster_events(path: Path | str, result: ClusterResult) -> Path:
         "restarts": result.restarts,
         "convergence_s": result.convergence_s,
     }
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for event in result.events:
-            handle.write(
-                json.dumps(
-                    {"kind": "event", **event},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    rows = itertools.chain(
+        [header], ({"kind": "event", **event} for event in result.events)
+    )
+    return write_atomic(path, (json.dumps(row, **CANONICAL) for row in rows))

@@ -4,14 +4,20 @@ One frame on the wire is::
 
     MAGIC(2) | version(1) | type(1) | length(4, big-endian) | crc32(4) | body
 
-``body`` is canonical UTF-8 JSON (v1), a binary trace block followed by
-JSON (v2), or a struct-packed binary record (v3, lock-service frames
-only).  Tuples inside JSON payloads are encoded as arrays and restored
+There is one layout.  The **frame type picks the body schema**:
+``T_HELLO``/``T_MSG`` bodies are canonical UTF-8 JSON, ``T_REQ``/``T_RSP``
+bodies are struct-packed records (the frames a front-end tier pushes by
+the million, where ``json.dumps``/``json.loads`` would dominate the cost).
+The high bit of the type byte says the body opens with a binary trace
+block — ``lc`` (u64 BE) + span-id length (u8) + span id bytes — which the
+decoder peels before either body parser, so any frame type may carry a
+Lamport stamp and :attr:`Frame.type` is always the bare type.
+
+Tuples inside JSON payloads are encoded as arrays and restored
 recursively on decode — :class:`repro.mp.message.Message` payloads are
 tuples by contract, and protocol code (e.g. the Chandy–Misra ``edge_key``
 check) compares them structurally, so the round-trip must be exact:
-``decode(encode(m)) == m``.  A v3 frame decodes into the same body dict
-its JSON twin would, so the protocol layers never see the difference.
+``decode(encode(m)) == m``.
 
 The decoder is **garbage tolerant** by construction, which is the wire-level
 image of the paper's arbitrary-initial-channel model: a transient fault (or
@@ -19,10 +25,11 @@ the chaos proxy, or a maliciously crashing peer) may put arbitrary bytes on
 a TCP stream, and the decoder must (a) never crash, (b) discard junk while
 counting it, and (c) resynchronise on the next genuine frame.  Resync scans
 for the magic; a candidate header is accepted only if version, type, and
-length bounds hold *and* the CRC32 of the body matches — random bytes
-masquerading as a frame have a ~2^-32 chance of surviving, and protocol
-layers above still validate payload shape (defence in depth, exactly as
-``on_message`` implementations do in the simulator).
+length bounds hold, the CRC32 of the body matches *and* the body parses
+under its type's schema — random bytes masquerading as a frame have a
+~2^-32 chance of surviving, and protocol layers above still validate
+payload shape (defence in depth, exactly as ``on_message``
+implementations do in the simulator).
 """
 
 from __future__ import annotations
@@ -36,34 +43,22 @@ from typing import Any, Iterator, List, Optional, Tuple
 from ..mp.message import Message
 
 #: Bump on any incompatible change to the frame layout or body schema.
-WIRE_VERSION = 1
-#: The traced frame layout: identical header, but the payload opens with a
-#: fixed binary trace block — ``lc`` (u64 BE) + span-id length (u8) + span
-#: id bytes — before the canonical JSON body.  A versioned *extension*:
-#: v1 frames carry no block and still decode; the decoder accepts both.
-#: The block is binary (not JSON keys) so stamping stays off the JSON hot
+#: 1–3 were the JSON, JSON+trace-block and packed layouts this one
+#: replaces: a hello advertising them is refused, their frames are junk.
+WIRE_VERSION = 4
+
+#: ``lc`` (u64 big-endian) + span-id length (u8) of a trace block.  The
+#: block is binary (not JSON keys) so stamping stays off the JSON hot
 #: path — the ``net/codec/roundtrip`` bench gates the overhead under 10%.
-WIRE_TRACE_VERSION = 2
-
-#: The binary frame layout of the gateway hot path: same 12-byte header,
-#: but the body is struct-packed, not JSON.  Only the lock-service types
-#: (``T_REQ``/``T_RSP``) have a binary body schema — they are the frames a
-#: front-end tier pushes by the million, and ``json.dumps``/``json.loads``
-#: dominates their cost.  A v3 frame decodes into the *same* body dict a
-#: v1 JSON frame would, so every consumer above the codec is agnostic; the
-#: ``net/codec/binary-roundtrip`` bench kernel gates the ≥2× win.
-WIRE_BINARY_VERSION = 3
-_VERSIONS = frozenset((WIRE_VERSION, WIRE_TRACE_VERSION, WIRE_BINARY_VERSION))
-
-#: ``lc`` (u64 big-endian) + span-id length (u8) of a v2 trace block.
 _TRACE_BLOCK = struct.Struct(">QB")
 MAX_SPAN_ID = 255  #: span ids are short (``node/epoch/counter``)
+_FLAG_TRACED = 0x80  #: type-byte bit: the body opens with a trace block
 
-#: The complete v3 header in one pack: magic, version, type, length, crc.
+#: The complete header in one pack: magic, version, type, length, crc.
 _HEADER = struct.Struct(">2sBBII")
-#: v3 ``T_REQ`` body head: op code, flags, target node index, id length.
+#: ``T_REQ`` body head: op code, flags, target node index, id length.
 _REQ_HEAD = struct.Struct(">BBHB")
-#: v3 ``T_RSP`` body head: op code, ok, retry-after (ms), id length.
+#: ``T_RSP`` body head: op code, ok, retry-after (ms), id length.
 _RSP_HEAD = struct.Struct(">BBHB")
 _FLAG_NODE = 1  #: REQ flags bit: the node field is meaningful
 
@@ -85,7 +80,9 @@ T_MSG = 2  #: one :class:`Message` between neighbouring nodes
 T_REQ = 3  #: lock-service client request (acquire/release)
 T_RSP = 4  #: lock-service response (granted/released/error)
 
-_TYPES = frozenset((T_HELLO, T_MSG, T_REQ, T_RSP))
+#: The types whose body is canonical JSON; the lock-service types are packed.
+_JSON_TYPES = frozenset((T_HELLO, T_MSG))
+_TYPES = _JSON_TYPES | {T_REQ, T_RSP}
 
 _CANONICAL = dict(sort_keys=True, separators=(",", ":"))
 
@@ -107,18 +104,14 @@ def tuplify(value: Any) -> Any:
 class Frame:
     """One decoded wire frame.
 
-    ``lc`` and ``span`` are the causal stamps of a v2 (traced) frame —
-    ``None`` on plain v1 frames, so old traffic is indistinguishable from
-    untraced traffic at the consumer.  ``version`` records the wire layout
-    the frame arrived in, so a server can answer a binary-speaking client
-    in kind without a negotiation round trip.
+    ``lc`` and ``span`` are the causal stamps of a traced frame — ``None``
+    on a plain one.  ``type`` is the bare frame type, trace flag removed.
     """
 
     type: int
     body: Any
     lc: Optional[int] = None
     span: Optional[str] = None
-    version: int = WIRE_VERSION
 
     @property
     def is_hello(self) -> bool:
@@ -128,6 +121,33 @@ class Frame:
 # ------------------------------------------------------------------ encode
 
 
+def _seal(
+    frame_type: int, payload: bytes, lc: Optional[int], span: Optional[str]
+) -> bytes:
+    """One complete frame around an encoded body: header + (trace block +)
+    body, CRC over everything after the header."""
+    if lc is not None:
+        if not 0 <= lc < 1 << 64:
+            raise CodecError(f"lamport stamp out of range: {lc!r}")
+        span_bytes = ("" if span is None else span).encode("utf-8")
+        if len(span_bytes) > MAX_SPAN_ID:
+            raise CodecError(f"span id too long ({len(span_bytes)} bytes)")
+        payload = _TRACE_BLOCK.pack(lc, len(span_bytes)) + span_bytes + payload
+        frame_type |= _FLAG_TRACED
+    if len(payload) > MAX_BODY:
+        raise CodecError(f"body too large ({len(payload)} bytes)")
+    return (
+        _HEADER.pack(
+            MAGIC,
+            WIRE_VERSION,
+            frame_type,
+            len(payload),
+            zlib.crc32(payload) & 0xFFFFFFFF,
+        )
+        + payload
+    )
+
+
 def encode_frame(
     frame_type: int,
     body: Any,
@@ -135,37 +155,16 @@ def encode_frame(
     lc: Optional[int] = None,
     span: Optional[str] = None,
 ) -> bytes:
-    """One complete frame: header + (trace block +) canonical JSON body.
-
-    With ``lc`` the frame is emitted at :data:`WIRE_TRACE_VERSION` and the
-    payload opens with the binary trace block; without it the frame is a
-    plain v1 frame, byte-identical to what pre-tracing builds produced.
-    """
-    if frame_type not in _TYPES:
-        raise CodecError(f"unknown frame type {frame_type!r}")
+    """One ``T_HELLO``/``T_MSG`` frame: canonical JSON body, stamped when
+    ``lc`` is given.  The lock-service types have no JSON form — use
+    :func:`encode_request` / :func:`encode_response`."""
+    if frame_type not in _JSON_TYPES:
+        raise CodecError(f"frame type {frame_type!r} has no JSON body")
     try:
         payload = json.dumps(body, **_CANONICAL).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise CodecError(f"body is not wire-encodable: {exc}") from None
-    if lc is None:
-        version = WIRE_VERSION
-    else:
-        if not 0 <= lc < 1 << 64:
-            raise CodecError(f"lamport stamp out of range: {lc!r}")
-        span_bytes = ("" if span is None else span).encode("utf-8")
-        if len(span_bytes) > MAX_SPAN_ID:
-            raise CodecError(f"span id too long ({len(span_bytes)} bytes)")
-        payload = _TRACE_BLOCK.pack(lc, len(span_bytes)) + span_bytes + payload
-        version = WIRE_TRACE_VERSION
-    if len(payload) > MAX_BODY:
-        raise CodecError(f"body too large ({len(payload)} bytes)")
-    header = (
-        MAGIC
-        + bytes((version, frame_type))
-        + len(payload).to_bytes(4, "big")
-        + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
-    )
-    return header + payload
+    return _seal(frame_type, payload, lc, span)
 
 
 def encode_message(
@@ -193,17 +192,23 @@ def _request_id_bytes(req_id: Any) -> bytes:
     return ident
 
 
-def encode_request(op: str, req_id: Any, *, node: Optional[int] = None) -> bytes:
-    """One lock-service request as a binary v3 ``T_REQ`` frame.
+def encode_request(
+    op: str,
+    req_id: Any,
+    *,
+    node: Optional[int] = None,
+    lc: Optional[int] = None,
+    span: Optional[str] = None,
+) -> bytes:
+    """One lock-service request as a packed ``T_REQ`` frame.
 
-    Decodes into the same body dict the JSON path produces — ``op``, ``id``,
-    and (for acquires) ``span`` mirroring the id, exactly as
-    :class:`~repro.net.lock.LockClient` sends them — plus ``node`` when a
-    gateway routes on behalf of a logical client.
+    Decodes into the body dict ``{"op", "id"}`` — plus ``span`` mirroring
+    the id on acquires (the client-side span the node adopts), plus
+    ``node`` when a gateway routes on behalf of a logical client.
     """
     code = _OP_CODES.get(op)
     if code is None:
-        raise CodecError(f"op {op!r} has no binary encoding")
+        raise CodecError(f"op {op!r} has no wire encoding")
     ident = _request_id_bytes(req_id)
     flags = 0
     node_index = 0
@@ -213,16 +218,7 @@ def encode_request(op: str, req_id: Any, *, node: Optional[int] = None) -> bytes
         flags |= _FLAG_NODE
         node_index = node
     payload = _REQ_HEAD.pack(code, flags, node_index, len(ident)) + ident
-    return (
-        _HEADER.pack(
-            MAGIC,
-            WIRE_BINARY_VERSION,
-            T_REQ,
-            len(payload),
-            zlib.crc32(payload) & 0xFFFFFFFF,
-        )
-        + payload
-    )
+    return _seal(T_REQ, payload, lc, span)
 
 
 def encode_response(
@@ -232,8 +228,10 @@ def encode_response(
     *,
     error: Optional[str] = None,
     retry_after_s: Optional[float] = None,
+    lc: Optional[int] = None,
+    span: Optional[str] = None,
 ) -> bytes:
-    """One lock-service response as a binary v3 ``T_RSP`` frame.
+    """One lock-service response as a packed ``T_RSP`` frame.
 
     ``error`` is the typed refusal (``"retry"`` for admission sheds,
     ``"bad-op"`` for protocol misuse); ``retry_after_s`` is the shed
@@ -241,7 +239,7 @@ def encode_response(
     """
     code = _OP_CODES.get(op)
     if code is None:
-        raise CodecError(f"op {op!r} has no binary encoding")
+        raise CodecError(f"op {op!r} has no wire encoding")
     ident = _request_id_bytes(req_id)
     err = ("" if error is None else error).encode("utf-8")
     if len(err) > 255:
@@ -257,24 +255,16 @@ def encode_response(
         + bytes((len(err),))
         + err
     )
-    return (
-        _HEADER.pack(
-            MAGIC,
-            WIRE_BINARY_VERSION,
-            T_RSP,
-            len(payload),
-            zlib.crc32(payload) & 0xFFFFFFFF,
-        )
-        + payload
-    )
+    return _seal(T_RSP, payload, lc, span)
 
 
-def _decode_binary_body(frame_type: int, body: bytes) -> Optional[Any]:
-    """The body dict of a v3 frame, or ``None`` if the bytes are junk.
+def _decode_packed_body(frame_type: int, body: bytes) -> Optional[dict]:
+    """The body dict of a ``T_REQ``/``T_RSP`` frame, or ``None`` if the
+    bytes are junk.
 
     The CRC already passed, so a malformed body here is garbage that got
     lucky (or a buggy peer); the decoder treats ``None`` exactly like a
-    failed JSON parse — defence in depth, same as the v2 trace block.
+    failed JSON parse — defence in depth, same as the trace block.
     """
     if frame_type == T_REQ:
         if len(body) < _REQ_HEAD.size:
@@ -294,29 +284,57 @@ def _decode_binary_body(frame_type: int, body: bytes) -> Optional[Any]:
         if flags & _FLAG_NODE:
             decoded["node"] = node_index
         return decoded
-    if frame_type == T_RSP:
-        if len(body) < _RSP_HEAD.size:
+    if len(body) < _RSP_HEAD.size:
+        return None
+    code, ok, retry_ms, id_len = _RSP_HEAD.unpack_from(body, 0)
+    op = _OP_NAMES.get(code)
+    id_end = _RSP_HEAD.size + id_len
+    if op is None or id_len == 0 or len(body) < id_end + 1:
+        return None
+    err_len = body[id_end]
+    if len(body) != id_end + 1 + err_len:
+        return None
+    try:
+        ident = body[_RSP_HEAD.size : id_end].decode("utf-8")
+        err = body[id_end + 1 :].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    decoded = {"op": op, "id": ident, "ok": bool(ok)}
+    if err:
+        decoded["error"] = err
+    if retry_ms:
+        decoded["retry_after_s"] = retry_ms / 1000.0
+    return decoded
+
+
+def _parse(type_byte: int, payload: bytes) -> Optional[Frame]:
+    """The frame in a CRC-valid payload, or ``None`` if the bytes are junk
+    under the one schema their type byte selects."""
+    lc: Optional[int] = None
+    span: Optional[str] = None
+    if type_byte & _FLAG_TRACED:
+        if len(payload) < _TRACE_BLOCK.size:
             return None
-        code, ok, retry_ms, id_len = _RSP_HEAD.unpack_from(body, 0)
-        op = _OP_NAMES.get(code)
-        id_end = _RSP_HEAD.size + id_len
-        if op is None or id_len == 0 or len(body) < id_end + 1:
-            return None
-        err_len = body[id_end]
-        if len(body) != id_end + 1 + err_len:
+        lc, span_len = _TRACE_BLOCK.unpack_from(payload, 0)
+        end = _TRACE_BLOCK.size + span_len
+        if len(payload) < end:
             return None
         try:
-            ident = body[_RSP_HEAD.size : id_end].decode("utf-8")
-            err = body[id_end + 1 :].decode("utf-8")
+            span = payload[_TRACE_BLOCK.size : end].decode("utf-8") or None
         except UnicodeDecodeError:
             return None
-        decoded = {"op": op, "id": ident, "ok": bool(ok)}
-        if err:
-            decoded["error"] = err
-        if retry_ms:
-            decoded["retry_after_s"] = retry_ms / 1000.0
-        return decoded
-    return None  # only the lock-service types have a binary schema
+        payload = payload[end:]
+    frame_type = type_byte & ~_FLAG_TRACED
+    if frame_type in _JSON_TYPES:
+        try:
+            body = json.loads(payload.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+            return None  # RecursionError: a CRC-valid "[[[[…" a mile deep
+    else:
+        body = _decode_packed_body(frame_type, payload)
+        if body is None:
+            return None
+    return Frame(frame_type, body, lc, span)
 
 
 def encode_hello(node: Any, *, role: str = "peer") -> bytes:
@@ -408,12 +426,12 @@ class Decoder:
                 del buf[:start]
             if len(buf) < HEADER_SIZE:
                 return  # header not complete yet
-            version, frame_type = buf[2], buf[3]
+            version, type_byte = buf[2], buf[3]
             length = int.from_bytes(buf[4:8], "big")
             crc = int.from_bytes(buf[8:12], "big")
             if (
-                version not in _VERSIONS
-                or frame_type not in _TYPES
+                version != WIRE_VERSION
+                or (type_byte & ~_FLAG_TRACED) not in _TYPES
                 or length > MAX_BODY
             ):
                 # False magic: discard one byte and rescan.
@@ -424,60 +442,16 @@ class Decoder:
             if len(buf) < HEADER_SIZE + length:
                 return  # body not complete yet
             body_bytes = bytes(buf[HEADER_SIZE : HEADER_SIZE + length])
-            if zlib.crc32(body_bytes) & 0xFFFFFFFF != crc:
-                self.garbage_bytes += 1
-                self.resyncs += 1
-                del buf[:1]
-                continue
-            if version == WIRE_BINARY_VERSION:
-                binary_body = _decode_binary_body(frame_type, body_bytes)
-                if binary_body is None:
-                    self.garbage_bytes += 1
-                    self.resyncs += 1
-                    del buf[:1]
-                    continue
-                del buf[: HEADER_SIZE + length]
-                self.frames_decoded += 1
-                yield Frame(
-                    type=frame_type, body=binary_body, version=version
-                )
-                continue
-            lc: Optional[int] = None
-            span: Optional[str] = None
-            if version == WIRE_TRACE_VERSION:
-                # Peel the trace block; a short or malformed one is junk
-                # masquerading as a v2 frame (the CRC already passed, so
-                # this is defence in depth, same as the JSON check below).
-                if len(body_bytes) < _TRACE_BLOCK.size:
-                    self.garbage_bytes += 1
-                    self.resyncs += 1
-                    del buf[:1]
-                    continue
-                lc, span_len = _TRACE_BLOCK.unpack_from(body_bytes, 0)
-                end = _TRACE_BLOCK.size + span_len
-                if len(body_bytes) < end:
-                    self.garbage_bytes += 1
-                    self.resyncs += 1
-                    del buf[:1]
-                    continue
-                try:
-                    raw_span = body_bytes[_TRACE_BLOCK.size : end].decode("utf-8")
-                except UnicodeDecodeError:
-                    self.garbage_bytes += 1
-                    self.resyncs += 1
-                    del buf[:1]
-                    continue
-                span = raw_span or None
-                body_bytes = body_bytes[end:]
-            try:
-                body = json.loads(body_bytes.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
+            frame = (
+                _parse(type_byte, body_bytes)
+                if zlib.crc32(body_bytes) & 0xFFFFFFFF == crc
+                else None
+            )
+            if frame is None:
                 self.garbage_bytes += 1
                 self.resyncs += 1
                 del buf[:1]
                 continue
             del buf[: HEADER_SIZE + length]
             self.frames_decoded += 1
-            yield Frame(
-                type=frame_type, body=body, lc=lc, span=span, version=version
-            )
+            yield frame

@@ -28,15 +28,7 @@ from ..obs.events import NetEventKind
 from ..obs.slo import SloReport
 from ..sim.topology import Pid, Topology
 from ..sim.trace import TraceEvent
-from .codec import (
-    Decoder,
-    Frame,
-    T_REQ,
-    T_RSP,
-    encode_frame,
-    encode_hello,
-    encode_request,
-)
+from .codec import Decoder, Frame, T_RSP, encode_hello, encode_request
 from .cluster import ClusterConfig, ClusterResult, ClusterSupervisor
 
 #: An acquire over a dead or silently partitioned link must fail, not
@@ -86,14 +78,10 @@ class LockClient:
         obs_pid: Optional[Pid] = None,
         t0: Optional[float] = None,
         rng: Optional[random.Random] = None,
-        wire: str = "json",
     ) -> None:
-        if wire not in ("json", "binary"):
-            raise ValueError(f"unknown wire layout {wire!r}")
         self.host = host
         self.port = port
         self.client_id = client_id
-        self.wire = wire
         self.reconnect = reconnect
         self.backoff_s = backoff_s
         self.max_backoff_s = max_backoff_s
@@ -264,26 +252,12 @@ class LockClient:
             if not entry.future.done():
                 entry.future.set_exception(exc)
 
-    def _encode_request(self, op: str, req_id: Any) -> bytes:
-        """The request frame in this client's wire layout.
-
-        The binary layout only carries string ids (ours always are); an
-        exotic id silently falls back to the JSON frame, which every node
-        decodes regardless.
-        """
-        if self.wire == "binary" and isinstance(req_id, str):
-            return encode_request(op, req_id)
-        body: Dict[str, Any] = {"op": op, "id": req_id}
-        if op == "acquire":
-            body["span"] = str(req_id)
-        return encode_frame(T_REQ, body)
-
     def _send_frame(self, op: str, req_id: Any) -> None:
         writer = self._writer
         if writer is None or writer.is_closing():
             return
         try:
-            writer.write(self._encode_request(op, req_id))
+            writer.write(encode_request(op, req_id))
         except (ConnectionError, OSError):
             pass
 
@@ -312,14 +286,16 @@ class LockClient:
         allocate = req_id is None
         if allocate:
             req_id = f"{self.client_id}.{self.epoch}.{self._next_id + 1}"
-        future = loop.create_future()
-        self._pending[(op, req_id)] = _Pending(future, loop.time())
         # The acquire carries a client-side span id (the request id): the
         # node adopts it as the acquire span's ``client_span`` attribute,
-        # chaining the causal trace across the process boundary.  Both
-        # wire layouts carry it identically.
+        # chaining the causal trace across the process boundary.  Encoded
+        # before anything is registered: an id the wire cannot carry
+        # (``release`` of something we never issued) raises CodecError.
+        frame = encode_request(op, req_id)
+        future = loop.create_future()
+        self._pending[(op, req_id)] = _Pending(future, loop.time())
         try:
-            writer.write(self._encode_request(op, req_id))
+            writer.write(frame)
         except (ConnectionError, OSError) as exc:
             self._pending.pop((op, req_id), None)
             raise LockError(f"send failed: {exc}") from exc

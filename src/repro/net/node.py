@@ -47,20 +47,16 @@ from ..obs.tracing import LamportClock, ROOT_SPAN, Span, SpanRecorder
 from ..sim.topology import Pid, Topology
 from ..sim.trace import TraceEvent
 from .codec import (
-    CodecError,
     Decoder,
     Frame,
     T_MSG,
     T_REQ,
-    T_RSP,
-    WIRE_BINARY_VERSION,
     WIRE_VERSION,
     decode_message,
     encode_frame,
     encode_hello,
     encode_response,
     hello_fields,
-    tuplify,
 )
 
 #: ``(host, port)`` of a peer's inbound socket (or its chaos proxy).
@@ -210,11 +206,9 @@ class NodeServer:
         #: Last payload written per neighbour — an identical re-send is the
         #: repair-mode retransmit the timeline attributes chaos latency to.
         self._last_sent: Dict[Pid, Tuple] = {}
-        #: FIFO of ``(writer, request_id, span, binary)`` acquires awaiting
-        #: a grant — ``binary`` remembers the wire layout the request came
-        #: in on, so the grant goes back the same way.
+        #: FIFO of ``(writer, request_id, span)`` acquires awaiting a grant.
         self._waiters: Deque[
-            Tuple[asyncio.StreamWriter, Any, Optional[Span], bool]
+            Tuple[asyncio.StreamWriter, str, Optional[Span]]
         ] = deque()
         if isinstance(process, LockDinerProcess):
             process.waiters = self._waiters  # hungry iff someone is queued
@@ -535,7 +529,7 @@ class NodeServer:
                 kept = [e for e in self._waiters if e[0] is not writer]
                 self._waiters.clear()
                 self._waiters.extend(kept)
-            for _, _, span, _ in abandoned:
+            for _, _, span in abandoned:
                 self._trace_event(span, "abandon")
                 self._trace_close(span)
             if self._holder is writer:
@@ -588,64 +582,38 @@ class NodeServer:
     # ---------------------------------------------------------- lock service
 
     def _handle_request(self, frame: Frame, writer: asyncio.StreamWriter) -> None:
-        body = frame.body if isinstance(frame.body, dict) else {}
-        op = body.get("op")
-        req_id = tuplify(body.get("id"))
-        binary = frame.version == WIRE_BINARY_VERSION
-        process = self.process
-        if op == "acquire" and isinstance(process, LockDinerProcess):
-            attrs: Dict[str, Any] = {"req": repr(req_id)}
-            client_span = body.get("span")
-            if isinstance(client_span, str) and client_span:
-                attrs["client_span"] = client_span
+        # A decoded T_REQ body is ``op`` (acquire|release) + ``id`` (a short
+        # string) by the codec's schema; anything else never left the decoder.
+        body = frame.body
+        op, req_id = body["op"], body["id"]
+        if not isinstance(self.process, LockDinerProcess):
+            self._respond(writer, op, req_id, False, error="bad-op")
+        elif op == "acquire":
             span = self._trace_open(
                 "acquire",
                 parent=None if self._root_span is None
                 else self._root_span.span_id,
-                attrs=attrs,
+                attrs={"req": repr(req_id), "client_span": body["span"]},
             )
-            self._waiters.append((writer, req_id, span, binary))
+            self._waiters.append((writer, req_id, span))
             self._wake()
-        elif op == "release" and isinstance(process, LockDinerProcess):
-            self._release()
-            self._respond(
-                writer,
-                {"op": "release", "id": req_id, "ok": True},
-                binary=binary,
-            )
         else:
-            self._respond(
-                writer,
-                {"op": op, "id": req_id, "ok": False, "error": "bad-op"},
-                binary=binary,
-            )
+            self._release()
+            self._respond(writer, op, req_id, True)
 
     def _respond(
-        self, writer: asyncio.StreamWriter, body: dict, *, binary: bool = False
+        self,
+        writer: asyncio.StreamWriter,
+        op: str,
+        req_id: str,
+        ok: bool,
+        *,
+        error: Optional[str] = None,
     ) -> None:
         if writer.is_closing():
             return
-        if binary:
-            # Answer a binary-speaking client in kind; a body the packed
-            # layout cannot carry falls back to the JSON frame, which every
-            # decoder accepts anyway.
-            try:
-                frame = encode_response(
-                    str(body.get("op")),
-                    body.get("id"),
-                    bool(body.get("ok")),
-                    error=body.get("error"),
-                )
-            except CodecError:
-                frame = None
-            if frame is not None:
-                try:
-                    writer.write(frame)
-                except (ConnectionError, OSError):
-                    pass
-                return
         try:
-            writer.write(encode_frame(T_RSP, body))
+            writer.write(encode_response(op, req_id, ok, error=error))
         except (ConnectionError, OSError):
             pass
 
@@ -696,14 +664,10 @@ class NodeServer:
             detail: Dict[str, Any] = {}
             granted_span: Optional[Span] = None
             if self._waiters and isinstance(self.process, LockDinerProcess):
-                writer, req_id, granted_span, binary = self._waiters.popleft()
+                writer, req_id, granted_span = self._waiters.popleft()
                 self.process.grant_taken()
                 self._holder = writer
-                self._respond(
-                    writer,
-                    {"op": "acquire", "id": req_id, "ok": True},
-                    binary=binary,
-                )
+                self._respond(writer, "acquire", req_id, True)
                 detail["req"] = req_id
             if granted_span is None:
                 granted_span = self._hunger_span

@@ -28,12 +28,13 @@ the ``engine/steps/ring16`` and ``net/codec/roundtrip`` kernels
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..artefact import CANONICAL, write_atomic
 from .tracing import Span, span_from_json
 
 FLIGHT_FORMAT_VERSION = 1
@@ -139,8 +140,6 @@ def dump_flight(
     tracing is on; its most recent ``capacity`` spans ride along so the
     dump merges into a timeline without the full span artefact.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     spans = [] if tracer is None else list(tracer.spans)[-recorder.capacity:]
     head: Dict[str, Any] = {
         "format": FLIGHT_FORMAT_VERSION,
@@ -155,20 +154,12 @@ def dump_flight(
     }
     if header:
         head.update(header)
-    canonical = dict(sort_keys=True, separators=(",", ":"))
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(head, **canonical) + "\n")
-        for span in spans:
-            handle.write(json.dumps(span.to_json(), **canonical) + "\n")
-        for record in recorder.records():
-            handle.write(
-                json.dumps({"kind": "record", **record}, **canonical) + "\n"
-            )
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    docs = chain(
+        [head],
+        (span.to_json() for span in spans),
+        ({"kind": "record", **record} for record in recorder.records()),
+    )
+    return write_atomic(path, (json.dumps(doc, **CANONICAL) for doc in docs))
 
 
 def read_flight(path: Path | str) -> FlightFile:

@@ -20,18 +20,17 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-METRICS_FORMAT_VERSION = 1
+from ..artefact import CANONICAL, write_atomic
 
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
+METRICS_FORMAT_VERSION = 1
 
 
 def _canonical(payload: Any) -> str:
-    return json.dumps(payload, **_CANONICAL)
+    return json.dumps(payload, **CANONICAL)
 
 
 def percentile_of_sorted(values: List[float], q: float) -> float:
@@ -329,16 +328,9 @@ def write_metrics(
 ) -> Path:
     """Write the registry to ``path`` (parents created, atomic replace,
     fsynced — a teardown racing a SIGKILL keeps the artefact tail)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        for line in metrics_lines(registry, header=header, include_meta=include_meta):
-            handle.write(line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    return write_atomic(
+        path, metrics_lines(registry, header=header, include_meta=include_meta)
+    )
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..artefact import write_atomic
 from .metrics import percentile_of_sorted
 
 SLO_FORMAT_VERSION = 1
@@ -60,8 +60,6 @@ OBJECTIVE_KINDS = (
 
 #: Span names whose lifecycle measures lock-acquire latency.
 _WAIT_SPANS = ("acquire", "hunger")
-
-_CANONICAL: Dict[str, Any] = {"sort_keys": True, "separators": (",", ":")}
 
 
 def _round6(value: Optional[float]) -> Optional[float]:
@@ -637,16 +635,8 @@ def evaluate(spec: SloSpec, obs: SloObservations) -> SloReport:
 
 def write_slo_report(path: Path | str, report: SloReport) -> Path:
     """The byte-stable report document (atomic replace, fsynced)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(body)
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    body = json.dumps(report.to_json(), sort_keys=True, indent=2)
+    return write_atomic(path, [body])
 
 
 def read_slo_report(path: Path | str) -> Dict[str, Any]:

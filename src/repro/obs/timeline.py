@@ -25,19 +25,18 @@ byte-stable for a given set of span files.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..artefact import CANONICAL, write_atomic
 from .tracing import Span
 
 TIMELINE_FORMAT_VERSION = 1
 #: ``source`` value of the timeline artefact.
 TIMELINE_SOURCE = "timeline"
-
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -359,8 +358,6 @@ def write_timeline(
 ) -> Path:
     """The merged timeline as canonical JSONL — byte-stable for a given
     span-file set, which the CI trace-smoke job enforces with ``cmp``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     nodes = sorted({entry.node for entry in entries})
     head: Dict[str, Any] = {
         "format": TIMELINE_FORMAT_VERSION,
@@ -371,15 +368,8 @@ def write_timeline(
     }
     if header:
         head.update(header)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(head, **_CANONICAL) + "\n")
-        for entry in entries:
-            handle.write(json.dumps(entry.to_json(), **_CANONICAL) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    docs = chain([head], (entry.to_json() for entry in entries))
+    return write_atomic(path, (json.dumps(doc, **CANONICAL) for doc in docs))
 
 
 def read_timeline(path: Path | str) -> TimelineFile:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..artefact import CANONICAL
 from ..sim.configuration import Configuration
 from ..sim.errors import SimulationError
 from ..sim.serialize import decode_literal, encode_literal, from_json, to_json
@@ -35,8 +36,6 @@ from .metrics import MetricsRegistry, write_metrics
 from .probes import Probe, standard_probes
 
 TRACE_FORMAT_VERSION = 1
-
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
 
 #: Every event kind either engine publishes, keyed by wire value.
 _KINDS: Dict[str, Any] = {
@@ -135,7 +134,7 @@ def event_to_line(event: TraceEvent) -> str:
     }
     if event.payload is not None:
         record["payload"] = _encode_payload(event.payload)
-    return json.dumps(record, **_CANONICAL)
+    return json.dumps(record, **CANONICAL)
 
 
 def event_from_payload(record: Mapping[str, Any]) -> TraceEvent:
@@ -162,7 +161,7 @@ def write_trace(path: Path | str, trace: Trace) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(dict(trace.header), **_CANONICAL) + "\n")
+        handle.write(json.dumps(dict(trace.header), **CANONICAL) + "\n")
         for event in trace.events:
             handle.write(event_to_line(event) + "\n")
         for step, config in trace.snapshots:
@@ -172,7 +171,7 @@ def write_trace(path: Path | str, trace: Trace) -> Path:
                     "step": step,
                     "config": json.loads(to_json(config, indent=None)),
                 },
-                **_CANONICAL,
+                **CANONICAL,
             )
             handle.write(line + "\n")
     tmp.replace(path)
@@ -241,7 +240,7 @@ class TraceAnalysis:
     summary: Dict[str, Any] = field(default_factory=dict)
 
     def summary_json(self) -> str:
-        return json.dumps(self.summary, **_CANONICAL)
+        return json.dumps(self.summary, **CANONICAL)
 
 
 def analyze(

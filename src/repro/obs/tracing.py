@@ -24,18 +24,18 @@ contracts; the deterministic part of a trace is its *order* — the
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+
+from ..artefact import CANONICAL, write_atomic
 
 SPANS_FORMAT_VERSION = 1
 #: ``source`` value of the span artefact family.
 SPANS_SOURCE = "spans"
 #: Span name of the per-incarnation root span catching ambient traffic.
 ROOT_SPAN = "node"
-
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
 
 
 class LamportClock:
@@ -271,8 +271,6 @@ def write_spans(
     else:
         rows = list(spans)
         node = rows[0].node if rows else "?"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     head: Dict[str, Any] = {
         "format": SPANS_FORMAT_VERSION,
         "kind": "header",
@@ -282,15 +280,8 @@ def write_spans(
     }
     if header:
         head.update(header)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(head, **_CANONICAL) + "\n")
-        for span in rows:
-            handle.write(json.dumps(span.to_json(), **_CANONICAL) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    docs = chain([head], (span.to_json() for span in rows))
+    return write_atomic(path, (json.dumps(doc, **CANONICAL) for doc in docs))
 
 
 def read_spans(path: Path | str) -> SpanFile:

@@ -225,7 +225,7 @@ def codec_roundtrip():
     and feed it back through the garbage-tolerant incremental decoder —
     over a 200-message batch shaped like real fork/request traffic.
 
-    ``REPRO_TRACE_STAMP=1`` switches every frame to the traced v2 encoding
+    ``REPRO_TRACE_STAMP=1`` stamps every frame with the trace block
     (Lamport stamp + span id) under the *same kernel name*, so
     ``repro bench --compare --threshold 0.10`` between a plain and a
     stamped run is exactly the CI gate on codec-stamping overhead.
@@ -275,7 +275,7 @@ def trace_stamp_merge():
     """The tracing hot path a stamped frame adds on top of plain framing.
 
     One op is the full causal hop — tick the sender's Lamport clock,
-    encode a traced v2 frame (binary stamp block + span id), feed it
+    encode a stamped frame (binary trace block + span id), feed it
     through the incremental decoder, and merge the stamp into the
     receiver's clock — over the same 200-message batch as
     ``net/codec/roundtrip``, so the two trajectories subtract cleanly.
@@ -326,31 +326,15 @@ def havoc_step():
 
 @register("net/codec/binary-roundtrip", ops=200)
 def codec_binary_roundtrip():
-    """Gateway hot path: encode→decode of a REQ/RSP pair, binary v3.
+    """Gateway hot path: encode→decode of a packed REQ/RSP pair.
 
     One op is a full request/response round trip over a 200-pair batch —
-    encode a binary v3 acquire/release request, decode it through the
+    encode a packed acquire/release request, decode it through the
     garbage-tolerant incremental decoder, encode the matching response,
     decode that too — the exact frames the gateway multiplexes upstream.
-
-    ``REPRO_CODEC_JSON=1`` re-times the identical traffic as canonical v1
-    JSON frames under the *same kernel name*: comparing a plain run to a
-    ``REPRO_CODEC_JSON=1`` run with ``repro bench --compare`` measures the
-    binary format's speedup directly (the acceptance gate is >= 1.6x;
-    measured ~2.2x).
     """
-    import os
+    from ..net.codec import Decoder, encode_request, encode_response
 
-    from ..net.codec import (
-        T_REQ,
-        T_RSP,
-        Decoder,
-        encode_frame,
-        encode_request,
-        encode_response,
-    )
-
-    as_json = os.environ.get("REPRO_CODEC_JSON") == "1"
     rng = random.Random(6)
     pairs = []
     for i in range(200):
@@ -361,21 +345,8 @@ def codec_binary_roundtrip():
     def kernel():
         decoder = Decoder()
         for op, req_id in pairs:
-            if as_json:
-                body = {"op": op, "id": req_id}
-                if op == "acquire":
-                    body["span"] = req_id
-                req = encode_frame(T_REQ, body)
-            else:
-                req = encode_request(op, req_id)
-            for frame in decoder.feed(req):
-                if as_json:
-                    rsp = encode_frame(
-                        T_RSP,
-                        {"op": op, "id": frame.body["id"], "ok": True},
-                    )
-                else:
-                    rsp = encode_response(op, frame.body["id"], True)
+            for frame in decoder.feed(encode_request(op, req_id)):
+                rsp = encode_response(op, frame.body["id"], True)
                 for _ in decoder.feed(rsp):
                     pass
 

@@ -9,6 +9,7 @@ from repro.gateway import (
     AdmissionConfig,
     AdmissionController,
 )
+from repro.net.codec import MAX_RETRY_MS, Decoder, encode_response
 
 
 def make(**overrides):
@@ -93,8 +94,20 @@ class TestValidation:
             ("max_queue_depth", 0),
             ("max_in_flight", 0),
             ("retry_after_s", -0.1),
+            ("retry_after_s", (MAX_RETRY_MS + 1) / 1000),
         ],
     )
     def test_bad_config_rejected(self, field, value):
         with pytest.raises(ValueError):
             AdmissionConfig(**{field: value}).validate()
+
+    def test_largest_retry_hint_is_accepted_and_encodable(self):
+        # No JSON fallback: whatever the config admits, a shed must carry.
+        config = AdmissionConfig(retry_after_s=MAX_RETRY_MS / 1000)
+        config.validate()
+        frame = encode_response(
+            "acquire", "c.1", False, error="retry",
+            retry_after_s=config.retry_after_s,
+        )
+        body = Decoder().feed(frame)[0].body
+        assert body["retry_after_s"] == config.retry_after_s

@@ -1,14 +1,15 @@
-"""The live gateway over a real cluster: sockets, v3 frames, /metrics.
+"""The live gateway over a real cluster: sockets, packed frames, /metrics.
 
 One shared scenario starts a chaos-free three-node lock-service cluster,
 fronts it with a :class:`GatewayServer` (TCP listener + metrics endpoint),
 and exercises every downstream face — the in-process submit API, raw
-binary v3 frames over the front-end socket, and an HTTP metrics scrape —
+packed frames over the front-end socket, and an HTTP metrics scrape —
 before the read-only assertions pick the facts apart.
 """
 
 import asyncio
 import json
+import zlib
 
 import pytest
 
@@ -16,14 +17,14 @@ from repro.gateway import GatewayConfig, GatewayServer, LoadgenConfig, run_live
 from repro.net import ClusterConfig
 from repro.net.cluster import ClusterSupervisor
 from repro.net.codec import (
+    MAGIC,
+    WIRE_VERSION,
     Decoder,
+    T_REQ,
     T_RSP,
-    WIRE_BINARY_VERSION,
-    encode_frame,
     encode_hello,
     encode_request,
 )
-from repro.net.codec import T_REQ
 from repro.sim import ring
 
 
@@ -91,7 +92,7 @@ async def _scenario():
         done = await gateway.request("alice", 0, "release")
         facts["inproc_release_ok"] = done.ok
 
-        # Face 2: raw binary v3 frames over the TCP front end.  Logical
+        # Face 2: raw packed frames over the TCP front end.  Logical
         # client "bob" rides a shared socket; ids follow the
         # ``client.seq`` stem convention the gateway uses for fairness.
         reader, writer = await asyncio.open_connection(
@@ -101,31 +102,39 @@ async def _scenario():
         writer.write(encode_hello("fleet-conn", role="client"))
         writer.write(encode_request("acquire", "bob.1", node=1))
         rsp = (await _read_frames(reader, decoder, 1))[0]
-        facts["tcp_rsp"] = (rsp.type, rsp.version, dict(rsp.body))
+        facts["tcp_rsp"] = (rsp.type, dict(rsp.body))
         writer.write(encode_request("release", "bob.2", node=1))
         rsp2 = (await _read_frames(reader, decoder, 1))[0]
         facts["tcp_release"] = dict(rsp2.body)
 
-        # A JSON v1 request on the same socket still works (and gets a
-        # JSON reply, because the gateway answers in kind).
+        # A CRC-valid request naming no op (code 9) is garbage to the
+        # decoder, so nothing is admitted for it, nothing can fail to
+        # encode upstream, and the next logical client on the shared
+        # socket is served as if it had never been sent.
+        bad = bytes((9, 1, 0, 0, 9)) + b"mallory.1"
         writer.write(
-            encode_frame(
-                T_REQ, {"op": "acquire", "id": "carol.1", "node": 2}
-            )
+            MAGIC
+            + bytes((WIRE_VERSION, T_REQ))
+            + len(bad).to_bytes(4, "big")
+            + zlib.crc32(bad).to_bytes(4, "big")
+            + bad
         )
+        writer.write(encode_request("acquire", "carol.1", node=2))
         rsp3 = (await _read_frames(reader, decoder, 1))[0]
-        facts["tcp_json"] = (rsp3.version, dict(rsp3.body))
-        writer.write(
-            encode_frame(
-                T_REQ, {"op": "release", "id": "carol.2", "node": 2}
-            )
-        )
+        facts["tcp_after_bad_op"] = dict(rsp3.body)
+        writer.write(encode_request("release", "carol.2", node=2))
         await _read_frames(reader, decoder, 1)
+        facts["after_bad_op"] = {
+            "socket_open": not reader.at_eof(),
+            "pending": gateway.mux.pending_count(),
+            "in_flight": sum(
+                gateway.mux.admission.in_flight(slot)
+                for slot in range(gateway.mux.upstream_count)
+            ),
+        }
 
-        # A malformed request gets a typed refusal, not a hang.
-        writer.write(
-            encode_frame(T_REQ, {"op": "acquire", "id": "dave.1"})
-        )
+        # A request naming no node gets a typed refusal, not a hang.
+        writer.write(encode_request("acquire", "dave.1"))
         rsp4 = (await _read_frames(reader, decoder, 1))[0]
         facts["tcp_bad"] = dict(rsp4.body)
         writer.close()
@@ -159,19 +168,23 @@ class TestInProcessFace:
 
 class TestTcpFace:
     def test_binary_request_gets_binary_grant(self, facts):
-        frame_type, version, body = facts["tcp_rsp"]
+        frame_type, body = facts["tcp_rsp"]
         assert frame_type == T_RSP
-        assert version == WIRE_BINARY_VERSION
         assert body["id"] == "bob.1" and body["ok"] is True
 
     def test_binary_release_acknowledged(self, facts):
         assert facts["tcp_release"]["id"] == "bob.2"
         assert facts["tcp_release"]["ok"] is True
 
-    def test_json_request_gets_json_reply(self, facts):
-        version, body = facts["tcp_json"]
-        assert version != WIRE_BINARY_VERSION
+    def test_unknown_op_is_garbage_not_a_crash(self, facts):
+        # Regression: a JSON ``T_REQ`` with op "steal" used to be admitted,
+        # then blow up encoding upstream — closing the shared socket and
+        # leaking a mux entry and an admission slot for good.
+        body = facts["tcp_after_bad_op"]
         assert body["id"] == "carol.1" and body["ok"] is True
+        assert facts["after_bad_op"] == {
+            "socket_open": True, "pending": 0, "in_flight": 0,
+        }
 
     def test_malformed_request_refused_typed(self, facts):
         assert facts["tcp_bad"]["ok"] is False

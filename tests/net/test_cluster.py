@@ -8,11 +8,13 @@ import pytest
 from repro.cli import main
 from repro.net import (
     ClusterConfig,
+    ClusterSupervisor,
     read_cluster_events,
     run_cluster,
     write_cluster_events,
     write_cluster_metrics,
 )
+from repro.net.codec import T_HELLO, WIRE_VERSION, encode_frame, encode_request
 from repro.obs import read_metrics
 from repro.sim import ring
 
@@ -59,6 +61,36 @@ class TestCleanRun:
         kinds = {e["event"] for e in clean_result.events}
         assert {"net-node-start", "net-conn-open", "net-hello-ok",
                 "net-node-stop"} <= kinds
+
+
+class TestHandshake:
+    def test_hello_advertising_a_retired_version_is_refused(self):
+        async def scenario(version):
+            supervisor = ClusterSupervisor(make_config(lock_service=True))
+            await supervisor.start(10.0)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    supervisor.config.host, supervisor.nodes[0].port
+                )
+                writer.write(
+                    encode_frame(
+                        T_HELLO,
+                        {"version": version, "node": "old", "role": "client"},
+                    )
+                )
+                writer.write(encode_request("acquire", "old.1"))
+                answer = await asyncio.wait_for(reader.read(), 5.0)
+                writer.close()
+                return answer, [
+                    e["detail"] for e in supervisor.events
+                    if e["event"] == "net-hello-bad"
+                ]
+            finally:
+                await supervisor.stop()
+
+        for version in (1, 2, 3, WIRE_VERSION + 1):
+            # Dropped before the acquire is looked at: EOF, not a grant.
+            assert asyncio.run(scenario(version)) == (b"", [{"got": version}])
 
 
 class TestChaoticRun:

@@ -1,6 +1,7 @@
 """Wire codec unit tests: exact round trips and garbage tolerance."""
 
 import random
+import zlib
 
 import pytest
 
@@ -9,8 +10,12 @@ from repro.net.codec import (
     HEADER_SIZE,
     MAGIC,
     MAX_BODY,
+    MAX_NODE_INDEX,
+    MAX_REQUEST_ID,
     T_HELLO,
     T_MSG,
+    T_REQ,
+    T_RSP,
     WIRE_VERSION,
     CodecError,
     Decoder,
@@ -19,12 +24,32 @@ from repro.net.codec import (
     encode_frame,
     encode_hello,
     encode_message,
+    encode_request,
+    encode_response,
     hello_fields,
     tuplify,
 )
 
 # Bytes guaranteed not to contain the magic, for unambiguous garbage counts.
 JUNK = bytes(range(0, 65)) * 2
+
+TRACED = 0x80  # the type-byte flag announcing a trace block
+
+
+def raw_frame(type_byte, payload, version=WIRE_VERSION):
+    """A CRC-valid frame built by hand, whatever the payload is."""
+    return (
+        MAGIC
+        + bytes((version, type_byte))
+        + len(payload).to_bytes(4, "big")
+        + zlib.crc32(payload).to_bytes(4, "big")
+        + payload
+    )
+
+
+def reversioned(frame, version):
+    """The same CRC-valid frame claiming another wire version."""
+    return frame[:2] + bytes((version,)) + frame[3:]
 
 
 def roundtrip(message):
@@ -71,6 +96,11 @@ class TestEncodeErrors:
         with pytest.raises(CodecError):
             encode_frame(T_MSG, {"pad": "x" * (MAX_BODY + 1)})
 
+    def test_lock_service_types_have_no_json_form(self):
+        for frame_type in (T_REQ, T_RSP):
+            with pytest.raises(CodecError):
+                encode_frame(frame_type, {"op": "acquire", "id": "c.1"})
+
 
 class TestGarbageTolerance:
     def test_garbage_prefix_counted_and_resynced(self):
@@ -112,13 +142,31 @@ class TestGarbageTolerance:
         assert len(frames) == 1
 
     def test_version_mismatch_is_garbage(self):
+        # 1, 2 and 3 are the retired layouts: junk now, like any stranger.
         good = encode_message(Message(0, 1, ("ok",)))
-        bad = bytearray(good)
-        bad[2] = WIRE_VERSION + 1
+        for version in (1, 2, 3, WIRE_VERSION + 1):
+            decoder = Decoder()
+            frames = decoder.feed(reversioned(good, version) + good)
+            assert [decode_message(f) for f in frames] == [Message(0, 1, ("ok",))]
+            assert decoder.garbage_bytes > 0, version
+
+    def test_json_type_with_a_non_json_body_is_garbage(self):
+        packed = encode_request("acquire", "c.1")[HEADER_SIZE:]
         decoder = Decoder()
-        frames = decoder.feed(bytes(bad) + good)
-        assert [decode_message(f) for f in frames] == [Message(0, 1, ("ok",))]
-        assert decoder.garbage_bytes > 0
+        for frame_type in (T_HELLO, T_MSG):
+            assert decoder.feed(raw_frame(frame_type, packed)) == []
+        assert decoder.feed(raw_frame(T_MSG, b"[" * 100_000)) == []  # too deep
+        assert decoder.garbage_bytes > 0 and decoder.frames_decoded == 0
+
+    def test_lock_service_type_with_a_json_body_is_garbage(self):
+        decoder = Decoder()
+        for frame_type, body in (
+            (T_REQ, b'{"id":"mallory.1","node":0,"op":"steal"}'),
+            (T_REQ, b'{"id":"c.1","op":"acquire"}'),
+            (T_RSP, b'{"id":"c.1","ok":true,"op":"acquire"}'),
+        ):
+            assert decoder.feed(raw_frame(frame_type, body)) == []
+        assert decoder.garbage_bytes > 0 and decoder.frames_decoded == 0
 
     def test_crc_corruption_rejected(self):
         good = encode_message(Message(0, 1, ("ok",)))
@@ -228,7 +276,8 @@ class TestBoundarySplits:
 
 
 class TestTracedFrames:
-    """The v2 (traced) frame layout: Lamport stamp + span id, v1-compatible."""
+    """The trace block: Lamport stamp + span id behind a type-byte flag,
+    on any frame type, invisible in :attr:`Frame.type`."""
 
     def test_roundtrip_with_stamp_and_span(self):
         message = Message(0, 1, ("fork", ("0", "1"), True))
@@ -240,8 +289,34 @@ class TestTracedFrames:
         assert decode_message(frame) == message
 
     def test_v1_frames_decode_with_no_stamps(self):
+        # ("v1" in the id: what an unstamped frame used to be called.)
         frames = Decoder().feed(encode_message(Message(0, 1, ("x",))))
         assert frames[0].lc is None and frames[0].span is None
+
+    def test_stamped_lock_service_frames_roundtrip(self):
+        frames = Decoder().feed(
+            encode_request("acquire", "c.1", node=2, lc=7, span="gw/0/3")
+            + encode_response("acquire", "c.1", True, lc=8, span="1/0/9")
+            + encode_response("release", "c.2", False, error="bad-op", lc=1 << 63)
+        )
+        assert [(f.type, f.lc, f.span) for f in frames] == [
+            (T_REQ, 7, "gw/0/3"), (T_RSP, 8, "1/0/9"), (T_RSP, 1 << 63, None),
+        ]
+        assert frames[0].body == {
+            "op": "acquire", "id": "c.1", "span": "c.1", "node": 2,
+        }
+        assert frames[1].body == {"op": "acquire", "id": "c.1", "ok": True}
+        assert frames[2].body["error"] == "bad-op"
+
+    def test_stamping_changes_only_the_flag_and_the_block(self):
+        plain = encode_request("release", "c.9")
+        stamped = encode_request("release", "c.9", lc=5, span="s")
+        assert stamped[3] == plain[3] | TRACED
+        assert stamped.endswith(plain[HEADER_SIZE:])
+        with pytest.raises(CodecError):
+            encode_request("release", "c.9", lc=-1)
+        with pytest.raises(CodecError):
+            encode_response("release", "c.9", True, lc=1, span="s" * 300)
 
     def test_empty_span_decodes_as_none(self):
         frames = Decoder().feed(encode_message(Message(0, 1, ("x",)), lc=1))
@@ -249,10 +324,15 @@ class TestTracedFrames:
         assert frames[0].span is None
 
     def test_mixed_version_stream(self):
+        # Plain and stamped frames interleave freely; the retired traced
+        # layout (version byte 2) in their midst is garbage, not a frame.
         plain = encode_message(Message(0, 1, ("a",)))
         traced = encode_message(Message(1, 0, ("b",)), lc=9, span="s")
-        frames = Decoder().feed(plain + traced + plain)
+        decoder = Decoder()
+        frames = decoder.feed(plain + traced + reversioned(traced, 2) + plain)
         assert [f.lc for f in frames] == [None, 9, None]
+        assert [f.type for f in frames] == [T_MSG] * 3
+        assert decoder.garbage_bytes == len(traced)
 
     def test_traced_frame_survives_garbage_interleave(self):
         traced = encode_message(Message(2, 3, ("c",)), lc=5, span="2/0/1")
@@ -279,58 +359,45 @@ class TestTracedFrames:
         assert frames[0].span == span
 
     def test_truncated_trace_block_is_rejected_as_junk(self):
-        # A v2 header whose CRC-valid payload is too short for the trace
-        # block: hand-build it so the CRC passes but the block cannot.
-        import zlib
-
-        payload = b"\x00\x01"  # shorter than the 9-byte trace block
-        header = (
-            MAGIC
-            + bytes((2, T_MSG))
-            + len(payload).to_bytes(4, "big")
-            + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
-        )
+        # A flagged header whose CRC-valid payload is too short for the
+        # trace block, or whose span length overruns it, or whose span is
+        # not UTF-8: the CRC passes but the block cannot.
         decoder = Decoder()
-        assert decoder.feed(header + payload) == []
-        assert decoder.garbage_bytes > 0
+        for payload in (
+            b"\x00\x01",  # shorter than the 9-byte block head
+            (5).to_bytes(8, "big") + b"\x09ab",  # span length 9, 2 bytes left
+            (5).to_bytes(8, "big") + b"\x02\xff\xfe{}",  # span not UTF-8
+        ):
+            for frame_type in (T_MSG, T_REQ):
+                assert decoder.feed(raw_frame(frame_type | TRACED, payload)) == []
+        assert decoder.garbage_bytes > 0 and decoder.frames_decoded == 0
 
 
 class TestBinaryFrames:
-    """The v3 (binary) frame layout: struct-packed REQ/RSP hot path."""
+    """The struct-packed ``T_REQ``/``T_RSP`` records of the lock service."""
 
     def test_request_roundtrip_acquire(self):
-        from repro.net.codec import T_REQ, WIRE_BINARY_VERSION, encode_request
-
         frames = Decoder().feed(encode_request("acquire", "c12.3f"))
         assert len(frames) == 1
         frame = frames[0]
         assert frame.type == T_REQ
-        assert frame.version == WIRE_BINARY_VERSION
-        # Decodes into the same body dict the JSON path produces.
+        assert frame.lc is None and frame.span is None
         assert frame.body == {"op": "acquire", "id": "c12.3f", "span": "c12.3f"}
 
     def test_request_roundtrip_release(self):
-        from repro.net.codec import encode_request
-
         frames = Decoder().feed(encode_request("release", "gw.a1"))
         assert frames[0].body == {"op": "release", "id": "gw.a1"}
 
     def test_request_with_node_index(self):
-        from repro.net.codec import encode_request
-
         frames = Decoder().feed(encode_request("acquire", "c0.1", node=513))
         assert frames[0].body["node"] == 513
 
     def test_response_roundtrip(self):
-        from repro.net.codec import T_RSP, encode_response
-
         frames = Decoder().feed(encode_response("acquire", "c5.7", True))
         assert frames[0].type == T_RSP
         assert frames[0].body == {"op": "acquire", "id": "c5.7", "ok": True}
 
     def test_response_with_error_and_retry(self):
-        from repro.net.codec import encode_response
-
         frames = Decoder().feed(
             encode_response(
                 "acquire", "c1.2", False, error="retry", retry_after_s=0.05
@@ -341,107 +408,72 @@ class TestBinaryFrames:
         assert body["error"] == "retry"
         assert body["retry_after_s"] == pytest.approx(0.05)
 
-    def test_binary_is_smaller_than_json(self):
-        from repro.net.codec import T_REQ, encode_request
-
-        binary = encode_request("acquire", "c12.3f")
-        json_frame = encode_frame(
-            T_REQ, {"op": "acquire", "id": "c12.3f", "span": "c12.3f"}
-        )
-        assert len(binary) < len(json_frame) / 2
-
-    def test_v1_decode_of_same_shape_still_works(self):
-        from repro.net.codec import T_REQ, WIRE_VERSION as V1
-
-        frames = Decoder().feed(
-            encode_frame(T_REQ, {"op": "acquire", "id": "x", "span": "x"})
-        )
-        assert frames[0].version == V1
-        assert frames[0].body["op"] == "acquire"
-
 
 class TestBinaryEncodeErrors:
     def test_unknown_op(self):
-        from repro.net.codec import encode_request
-
         with pytest.raises(CodecError):
             encode_request("steal", "c0.1")
+        with pytest.raises(CodecError):
+            encode_response("steal", "c0.1", True)
 
     def test_non_string_id(self):
-        from repro.net.codec import encode_request
-
         with pytest.raises(CodecError):
             encode_request("acquire", 42)
 
     def test_empty_and_oversized_id(self):
-        from repro.net.codec import MAX_REQUEST_ID, encode_request
-
         with pytest.raises(CodecError):
             encode_request("acquire", "")
         with pytest.raises(CodecError):
             encode_request("acquire", "x" * (MAX_REQUEST_ID + 1))
 
     def test_node_index_bounds(self):
-        from repro.net.codec import MAX_NODE_INDEX, encode_request
-
         with pytest.raises(CodecError):
             encode_request("acquire", "c0.1", node=-1)
         with pytest.raises(CodecError):
             encode_request("acquire", "c0.1", node=MAX_NODE_INDEX + 1)
 
     def test_retry_after_bounds(self):
-        from repro.net.codec import encode_response
-
         with pytest.raises(CodecError):
             encode_response("acquire", "c0.1", False, retry_after_s=70.0)
 
     def test_oversized_error_rejected(self):
-        from repro.net.codec import encode_response
-
         with pytest.raises(CodecError):
             encode_response("acquire", "c0.1", False, error="e" * 300)
 
 
 class TestBinaryGarbageTolerance:
+    # ("v3" in these ids: what the packed records used to be called.)
+
     def test_malformed_v3_body_is_junk(self):
-        # A CRC-valid v3 frame whose body is too short for the REQ head:
-        # must resync exactly like a truncated v2 trace block.
-        import zlib
-
-        from repro.net.codec import T_REQ, encode_request
-
-        payload = b"\x01\x00"  # shorter than the 5-byte request head
-        header = (
-            MAGIC
-            + bytes((3, T_REQ))
-            + len(payload).to_bytes(4, "big")
-            + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
-        )
+        # CRC-valid lock-service frames whose packed body is malformed must
+        # resync exactly like a truncated trace block.
         good = encode_request("acquire", "ok.1")
         decoder = Decoder()
-        frames = decoder.feed(header + payload + good)
-        assert [f.body["id"] for f in frames] == ["ok.1"]
+        for frame_type, payload in (
+            (T_REQ, b"\x01\x00"),  # shorter than the 5-byte request head
+            (T_REQ, b"\x09\x00\x00\x00\x01x"),  # op code 9 names no op
+            (T_REQ, b"\x01\x00\x00\x00\x00"),  # empty id
+            (T_REQ, b"\x01\x00\x00\x00\x02\xff\xfe"),  # id not UTF-8
+            (T_REQ, b"\x01\x00\x00\x00\x01xy"),  # trailing byte
+            (T_RSP, b"\x01\x01\x00"),  # shorter than the response head
+            (T_RSP, b"\x01\x01\x00\x00\x01x"),  # no error-length byte
+            (T_RSP, b"\x01\x01\x00\x00\x01x\x05no"),  # error overruns
+        ):
+            assert decoder.feed(raw_frame(frame_type, payload)) == []
+        assert [f.body["id"] for f in decoder.feed(good)] == ["ok.1"]
         assert decoder.garbage_bytes > 0
         assert decoder.resyncs >= 1
 
     def test_v3_unknown_type_is_junk(self):
-        # Binary layout only exists for REQ/RSP; a v3 HELLO is garbage.
-        import zlib
-
+        # The type byte selects the schema; one naming no type selects none,
+        # flagged or not.
         payload = b"\x01\x00\x00\x00\x01x"
-        header = (
-            MAGIC
-            + bytes((3, T_HELLO))
-            + len(payload).to_bytes(4, "big")
-            + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
-        )
         decoder = Decoder()
-        assert decoder.feed(header + payload) == []
-        assert decoder.garbage_bytes > 0
+        for type_byte in (0, 5, 0x7F, TRACED, TRACED | 5):
+            assert decoder.feed(raw_frame(type_byte, payload)) == []
+        assert decoder.garbage_bytes > 0 and decoder.frames_decoded == 0
 
     def test_v3_survives_garbage_interleave(self):
-        from repro.net.codec import encode_request
-
         frame = encode_request("acquire", "g.1")
         decoder = Decoder()
         frames = decoder.feed(JUNK[:13] + frame + JUNK[:13])
@@ -450,33 +482,44 @@ class TestBinaryGarbageTolerance:
 
 
 class TestMixedVersionBoundarySplits:
-    """The full resync battery over a stream interleaving v1 JSON, v2
-    traced, and v3 binary frames with partial-magic garbage — the exact
-    byte soup a gateway's upstream socket sees under the chaos proxy."""
+    """The full resync battery over the byte soup a gateway's upstream
+    socket sees under the chaos proxy: every frame type, stamped and plain,
+    glued with partial-magic garbage — and with frames of the retired wire
+    versions 1–3 in their midst, which must count as garbage too."""
 
     def blob(self):
-        from repro.net.codec import encode_request, encode_response
-
         glue = JUNK[:7] + MAGIC[:1]
         frames = [
-            encode_message(Message(0, 1, ("v1",))),
-            encode_request("acquire", "c1.a"),
-            encode_message(Message(1, 0, ("v2",)), lc=3, span="1/0/2"),
-            encode_response("acquire", "c1.a", True),
-            encode_request("release", "c1.b"),
+            encode_hello(0),
+            encode_message(Message(0, 1, ("plain",))),
+            encode_request("acquire", "c1.a", node=1),
+            encode_message(Message(1, 0, ("stamped",)), lc=3, span="1/0/2"),
+            encode_response("acquire", "c1.a", True, lc=4, span="1/0/2"),
+            encode_request("release", "c1.b", lc=5),
+            encode_response("release", "c1.b", True),
+        ]
+        retired = [
+            reversioned(encode_message(Message(0, 1, ("v1",))), 1),
+            reversioned(encode_message(Message(0, 1, ("v2",)), lc=1), 2),
+            reversioned(encode_request("acquire", "v3.a"), 3),
         ]
         blob = b""
-        for frame in frames:
+        for i, frame in enumerate(frames):
             blob += frame + glue
-        return blob, len(frames), 5 * len(glue)
+            if i < len(retired):
+                blob += retired[i] + glue
+        garbage = (len(frames) + len(retired)) * len(glue)
+        return blob, len(frames), garbage + sum(map(len, retired))
 
     def signature(self, frames):
         out = []
         for frame in frames:
-            if isinstance(frame.body, dict) and "op" in frame.body:
-                out.append((frame.version, frame.body["op"], frame.body["id"]))
+            if frame.type in (T_REQ, T_RSP):
+                out.append(
+                    (frame.type, frame.lc, frame.body["op"], frame.body["id"])
+                )
             else:
-                out.append((frame.version, frame.type))
+                out.append((frame.type, frame.lc))
         return out
 
     def test_every_split_position_decodes_identically(self):
@@ -484,6 +527,7 @@ class TestMixedVersionBoundarySplits:
         reference = Decoder()
         expected = self.signature(reference.feed(blob))
         assert len(expected) == count
+        assert [lc for _, lc, *_ in expected] == [None, None, None, 3, 4, 5, None]
         # The final glue ends in a partial magic that stays buffered as a
         # possible frame start, so it is not yet counted as garbage.
         assert garbage - len(reference) == reference.garbage_bytes
@@ -493,6 +537,25 @@ class TestMixedVersionBoundarySplits:
             assert self.signature(frames) == expected, f"cut at {cut}"
             assert decoder.garbage_bytes == reference.garbage_bytes
 
+    def test_three_way_splits(self):
+        blob, _, _ = self.blob()
+        reference = Decoder()
+        expected = self.signature(reference.feed(blob))
+        cuts = [0, 1, HEADER_SIZE - 1, HEADER_SIZE, len(blob) // 3,
+                len(blob) // 2, len(blob) - 3]
+        for lo in cuts:
+            for hi in cuts:
+                if lo > hi:
+                    continue
+                decoder = Decoder()
+                frames = (
+                    decoder.feed(blob[:lo])
+                    + decoder.feed(blob[lo:hi])
+                    + decoder.feed(blob[hi:])
+                )
+                assert self.signature(frames) == expected, (lo, hi)
+                assert decoder.garbage_bytes == reference.garbage_bytes
+    
     def test_counters_split_invariant(self):
         blob, _, _ = self.blob()
         reference = Decoder()
@@ -506,8 +569,11 @@ class TestMixedVersionBoundarySplits:
 
     def test_byte_at_a_time(self):
         blob, count, _ = self.blob()
+        reference = Decoder()
+        reference.feed(blob)
         decoder = Decoder()
         frames = []
         for i in range(len(blob)):
             frames.extend(decoder.feed(blob[i : i + 1]))
         assert len(frames) == count
+        assert decoder.garbage_bytes == reference.garbage_bytes

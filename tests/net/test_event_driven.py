@@ -14,7 +14,7 @@ from repro.net import (
     neighbour_violations,
 )
 from repro.net.chaos import ChaosSchedule, LinkProfile
-from repro.net.codec import T_REQ, encode_frame, encode_hello
+from repro.net.codec import encode_hello, encode_request
 from repro.sim import ring
 
 TICK = 0.5
@@ -185,9 +185,7 @@ def test_abandoned_waiters_leave_no_phantom_demand():
             )
             writer.write(encode_hello("doomed", role="client"))
             for k in range(3):
-                writer.write(
-                    encode_frame(T_REQ, {"op": "acquire", "id": f"doomed.{k}"})
-                )
+                writer.write(encode_request("acquire", f"doomed.{k}"))
             await writer.drain()
             while len(node._waiters) < 3:
                 await asyncio.sleep(0.002)

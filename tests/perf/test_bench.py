@@ -128,10 +128,8 @@ class TestRunner:
         assert result.median > 0
         assert result.ops_per_sec > 0
 
-    def test_codec_kernel_json_mode(self, monkeypatch):
-        # The env switch re-times the JSON path under the same name.
+    def test_codec_binary_kernel_smoke(self):
         bench = registry()["net/codec/binary-roundtrip"]
-        monkeypatch.setenv("REPRO_CODEC_JSON", "1")
         result = run_benchmark(bench, quick=True)
         assert result.median > 0
 
