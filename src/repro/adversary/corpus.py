@@ -8,7 +8,7 @@ does not understand instead of replaying something subtly different.
 A schedule file is one JSON document:
 
 * ``format`` — integer version (:data:`SCHEDULE_FORMAT_VERSION`);
-* ``source`` — always ``"chaos-schedule"`` (artefact-family sniffing);
+* ``source`` — always ``"chaos-schedule"``;
 * ``topology`` — the ``kind:arg`` spec the schedule was built against
   (the file is self-contained: the replayer reconstructs the graph from
   this, never from CLI flags);
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..artefact import KINDS, present, read_document, tally, write_atomic
 from ..net.chaos import (
     ChaosSchedule,
     FaultEvent,
@@ -52,10 +53,11 @@ __all__ = [
     "read_schedule",
     "schedule_from_doc",
     "schedule_to_doc",
+    "summarize_schedule",
     "write_schedule",
 ]
 
-SCHEDULE_FORMAT_VERSION = 1
+SCHEDULE_FORMAT_VERSION = KINDS["schedule"].format
 SCHEDULE_SOURCE = "chaos-schedule"
 
 
@@ -181,10 +183,6 @@ def schedule_from_doc(doc: Dict[str, Any]) -> ScheduleDoc:
     )
 
 
-def _canonical(doc: Dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
 def write_schedule(
     path: Path | str,
     schedule: ChaosSchedule,
@@ -192,26 +190,37 @@ def write_schedule(
     topology_spec: str,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Path:
-    """Serialise canonically (atomic write); returns the path."""
+    """Serialise canonically (atomic write, fsynced); returns the path."""
     doc = schedule_to_doc(schedule, topology_spec=topology_spec, meta=meta)
+    body = json.dumps(doc, sort_keys=True, indent=1)
     # Round-trip before committing bytes: a schedule we cannot read back is
     # a corpus entry CI can never replay.
-    schedule_from_doc(json.loads(_canonical(doc)))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(_canonical(doc), encoding="utf-8")
-    tmp.replace(path)
-    return path
+    schedule_from_doc(json.loads(body))
+    return write_atomic(path, [body])
 
 
 def read_schedule(path: Path | str) -> ScheduleDoc:
     """Load + validate one schedule file."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_document(path)
     try:
         return schedule_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def summarize_schedule(doc: ScheduleDoc) -> List[str]:
+    """The ``repro stats`` lines for a schedule file."""
+    schedule = doc.schedule
+    lines = [
+        f"chaos schedule: {doc.topology_spec} seed={schedule.seed}, "
+        f"{len(schedule.events)} events over {schedule.duration_s}s",
+        f"  format: {SCHEDULE_FORMAT_VERSION}",
+    ]
+    lines += tally(event.kind for event in schedule.events)
+    fuzz = doc.meta.get("fuzz")
+    if isinstance(fuzz, dict):
+        lines += present(
+            fuzz, ("origin", "rank", "tool_seed", "budget", "executed"),
+            indent="  fuzz ",
+        )
+    return lines

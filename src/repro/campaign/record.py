@@ -40,12 +40,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
-from ..artefact import CANONICAL
+from ..artefact import CANONICAL, KINDS, tally, write_atomic
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = KINDS["records"].format
 
 #: Format versions :func:`parse_line` accepts.
-ACCEPTED_FORMATS = (1, 2)
+ACCEPTED_FORMATS = tuple(range(1, FORMAT_VERSION + 1))
 
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON text for ``payload`` (sorted keys, compact)."""
@@ -178,9 +178,20 @@ def write_records(
     Used by the runner's finalize step so a finished campaign file is a
     deterministic function of its shard set, however execution interleaved.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        for line in iter_lines(records, include_meta=include_meta):
-            handle.write(line + "\n")
-    tmp.replace(path)
+    write_atomic(path, iter_lines(records, include_meta=include_meta))
+
+
+def summarize_records(records: List[TrialRecord]) -> List[str]:
+    """The ``repro stats`` lines for a campaign records file."""
+    if not records:
+        raise ValueError("no complete campaign record")
+    lines = [f"campaign records: {len(records)}"]
+    lines += tally((record.kind for record in records), " shards")
+    durations = [r.duration_s for r in records if r.duration_s is not None]
+    if durations:
+        lines.append(
+            f"  duration_s: total {sum(durations):.3f}, "
+            f"mean {sum(durations) / len(durations):.3f}, "
+            f"max {max(durations):.3f}"
+        )
+    return lines

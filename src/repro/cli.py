@@ -11,7 +11,7 @@ Subcommands
 ``sweep``      many-seed randomized campaign across a worker pool
 ``report``     run the experiment suite, emit markdown
 ``trace``      replay a recorded trace file offline; re-derive its summary
-``stats``      summarise a metrics / records / trace / BENCH / events artefact
+``stats``      summarise any artefact the toolkit writes (``repro.artefact.KINDS``)
 ``bench``      run the performance benchmark suite; write/compare BENCH files
 ``node``       serve one live cluster node (asyncio TCP daemon)
 ``cluster``    run/soak a live N-node cluster with chaos on localhost
@@ -72,6 +72,7 @@ from .analysis import (
     plant_priority_cycle,
     steps_to_predicate,
 )
+from .artefact import KINDS, expand, identify
 from .campaign.shard import ALGORITHMS  # canonical registry, re-exported
 from .core import (
     NADiners,
@@ -82,7 +83,7 @@ from .core import (
     run_figure2,
 )
 from .sim import AlwaysHungry, Engine, System, Topology, from_spec
-from .sim.errors import TopologyError
+from .sim.errors import SimulationError, TopologyError
 
 
 def parse_topology(spec: str) -> Topology:
@@ -685,7 +686,6 @@ class _CampaignTraceLog:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Replay a recorded trace offline: same probes, same summary."""
     from .obs import analyze, read_trace, write_analysis_metrics
-    from .sim.errors import SimulationError
 
     try:
         trace = read_trace(args.path)
@@ -711,28 +711,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _span_paths(arguments) -> list:
-    """Expand directory arguments into their sorted ``spans-*.jsonl`` and
-    ``flight-*.jsonl`` files (the layouts
-    :class:`~repro.net.cluster.ClusterSupervisor` writes)."""
-    paths = []
-    for arg in arguments:
-        if os.path.isdir(arg):
-            found = sorted(
-                os.path.join(arg, name)
-                for name in os.listdir(arg)
-                if name.endswith(".jsonl")
-                and (name.startswith("spans-") or name.startswith("flight-"))
-            )
-            if not found:
-                raise SystemExit(
-                    f"{arg}: no spans-*.jsonl or flight-*.jsonl files "
-                    "in directory"
-                )
-            paths.extend(found)
-        else:
-            paths.append(arg)
-    return paths
+#: The artefact kinds that carry spans, i.e. what ``repro timeline`` merges.
+_SPAN_KINDS = ("spans", "flight")
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
@@ -743,26 +723,20 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         attribution_by_node,
         causality_report,
         merge_timeline,
-        read_spans,
         reconstruct_violations,
         write_timeline,
     )
-    from .obs.flight import FLIGHT_SOURCE
-    from .obs.tracing import SPANS_SOURCE
 
     spans_by_node: dict = {}
-    for path in _span_paths(args.paths):
-        try:
-            span_file = read_spans(path)
-        except OSError as exc:
-            raise SystemExit(str(exc)) from None
-        if (
-            span_file.header.get("source") not in (SPANS_SOURCE, FLIGHT_SOURCE)
-            and not span_file.spans
-        ):
-            raise SystemExit(f"{path}: not a span artefact")
-        for span in span_file.spans:
-            spans_by_node.setdefault(span.node, []).append(span)
+    try:
+        for path in expand(args.paths, _SPAN_KINDS):
+            row = identify(path)
+            if row.name not in _SPAN_KINDS:
+                raise ValueError(f"{path}: {row.name} is not a span artefact")
+            for span in row.read(path).spans:
+                spans_by_node.setdefault(span.node, []).append(span)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(str(exc)) from None
     entries = merge_timeline(spans_by_node)
     total_spans = sum(len(spans) for spans in spans_by_node.values())
     lo = entries[0].lc if entries else 0
@@ -839,30 +813,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _artefact_paths(arguments) -> list:
-    """Expand directory arguments into every SLO-evaluable artefact they
-    hold (``spans-*``, ``flight-*``, ``*.events`` — a ``--trace`` or
-    ``--flight`` directory drops straight into ``repro slo``)."""
-    paths = []
-    for arg in arguments:
-        if os.path.isdir(arg):
-            found = sorted(
-                os.path.join(arg, name)
-                for name in os.listdir(arg)
-                if (
-                    name.endswith(".jsonl")
-                    and (name.startswith("spans-") or name.startswith("flight-"))
-                )
-                or name.endswith(".events")
-            )
-            if not found:
-                raise SystemExit(f"{arg}: no SLO-evaluable artefacts in directory")
-            paths.extend(found)
-        else:
-            paths.append(arg)
-    return paths
-
-
 def cmd_slo(args: argparse.Namespace) -> int:
     """Evaluate an SLO spec offline against recorded artefacts; exit 1 when
     any objective's error budget is exhausted."""
@@ -880,12 +830,14 @@ def cmd_slo(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     observations = SloObservations()
-    for path in _artefact_paths(args.artefacts):
-        try:
+    try:
+        # A --trace or --flight directory, or one of event logs, drops in.
+        in_directories = [n for n, row in KINDS.items() if row.slo and row.glob]
+        for path in expand(args.artefacts, in_directories):
             family = ingest_artefact(observations, path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(str(exc)) from None
-        print(f"ingested {family}: {path}")
+            print(f"ingested {family}: {path}")
+    except (OSError, ValueError) as exc:
+        raise SystemExit(str(exc)) from None
     report = evaluate(spec, observations)
     print(format_report(report))
     if args.out:
@@ -915,359 +867,23 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    """Summarise any of the repository's artefacts by sniffing the file.
+    """Summarise any artefact the toolkit writes (the kinds are the rows of
+    :data:`repro.artefact.KINDS`; README has the table).
 
-    Recognises metrics JSONL, campaign records, trace JSONL, span logs,
-    merged timelines, cluster event logs, flight-recorder dumps, SLO
-    reports, loadgen reports, and BENCH JSON.  Anything else —
-    including empty, binary, or truncated files — exits nonzero with a
-    one-line reason, never a traceback.
+    Anything else — including empty, binary, or truncated files — exits
+    nonzero with a one-line reason, never a traceback.
     """
     try:
-        return _stats(args.path)
-    except BrokenPipeError:
-        raise  # downstream pager closed; handled quietly in main()
-    except (OSError, UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise SystemExit(f"{args.path}: unreadable artefact ({exc})") from None
-
-
-def _stats(path: str) -> int:
-    from .campaign import read_records
-    from .obs import read_metrics
-
-    if not os.path.exists(path):
-        raise SystemExit(f"{path}: no such file")
-    if os.path.isdir(path):
-        raise SystemExit(f"{path}: is a directory, not an artefact file")
-    if os.path.getsize(path) == 0:
-        raise SystemExit(f"{path}: empty file")
-
-    bench = _try_bench(path)
-    if bench is not None:
-        env = bench.get("env", {})
-        benchmarks = bench["benchmarks"]
-        print(f"BENCH file: {len(benchmarks)} benchmarks")
-        for key in ("git_rev", "python", "platform", "cpu_count", "timestamp"):
-            if env.get(key) is not None:
-                print(f"  {key}: {env[key]}")
-        for name in sorted(benchmarks):
-            stats = benchmarks[name].get("stats", {})
-            print(
-                f"  {name}: median {stats.get('median_s')}s, "
-                f"iqr {stats.get('iqr_s')}s, min {stats.get('min_s')}s"
-            )
-        return 0
-
-    # Loadgen and SLO reports are also single JSON documents,
-    # distinguished by their ``kind`` tag.
-    loadgen = _try_loadgen(path)
-    if loadgen is not None:
-        spec = loadgen.get("spec") or {}
-        results = loadgen.get("results") or {}
-        lat = results.get("latency") or {}
-        fair = results.get("fairness") or {}
-        safety = results.get("safety") or {}
-        print(
-            f"loadgen report [{spec.get('engine', '?')}]: "
-            f"{spec.get('topology', '?')} seed={spec.get('seed', '?')} "
-            f"clients={spec.get('clients', '?')} "
-            f"mode={spec.get('mode', '?')}"
-        )
-        print(
-            f"  grants: {results.get('grants', 0)}, "
-            f"shed {results.get('shed_total', 0)}, "
-            f"retries {results.get('retries', 0)}, "
-            f"failures {results.get('failures', 0)}"
-        )
-        if lat.get("count"):
-            print(
-                f"  latency: p50={lat.get('p50_s')}s "
-                f"p99={lat.get('p99_s')}s p999={lat.get('p999_s')}s "
-                f"(n={lat.get('count')})"
-            )
-        print(
-            f"  fairness: grant_count_cv={fair.get('grant_count_cv')} "
-            f"granted={fair.get('clients_granted')}/"
-            f"{fair.get('clients_active')}"
-        )
-        if safety.get("mode") == "live":
-            verdict = "OK" if not safety.get("violations") else (
-                f"VIOLATED ({safety['violations']} overlaps)"
-            )
-            print(f"  safety: {verdict}")
-        per_node = results.get("per_node") or {}
-        for label in sorted(per_node):
-            doc = per_node[label]
-            print(
-                f"  node {label}: {doc.get('grants', 0)} grants, "
-                f"p99={doc.get('p99_s')}s"
-            )
-        return 0
-
-    slo_report = _try_slo_report(path)
-    if slo_report is not None:
-        verdict = "OK" if slo_report.get("ok") else "EXHAUSTED"
-        objectives = slo_report.get("objectives") or []
-        print(f"SLO report: {slo_report.get('spec', '?')} — {verdict} "
-              f"({len(objectives)} objectives, "
-              f"window {slo_report.get('duration_s')}s)")
-        for key, value in sorted(
-            (slo_report.get("observations") or {}).items()
-        ):
-            print(f"  {key}: {value}")
-        for row in objectives:
-            status = "ok" if row.get("ok") else "EXHAUSTED"
-            print(
-                f"  {row.get('name')}: {row.get('kind')} "
-                f"spent={row.get('budget_spent')} "
-                f"remaining={row.get('budget_remaining')}  {status}"
-            )
-        return 0
-
-    # Cluster event logs parse as (empty) metrics files — their header has
-    # a source — so they must be sniffed before the generic metrics branch.
-    event_log = _try_cluster_events(path)
-    if event_log is not None:
-        header, events, skipped = event_log
-        print(f"cluster event log: {len(events)} events "
-              f"({header.get('source', '?')})")
-        for key in ("topology", "seed", "duration_s", "nodes", "version"):
-            if header.get(key) is not None:
-                print(f"  {key}: {header[key]}")
-        killed = header.get("killed") or []
-        if killed:
-            print(f"  maliciously crashed: {', '.join(killed)}")
-        schedule = header.get("schedule") or {}
-        if schedule.get("events") is not None:
-            print(f"  scheduled faults: {len(schedule['events'])}")
-        counts = {}
-        for event in events:
-            kind = event.get("event", "?")
-            counts[kind] = counts.get(kind, 0) + 1
-        for kind in sorted(counts):
-            print(f"  {kind}: {counts[kind]}")
-        if skipped:
-            print(f"  skipped lines: {skipped} (truncated or foreign)")
-        return 0
-
-    # Flight dumps carry spans too, so sniff them before the span branch.
-    flight = _try_flight(path)
-    if flight is not None:
-        header = flight.header
-        print(f"flight dump: node {header.get('node', '?')} — "
-              f"reason {header.get('reason', '?')}")
-        for key in ("topology", "seed", "capacity", "dropped"):
-            if header.get(key) is not None:
-                print(f"  {key}: {header[key]}")
-        print(f"  spans: {len(flight.spans)}")
-        kinds: dict = {}
-        for record in flight.records:
-            label = record.get("event") or record.get("rec", "?")
-            kinds[label] = kinds.get(label, 0) + 1
-        print(f"  records: {len(flight.records)}")
-        for label in sorted(kinds):
-            print(f"    {label}: {kinds[label]}")
-        if flight.skipped:
-            print(f"  skipped lines: {flight.skipped} (truncated or foreign)")
-        return 0
-
-    # Span and timeline artefacts carry a ``source`` header too, so they
-    # must also be sniffed before the generic metrics branch.
-    span_file = _try_spans(path)
-    if span_file is not None:
-        spans = span_file.spans
-        closed = sum(1 for s in spans if s.closed)
-        events = sum(len(s.events) for s in spans)
-        print(f"span log: {len(spans)} spans ({closed} closed, "
-              f"{events} events)")
-        for key in ("node", "topology", "seed"):
-            if span_file.header.get(key) is not None:
-                print(f"  {key}: {span_file.header[key]}")
-        names: dict = {}
-        for span in spans:
-            names[span.name] = names.get(span.name, 0) + 1
-        for name in sorted(names):
-            print(f"  {name}: {names[name]} spans")
-        if span_file.skipped:
-            print(f"  skipped lines: {span_file.skipped} "
-                  "(truncated or foreign)")
-        return 0
-
-    timeline = _try_timeline(path)
-    if timeline is not None:
-        nodes = timeline.header.get("nodes") or sorted(
-            {e.node for e in timeline.entries}
-        )
-        print(f"timeline: {len(timeline.entries)} entries across "
-              f"{len(nodes)} nodes")
-        for key in ("causality_ok", "matched_messages"):
-            if timeline.header.get(key) is not None:
-                print(f"  {key}: {timeline.header[key]}")
-        kinds: dict = {}
-        for entry in timeline.entries:
-            kinds[entry.ev] = kinds.get(entry.ev, 0) + 1
-        for kind in sorted(kinds):
-            print(f"  {kind}: {kinds[kind]}")
-        if timeline.skipped:
-            print(f"  skipped lines: {timeline.skipped} "
-                  "(truncated or foreign)")
-        return 0
-
-    metrics = read_metrics(path)
-    if metrics.metrics or metrics.header.get("source"):
-        print(f"metrics file: {len(metrics.metrics)} metrics")
-        for key in sorted(k for k in metrics.header if k not in ("format",)):
-            print(f"  {key}: {metrics.header[key]}")
-        for name, payload in metrics.metrics.items():
-            body = {k: v for k, v in payload.items() if k != "type"}
-            print(f"  {payload.get('type', '?'):9s} {name} = "
-                  + json.dumps(body, sort_keys=True))
-        return 0
-
-    records = read_records(path)
-    if records:
-        kinds = {}
-        durations = []
-        for record in records:
-            kinds[record.kind] = kinds.get(record.kind, 0) + 1
-            if record.duration_s is not None:
-                durations.append(record.duration_s)
-        print(f"campaign records: {len(records)}")
-        for kind in sorted(kinds):
-            print(f"  {kind}: {kinds[kind]} shards")
-        if durations:
-            print(
-                f"  duration_s: total {sum(durations):.3f}, "
-                f"mean {sum(durations) / len(durations):.3f}, "
-                f"max {max(durations):.3f}"
-            )
-        return 0
-
-    from .obs import read_trace
-    from .sim.errors import SimulationError
-
-    try:
-        trace = read_trace(path)
-    except SimulationError:
-        raise SystemExit(
-            f"{path}: not a metrics, campaign-records, trace, or BENCH file"
-        ) from None
-    counts = {}
-    for event in trace.events:
-        counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
-    header = trace.header
-    print(
-        f"trace file: {header.get('model')} / {header.get('algorithm')} on "
-        f"{header.get('topology')}, {header.get('steps_taken')} steps"
-    )
-    for kind in sorted(counts):
-        print(f"  {kind}: {counts[kind]} events")
-    print(f"  snapshots: {len(trace.snapshots)}")
+        row = identify(args.path)
+        lines = row.summarize(row.read(args.path))
+    except (OSError, ValueError, KeyError, TypeError, SimulationError) as exc:
+        # identify() and the readers name the path; a summary need not.
+        reason = str(exc)
+        if not reason.startswith(str(args.path)):
+            reason = f"{args.path}: unreadable artefact ({reason})"
+        raise SystemExit(reason) from None
+    print("\n".join(lines))
     return 0
-
-
-def _try_cluster_events(path: str):
-    """The parsed event log, or ``None`` if ``path`` is not one.
-
-    Event logs are JSONL whose first line is a header with a ``source``
-    from :data:`repro.net.cluster.EVENT_SOURCES` — checked on the first
-    line alone, so foreign files cost one readline.
-    """
-    from .net import EVENT_SOURCES, read_cluster_events
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = json.loads(handle.readline())
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if (
-        not isinstance(first, dict)
-        or first.get("kind") != "header"
-        or first.get("source") not in EVENT_SOURCES
-    ):
-        return None
-    return read_cluster_events(path)
-
-
-def _first_header(path: str):
-    """The file's first line as a parsed JSONL header dict, else ``None``
-    — shared sniffing primitive: foreign files cost one readline."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = json.loads(handle.readline())
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(first, dict) or first.get("kind") != "header":
-        return None
-    return first
-
-
-def _try_spans(path: str):
-    """The parsed span artefact, or ``None`` if ``path`` is not one."""
-    from .obs import read_spans
-    from .obs.tracing import SPANS_SOURCE
-
-    first = _first_header(path)
-    if first is None or first.get("source") != SPANS_SOURCE:
-        return None
-    return read_spans(path)
-
-
-def _try_flight(path: str):
-    """The parsed flight dump, or ``None`` if ``path`` is not one."""
-    from .obs import read_flight
-    from .obs.flight import FLIGHT_SOURCE
-
-    first = _first_header(path)
-    if first is None or first.get("source") != FLIGHT_SOURCE:
-        return None
-    return read_flight(path)
-
-
-def _try_slo_report(path: str):
-    """The parsed SLO report document, or ``None`` if ``path`` is not one."""
-    from .obs import read_slo_report
-
-    try:
-        return read_slo_report(path)
-    except (OSError, ValueError):
-        return None
-
-
-def _try_timeline(path: str):
-    """The parsed timeline artefact, or ``None`` if ``path`` is not one."""
-    from .obs import read_timeline
-    from .obs.timeline import TIMELINE_SOURCE
-
-    first = _first_header(path)
-    if first is None or first.get("source") != TIMELINE_SOURCE:
-        return None
-    return read_timeline(path)
-
-
-def _try_loadgen(path: str):
-    """The parsed loadgen report, or ``None`` if ``path`` is not one."""
-    from .gateway import read_loadgen_report
-
-    try:
-        return read_loadgen_report(path)
-    except (OSError, ValueError):
-        return None
-
-
-def _try_bench(path: str):
-    """The parsed BENCH document, or ``None`` if ``path`` is not one.
-
-    BENCH files are single JSON documents (not JSONL), so a whole-file
-    parse distinguishes them from every line-oriented artefact cheaply —
-    JSONL with more than one line fails ``json.loads`` immediately.
-    """
-    from .perf import read_bench
-
-    try:
-        return read_bench(path)
-    except ValueError:
-        return None
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -2016,9 +1632,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "stats",
-        help="summarise a metrics / records / trace / events JSONL file",
+        help="summarise any artefact this toolkit writes",
+        description="Identify the file's kind from its first JSON object "
+        "and print that kind's summary.  Kinds: " + ", ".join(KINDS) + ".",
     )
-    p.add_argument("path", help="any JSONL artefact this toolkit writes")
+    p.add_argument("path", help="an artefact file of any of those kinds")
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser(

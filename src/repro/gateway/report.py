@@ -26,9 +26,9 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List
 
-from ..artefact import write_atomic
+from ..artefact import KINDS, read_document, write_atomic
 
-LOADGEN_FORMAT_VERSION = 1
+LOADGEN_FORMAT_VERSION = KINDS["loadgen"].format
 LOADGEN_REPORT_KIND = "loadgen-report"
 
 #: Exact per-grant samples kept in the report (global and per node).
@@ -93,11 +93,7 @@ def write_loadgen_report(path: Path | str, report: Dict[str, Any]) -> Path:
 
 def read_loadgen_report(path: Path | str) -> Dict[str, Any]:
     """Parse a report document; :class:`ValueError` if it is not one."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON") from exc
+    doc = read_document(path)
     if not isinstance(doc, dict) or doc.get("kind") != LOADGEN_REPORT_KIND:
         raise ValueError(f"{path}: not a loadgen-report document")
     if not isinstance(doc.get("format"), int):
@@ -110,3 +106,46 @@ def read_loadgen_report(path: Path | str) -> Dict[str, Any]:
     if not isinstance(doc.get("results"), dict):
         raise ValueError(f"{path}: loadgen-report without results")
     return doc
+
+
+def summarize_loadgen_report(report: Dict[str, Any]) -> List[str]:
+    """The ``repro stats`` lines for a report document."""
+    spec = report.get("spec") or {}
+    results = report.get("results") or {}
+    lat = results.get("latency") or {}
+    fair = results.get("fairness") or {}
+    safety = results.get("safety") or {}
+    lines = [
+        f"loadgen report [{spec.get('engine', '?')}]: "
+        f"{spec.get('topology', '?')} seed={spec.get('seed', '?')} "
+        f"clients={spec.get('clients', '?')} "
+        f"mode={spec.get('mode', '?')}",
+        f"  grants: {results.get('grants', 0)}, "
+        f"shed {results.get('shed_total', 0)}, "
+        f"retries {results.get('retries', 0)}, "
+        f"failures {results.get('failures', 0)}",
+    ]
+    if lat.get("count"):
+        lines.append(
+            f"  latency: p50={lat.get('p50_s')}s "
+            f"p99={lat.get('p99_s')}s p999={lat.get('p999_s')}s "
+            f"(n={lat.get('count')})"
+        )
+    lines.append(
+        f"  fairness: grant_count_cv={fair.get('grant_count_cv')} "
+        f"granted={fair.get('clients_granted')}/"
+        f"{fair.get('clients_active')}"
+    )
+    if safety.get("mode") == "live":
+        verdict = "OK" if not safety.get("violations") else (
+            f"VIOLATED ({safety['violations']} overlaps)"
+        )
+        lines.append(f"  safety: {verdict}")
+    per_node = results.get("per_node") or {}
+    for label in sorted(per_node):
+        doc = per_node[label]
+        lines.append(
+            f"  node {label}: {doc.get('grants', 0)} grants, "
+            f"p99={doc.get('p99_s')}s"
+        )
+    return lines

@@ -31,7 +31,6 @@ from .chaos import (
     validate_schedule,
 )
 from .cluster import (
-    EVENT_SOURCES,
     ClusterConfig,
     ClusterResult,
     ClusterSupervisor,
@@ -81,7 +80,6 @@ __all__ = [
     "build_schedule",
     "validate_schedule",
     "EVENT_KINDS",
-    "EVENT_SOURCES",
     "ClusterConfig",
     "ClusterResult",
     "ClusterSupervisor",

@@ -14,13 +14,12 @@
 * one shared :class:`~repro.obs.bus.EventBus`; everything the nodes and
   the chaos layer publish is collected into an ordered event log and
   reduced to a :class:`~repro.obs.metrics.MetricsRegistry`, then written
-  as the standard JSONL artefacts ``repro stats`` can sniff.
+  as the standard JSONL artefacts ``repro stats`` summarises.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import os
 import random
@@ -29,7 +28,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO
 
-from ..artefact import CANONICAL, write_atomic
+from ..artefact import (
+    CANONICAL,
+    KINDS,
+    present,
+    read_jsonl,
+    skipped_note,
+    tally,
+    write_jsonl,
+)
 from ..mp.diners_mp import DinersMpProcess
 from ..obs.bus import EventBus
 from ..obs.events import NetEventKind
@@ -42,10 +49,6 @@ from ..sim.topology import Pid, Topology
 from ..sim.trace import TraceEvent
 from .chaos import ChaosController, ChaosSchedule, LinkProxy, build_schedule
 from .node import LockDinerProcess, NodeServer
-
-EVENTS_FORMAT_VERSION = 1
-#: ``source`` values of the cluster event-log artefact family.
-EVENT_SOURCES = ("cluster-events", "soak-events")
 
 
 @dataclass(frozen=True)
@@ -406,7 +409,7 @@ class ClusterSupervisor:
         except OSError:
             return None
         header = {
-            "format": EVENTS_FORMAT_VERSION,
+            "format": KINDS["events"].format,
             "kind": "header",
             "source": "soak-events" if self.config.lock_service
             else "cluster-events",
@@ -414,9 +417,7 @@ class ClusterSupervisor:
             "seed": self.config.seed,
             "provisional": True,  # the post-run write replaces this file
         }
-        handle.write(
-            json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        handle.write(json.dumps(header, **CANONICAL) + "\n")
         handle.flush()
         return handle
 
@@ -1034,28 +1035,29 @@ def read_cluster_events(
     lines are counted, not fatal — a soak cut short by a crash leaves a
     truncated tail, and the summary should still come out.
     """
-    header: Dict[str, Any] = {}
-    events: List[Dict[str, Any]] = []
-    skipped = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(row, dict):
-                skipped += 1
-            elif row.get("kind") == "header":
-                header = row
-            elif row.get("kind") == "event":
-                events.append(row)
-            else:
-                skipped += 1
-    return header, events, skipped
+    header, rows, skipped = read_jsonl(path)
+    events = [row for row in rows if row.get("kind") == "event"]
+    return header, events, skipped + len(rows) - len(events)
+
+
+def summarize_cluster_events(
+    log: tuple[Dict[str, Any], List[Dict[str, Any]], int],
+) -> List[str]:
+    """The ``repro stats`` lines for a parsed event log."""
+    header, events, skipped = log
+    lines = [f"cluster event log: {len(events)} events "
+             f"({header.get('source', '?')})"]
+    lines += present(
+        header, ("topology", "seed", "duration_s", "nodes", "version")
+    )
+    killed = header.get("killed") or []
+    if killed:
+        lines.append(f"  maliciously crashed: {', '.join(killed)}")
+    schedule = header.get("schedule") or {}
+    if schedule.get("events") is not None:
+        lines.append(f"  scheduled faults: {len(schedule['events'])}")
+    lines += tally(event.get("event", "?") for event in events)
+    return lines + skipped_note(skipped)
 
 
 def write_cluster_events(path: Path | str, result: ClusterResult) -> Path:
@@ -1063,8 +1065,6 @@ def write_cluster_events(path: Path | str, result: ClusterResult) -> Path:
     line per observed event in time order."""
     source = "soak-events" if result.mode == "soak" else "cluster-events"
     header = {
-        "format": EVENTS_FORMAT_VERSION,
-        "kind": "header",
         **artefact_header(result, source),
         "schedule": result.schedule,
         "killed": result.killed,
@@ -1072,7 +1072,7 @@ def write_cluster_events(path: Path | str, result: ClusterResult) -> Path:
         "restarts": result.restarts,
         "convergence_s": result.convergence_s,
     }
-    rows = itertools.chain(
-        [header], ({"kind": "event", **event} for event in result.events)
+    return write_jsonl(
+        path, "events", header,
+        ({"kind": "event", **event} for event in result.events),
     )
-    return write_atomic(path, (json.dumps(row, **CANONICAL) for row in rows))

@@ -27,17 +27,15 @@ the ``engine/steps/ring16`` and ``net/codec/roundtrip`` kernels
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..artefact import CANONICAL, write_atomic
+from ..artefact import present, read_jsonl, skipped_note, tally, write_jsonl
 from .tracing import Span, span_from_json
 
-FLIGHT_FORMAT_VERSION = 1
 #: ``source`` value of the flight-dump artefact family.
 FLIGHT_SOURCE = "flight"
 #: Default ring size — enough history to walk back a violation, small
@@ -141,9 +139,7 @@ def dump_flight(
     dump merges into a timeline without the full span artefact.
     """
     spans = [] if tracer is None else list(tracer.spans)[-recorder.capacity:]
-    head: Dict[str, Any] = {
-        "format": FLIGHT_FORMAT_VERSION,
-        "kind": "header",
+    head = {
         "source": FLIGHT_SOURCE,
         "node": recorder.node,
         "reason": reason,
@@ -151,44 +147,37 @@ def dump_flight(
         "dropped": recorder.dropped,
         "capacity": recorder.capacity,
         "spans": len(spans),
+        **(header or {}),
     }
-    if header:
-        head.update(header)
-    docs = chain(
-        [head],
+    rows = chain(
         (span.to_json() for span in spans),
         ({"kind": "record", **record} for record in recorder.records()),
     )
-    return write_atomic(path, (json.dumps(doc, **CANONICAL) for doc in docs))
+    return write_jsonl(path, "flight", head, rows)
 
 
 def read_flight(path: Path | str) -> FlightFile:
     """Parse a flight dump leniently: bad lines are counted, not fatal."""
-    header: Dict[str, Any] = {}
-    spans: List[Span] = []
-    records: List[Dict[str, Any]] = []
-    skipped = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(row, dict):
-                skipped += 1
-            elif row.get("kind") == "header":
-                header = row
-            elif row.get("kind") == "record":
-                records.append({k: v for k, v in row.items() if k != "kind"})
-            else:
-                span = span_from_json(row)
-                if span is None:
-                    skipped += 1
-                else:
-                    spans.append(span)
+    header, rows, skipped = read_jsonl(path)
+    records = [
+        {k: v for k, v in row.items() if k != "kind"}
+        for row in rows if row.get("kind") == "record"
+    ]
+    spans = [span for span in map(span_from_json, rows) if span is not None]
     return FlightFile(header=header, spans=spans, records=records,
-                      skipped=skipped)
+                      skipped=skipped + len(rows) - len(records) - len(spans))
+
+
+def summarize_flight(flight: FlightFile) -> List[str]:
+    """The ``repro stats`` lines for a flight dump."""
+    header = flight.header
+    lines = [f"flight dump: node {header.get('node', '?')} — "
+             f"reason {header.get('reason', '?')}"]
+    lines += present(header, ("topology", "seed", "capacity", "dropped"))
+    lines.append(f"  spans: {len(flight.spans)}")
+    lines.append(f"  records: {len(flight.records)}")
+    lines += tally(
+        (r.get("event") or r.get("rec", "?") for r in flight.records),
+        indent="    ",
+    )
+    return lines + skipped_note(flight.skipped)

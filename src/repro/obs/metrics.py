@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from ..artefact import CANONICAL, write_atomic
+from ..artefact import CANONICAL, KINDS, read_jsonl, skipped_note, write_atomic
 
-METRICS_FORMAT_VERSION = 1
+METRICS_FORMAT_VERSION = KINDS["metrics"].format
 
 
 def _canonical(payload: Any) -> str:
@@ -349,35 +349,38 @@ def read_metrics(path: Path | str) -> MetricsFile:
     Unknown or truncated lines are counted, not fatal — the same tolerance
     the campaign checkpoint loader applies.
     """
-    path = Path(path)
-    header: Dict[str, Any] = {}
+    header, rows, skipped = read_jsonl(path)
+    if header and header.get("format") != METRICS_FORMAT_VERSION:
+        header = {}
+        skipped += 1
     metrics: Dict[str, Dict[str, Any]] = {}
-    skipped = 0
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if not isinstance(payload, dict):
-                skipped += 1
-                continue
-            if payload.get("kind") == "header":
-                if payload.get("format") != METRICS_FORMAT_VERSION:
-                    skipped += 1
-                    continue
-                header = {
-                    k: v for k, v in payload.items() if k not in ("kind",)
-                }
-            elif payload.get("kind") == "metric" and "name" in payload:
-                name = payload["name"]
-                metrics[name] = {
-                    k: v for k, v in payload.items() if k not in ("kind", "name")
-                }
-            else:
-                skipped += 1
-    return MetricsFile(header=header, metrics=metrics, skipped=skipped)
+    for row in rows:
+        if row.get("kind") == "metric" and "name" in row:
+            metrics[row["name"]] = {
+                k: v for k, v in row.items() if k not in ("kind", "name")
+            }
+        else:
+            skipped += 1
+    return MetricsFile(
+        header={k: v for k, v in header.items() if k != "kind"},
+        metrics=metrics,
+        skipped=skipped,
+    )
+
+
+def summarize_metrics(metrics: MetricsFile) -> List[str]:
+    """The ``repro stats`` lines for a metrics file.
+
+    Any JSONL header is read as a metrics file, so one with neither a
+    metric line nor a ``source`` is refused here as foreign.
+    """
+    if not metrics.metrics and not metrics.header.get("source"):
+        raise ValueError("header names no source and no metric lines follow")
+    lines = [f"metrics file: {len(metrics.metrics)} metrics"]
+    for key in sorted(k for k in metrics.header if k != "format"):
+        lines.append(f"  {key}: {metrics.header[key]}")
+    for name, payload in metrics.metrics.items():
+        body = {k: v for k, v in payload.items() if k != "type"}
+        lines.append(f"  {payload.get('type', '?'):9s} {name} = "
+                     + json.dumps(body, sort_keys=True))
+    return lines + skipped_note(metrics.skipped)

@@ -40,10 +40,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..artefact import write_atomic
+from ..artefact import KINDS, identify, read_document, write_atomic
 from .metrics import percentile_of_sorted
 
-SLO_FORMAT_VERSION = 1
+SLO_FORMAT_VERSION = KINDS["slo-report"].format
 #: ``kind`` values of the two SLO document families.
 SLO_SPEC_KIND = "slo-spec"
 SLO_REPORT_KIND = "slo-report"
@@ -184,11 +184,7 @@ class SloSpec:
 
 def read_slo_spec(path: Path | str) -> SloSpec:
     """Load and validate a spec file; :class:`ValueError` names the path."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_document(path)
     try:
         return SloSpec.from_json(doc)
     except ValueError as exc:
@@ -235,9 +231,11 @@ class SloObservations:
         }
 
     # ------------------------------------------------- artefact ingestion
+    # Each ``add_*`` takes what the artefact's own reader returns (the
+    # registry in :mod:`repro.artefact` pairs them).
 
     def add_events(
-        self, header: Mapping[str, Any], events: Sequence[Mapping[str, Any]]
+        self, log: Tuple[Mapping[str, Any], Sequence[Mapping[str, Any]], int]
     ) -> None:
         """Digest a cluster/soak event log — the richest artefact: grant
         waits, replayed waiting chains, convergence deadlines, and the
@@ -246,6 +244,7 @@ class SloObservations:
         from ..net.lock import hold_intervals, neighbour_violations
         from ..sim.topology import from_spec
 
+        header, events, _skipped = log
         end_t = max((float(e.get("t", 0.0)) for e in events), default=0.0)
         self.observe_duration(header.get("duration_s"))
         self.observe_duration(end_t)
@@ -284,10 +283,10 @@ class SloObservations:
                 self.violation_times.append(violation.overlap_start)
             self.chain_samples.extend(_replay_chains(topology, events))
 
-    def add_spans(self, spans: Sequence[Any]) -> None:
+    def add_spans(self, span_file: Any) -> None:
         """Grant waits from a span artefact (``spans-*`` or ``flight-*``):
         the interval from span open to its ``grant`` event."""
-        for span in spans:
+        for span in span_file.spans:
             if span.name not in _WAIT_SPANS:
                 continue
             grant = span.first_event("grant")
@@ -299,10 +298,11 @@ class SloObservations:
             self.observe_duration(span.close_t)
             self.observe_duration(grant.t)
 
-    def add_metrics(
-        self, header: Mapping[str, Any], metrics: Mapping[str, Mapping[str, Any]]
-    ) -> None:
+    def add_metrics(self, metrics_file: Any) -> None:
         """Safety verdict and convergence gauges from a metrics artefact."""
+        header, metrics = metrics_file.header, metrics_file.metrics
+        if not metrics and "violations" not in header:
+            raise ValueError("not an SLO-evaluable artefact")
         self.observe_duration(header.get("duration_s"))
         violations = header.get("violations")
         if isinstance(violations, int):
@@ -641,14 +641,29 @@ def write_slo_report(path: Path | str, report: SloReport) -> Path:
 
 def read_slo_report(path: Path | str) -> Dict[str, Any]:
     """Parse a report document; :class:`ValueError` if it is not one."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON") from exc
+    doc = read_document(path)
     if not isinstance(doc, dict) or doc.get("kind") != SLO_REPORT_KIND:
         raise ValueError(f"{path}: not an slo-report document")
     return doc
+
+
+def summarize_slo_report(doc: Mapping[str, Any]) -> List[str]:
+    """The ``repro stats`` lines for a report document."""
+    verdict = "OK" if doc.get("ok") else "EXHAUSTED"
+    objectives = doc.get("objectives") or []
+    lines = [f"SLO report: {doc.get('spec', '?')} — {verdict} "
+             f"({len(objectives)} objectives, "
+             f"window {doc.get('duration_s')}s)"]
+    for key, value in sorted((doc.get("observations") or {}).items()):
+        lines.append(f"  {key}: {value}")
+    for row in objectives:
+        status = "ok" if row.get("ok") else "EXHAUSTED"
+        lines.append(
+            f"  {row.get('name')}: {row.get('kind')} "
+            f"spent={row.get('budget_spent')} "
+            f"remaining={row.get('budget_remaining')}  {status}"
+        )
+    return lines
 
 
 def format_report(report: SloReport) -> str:
@@ -826,52 +841,18 @@ class LiveSloEvaluator:
 
 
 def ingest_artefact(obs: SloObservations, path: Path | str) -> str:
-    """Sniff one artefact file and feed it into ``obs``.
+    """Identify one artefact file and feed it into ``obs``.
 
-    Returns the recognised family (``events`` / ``spans`` / ``flight`` /
-    ``metrics`` / ``loadgen``); :class:`ValueError` if the file is none
-    of them.
+    Returns the kind's name (``events`` / ``spans`` / ``flight`` /
+    ``metrics`` / ``loadgen``); :class:`ValueError` if the file is of a
+    kind with no SLO intake, or of none.
     """
-    from ..net.cluster import EVENT_SOURCES, read_cluster_events  # deferred
-    from ..gateway.report import read_loadgen_report
-    from .flight import FLIGHT_SOURCE
-    from .metrics import read_metrics
-    from .tracing import SPANS_SOURCE, read_spans
-
-    path = Path(path)
-    first: Dict[str, Any] = {}
+    row = identify(path)
+    if row.slo is None:
+        raise ValueError(f"{path}: {row.name} is not an SLO-evaluable artefact")
+    parsed = row.read(path)
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            line = handle.readline().strip()
-        if line:
-            doc = json.loads(line)
-            if isinstance(doc, dict):
-                first = doc
-    except OSError:
-        raise ValueError(f"{path}: unreadable artefact")
-    except ValueError:
-        # Not JSONL. A loadgen report is a pretty-printed whole-file
-        # document, so its first line alone never parses — sniff for it
-        # before giving up.
-        try:
-            obs.add_loadgen(read_loadgen_report(path))
-        except ValueError:
-            raise ValueError(f"{path}: unreadable artefact") from None
-        return "loadgen"
-    source = first.get("source")
-    if first.get("kind") == "loadgen-report":
-        obs.add_loadgen(read_loadgen_report(path))
-        return "loadgen"
-    if source in EVENT_SOURCES:
-        header, events, _skipped = read_cluster_events(path)
-        obs.add_events(header, events)
-        return "events"
-    if source in (SPANS_SOURCE, FLIGHT_SOURCE):
-        span_file = read_spans(path)
-        obs.add_spans(span_file.spans)
-        return "flight" if source == FLIGHT_SOURCE else "spans"
-    metrics_file = read_metrics(path)
-    if metrics_file.metrics or "violations" in metrics_file.header:
-        obs.add_metrics(metrics_file.header, metrics_file.metrics)
-        return "metrics"
-    raise ValueError(f"{path}: not an SLO-evaluable artefact")
+        getattr(obs, row.slo)(parsed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return row.name

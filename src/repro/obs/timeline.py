@@ -24,19 +24,13 @@ byte-stable for a given set of span files.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..artefact import CANONICAL, write_atomic
+from ..artefact import present, read_jsonl, skipped_note, tally, write_jsonl
 from .tracing import Span
-
-TIMELINE_FORMAT_VERSION = 1
-#: ``source`` value of the timeline artefact.
-TIMELINE_SOURCE = "timeline"
 
 
 @dataclass(frozen=True)
@@ -359,51 +353,45 @@ def write_timeline(
     """The merged timeline as canonical JSONL — byte-stable for a given
     span-file set, which the CI trace-smoke job enforces with ``cmp``."""
     nodes = sorted({entry.node for entry in entries})
-    head: Dict[str, Any] = {
-        "format": TIMELINE_FORMAT_VERSION,
-        "kind": "header",
-        "source": TIMELINE_SOURCE,
-        "nodes": nodes,
-        "entries": len(entries),
+    head = {
+        "source": "timeline", "nodes": nodes, "entries": len(entries),
+        **(header or {}),
     }
-    if header:
-        head.update(header)
-    docs = chain([head], (entry.to_json() for entry in entries))
-    return write_atomic(path, (json.dumps(doc, **CANONICAL) for doc in docs))
+    return write_jsonl(
+        path, "timeline", head, (entry.to_json() for entry in entries)
+    )
 
 
 def read_timeline(path: Path | str) -> TimelineFile:
     """Parse a timeline artefact leniently (bad lines counted, not fatal)."""
-    header: Dict[str, Any] = {}
+    header, rows, skipped = read_jsonl(path)
     entries: List[TimelineEntry] = []
-    skipped = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(row, dict):
-                skipped += 1
-            elif row.get("kind") == "header":
-                header = row
-            elif row.get("kind") == "entry" and isinstance(row.get("lc"), int):
-                entries.append(
-                    TimelineEntry(
-                        lc=row["lc"],
-                        node=str(row.get("node", "?")),
-                        seq=int(row.get("seq") or 0),
-                        span=str(row.get("span", "?")),
-                        name=str(row.get("name", "?")),
-                        ev=str(row.get("ev", "?")),
-                        t=float(row.get("t") or 0.0),
-                        detail=dict(row.get("detail") or {}),
-                    )
+    for row in rows:
+        if row.get("kind") == "entry" and isinstance(row.get("lc"), int):
+            entries.append(
+                TimelineEntry(
+                    lc=row["lc"],
+                    node=str(row.get("node", "?")),
+                    seq=int(row.get("seq") or 0),
+                    span=str(row.get("span", "?")),
+                    name=str(row.get("name", "?")),
+                    ev=str(row.get("ev", "?")),
+                    t=float(row.get("t") or 0.0),
+                    detail=dict(row.get("detail") or {}),
                 )
-            else:
-                skipped += 1
+            )
+        else:
+            skipped += 1
     return TimelineFile(header=header, entries=entries, skipped=skipped)
+
+
+def summarize_timeline(timeline: TimelineFile) -> List[str]:
+    """The ``repro stats`` lines for a merged timeline."""
+    nodes = timeline.header.get("nodes") or sorted(
+        {e.node for e in timeline.entries}
+    )
+    lines = [f"timeline: {len(timeline.entries)} entries across "
+             f"{len(nodes)} nodes"]
+    lines += present(timeline.header, ("causality_ok", "matched_messages"))
+    lines += tally(entry.ev for entry in timeline.entries)
+    return lines + skipped_note(timeline.skipped)

@@ -24,9 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..artefact import CANONICAL
+from ..artefact import CANONICAL, KINDS, tally, write_atomic
 from ..sim.configuration import Configuration
 from ..sim.errors import SimulationError
 from ..sim.serialize import decode_literal, encode_literal, from_json, to_json
@@ -35,7 +35,7 @@ from .events import MpEventKind
 from .metrics import MetricsRegistry, write_metrics
 from .probes import Probe, standard_probes
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = KINDS["trace"].format
 
 #: Every event kind either engine publishes, keyed by wire value.
 _KINDS: Dict[str, Any] = {
@@ -155,27 +155,24 @@ def event_from_payload(record: Mapping[str, Any]) -> TraceEvent:
     )
 
 
+def _trace_lines(trace: Trace) -> Iterator[str]:
+    yield json.dumps(dict(trace.header), **CANONICAL)
+    for event in trace.events:
+        yield event_to_line(event)
+    for step, config in trace.snapshots:
+        yield json.dumps(
+            {
+                "kind": "snapshot",
+                "step": step,
+                "config": json.loads(to_json(config, indent=None)),
+            },
+            **CANONICAL,
+        )
+
+
 def write_trace(path: Path | str, trace: Trace) -> Path:
-    """Write one trace as JSONL (parents created, atomic replace)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(dict(trace.header), **CANONICAL) + "\n")
-        for event in trace.events:
-            handle.write(event_to_line(event) + "\n")
-        for step, config in trace.snapshots:
-            line = json.dumps(
-                {
-                    "kind": "snapshot",
-                    "step": step,
-                    "config": json.loads(to_json(config, indent=None)),
-                },
-                **CANONICAL,
-            )
-            handle.write(line + "\n")
-    tmp.replace(path)
-    return path
+    """Write one trace as JSONL (parents created, atomic replace, fsynced)."""
+    return write_atomic(path, _trace_lines(trace))
 
 
 def read_trace(path: Path | str) -> Trace:
@@ -225,6 +222,17 @@ def read_trace(path: Path | str) -> Trace:
     return Trace(
         header=header, events=tuple(events), snapshots=tuple(snapshots)
     )
+
+
+def summarize_trace(trace: Trace) -> List[str]:
+    """The ``repro stats`` lines for a trace."""
+    header = trace.header
+    return [
+        f"trace file: {header.get('model')} / {header.get('algorithm')} on "
+        f"{header.get('topology')}, {header.get('steps_taken')} steps",
+        *tally((event.kind.value for event in trace.events), " events"),
+        f"  snapshots: {len(trace.snapshots)}",
+    ]
 
 
 # ---------------------------------------------------------------- analyze

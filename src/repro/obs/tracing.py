@@ -23,17 +23,12 @@ contracts; the deterministic part of a trace is its *order* — the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..artefact import CANONICAL, write_atomic
+from ..artefact import present, read_jsonl, skipped_note, tally, write_jsonl
 
-SPANS_FORMAT_VERSION = 1
-#: ``source`` value of the span artefact family.
-SPANS_SOURCE = "spans"
 #: Span name of the per-incarnation root span catching ambient traffic.
 ROOT_SPAN = "node"
 
@@ -271,42 +266,29 @@ def write_spans(
     else:
         rows = list(spans)
         node = rows[0].node if rows else "?"
-    head: Dict[str, Any] = {
-        "format": SPANS_FORMAT_VERSION,
-        "kind": "header",
-        "source": SPANS_SOURCE,
-        "node": node,
-        "spans": len(rows),
+    head = {
+        "source": "spans", "node": node, "spans": len(rows),
+        **(header or {}),
     }
-    if header:
-        head.update(header)
-    docs = chain([head], (span.to_json() for span in rows))
-    return write_atomic(path, (json.dumps(doc, **CANONICAL) for doc in docs))
+    return write_jsonl(path, "spans", head, (span.to_json() for span in rows))
 
 
 def read_spans(path: Path | str) -> SpanFile:
     """Parse a span artefact leniently: bad lines are counted, not fatal."""
-    header: Dict[str, Any] = {}
-    spans: List[Span] = []
-    skipped = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(row, dict):
-                skipped += 1
-            elif row.get("kind") == "header":
-                header = row
-            else:
-                span = span_from_json(row)
-                if span is None:
-                    skipped += 1
-                else:
-                    spans.append(span)
-    return SpanFile(header=header, spans=spans, skipped=skipped)
+    header, rows, skipped = read_jsonl(path)
+    spans = [span for span in map(span_from_json, rows) if span is not None]
+    return SpanFile(
+        header=header, spans=spans, skipped=skipped + len(rows) - len(spans)
+    )
+
+
+def summarize_spans(span_file: SpanFile) -> List[str]:
+    """The ``repro stats`` lines for a span artefact."""
+    spans = span_file.spans
+    closed = sum(1 for s in spans if s.closed)
+    events = sum(len(s.events) for s in spans)
+    lines = [f"span log: {len(spans)} spans ({closed} closed, "
+             f"{events} events)"]
+    lines += present(span_file.header, ("node", "topology", "seed"))
+    lines += tally((span.name for span in spans), " spans")
+    return lines + skipped_note(span_file.skipped)

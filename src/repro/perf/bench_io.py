@@ -26,9 +26,10 @@ from dataclasses import field as dataclass_field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..artefact import KINDS, present, read_document, write_atomic
 from .bench import BenchResult
 
-BENCH_FORMAT_VERSION = 1
+BENCH_FORMAT_VERSION = KINDS["bench"].format
 
 #: Default regression gate: fail past a +25 % median slowdown.
 DEFAULT_THRESHOLD = 0.25
@@ -86,16 +87,9 @@ def write_bench(
     options: Optional[Mapping[str, Any]] = None,
     env: Optional[Mapping[str, Any]] = None,
 ) -> Path:
-    """Write a BENCH document (parents created, atomic replace)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write a BENCH document (parents created, atomic replace, fsynced)."""
     payload = bench_payload(results, options=options, env=env)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    tmp.replace(path)
-    return path
+    return write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def read_bench(path: Path | str) -> Dict[str, Any]:
@@ -104,11 +98,7 @@ def read_bench(path: Path | str) -> Dict[str, Any]:
     Raises ``ValueError`` with a one-line reason on anything that is not a
     version-matched BENCH file — the CLI turns that into a clean exit.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc.msg})") from None
+    payload = read_document(path)
     if not isinstance(payload, dict) or payload.get("kind") != "bench":
         raise ValueError(f"{path}: not a BENCH file")
     if payload.get("format") != BENCH_FORMAT_VERSION:
@@ -118,6 +108,23 @@ def read_bench(path: Path | str) -> Dict[str, Any]:
     if not isinstance(payload.get("benchmarks"), dict):
         raise ValueError(f"{path}: BENCH file has no benchmarks table")
     return payload
+
+
+def summarize_bench(payload: Mapping[str, Any]) -> List[str]:
+    """The ``repro stats`` lines for a BENCH document."""
+    env = payload.get("env", {})
+    benchmarks = payload["benchmarks"]
+    lines = [f"BENCH file: {len(benchmarks)} benchmarks"]
+    lines += present(
+        env, ("git_rev", "python", "platform", "cpu_count", "timestamp")
+    )
+    for name in sorted(benchmarks):
+        stats = benchmarks[name].get("stats", {})
+        lines.append(
+            f"  {name}: median {stats.get('median_s')}s, "
+            f"iqr {stats.get('iqr_s')}s, min {stats.get('min_s')}s"
+        )
+    return lines
 
 
 # ----------------------------------------------------------------- compare

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import ALGORITHMS, main, parse_topology
@@ -336,6 +338,17 @@ class TestStatsHardening:
         message = self._exit_message(["stats", str(foreign)])
         assert "not a metrics" in message
 
+    def test_recognised_tag_with_a_newer_format_says_so(self, tmp_path):
+        """The reader's exact reason must survive: a BENCH or loadgen
+        report from a newer tool is not "not a metrics … file"."""
+        for name, tag in (("bench", "bench"), ("loadgen", "loadgen-report")):
+            path = tmp_path / f"{name}99.json"
+            path.write_text(json.dumps({"kind": tag, "format": 99}, indent=2))
+            message = self._exit_message(["stats", str(path)])
+            assert message == (
+                f"{path}: {name} format 99 is newer than this tool (1)"
+            )
+
     def test_missing_file(self, tmp_path):
         message = self._exit_message(["stats", str(tmp_path / "absent")])
         assert "no such file" in message
@@ -616,6 +629,17 @@ class TestSloCli:
         junk.write_text('{"hello": 1}\n')
         with pytest.raises(SystemExit):
             main(["slo", f"{self.FIXTURES}/spec.json", str(junk)])
+
+    def test_slo_newer_loadgen_report_says_so(self, tmp_path):
+        path = tmp_path / "lg99.json"
+        path.write_text(json.dumps(
+            {"kind": "loadgen-report", "format": 99, "results": {}}, indent=2
+        ))
+        with pytest.raises(SystemExit) as info:
+            main(["slo", f"{self.FIXTURES}/spec.json", str(path)])
+        assert str(info.value) == (
+            f"{path}: loadgen format 99 is newer than this tool (1)"
+        )
 
     def test_slo_empty_directory_exits(self, tmp_path):
         empty = tmp_path / "empty"
