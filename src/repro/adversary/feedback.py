@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..net.chaos import ChaosController, ChaosSchedule, FaultEvent, Link
 from ..sim.topology import Pid, Topology
@@ -106,7 +106,7 @@ class FeedbackChaosController(ChaosController):
 
     # ------------------------------------------------------------ observing
 
-    def observe(self, row: Dict) -> None:
+    def observe(self, row: Mapping[str, Any]) -> None:
         """Feed one collected obs row (the supervisor calls this inline)."""
         node = row.get("node")
         if node is None:

@@ -23,6 +23,7 @@ from .diners_mp import (
     eating_now,
     edge_key,
     neighbours_both_eating,
+    precedence_depth,
 )
 from .engine import MpEngine
 from .handshake import HandshakeNode, HandshakeSession, HandshakeStats, make_session_pair
@@ -41,6 +42,7 @@ __all__ = [
     "eating_now",
     "edge_key",
     "neighbours_both_eating",
+    "precedence_depth",
     "MpEngine",
     "HandshakeNode",
     "HandshakeSession",

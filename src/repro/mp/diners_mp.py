@@ -12,8 +12,20 @@ module implements faithfully:
   transit); clean forks and forks at an eating process are deferred;
 * a hungry process holding every incident fork eats.
 
-Initial fork placement follows the node order so the precedence graph is
-acyclic (fork, dirty, at the earlier endpoint; request token at the other).
+Initial fork placement follows one static total order,
+:meth:`Topology.colour_rank <repro.sim.topology.Topology.colour_rank>` —
+``(greedy colour, node index)`` — so the precedence graph is acyclic (fork,
+dirty, at the *earlier* endpoint; request token at the other) **and
+shallow**: its longest chain is ``colours - 1`` edges, 1 on an even ring or
+a grid.  Depth is what bounds concurrency under load, and on a cycle load
+preserves it: a saturated Chandy–Misra process only ever goes from the top
+of the graph (holds every fork, eats) to the bottom (every fork dirty and
+requested, gives them all away), which reverses its edges and nothing
+else, so a chain that starts ``n - 1`` deep — as placement by plain node
+order makes a ring — rotates round the ring forever like a token and one
+process eats at a time, while one that starts 1 deep alternates the two
+colour classes.  Both endpoints of an edge compute the same order from the
+topology alone.
 
 Fault posture (measured in E7): safe and live without faults; a benign
 crash blocks neighbours waiting on the dead process's forks (Chandy–Misra
@@ -42,9 +54,10 @@ from arbitrary state — the live cluster needs this, since a single dropped
 * a request arriving at an endpoint that neither holds the fork nor has a
   transfer in flight proves the edge's fork token is lost (the requester is
   fork-less by definition, and forks only move between the two endpoints):
-  the canonical *earlier* endpoint regenerates the fork, dirty, with a
-  fresh counter that invalidates any stale copy; the later endpoint
-  instead echoes a request so the earlier endpoint's rule fires.
+  the canonical *earlier* endpoint (the same colour rank that placed the
+  forks) regenerates the fork, dirty, with a fresh counter that
+  invalidates any stale copy; the later endpoint instead echoes a request
+  so the earlier endpoint's rule fires.
 
 With ``repair=False`` (the default, used by the in-process simulator over
 reliable channels) the wire format and behaviour are exactly the classic
@@ -55,7 +68,7 @@ property tests pin down.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from ..core.state import DinerState
 from ..sim.topology import Pid, Topology
@@ -84,7 +97,8 @@ class DinersMpProcess(MpProcess):
     Parameters
     ----------
     pid / topology:
-        Identity and the communication graph (for neighbour order).
+        Identity and the communication graph (its neighbour lists and
+        its :meth:`~repro.sim.topology.Topology.colour_rank`).
     needs:
         Called on every tick (and wake) while thinking; True means
         "become hungry".
@@ -121,7 +135,7 @@ class DinersMpProcess(MpProcess):
         self._needs = needs if needs is not None else (lambda: True)
         self._eat_ticks = eat_ticks
         self._rng = random.Random(seed)
-        order = {p: i for i, p in enumerate(topology.nodes)}
+        rank = topology.colour_rank()
         self.state: str = T
         self.eats = 0
         self._eating_remaining = 0
@@ -137,18 +151,22 @@ class DinersMpProcess(MpProcess):
         self.edge_c: Dict[Pid, int] = {}
         #: counter of an unacknowledged outbound fork transfer, per edge.
         self._fork_resend: Dict[Pid, int | None] = {}
+        #: this end of the edge comes first in the colour rank: it starts
+        #: with the fork and is repair mode's canonical regenerator.
         self._earlier: Dict[Pid, bool] = {}
+        self._edge_key: Dict[Pid, Tuple[str, str]] = {}
         self._ticks = 0
         self._last_repair_send: Dict[Pid, int] = {}
         self._yield_count: Dict[Pid, int] = {}
         for q in topology.neighbors(pid):
-            earlier = order[pid] < order[q]
+            earlier = rank[pid] < rank[q]
             self.holds_fork[q] = earlier
             self.fork_clean[q] = False  # all forks start dirty
             self.holds_request[q] = not earlier
             self.edge_c[q] = 0
             self._fork_resend[q] = None
             self._earlier[q] = earlier
+            self._edge_key[q] = edge_key(pid, q)
 
     # ----------------------------------------------------------- protocol
 
@@ -156,7 +174,8 @@ class DinersMpProcess(MpProcess):
         if (
             not isinstance(payload, tuple)
             or len(payload) < 2
-            or payload[1] != edge_key(self.pid, src)
+            or src not in self._edge_key
+            or payload[1] != self._edge_key[src]
         ):
             return  # junk
         if self.repair:
@@ -197,7 +216,7 @@ class DinersMpProcess(MpProcess):
                     self._fork_resend[src] = None
             # Ack every fork frame — fresh, duplicate, or stale — so the
             # sender's retransmission stops even when the first ack drops.
-            ctx.send(src, (TAG_ACK, edge_key(self.pid, src), c))
+            ctx.send(src, (TAG_ACK, self._edge_key[src], c))
             return
         if tag == TAG_MISSING:
             # The peer received our request but holds no fork and has no
@@ -246,7 +265,7 @@ class DinersMpProcess(MpProcess):
             self.fork_clean[src] = False
             self._maybe_surrender(ctx, src)
         else:
-            ctx.send(src, (TAG_MISSING, edge_key(self.pid, src), self.edge_c[src]))
+            ctx.send(src, (TAG_MISSING, self._edge_key[src], self.edge_c[src]))
 
     def on_tick(self, ctx: MpContext) -> None:
         """Timers, then — unless the tick went to a meal — the guards."""
@@ -300,7 +319,7 @@ class DinersMpProcess(MpProcess):
         clean/dirty priority graph acyclic, but frame loss and fork
         regeneration re-orient edges independently, so a cycle of hungry
         processes each defending one clean fork can form and deadlock.
-        Repair falls back to the statically acyclic node order: a *later*
+        Repair falls back to the statically acyclic colour rank: a *later*
         endpoint that has starved ``8 * resend_every`` ticks on a clean,
         requested fork dirties it (yielding priority to the earlier
         endpoint), and a thinking process — which has no claim at all —
@@ -326,7 +345,7 @@ class DinersMpProcess(MpProcess):
             if last is not None and self._ticks - last < self.resend_every:
                 continue
             pending = self._fork_resend.get(q)
-            key = edge_key(self.pid, q)
+            key = self._edge_key[q]
             if pending is not None:
                 if ctx.send(q, (TAG_FORK, key, pending)):
                     self._last_repair_send[q] = self._ticks
@@ -342,7 +361,7 @@ class DinersMpProcess(MpProcess):
                     self._last_repair_send[q] = self._ticks
 
     def _request_payload(self, q: Pid) -> Tuple:
-        key = edge_key(self.pid, q)
+        key = self._edge_key[q]
         return (TAG_REQUEST, key, self.edge_c[q]) if self.repair else (TAG_REQUEST, key)
 
     def _maybe_surrender(self, ctx: MpContext, q: Pid) -> None:
@@ -356,12 +375,12 @@ class DinersMpProcess(MpProcess):
         ):
             if self.repair:
                 c = self.edge_c[q] + 1
-                if ctx.send(q, (TAG_FORK, edge_key(self.pid, q), c)):
+                if ctx.send(q, (TAG_FORK, self._edge_key[q], c)):
                     self.edge_c[q] = c
                     self.holds_fork[q] = False
                     self._fork_resend[q] = c
                     self._last_repair_send[q] = self._ticks
-            elif ctx.send(q, (TAG_FORK, edge_key(self.pid, q))):
+            elif ctx.send(q, (TAG_FORK, self._edge_key[q])):
                 self.holds_fork[q] = False
 
     def _exit(self, ctx: MpContext) -> None:
@@ -392,8 +411,8 @@ class DinersMpProcess(MpProcess):
         q = neighbors[rng.randrange(len(neighbors))]
         tag = rng.choice((TAG_FORK, TAG_REQUEST, "junk"))
         if self.repair:
-            return (tag, edge_key(self.pid, q), rng.randrange(16))
-        return (tag, edge_key(self.pid, q))
+            return (tag, self._edge_key[q], rng.randrange(16))
+        return (tag, self._edge_key[q])
 
 
 def build_diners(
@@ -435,3 +454,41 @@ def neighbours_both_eating(
         if processes[p].state == E and processes[q].state == E:
             pairs.append((p, q))
     return tuple(pairs)
+
+
+def precedence_depth(
+    topology: Topology,
+    processes: Mapping[Pid, DinersMpProcess],
+    alive: Callable[[Pid], bool] = lambda p: True,
+) -> int:
+    """Longest "has priority over" chain, in edges, among live processes.
+
+    A clean fork puts its holder first, a dirty one the other end; an edge
+    whose fork neither end holds (in flight) or both do (duplicated by a
+    fault) orders nobody and is skipped.  This is the quantity that bounds
+    concurrency under load (module docstring): fork placement starts it at
+    ``colours - 1``.  A priority cycle — possible only after faults — is
+    cut where the walk meets it.
+    """
+    after: Dict[Pid, List[Pid]] = {p: [] for p in topology.nodes if alive(p)}
+    for e in topology.edges:
+        p, q = tuple(e)
+        if p not in after or q not in after:
+            continue
+        p_holds, q_holds = processes[p].holds_fork[q], processes[q].holds_fork[p]
+        if p_holds == q_holds:
+            continue
+        holder, other = (p, q) if p_holds else (q, p)
+        if processes[holder].fork_clean[other]:
+            after[holder].append(other)
+        else:
+            after[other].append(holder)
+    depth: Dict[Pid, int] = {}
+
+    def chain(p: Pid) -> int:
+        if p not in depth:
+            depth[p] = -1  # an edge that closes a cycle adds nothing
+            depth[p] = max((1 + chain(q) for q in after[p]), default=0)
+        return depth[p]
+
+    return max(map(chain, after), default=0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Tuple
 
 from ..obs.events import MpEventKind
 from ..obs.tracing import LamportClock
@@ -110,7 +110,16 @@ class MpEngine:
         self.ticks = 0
         #: per-process delivered/tick counters for tests and metrics.
         self.counters: Counter = Counter()
-        self._ages: Dict[Hashable, int] = {}
+        #: Every event the scheduler can ever pick, in its fixed scan
+        #: order — one delivery per directed channel, then one tick per
+        #: process — and, per event, the selection at which it last became
+        #: available (``None`` while it is not): its weak-fairness age is
+        #: ``selection - born + 1``.
+        self._events: List[Tuple[str, Any, Channel | None]] = [
+            ("deliver", key, channel) for key, channel in self._channels.items()
+        ] + [("tick", pid, None) for pid in topology.nodes]
+        self._born: List[int | None] = [None] * len(self._events)
+        self._selections = 0
         #: Per-process Lamport clocks, maintained by the engine itself:
         #: ticked on every send/tick/havoc, merged (with the sender's value
         #: at delivery time — an upper bound on its value at send time,
@@ -219,40 +228,50 @@ class MpEngine:
 
     # ----------------------------------------------------------- stepping
 
-    def _available_events(self) -> List[Hashable]:
-        events: List[Hashable] = []
-        for key, channel in self._channels.items():
-            if not channel.empty:
-                events.append(("deliver", key))
-        for pid in self.topology.nodes:
-            if self._alive[pid]:
-                events.append(("tick", pid))
-        return events
+    def _choose(self) -> Tuple[str, Any, Channel | None] | None:
+        """Pick the next event, or ``None`` when none is available.
 
-    def _choose(self, events: List[Hashable]) -> Hashable:
-        current = set(events)
-        for key in list(self._ages):
-            if key not in current:
-                del self._ages[key]
-        for key in current:
-            self._ages[key] = self._ages.get(key, 0) + 1
-        oldest = max(events, key=lambda e: self._ages.get(e, 0))
-        if self._ages.get(oldest, 0) >= self.patience:
+        One pass over :attr:`_events`: the oldest available event (the
+        first in scan order among equally old ones) fires once it has been
+        available for ``patience`` selections in a row; otherwise one is
+        drawn uniformly from the available ones.  The chosen event's age
+        restarts, as does that of any event found unavailable.
+        """
+        selection = self._selections
+        born = self._born
+        alive = self._alive
+        available: List[int] = []
+        oldest = -1
+        oldest_born = selection + 1
+        for i, (_, detail, channel) in enumerate(self._events):
+            if channel.empty if channel is not None else not alive[detail]:
+                born[i] = None
+                continue
+            b = born[i]
+            if b is None:
+                b = born[i] = selection
+            if b < oldest_born:
+                oldest, oldest_born = i, b
+            available.append(i)
+        if not available:
+            return None
+        self._selections = selection + 1
+        if selection - oldest_born + 1 >= self.patience:
             chosen = oldest
         else:
-            chosen = events[self.rng.randrange(len(events))]
-        self._ages.pop(chosen, None)
-        return chosen
+            chosen = available[self.rng.randrange(len(available))]
+        born[chosen] = None
+        return self._events[chosen]
 
     def step(self) -> bool:
         """One engine step; False when nothing can ever happen again."""
-        events = self._available_events()
-        if not events:
+        event = self._choose()
+        if event is None:
             return False
-        kind, detail = self._choose(events)
+        kind, detail, channel = event
         if kind == "deliver":
             src, dst = detail
-            message = self._channels[detail].deliver()
+            message = channel.deliver()
             self.delivered += 1
             self.counters[("delivered", dst)] += 1
             self.clocks[dst].merge(self.clocks[src].value)

@@ -24,9 +24,10 @@ import json
 import os
 import random
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Optional, TextIO
 
 from ..artefact import (
     CANONICAL,
@@ -37,7 +38,7 @@ from ..artefact import (
     tally,
     write_jsonl,
 )
-from ..mp.diners_mp import DinersMpProcess
+from ..mp.diners_mp import DinersMpProcess, precedence_depth
 from ..obs.bus import EventBus
 from ..obs.events import NetEventKind
 from ..obs.flight import DEFAULT_CAPACITY, FlightRecorder, dump_flight
@@ -139,7 +140,7 @@ class ClusterResult:
     mode: str  #: ``run`` or ``soak``
     nodes: List[str] = field(default_factory=list)
     counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    events: List[Dict[str, Any]] = field(default_factory=list)
+    events: List[Mapping[str, Any]] = field(default_factory=list)
     schedule: Optional[Dict[str, Any]] = None
     killed: List[str] = field(default_factory=list)
     byzantine: List[str] = field(default_factory=list)
@@ -172,6 +173,48 @@ _TRAFFIC_EVENTS = frozenset(
     (NetEventKind.SEND.value, NetEventKind.RECV.value)
 )
 
+_ROW_FIELDS = ("t", "node", "event")
+
+
+class EventRow(Mapping):
+    """One collected event, read as the mapping ``{"t", "node", "event"}``
+    plus ``"detail"`` when there is any — the shape the event log has on
+    disk.  A run keeps a row per frame sent and received until it ends, so
+    the row is four slots (about 100 B with its timestamp), not a dict
+    (over 200 B), and read-only to everything downstream."""
+
+    __slots__ = (*_ROW_FIELDS, "detail")
+
+    def __init__(
+        self,
+        t: float,
+        node: Optional[str],
+        event: str,
+        detail: Optional[Mapping[str, Any]],
+    ) -> None:
+        self.t = t
+        self.node = node
+        self.event = event
+        self.detail = detail or None
+
+    def __getitem__(self, key: str) -> Any:
+        if key in _ROW_FIELDS:
+            return getattr(self, key)
+        if key == "detail" and self.detail is not None:
+            return self.detail
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        yield from _ROW_FIELDS
+        if self.detail is not None:
+            yield "detail"
+
+    def __len__(self) -> int:
+        return len(_ROW_FIELDS) + (self.detail is not None)
+
+    def __repr__(self) -> str:
+        return f"EventRow({dict(self)!r})"
+
 
 class ClusterSupervisor:
     """Builds, runs, faults, observes, and tears down one live cluster."""
@@ -179,7 +222,7 @@ class ClusterSupervisor:
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
         self.bus = EventBus()
-        self.events: List[Dict[str, Any]] = []
+        self.events: List[EventRow] = []
         #: pid -> its ``repr`` label, and a traffic row's detail items ->
         #: the one shared, read-only detail dict (see :meth:`_collect`).
         self._labels: Dict[Pid, str] = {}
@@ -238,19 +281,13 @@ class ClusterSupervisor:
             node = self._labels.get(pid)
             if node is None:
                 node = self._labels[pid] = repr(pid)
-        row: Dict[str, Any] = {
-            "t": detail.get("t", 0.0),
-            "node": node,
-            "event": kind,
-        }
         extra = {k: v for k, v in detail.items() if k != "t"}
-        if extra:
-            # Rows are retained for the whole run and most of them are
-            # net-send/net-recv, whose detail only names the peer: every
-            # such row shares one dict per peer, which nothing may mutate.
-            if kind in _TRAFFIC_EVENTS:
-                extra = self._details.setdefault(tuple(extra.items()), extra)
-            row["detail"] = extra
+        # Rows are retained for the whole run and most of them are
+        # net-send/net-recv, whose detail only names the peer: every such
+        # row shares one dict per peer, which nothing may mutate.
+        if extra and kind in _TRAFFIC_EVENTS:
+            extra = self._details.setdefault(tuple(extra.items()), extra)
+        row = EventRow(detail.get("t", 0.0), node, kind, extra)
         self.events.append(row)
         if self._stream_handle is not None:
             try:
@@ -270,7 +307,7 @@ class ClusterSupervisor:
         # black box while the incriminating history is still in the rings.
         if self.slo_eval is not None:
             for hit in self.slo_eval.on_event(row):
-                self._on_slo_exhausted(hit, row["t"])
+                self._on_slo_exhausted(hit, row.t)
         # A client watchdog declaring a link silently stalled is a flight
         # trigger too — the stall's lead-up is exactly what the ring holds.
         if (
@@ -309,12 +346,12 @@ class ClusterSupervisor:
         # count.  Pop before emitting; _emit re-enters this collector.
         if (
             kind == NetEventKind.GRANT.value
-            and row["node"] in self._awaiting_convergence
+            and node in self._awaiting_convergence
             and extra.get("req") is not None
         ):
-            restarted_at = self._awaiting_convergence.pop(row["node"])
-            elapsed = round(max(0.0, row["t"] - restarted_at), 6)
-            self.convergence_s[row["node"]] = elapsed
+            restarted_at = self._awaiting_convergence.pop(node)
+            elapsed = round(max(0.0, row.t - restarted_at), 6)
+            self.convergence_s[node] = elapsed
             self._emit(
                 NetEventKind.CONVERGENCE, event.pid, {"elapsed_s": elapsed}
             )
@@ -757,6 +794,18 @@ class ClusterSupervisor:
             chain.append(min(frontier))
             seen.add(chain[-1])
 
+    def precedence_depth(self) -> int:
+        """Longest "has priority over" chain among the nodes still serving
+        the protocol, read off their fork state — what bounds how many can
+        hold the lock at once (see :func:`repro.mp.diners_mp.precedence_depth`)."""
+        return precedence_depth(
+            self.config.topology,
+            {pid: node.process for pid, node in self.nodes.items()},
+            alive=lambda pid: (
+                self.nodes[pid]._running and pid not in self.byzantine
+            ),
+        )
+
     def live_samples(self) -> List[Sample]:
         """The /metrics sample set — everything ``repro top`` renders."""
         loop = asyncio.get_running_loop()
@@ -769,6 +818,9 @@ class ClusterSupervisor:
             Sample("repro_cluster_waiting_chain_length",
                    float(len(self.waiting_chain())),
                    help="Longest chain of hungry nodes waiting on each other"),
+            Sample("repro_cluster_precedence_depth",
+                   float(self.precedence_depth()),
+                   help="Longest has-priority-over chain among live nodes"),
         ]
         if self._hunger_waits:
             ordered = sorted(self._hunger_waits)

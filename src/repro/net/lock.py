@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.events import NetEventKind
 from ..obs.slo import SloReport
@@ -358,7 +358,7 @@ class Violation:
 
 
 def hold_intervals(
-    events: Sequence[Dict[str, Any]], *, end_t: float
+    events: Sequence[Mapping[str, Any]], *, end_t: float
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Per-node ``(grant_t, release_t)`` intervals from an event stream.
 

@@ -3,8 +3,8 @@
 Polls the Prometheus endpoint a running ``cluster run`` / ``cluster soak``
 exposes (``--metrics-port``) and renders the live picture the operator
 cares about during chaos: per-node grant/traffic rates, per-edge
-retransmits, the current waiting-chain length, hunger-latency percentiles,
-and convergence deadlines of restarted nodes.
+retransmits, the current waiting-chain length and precedence-graph depth,
+hunger-latency percentiles, and convergence deadlines of restarted nodes.
 
 Rendering is a pure function of two consecutive sample sets
 (:func:`render_top`), so tests drive it without sockets; the fetch loop is
@@ -79,12 +79,14 @@ def render_top(
     )
     killed = find(samples, "repro_cluster_killed")
     chain = find(samples, "repro_cluster_waiting_chain_length")
+    depth = find(samples, "repro_cluster_precedence_depth")
     lines.append(
         "cluster: "
         f"up {0.0 if uptime is None else uptime.value:.1f}s  "
         f"nodes {len(nodes)}  "
         f"killed {0 if killed is None else int(killed.value)}  "
-        f"waiting-chain {0 if chain is None else int(chain.value)}"
+        f"waiting-chain {0 if chain is None else int(chain.value)}  "
+        f"priority-depth {0 if depth is None else int(depth.value)}"
     )
     for q in ("0.5", "0.9", "0.99"):
         sample = find(samples, "repro_cluster_hunger_latency_seconds", q=q)

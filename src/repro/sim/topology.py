@@ -88,6 +88,7 @@ class Topology:
         finite = [d for d in self._distances.values()]
         self._diameter = max(finite) if finite else 0
         self._longest_path: int | None = None
+        self._colour_rank: Dict[Pid, Tuple[int, int]] | None = None
 
     # ------------------------------------------------------------------ views
 
@@ -205,6 +206,30 @@ class Topology:
                             stack.append((nxt, visited | {nxt}, length + 1))
             self._longest_path = best
         return self._longest_path
+
+    def colour_rank(self) -> Mapping[Pid, Tuple[int, int]]:
+        """``{p: (greedy colour of p, index of p)}`` — a strict total order
+        in which every chain of neighbours is shorter than the number of
+        colours.
+
+        Nodes are coloured in construction order, each with the smallest
+        colour none of its already-coloured neighbours has, so neighbours
+        never share a colour and a path that climbs the order climbs the
+        colours: orienting every edge from its lower-ranked to its
+        higher-ranked end gives an acyclic graph whose longest chain is
+        ``colours - 1`` edges (1 on even rings, lines and grids), where the
+        plain node order gives ``n - 1`` on a ring.  The index breaks ties
+        between non-neighbours, so the order is total; the result is cached.
+        """
+        if self._colour_rank is None:
+            colour: Dict[Pid, int] = {}
+            for p in self._nodes:
+                taken = {colour[q] for q in self._adjacency[p] if q in colour}
+                colour[p] = next(c for c in itertools.count() if c not in taken)
+            self._colour_rank = {
+                p: (colour[p], i) for i, p in enumerate(self._nodes)
+            }
+        return self._colour_rank
 
     # ------------------------------------------------------------ internals
 

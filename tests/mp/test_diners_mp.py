@@ -32,11 +32,14 @@ def run_and_watch_safety(topo, steps, seed, **build_kwargs):
 
 class TestInitialPlacement:
     def test_forks_at_earlier_endpoint(self):
+        # line:3 colours 0-1-0: "earlier" is the colour rank, so both ends
+        # come before the middle.
         topo = line(3)
         procs = build_diners(topo)
         assert procs[0].holds_fork[1]
         assert not procs[1].holds_fork[0]
-        assert procs[1].holds_fork[2]
+        assert procs[2].holds_fork[1]
+        assert not procs[1].holds_fork[2]
 
     def test_request_tokens_opposite(self):
         topo = line(3)

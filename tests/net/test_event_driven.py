@@ -1,7 +1,7 @@
 """The live node is event-driven: progress rides deliveries, acquires and
 releases; the tick is only the retransmit/timer period.  Every cluster
-here ticks twice a second, so anything that still waited for a tick would
-miss these deadlines by an order of magnitude."""
+here but the last ticks twice a second, so anything that still waited for a
+tick would miss these deadlines by an order of magnitude."""
 
 import asyncio
 import contextlib
@@ -25,15 +25,15 @@ def count(events, kind):
 
 
 @contextlib.asynccontextmanager
-async def slow_tick_cluster(**overrides):
-    """A ring:3 lock-service cluster, yielded once every peer link is up
+async def slow_tick_cluster(nodes=3, tick_interval=TICK, **overrides):
+    """A ring lock-service cluster, yielded once every peer link is up
     (a send refused by a link still dialling is retried only on the tick)."""
-    topo = ring(3)
+    topo = ring(nodes)
     config = ClusterConfig(
         topology=topo,
-        topology_spec="ring:3",
+        topology_spec=f"ring:{nodes}",
         seed=5,
-        tick_interval=TICK,
+        tick_interval=tick_interval,
         lock_service=True,
         chaos=False,
         **overrides,
@@ -210,3 +210,60 @@ def test_abandoned_waiters_leave_no_phantom_demand():
     assert final == settled
     assert state == "T"
     assert max(idle_waits) < 0.1, idle_waits
+
+
+def test_a_saturated_even_ring_holds_the_lock_at_two_nodes_at_once():
+    """Regression gate for fork placement: on ring:6 three nodes may hold
+    at once, and with the forks placed by colour rank the two colour
+    classes alternate.  Placed by node order, one eating wave circled the
+    ring like a token: two simultaneous holders were the exception and the
+    precedence graph stayed five deep."""
+    topo = ring(6)
+    window = 2.0
+
+    async def scenario():
+        # The default 10 ms tick: this is the served configuration.
+        async with slow_tick_cluster(6, 0.01) as (supervisor, client_of):
+            clients = [
+                await client_of(pid, name=f"w{k}")
+                for pid in topo.nodes for k in range(4)
+            ]
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            stop_at = began + window
+            depths = []
+
+            async def worker(client):
+                while loop.time() < stop_at:
+                    req = await client.acquire(timeout=5.0)
+                    await asyncio.sleep(0.005)
+                    await client.release(req)
+
+            async def watch_depth():
+                while loop.time() < stop_at:
+                    depths.append(supervisor.precedence_depth())
+                    await asyncio.sleep(0.01)
+
+            await asyncio.gather(watch_depth(), *(worker(c) for c in clients))
+            t0 = supervisor._t0
+            return (
+                list(supervisor.events), began - t0, loop.time() - t0, depths
+            )
+
+    events, began, end_t, depths = asyncio.run(scenario())
+    intervals = hold_intervals(events, end_t=end_t)
+    assert neighbour_violations(topo, intervals) == []
+    # Sweep the grant/release marks: seconds with at least two holders.
+    marks = sorted(
+        mark
+        for spans in intervals.values()
+        for start, end in spans
+        for mark in ((max(start, began), 1), (max(end, began), -1))
+    )
+    holders, last, shared = 0, began, 0.0
+    for t, step in marks:
+        if holders >= 2:
+            shared += t - last
+        holders, last = holders + step, t
+    assert shared / (end_t - began) >= 0.30, shared / (end_t - began)
+    assert sorted(depths)[len(depths) // 2] <= 2, depths

@@ -4,6 +4,7 @@ and nothing downstream may write to a row."""
 
 import asyncio
 import copy
+import hashlib
 import tracemalloc
 import types
 from pathlib import Path
@@ -41,7 +42,22 @@ def test_send_and_recv_rows_share_label_and_detail():
     assert len(details) == 6  # {"dst"|"src": peer} for three peers, run-wide
 
 
-def test_a_traffic_row_retains_at_most_260_bytes():
+def test_a_row_reads_as_the_mapping_it_is_written_as():
+    supervisor = ClusterSupervisor(config())
+    supervisor.bus.publish(TraceEvent(
+        0, NetEventKind.GRANT, 2, {"t": 0.75, "req": "c.1"}
+    ))
+    supervisor.bus.publish(TraceEvent(1, NetEventKind.RELEASE, 2, {"t": 0.875}))
+    granted, released = supervisor.events
+    assert dict(granted) == {
+        "t": 0.75, "node": "2", "event": "net-grant", "detail": {"req": "c.1"},
+    }
+    assert {**released} == {"t": 0.875, "node": "2", "event": "net-release"}
+    assert released.get("detail", {}) == {} and "detail" not in released
+    assert granted == copy.deepcopy(granted) != released
+
+
+def test_a_traffic_row_retains_at_most_110_bytes():
     supervisor = ClusterSupervisor(config())
     rows = 20_000
 
@@ -58,7 +74,7 @@ def test_a_traffic_row_retains_at_most_260_bytes():
     publish(rows)
     after, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert (after - before) / rows <= 260
+    assert (after - before) / rows <= 110
 
 
 class _Freezing(dict):
@@ -109,3 +125,44 @@ def test_the_artefact_writer_leaves_rows_as_they_were(tmp_path):
     before = copy.deepcopy(result.events)
     write_cluster_events(tmp_path / "events.jsonl", result)
     assert result.events == before
+
+
+#: One of each row shape: traffic, detailed, nested detail, bare, node-less.
+FIXED_EVENTS = [
+    (NetEventKind.CONN_OPEN, 0, {"t": 0.001, "peer": "1"}),
+    (NetEventKind.HELLO_OK, 1, {"t": 0.002, "peer": "c-1", "role": "client"}),
+    (NetEventKind.SEND, 0, {"t": 0.25, "dst": "1"}),
+    (NetEventKind.RECV, 1, {"t": 0.250125, "src": "0"}),
+    (NetEventKind.SEND, 0, {"t": 0.5, "dst": "1"}),
+    (NetEventKind.SPAN_OPEN, 2, {"t": 0.5, "name": "acquire", "span": "2:7",
+                                 "attrs": {"req": "c.1"}}),
+    (NetEventKind.GRANT, 2, {"t": 0.75, "req": "c.1", "eats": 3}),
+    (NetEventKind.RELEASE, 2, {"t": 0.875}),
+    (NetEventKind.CHAOS, None, {"t": 0.9, "kind": "partition",
+                                "edge": ["0", "1"]}),
+    (NetEventKind.CRASH_DETECT, 1, {"t": 1.0}),
+]
+
+
+def test_rows_reach_the_disk_byte_for_byte_as_dict_rows_did(tmp_path):
+    """The digest is of the event lines the commit that still kept dict
+    rows wrote for this list, streamed (``stream_events``, which is what
+    ``--events-out`` turns on) and post-run (``write_cluster_events``)."""
+    supervisor = ClusterSupervisor(config())
+    supervisor._stream_handle = supervisor._open_stream(
+        str(tmp_path / "stream.events")
+    )
+    for seq, (kind, pid, detail) in enumerate(FIXED_EVENTS):
+        supervisor.bus.publish(TraceEvent(seq, kind, pid, detail))
+    supervisor._stream_handle.close()
+    written = write_cluster_events(
+        tmp_path / "out.events", supervisor.result(1.0)
+    )
+    for path in (tmp_path / "stream.events", written):
+        _header, *rows = path.read_bytes().splitlines(keepends=True)
+        assert rows[7] == (
+            b'{"event":"net-release","kind":"event","node":"2","t":0.875}\n'
+        )
+        assert hashlib.sha256(b"".join(rows)).hexdigest()[:16] == (
+            "dda35e5efbe32dd6"
+        )

@@ -156,6 +156,8 @@ class TestLiveMetricsEndpoint:
         text = asyncio.run(scrape())
         samples = parse_prometheus(text)
         assert find(samples, "repro_cluster_uptime_seconds") is not None
+        # ring:3 has three colours: a chain is at most two edges long.
+        assert 0 <= find(samples, "repro_cluster_precedence_depth").value <= 2
         nodes = {s.labels["node"] for s in samples
                  if s.name == "repro_node_up"}
         assert nodes == {"0", "1", "2"}

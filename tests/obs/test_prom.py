@@ -24,6 +24,8 @@ def samples():
                labels={"node": "0", "peer": "1"}, kind="counter"),
         Sample("repro_cluster_hunger_latency_seconds", 0.125,
                labels={"q": "0.9"}),
+        Sample("repro_cluster_waiting_chain_length", 3),
+        Sample("repro_cluster_precedence_depth", 1),
     ]
 
 
@@ -116,6 +118,7 @@ class TestTopRenderer:
     def test_snapshot_without_previous(self):
         body = render_top(samples())
         assert "nodes 2" in body
+        assert "waiting-chain 3  priority-depth 1" in body
         assert "hunger p90: 0.125s" in body
         assert "0 -> 1: 3" in body
 
