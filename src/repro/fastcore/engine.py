@@ -22,14 +22,19 @@ not approximate:
   :class:`~repro.sim.trace.TraceEvent` streams (including pre-action locals
   payloads) and identical snapshot cadences.
 
-The speed comes from *incremental* guard evaluation: executing an action at
-``p`` can only change the guards of ``p`` and its neighbours (guards read
-own locals, neighbour locals and incident edges — nothing else), so each
-step re-evaluates a distance-1 neighbourhood instead of the whole system,
-and each re-evaluation is a handful of bitset operations instead of a dict
-walk.  Unsupported pieces (custom algorithms, adversarial daemons, foreign
-fault events) raise :class:`~repro.fastcore.packed.UnsupportedBackendError`
-up front rather than silently diverging.
+Both engines evaluate guards *incrementally*: executing an action at ``p``
+can only change the guards of ``p`` and its neighbours (guards read own
+locals, neighbour locals and incident edges — nothing else), so each step
+re-evaluates a distance-1 neighbourhood instead of the whole system
+(``System.all_enabled`` does the same over the object model).  What this
+engine adds is the representation: each re-evaluation is a handful of bitset
+operations instead of a dict walk through ``ProcessView``, and the fairness
+ledger is a heap over packed enabled-bits.  The run loop, result packaging
+and counters are :class:`~repro.sim.engine.EngineBase`, shared with the
+object engine.  Unsupported pieces (custom algorithms, adversarial daemons,
+foreign fault events) raise
+:class:`~repro.fastcore.packed.UnsupportedBackendError` up front rather than
+silently diverging.
 """
 
 from __future__ import annotations
@@ -37,13 +42,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..sim.configuration import Configuration
-from ..sim.engine import RunResult, StopPredicate
+from ..sim.engine import EngineBase
 from ..sim.errors import DeadProcessError, SchedulingError, UnknownProcessError
 from ..sim.faults import BenignCrash, FaultPlan, MaliciousCrash, TransientFault
-from ..sim.hunger import AlwaysHungry, HungerPolicy, NeverHungry, SelectiveHunger
+from ..sim.hunger import HungerPolicy
 from ..sim.scheduler import Daemon, RoundRobinDaemon, WeaklyFairDaemon
 from ..sim.topology import Pid, Topology
 from ..sim.trace import EventKind, TraceEvent, TraceRecorder
@@ -63,7 +68,7 @@ from .packed import (
 _VAR_NAMES = ("state", "needs", "depth")
 
 
-class FastEngine:
+class FastEngine(EngineBase):
     """Drop-in engine over packed state.
 
     Construction mirrors :class:`repro.sim.engine.Engine` except that the
@@ -161,10 +166,21 @@ class FastEngine:
                     raise UnsupportedBackendError(
                         f"fast backend cannot apply {type(event).__name__}"
                     )
+        # Havoc targets per process, in ``System.havoc_process``'s order:
+        # (local name, None, domain) in declaration order, then
+        # (None, neighbour index, edge domain) in neighbour order.
+        edge_domains = {
+            frozenset((i, j)): dom for _e, i, j, dom in codec.edge_order
+        }
+        self._havoc_targets = [
+            [(name, None, dom) for name, dom in codec.local_domains.items()]
+            + [(None, q, edge_domains[frozenset((p, q))]) for q in self._nbrs[p]]
+            for p in range(self._n)
+        ]
         # Hunger classification: 0 = none, 1 = constant vector, 2 = generic.
         if hunger is None or algorithm.hunger_variable is None:
             self._hunger_mode = 0
-        elif type(hunger) in (AlwaysHungry, NeverHungry, SelectiveHunger):
+        elif hunger.constant:
             self._hunger_mode = 1
             self._hunger_vector = [
                 bool(hunger.wants(pid, 0, None)) for pid in self._pids
@@ -241,70 +257,6 @@ class FastEngine:
         if self.recorder is not None:
             self.recorder.maybe_snapshot(self.step_count, self.snapshot())
         return True
-
-    # ----------------------------------------------------------------- run
-
-    def run(
-        self,
-        max_steps: int,
-        *,
-        stop_when: StopPredicate | None = None,
-        check_every: int = 1,
-    ) -> RunResult:
-        """Run until quiescence, ``stop_when``, or ``max_steps``."""
-        if max_steps < 0:
-            raise ValueError("max_steps must be non-negative")
-        if check_every < 1:
-            raise ValueError("check_every must be positive")
-        if self.recorder is not None:
-            self.recorder.force_snapshot(self.step_count, self.snapshot())
-
-        taken = 0
-        if stop_when is not None and stop_when(self.snapshot()):
-            return self._result(taken, stopped=True)
-        step = self.step
-        while taken < max_steps:
-            if not step():
-                return self._result(taken, quiescent=True)
-            taken += 1
-            if stop_when is not None and taken % check_every == 0:
-                if stop_when(self.snapshot()):
-                    return self._result(taken, stopped=True)
-        return self._result(taken, exhausted=True)
-
-    def run_to_quiescence(self, max_steps: int) -> RunResult:
-        return self.run(max_steps)
-
-    def run_profiled(self, max_steps: int, **kwargs):
-        """:meth:`run` under ``cProfile``; returns ``(result, profile)``."""
-        import cProfile
-
-        profile = cProfile.Profile()
-        profile.enable()
-        try:
-            result = self.run(max_steps, **kwargs)
-        finally:
-            profile.disable()
-        return result, profile
-
-    def _result(
-        self,
-        steps: int,
-        *,
-        quiescent: bool = False,
-        stopped: bool = False,
-        exhausted: bool = False,
-    ) -> RunResult:
-        final = self.snapshot()
-        if self.recorder is not None:
-            self.recorder.force_snapshot(self.step_count, final)
-        return RunResult(
-            steps=steps,
-            quiescent=quiescent,
-            stopped=stopped,
-            exhausted=exhausted,
-            final=final,
-        )
 
     # ----------------------------------------------------------- selection
 
@@ -500,21 +452,13 @@ class FastEngine:
     def _havoc(self, p: int) -> None:
         """Replay ``System.havoc_process`` draw-for-draw on packed state."""
         rng = self.rng
-        codec = self.codec
-        pid = self._pids[p]
-        targets: List[Tuple[str, object]] = [
-            ("local", name) for name in codec.local_domains
-        ]
-        targets.extend(("edge", q) for q in self.topology.neighbors(pid))
+        targets = self._havoc_targets[p]
         count = rng.randint(1, len(targets))
-        for kind, key in rng.sample(targets, count):
-            if kind == "local":
-                value = codec.local_domains[key].sample(rng)
-                self._write_local(p, key, value)
+        for name, q, domain in rng.sample(targets, count):
+            if name is not None:
+                self._write_local(p, name, domain.sample(rng))
             else:
-                q = codec.index[key]
-                e_dom = self._edge_domain(p, q)
-                self._orient_edge(p, q, e_dom.sample(rng))
+                self._orient_edge(p, q, domain.sample(rng))
         self._recompute_around(p)
 
     def _write_local(self, p: int, name: str, value) -> None:
@@ -537,12 +481,6 @@ class FastEngine:
                 self._dirty_needs.add(p)
         else:
             ps.depth[p] = value
-
-    def _edge_domain(self, i: int, j: int):
-        for _e, a, b, dom in self.codec.edge_order:
-            if (a == i and b == j) or (a == j and b == i):
-                return dom
-        raise UnknownProcessError((self._pids[i], self._pids[j]))  # pragma: no cover
 
     def _orient_edge(self, i: int, j: int, value: Pid) -> None:
         """Point the edge ``{i, j}`` at ``value`` (the new ancestor)."""
@@ -602,18 +540,6 @@ class FastEngine:
 
     # ------------------------------------------------------------- observe
 
-    @property
-    def observed(self) -> bool:
-        return self.recorder is not None or (
-            self.bus is not None and self.bus.active
-        )
-
-    def _emit(self, event: TraceEvent) -> None:
-        if self.bus is not None:
-            self.bus.publish(event)
-        if self.recorder is not None:
-            self.recorder.record_event(event)
-
     def _locals_payload(self, p: int) -> Dict[str, object]:
         ps = self._ps
         return {
@@ -637,17 +563,3 @@ class FastEngine:
 
     def is_quiescent(self) -> bool:
         return self._enab_count == 0
-
-    def eats_of(self, pid: Pid, enter_action: Optional[str] = None) -> int:
-        if enter_action is None:
-            enter_action = self.algorithm.enter_action
-        return self.action_counts[(pid, enter_action)]
-
-    def total_eats(self, enter_action: Optional[str] = None) -> int:
-        if enter_action is None:
-            enter_action = self.algorithm.enter_action
-        return sum(
-            count
-            for (pid, name), count in self.action_counts.items()
-            if name == enter_action
-        )

@@ -18,10 +18,10 @@ tmp + flush + fsync + atomic-replace sequence as
 :func:`repro.obs.tracing.write_spans`, so a dump racing a SIGKILL still
 leaves a complete file or none, never a torn one.
 
-Recording must be cheap enough to stay armed always: one dict build and
-one ``deque.append`` per happening, no I/O, no serialization until a
-dump is actually triggered.  CI gates the armed overhead under 10% on
-the ``engine/steps/ring16`` and ``net/codec/roundtrip`` kernels
+Recording must be cheap enough to stay armed always: at most one dict
+build and one ``deque.append`` per happening, no I/O, no serialization
+until a dump is actually triggered.  CI gates the armed overhead under
+10% on the ``engine/steps/ring16`` and ``net/codec/roundtrip`` kernels
 (``REPRO_FLIGHT=1``).
 """
 
@@ -47,8 +47,9 @@ class FlightRecorder:
     """Fixed-capacity ring of one node's recent happenings.
 
     ``note_event`` takes the supervisor's collected row shape
-    (``{"t", "node", "event", "detail"?}``); ``note_frame`` takes a wire
-    frame summary; ``note`` is the raw escape hatch.  The ring drops the
+    (``{"t", "node", "event", "detail"?}``); ``note_trace`` takes an engine
+    occurrence's fields (it is an ``EventBus.tap``); ``note_frame`` takes a
+    wire frame summary; ``note`` is the raw escape hatch.  The ring drops the
     oldest record on overflow — ``recorded`` minus ``len`` says how many
     were lost to the bound.
     """
@@ -61,7 +62,7 @@ class FlightRecorder:
         self.node = node
         self.capacity = capacity
         self.recorded = 0
-        self._ring: "deque[Dict[str, Any]]" = deque(maxlen=capacity)
+        self._ring: "deque[Dict[str, Any] | tuple]" = deque(maxlen=capacity)
 
     # The note_* paths stay call-flat (no delegation, one dict literal,
     # one append) — they run on every frame of every armed node, and CI
@@ -85,6 +86,13 @@ class FlightRecorder:
             )
         self.recorded += 1
 
+    def note_trace(self, step: int, kind: Any, pid: Any, detail: Any) -> None:
+        """An engine occurrence, straight off ``EventBus.tap``: kept as the
+        bare tuple — :meth:`records` renders the row — so an armed engine
+        pays one append per step."""
+        self._ring.append((step, kind, pid, detail))
+        self.recorded += 1
+
     def note_frame(
         self, t: float, direction: str, frame_type: Any, peer: Any = None
     ) -> None:
@@ -100,8 +108,11 @@ class FlightRecorder:
         self.recorded += 1
 
     def records(self) -> List[Dict[str, Any]]:
-        """The ring's contents, oldest first."""
-        return list(self._ring)
+        """The ring's contents as rows, oldest first."""
+        return [
+            record if isinstance(record, dict) else _trace_row(*record)
+            for record in self._ring
+        ]
 
     @property
     def dropped(self) -> int:
@@ -109,6 +120,13 @@ class FlightRecorder:
 
     def __len__(self) -> int:
         return len(self._ring)
+
+
+def _trace_row(step: int, kind: Any, pid: Any, detail: Any) -> Dict[str, Any]:
+    row = {"rec": "event", "t": step, "event": kind.value, "pid": pid}
+    if detail is not None:
+        row["detail"] = detail
+    return row
 
 
 # ------------------------------------------------------------------- JSONL

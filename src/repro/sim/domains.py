@@ -27,7 +27,14 @@ from .errors import DomainError
 
 
 class Domain(ABC):
-    """An abstract set of values a variable may take."""
+    """An abstract set of values a variable may take.
+
+    Members must be immutable (bools, ints, strings, enum members, tuples
+    of those).  ``System`` treats a write of the very object already stored
+    as no write at all, so a command that mutated a stored list or dict in
+    place and wrote it back would change state without anyone's guards
+    being re-evaluated (see ``System.all_enabled``).
+    """
 
     @abstractmethod
     def contains(self, value: Any) -> bool:

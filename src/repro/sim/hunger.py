@@ -24,6 +24,13 @@ from .topology import Pid
 class HungerPolicy(ABC):
     """Decides, each step, whether each process currently wants to eat."""
 
+    #: True when :meth:`wants` depends on ``pid`` alone — never on ``step``
+    #: and never drawing from ``rng``.  ``FastEngine`` then asks once, up
+    #: front, and re-applies the answers only where an input was overwritten
+    #: (the object engine asks every step; an unchanged answer costs it no
+    #: write and stales nothing).
+    constant = False
+
     @abstractmethod
     def wants(self, pid: Pid, step: int, rng: random.Random) -> bool:
         """Should ``pid`` want to eat at ``step``?"""
@@ -32,12 +39,16 @@ class HungerPolicy(ABC):
 class AlwaysHungry(HungerPolicy):
     """Every process continuously wants to eat (maximum contention)."""
 
+    constant = True
+
     def wants(self, pid: Pid, step: int, rng: random.Random) -> bool:
         return True
 
 
 class NeverHungry(HungerPolicy):
     """No process ever wants to eat (the system should go quiescent)."""
+
+    constant = True
 
     def wants(self, pid: Pid, step: int, rng: random.Random) -> bool:
         return False
@@ -65,6 +76,8 @@ class SelectiveHunger(HungerPolicy):
     Useful for liveness tests that watch one process: make exactly it hungry
     and assert it eventually eats.
     """
+
+    constant = True
 
     def __init__(self, hungry_pids: Sequence[Pid]) -> None:
         self._hungry = frozenset(hungry_pids)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Tuple
 
 from .domains import Domain
-from .errors import NotNeighborsError, SimulationError
+from .errors import NotNeighborsError, SimulationError, UnknownVariableError
 from .topology import Edge, Pid, Topology, edge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -44,14 +44,33 @@ class ProcessView:
     It deliberately does **not** expose whether a neighbour is alive: the
     malicious-crash model makes crashes undetectable, and keeping death out
     of the view keeps every algorithm honest about that.
+
+    This is the *only* door a guard has to state, and the system's
+    incremental enabled set leans on it: what a view cannot read cannot
+    change its process's guards (see ``System.all_enabled``).  Reads go
+    straight to the system's cell stores — the view holds the handful of
+    cells it may see — while every write goes through the system, which
+    validates it and marks the readers of the written cell stale.
     """
 
-    __slots__ = ("_system", "_pid", "_neighbors")
+    __slots__ = (
+        "_system", "_pid", "_neighbors", "_own", "_readable", "_edges", "_edge_of",
+    )
 
-    def __init__(self, system: "System", pid: Pid) -> None:
+    def __init__(
+        self,
+        system: "System",
+        pid: Pid,
+        local_cells: Mapping[Pid, Mapping[str, Any]],
+        edge_cells: Mapping[Edge, Any],
+    ) -> None:
         self._system = system
         self._pid = pid
         self._neighbors = system.topology.neighbors(pid)
+        self._own = local_cells[pid]
+        self._readable = {q: local_cells[q] for q in (pid,) + self._neighbors}
+        self._edges = edge_cells
+        self._edge_of = {q: edge(pid, q) for q in self._neighbors}
 
     @property
     def pid(self) -> Pid:
@@ -77,7 +96,10 @@ class ProcessView:
 
     def get(self, variable: str) -> Any:
         """Read one of this process's own local variables."""
-        return self._system.read_local(self._pid, variable)
+        try:
+            return self._own[variable]
+        except KeyError:
+            raise UnknownVariableError(variable) from None
 
     def set(self, variable: str, value: Any) -> None:
         """Write one of this process's own local variables."""
@@ -89,23 +111,31 @@ class ProcessView:
         Reading an arbitrary remote process would break the model, so only
         neighbours (and the process itself) are allowed.
         """
-        if neighbor != self._pid and neighbor not in self._neighbors:
-            raise NotNeighborsError(self._pid, neighbor)
-        return self._system.read_local(neighbor, variable)
+        try:
+            values = self._readable[neighbor]
+        except KeyError:
+            raise NotNeighborsError(self._pid, neighbor) from None
+        try:
+            return values[variable]
+        except KeyError:
+            raise UnknownVariableError(variable) from None
 
     # -------------------------------------------------------------- edges
 
     def edge_value(self, neighbor: Pid) -> Any:
         """Read the shared variable on the edge to ``neighbor``."""
-        if neighbor not in self._neighbors:
-            raise NotNeighborsError(self._pid, neighbor)
-        return self._system.read_edge(edge(self._pid, neighbor))
+        try:
+            return self._edges[self._edge_of[neighbor]]
+        except KeyError:
+            raise NotNeighborsError(self._pid, neighbor) from None
 
     def set_edge(self, neighbor: Pid, value: Any) -> None:
         """Write the shared variable on the edge to ``neighbor``."""
-        if neighbor not in self._neighbors:
-            raise NotNeighborsError(self._pid, neighbor)
-        self._system.write_edge(edge(self._pid, neighbor), value)
+        try:
+            e = self._edge_of[neighbor]
+        except KeyError:
+            raise NotNeighborsError(self._pid, neighbor) from None
+        self._system.write_edge(e, value)
 
 
 GuardFn = Callable[[ProcessView], bool]

@@ -64,12 +64,11 @@ class _FairnessLedger:
         self._ages: Dict[Tuple[Pid, str], int] = {}
 
     def observe(self, enabled: Sequence[Choice]) -> None:
-        keys = {(pid, action.name) for pid, action in enabled}
-        for key in list(self._ages):
-            if key not in keys:
-                del self._ages[key]
-        for key in keys:
-            self._ages[key] = self._ages.get(key, 0) + 1
+        ages = self._ages
+        self._ages = {
+            (key := (pid, action.name)): ages.get(key, 0) + 1
+            for pid, action in enabled
+        }
 
     def fired(self, choice: Choice) -> None:
         self._ages.pop((choice[0], choice[1].name), None)

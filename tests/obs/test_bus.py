@@ -1,6 +1,16 @@
 """Unit tests for the typed event bus."""
 
+from repro.core import NADiners
 from repro.obs import EventBus, EventKind, MpEventKind, TraceEvent
+from repro.sim import (
+    AlwaysHungry,
+    Engine,
+    FaultPlan,
+    MaliciousCrash,
+    System,
+    TransientFault,
+    ring,
+)
 
 
 def event(step=0, kind=EventKind.ACTION, pid=0, detail="enter"):
@@ -46,6 +56,69 @@ class TestSubscribe:
         fn = lambda e: None  # noqa: E731
         assert bus.subscribe(EventKind.ACTION, fn) is fn
         assert bus.subscribe_all(fn) is fn
+
+
+class TestTap:
+    def test_tap_gets_fields_of_published_and_announced(self):
+        bus = EventBus()
+        seen = []
+        bus.tap(lambda *fields: seen.append(fields))
+        bus.publish(event(step=3, pid=2))
+        bus.announce(4, EventKind.IDLE, None, None)
+        assert seen == [
+            (3, EventKind.ACTION, 2, "enter"),
+            (4, EventKind.IDLE, None, None),
+        ]
+
+    def test_announce_skips_subscribers(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe_all(seen.append)
+        bus.announce(0, EventKind.ACTION, 0, "enter")
+        assert not seen
+
+    def test_tap_alone_is_active_but_wants_no_events(self):
+        bus = EventBus()
+        fn = bus.tap(lambda *fields: None)
+        assert bus.active and not bus.wants_events
+        bus.subscribe(EventKind.ACTION, fn)
+        assert bus.wants_events
+        assert bus.unsubscribe(fn)
+        assert not bus.active and not bus.wants_events
+
+    def test_engine_taps_see_what_subscribers_see(self):
+        """An engine with only taps attached builds no events, yet the taps
+        get every occurrence — faults, havoc and idles included."""
+
+        def run(attach):
+            bus, seen = EventBus(), []
+            attach(bus, seen)
+            plan = FaultPlan(
+                [
+                    TransientFault(at_step=5),
+                    MaliciousCrash(pid=2, at_step=20, malicious_steps=3),
+                ]
+            )
+            engine = Engine(
+                System(ring(6), NADiners()), hunger=AlwaysHungry(),
+                faults=plan, seed=4, bus=bus,
+            )
+            engine.run(300)
+            return seen, engine.system.snapshot()
+
+        tapped, final_tapped = run(
+            lambda bus, seen: bus.tap(lambda *fields: seen.append(fields))
+        )
+        subscribed, final_subscribed = run(
+            lambda bus, seen: bus.subscribe_all(
+                lambda e: seen.append((e.step, e.kind, e.pid, e.detail))
+            )
+        )
+        assert tapped == subscribed
+        assert final_tapped == final_subscribed
+        assert {EventKind.ACTION, EventKind.TRANSIENT, EventKind.HAVOC} <= {
+            kind for _, kind, _, _ in tapped
+        }
 
 
 class TestUnsubscribe:

@@ -13,6 +13,7 @@ from repro.obs import (
     read_flight,
 )
 from repro.obs.tracing import SpanRecorder, read_spans
+from repro.sim.trace import EventKind
 
 
 class TestRing:
@@ -43,6 +44,21 @@ class TestRing:
         plain, detailed = rec.records()
         assert plain == {"rec": "event", "t": 1.0, "event": "net-grant"}
         assert detailed["detail"] == {"wait_s": 0.5}
+
+    def test_note_trace_renders_rows_on_read(self):
+        rec = FlightRecorder("0", capacity=2)
+        rec.note_trace(3, EventKind.IDLE, None, None)
+        rec.note_trace(4, EventKind.ACTION, 5, "enter")
+        rec.note_trace(5, EventKind.TRANSIENT, None, (1, 2))
+        action, transient = rec.records()
+        assert action == {
+            "rec": "event", "t": 4, "event": "action", "pid": 5, "detail": "enter"
+        }
+        assert transient == {
+            "rec": "event", "t": 5, "event": "transient", "pid": None,
+            "detail": (1, 2),
+        }
+        assert (rec.recorded, rec.dropped) == (3, 1)
 
     def test_note_frame_shapes(self):
         rec = FlightRecorder("0")
