@@ -40,6 +40,7 @@ Examples
     python -m repro stabilize --topology ring:8 --plant-cycle
     python -m repro figure2
     python -m repro check --topology line:3 --jobs 4
+    python -m repro check --topology ring:5 --reachable --backend fast --progress 5
     python -m repro sweep --topology ring:8 --trials 32 --jobs 4 --out out.jsonl
     python -m repro stats out/run.metrics
     python -m repro bench --quick --out BENCH_now.json
@@ -65,6 +66,7 @@ import json
 import os
 import random
 import sys
+import time
 
 from .analysis import (
     find_live_cycles,
@@ -83,7 +85,7 @@ from .core import (
     run_figure2,
 )
 from .sim import AlwaysHungry, Engine, System, Topology, from_spec
-from .sim.errors import SimulationError, TopologyError
+from .sim.errors import SimulationError, StateSpaceExceededError, TopologyError
 
 
 def parse_topology(spec: str) -> Topology:
@@ -402,45 +404,85 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_reachable(args, topology, algo, threshold, ts, backend) -> int:
+def _check_reachable(args, topology, algo, threshold, backend) -> int:
     """``check --reachable``: BFS the states reachable from the canonical
     all-hungry initial configuration and audit eating-exclusion on each.
 
     Runs on either backend with identical counts — the CI smoke job diffs
-    the two outputs — but the fast backend's bytes-keyed visited set is the
-    one that scales: the object graph materializes every configuration.
+    the ``reachable:`` lines — but the fast backend, whose every state is
+    one int in a set, is the one that scales: the object graph materializes
+    every configuration.  Timing goes on its own ``elapsed:`` line.
     """
+    import resource
+
     if getattr(args, "jobs", 1) > 1:
         raise SystemExit("--reachable does not shard; drop --jobs")
+    every = getattr(args, "progress", 0)
+    if every and backend != "fast":
+        raise SystemExit(
+            "--progress on a --reachable sweep reports BFS levels, which "
+            "only --backend fast has"
+        )
     system = System(topology, algo)
     for pid in topology.nodes:
         system.write_local(pid, "needs", True)
     initial = system.snapshot()
     max_states = getattr(args, "max_states", 1_000_000)
-    if backend == "fast":
-        from .verification import FastExplorer
+    started = time.monotonic()
 
-        stats = FastExplorer(algo, topology).reachable_count(
-            [initial], max_states=max_states
-        )
-        states, transitions, violations = (
-            stats.states,
-            stats.transitions,
-            stats.violations,
-        )
-    else:
-        from .core import e_holds
+    def heartbeat(level: int, states: int, frontier: int) -> None:
+        if level % every == 0:
+            rate = states / max(time.monotonic() - started, 1e-9)
+            print(
+                f"[level {level}] {states} states, frontier {frontier}, "
+                f"{rate:.0f} states/s",
+                file=sys.stderr,
+            )
 
-        graph = ts.reachable_from([initial], max_states=max_states)
-        states = len(graph)
-        transitions = sum(len(v) for v in graph.values())
-        violations = sum(1 for config in graph if not e_holds(config))
+    try:
+        if backend == "fast":
+            from .verification import FastExplorer
+
+            stats = FastExplorer(algo, topology).reachable_count(
+                [initial],
+                max_states=max_states,
+                progress=heartbeat if every else None,
+            )
+            states, transitions, violations = (
+                stats.states,
+                stats.transitions,
+                stats.violations,
+            )
+        else:
+            from .core import e_holds
+            from .verification import TransitionSystem
+
+            graph = TransitionSystem(algo, topology).reachable_from(
+                [initial], max_states=max_states
+            )
+            states = len(graph)
+            transitions = sum(len(v) for v in graph.values())
+            violations = sum(1 for config in graph if not e_holds(config))
+    except StateSpaceExceededError as exc:
+        print(
+            f"repro check: {args.topology} has more than {exc.max_states} "
+            f"reachable states (the --max-states cap); raise it with "
+            f"--max-states N",
+            file=sys.stderr,
+        )
+        return 2
+    elapsed = max(time.monotonic() - started, 1e-9)
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(
         f"{topology}, threshold={threshold}: "
         f"reachable from all-hungry initial ({backend} backend)"
     )
     print(f"reachable: {states} states, {transitions} transitions")
     print(f"safety violations (neighbours eating): {violations}")
+    print(
+        f"elapsed: {elapsed:.2f} s, {states / elapsed:.0f} states/s, "
+        f"peak RSS {peak_kb / 1024:.1f} MB"
+    )
     return 0 if violations == 0 else 1
 
 
@@ -460,20 +502,20 @@ def cmd_check(args: argparse.Namespace) -> int:
         else topology.diameter
     )
     algo = NADiners(depth_cap=threshold + 1, diameter_override=threshold)
-    predicate = invariant_with_threshold(threshold)
-    ts = TransitionSystem(algo, topology)
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         raise SystemExit("--jobs must be >= 1")
 
     backend = getattr(args, "backend", "object")
     if getattr(args, "reachable", False):
-        return _check_reachable(args, topology, algo, threshold, ts, backend)
+        return _check_reachable(args, topology, algo, threshold, backend)
     if backend == "fast":
         raise SystemExit(
             "--backend fast runs reachability sweeps (add --reachable); "
             "full closure/convergence checking stays on the object backend"
         )
+    predicate = invariant_with_threshold(threshold)
+    ts = TransitionSystem(algo, topology)
 
     if jobs > 1:
         # Sharded path: the enumeration splits into `jobs` deterministic
@@ -1561,10 +1603,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; >1 shards the state space")
     p.add_argument("--progress", type=int, default=0, metavar="N",
-                   help="heartbeat: one stderr line per N completed shards")
+                   help="heartbeat: one stderr line per N completed shards "
+                   "(with --reachable --backend fast: per N BFS levels)")
     p.add_argument("--backend", choices=["object", "fast"], default="object",
                    help="state backend for --reachable sweeps (counts are "
-                   "identical; the fast core hashes packed states)")
+                   "identical; the fast core keeps each state as one int)")
     p.add_argument("--reachable", action="store_true",
                    help="BFS states reachable from the all-hungry initial "
                    "configuration and audit eating-exclusion, instead of "

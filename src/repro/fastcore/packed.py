@@ -22,9 +22,12 @@ both call it, so they cannot drift apart.
 
 :class:`PackedCodec` converts between this encoding and the object model's
 :class:`~repro.sim.configuration.Configuration` — losslessly, so parity can
-be asserted configuration-by-configuration — and packs a state into a
-compact ``bytes`` key for the checker's visited set (numpy does the bulk
-array conversion for analysis consumers via :meth:`PackedState.as_arrays`).
+be asserted configuration-by-configuration — and between a state and one
+fixed-layout ``int`` (:meth:`PackedCodec.key` / :meth:`PackedCodec.unkey`),
+which *is* the checker's state: a successor is its parent's int with the
+writing process's fields replaced (:meth:`PackedCodec.rekey`).  (numpy does
+the bulk array conversion for analysis consumers via
+:meth:`PackedState.as_arrays`.)
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from ..core.state import (
     VAR_STATE,
 )
 from ..sim.configuration import Configuration
-from ..sim.errors import SimulationError, UnknownProcessError
+from ..sim.errors import DomainError, SimulationError, UnknownProcessError
 from ..sim.topology import Pid, Topology
 
 #: T/H/E codes.  Order matters: it is the FiniteDomain declaration order.
@@ -247,6 +250,49 @@ class PackedCodec:
             if algorithm.diameter_override is not None
             else topology.diameter
         )
+        self._depth_bits: Optional[int] = None
+        if self.cap is not None and self.cap <= 255:
+            self._build_key_layout()
+
+    def _build_key_layout(self) -> None:
+        """Fix where each variable lives in the int :meth:`key` returns.
+
+        Process ``p`` owns one ``width``-bit field at ``p * width`` holding
+        ``state · needs · status · depth`` (high to low); above the ``n``
+        fields sits one bit per edge, in ``edge_order``, set when the edge's
+        first endpoint is the ancestor.  The per-process masks below are
+        what lets :meth:`rekey` touch only one process's write set.
+        """
+        db = self._depth_bits = self.cap.bit_length()
+        width = db + 5
+        n = self.n
+        self._shift = tuple(p * width for p in range(n))
+        field = (1 << width) - 1
+        #: field value -> (state, needs, depth, status), for :meth:`unkey`
+        self._fields = tuple(
+            (f >> (db + 3), bool((f >> (db + 2)) & 1), f & ((1 << db) - 1),
+             (f >> db) & 3)
+            for f in range(field + 1)
+        )
+        self._edge_base = n * width
+        #: per edge: (first endpoint, second endpoint, their bits)
+        self._edge_ends = tuple(
+            (i, j, 1 << i, 1 << j) for _e, i, j, _dom in self.edge_order
+        )
+        #: per process: its incident edges as (key bit, neighbour bit, value
+        #: of the key bit when the *neighbour* is the ancestor)
+        incident: List[List[Tuple[int, int, bool]]] = [[] for _ in range(n)]
+        for bit, (i, j, bi, bj) in enumerate(self._edge_ends):
+            kb = 1 << (self._edge_base + bit)
+            incident[i].append((kb, bj, False))
+            incident[j].append((kb, bi, True))
+        self._incident = tuple(tuple(row) for row in incident)
+        #: per process: everything but its field / field and incident edges
+        self._keep_field = tuple(~(field << s) for s in self._shift)
+        self._keep_all = tuple(
+            keep & ~sum(kb for kb, _bq, _v in row)
+            for keep, row in zip(self._keep_field, self._incident)
+        )
 
     # ------------------------------------------------------------ initial
 
@@ -329,29 +375,84 @@ class PackedCodec:
 
     # ---------------------------------------------------------------- keys
 
-    def key(self, ps: PackedState) -> bytes:
-        """A compact, collision-free ``bytes`` key for visited sets.
+    def key(self, ps: PackedState) -> int:
+        """The configuration as one ``int`` — injective, fixed layout (see
+        :meth:`_build_key_layout`), and the checker's *state*: visited-set
+        element, frontier element and successor are all this number.
 
         Requires a depth cap ≤ 255 (the model checker always runs capped;
-        ``depth_cap = D + 1``), so every field fits one byte per process
-        plus one edge-orientation bit per edge.
+        ``depth_cap = D + 1``) so that every field has a fixed width.
         """
-        if self.cap is None or self.cap > 255:
+        if self._depth_bits is None:
             raise UnsupportedBackendError(
                 "packed keys need depth_cap <= 255 (run the checker capped)"
             )
-        orient = 0
-        for bit, (_e, i, j, _dom) in enumerate(self.edge_order):
-            if (ps.anc[j] >> i) & 1:
-                orient |= 1 << bit
-        n_edge_bytes = (len(self.edge_order) + 7) // 8
-        return (
-            bytes(ps.state)
-            + bytes(ps.needs)
-            + bytes(ps.depth)
-            + bytes(ps.status)
-            + orient.to_bytes(n_edge_bytes, "little")
-        )
+        k = 0
+        for p, d in enumerate(ps.depth):
+            if not 0 <= d <= self.cap:
+                raise DomainError(VAR_DEPTH, d)  # would spill into a neighbour
+            k = self.rekey(k, ps, p, True)
+        return k
+
+    def unkey(self, k: int) -> PackedState:
+        """Inverse of :meth:`key` (for ints :meth:`key`/:meth:`rekey` made)."""
+        n = self.n
+        ps = PackedState([0] * n, [False] * n, [0] * n, [0] * n, [], [])
+        self.unkey_into(k, ps)
+        return ps
+
+    def unkey_into(self, k: int, ps: PackedState) -> Tuple[int, int]:
+        """Decode ``k`` over ``ps`` (the explorer reuses one scratch state
+        for a whole sweep; its ``anc``/``desc`` lists are replaced, the rest
+        written in place) and return the ``(nonT, eating)`` process bitsets
+        the guards and the E audit need, read off in the same pass."""
+        state, needs, depth, status = ps.state, ps.needs, ps.depth, ps.status
+        fields = self._fields
+        mask = len(fields) - 1
+        nonT = e_mask = 0
+        for p, shift in enumerate(self._shift):
+            s, needs[p], depth[p], status[p] = fields[(k >> shift) & mask]
+            state[p] = s
+            if s:
+                nonT |= 1 << p
+                if s == 2:
+                    e_mask |= 1 << p
+        anc = [0] * self.n
+        desc = [0] * self.n
+        k >>= self._edge_base
+        for i, j, bi, bj in self._edge_ends:
+            if k & 1:
+                anc[j] |= bi
+                desc[i] |= bj
+            else:
+                anc[i] |= bj
+                desc[j] |= bi
+            k >>= 1
+        ps.anc = anc
+        ps.desc = desc
+        return nonT, e_mask
+
+    def rekey(self, k: int, ps: PackedState, p: int, edges: bool) -> int:
+        """``k`` with process ``p``'s write set re-encoded from ``ps``.
+
+        §2: a command at ``p`` writes ``p``'s locals and, at most, ``p``'s
+        incident edge cells — so a successor's key is its parent's with one
+        field (and, when ``edges``, ``deg(p)`` bits) replaced.  This is the
+        only place a field is encoded: :meth:`key` is ``rekey`` of every
+        process from 0.
+        """
+        field = (
+            ((ps.state[p] << 1 | ps.needs[p]) << 2 | ps.status[p])
+            << self._depth_bits | ps.depth[p]
+        ) << self._shift[p]
+        if not edges:
+            return k & self._keep_field[p] | field
+        k = k & self._keep_all[p] | field
+        anc_p = ps.anc[p]
+        for kb, bq, q_first in self._incident[p]:
+            if bool(anc_p & bq) == q_first:
+                k |= kb
+        return k
 
     # -------------------------------------------------------------- safety
 
@@ -362,10 +463,14 @@ class PackedCodec:
         for p, s in enumerate(ps.state):
             if s == 2:
                 e_mask |= 1 << p
-        m = e_mask
+        return self.adjacent(e_mask)
+
+    def adjacent(self, mask: int) -> bool:
+        """True when the process bitset ``mask`` holds two neighbours."""
+        m = mask
         while m:
             p = (m & -m).bit_length() - 1
             m &= m - 1
-            if e_mask & self.nbr_mask[p]:
+            if mask & self.nbr_mask[p]:
                 return True
         return False

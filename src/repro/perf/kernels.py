@@ -120,19 +120,26 @@ def red_fixpoint():
     return kernel
 
 
+def _all_hungry(topo, algo):
+    """The checker kernels' source state: fresh system, everyone hungry."""
+    from ..sim import System
+
+    system = System(topo, algo)
+    for p in system.pids:
+        system.write_local(p, "needs", True)
+    return system.snapshot()
+
+
 @register("checker/successors/ring6", ops=20)
 def checker_successors():
     """Model-checker successor generation from a busy ring(6) state."""
     from ..core import NADiners
-    from ..sim import System, ring
+    from ..sim import ring
     from ..verification import TransitionSystem
 
     topo = ring(6)
     algo = NADiners(depth_cap=topo.diameter + 1)
-    system = System(topo, algo)
-    for p in system.pids:
-        system.write_local(p, "needs", True)
-    config = system.snapshot()
+    config = _all_hungry(topo, algo)
     ts = TransitionSystem(algo, topo)
 
     def kernel():
@@ -167,26 +174,49 @@ def fastcore_successors():
     """Packed successor generation: the fast twin of ``checker/successors/ring6``.
 
     Same busy ring(6) state and the same 20 successor expansions per op,
-    but over :meth:`FastTransitionSystem.successors_packed` — bitset guard
-    evaluation plus packed-copy commands, no Configuration objects.  CI
-    gates this at >= 10x the object kernel's median.
+    but over :meth:`FastTransitionSystem.successors_packed` — the state is
+    one int, decoded once into a scratch; bitset guards, commands on the
+    scratch, each successor the parent int with the writer's fields
+    re-encoded.  No Configuration objects.  CI gates the ratio to the object
+    kernel (see the ``fastcore-smoke`` job for the floor).
     """
     from ..core import NADiners
     from ..fastcore.explorer import FastTransitionSystem
-    from ..sim import System, ring
+    from ..sim import ring
 
     topo = ring(6)
     algo = NADiners(depth_cap=topo.diameter + 1)
-    system = System(topo, algo)
-    for p in system.pids:
-        system.write_local(p, "needs", True)
-    config = system.snapshot()
     fts = FastTransitionSystem(algo, topo)
-    packed = fts.codec.pack(config)
+    key = fts.codec.key(fts.codec.pack(_all_hungry(topo, algo)))
 
     def kernel():
         for _ in range(20):
-            fts.successors_packed(packed)
+            fts.successors_packed(key)
+
+    return kernel
+
+
+@register("fastcore/reachable/ring4", ops=19264, rounds=7)
+def fastcore_reachable():
+    """A whole packed closure: ring(4) from the all-hungry state.
+
+    One op is one of the closure's 19 264 states — expansion *plus* the
+    visited set and the frontier, which the successors kernel cannot see
+    and which is where the memory went before states were ints.
+    """
+    from ..core import NADiners
+    from ..fastcore.explorer import FastTransitionSystem
+    from ..sim import ring
+
+    topo = ring(4)
+    algo = NADiners(depth_cap=topo.diameter + 1, diameter_override=topo.diameter)
+    config = _all_hungry(topo, algo)
+    fts = FastTransitionSystem(algo, topo)
+
+    def kernel():
+        states = fts.reachable_stats([config]).states
+        if states != 19264:  # ops= above is only honest for this closure
+            raise RuntimeError(f"ring4 closure has {states} states, not 19264")
 
     return kernel
 

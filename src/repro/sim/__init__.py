@@ -25,6 +25,7 @@ from .errors import (
     NotNeighborsError,
     SchedulingError,
     SimulationError,
+    StateSpaceExceededError,
     TopologyError,
     UnknownProcessError,
     UnknownVariableError,
@@ -90,6 +91,7 @@ __all__ = [
     "NotNeighborsError",
     "SchedulingError",
     "SimulationError",
+    "StateSpaceExceededError",
     "TopologyError",
     "UnknownProcessError",
     "UnknownVariableError",

@@ -65,3 +65,11 @@ class SchedulingError(SimulationError):
 
 class FaultPlanError(SimulationError):
     """A fault plan is internally inconsistent (duplicate crash, bad step, ...)."""
+
+
+class StateSpaceExceededError(SimulationError):
+    """A reachability sweep found more states than its ``max_states`` cap."""
+
+    def __init__(self, max_states: int) -> None:
+        super().__init__(f"state space exceeds max_states={max_states}")
+        self.max_states = max_states

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping
+from typing import Optional, Tuple
 
 from ..sim.configuration import Configuration
-from ..sim.errors import SimulationError
+from ..sim.errors import SimulationError, StateSpaceExceededError
 from ..sim.network import System
 from ..sim.process import Algorithm
 from ..sim.topology import Pid, Topology
@@ -141,8 +142,8 @@ class FastExplorer:
     verification layer's vocabulary: ``enabled``/``successors`` match
     :class:`TransitionSystem` transition-for-transition (the parity battery
     pins this), while :meth:`reachable_count` replaces the object BFS's
-    configuration-keyed graph with a compact ``bytes``-hashed visited set —
-    the representation that lets exhaustive sweeps scale past toy rings.
+    configuration-keyed graph with a ``set`` of ints, one per state — the
+    representation that lets exhaustive sweeps scale past toy rings.
     """
 
     def __init__(self, algorithm: Algorithm, topology: Topology) -> None:
@@ -166,13 +167,17 @@ class FastExplorer:
         sources: Iterable[Configuration],
         *,
         max_states: int = 1_000_000,
+        progress: Optional[Callable[[int, int, int], None]] = None,
     ):
         """BFS closure size + transition/violation counts over packed keys.
 
         Returns a :class:`repro.fastcore.explorer.FastReachability` whose
-        ``states`` equals ``len(TransitionSystem.reachable_from(sources))``.
+        ``states`` equals ``len(TransitionSystem.reachable_from(sources))``;
+        ``progress(level, states, frontier)`` is called once per BFS level.
         """
-        return self._fts.reachable_stats(sources, max_states=max_states)
+        return self._fts.reachable_stats(
+            sources, max_states=max_states, progress=progress
+        )
 
 
 class TransitionSystem:
@@ -218,7 +223,7 @@ class TransitionSystem:
         """BFS closure of ``sources`` under the transition relation.
 
         Returns the full labelled graph ``{config: transitions}``.  Raises
-        :class:`SimulationError` past ``max_states`` (guard against an
+        :class:`StateSpaceExceededError` past ``max_states`` (guard against an
         accidentally infinite space, e.g. an uncapped depth counter).
         """
         graph: Dict[Configuration, List[Transition]] = {}
@@ -237,9 +242,7 @@ class TransitionSystem:
                 target = transition.target
                 if target not in graph:
                     if len(graph) >= max_states:
-                        raise SimulationError(
-                            f"state space exceeds max_states={max_states}"
-                        )
+                        raise StateSpaceExceededError(max_states)
                     graph[target] = []
                     frontier.append(target)
         return graph

@@ -146,9 +146,65 @@ class TestCliBackendFlag:
         assert "reachable: 720 states" in object_out
         assert "reachable: 720 states" in fast_out
 
+        # Timing has its own line, so the lines CI cmp's stay identical.
+        counts = lambda text: [
+            l for l in text.splitlines() if not l.startswith("elapsed:")
+        ][1:]
+        assert counts(fast_out) == counts(object_out)
+        for out in (object_out, fast_out):
+            (elapsed,) = [l for l in out.splitlines() if l.startswith("elapsed:")]
+            assert "states/s" in elapsed and "peak RSS" in elapsed
+
     def test_check_fast_requires_reachable(self):
         with pytest.raises(SystemExit):
             main(["check", "--topology", "ring:3", "--backend", "fast"])
+
+    @pytest.mark.parametrize("backend", ["object", "fast"])
+    def test_check_reachable_overflow_is_one_line_not_a_traceback(
+        self, backend, capsys
+    ):
+        status = main(
+            ["check", "--topology", "ring:3", "--reachable", "--backend",
+             backend, "--max-states", "100"]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro check: ring:3 ")
+        assert "100" in line and "--max-states" in line
+
+    def test_check_reachable_progress_heartbeats_per_level(self, capsys):
+        argv = ["check", "--topology", "ring:3", "--reachable", "--backend",
+                "fast", "--progress", "4"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        beats = captured.err.splitlines()
+        assert beats and all("states/s" in b and "frontier" in b for b in beats)
+        assert [b.split("]")[0] for b in beats] == [
+            f"[level {4 * (i + 1)}" for i in range(len(beats))
+        ]
+        assert "reachable: 720 states" in captured.out
+
+    def test_check_reachable_progress_needs_the_fast_backend(self):
+        # The object BFS has no levels: refuse, as --jobs is refused, rather
+        # than accept the flag and print nothing.
+        with pytest.raises(SystemExit, match="--backend fast"):
+            main(["check", "--topology", "ring:3", "--reachable", "--progress", "4"])
+
+    def test_check_fast_sweep_builds_no_object_transition_system(
+        self, monkeypatch, capsys
+    ):
+        import repro.verification as verification
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a fast sweep built a scratch System")
+
+        monkeypatch.setattr(verification, "TransitionSystem", boom)
+        assert main(
+            ["check", "--topology", "ring:3", "--reachable", "--backend", "fast"]
+        ) == 0
+        assert "reachable: 720 states" in capsys.readouterr().out
 
     def test_sweep_fast_matches_object(self, capsys):
         argv = ["sweep", "--topology", "ring:5", "--trials", "2",

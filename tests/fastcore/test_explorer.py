@@ -18,9 +18,11 @@ def all_hungry_initial(topo, algo):
     return system.snapshot()
 
 
-def randomized_config(topo, algo, seed):
+def randomized_config(topo, algo, seed, dead=()):
     system = System(topo, algo)
     system.randomize(random.Random(seed))
+    for pid in dead:
+        system.kill(pid)
     return system.snapshot()
 
 
@@ -72,6 +74,72 @@ class TestReachability:
         assert len(graph) == stats.states
         assert sum(len(ts) for ts in graph.values()) == stats.transitions
 
+    # Recorded from the PackedState-copying, bytes-keyed BFS this explorer
+    # replaced, immediately before it was deleted: (states, transitions,
+    # E violations).  The randomized sources cover a dead process and
+    # closures that do contain neighbours eating.
+    @pytest.mark.parametrize(
+        "topo,seed,dead,expected",
+        [
+            pytest.param(line(4), None, (), (9360, 40400, 0), id="line4"),
+            pytest.param(ring(4), None, (), (19264, 86672, 0), id="ring4"),
+            pytest.param(ring(4), 4, (3,), (295, 806, 0), id="ring4-r4-dead3"),
+            pytest.param(ring(4), 3, (3,), (17, 27, 2), id="ring4-r3-dead3"),
+            pytest.param(ring(4), 3, (), (957, 2644, 26), id="ring4-r3"),
+        ],
+    )
+    def test_closure_goldens(self, topo, seed, dead, expected):
+        algo = NADiners(
+            depth_cap=topo.diameter + 1, diameter_override=topo.diameter
+        )
+        if seed is None:
+            config = all_hungry_initial(topo, algo)
+        else:
+            config = randomized_config(topo, algo, seed, dead)
+        stats = FastTransitionSystem(algo, topo).reachable_stats([config])
+        assert (stats.states, stats.transitions, stats.violations) == expected
+
+    def test_memory_per_state_stays_a_set_entry_and_an_int(self):
+        # Host-independent pin: python-level allocation peak over states on
+        # the ring4 closure.  One int plus its set slot is ~60 B; the BFS
+        # that kept every expanded PackedState alive read 698 B.
+        import tracemalloc
+
+        topo = ring(4)
+        algo = NADiners(
+            depth_cap=topo.diameter + 1, diameter_override=topo.diameter
+        )
+        fts = FastTransitionSystem(algo, topo)
+        config = all_hungry_initial(topo, algo)
+        tracemalloc.start()
+        try:
+            stats = fts.reachable_stats([config])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.states == 19264
+        assert peak / stats.states < 200
+
+    def test_progress_reports_every_level(self):
+        topo = line(3)
+        algo = NADiners(
+            depth_cap=topo.diameter + 1, diameter_override=topo.diameter
+        )
+        levels = []
+        stats = FastExplorer(algo, topo).reachable_count(
+            [all_hungry_initial(topo, algo)],
+            progress=lambda *row: levels.append(row),
+        )
+        assert [level for level, _s, _f in levels] == list(
+            range(1, len(levels) + 1)
+        )
+        # States only grow, by exactly the frontier each level found, and
+        # the last level finds nothing.
+        assert levels[0][1] == 1 + levels[0][2]
+        for (_l, before, _f), (_l2, after, found) in zip(levels, levels[1:]):
+            assert after == before + found
+        assert levels[-1][1:] == (stats.states, 0)
+
     def test_violations_counted_from_bad_source(self):
         # Start both neighbours eating: the source itself violates E.
         topo = ring(4)
@@ -94,10 +162,21 @@ class TestReachability:
             depth_cap=topo.diameter + 1, diameter_override=topo.diameter
         )
         config = all_hungry_initial(topo, algo)
-        with pytest.raises(SimulationError, match="max_states=100"):
+        with pytest.raises(SimulationError, match="max_states=100") as caught:
             FastTransitionSystem(algo, topo).reachable_stats(
                 [config], max_states=100
             )
+        assert caught.value.max_states == 100
+        # The cap is exact on both explorers: the closure has 720 states.
+        assert FastTransitionSystem(algo, topo).reachable_stats(
+            [config], max_states=720
+        ).states == 720
+        with pytest.raises(SimulationError, match="max_states=719"):
+            FastTransitionSystem(algo, topo).reachable_stats(
+                [config], max_states=719
+            )
+        with pytest.raises(SimulationError, match="max_states=719"):
+            TransitionSystem(algo, topo).reachable_from([config], max_states=719)
 
     def test_duplicate_sources_deduplicated(self):
         topo = line(3)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import NADiners, NoFixdepthDiners, e_holds
 from repro.fastcore import PackedCodec, UnsupportedBackendError
-from repro.sim import System, grid, line, ring
+from repro.sim import DomainError, System, grid, line, ring
 
 
 def randomized_config(topo, algo, seed, dead=(), malicious=()):
@@ -62,7 +62,7 @@ class TestKey:
         for seed in range(50):
             config = randomized_config(topo, algo, seed)
             key = codec.key(codec.pack(config))
-            assert isinstance(key, bytes)
+            assert isinstance(key, int)
             if key in seen:
                 assert seen[key] == config
             seen[key] = config
@@ -80,6 +80,34 @@ class TestKey:
         codec = PackedCodec(topo, NADiners())  # uncapped depth counter
         with pytest.raises(UnsupportedBackendError):
             codec.key(codec.initial_state())
+
+    def test_key_rejects_a_depth_its_field_cannot_hold(self):
+        # A depth past the cap would spill into the next field and alias
+        # another configuration; a hand-built state must not get that far.
+        topo = ring(4)
+        codec = PackedCodec(topo, NADiners(depth_cap=topo.diameter + 1))
+        ps = codec.initial_state()
+        ps.depth[1] = codec.cap + 1
+        with pytest.raises(DomainError):
+            codec.key(ps)
+
+    def test_layout_is_one_field_per_process_then_one_bit_per_edge(self):
+        # The fixed layout is what a symmetry quotient will permute: flipping
+        # one edge changes exactly one bit above the n process fields.
+        topo = ring(4)
+        codec = PackedCodec(topo, NADiners(depth_cap=topo.diameter + 1))
+        ps = codec.initial_state()
+        key = codec.key(ps)
+        _e, i, j, _dom = codec.edge_order[2]
+        ps.anc[i] ^= 1 << j
+        ps.anc[j] ^= 1 << i
+        ps.desc[i] ^= 1 << j
+        ps.desc[j] ^= 1 << i
+        flipped = codec.key(ps) ^ key
+        assert flipped == 1 << (flipped.bit_length() - 1)
+        assert flipped.bit_length() - 1 == (
+            codec.n * (codec.cap.bit_length() + 5) + 2
+        )
 
 
 class TestSupport:
