@@ -121,37 +121,25 @@ def _run_sim(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     """One sweep trial: run to the step budget, report meals + safety.
 
     ``params["backend"] == "fast"`` swaps the object model for the packed
-    fast core; RNG parity guarantees the record is identical either way, so
-    a resumed campaign may freely mix backends across shards.
+    store; the same engine draws the same numbers over either, so the record
+    is identical and a resumed campaign may freely mix backends across
+    shards.
     """
-    topology = from_spec(params["topology"])
-    algorithm = make_algorithm(params["algorithm"])
-    if params.get("backend", "object") == "fast":
-        from ..fastcore import FastEngine
+    from ..fastcore import make_engine  # optional subpackage: not at import
 
-        engine = FastEngine(
-            topology,
-            algorithm,
-            hunger=AlwaysHungry(),
-            faults=_fault_plan(params, topology),
-            seed=seed,
-        )
-        snapshot = engine.snapshot
-        is_live = engine.is_live
-    else:
-        system = System(topology, algorithm)
-        engine = Engine(
-            system,
-            hunger=AlwaysHungry(),
-            faults=_fault_plan(params, topology),
-            seed=seed,
-        )
-        snapshot = system.snapshot
-        is_live = system.is_live
+    topology = from_spec(params["topology"])
+    engine = make_engine(
+        topology,
+        make_algorithm(params["algorithm"]),
+        backend=params.get("backend", "object"),
+        hunger=AlwaysHungry(),
+        faults=_fault_plan(params, topology),
+        seed=seed,
+    )
     result = engine.run(params["steps"])
     eats = [engine.eats_of(p) for p in topology.nodes]
     total = sum(eats)
-    live = [engine.eats_of(p) for p in topology.nodes if is_live(p)]
+    live = [engine.eats_of(p) for p in topology.nodes if engine.system.is_live(p)]
     square_sum = sum(v * v for v in live)
     jain = (sum(live) ** 2) / (len(live) * square_sum) if square_sum else 0.0
     return {
@@ -161,7 +149,7 @@ def _run_sim(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "per_1000": round(1000.0 * total / result.steps, 6) if result.steps else 0.0,
         "jain": round(jain, 6),
         "min_live_eats": min(live) if live else 0,
-        "safety_ok": e_holds(snapshot()),
+        "safety_ok": e_holds(engine.snapshot()),
     }
 
 

@@ -84,7 +84,7 @@ from .core import (
     red_set,
     run_figure2,
 )
-from .sim import AlwaysHungry, Engine, System, Topology, from_spec
+from .sim import AlwaysHungry, System, Topology, from_spec
 from .sim.errors import SimulationError, StateSpaceExceededError, TopologyError
 
 
@@ -221,26 +221,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     algorithm = make_algorithm(args.algorithm)
     recorder, every = _make_recorder(args, args.steps)
     backend = getattr(args, "backend", "object")
-    if backend == "fast":
-        from .fastcore import FastEngine, UnsupportedBackendError
+    from .fastcore import UnsupportedBackendError, make_engine
 
-        try:
-            engine = FastEngine(
-                topology,
-                algorithm,
-                hunger=AlwaysHungry(),
-                recorder=recorder,
-                seed=args.seed,
-            )
-        except UnsupportedBackendError as exc:
-            raise SystemExit(str(exc)) from None
-        snapshot = engine.snapshot
-    else:
-        system = System(topology, algorithm)
-        engine = Engine(
-            system, hunger=AlwaysHungry(), recorder=recorder, seed=args.seed
+    try:
+        engine = make_engine(
+            topology,
+            algorithm,
+            backend=backend,
+            hunger=AlwaysHungry(),
+            recorder=recorder,
+            seed=args.seed,
         )
-        snapshot = system.snapshot
+    except UnsupportedBackendError as exc:
+        raise SystemExit(str(exc)) from None
     if args.profile_out:
         from .perf import write_profile_metrics
 
@@ -262,7 +255,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"{topology} / {algorithm.name}: ran {result.steps} steps")
     for pid in topology.nodes:
         print(f"  {pid}: {engine.eats_of(pid)} meals")
-    final = snapshot()
+    final = engine.snapshot()
     variables = set(algorithm.local_domains(topology))
     has_depth = "depth" in variables
     if has_depth:

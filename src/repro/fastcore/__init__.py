@@ -1,29 +1,32 @@
 """fastcore — the packed-state fast backend.
 
-The object model in :mod:`repro.sim` stays the reference implementation;
-this package re-encodes configurations as packed vectors + bitsets and runs
-the identical step/havoc loop over them, 10×+ faster.  Selection mirrors the
-``channel_factory`` seam of the mp engine: callers pick a *state backend*
-(``"object"`` or ``"fast"``) and get an engine with the same run surface.
+One engine (:class:`repro.sim.engine.Engine`) drives either of two state
+stores: the object model's :class:`~repro.sim.network.System`, which stays
+the reference representation and runs every algorithm, and this package's
+:class:`PackedSystem`, which keeps the paper's program as packed vectors +
+bitsets and steps it several times faster.  :func:`make_engine` is the one
+place a backend *name* (``"object"`` or ``"fast"``) becomes a store:
 
 >>> engine = make_engine(topology, algorithm, backend="fast", seed=7)
 >>> engine.run(10_000)
 
-Parity between the backends is not aspirational — see
-:mod:`repro.fastcore.parity` for the co-run harness and
-``tests/fastcore/`` for the seeded battery that pins them step-for-step.
+Step cycle, daemons, fault handling and RNG draws are shared code, so a seed
+produces the same computation on both; the guards and commands exist twice
+(``core/algorithm.py``, :mod:`repro.fastcore.packed`) — see
+:mod:`repro.fastcore.parity` for the co-run harness and ``tests/fastcore/``
+for the seeded battery that pins the two step-for-step.
 """
 
 from __future__ import annotations
 
 from ..sim.engine import Engine
 from ..sim.network import System
-from .engine import FastEngine
+from .engine import FastEngine, PackedSystem
 from .explorer import FastReachability, FastTransitionSystem
 from .packed import PackedCodec, PackedState, UnsupportedBackendError
 from .parity import ParityError, ParityReport, co_run, co_run_results
 
-#: Registered state backends, by name (the ``state_backend`` seam).
+#: Registered state backends, by name.
 STATE_BACKENDS = ("object", "fast")
 
 
@@ -33,29 +36,15 @@ def make_engine(
     daemon=None,
     *,
     backend: str = "object",
-    state_backend=None,
     initially_dead=(),
     initial=None,
     **kwargs,
-):
-    """Build an engine over the selected state backend.
+) -> Engine:
+    """Build an engine over the state store ``backend`` names.
 
-    ``backend`` names a registered backend; ``state_backend`` (mirroring
-    ``MpEngine(channel_factory=...)``) accepts a callable with the
-    :class:`FastEngine` constructor signature for custom backends and wins
-    over ``backend`` when given.  The ``"object"`` backend assembles the
-    reference ``System`` + ``Engine`` pair; both return objects share the
-    run/step/snapshot surface.
+    ``initial`` starts from an arbitrary configuration (and then decides who
+    is dead); everything else is passed to :class:`Engine`.
     """
-    if state_backend is not None:
-        return state_backend(
-            topology,
-            algorithm,
-            daemon,
-            initially_dead=initially_dead,
-            initial=initial,
-            **kwargs,
-        )
     if backend == "fast":
         return FastEngine(
             topology,
@@ -70,7 +59,7 @@ def make_engine(
             f"unknown state backend {backend!r}; expected one of {STATE_BACKENDS}"
         )
     if initial is not None:
-        system = System.from_configuration(topology, algorithm, initial)
+        system = System.from_configuration(algorithm, initial)
     else:
         system = System(topology, algorithm, initially_dead=initially_dead)
     return Engine(system, daemon, **kwargs)
@@ -82,6 +71,7 @@ __all__ = [
     "FastTransitionSystem",
     "PackedCodec",
     "PackedState",
+    "PackedSystem",
     "ParityError",
     "ParityReport",
     "STATE_BACKENDS",

@@ -1,10 +1,12 @@
-"""The parity harness: co-run both backends and refuse any divergence.
+"""The parity harness: co-run both stores and refuse any divergence.
 
 The fast core's whole claim is "same computation, faster".  This module
-makes that claim checkable: :func:`co_run` drives an object-model
-:class:`~repro.sim.engine.Engine` and a :class:`~repro.fastcore.FastEngine`
-over the same topology, algorithm, daemon, hunger policy, fault plan, and
-seed — stepping them in lockstep and comparing, at every step,
+makes that claim checkable: :func:`co_run` drives the one
+:class:`~repro.sim.engine.Engine` over an object-model
+:class:`~repro.sim.network.System` and over a
+:class:`~repro.fastcore.PackedSystem` — same topology, algorithm, daemon,
+hunger policy, fault plan, and seed — stepping them in lockstep and
+comparing, at every step,
 
 * the full decoded configuration (locals, edges, dead/malicious sets),
 * the emitted :class:`~repro.sim.trace.TraceEvent` streams (equality on the
@@ -21,7 +23,7 @@ and 2 in the fast one".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..sim.configuration import Configuration
 from ..sim.engine import Engine
@@ -68,6 +70,34 @@ def _diff_configurations(
     return "\n".join(lines)
 
 
+def _pair(
+    topology: Topology,
+    algorithm_factory: Callable[[], object],
+    seed: int,
+    daemon_factory: Optional[Callable[[], object]],
+    hunger_factory: Optional[Callable[[], object]],
+    faults_factory: Optional[Callable[[], object]],
+    record_events: bool = False,
+) -> Tuple[Engine, Engine]:
+    """The object engine and the fast one, each over its own instances of
+    everything stateful (algorithm, daemon ledger, hunger policy, fault
+    plan), seeded identically."""
+
+    def parts():
+        return {
+            "daemon": daemon_factory() if daemon_factory else None,
+            "hunger": hunger_factory() if hunger_factory else None,
+            "faults": faults_factory() if faults_factory else None,
+            "recorder": TraceRecorder() if record_events else None,
+            "seed": seed,
+        }
+
+    return (
+        Engine(System(topology, algorithm_factory()), **parts()),
+        FastEngine(topology, algorithm_factory(), **parts()),
+    )
+
+
 def co_run(
     topology: Topology,
     algorithm_factory: Callable[[], object],
@@ -87,29 +117,11 @@ def co_run(
     by shared mutable state.  Returns a :class:`ParityReport` on success and
     raises :class:`ParityError` at the first divergence.
     """
-    obj_recorder = TraceRecorder() if record_events else None
-    fast_recorder = TraceRecorder() if record_events else None
-
-    system = System(topology, algorithm_factory())
-    obj = Engine(
-        system,
-        daemon_factory() if daemon_factory else None,
-        hunger=hunger_factory() if hunger_factory else None,
-        faults=faults_factory() if faults_factory else None,
-        recorder=obj_recorder,
-        seed=seed,
+    obj, fast = _pair(
+        topology, algorithm_factory, seed,
+        daemon_factory, hunger_factory, faults_factory, record_events,
     )
-    fast = FastEngine(
-        topology,
-        algorithm_factory(),
-        daemon_factory() if daemon_factory else None,
-        hunger=hunger_factory() if hunger_factory else None,
-        faults=faults_factory() if faults_factory else None,
-        recorder=fast_recorder,
-        seed=seed,
-    )
-
-    initial_obj, initial_fast = system.snapshot(), fast.snapshot()
+    initial_obj, initial_fast = obj.snapshot(), fast.snapshot()
     if initial_obj != initial_fast:
         raise ParityError(_diff_configurations(-1, initial_obj, initial_fast))
 
@@ -126,7 +138,7 @@ def co_run(
         if not progressed_obj:
             quiescent = True
             break
-        snap_obj, snap_fast = system.snapshot(), fast.snapshot()
+        snap_obj, snap_fast = obj.snapshot(), fast.snapshot()
         if snap_obj != snap_fast:
             raise ParityError(_diff_configurations(taken, snap_obj, snap_fast))
         taken += 1
@@ -137,7 +149,7 @@ def co_run(
             f"object {dict(obj.action_counts)!r} != fast {dict(fast.action_counts)!r}"
         )
     if record_events:
-        a, b = obj_recorder.events, fast_recorder.events
+        a, b = obj.recorder.events, fast.recorder.events
         if a != b:
             index = next(
                 (i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b))
@@ -151,7 +163,7 @@ def co_run(
     else:
         events = ()
 
-    final_obj, final_fast = system.snapshot(), fast.snapshot()
+    final_obj, final_fast = obj.snapshot(), fast.snapshot()
     if final_obj != final_fast:
         raise ParityError(_diff_configurations(taken, final_obj, final_fast))
     return ParityReport(
@@ -176,21 +188,9 @@ def co_run_results(
     :class:`~repro.sim.engine.RunResult` objects after asserting they agree
     on steps, termination flags, and final configuration.
     """
-    system = System(topology, algorithm_factory())
-    obj = Engine(
-        system,
-        daemon_factory() if daemon_factory else None,
-        hunger=hunger_factory() if hunger_factory else None,
-        faults=faults_factory() if faults_factory else None,
-        seed=seed,
-    )
-    fast = FastEngine(
-        topology,
-        algorithm_factory(),
-        daemon_factory() if daemon_factory else None,
-        hunger=hunger_factory() if hunger_factory else None,
-        faults=faults_factory() if faults_factory else None,
-        seed=seed,
+    obj, fast = _pair(
+        topology, algorithm_factory, seed,
+        daemon_factory, hunger_factory, faults_factory,
     )
     result_obj = obj.run(max_steps)
     result_fast = fast.run(max_steps)

@@ -154,12 +154,12 @@ def fastcore_steps_ring():
     """Packed-state engine step loop: the fast twin of ``engine/steps/ring16``.
 
     Identical workload — ring(16), everyone hungry, weakly fair, seed 1,
-    1000 steps per op — on :class:`repro.fastcore.FastEngine` instead of the
-    object model.  RNG parity means both kernels execute the *same* action
-    sequence, and both engines re-evaluate only the closed neighbourhood a
-    step wrote to, so the ratio is representation (bitsets and a heap
-    against dicts, ``ProcessView`` calls and a ledger dict): 5.4x measured,
-    gated in CI at >= 2.5x (EXPERIMENTS.md E18 has the history).
+    1000 steps per op — with the one engine driving a
+    :class:`repro.fastcore.PackedSystem` instead of the object model.  Same
+    engine, daemon and ledger, so both kernels execute the *same* action
+    sequence and the ratio is representation alone (bitset guards and
+    commands against dicts and ``ProcessView`` calls): 3.5x measured, gated
+    in CI at >= 1.7x (EXPERIMENTS.md E18 has the history).
     """
     from ..core import NADiners
     from ..fastcore import FastEngine

@@ -33,7 +33,7 @@ class Domain(ABC):
     of those).  ``System`` treats a write of the very object already stored
     as no write at all, so a command that mutated a stored list or dict in
     place and wrote it back would change state without anyone's guards
-    being re-evaluated (see ``System.all_enabled``).
+    being re-evaluated (see ``System.enabled``).
     """
 
     @abstractmethod

@@ -1,21 +1,24 @@
-"""The simulation engine: drives one system through a computation.
+"""The simulation engine: drives one state store through a computation.
 
-Each engine step performs, in order:
+There is one step cycle, written against the :class:`~repro.sim.network.
+StateStore` surface, so the same code runs the object model
+(:class:`~repro.sim.network.System`) and the packed encoding
+(:class:`repro.fastcore.PackedSystem`); a seed produces the same computation
+on both.  Each engine step performs, in order:
 
 1. **faults** — apply every fault event due at this step;
 2. **malice** — every process in the arbitrary phase of a malicious crash
    takes one havoc step; a process whose budget runs out halts;
 3. **hunger** — refresh the ``needs`` input variable of every live process
-   from the hunger policy (the policy is consulted per live process in node
-   order; a value that did not change is not written again);
-4. **action** — the daemon picks one pair from ``System.all_enabled()`` and
-   the engine executes it.  The enabled set is maintained by the system:
+   from the hunger policy (consulted per live process in node order; a
+   policy that declares itself ``constant`` is asked once per process and
+   its answer is put back only where something overwrote it);
+4. **action** — the daemon picks one entry of the store's enabled set and
+   the engine executes it.  The enabled set is maintained by the store:
    executing an action at ``p`` writes ``p``'s locals and incident edges,
    which the model lets only ``p`` and its neighbours read, so one step
    re-evaluates the guards of a distance-1 neighbourhood, not of the whole
-   system — the same locality rule ``fastcore.FastEngine`` applies to its
-   packed state, which leaves representation as the only difference
-   between the two engines.
+   system.
 
 The interleaving this produces is a legal computation of the paper's model:
 exactly one (algorithm or havoc) transition mutates protocol state per step
@@ -37,7 +40,7 @@ from .configuration import Configuration
 from .errors import SchedulingError
 from .faults import BenignCrash, FaultPlan, MaliciousCrash
 from .hunger import HungerPolicy
-from .network import System
+from .network import StateStore
 from .scheduler import Daemon, WeaklyFairDaemon
 from .topology import Pid
 from .trace import EventKind, TraceEvent, TraceRecorder
@@ -67,14 +70,136 @@ class RunResult:
         assert self.quiescent + self.stopped + self.exhausted == 1
 
 
-class EngineBase:
-    """The run loop, result packaging and counters both engines share.
+class Engine:
+    """Runs a state store — a :class:`~repro.sim.network.System`, or a
+    :class:`repro.fastcore.PackedSystem` — under a daemon, a hunger policy,
+    and a fault plan.
 
-    A subclass supplies the state backend: ``step()`` (defined on the
-    subclass itself — profilers and tracers wrap it there), ``snapshot()``,
-    and the attributes ``algorithm``, ``recorder``, ``bus``, ``step_count``
-    and ``action_counts``.
+    Parameters
+    ----------
+    system:
+        The store to run (mutated in place).
+    daemon:
+        Scheduling strategy; defaults to a fresh :class:`WeaklyFairDaemon`.
+    hunger:
+        Drives the algorithm's hunger input variable, if it declares one.
+        ``None`` leaves the variable entirely to its initial/corrupted value.
+    faults:
+        Scheduled fault events; ``None`` means a fault-free run.
+    recorder:
+        Optional trace recorder.
+    bus:
+        Optional :class:`~repro.obs.bus.EventBus`; every event the recorder
+        would see is also published here, live, so probes can observe a run
+        without any recorder at all.  ``None`` (the default) costs nothing.
+    seed:
+        Seed for the engine's private RNG; runs are deterministic given
+        (system state, daemon state, seed).
+    rng:
+        An explicit ``random.Random`` instance to use instead of building
+        one from ``seed``.  Callers that thread one RNG through state
+        randomization *and* scheduling (campaign shards do) pass it here;
+        the engine never touches the global ``random`` module either way.
     """
+
+    def __init__(
+        self,
+        system: StateStore,
+        daemon: Daemon | None = None,
+        *,
+        hunger: HungerPolicy | None = None,
+        faults: FaultPlan | None = None,
+        recorder: TraceRecorder | None = None,
+        bus: "EventBus | None" = None,
+        seed: int = 0,
+        rng: random.Random | None = None,
+    ) -> None:
+        self.system = system
+        self.algorithm = system.algorithm
+        self.daemon = daemon if daemon is not None else WeaklyFairDaemon()
+        self.hunger = hunger
+        self.faults = faults
+        self.recorder = recorder
+        self.bus = bus
+        self.rng = rng if rng is not None else random.Random(seed)
+        self.step_count = 0
+        #: Executed algorithm actions, keyed by ``(pid, action_name)``.
+        self.action_counts: Counter = Counter()
+        self._malicious_budget: Dict[Pid, int] = (
+            faults.malicious_budget() if faults is not None else {}
+        )
+        self._hunger_var = self.algorithm.hunger_variable
+        #: A constant policy's answers, asked once (see _refresh_hunger).
+        self._constant_wants: Dict[Pid, bool] | None = (
+            {pid: hunger.wants(pid, 0, None) for pid in system.pids}
+            if hunger is not None and hunger.constant and self._hunger_var is not None
+            else None
+        )
+
+    # ---------------------------------------------------------------- step
+
+    def step(self) -> bool:
+        """Advance the computation by one engine step.
+
+        Returns False — without consuming a step — when nothing can ever
+        happen again: no enabled action, no malicious process mid-phase, and
+        no pending fault event.
+        """
+        step = self.step_count
+        system = self.system
+        faults = self.faults
+
+        pending_faults = faults is not None and not faults.exhausted()
+        if pending_faults:
+            for event in faults.due(step):
+                self._apply_fault(event, step)
+        if system.malicious_pids():
+            self._malice_phase(step)
+        # A constant policy's answers are in place unless the store says
+        # someone touched an input.
+        if self._constant_wants is None or system.hunger_stale:
+            self._refresh_hunger(step)
+
+        bus = self.bus
+        enabled = system.enabled()
+        if enabled.count:
+            p, a = self.daemon.select(system, enabled, step, self.rng)
+            pid = enabled.pids[p]
+            name = enabled.actions[a].name
+            if not (enabled.bits[p] >> a) & 1:
+                raise SchedulingError(
+                    f"daemon chose disabled action {name!r} at {pid!r}"
+                )
+            # The payload is the acting process's locals *before* the command
+            # runs: probes need the value ``depth`` held when ``exit`` fired,
+            # not the reset value it holds afterwards.  Only a recorder or a
+            # bus subscriber needs it, or an event object at all; taps (the
+            # always-armed flight recorder) are handed the fields.
+            wanted = self.recorder is not None or (
+                bus is not None and bus.wants_events
+            )
+            payload = system.locals_of(pid) if wanted else None
+            system.fire(p, a)
+            self.action_counts[(pid, name)] += 1
+            if wanted:
+                self._emit(step, EventKind.ACTION, pid, name, payload)
+            elif bus is not None:
+                bus.announce(step, EventKind.ACTION, pid, name)
+        else:
+            if not pending_faults and not system.malicious_pids():
+                return False
+            self._emit(step, EventKind.IDLE)
+
+        self.step_count += 1
+        if self.recorder is not None:
+            self.recorder.maybe_snapshot(self.step_count, system.snapshot())
+        return True
+
+    def snapshot(self) -> "Configuration":
+        """The store's current configuration."""
+        return self.system.snapshot()
+
+    # ----------------------------------------------------------------- run
 
     def run(
         self,
@@ -107,10 +232,6 @@ class EngineBase:
                 if stop_when(self.snapshot()):
                     return self._result(taken, stopped=True)
         return self._result(taken, exhausted=True)
-
-    def run_to_quiescence(self, max_steps: int) -> RunResult:
-        """Run with no stop predicate; convenience wrapper over :meth:`run`."""
-        return self.run(max_steps)
 
     def run_profiled(self, max_steps: int, **kwargs):
         """:meth:`run` under ``cProfile``; returns ``(result, profile)``.
@@ -157,7 +278,11 @@ class EngineBase:
             self.bus is not None and self.bus.active
         )
 
-    def _emit(self, event: TraceEvent) -> None:
+    def _emit(self, step: int, kind: EventKind, pid=None, detail=None, payload=None) -> None:
+        """Make the event and hand it to whoever listens — if anyone does."""
+        if not self.observed:
+            return
+        event = TraceEvent(step, kind, pid, detail, payload)
         if self.bus is not None:
             self.bus.publish(event)
         if self.recorder is not None:
@@ -184,164 +309,30 @@ class EngineBase:
             if name == enter_action
         )
 
-
-class Engine(EngineBase):
-    """Runs a :class:`~repro.sim.network.System` under a daemon, a hunger
-    policy, and a fault plan.
-
-    Parameters
-    ----------
-    system:
-        The system to run (mutated in place).
-    daemon:
-        Scheduling strategy; defaults to a fresh :class:`WeaklyFairDaemon`.
-    hunger:
-        Drives the algorithm's hunger input variable, if it declares one.
-        ``None`` leaves the variable entirely to its initial/corrupted value.
-    faults:
-        Scheduled fault events; ``None`` means a fault-free run.
-    recorder:
-        Optional trace recorder.
-    bus:
-        Optional :class:`~repro.obs.bus.EventBus`; every event the recorder
-        would see is also published here, live, so probes can observe a run
-        without any recorder at all.  ``None`` (the default) costs nothing.
-    seed:
-        Seed for the engine's private RNG; runs are deterministic given
-        (system state, daemon state, seed).
-    rng:
-        An explicit ``random.Random`` instance to use instead of building
-        one from ``seed``.  Callers that thread one RNG through state
-        randomization *and* scheduling (campaign shards do) pass it here;
-        the engine never touches the global ``random`` module either way.
-    """
-
-    def __init__(
-        self,
-        system: System,
-        daemon: Daemon | None = None,
-        *,
-        hunger: HungerPolicy | None = None,
-        faults: FaultPlan | None = None,
-        recorder: TraceRecorder | None = None,
-        bus: "EventBus | None" = None,
-        seed: int = 0,
-        rng: random.Random | None = None,
-    ) -> None:
-        self.system = system
-        self.algorithm = system.algorithm
-        self.daemon = daemon if daemon is not None else WeaklyFairDaemon()
-        self.hunger = hunger
-        self.faults = faults
-        self.recorder = recorder
-        self.bus = bus
-        self.rng = rng if rng is not None else random.Random(seed)
-        self.step_count = 0
-        #: Executed algorithm actions, keyed by ``(pid, action_name)``.
-        self.action_counts: Counter = Counter()
-        self._malicious_budget: Dict[Pid, int] = (
-            faults.malicious_budget() if faults is not None else {}
-        )
-        self._hunger_var = self.algorithm.hunger_variable
-
-    # ---------------------------------------------------------------- step
-
-    def step(self) -> bool:
-        """Advance the computation by one engine step.
-
-        Returns False — without consuming a step — when nothing can ever
-        happen again: no enabled action, no malicious process mid-phase, and
-        no pending fault event.
-        """
-        step = self.step_count
-        system = self.system
-        faults = self.faults
-
-        pending_faults = faults is not None and not faults.exhausted()
-        if pending_faults:
-            self._apply_due_faults(step)
-        if system.malicious_pids():
-            self._malice_phase(step)
-        self._refresh_hunger(step)
-
-        bus = self.bus
-        enabled = system.all_enabled()
-        if enabled:
-            pid, action = self.daemon.select(system, enabled, step, self.rng)
-            if not system.is_enabled(pid, action):
-                raise SchedulingError(
-                    f"daemon chose disabled action {action.name!r} at {pid!r}"
-                )
-            # The payload is the acting process's locals *before* the command
-            # runs: probes need the value ``depth`` held when ``exit`` fired,
-            # not the reset value it holds afterwards.  Only a recorder or a
-            # bus subscriber needs it, or an event object at all; taps (the
-            # always-armed flight recorder) are handed the fields.
-            event = (
-                TraceEvent(
-                    step, EventKind.ACTION, pid, action.name, system.locals_of(pid)
-                )
-                if self.recorder is not None
-                or (bus is not None and bus.wants_events)
-                else None
-            )
-            system.execute(pid, action)
-            self.action_counts[(pid, action.name)] += 1
-            if event is not None:
-                self._emit(event)
-            elif bus is not None:
-                bus.announce(step, EventKind.ACTION, pid, action.name)
-        else:
-            if not pending_faults and not system.malicious_pids():
-                return False
-            if self.observed:
-                self._emit(TraceEvent(step, EventKind.IDLE))
-
-        self.step_count += 1
-        if self.recorder is not None:
-            self.recorder.maybe_snapshot(self.step_count, system.snapshot())
-        return True
-
-    def snapshot(self) -> "Configuration":
-        """The system's current configuration.
-
-        Delegation keeps the state-backend seam uniform: callers holding
-        either this engine or a :class:`repro.fastcore.FastEngine` can
-        observe state without knowing which backend they got.
-        """
-        return self.system.snapshot()
-
     # ------------------------------------------------------------ internals
 
-    def _apply_due_faults(self, step: int) -> None:
-        for event in self.faults.due(step):
-            event.apply(self.system, self.rng)
-            if isinstance(event, MaliciousCrash):
-                if event.malicious_steps > 0:
-                    self._emit(
-                        TraceEvent(
-                            step, EventKind.MALICE_BEGIN, event.pid, event.malicious_steps
-                        )
-                    )
-                else:
-                    self._emit(TraceEvent(step, EventKind.CRASH, event.pid, "malicious"))
-            elif isinstance(event, BenignCrash):
-                self._emit(TraceEvent(step, EventKind.CRASH, event.pid, "benign"))
+    def _apply_fault(self, event, step: int) -> None:
+        event.apply(self.system, self.rng)
+        if isinstance(event, MaliciousCrash):
+            if event.malicious_steps > 0:
+                self._emit(step, EventKind.MALICE_BEGIN, event.pid, event.malicious_steps)
             else:
-                self._emit(
-                    TraceEvent(step, EventKind.TRANSIENT, None, getattr(event, "pids", None))
-                )
+                self._emit(step, EventKind.CRASH, event.pid, "malicious")
+        elif isinstance(event, BenignCrash):
+            self._emit(step, EventKind.CRASH, event.pid, "benign")
+        else:
+            self._emit(step, EventKind.TRANSIENT, None, getattr(event, "pids", None))
 
     def _malice_phase(self, step: int) -> None:
         for pid in self.system.malicious_pids():
             budget = self._malicious_budget.get(pid, 0)
             if budget > 0:
                 self.system.havoc_process(pid, self.rng)
-                self._emit(TraceEvent(step, EventKind.HAVOC, pid))
+                self._emit(step, EventKind.HAVOC, pid)
                 self._malicious_budget[pid] = budget - 1
             if self._malicious_budget.get(pid, 0) <= 0:
                 self.system.kill(pid)
-                self._emit(TraceEvent(step, EventKind.CRASH, pid, "malice exhausted"))
+                self._emit(step, EventKind.CRASH, pid, "malice exhausted")
 
     def _refresh_hunger(self, step: int) -> None:
         hunger = self.hunger
@@ -349,10 +340,22 @@ class Engine(EngineBase):
         if hunger is None or variable is None:
             return
         system = self.system
+        write = system.write_local
+        constant = self._constant_wants
+        if constant is not None:
+            # The answers cannot change, so the variable can differ from
+            # them only where someone else wrote it or the process has just
+            # come (back) to life — the store keeps that list.
+            stale = system.hunger_stale
+            for pid in tuple(stale):
+                if system.is_live(pid):
+                    write(pid, variable, constant[pid])
+            stale.clear()
+            return
         # ``write_local`` ignores a value already stored, so only changes
-        # are validated, written and staled; the policy is still consulted
-        # per live process in node order, which keeps its RNG draws in place.
-        wants, write, rng = hunger.wants, system.write_local, self.rng
+        # are validated, written and staled; the policy is consulted per
+        # live process in node order, which keeps its RNG draws in place.
+        wants, rng = hunger.wants, self.rng
         for pid in system.live_pids():
             write(pid, variable, wants(pid, step, rng))
 
@@ -363,19 +366,6 @@ class Engine(EngineBase):
         eating") cannot be expressed as step-indexed plans; drive the engine
         to the state you want, then inject.
         """
-        event.apply(self.system, self.rng)
-        step = self.step_count
-        if isinstance(event, MaliciousCrash):
-            if event.malicious_steps > 0:
-                self._malicious_budget[event.pid] = event.malicious_steps
-                self._emit(
-                    TraceEvent(step, EventKind.MALICE_BEGIN, event.pid, event.malicious_steps)
-                )
-            else:
-                self._emit(TraceEvent(step, EventKind.CRASH, event.pid, "malicious"))
-        elif isinstance(event, BenignCrash):
-            self._emit(TraceEvent(step, EventKind.CRASH, event.pid, "benign"))
-        else:
-            self._emit(
-                TraceEvent(step, EventKind.TRANSIENT, None, getattr(event, "pids", None))
-            )
+        if isinstance(event, MaliciousCrash) and event.malicious_steps > 0:
+            self._malicious_budget[event.pid] = event.malicious_steps
+        self._apply_fault(event, self.step_count)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import FaultPlanError
-from .network import System
+from .network import StateStore
 from .topology import Pid
 
 
@@ -37,8 +37,9 @@ class FaultEvent(ABC):
     at_step: int
 
     @abstractmethod
-    def apply(self, system: System, rng: random.Random) -> None:
-        """Mutate ``system`` to reflect the fault occurring."""
+    def apply(self, system: StateStore, rng: random.Random) -> None:
+        """Mutate ``system`` — either state store — to reflect the fault
+        occurring."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class BenignCrash(FaultEvent):
     pid: Pid
     at_step: int = 0
 
-    def apply(self, system: System, rng: random.Random) -> None:
+    def apply(self, system: StateStore, rng: random.Random) -> None:
         system.kill(self.pid)
 
 
@@ -71,7 +72,7 @@ class MaliciousCrash(FaultEvent):
         if self.malicious_steps < 0:
             raise FaultPlanError("malicious_steps must be non-negative")
 
-    def apply(self, system: System, rng: random.Random) -> None:
+    def apply(self, system: StateStore, rng: random.Random) -> None:
         if self.malicious_steps == 0:
             system.kill(self.pid)
         else:
@@ -90,7 +91,7 @@ class TransientFault(FaultEvent):
     at_step: int = 0
     pids: Tuple[Pid, ...] | None = None
 
-    def apply(self, system: System, rng: random.Random) -> None:
+    def apply(self, system: StateStore, rng: random.Random) -> None:
         system.randomize(rng, self.pids)
 
 

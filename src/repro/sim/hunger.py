@@ -25,10 +25,9 @@ class HungerPolicy(ABC):
     """Decides, each step, whether each process currently wants to eat."""
 
     #: True when :meth:`wants` depends on ``pid`` alone — never on ``step``
-    #: and never drawing from ``rng``.  ``FastEngine`` then asks once, up
-    #: front, and re-applies the answers only where an input was overwritten
-    #: (the object engine asks every step; an unchanged answer costs it no
-    #: write and stales nothing).
+    #: and never drawing from ``rng``.  The engine then asks once per
+    #: process, up front (``step=0, rng=None``), and re-applies the answers
+    #: only where the input was overwritten or its process revived.
     constant = False
 
     @abstractmethod

@@ -8,10 +8,15 @@ mediates every read and write so that domain violations and model violations
 
 Because every write goes through the system, it also keeps the *enabled set*
 current incrementally: each mutator marks stale exactly the processes whose
-guards the model lets read the written cell, and :meth:`System.all_enabled`
-re-evaluates only those (see its docstring for the rule).
+guards the model lets read the written cell, and :meth:`System.enabled`
+re-evaluates only those (its docstring has the rule).
 
 The system knows nothing about time or scheduling; that is the engine's job.
+What the engine needs of it is the :class:`StateStore` surface — the enabled
+set in index form (:class:`EnabledSet`), ``execute``, the fault primitives,
+the live/malicious queries, ``locals_of`` and ``snapshot`` — which
+:class:`repro.fastcore.PackedSystem` offers over packed state, so one engine
+and one set of daemons drive either representation.
 It does know how to snapshot itself into an immutable
 :class:`~repro.sim.configuration.Configuration` and how to rebuild itself
 from one, which is how the simulator, the predicates, and the model checker
@@ -22,8 +27,7 @@ from __future__ import annotations
 
 import enum
 import random
-from itertools import chain
-from typing import Any, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Set, Tuple
 
 from .configuration import Configuration
 from .domains import Domain
@@ -49,7 +53,209 @@ class ProcessStatus(enum.Enum):
     DEAD = "dead"
 
 
-class System:
+class EnabledSet:
+    """The enabled set in index form: what a store publishes, what a daemon
+    reads.
+
+    ``bits[p]`` has bit ``a`` set when ``actions[a]`` is enabled at
+    ``pids[p]``; ``count`` is the number of set bits.  ``changed`` holds the
+    processes whose bits changed since a fairness ledger last cleared it —
+    a set, so a daemon that keeps no ledger and never clears it leaks
+    nothing.  It has one consumer: the daemon of the engine driving the
+    store.
+    """
+
+    __slots__ = ("pids", "actions", "bits", "count", "changed")
+
+    def __init__(self, pids: Iterable[Pid], actions: Iterable[ActionDef]) -> None:
+        self.pids: Tuple[Pid, ...] = tuple(pids)
+        self.actions: Tuple[ActionDef, ...] = tuple(actions)
+        self.bits: List[int] = [0] * len(self.pids)
+        self.count = 0
+        self.changed: Set[int] = set()
+
+    def update(self, p: int, bits: int) -> None:
+        """Process ``p``'s guards were re-evaluated to ``bits``."""
+        old = self.bits[p]
+        if bits != old:
+            self.bits[p] = bits
+            self.count += bits.bit_count() - old.bit_count()
+            self.changed.add(p)
+
+    def items(self) -> List[Tuple[int, int]]:
+        """Every enabled ``(process index, action index)``: processes in
+        node order, each one's actions in declaration order."""
+        out = []
+        for p, bits in enumerate(self.bits):
+            while bits:
+                low = bits & -bits
+                out.append((p, low.bit_length() - 1))
+                bits ^= low
+        return out
+
+    def nth(self, k: int) -> Tuple[int, int]:
+        """``items()[k]`` without building the list."""
+        p = 0
+        for bits in self.bits:
+            if bits:
+                c = bits.bit_count()
+                if k < c:
+                    while k:
+                        bits &= bits - 1
+                        k -= 1
+                    return p, (bits & -bits).bit_length() - 1
+                k -= c
+            p += 1
+        raise IndexError("enabled set has fewer entries")
+
+    def pairs(self) -> List[Tuple[Pid, ActionDef]]:
+        """:meth:`items` as ``(pid, action)`` pairs, for code that reads
+        names (strategies, score functions, tests)."""
+        pids, actions = self.pids, self.actions
+        return [(pids[p], actions[a]) for p, a in self.items()]
+
+
+#: One cell a process may write, as ``(put, key, domain)``: ``put(key, value)``
+#: stores an in-domain value raw — unvalidated, staling nothing.
+Cell = Tuple[Callable[[Any, Any], None], Any, Domain]
+
+
+class StateStore:
+    """What an engine drives: a topology's worth of process state behind
+    pid-level mutators, publishing its enabled set as an :class:`EnabledSet`.
+
+    Holds what :class:`System` and :class:`repro.fastcore.PackedSystem` must
+    do identically whatever the representation — above all the fault
+    primitives' draw recipe, which is what makes a seed produce the same
+    computation on both.  A subclass supplies the state, ``execute``,
+    ``write_local``, ``locals_of``, ``snapshot``, ``status``, and:
+
+    * ``_writable`` — per pid, every :data:`Cell` it may write: its locals in
+      declaration order (``_local_count`` of them), then its incident edges
+      in neighbour order;
+    * ``_edge_cells`` — ``(edge, cell)`` in ``topology.edges`` order;
+    * ``_wrote(pid)`` — re-evaluates (or marks stale) everyone who may read
+      a cell of ``pid``: its closed neighbourhood;
+    * ``_set_status(pid, status)`` — stores a changed status, re-evaluates
+      (or stales) ``pid`` and calls ``_status_changed``.
+    """
+
+    def __init__(self, topology: Topology, algorithm: Algorithm) -> None:
+        self.topology = topology
+        self.algorithm = algorithm
+        #: All process identifiers in deterministic (construction) order.
+        self.pids: Tuple[Pid, ...] = topology.nodes
+        self._actions: Tuple[ActionDef, ...] = tuple(algorithm.actions())
+        self._index: Dict[Pid, int] = {pid: i for i, pid in enumerate(topology.nodes)}
+        self._enabled = EnabledSet(topology.nodes, self._actions)
+        #: Processes whose hunger input someone other than the environment
+        #: may have written (a fault, a caller) or that were just revived;
+        #: the engine puts a constant policy's answer back for these only.
+        self.hunger_stale: Set[Pid] = set(topology.nodes)
+        self._hunger_var = algorithm.hunger_variable
+        self._live: Tuple[Pid, ...] | None = None
+        self._malicious: Tuple[Pid, ...] | None = None
+
+    # -------------------------------------------------------- enabled set
+
+    def enabled(self) -> EnabledSet:
+        """The current enabled set, in index form."""
+        return self._enabled
+
+    def all_enabled(self) -> List[Tuple[Pid, ActionDef]]:
+        """Every enabled ``(pid, action)`` pair: processes in node order,
+        each one's actions in declaration order."""
+        return self.enabled().pairs()
+
+    def is_quiescent(self) -> bool:
+        """True when no live process has an enabled action (terminal state)."""
+        return not self.enabled().count
+
+    def fire(self, p: int, a: int) -> None:
+        """``execute`` for a caller that holds the enabled set's indices (the
+        engine, with a daemon's pick): run ``actions[a]`` at ``pids[p]``."""
+        self.execute(self.pids[p], self._actions[a])
+
+    # ------------------------------------------------------------- status
+
+    def is_live(self, pid: Pid) -> bool:
+        """True when ``pid`` runs algorithm actions (neither dead nor malicious)."""
+        return self.status(pid) is ProcessStatus.ALIVE
+
+    def live_pids(self) -> Tuple[Pid, ...]:
+        """The ALIVE processes, in node order."""
+        if self._live is None:
+            self._live = self._with_status(ProcessStatus.ALIVE)
+        return self._live
+
+    def malicious_pids(self) -> Tuple[Pid, ...]:
+        """The processes mid-way through a malicious crash, in node order."""
+        if self._malicious is None:
+            self._malicious = self._with_status(ProcessStatus.MALICIOUS)
+        return self._malicious
+
+    def _with_status(self, status: ProcessStatus) -> Tuple[Pid, ...]:
+        return tuple(p for p in self.pids if self.status(p) is status)
+
+    def _status_changed(self, pid: Pid, status: ProcessStatus) -> None:
+        self._live = self._malicious = None
+        if status is ProcessStatus.ALIVE:
+            self.hunger_stale.add(pid)
+
+    def mark_malicious(self, pid: Pid) -> None:
+        """Enter the arbitrary-behaviour phase of a malicious crash."""
+        if self.status(pid) is ProcessStatus.DEAD:
+            raise DeadProcessError(pid)
+        self._set_status(pid, ProcessStatus.MALICIOUS)
+
+    def kill(self, pid: Pid) -> None:
+        """Halt ``pid`` permanently (benign crash, or end of malice)."""
+        self.status(pid)  # raises for unknown pid
+        self._set_status(pid, ProcessStatus.DEAD)
+
+    # ---------------------------------------------------- fault primitives
+
+    def havoc_process(self, pid: Pid, rng: random.Random) -> None:
+        """One arbitrary step of a malicious process.
+
+        Writes random in-domain values to a random non-empty subset of
+        ``pid``'s own local variables and incident edge variables.  This is
+        the strongest perturbation the paper's model allows a faulty process:
+        it can only touch state it could legally write when healthy.
+        """
+        if self.status(pid) is ProcessStatus.DEAD:
+            raise DeadProcessError(pid)
+        cells = self._writable[pid]
+        count = rng.randint(1, len(cells))
+        for put, key, domain in rng.sample(cells, count):
+            put(key, domain.sample(rng))
+        self.hunger_stale.add(pid)
+        self._wrote(pid)
+
+    def randomize(self, rng: random.Random, pids: Iterable[Pid] | None = None) -> None:
+        """Transient fault: replace state with arbitrary in-domain values.
+
+        With ``pids=None`` the whole system state (all locals, all edges) is
+        perturbed, matching the paper's "transient failure ... leaves the
+        system in arbitrary state".  A subset limits the blast radius.
+        """
+        chosen = tuple(self.pids if pids is None else pids)
+        for pid in chosen:
+            if pid not in self._index:
+                raise UnknownProcessError(pid)
+        for pid in chosen:
+            for put, name, domain in self._writable[pid][: self._local_count]:
+                put(name, domain.sample(rng))
+        chosen_set = set(chosen)
+        for e, (put, key, domain) in self._edge_cells:
+            if chosen_set & e:
+                put(key, domain.sample(rng))
+        self.hunger_stale.update(chosen)
+        for pid in chosen:
+            self._wrote(pid)
+
+
+class System(StateStore):
     """Mutable state of one distributed system run.
 
     Parameters
@@ -70,9 +276,7 @@ class System:
         *,
         initially_dead: Iterable[Pid] = (),
     ) -> None:
-        self._topology = topology
-        self._algorithm = algorithm
-        self._actions: Tuple[ActionDef, ...] = tuple(algorithm.actions())
+        super().__init__(topology, algorithm)
         self._local_domains: Mapping[str, Domain] = dict(algorithm.local_domains(topology))
         self._edge_domains: Dict[Edge, Domain] = {
             e: algorithm.edge_domain(topology, e) for e in topology.edges
@@ -98,31 +302,29 @@ class System:
             pid: ProcessView(self, pid, self._locals, self._edges)
             for pid in topology.nodes
         }
-        # The enabled set (see all_enabled): one slot of (pid, action) pairs
-        # per process, in node order, plus the processes whose slot is stale.
-        self._enabled: Dict[Pid, List[Tuple[Pid, ActionDef]]] = {
-            pid: [] for pid in topology.nodes
-        }
+        #: The processes whose bits in the enabled set are stale (see
+        #: ``enabled``, which re-evaluates them).
         self._stale: Set[Pid] = set(topology.nodes)
+        #: Each action's bit in the enabled set, beside its guard.
+        self._guards = tuple((1 << a, action.guard) for a, action in enumerate(self._actions))
         #: Who may read a local of ``pid``: the process and its neighbours.
         self._readers: Dict[Pid, Tuple[Pid, ...]] = {
             pid: (pid,) + topology.neighbors(pid) for pid in topology.nodes
         }
-        #: Every cell ``pid`` may write, as (store, key, domain): its locals
-        #: in declaration order, then its incident edges in neighbour order.
-        self._writable: Dict[Pid, List[Tuple[dict, Any, Domain]]] = {
+        edge_cells = {
+            e: (self._edges.__setitem__, e, self._edge_domains[e])
+            for e in topology.edges
+        }
+        self._edge_cells = list(edge_cells.items())
+        self._local_count = len(self._local_domains)
+        self._writable = {
             pid: [
-                (self._locals[pid], name, domain)
+                (self._locals[pid].__setitem__, name, domain)
                 for name, domain in self._local_domains.items()
             ]
-            + [
-                (self._edges, e, self._edge_domains[e])
-                for e in (edge(pid, q) for q in topology.neighbors(pid))
-            ]
+            + [edge_cells[edge(pid, q)] for q in topology.neighbors(pid)]
             for pid in topology.nodes
         }
-        self._live: Tuple[Pid, ...] | None = None
-        self._malicious: Tuple[Pid, ...] | None = None
 
     def _validate_locals(self, pid: Pid, values: Mapping[str, Any]) -> None:
         """Check initial locals cover exactly the declared variables."""
@@ -140,19 +342,6 @@ class System:
 
     # ------------------------------------------------------------- basics
 
-    @property
-    def topology(self) -> Topology:
-        return self._topology
-
-    @property
-    def algorithm(self) -> Algorithm:
-        return self._algorithm
-
-    @property
-    def pids(self) -> Tuple[Pid, ...]:
-        """All process identifiers in deterministic (construction) order."""
-        return self._topology.nodes
-
     def view(self, pid: Pid) -> ProcessView:
         """The action-execution view of ``pid``."""
         try:
@@ -168,41 +357,11 @@ class System:
         except KeyError:
             raise UnknownProcessError(pid) from None
 
-    def is_live(self, pid: Pid) -> bool:
-        """True when ``pid`` runs algorithm actions (neither dead nor malicious)."""
-        return self.status(pid) is ProcessStatus.ALIVE
-
-    def live_pids(self) -> Tuple[Pid, ...]:
-        """The ALIVE processes, in node order."""
-        if self._live is None:
-            self._live = self._with_status(ProcessStatus.ALIVE)
-        return self._live
-
-    def malicious_pids(self) -> Tuple[Pid, ...]:
-        """The processes mid-way through a malicious crash, in node order."""
-        if self._malicious is None:
-            self._malicious = self._with_status(ProcessStatus.MALICIOUS)
-        return self._malicious
-
-    def _with_status(self, status: ProcessStatus) -> Tuple[Pid, ...]:
-        return tuple(p for p, s in self._status.items() if s is status)
-
     def _set_status(self, pid: Pid, status: ProcessStatus) -> None:
         if self._status[pid] is not status:
             self._status[pid] = status
-            self._live = self._malicious = None
             self._stale.add(pid)
-
-    def mark_malicious(self, pid: Pid) -> None:
-        """Enter the arbitrary-behaviour phase of a malicious crash."""
-        if self.status(pid) is ProcessStatus.DEAD:
-            raise DeadProcessError(pid)
-        self._set_status(pid, ProcessStatus.MALICIOUS)
-
-    def kill(self, pid: Pid) -> None:
-        """Halt ``pid`` permanently (benign crash, or end of malice)."""
-        self.status(pid)  # raises for unknown pid
-        self._set_status(pid, ProcessStatus.DEAD)
+            self._status_changed(pid, status)
 
     # ----------------------------------------------------------- variables
 
@@ -231,6 +390,8 @@ class System:
             return
         domain.validate(variable, value)
         values[variable] = value
+        if variable == self._hunger_var:
+            self.hunger_stale.add(pid)
         if value != old:
             self._stale.update(self._readers[pid])
 
@@ -279,8 +440,8 @@ class System:
 
     def enabled_actions(self, pid: Pid) -> List[ActionDef]:
         """The algorithm actions of ``pid`` whose guards hold right now,
-        evaluated from scratch (this is what fills one slot of the enabled
-        set; :meth:`all_enabled` is the cached whole).
+        evaluated from scratch (the reference for one process's bits in the
+        enabled set; :meth:`enabled` is the cached whole).
 
         Dead and malicious processes have no enabled algorithm actions: a
         dead process takes no steps at all, and a malicious one only takes
@@ -291,18 +452,16 @@ class System:
         view = self._views[pid]
         return [a for a in self._actions if a.enabled(view)]
 
-    def all_enabled(self) -> List[Tuple[Pid, ActionDef]]:
-        """Every enabled ``(pid, action)`` pair: processes in node order,
-        each one's actions in declaration order.
+    def enabled(self) -> EnabledSet:
+        """The current enabled set, maintained incrementally.
 
-        The list is maintained incrementally.  §2 of the paper lets a guard
-        of ``p`` read only ``p``'s locals, its neighbours' locals and the
-        cells of ``p``'s incident edges, and :class:`ProcessView` is the only
-        door a guard has to state (own + neighbour locals, incident edges,
-        static topology; the low-atomicity ``CachedView`` and ``KStateToken``
-        go through it too).  So every mutator marks stale exactly the
-        processes that may read what it wrote, and only those are
-        re-evaluated here:
+        §2 of the paper lets a guard of ``p`` read only ``p``'s locals, its
+        neighbours' locals and the cells of ``p``'s incident edges, and
+        :class:`ProcessView` is the only door a guard has to state (own +
+        neighbour locals, incident edges, static topology; the low-atomicity
+        ``CachedView`` and ``KStateToken`` go through it too).  So every
+        mutator marks stale exactly the processes that may read what it
+        wrote, and only those are re-evaluated here:
 
         ==============================  =================================
         write                           stales
@@ -326,21 +485,18 @@ class System:
         back has changed state behind the identity check, with no error.
         """
         if self._stale:
-            self._reevaluate_stale()
-        return list(chain.from_iterable(self._enabled.values()))
-
-    def is_enabled(self, pid: Pid, action: ActionDef) -> bool:
-        """True when ``(pid, action)`` is in :meth:`all_enabled` right now."""
-        if self._stale:
-            self._reevaluate_stale()
-        return (pid, action) in self._enabled.get(pid, ())
-
-    def _reevaluate_stale(self) -> None:
-        for pid in self._stale:
-            self._enabled[pid] = [
-                (pid, action) for action in self.enabled_actions(pid)
-            ]
-        self._stale.clear()
+            update, index, views = self._enabled.update, self._index, self._views
+            alive = ProcessStatus.ALIVE
+            for pid in self._stale:
+                bits = 0
+                if self._status[pid] is alive:
+                    view = views[pid]
+                    for bit, guard in self._guards:
+                        if guard(view):
+                            bits |= bit
+                update(index[pid], bits)
+            self._stale.clear()
+        return self._enabled
 
     def execute(self, pid: Pid, action: ActionDef) -> None:
         """Run ``action`` at ``pid`` (the caller has checked the guard)."""
@@ -348,53 +504,15 @@ class System:
             raise DeadProcessError(pid)
         action.execute(self._views[pid])
 
-    def is_quiescent(self) -> bool:
-        """True when no live process has an enabled action (terminal state)."""
-        return not self.all_enabled()
-
-    # ---------------------------------------------------- fault primitives
-
-    def havoc_process(self, pid: Pid, rng: random.Random) -> None:
-        """One arbitrary step of a malicious process.
-
-        Writes random in-domain values to a random non-empty subset of
-        ``pid``'s own local variables and incident edge variables.  This is
-        the strongest perturbation the paper's model allows a faulty process:
-        it can only touch state it could legally write when healthy.
-        """
-        if self.status(pid) is ProcessStatus.DEAD:
-            raise DeadProcessError(pid)
-        targets = self._writable[pid]
-        count = rng.randint(1, len(targets))
-        for store, key, domain in rng.sample(targets, count):
-            store[key] = domain.sample(rng)
+    def _wrote(self, pid: Pid) -> None:
         self._stale.update(self._readers[pid])
-
-    def randomize(self, rng: random.Random, pids: Iterable[Pid] | None = None) -> None:
-        """Transient fault: replace state with arbitrary in-domain values.
-
-        With ``pids=None`` the whole system state (all locals, all edges) is
-        perturbed, matching the paper's "transient failure ... leaves the
-        system in arbitrary state".  A subset limits the blast radius.
-        """
-        chosen = tuple(self.pids if pids is None else pids)
-        chosen_set = set(chosen)
-        for pid in chosen:
-            if pid not in self._locals:
-                raise UnknownProcessError(pid)
-            for name, domain in self._local_domains.items():
-                self._locals[pid][name] = domain.sample(rng)
-            self._stale.update(self._readers[pid])
-        for e in self._topology.edges:
-            if chosen_set & set(e):
-                self._edges[e] = self._edge_domains[e].sample(rng)
 
     # ------------------------------------------------------- configuration
 
     def snapshot(self) -> Configuration:
         """Freeze the current state into an immutable configuration."""
         return Configuration(
-            self._topology,
+            self.topology,
             self._locals,
             self._edges,
             dead=(p for p, s in self._status.items() if s is ProcessStatus.DEAD),
@@ -409,15 +527,15 @@ class System:
         with out-of-domain values is rejected rather than silently accepted;
         a cell already holding the configuration's value is left alone.
         """
-        if configuration.topology.nodes != self._topology.nodes or (
-            configuration.topology.edges != self._topology.edges
+        if configuration.topology.nodes != self.topology.nodes or (
+            configuration.topology.edges != self.topology.edges
         ):
             raise UnknownProcessError("configuration topology mismatch")
         for pid in self.pids:
             for name, value in configuration.locals_of(pid).items():
                 self.write_local(pid, name, value)
         edge_values = configuration.edge_values()
-        for e in self._topology.edges:
+        for e in self.topology.edges:
             self.write_edge(e, edge_values[e])
         for pid in self.pids:
             if pid in configuration.dead:
@@ -439,6 +557,6 @@ class System:
     def __repr__(self) -> str:
         dead = [p for p, s in self._status.items() if s is not ProcessStatus.ALIVE]
         return (
-            f"System({self._algorithm.name}, n={len(self._topology)}, "
+            f"System({self.algorithm.name}, n={len(self.topology)}, "
             f"faulty={sorted(map(repr, dead))})"
         )

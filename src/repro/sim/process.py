@@ -47,7 +47,7 @@ class ProcessView:
 
     This is the *only* door a guard has to state, and the system's
     incremental enabled set leans on it: what a view cannot read cannot
-    change its process's guards (see ``System.all_enabled``).  Reads go
+    change its process's guards (see ``System.enabled``).  Reads go
     straight to the system's cell stores — the view holds the handful of
     cells it may see — while every write goes through the system, which
     validates it and marks the readers of the written cell stale.

@@ -4,8 +4,13 @@ The paper's computations are *maximal weakly-fair* interleavings (§2): at
 each state one enabled action executes, and an action enabled in all but
 finitely many states of an infinite computation executes infinitely often.
 
-A :class:`Daemon` turns the set of currently enabled ``(pid, action)`` pairs
-into a choice.  Three daemons are provided:
+A :class:`Daemon` turns the store's enabled set — an
+:class:`~repro.sim.network.EnabledSet`: per-process action bits, a count,
+and the processes whose bits changed since the last selection — into a
+choice, ``(process index, action index)``.  Daemons work on that index form
+directly, so one implementation serves every store; code that thinks in
+``(pid, action)`` pairs (an :class:`AdversaryStrategy`, a score function)
+is handed ``EnabledSet.pairs()``.
 
 * :class:`WeaklyFairDaemon` — the default; random choice with an explicit
   *patience* bound that forces any action enabled for ``patience``
@@ -13,26 +18,32 @@ into a choice.  Three daemons are provided:
   rather than a probability-1 property.
 * :class:`RoundRobinDaemon` — deterministic cyclic scheduling (a common
   refinement; trivially weakly fair).
-* :class:`AdversarialDaemon` — picks the worst enabled action according to a
-  user-supplied score, with an optional patience escape hatch so that runs
-  remain weakly fair.  Used by the failure-locality benchmarks to produce
-  worst-case schedules.
+* :class:`RoundDaemon` — asynchronous rounds, counted.
+* :class:`AdversarialDaemon` / :class:`StrategyDaemon` — pick the worst
+  enabled action according to a user-supplied score or state-reading
+  strategy, with the same patience escape hatch so that runs remain weakly
+  fair.  Used by the failure-locality benchmarks to produce worst-case
+  schedules.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .errors import SchedulingError
 from .process import ActionDef
 from .topology import Pid
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .network import System
+    from .network import EnabledSet, StateStore
 
+#: An enabled action as code outside the daemons sees it.
 Choice = Tuple[Pid, ActionDef]
+#: The same thing in the enabled set's index form: (process, action).
+Pick = Tuple[int, int]
 
 
 class Daemon(ABC):
@@ -41,61 +52,91 @@ class Daemon(ABC):
     @abstractmethod
     def select(
         self,
-        system: "System",
-        enabled: Sequence[Choice],
+        system: "StateStore",
+        enabled: "EnabledSet",
         step: int,
         rng: random.Random,
-    ) -> Choice:
-        """Pick one of ``enabled`` (guaranteed non-empty)."""
+    ) -> Pick:
+        """Pick one entry of ``enabled`` (guaranteed non-empty)."""
 
     def reset(self) -> None:
         """Forget any internal scheduling state (start of a new run)."""
 
 
 class _FairnessLedger:
-    """Tracks, per (pid, action-name), how many consecutive selection
-    opportunities the action has been enabled without firing.
+    """How long each enabled action has gone without firing.
 
-    Weak fairness only protects *continuously* enabled actions, so the count
-    of an action that becomes disabled is dropped.
+    An action's *age* is the number of consecutive selections that found it
+    enabled and did not fire it.  Weak fairness only protects *continuously*
+    enabled actions, so one selection that finds it disabled drops the count.
+
+    Ages are not stored: the ledger counts selections (``tick``) and keeps,
+    per action, the tick that first saw it enabled (``since``), so ``age =
+    tick - since + 1``, and a selection looks only at the processes in
+    ``EnabledSet.changed`` (which it clears) instead of rebuilding a table of
+    everything enabled.  A min-heap of ``(since, p, a)`` yields the oldest
+    action — among equals the first in enabled-set order; an entry whose
+    action was since seen disabled, or fired, is dropped when it surfaces.
     """
 
     def __init__(self) -> None:
-        self._ages: Dict[Tuple[Pid, str], int] = {}
-
-    def observe(self, enabled: Sequence[Choice]) -> None:
-        ages = self._ages
-        self._ages = {
-            (key := (pid, action.name)): ages.get(key, 0) + 1
-            for pid, action in enabled
-        }
-
-    def fired(self, choice: Choice) -> None:
-        self._ages.pop((choice[0], choice[1].name), None)
-
-    def oldest(self, enabled: Sequence[Choice]) -> Tuple[int, Choice]:
-        best_age = -1
-        best: Choice | None = None
-        for choice in enabled:
-            age = self._ages.get((choice[0], choice[1].name), 0)
-            if age > best_age:
-                best_age = age
-                best = choice
-        assert best is not None
-        return best_age, best
+        self.reset()
 
     def reset(self) -> None:
-        self._ages.clear()
+        #: The enabled set being followed; handed another (or the first),
+        #: :meth:`oldest` starts over.
+        self._enabled: Optional["EnabledSet"] = None
+
+    def oldest(self, enabled: "EnabledSet") -> Tuple[int, Pick]:
+        """Count one selection; return the oldest enabled action and its
+        age, this selection included."""
+        bits, changed = enabled.bits, enabled.changed
+        if enabled is not self._enabled:
+            self._enabled = enabled
+            self._tick = 0
+            self._width = len(enabled.actions)
+            #: per process, the action bits the last selection saw (less
+            #: the one it fired)
+            self._seen = [0] * len(bits)
+            #: per (process, action), at ``p * width + a``: the tick that
+            #: first saw it enabled
+            self._since = [0] * (len(bits) * self._width)
+            self._heap: List[Tuple[int, int, int]] = []
+            changed.update(range(len(bits)))
+        tick = self._tick = self._tick + 1
+        seen, since, heap, width = self._seen, self._since, self._heap, self._width
+        for p in changed:
+            new = bits[p]
+            gained = new & ~seen[p]
+            while gained:
+                low = gained & -gained
+                a = low.bit_length() - 1
+                gained ^= low
+                since[p * width + a] = tick
+                heappush(heap, (tick, p, a))
+            seen[p] = new
+        changed.clear()
+        while True:
+            first, p, a = heap[0]
+            if (seen[p] >> a) & 1 and since[p * width + a] == first:
+                return tick - first + 1, (p, a)
+            heappop(heap)
+
+    def fired(self, enabled: "EnabledSet", pick: Pick) -> None:
+        """``pick`` executes: if it is still enabled at the next selection
+        it is seen afresh, at age 1."""
+        p, a = pick
+        self._seen[p] &= ~(1 << a)
+        enabled.changed.add(p)
 
 
 class WeaklyFairDaemon(Daemon):
     """Random scheduling with a hard weak-fairness guarantee.
 
-    Each selection, every enabled action's age is bumped.  If the oldest
-    enabled action has waited at least ``patience`` opportunities it fires;
-    otherwise a uniformly random enabled action does.  Any action enabled in
-    all but finitely many states therefore executes infinitely often, as the
-    model requires.
+    If the oldest enabled action has waited at least ``patience``
+    opportunities it fires; otherwise a uniformly random enabled action
+    does.  Any action enabled in all but finitely many states therefore
+    executes infinitely often, as the model requires.
     """
 
     def __init__(self, patience: int = 64) -> None:
@@ -106,16 +147,19 @@ class WeaklyFairDaemon(Daemon):
 
     def select(
         self,
-        system: "System",
-        enabled: Sequence[Choice],
+        system: "StateStore",
+        enabled: "EnabledSet",
         step: int,
         rng: random.Random,
-    ) -> Choice:
-        self._ledger.observe(enabled)
-        age, oldest = self._ledger.oldest(enabled)
-        choice = oldest if age >= self.patience else enabled[rng.randrange(len(enabled))]
-        self._ledger.fired(choice)
-        return choice
+    ) -> Pick:
+        # The default daemon, so the per-step path of nearly every run:
+        # spelled out rather than routed through _PatientDaemon._pick.
+        ledger = self._ledger
+        age, pick = ledger.oldest(enabled)
+        if age < self.patience:
+            pick = enabled.nth(rng.randrange(enabled.count))
+        ledger.fired(enabled, pick)
+        return pick
 
     def reset(self) -> None:
         self._ledger.reset()
@@ -133,21 +177,18 @@ class RoundRobinDaemon(Daemon):
 
     def select(
         self,
-        system: "System",
-        enabled: Sequence[Choice],
+        system: "StateStore",
+        enabled: "EnabledSet",
         step: int,
         rng: random.Random,
-    ) -> Choice:
-        pids = system.pids
-        by_pid: Dict[Pid, List[Choice]] = {}
-        for choice in enabled:
-            by_pid.setdefault(choice[0], []).append(choice)
-        n = len(pids)
+    ) -> Pick:
+        bits = enabled.bits
+        n = len(bits)
         for offset in range(n):
-            pid = pids[(self._cursor + offset) % n]
-            if pid in by_pid:
-                self._cursor = (self._cursor + offset + 1) % n
-                return by_pid[pid][0]
+            p = (self._cursor + offset) % n
+            if bits[p]:
+                self._cursor = (p + 1) % n
+                return p, (bits[p] & -bits[p]).bit_length() - 1
         raise SchedulingError("no enabled action (select called on empty set?)")
 
     def reset(self) -> None:
@@ -174,36 +215,77 @@ class RoundDaemon(Daemon):
 
     def __init__(self) -> None:
         self.rounds_completed = 0
-        self._queue: List[Tuple[Pid, str]] = []
+        self._queue: List[Pick] = []
 
     def select(
         self,
-        system: "System",
-        enabled: Sequence[Choice],
+        system: "StateStore",
+        enabled: "EnabledSet",
         step: int,
         rng: random.Random,
-    ) -> Choice:
-        by_key = {(pid, action.name): (pid, action) for pid, action in enabled}
+    ) -> Pick:
+        bits = enabled.bits
         while self._queue:
-            key = self._queue.pop()
-            if key in by_key:
-                return by_key[key]
+            p, a = self._queue.pop()
+            if (bits[p] >> a) & 1:
+                return p, a
         # queue drained: a round completed; plan the next one.
         self.rounds_completed += 1
-        keys = list(by_key)
-        rng.shuffle(keys)
-        self._queue = keys
-        return by_key[self._queue.pop()]
+        self._queue = enabled.items()
+        rng.shuffle(self._queue)
+        return self._queue.pop()
 
     def reset(self) -> None:
         self.rounds_completed = 0
         self._queue = []
 
 
-ScoreFn = Callable[["System", Pid, ActionDef], float]
+ScoreFn = Callable[["StateStore", Pid, ActionDef], float]
 
 
-class AdversarialDaemon(Daemon):
+class _PatientDaemon(Daemon):
+    """An adversary kept weakly fair by the same *patience* bound as
+    :class:`WeaklyFairDaemon`: an action that has waited ``patience``
+    consecutive selections fires, whatever the subclass's :meth:`_pick`
+    would have preferred.  ``patience=None`` removes the guarantee (and the
+    bookkeeping)."""
+
+    def __init__(self, patience: int | None) -> None:
+        if patience is not None and patience < 1:
+            raise SchedulingError("patience must be at least 1 (or None)")
+        self.patience = patience
+        self._ledger = _FairnessLedger()
+
+    def select(
+        self,
+        system: "StateStore",
+        enabled: "EnabledSet",
+        step: int,
+        rng: random.Random,
+    ) -> Pick:
+        if self.patience is None:
+            return self._pick(system, enabled, step, rng)
+        age, pick = self._ledger.oldest(enabled)
+        if age < self.patience:
+            pick = self._pick(system, enabled, step, rng)
+        self._ledger.fired(enabled, pick)
+        return pick
+
+    @abstractmethod
+    def _pick(
+        self,
+        system: "StateStore",
+        enabled: "EnabledSet",
+        step: int,
+        rng: random.Random,
+    ) -> Pick:
+        """The adversary's own preference among ``enabled``."""
+
+    def reset(self) -> None:
+        self._ledger.reset()
+
+
+class AdversarialDaemon(_PatientDaemon):
     """Choose the enabled action with the highest adversary score.
 
     ``score(system, pid, action)`` expresses what the adversary prefers —
@@ -215,31 +297,14 @@ class AdversarialDaemon(Daemon):
     """
 
     def __init__(self, score: ScoreFn, *, patience: int | None = 256) -> None:
-        if patience is not None and patience < 1:
-            raise SchedulingError("patience must be at least 1 (or None)")
+        super().__init__(patience)
         self._score = score
-        self.patience = patience
-        self._ledger = _FairnessLedger()
 
-    def select(
-        self,
-        system: "System",
-        enabled: Sequence[Choice],
-        step: int,
-        rng: random.Random,
-    ) -> Choice:
-        self._ledger.observe(enabled)
-        if self.patience is not None:
-            age, oldest = self._ledger.oldest(enabled)
-            if age >= self.patience:
-                self._ledger.fired(oldest)
-                return oldest
-        best = max(enabled, key=lambda c: self._score(system, c[0], c[1]))
-        self._ledger.fired(best)
-        return best
-
-    def reset(self) -> None:
-        self._ledger.reset()
+    def _pick(self, system, enabled, step, rng) -> Pick:
+        pids, actions, score = enabled.pids, enabled.actions, self._score
+        return max(
+            enabled.items(), key=lambda c: score(system, pids[c[0]], actions[c[1]])
+        )
 
 
 class AdversaryStrategy(ABC):
@@ -256,7 +321,7 @@ class AdversaryStrategy(ABC):
     @abstractmethod
     def choose(
         self,
-        system: "System",
+        system: "StateStore",
         enabled: Sequence[Choice],
         step: int,
         rng: random.Random,
@@ -267,7 +332,7 @@ class AdversaryStrategy(ABC):
         """Forget accumulated targeting state (start of a new run)."""
 
 
-class StrategyDaemon(Daemon):
+class StrategyDaemon(_PatientDaemon):
     """The adaptive-adversary seam: a daemon driven by an
     :class:`AdversaryStrategy`, with the same patience escape hatch as
     :class:`AdversarialDaemon` so schedules stay weakly fair unless the
@@ -277,35 +342,21 @@ class StrategyDaemon(Daemon):
     def __init__(
         self, strategy: AdversaryStrategy, *, patience: int | None = 256
     ) -> None:
-        if patience is not None and patience < 1:
-            raise SchedulingError("patience must be at least 1 (or None)")
+        super().__init__(patience)
         self.strategy = strategy
-        self.patience = patience
-        self._ledger = _FairnessLedger()
 
-    def select(
-        self,
-        system: "System",
-        enabled: Sequence[Choice],
-        step: int,
-        rng: random.Random,
-    ) -> Choice:
-        self._ledger.observe(enabled)
-        if self.patience is not None:
-            age, oldest = self._ledger.oldest(enabled)
-            if age >= self.patience:
-                self._ledger.fired(oldest)
-                return oldest
-        choice = self.strategy.choose(system, enabled, step, rng)
-        if choice not in enabled:
+    def _pick(self, system, enabled, step, rng) -> Pick:
+        pairs = enabled.pairs()
+        choice = self.strategy.choose(system, pairs, step, rng)
+        try:
+            return enabled.items()[pairs.index(choice)]
+        except ValueError:
             raise SchedulingError(
                 f"strategy chose a non-enabled action {choice!r}"
-            )
-        self._ledger.fired(choice)
-        return choice
+            ) from None
 
     def reset(self) -> None:
-        self._ledger.reset()
+        super().reset()
         self.strategy.reset()
 
 
@@ -317,7 +368,7 @@ def starve_target(target: Pid) -> ScoreFn:
     and the target only when fairness forces it.
     """
 
-    def score(system: "System", pid: Pid, action: ActionDef) -> float:
+    def score(system: "StateStore", pid: Pid, action: ActionDef) -> float:
         if pid == target:
             return 0.0
         if system.topology.are_neighbors(pid, target):

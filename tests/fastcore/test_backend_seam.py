@@ -1,4 +1,4 @@
-"""The ``state_backend`` seam: make_engine, the CLI flags, and sweeps."""
+"""The backend seam: make_engine, the CLI flags, and sweeps."""
 
 import pytest
 
@@ -7,15 +7,22 @@ from repro.cli import main
 from repro.fastcore import (
     STATE_BACKENDS,
     FastEngine,
+    PackedSystem,
     UnsupportedBackendError,
+    co_run,
     make_engine,
 )
 from repro.sim import (
+    AdversarialDaemon,
     AlwaysHungry,
     Engine,
+    FaultEvent,
+    FaultPlan,
     RoundDaemon,
     ScriptedHunger,
+    System,
     WeaklyFairDaemon,
+    edge,
     ring,
 )
 
@@ -52,18 +59,19 @@ class TestMakeEngine:
         with pytest.raises(UnsupportedBackendError, match="unknown state backend"):
             make_engine(ring(4), NADiners(), backend="warp")
 
-    def test_state_backend_callable_wins(self):
-        calls = []
-
-        def backend(topology, algorithm, daemon, **kwargs):
-            calls.append((topology, kwargs.get("seed")))
-            return FastEngine(topology, algorithm, daemon, **kwargs)
-
-        engine = make_engine(
-            ring(4), NADiners(), backend="object", state_backend=backend, seed=5
-        )
-        assert isinstance(engine, FastEngine)
-        assert calls and calls[0][1] == 5
+    @pytest.mark.parametrize("backend", STATE_BACKENDS)
+    def test_initial_configuration_passes_through(self, backend):
+        # Regression: the object side called System.from_configuration with
+        # a (topology, algorithm, configuration) it does not take.
+        origin = System(ring(5), NADiners())
+        origin.write_local(1, "needs", True)
+        origin.write_local(3, "depth", 2)
+        origin.write_edge(edge(2, 3), 3)
+        origin.kill(4)
+        initial = origin.snapshot()
+        engine = make_engine(ring(5), NADiners(), backend=backend, initial=initial)
+        assert engine.snapshot() == initial
+        assert not engine.system.is_live(4)
 
     def test_initially_dead_passes_through(self):
         for backend in STATE_BACKENDS:
@@ -80,21 +88,49 @@ class TestUnsupportedCombinations:
         with pytest.raises(UnsupportedBackendError):
             make_engine(ring(4), NoFixdepthDiners(), backend="fast")
 
-    def test_unsupported_daemon_rejected(self):
-        with pytest.raises(UnsupportedBackendError):
-            FastEngine(ring(4), NADiners(), RoundDaemon())
+    def test_round_daemon_co_runs(self):
+        # Refused while FastEngine mirrored the daemons it knew; now the
+        # daemon handed over is the daemon that schedules, on either store.
+        report = co_run(
+            ring(6), NADiners, steps=300, seed=4,
+            daemon_factory=RoundDaemon, hunger_factory=AlwaysHungry,
+        )
+        assert report.steps == 300
 
-    def test_unknown_fault_event_rejected(self):
-        from repro.sim import FaultEvent, FaultPlan
-
+    def test_custom_fault_event_co_runs(self):
+        # Likewise a FaultEvent written against System's mutators.
         class Meteor(FaultEvent):
             at_step = 10
 
-            def apply(self, system, rng):  # pragma: no cover - never runs
-                pass
+            def apply(self, system, rng):
+                system.write_local(1, "depth", 2)
+                system.havoc_process(2, rng)
+                system.randomize(rng, (4,))
+                system.kill(3)
 
-        with pytest.raises(UnsupportedBackendError, match="Meteor"):
-            FastEngine(ring(4), NADiners(), faults=FaultPlan([Meteor()]))
+        report = co_run(
+            ring(6), NADiners, steps=300, seed=4,
+            hunger_factory=AlwaysHungry,
+            faults_factory=lambda: FaultPlan([Meteor()]),
+        )
+        assert 3 in report.final.dead
+        (struck,) = [e for e in report.events if e.kind.name == "TRANSIENT"]
+        assert struck.step == 10
+
+    def test_unserved_system_surface_refused(self):
+        # What the packed store does not hold in System's form it refuses by
+        # name — a score function reading an edge cell, say — instead of
+        # failing with an AttributeError somewhere inside a daemon.
+        def nosy(system, pid, action):
+            return float(system.read_edge(edge(0, 1)))
+
+        engine = FastEngine(
+            ring(4), NADiners(), AdversarialDaemon(nosy), hunger=AlwaysHungry()
+        )
+        with pytest.raises(UnsupportedBackendError, match="System.read_edge"):
+            engine.run(10)
+        store = PackedSystem(ring(4), NADiners())
+        assert not hasattr(store, "no_such_thing")  # plain misses stay plain
 
     def test_scripted_hunger_uses_generic_path(self):
         # Arbitrary hunger policies fall back to per-step wants() calls —
@@ -112,10 +148,22 @@ class TestUnsupportedCombinations:
         )
 
     def test_weakly_fair_patience_mirrored(self):
-        engine = FastEngine(
-            ring(4), NADiners(), WeaklyFairDaemon(patience=7), seed=0
-        )
-        assert engine.run(100).steps >= 0  # constructs and runs
+        # The daemon passed in is the one that schedules — it used to be
+        # read for ``.patience`` and otherwise ignored.
+        class Counting(WeaklyFairDaemon):
+            selections = 0
+
+            def select(self, system, enabled, step, rng):
+                self.selections += 1
+                return super().select(system, enabled, step, rng)
+
+        daemon = Counting(patience=7)
+        engine = FastEngine(ring(4), NADiners(), daemon, hunger=AlwaysHungry(), seed=0)
+        assert engine.daemon is daemon
+        assert engine.run(100).steps == daemon.selections == 100
+        assert daemon._ledger._tick == 100
+        daemon.reset()
+        assert daemon._ledger._enabled is None  # the next selection starts over
 
 
 class TestCliBackendFlag:

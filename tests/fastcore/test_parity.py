@@ -5,6 +5,12 @@ runs both backends in lockstep via :func:`repro.fastcore.co_run`, which
 asserts per-step configuration equality, byte-identical trace-event
 streams, and matching action counts.  These are the acceptance tests of
 the fast core's one claim: same computation, faster.
+
+Both sides are the same engine and the same daemons since the packed side
+became a store, so what a row vouches for is the representation — packed
+guards, commands and fault cells against the object model's; the daemons
+themselves are pinned to their pre-merge behaviour by the recorded digests
+in ``tests/sim/test_engine_goldens.py``.
 """
 
 import pytest
@@ -17,6 +23,7 @@ from repro.sim import (
     FaultPlan,
     MaliciousCrash,
     ProbabilisticHunger,
+    RoundDaemon,
     RoundRobinDaemon,
     TransientFault,
     WeaklyFairDaemon,
@@ -87,6 +94,27 @@ class TestLockstepBattery:
             steps=300,
             seed=5,
             daemon_factory=RoundRobinDaemon,
+            hunger_factory=AlwaysHungry,
+            faults_factory=plan,
+        )
+
+    @pytest.mark.parametrize(
+        "daemon",
+        [
+            pytest.param(RoundDaemon, id="round"),
+            # the forced (oldest-first) path of the ledger dominates
+            pytest.param(lambda: WeaklyFairDaemon(patience=3), id="patience-3"),
+        ],
+    )
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("topo", TOPOLOGIES)
+    def test_rounds_and_forced_choices(self, topo, plan, daemon):
+        co_run(
+            topo,
+            NADiners,
+            steps=300,
+            seed=5,
+            daemon_factory=daemon,
             hunger_factory=AlwaysHungry,
             faults_factory=plan,
         )

@@ -124,15 +124,23 @@ def test_an_unchanged_hunger_answer_stales_nothing():
     system = System(ring(8), algorithm)
     engine = Engine(system, hunger=policy, seed=2)
     assert engine.run(50).quiescent is False
-    assert policy.calls == 8 * 50  # consulted per live process per step ...
+    assert policy.calls == 8  # a constant policy is asked once per process ...
     system.all_enabled()
     settled = algorithm.guard_calls
     engine._refresh_hunger(engine.step_count)
     system.all_enabled()
-    assert algorithm.guard_calls == settled  # ... but the same answers stale nobody
+    assert algorithm.guard_calls == settled  # ... and a refresh stales nobody
     system.write_local(3, "needs", True)  # the environment is overruled ...
     engine.run(1)
     assert system.read_local(3, "needs") is False  # ... and puts it back
+    system.kill(4)
+    system.write_local(4, "needs", True)
+    engine.run(1)
+    assert system.read_local(4, "needs") is True  # ... but not for the dead
+    system.restore(system.snapshot().replace(dead=()))
+    engine.run(1)
+    assert system.read_local(4, "needs") is (4 % 2 == 0)  # ... until revived
+    assert policy.calls == 8
 
 
 def test_a_user_defined_constant_policy_is_constant_on_the_fast_engine():
@@ -140,4 +148,4 @@ def test_a_user_defined_constant_policy_is_constant_on_the_fast_engine():
     reference = Engine(System(ring(8), NADiners()), hunger=slow, seed=5)
     packed = FastEngine(ring(8), NADiners(), hunger=fast, seed=5)
     assert reference.run(300).final == packed.run(300).final
-    assert fast.calls == 8  # one vector, built up front
+    assert slow.calls == fast.calls == 8  # one vector, built up front

@@ -1,4 +1,9 @@
-"""Unit tests for daemons (schedulers)."""
+"""Unit tests for daemons (schedulers).
+
+A daemon reads the store's enabled set in index form and answers with a
+``(process index, action index)``; :func:`pick` runs one selection and
+names the answer as the ``(pid, action)`` pair the assertions talk about.
+"""
 
 import random
 
@@ -7,6 +12,8 @@ import pytest
 from repro.core import NADiners
 from repro.sim import (
     AdversarialDaemon,
+    AlwaysHungry,
+    Engine,
     RoundRobinDaemon,
     SchedulingError,
     System,
@@ -25,26 +32,29 @@ def enabled_system():
     return s
 
 
+def pick(daemon, system, step=0, rng=None):
+    enabled = system.enabled()
+    p, a = daemon.select(system, enabled, step, rng or random.Random(0))
+    return enabled.pids[p], enabled.actions[a]
+
+
 class TestWeaklyFairDaemon:
     def test_selects_an_enabled_action(self):
         s = enabled_system()
         d = WeaklyFairDaemon()
-        enabled = s.all_enabled()
-        choice = d.select(s, enabled, 0, random.Random(0))
-        assert choice in enabled
+        assert pick(d, s) in s.all_enabled()
 
     def test_patience_forces_oldest(self):
         s = enabled_system()
         d = WeaklyFairDaemon(patience=3)
         rng = random.Random(0)
-        enabled = s.all_enabled()
         # Keep presenting the same enabled set without executing anything:
         # after enough rounds every selection must be a fairness-forced one.
         seen = set()
         for step in range(60):
-            choice = d.select(s, enabled, step, rng)
+            choice = pick(d, s, step, rng)
             seen.add((choice[0], choice[1].name))
-        assert seen == {(p, a.name) for p, a in enabled}
+        assert seen == {(p, a.name) for p, a in s.all_enabled()}
 
     def test_invalid_patience(self):
         with pytest.raises(SchedulingError):
@@ -53,13 +63,12 @@ class TestWeaklyFairDaemon:
     def test_reset_clears_ages(self):
         d = WeaklyFairDaemon(patience=1)
         s = enabled_system()
-        d.select(s, s.all_enabled(), 0, random.Random(0))
-        d.reset()  # must not raise; ages cleared
+        first = pick(d, s)
+        d.reset()  # ages cleared: the same seed picks the same again
+        assert pick(d, s) == first
 
     def test_fairness_over_full_run(self):
         # In a fault-free always-hungry ring every process must eat.
-        from repro.sim import AlwaysHungry, Engine
-
         s = System(ring(5), NADiners())
         e = Engine(s, WeaklyFairDaemon(), hunger=AlwaysHungry(), seed=3)
         e.run(4000)
@@ -72,8 +81,8 @@ class TestRoundRobinDaemon:
         d1, d2 = RoundRobinDaemon(), RoundRobinDaemon()
         rng = random.Random(0)
         for _ in range(10):
-            c1 = d1.select(s1, s1.all_enabled(), 0, rng)
-            c2 = d2.select(s2, s2.all_enabled(), 0, rng)
+            c1 = pick(d1, s1, 0, rng)
+            c2 = pick(d2, s2, 0, rng)
             assert (c1[0], c1[1].name) == (c2[0], c2[1].name)
             s1.execute(*c1)
             s2.execute(*c2)
@@ -84,44 +93,47 @@ class TestRoundRobinDaemon:
         rng = random.Random(0)
         picked = []
         for _ in range(3):
-            choice = d.select(s, s.all_enabled(), 0, rng)
-            picked.append(choice[0])
+            picked.append(pick(d, s, 0, rng)[0])
         assert picked == [0, 1, 2]
 
     def test_skips_processes_without_enabled_actions(self):
         s = System(line(3), NADiners())
         s.write_local(2, "needs", True)  # only process 2 can act
-        d = RoundRobinDaemon()
-        choice = d.select(s, s.all_enabled(), 0, random.Random(0))
-        assert choice[0] == 2
+        assert pick(RoundRobinDaemon(), s)[0] == 2
 
     def test_empty_set_raises(self):
         s = System(line(3), NADiners())
+        assert s.enabled().count == 0
         with pytest.raises(SchedulingError):
-            RoundRobinDaemon().select(s, [], 0, random.Random(0))
+            pick(RoundRobinDaemon(), s)
+
+    def test_a_daemon_that_keeps_no_ledger_leaks_nothing(self):
+        # Nobody clears ``EnabledSet.changed`` under a round-robin daemon;
+        # it is a set of processes, so 10^4 steps leave at most n in it.
+        s = System(ring(5), NADiners())
+        e = Engine(s, RoundRobinDaemon(), hunger=AlwaysHungry(), seed=1)
+        assert e.run(10_000).exhausted
+        assert s.enabled().changed <= set(range(5))
 
 
 class TestAdversarialDaemon:
     def test_prefers_high_score(self):
         s = enabled_system()
         d = AdversarialDaemon(lambda sys, pid, a: float(pid))
-        choice = d.select(s, s.all_enabled(), 0, random.Random(0))
-        assert choice[0] == 2
+        assert pick(d, s)[0] == 2
 
     def test_starve_target_avoids_target(self):
         s = enabled_system()
         d = AdversarialDaemon(starve_target(0), patience=None)
         for step in range(20):
-            choice = d.select(s, s.all_enabled(), step, random.Random(0))
-            assert choice[0] != 0  # 0's join stays enabled, never chosen
+            assert pick(d, s, step)[0] != 0  # 0's join stays enabled, never chosen
 
     def test_patience_eventually_serves_target(self):
         s = enabled_system()
         d = AdversarialDaemon(starve_target(0), patience=5)
         served = False
         for step in range(40):
-            choice = d.select(s, s.all_enabled(), step, random.Random(0))
-            if choice[0] == 0:
+            if pick(d, s, step)[0] == 0:
                 served = True
                 break
         assert served
@@ -132,8 +144,6 @@ class TestAdversarialDaemon:
 
     def test_liveness_survives_adversary(self):
         """Theorem 2 under the nastiest fair schedule we can produce."""
-        from repro.sim import AlwaysHungry, Engine
-
         s = System(ring(5), NADiners())
         e = Engine(
             s,
