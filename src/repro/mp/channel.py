@@ -10,13 +10,23 @@ not an implementation detail.
 A send onto a full channel is dropped (and counted).  Correct protocols in
 this repository are tick-driven and retransmit, so an occasional drop only
 delays them; the drop counter makes silent overload visible in tests.
+
+The funnel invariant: ``_queue`` is mutated in exactly three places —
+:meth:`Channel._push`, :meth:`Channel._pop` and :meth:`Channel._reset` —
+and each of them reports the channel to whoever is watching it (see
+:meth:`Channel._watch`).  :class:`~repro.mp.engine.MpEngine` schedules
+from an index of the non-empty channels instead of reading every channel
+every step, and tests send on, clear and corrupt an engine's channels
+directly, so the index stays right only if *no* change of content can
+bypass the mark.  A subclass that stores messages (``WireChannel``) goes
+through the same three methods; it never touches ``_queue`` itself.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Tuple
+from typing import Callable, Deque, Iterable, Set, Tuple
 
 from ..sim.errors import SimulationError
 from ..sim.topology import Pid
@@ -54,6 +64,10 @@ class Channel:
         self.loss_probability = loss_probability
         self._rng = rng if rng is not None else random.Random(0)
         self._queue: Deque[Message] = deque()
+        #: Where the funnel reports a change of content; a set of its own
+        #: until someone watches.
+        self._dirty: Set[int] = set()
+        self._slot = -1
         self.dropped = 0
         self.lost = 0
 
@@ -63,6 +77,30 @@ class Channel:
     @property
     def empty(self) -> bool:
         return not self._queue
+
+    # ------------------------------------------------- the mutation funnel
+
+    def _watch(self, dirty: Set[int], slot: int) -> None:
+        """From now on, add ``slot`` to ``dirty`` whenever the content
+        changes — the engine's cue to look at :attr:`empty` again."""
+        self._dirty = dirty
+        self._slot = slot
+
+    def _push(self, message: Message) -> None:
+        self._queue.append(message)
+        self._dirty.add(self._slot)
+
+    def _pop(self) -> Message:
+        self._dirty.add(self._slot)
+        return self._queue.popleft()
+
+    def _reset(self, messages: Iterable[Message] = ()) -> None:
+        """Replace the whole content."""
+        self._queue.clear()
+        self._queue.extend(messages)
+        self._dirty.add(self._slot)
+
+    # ------------------------------------------------------------ traffic
 
     def send(self, payload: Tuple) -> bool:
         """Enqueue a message; returns False (and counts) when full.
@@ -79,14 +117,14 @@ class Channel:
         if len(self._queue) >= self.capacity:
             self.dropped += 1
             return False
-        self._queue.append(Message(self.src, self.dst, tuple(payload)))
+        self._push(Message(self.src, self.dst, tuple(payload)))
         return True
 
     def deliver(self) -> Message:
         """Dequeue the oldest message (caller checks non-emptiness)."""
         if not self._queue:
             raise SimulationError(f"deliver on empty channel {self.src!r}->{self.dst!r}")
-        return self._queue.popleft()
+        return self._pop()
 
     def peek_all(self) -> Tuple[Message, ...]:
         """Read-only view of the queued messages, oldest first."""
@@ -101,12 +139,13 @@ class Channel:
         capacity) — the strongest perturbation the bounded-channel model
         admits.
         """
-        self._queue.clear()
-        for _ in range(rng.randint(0, self.capacity)):
-            self._queue.append(Message(self.src, self.dst, payload_factory(rng)))
+        self._reset(
+            Message(self.src, self.dst, payload_factory(rng))
+            for _ in range(rng.randint(0, self.capacity))
+        )
 
     def clear(self) -> None:
-        self._queue.clear()
+        self._reset()
 
     def __repr__(self) -> str:
         return (

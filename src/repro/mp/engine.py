@@ -8,6 +8,32 @@ opportunities.  This gives the two liveness assumptions message-passing
 algorithms rely on — every sent message is eventually delivered, and every
 process takes infinitely many spontaneous steps.
 
+The scheduler reads an *event index*, not the network.  Every event has a
+slot, in scan order: one delivery per directed channel (in the order the
+channels were built: node by node, neighbour by neighbour), then one tick
+per process.  ``_available`` is the sorted list of the slots whose event
+can fire, so ``_available[k]`` is the ``k``-th available event a pass over
+every channel and every process would have counted off, and a uniform draw
+from it is the draw such a pass made.  Writers do not maintain the list;
+they only add a slot to ``_dirty`` when its availability *may* have changed
+— a channel through its mutation funnel (:mod:`repro.mp.channel`),
+``crash``/``restart`` for a tick, the selection itself for the slot it
+fires — and the next selection looks at the dirty slots alone, so a step
+costs the same on ring(64) as on ring(8).  Flushing at selection time is
+part of the semantics, not a shortcut: a channel cleared and refilled
+between two selections was available at both, so it keeps its age, exactly
+as a scan — which sees the network only when it selects — reads it.
+
+This is the rule of ``sim.network.EnabledSet`` (writes mark, the selection
+reads and clears) and the ledger of ``sim.scheduler._FairnessLedger`` (a
+birth per entry instead of a stored age, the oldest found in a queue whose
+stale entries are dropped when they surface).  It is not built on them: an
+event here is a slot, not a ``(process, action)`` pair behind a guard, and
+selecting through an ``EnabledSet`` and ``WeaklyFairDaemon`` was measured
+at no gain over the scan.  And the queue needs no heap: births only ascend
+(a slot is born at the current selection) and one flush visits its slots in
+ascending order, so appending keeps ``(born, slot)`` order.
+
 The fault repertoire mirrors :mod:`repro.sim.faults`:
 
 * :meth:`MpEngine.crash` — the process stops; messages addressed to it are
@@ -21,8 +47,20 @@ The fault repertoire mirrors :mod:`repro.sim.faults`:
 from __future__ import annotations
 
 import random
-from collections import Counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Tuple
+from bisect import bisect_left, insort
+from collections import Counter, deque
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Set,
+    Tuple,
+)
 
 from ..obs.events import MpEventKind
 from ..obs.tracing import LamportClock
@@ -64,7 +102,8 @@ class MpEngine:
         ticks, havoc steps, and faults are published as
         :class:`~repro.sim.trace.TraceEvent` with
         :class:`~repro.obs.events.MpEventKind` kinds.  ``None`` (the
-        default) costs nothing.
+        default) costs nothing: a step or a send without a bus builds no
+        event and makes no call for one.
     """
 
     def __init__(
@@ -110,15 +149,31 @@ class MpEngine:
         self.ticks = 0
         #: per-process delivered/tick counters for tests and metrics.
         self.counters: Counter = Counter()
-        #: Every event the scheduler can ever pick, in its fixed scan
-        #: order — one delivery per directed channel, then one tick per
-        #: process — and, per event, the selection at which it last became
-        #: available (``None`` while it is not): its weak-fairness age is
-        #: ``selection - born + 1``.
+        #: Every event the scheduler can ever pick, by slot, in scan order
+        #: — one delivery per directed channel, then one tick per process —
+        #: and, per slot, the selection at which the event last became
+        #: available (``None`` while it is not, and from the moment it
+        #: fires): its weak-fairness age is ``selection - born + 1``.
         self._events: List[Tuple[str, Any, Channel | None]] = [
             ("deliver", key, channel) for key, channel in self._channels.items()
         ] + [("tick", pid, None) for pid in topology.nodes]
+        self._tick_slot: Dict[Pid, int] = {
+            pid: len(self._channels) + i for i, pid in enumerate(topology.nodes)
+        }
         self._born: List[int | None] = [None] * len(self._events)
+        #: The available slots, ascending, as of the last selection;
+        #: ``_listed[slot]`` says whether ``slot`` is among them.
+        self._available: List[int] = []
+        self._listed = bytearray(len(self._events))
+        #: ``(born, slot)`` in ascending order, so the oldest event — among
+        #: equally old ones the lowest slot — is the first live entry; an
+        #: entry is live while ``_born[slot] == born``.
+        self._oldest: Deque[Tuple[int, int]] = deque()
+        #: Slots to look at again at the next selection: everything, to
+        #: begin with.
+        self._dirty: Set[int] = set(range(len(self._events)))
+        for slot, channel in enumerate(self._channels.values()):
+            channel._watch(self._dirty, slot)
         self._selections = 0
         #: Per-process Lamport clocks, maintained by the engine itself:
         #: ticked on every send/tick/havoc, merged (with the sender's value
@@ -147,9 +202,10 @@ class MpEngine:
         accepted = self.channel(src, dst).send(payload)
         if accepted:
             self.clocks[src].tick()
-        self._emit(
-            MpEventKind.SEND if accepted else MpEventKind.DROP, src, dst
-        )
+        if self.bus is not None:
+            self._emit(
+                MpEventKind.SEND if accepted else MpEventKind.DROP, src, dst
+            )
         return accepted
 
     def channel(self, src: Pid, dst: Pid) -> Channel:
@@ -181,6 +237,7 @@ class MpEngine:
         if not self.is_alive(pid):
             raise DeadProcessError(pid)
         self._alive[pid] = False
+        self._dirty.add(self._tick_slot[pid])
         self._malicious_budget.pop(pid, None)
         self._emit(MpEventKind.CRASH, pid)
 
@@ -210,15 +267,23 @@ class MpEngine:
         if self.is_alive(pid):
             raise SimulationError(f"restart of a live process {pid!r}")
         self._alive[pid] = True
+        self._dirty.add(self._tick_slot[pid])
         self._malicious_budget.pop(pid, None)
         if rng is not None:
             self.processes[pid].corrupt(rng)
         self._emit(MpEventKind.RESTART, pid, rng is not None)
 
     def transient_fault(self, pids: Iterable[Pid] | None = None) -> None:
-        """Corrupt process states and channel contents arbitrarily."""
+        """Corrupt process states and channel contents arbitrarily.
+
+        An unknown pid anywhere in ``pids`` raises before anything is
+        corrupted.
+        """
         targets = tuple(self.topology.nodes if pids is None else pids)
         target_set = set(targets)
+        for pid in targets:
+            if pid not in self.processes:
+                raise UnknownProcessError(pid)
         for pid in targets:
             self.processes[pid].corrupt(self.rng)
         for (src, dst), channel in self._channels.items():
@@ -231,37 +296,48 @@ class MpEngine:
     def _choose(self) -> Tuple[str, Any, Channel | None] | None:
         """Pick the next event, or ``None`` when none is available.
 
-        One pass over :attr:`_events`: the oldest available event (the
-        first in scan order among equally old ones) fires once it has been
-        available for ``patience`` selections in a row; otherwise one is
-        drawn uniformly from the available ones.  The chosen event's age
-        restarts, as does that of any event found unavailable.
+        The oldest available event (the lowest slot among equally old
+        ones) fires once it has been available for ``patience`` selections
+        in a row; otherwise one is drawn uniformly from the available
+        ones.  The chosen event's age restarts, as does that of any event
+        this selection finds unavailable.
         """
         selection = self._selections
         born = self._born
+        available = self._available
+        oldest = self._oldest
+        dirty = self._dirty
+        events = self._events
         alive = self._alive
-        available: List[int] = []
-        oldest = -1
-        oldest_born = selection + 1
-        for i, (_, detail, channel) in enumerate(self._events):
+        listed = self._listed
+        for slot in sorted(dirty) if len(dirty) > 1 else dirty:
+            _, detail, channel = events[slot]
             if channel.empty if channel is not None else not alive[detail]:
-                born[i] = None
-                continue
-            b = born[i]
-            if b is None:
-                b = born[i] = selection
-            if b < oldest_born:
-                oldest, oldest_born = i, b
-            available.append(i)
+                if listed[slot]:
+                    del available[bisect_left(available, slot)]
+                    listed[slot] = False
+                    born[slot] = None
+            elif born[slot] is None:
+                born[slot] = selection
+                oldest.append((selection, slot))
+                if not listed[slot]:
+                    insort(available, slot)
+                    listed[slot] = True
+        dirty.clear()
         if not available:
             return None
         self._selections = selection + 1
-        if selection - oldest_born + 1 >= self.patience:
-            chosen = oldest
+        # Every listed slot has a live entry, so the queue cannot run dry.
+        while born[oldest[0][1]] != oldest[0][0]:
+            oldest.popleft()
+        if selection - oldest[0][0] + 1 >= self.patience:
+            chosen = oldest[0][1]
         else:
             chosen = available[self.rng.randrange(len(available))]
+        # Listed but unborn until the next selection looks at it again.
         born[chosen] = None
-        return self._events[chosen]
+        dirty.add(chosen)
+        return events[chosen]
 
     def step(self) -> bool:
         """One engine step; False when nothing can ever happen again."""
@@ -269,13 +345,15 @@ class MpEngine:
         if event is None:
             return False
         kind, detail, channel = event
+        heard = self.bus is not None
         if kind == "deliver":
             src, dst = detail
             message = channel.deliver()
             self.delivered += 1
             self.counters[("delivered", dst)] += 1
             self.clocks[dst].merge(self.clocks[src].value)
-            self._emit(MpEventKind.DELIVER, dst, src)
+            if heard:
+                self._emit(MpEventKind.DELIVER, dst, src)
             if self._alive[dst]:
                 budget = self._malicious_budget.get(dst)
                 if budget is None:
@@ -291,14 +369,16 @@ class MpEngine:
             self.clocks[pid].tick()
             budget = self._malicious_budget.get(pid)
             if budget is not None:
-                self._emit(MpEventKind.HAVOC, pid)
+                if heard:
+                    self._emit(MpEventKind.HAVOC, pid)
                 self.processes[pid].havoc(self._contexts[pid], self.rng)
                 if budget <= 1:
                     self.crash(pid)
                 else:
                     self._malicious_budget[pid] = budget - 1
             else:
-                self._emit(MpEventKind.TICK, pid)
+                if heard:
+                    self._emit(MpEventKind.TICK, pid)
                 self.processes[pid].on_tick(self._contexts[pid])
         self.step_count += 1
         return True

@@ -31,7 +31,10 @@ class WireChannel(Channel):
     """One directed FIFO link carried as encoded bytes.
 
     Accepts the same constructor signature as :class:`Channel` so it can be
-    passed as ``MpEngine(channel_factory=WireChannel)``.
+    passed as ``MpEngine(channel_factory=WireChannel)``.  Whatever survives
+    decoding is stored through :class:`Channel`'s mutation funnel
+    (``_push``/``_reset``), never into ``_queue`` directly, so the engine's
+    event index sees wire-level junk arrive and vanish like any message.
     """
 
     def __init__(
@@ -81,14 +84,14 @@ class WireChannel(Channel):
             if len(self._queue) >= self.capacity:
                 self.dropped += 1
                 continue
-            self._queue.append(message)
+            self._push(message)
 
     # ------------------------------------------------------------- faults
 
     def corrupt(self, rng: random.Random, payload_factory: PayloadFactory) -> None:
         """Transient fault at wire level: random *bytes*, then random
         *encoded* junk payloads (both kinds of arbitrary initial content)."""
-        self._queue.clear()
+        self._reset()
         self._feed(bytes(rng.randrange(256) for _ in range(rng.randint(0, 64))))
         for _ in range(rng.randint(0, self.capacity)):
             self._feed(

@@ -4,7 +4,8 @@ from typing import Tuple
 
 import pytest
 
-from repro.mp import MpEngine, MpProcess
+from repro.mp import MpEngine, MpProcess, build_diners
+from repro.mp.channel import Channel
 from repro.sim import DeadProcessError, SimulationError, line, ring
 
 
@@ -107,6 +108,34 @@ class TestDeliveryAndTicks:
         procs, engine = build(topo, Echo, seed=1)
         engine.channel(0, 1).send(("x",))
         assert engine.in_flight() == 1
+
+
+class TestSelectionCost:
+    """Counted, not timed: what a selection reads must not grow with the
+    network (a scan reads all 2n channels of ring(n) at every step)."""
+
+    def empty_reads_per_step(self, n, steps=10_000):
+        reads = [0]
+
+        class Counting(Channel):
+            @property
+            def empty(self):
+                reads[0] += 1
+                return not len(self)
+
+        topo = ring(n)
+        engine = MpEngine(
+            topo, build_diners(topo, seed=1), seed=2, channel_factory=Counting
+        )
+        assert engine.run(steps) == steps
+        return reads[0] / steps
+
+    def test_channel_reads_per_step_do_not_grow_with_the_ring(self):
+        small = self.empty_reads_per_step(8)
+        large = self.empty_reads_per_step(64)
+        # One read per slot written since the last selection — the channel
+        # just delivered from, the ones just sent on — whatever the size.
+        assert 0 < small <= 2 and 0 < large <= 2
 
 
 class TestCrashes:

@@ -18,7 +18,7 @@ from repro.mp.diners_mp import (
     neighbours_both_eating,
 )
 from repro.net import WireChannel
-from repro.sim import SimulationError, line, ring
+from repro.sim import SimulationError, UnknownProcessError, line, ring
 
 
 class TestBoundedCapacity:
@@ -111,3 +111,31 @@ class TestMaliciousCrashGarbage:
         channel.inject_garbage(burst)
         assert channel.decoder.garbage_bytes + len(channel.decoder) == len(burst)
         assert channel.empty
+
+
+class TestUnknownPidInATransientFault:
+    def snapshot(self, procs, engine):
+        return (
+            {p: repr(sorted(vars(proc).items())) for p, proc in procs.items()},
+            [c.peek_all() for c in engine.channels()],
+            engine.rng.getstate(),
+        )
+
+    def test_it_is_named_like_every_other_fault_names_it(self):
+        topo = line(3)
+        engine = MpEngine(topo, build_diners(topo, seed=3), seed=7)
+        with pytest.raises(UnknownProcessError, match="unknown process: 99"):
+            engine.transient_fault([99])
+
+    def test_a_bad_list_corrupts_nothing(self):
+        # The known pid comes first: it must not be corrupted before the
+        # unknown one is noticed.
+        topo = line(3)
+        procs = build_diners(topo, seed=3)
+        engine = MpEngine(topo, procs, seed=7)
+        engine.run(200)
+        assert engine.in_flight() > 0
+        before = self.snapshot(procs, engine)
+        with pytest.raises(UnknownProcessError):
+            engine.transient_fault([1, 99])
+        assert self.snapshot(procs, engine) == before
