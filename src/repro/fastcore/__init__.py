@@ -12,7 +12,8 @@ place a backend *name* (``"object"`` or ``"fast"``) becomes a store:
 
 Step cycle, daemons, fault handling and RNG draws are shared code, so a seed
 produces the same computation on both; the guards and commands exist twice
-(``core/algorithm.py``, :mod:`repro.fastcore.packed`) — see
+(``core/algorithm.py``'s ``ActionDef``s, and the action table of
+:mod:`repro.fastcore.table` from which the packed code is generated) — see
 :mod:`repro.fastcore.parity` for the co-run harness and ``tests/fastcore/``
 for the seeded battery that pins the two step-for-step.
 """

@@ -11,19 +11,20 @@ engine's and exist once; the havoc/randomize draw recipe is
 ``StateStore``'s and exists once.  So a seed produces the same computation
 on either store by construction, and what the co-run battery in
 ``tests/fastcore`` still has to vouch for is the part that does exist
-twice: Figure 1's guards and commands
-(:func:`~repro.fastcore.packed.enabled_bits` /
-:func:`~repro.fastcore.packed.apply_action` against ``core/algorithm.py``).
+twice: Figure 1's guards and commands (the code
+:func:`repro.fastcore.table.vector_program` generates from the action table
+against the ``ActionDef``s of ``core/algorithm.py``).
 Like ``System``, the packed store re-evaluates guards incrementally — a
 write at ``p`` re-evaluates ``p`` and its neighbours — here a handful of
 bitset operations per process instead of a dict walk through
 ``ProcessView``.
 
 What the packed store cannot run it refuses with
-:class:`~repro.fastcore.packed.UnsupportedBackendError`: an algorithm other
-than ``NADiners`` (at construction, in :class:`PackedCodec`), and any part
-of ``System``'s public surface it does not serve (a strategy or score
-function reaching for ``read_edge``, ``view``, ``restore`` …, on first use).
+:class:`~repro.fastcore.packed.UnsupportedBackendError`: an algorithm with
+no action table — anything but ``NADiners`` and its three ablations (at
+construction, in :class:`PackedCodec`) — and any part of ``System``'s public
+surface it does not serve (a strategy or score function reaching for
+``read_edge``, ``view``, ``restore`` …, on first use).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from ..sim.process import ActionDef
 from ..sim.scheduler import Daemon
 from ..sim.topology import Pid, Topology, edge
 from .packed import (
-    ACTION_NAMES,
     ALIVE,
     DEAD,
     MALICIOUS,
@@ -47,11 +47,9 @@ from .packed import (
     STATE_VALUES,
     PackedCodec,
     UnsupportedBackendError,
-    apply_action,
-    enabled_bits,
 )
+from .table import vector_program
 
-_ACTION_INDEX = {name: a for a, name in enumerate(ACTION_NAMES)}
 #: ``PackedState.status`` codes, decoded and back.
 _STATUS = {
     ALIVE: ProcessStatus.ALIVE,
@@ -62,7 +60,8 @@ _STATUS_CODE = {status: code for code, status in _STATUS.items()}
 
 
 class PackedSystem(StateStore):
-    """``NADiners`` on a topology, as packed vectors and bitsets.
+    """The paper's program (or an ablation) on a topology, as packed
+    vectors and bitsets.
 
     Construction mirrors :class:`~repro.sim.network.System`; ``initial``
     starts from an arbitrary configuration instead (what
@@ -84,14 +83,16 @@ class PackedSystem(StateStore):
             if initial is not None
             else codec.initial_state(initially_dead)
         )
-        #: What ``enabled_bits`` reads, in its argument order (the lists are
-        #: written in place, never replaced).
-        self._vectors = (ps.state, ps.needs, ps.depth, ps.status, ps.anc, ps.desc)
+        #: Figure 1 over these vectors, generated from the table (once per
+        #: table, cap and D, however many stores are built).
+        program = vector_program(codec.table, codec.cap, codec.d_const)
+        self.source = program.source
+        self._guards = program.functions["recompute"]
+        self._apply = program.functions["apply"]
+        self._action_index = {name: a for a, name in enumerate(codec.table.names)}
         self._nbrs = codec.nbrs
         #: Who may read a cell of ``p``: the process and its neighbours.
         self._readers = tuple((p,) + row for p, row in enumerate(codec.nbrs))
-        self._d_const = codec.d_const
-        self._cap = codec.cap
         self._local_domains = codec.local_domains
         # Whole-system bitsets the guards read, maintained with the state.
         self._nonT_mask = self._e_mask = 0
@@ -134,22 +135,13 @@ class PackedSystem(StateStore):
     def _recompute(self, processes: Tuple[int, ...]) -> None:
         """Refresh the enabled bits of ``processes`` after state they read
         changed — ``_readers[p]`` after a write at ``p``."""
-        # The per-step hot loop: ``EnabledSet.update`` is written out here
-        # rather than called once per process (worth 2-4 % of a step).
-        state, needs, depth, status, anc, desc = self._vectors
-        nonT, eating = self._nonT_mask, self._e_mask
-        d_const, cap = self._d_const, self._cap
-        enabled = self._enabled
-        bits = enabled.bits
-        for q in processes:
-            new = enabled_bits(
-                q, state, needs, depth, status, anc, desc, nonT, eating, d_const, cap
-            )
-            old = bits[q]
-            if new != old:
-                bits[q] = new
-                enabled.count += new.bit_count() - old.bit_count()
-                enabled.changed.add(q)
+        # The per-step hot loop is generated: guards and ``EnabledSet.update``
+        # inline in one loop, no call per process.
+        ps = self._ps
+        self._guards(
+            processes, self._enabled, ps.state, ps.needs, ps.depth, ps.status,
+            ps.anc, ps.desc, self._nonT_mask, self._e_mask,
+        )
 
     def _wrote(self, pid: Pid) -> None:
         self._recompute(self._readers[self._index[pid]])
@@ -159,13 +151,13 @@ class PackedSystem(StateStore):
         p = self._p(pid)
         if self._ps.status[p]:
             raise DeadProcessError(pid)
-        self.fire(p, _ACTION_INDEX[action.name])
+        self.fire(p, self._action_index[action.name])
 
     def fire(self, p: int, a: int) -> None:
         """:meth:`execute` in the indices the packed encoding thinks in —
         the engine's per-step entry, spared the pid/name round trip."""
         ps = self._ps
-        apply_action(ps, p, a, self._nbrs[p], self._cap)
+        self._apply(p, a, self._nbrs[p], ps.state, ps.depth, ps.anc, ps.desc)
         self._state_changed(p, ps.state[p])
         self._recompute(self._readers[p])
 

@@ -6,13 +6,13 @@ order (pid-major, action declaration order), same successor set, same
 ``max_states`` guard — but a state here is one ``int``,
 :meth:`PackedCodec.key`'s fixed-layout encoding: it is the visited-set
 element, the frontier element and the successor at once.  Expanding a state
-decodes it into one reused scratch :class:`PackedState`, evaluates guards via
-:func:`~repro.fastcore.packed.enabled_bits`, runs commands via
-:func:`~repro.fastcore.packed.apply_action`, and forms each successor as the
-parent int with only the writer's fields re-encoded (§2: a command at ``p``
-writes ``p``'s locals and ``p``'s incident edges, nothing else).
+runs code generated for this topology from the algorithm's action table
+(:func:`repro.fastcore.table.int_key_program`): guards read neighbour fields
+of the int by constant shifts, and each successor is the parent int with
+only the writer's fields replaced (§2: a command at ``p`` writes ``p``'s
+locals and ``p``'s incident edges, nothing else).
 The decoded :meth:`successors` output is asserted identical to the object
-model's in the parity battery; :meth:`reachable_stats` is what the CLI's
+model's in ``tests/fastcore``; :meth:`reachable_stats` is what the CLI's
 ``check --backend fast`` runs.
 """
 
@@ -25,13 +25,8 @@ from ..sim.configuration import Configuration
 from ..sim.errors import StateSpaceExceededError
 from ..sim.topology import Topology
 from ..verification.explorer import Transition
-from .packed import (
-    ACTION_NAMES,
-    PackedCodec,
-    PackedState,
-    apply_action,
-    enabled_bits,
-)
+from .packed import PackedCodec, PackedState
+from .table import int_key_program
 
 Source = Union[Configuration, PackedState]
 
@@ -61,9 +56,16 @@ class FastTransitionSystem:
     def __init__(self, algorithm, topology: Topology) -> None:
         self.algorithm = algorithm
         self.topology = topology
-        self.codec = PackedCodec(topology, algorithm)
-        #: the one decoded state of a sweep: every expansion overwrites it
-        self._scratch = self.codec.initial_state()
+        codec = self.codec = PackedCodec(topology, algorithm)
+        #: The generated expansion and its text.  Without a key layout
+        #: (uncapped depth) there is nothing to generate over; construction
+        #: still succeeds and the first expansion gets the codec's refusal.
+        self.source = ""
+        self._expand = lambda k: codec.require_layout()
+        if codec.layout is not None:
+            program = int_key_program(codec)
+            self.source = program.source
+            self._expand = program.functions["expand"]
 
     # -------------------------------------------------------- packed layer
 
@@ -75,36 +77,11 @@ class FastTransitionSystem:
         Returns its one-step successors as ``(p, a, successor key)`` triples
         — pid-major, action declaration order, the object model's
         ``all_enabled`` order — and whether ``k`` itself has two neighbours
-        eating (the audit shares the decode).  ``k`` is decoded once into the
-        scratch state; each command runs on the scratch, the successor is
-        ``k`` with the writer's fields re-encoded, and the scratch is undone.
+        eating (the audit shares the decode).  A method in this class's own
+        dict, called once per state: the layer a profiler or the
+        benchmark's tracer times.
         """
-        codec = self.codec
-        ps = self._scratch
-        nonT, e_mask = codec.unkey_into(k, ps)
-        state, needs, depth, status = ps.state, ps.needs, ps.depth, ps.status
-        anc, desc = ps.anc, ps.desc
-        anc0, desc0 = anc[:], desc[:]
-        d_const, cap, nbrs, rekey = codec.d_const, codec.cap, codec.nbrs, codec.rekey
-        out: List[Tuple[int, int, int]] = []
-        for p in range(codec.n):
-            bits = enabled_bits(
-                p, state, needs, depth, status, anc, desc, nonT, e_mask, d_const, cap
-            )
-            s, d = state[p], depth[p]
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                a = b.bit_length() - 1
-                apply_action(ps, p, a, nbrs[p], cap)
-                wrote_edges = anc[p] != anc0[p]
-                out.append((p, a, rekey(k, ps, p, wrote_edges)))
-                state[p] = s
-                depth[p] = d
-                if wrote_edges:
-                    anc[:] = anc0
-                    desc[:] = desc0
-        return out, codec.adjacent(e_mask)
+        return self._expand(k)
 
     # -------------------------------------------------------- object layer
 
@@ -115,17 +92,18 @@ class FastTransitionSystem:
 
     def enabled(self, config: Source) -> List[Tuple[object, str]]:
         """Decoded mirror of ``TransitionSystem.enabled``."""
-        pids = self.codec.pids
+        pids, names = self.codec.pids, self.codec.table.names
         return [
-            (pids[p], ACTION_NAMES[a])
+            (pids[p], names[a])
             for p, a, _k in self.successors_packed(self._key(config))[0]
         ]
 
     def successors(self, config: Source) -> List[Transition]:
         """Decoded mirror of ``TransitionSystem.successors``."""
         codec = self.codec
+        names = codec.table.names
         return [
-            Transition(codec.pids[p], ACTION_NAMES[a], codec.unpack(codec.unkey(k)))
+            Transition(codec.pids[p], names[a], codec.unpack(codec.unkey(k)))
             for p, a, k in self.successors_packed(self._key(config))[0]
         ]
 

@@ -16,151 +16,42 @@ re-encodes the same state as flat per-process vectors plus per-process
 Bitset operands act on the *whole process set at once*: ``anc[p] & nonT``
 evaluates the paper's ``∀ ancestor q: state.q = T`` for all ancestors in one
 machine operation, which is where the speedup over per-neighbour dict reads
-comes from.  :func:`enabled_bits` below is the single shared definition of
-the five guards over this encoding; the fast engine and the fast explorer
-both call it, so they cannot drift apart.
+comes from.  No guard or command is written in this module: Figure 1 lives
+in :mod:`repro.fastcore.table`, which generates the code that reads these
+vectors (for the packed store) and the int below (for the explorer).
 
 :class:`PackedCodec` converts between this encoding and the object model's
 :class:`~repro.sim.configuration.Configuration` — losslessly, so parity can
 be asserted configuration-by-configuration — and between a state and one
-fixed-layout ``int`` (:meth:`PackedCodec.key` / :meth:`PackedCodec.unkey`),
-which *is* the checker's state: a successor is its parent's int with the
-writing process's fields replaced (:meth:`PackedCodec.rekey`).  (numpy does
-the bulk array conversion for analysis consumers via
+fixed-layout ``int`` (:meth:`PackedCodec.key` / :meth:`PackedCodec.unkey`,
+laid out by :class:`KeyLayout`), which *is* the checker's state: a
+successor is its parent's int with the writing process's fields replaced.
+(numpy does the bulk array conversion for analysis consumers via
 :meth:`PackedState.as_arrays`.)
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..core.algorithm import NADiners
-from ..core.state import (
-    ACTION_ENTER,
-    ACTION_EXIT,
-    ACTION_FIXDEPTH,
-    ACTION_JOIN,
-    ACTION_LEAVE,
-    VAR_DEPTH,
-    VAR_NEEDS,
-    VAR_STATE,
-)
+from ..core.state import VAR_DEPTH, VAR_NEEDS, VAR_STATE
 from ..sim.configuration import Configuration
 from ..sim.errors import DomainError, SimulationError, UnknownProcessError
 from ..sim.topology import Pid, Topology
+from .table import FIGURE1, STATE_CODE, STATE_VALUES, table_for
 
-#: T/H/E codes.  Order matters: it is the FiniteDomain declaration order.
-STATE_VALUES: Tuple[str, ...] = ("T", "H", "E")
-STATE_CODE: Dict[str, int] = {v: i for i, v in enumerate(STATE_VALUES)}
-
-#: Action bit positions, in declaration order (= enabled-list order).
-ACTION_NAMES: Tuple[str, ...] = (
-    ACTION_JOIN,
-    ACTION_LEAVE,
-    ACTION_ENTER,
-    ACTION_EXIT,
-    ACTION_FIXDEPTH,
-)
-A_JOIN, A_LEAVE, A_ENTER, A_EXIT, A_FIXDEPTH = range(5)
+#: Figure 1's own action names and bit positions.  A store or explorer takes
+#: its positions from its algorithm's table (``PackedCodec.table``), which
+#: for an ablation has fewer rows; these name the full program's.
+ACTION_NAMES: Tuple[str, ...] = FIGURE1.names
+A_JOIN, A_LEAVE, A_ENTER, A_EXIT, A_FIXDEPTH = range(len(ACTION_NAMES))
 
 ALIVE, MALICIOUS, DEAD = 0, 1, 2
 
 
 class UnsupportedBackendError(SimulationError):
     """The fast backend cannot represent this algorithm/daemon/fault mix."""
-
-
-def enabled_bits(
-    p: int,
-    state: List[int],
-    needs: List[bool],
-    depth: List[int],
-    status: List[int],
-    anc: List[int],
-    desc: List[int],
-    nonT_mask: int,
-    e_mask: int,
-    d_const: int,
-    cap: Optional[int],
-) -> int:
-    """The 5-bit enabled-action set of process ``p`` (0 if not alive).
-
-    Bit ``k`` set means action ``ACTION_NAMES[k]`` is enabled — identical,
-    by construction, to evaluating the object model's five guards.
-    """
-    if status[p]:
-        return 0
-    s = state[p]
-    anc_nonT = anc[p] & nonT_mask
-    bits = 0
-    if s == 0:
-        if needs[p] and not anc_nonT:
-            bits = 1  # join
-    elif s == 1:
-        if anc_nonT:
-            bits = 2  # leave
-        elif not (desc[p] & e_mask):
-            bits = 4  # enter
-    else:
-        bits = 8  # exit: state = E
-    d = depth[p]
-    if d > d_const:
-        bits |= 8  # exit: depth beyond the cycle-detection threshold
-    dm = desc[p]
-    while dm:
-        q = (dm & -dm).bit_length() - 1
-        dm &= dm - 1
-        pv = depth[q] + 1
-        if cap is not None and pv > cap:
-            pv = cap
-        if d < pv:
-            bits |= 16  # fixdepth
-            break
-    return bits
-
-
-def apply_action(
-    ps: "PackedState",
-    p: int,
-    a: int,
-    nbrs: Tuple[int, ...],
-    cap: Optional[int],
-) -> None:
-    """Execute action ``a`` at process ``p`` in place — the packed form of
-    the five NADiners commands, shared by the fast engine and explorer."""
-    if a == A_JOIN:
-        ps.state[p] = 1
-    elif a == A_LEAVE:
-        ps.state[p] = 0
-    elif a == A_ENTER:
-        ps.state[p] = 2
-    elif a == A_EXIT:
-        # state := T; depth := 0; every incident edge points away from p.
-        bp = 1 << p
-        ps.state[p] = 0
-        ps.depth[p] = 0
-        anc = ps.anc
-        desc = ps.desc
-        for q in nbrs:
-            bq = 1 << q
-            anc[p] |= bq
-            desc[p] &= ~bq
-            anc[q] &= ~bp
-            desc[q] |= bp
-    else:
-        # fixdepth: adopt the largest violating propagated estimate.
-        depth = ps.depth
-        best = depth[p]
-        m = ps.desc[p]
-        while m:
-            q = (m & -m).bit_length() - 1
-            m &= m - 1
-            pv = depth[q] + 1
-            if cap is not None and pv > cap:
-                pv = cap
-            if pv > best:
-                best = pv
-        depth[p] = best
 
 
 class PackedState:
@@ -206,20 +97,41 @@ class PackedState:
         }
 
 
+class KeyLayout(NamedTuple):
+    """Where each variable lives in the int :meth:`PackedCodec.key` returns.
+
+    Process ``p`` owns one field at ``shift[p]`` holding ``state · needs ·
+    status · depth`` (high to low: 2, 1, 2 and ``depth_bits`` bits); above
+    the ``n`` fields, from ``edge_base``, sits one bit per edge of ``edges``
+    (endpoint index pairs, in ``topology.edges`` order), set when the
+    edge's first endpoint is the ancestor.
+    """
+
+    depth_bits: int
+    shift: Tuple[int, ...]
+    edge_base: int
+    edges: Tuple[Tuple[int, int], ...]
+
+
 class PackedCodec:
-    """Bidirectional Configuration ↔ PackedState translation for NADiners.
+    """Bidirectional Configuration ↔ PackedState translation for the
+    paper's program and its table-edit ablations.
 
     The codec owns every topology- and algorithm-derived constant the fast
-    paths need (neighbour index lists, edge iteration order, domains for
-    fault sampling, the threshold ``D`` and the depth cap), so engines and
-    explorers share one source of truth.
+    paths need (the action table, neighbour index lists, edge iteration
+    order, domains for fault sampling, the threshold ``D`` and the depth
+    cap), so engines and explorers share one source of truth.
     """
 
     def __init__(self, topology: Topology, algorithm: NADiners) -> None:
-        if type(algorithm) is not NADiners:
+        table = table_for(algorithm)
+        if table is None:
             raise UnsupportedBackendError(
-                f"fast backend supports NADiners only, not {algorithm!r}"
+                "fast backend supports NADiners and its table-edit ablations "
+                f"only, not {algorithm!r}"
             )
+        #: Figure 1 as this algorithm runs it; row order = action bit order.
+        self.table = table
         self.topology = topology
         self.algorithm = algorithm
         self.pids: Tuple[Pid, ...] = topology.nodes
@@ -250,49 +162,17 @@ class PackedCodec:
             if algorithm.diameter_override is not None
             else topology.diameter
         )
-        self._depth_bits: Optional[int] = None
+        #: The int-key layout; None without a depth cap <= 255 (no fixed
+        #: field width), and then :meth:`require_layout` refuses.
+        self.layout: Optional[KeyLayout] = None
         if self.cap is not None and self.cap <= 255:
-            self._build_key_layout()
-
-    def _build_key_layout(self) -> None:
-        """Fix where each variable lives in the int :meth:`key` returns.
-
-        Process ``p`` owns one ``width``-bit field at ``p * width`` holding
-        ``state · needs · status · depth`` (high to low); above the ``n``
-        fields sits one bit per edge, in ``edge_order``, set when the edge's
-        first endpoint is the ancestor.  The per-process masks below are
-        what lets :meth:`rekey` touch only one process's write set.
-        """
-        db = self._depth_bits = self.cap.bit_length()
-        width = db + 5
-        n = self.n
-        self._shift = tuple(p * width for p in range(n))
-        field = (1 << width) - 1
-        #: field value -> (state, needs, depth, status), for :meth:`unkey`
-        self._fields = tuple(
-            (f >> (db + 3), bool((f >> (db + 2)) & 1), f & ((1 << db) - 1),
-             (f >> db) & 3)
-            for f in range(field + 1)
-        )
-        self._edge_base = n * width
-        #: per edge: (first endpoint, second endpoint, their bits)
-        self._edge_ends = tuple(
-            (i, j, 1 << i, 1 << j) for _e, i, j, _dom in self.edge_order
-        )
-        #: per process: its incident edges as (key bit, neighbour bit, value
-        #: of the key bit when the *neighbour* is the ancestor)
-        incident: List[List[Tuple[int, int, bool]]] = [[] for _ in range(n)]
-        for bit, (i, j, bi, bj) in enumerate(self._edge_ends):
-            kb = 1 << (self._edge_base + bit)
-            incident[i].append((kb, bj, False))
-            incident[j].append((kb, bi, True))
-        self._incident = tuple(tuple(row) for row in incident)
-        #: per process: everything but its field / field and incident edges
-        self._keep_field = tuple(~(field << s) for s in self._shift)
-        self._keep_all = tuple(
-            keep & ~sum(kb for kb, _bq, _v in row)
-            for keep, row in zip(self._keep_field, self._incident)
-        )
+            width = self.cap.bit_length() + 5
+            self.layout = KeyLayout(
+                depth_bits=self.cap.bit_length(),
+                shift=tuple(p * width for p in range(self.n)),
+                edge_base=self.n * width,
+                edges=tuple((i, j) for _e, i, j, _dom in self.edge_order),
+            )
 
     # ------------------------------------------------------------ initial
 
@@ -375,84 +255,55 @@ class PackedCodec:
 
     # ---------------------------------------------------------------- keys
 
+    def require_layout(self) -> KeyLayout:
+        """:attr:`layout`, or the typed refusal when there is none."""
+        if self.layout is None:
+            raise UnsupportedBackendError(
+                "packed keys need depth_cap <= 255 (run the checker capped)"
+            )
+        return self.layout
+
     def key(self, ps: PackedState) -> int:
         """The configuration as one ``int`` — injective, fixed layout (see
-        :meth:`_build_key_layout`), and the checker's *state*: visited-set
-        element, frontier element and successor are all this number.
+        :class:`KeyLayout`), and the checker's *state*: visited-set element,
+        frontier element and successor are all this number.
 
         Requires a depth cap ≤ 255 (the model checker always runs capped;
         ``depth_cap = D + 1``) so that every field has a fixed width.
         """
-        if self._depth_bits is None:
-            raise UnsupportedBackendError(
-                "packed keys need depth_cap <= 255 (run the checker capped)"
-            )
+        layout = self.require_layout()
         k = 0
-        for p, d in enumerate(ps.depth):
+        for p, shift in enumerate(layout.shift):
+            d = ps.depth[p]
             if not 0 <= d <= self.cap:
                 raise DomainError(VAR_DEPTH, d)  # would spill into a neighbour
-            k = self.rekey(k, ps, p, True)
+            k |= (
+                ((ps.state[p] << 1 | ps.needs[p]) << 2 | ps.status[p])
+                << layout.depth_bits | d
+            ) << shift
+        for bit, (i, j) in enumerate(layout.edges, layout.edge_base):
+            if (ps.anc[j] >> i) & 1:
+                k |= 1 << bit
         return k
 
     def unkey(self, k: int) -> PackedState:
-        """Inverse of :meth:`key` (for ints :meth:`key`/:meth:`rekey` made)."""
-        n = self.n
-        ps = PackedState([0] * n, [False] * n, [0] * n, [0] * n, [], [])
-        self.unkey_into(k, ps)
-        return ps
-
-    def unkey_into(self, k: int, ps: PackedState) -> Tuple[int, int]:
-        """Decode ``k`` over ``ps`` (the explorer reuses one scratch state
-        for a whole sweep; its ``anc``/``desc`` lists are replaced, the rest
-        written in place) and return the ``(nonT, eating)`` process bitsets
-        the guards and the E audit need, read off in the same pass."""
-        state, needs, depth, status = ps.state, ps.needs, ps.depth, ps.status
-        fields = self._fields
-        mask = len(fields) - 1
-        nonT = e_mask = 0
-        for p, shift in enumerate(self._shift):
-            s, needs[p], depth[p], status[p] = fields[(k >> shift) & mask]
-            state[p] = s
-            if s:
-                nonT |= 1 << p
-                if s == 2:
-                    e_mask |= 1 << p
-        anc = [0] * self.n
-        desc = [0] * self.n
-        k >>= self._edge_base
-        for i, j, bi, bj in self._edge_ends:
-            if k & 1:
-                anc[j] |= bi
-                desc[i] |= bj
-            else:
-                anc[i] |= bj
-                desc[j] |= bi
-            k >>= 1
-        ps.anc = anc
-        ps.desc = desc
-        return nonT, e_mask
-
-    def rekey(self, k: int, ps: PackedState, p: int, edges: bool) -> int:
-        """``k`` with process ``p``'s write set re-encoded from ``ps``.
-
-        §2: a command at ``p`` writes ``p``'s locals and, at most, ``p``'s
-        incident edge cells — so a successor's key is its parent's with one
-        field (and, when ``edges``, ``deg(p)`` bits) replaced.  This is the
-        only place a field is encoded: :meth:`key` is ``rekey`` of every
-        process from 0.
-        """
-        field = (
-            ((ps.state[p] << 1 | ps.needs[p]) << 2 | ps.status[p])
-            << self._depth_bits | ps.depth[p]
-        ) << self._shift[p]
-        if not edges:
-            return k & self._keep_field[p] | field
-        k = k & self._keep_all[p] | field
-        anc_p = ps.anc[p]
-        for kb, bq, q_first in self._incident[p]:
-            if bool(anc_p & bq) == q_first:
-                k |= kb
-        return k
+        """Inverse of :meth:`key` (for ints :meth:`key` or the generated
+        successor code made)."""
+        layout = self.require_layout()
+        n, db = self.n, layout.depth_bits
+        state, needs, depth, status = [0] * n, [False] * n, [0] * n, [0] * n
+        anc, desc = [0] * n, [0] * n
+        for p, shift in enumerate(layout.shift):
+            f = k >> shift
+            depth[p] = f & ((1 << db) - 1)
+            status[p] = (f >> db) & 3
+            needs[p] = bool((f >> (db + 2)) & 1)
+            state[p] = (f >> (db + 3)) & 3
+        for bit, (i, j) in enumerate(layout.edges, layout.edge_base):
+            a, d = (i, j) if (k >> bit) & 1 else (j, i)
+            anc[d] |= 1 << a
+            desc[a] |= 1 << d
+        return PackedState(state, needs, depth, status, anc, desc)
 
     # -------------------------------------------------------------- safety
 

@@ -175,10 +175,11 @@ def fastcore_successors():
 
     Same busy ring(6) state and the same 20 successor expansions per op,
     but over :meth:`FastTransitionSystem.successors_packed` — the state is
-    one int, decoded once into a scratch; bitset guards, commands on the
-    scratch, each successor the parent int with the writer's fields
-    re-encoded.  No Configuration objects.  CI gates the ratio to the object
-    kernel (see the ``fastcore-smoke`` job for the floor).
+    one int and the expansion is straight-line code generated for ring(6)
+    from the action table: guards read neighbour fields by constant shifts,
+    each successor is the parent int masked and or-ed with constants.  No
+    Configuration objects, no decoded lists.  CI gates the ratio to the
+    object kernel (see the ``fastcore-smoke`` job for the floor).
     """
     from ..core import NADiners
     from ..fastcore.explorer import FastTransitionSystem

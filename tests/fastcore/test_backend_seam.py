@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import ChoySinghDiners, ForkOrderingDiners, HygienicDiners
 from repro.core import NADiners, NoFixdepthDiners
 from repro.cli import main
 from repro.fastcore import (
@@ -85,8 +86,18 @@ class TestUnsupportedCombinations:
     """The fast backend must refuse — loudly — what it cannot replicate."""
 
     def test_variant_algorithms_rejected(self):
-        with pytest.raises(UnsupportedBackendError):
-            make_engine(ring(4), NoFixdepthDiners(), backend="fast")
+        # The ablations are table edits now and run packed; what has no
+        # action table is still refused: the three baselines, and a subclass
+        # nobody wrote a table edit for.
+        class Tweaked(NADiners):
+            pass
+
+        for algorithm in (
+            ChoySinghDiners(), HygienicDiners(), ForkOrderingDiners(), Tweaked()
+        ):
+            with pytest.raises(UnsupportedBackendError):
+                make_engine(ring(4), algorithm, backend="fast")
+        make_engine(ring(4), NoFixdepthDiners(), backend="fast").run(50)
 
     def test_round_daemon_co_runs(self):
         # Refused while FastEngine mirrored the daemons it knew; now the
@@ -181,9 +192,18 @@ class TestCliBackendFlag:
     def test_run_fast_rejects_variant_algorithms(self):
         with pytest.raises(SystemExit):
             main(
-                ["run", "--topology", "ring:4", "--algorithm", "no-fixdepth",
+                ["run", "--topology", "ring:4", "--algorithm", "choy-singh",
                  "--backend", "fast"]
             )
+
+    @pytest.mark.parametrize("name", ["no-fixdepth", "no-threshold"])
+    def test_run_fast_runs_the_ablations(self, name, capsys):
+        argv = ["run", "--topology", "ring:6", "--steps", "1500",
+                "--algorithm", name]
+        assert main(argv) == 0
+        object_out = capsys.readouterr().out
+        assert main(argv + ["--backend", "fast"]) == 0
+        assert capsys.readouterr().out == object_out
 
     def test_check_reachable_backends_agree(self, capsys):
         argv = ["check", "--topology", "ring:3", "--reachable"]
@@ -267,3 +287,13 @@ class TestCliBackendFlag:
             if l.startswith(("trials", "total eats", "meals/1k", "jain"))
         ]
         assert tail(fast_out) == tail(object_out)
+
+    def test_sweep_fast_runs_the_ablations(self, capsys):
+        argv = ["sweep", "--topology", "ring:5", "--trials", "2", "--steps", "400",
+                "--algorithm", "no-fixdepth", "--algorithm", "no-threshold",
+                "--crash-victim", "0", "--crash-at", "50", "--malicious", "20",
+                "--quiet"]
+        assert main(argv) == 0
+        object_out = capsys.readouterr().out
+        assert main(argv + ["--backend", "fast"]) == 0
+        assert capsys.readouterr().out == object_out

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import NADiners
+from repro.core import NADiners, NoDynamicThresholdDiners, NoFixdepthDiners
 from repro.fastcore import FastTransitionSystem, UnsupportedBackendError
 from repro.fastcore.explorer import FastReachability
 from repro.sim import SimulationError, System, line, ring
@@ -217,3 +217,26 @@ class TestFastExplorerSeam:
         config = all_hungry_initial(topo, NADiners())
         with pytest.raises(UnsupportedBackendError):
             fts.reachable_stats([config])
+        # ... and so does expanding a key got from somewhere else: the typed
+        # refusal, not a TypeError from inside the generator.
+        with pytest.raises(UnsupportedBackendError, match="depth_cap <= 255"):
+            fts.successors_packed(0)
+
+    @pytest.mark.parametrize(
+        "ablation, states",
+        [(NADiners, 590), (NoFixdepthDiners, 192), (NoDynamicThresholdDiners, 506)],
+    )
+    def test_ablation_closures_match_the_object_explorer(self, ablation, states):
+        # From an arbitrary all-hungry state, where the three programs'
+        # closures differ (the counts are the object explorer's).
+        topo = line(3)
+        algo = ablation(depth_cap=topo.diameter + 1)
+        system = System(topo, algo)
+        system.randomize(random.Random(0))
+        for pid in topo.nodes:
+            system.write_local(pid, "needs", True)
+        config = system.snapshot()
+        graph = TransitionSystem(algo, topo).reachable_from([config])
+        stats = FastExplorer(algo, topo).reachable_count([config])
+        assert stats.states == len(graph) == states
+        assert stats.transitions == sum(len(v) for v in graph.values())

@@ -112,10 +112,24 @@ class TestKey:
 
 class TestSupport:
     def test_rejects_algorithm_variants(self):
-        # Ablation variants change the action semantics the packed kernels
-        # hard-code, so the codec must refuse them rather than mis-run them.
-        with pytest.raises(UnsupportedBackendError):
-            PackedCodec(ring(4), NoFixdepthDiners())
+        # A variant changes the action semantics, so the codec must refuse
+        # one it has no action table for rather than mis-run it: a subclass
+        # nobody registered, and one whose actions are not its table's rows.
+        class Tweaked(NADiners):
+            pass
+
+        class Unlisted(NoFixdepthDiners):
+            pass
+
+        drifted = NoFixdepthDiners()
+        drifted._actions = drifted._actions[:-1]
+        for algorithm in (Tweaked(), Unlisted(), drifted):
+            with pytest.raises(UnsupportedBackendError):
+                PackedCodec(ring(4), algorithm)
+        # ... while the ablation itself is a table edit and has a codec.
+        assert PackedCodec(ring(4), NoFixdepthDiners()).table.names == (
+            "join", "leave", "enter", "exit",
+        )
 
     def test_neighbors_eating_matches_e_predicate(self):
         topo = ring(6)

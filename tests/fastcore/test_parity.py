@@ -15,7 +15,12 @@ in ``tests/sim/test_engine_goldens.py``.
 
 import pytest
 
-from repro.core import NADiners
+from repro.core import (
+    NADiners,
+    NoDynamicThresholdDiners,
+    NoFixdepthDiners,
+    WrongDiameterDiners,
+)
 from repro.fastcore import ParityError, co_run, co_run_results
 from repro.sim import (
     AlwaysHungry,
@@ -126,6 +131,28 @@ class TestLockstepBattery:
             NADiners,
             steps=400,
             seed=seed,
+            hunger_factory=lambda: ProbabilisticHunger(0.5),
+            faults_factory=malicious_plan,
+        )
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            pytest.param(NoFixdepthDiners, id="no-fixdepth"),
+            pytest.param(NoDynamicThresholdDiners, id="no-threshold"),
+            pytest.param(lambda: WrongDiameterDiners(1), id="D=1"),
+        ],
+    )
+    @pytest.mark.parametrize("topo", TOPOLOGIES)
+    def test_ablations(self, topo, algorithm):
+        # The table edits, through the whole engine: the transient fault
+        # leaves the cycles and deep chains on which each ablation differs
+        # from the full program.
+        co_run(
+            topo,
+            algorithm,
+            steps=400,
+            seed=9,
             hunger_factory=lambda: ProbabilisticHunger(0.5),
             faults_factory=malicious_plan,
         )

@@ -1,0 +1,200 @@
+"""The action table's two generated programs against the object model.
+
+``core/algorithm.py``'s ``ActionDef``s (through ``TransitionSystem``) are the
+oracle.  On random *arbitrary* states — every ``status`` value, every
+in-domain depth, every edge orientation — of graphs up to degree 3, for the
+paper's program and each ablation that is a table edit:
+
+* the int-key program's successors equal the object model's transition for
+  transition, in order, and its eating flag is the E audit;
+* the vector program's enabled bits name the same transitions, and each of
+  its commands produces the same target.
+
+Plus what the generated code owes its users: one ``compile`` however many
+stores are built, source a traceback can show, the typed refusal.
+"""
+
+import linecache
+import random
+import re
+import traceback
+
+import pytest
+
+from repro.core import (
+    NADiners,
+    NoDynamicThresholdDiners,
+    NoFixdepthDiners,
+    WrongDiameterDiners,
+    e_holds,
+)
+from repro.fastcore import FastTransitionSystem, PackedSystem
+from repro.fastcore import table as table_module
+from repro.fastcore.packed import PackedCodec, PackedState
+from repro.fastcore.table import FIGURE1, table_for, vector_program
+from repro.sim import binary_tree, complete, grid, line, ring, star
+from repro.sim.network import EnabledSet
+from repro.verification import TransitionSystem
+
+TOPOLOGIES = {
+    "line5": lambda: line(5),
+    "ring5": lambda: ring(5),
+    "star4": lambda: star(4),
+    "complete4": lambda: complete(4),
+    "tree2": lambda: binary_tree(2),
+    "grid2x3": lambda: grid(2, 3),
+}
+
+#: name -> algorithm for a topology, depth capped (``None``: uncapped)
+ALGORITHMS = {
+    "na-diners": lambda topo, cap: NADiners(depth_cap=cap),
+    "wrong-D": lambda topo, cap: WrongDiameterDiners(
+        max(0, topo.diameter - 1), depth_cap=cap
+    ),
+    "no-fixdepth": lambda topo, cap: NoFixdepthDiners(depth_cap=cap),
+    "no-threshold": lambda topo, cap: NoDynamicThresholdDiners(depth_cap=cap),
+}
+
+
+def arbitrary_state(codec, rng):
+    """A uniformly arbitrary packed state of ``codec``'s domain."""
+    n = codec.n
+    depths = list(codec.local_domains["depth"].values())
+    anc, desc = [0] * n, [0] * n
+    for _e, i, j, _dom in codec.edge_order:
+        a, d = (i, j) if rng.random() < 0.5 else (j, i)
+        anc[d] |= 1 << a
+        desc[a] |= 1 << d
+    return PackedState(
+        [rng.randrange(3) for _ in range(n)],
+        [rng.random() < 0.5 for _ in range(n)],
+        [rng.choice(depths) for _ in range(n)],
+        [rng.choice((0, 0, 0, 1, 2)) for _ in range(n)],
+        anc,
+        desc,
+    )
+
+
+def vector_enabled(codec, ps):
+    """The vector program's enabled ``(p, a)`` list at ``ps``."""
+    program = vector_program(codec.table, codec.cap, codec.d_const)
+    enabled = EnabledSet(codec.pids, codec.algorithm.actions())
+    non_t = sum(1 << p for p, s in enumerate(ps.state) if s)
+    eating = sum(1 << p for p, s in enumerate(ps.state) if s == 2)
+    program.functions["recompute"](
+        range(codec.n), enabled, ps.state, ps.needs, ps.depth, ps.status,
+        ps.anc, ps.desc, non_t, eating,
+    )
+    assert enabled.count == sum(b.bit_count() for b in enabled.bits)
+    return enabled.items()
+
+
+def check_vector_program(codec, ps, reference):
+    names = codec.table.names
+    items = vector_enabled(codec, ps)
+    assert [(codec.pids[p], names[a]) for p, a in items] == [
+        (t.pid, t.action) for t in reference
+    ]
+    apply = vector_program(codec.table, codec.cap, codec.d_const).functions["apply"]
+    for (p, a), transition in zip(items, reference):
+        after = ps.copy()
+        apply(p, a, codec.nbrs[p], after.state, after.depth, after.anc, after.desc)
+        assert codec.unpack(after) == transition.target
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_generated_programs_equal_the_object_model(topology, algorithm):
+    topo = TOPOLOGIES[topology]()
+    algo = ALGORITHMS[algorithm](topo, topo.diameter + 1)
+    fts = FastTransitionSystem(algo, topo)
+    codec = fts.codec
+    oracle = TransitionSystem(algo, topo)
+    names = codec.table.names
+    assert names == tuple(a.name for a in algo.actions())
+    rng = random.Random(f"{topology}/{algorithm}")
+    fired = set()
+    for _ in range(2000):
+        ps = arbitrary_state(codec, rng)
+        config = codec.unpack(ps)
+        reference = oracle.successors(config)
+        successors, eating = fts.successors_packed(codec.key(ps))
+        assert [(codec.pids[p], names[a]) for p, a, _k in successors] == [
+            (t.pid, t.action) for t in reference
+        ]
+        assert [codec.unpack(codec.unkey(k)) for _p, _a, k in successors] == [
+            t.target for t in reference
+        ]
+        # The audit counts any two eating neighbours; predicate E excuses a
+        # pair that is faulty on both ends, so it can only be the stricter.
+        assert eating == codec.neighbors_eating(ps)
+        excused = any(ps.status[i] and ps.status[j] for i, j in codec.layout.edges)
+        assert eating == (not e_holds(config)) or (excused and eating)
+        check_vector_program(codec, ps, reference)
+        fired.update(t.action for t in reference)
+    assert fired == set(names)  # every row was exercised, not just compiled
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("topology", ["ring5", "star4"])
+def test_vector_program_uncapped(topology, algorithm):
+    # What simulations run: no depth cap, so no int key and no clamp line.
+    topo = TOPOLOGIES[topology]()
+    algo = ALGORITHMS[algorithm](topo, None)
+    codec = PackedCodec(topo, algo)
+    oracle = TransitionSystem(algo, topo)
+    rng = random.Random(f"{topology}/{algorithm}/uncapped")
+    for _ in range(500):
+        ps = arbitrary_state(codec, rng)
+        check_vector_program(codec, ps, oracle.successors(codec.unpack(ps)))
+
+
+def test_ablations_are_table_edits():
+    assert table_for(NADiners()) is FIGURE1
+    assert table_for(WrongDiameterDiners(1)) is FIGURE1
+    assert table_for(NoDynamicThresholdDiners()).names == (
+        "join", "enter", "exit", "fixdepth",
+    )
+    no_fixdepth = table_for(NoFixdepthDiners())
+    assert no_fixdepth.names == ("join", "leave", "enter", "exit")
+    assert no_fixdepth.rows[3].when == (("state == E",),)
+    # Without fixdepth and `depth > D` nothing reads a depth, so the
+    # generated expansion decodes none (it still writes `depth := 0`).
+    source = FastTransitionSystem(NoFixdepthDiners(depth_cap=3), ring(4)).source
+    assert "s0 = k >> " in source and not re.search(r"\bd\d+ = ", source)
+
+
+def test_a_thousand_stores_compile_once(monkeypatch):
+    compiles = []
+
+    def counting(source, filename, mode):
+        compiles.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(table_module, "compile", counting, raising=False)
+    vector_program.cache_clear()
+    stores = [PackedSystem(ring(12), NADiners()) for _ in range(100)]
+    assert len(compiles) == 1
+    assert len({id(store._guards) for store in stores}) == 1
+    # A different cap, D or table is a different program.
+    PackedSystem(ring(12), NADiners(depth_cap=7))
+    PackedSystem(ring(10), NADiners())
+    PackedSystem(ring(12), NoFixdepthDiners())
+    assert len(compiles) == 4
+
+
+def test_generated_source_is_what_a_traceback_shows():
+    topo = line(4)
+    fts = FastTransitionSystem(NADiners(depth_cap=4, diameter_override=3), topo)
+    filename = fts._expand.__code__.co_filename
+    for part in (repr(topo), "na-diners", "cap=4", "D=3"):
+        assert part in filename
+    assert "".join(linecache.getlines(filename)) == fts.source
+    linecache.checkcache()  # a synthetic name must survive invalidation
+    with pytest.raises(TypeError) as caught:
+        fts.successors_packed("not a key")
+    shown = "".join(traceback.format_exception(caught.value))
+    assert filename in shown and "s0 = k >> " in shown
+    store = PackedSystem(topo, NADiners())
+    assert "def recompute(" in store.source and "def apply(" in store.source
+    assert linecache.getlines(store._guards.__code__.co_filename)
