@@ -13,9 +13,9 @@ so a run replays exactly from its seed.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from ..core.state import VAR_STATE, DinerState, direct_ancestors
+from ..obs.probes import waiting_chain
 from ..sim.configuration import Configuration
 from ..sim.scheduler import AdversaryStrategy, Choice
 from ..sim.topology import Pid
@@ -27,64 +27,16 @@ __all__ = ["ChainStarveStrategy", "longest_waiting_chain"]
 
 
 def longest_waiting_chain(config: Configuration) -> Tuple[Pid, ...]:
-    """The actual path behind :func:`~repro.obs.probes.waiting_chain_length`.
+    """The actual path behind :func:`~repro.obs.probes.waiting_chain_length`
+    (:func:`~repro.obs.probes.waiting_chain`'s path).
 
     Returns ``(p0, p1, ..., pk)`` where each ``p_i`` is live and hungry and
     ``p_{i+1}`` is a hungry direct ancestor of ``p_i`` — so ``p0`` is the
     most deeply blocked process and ``pk`` the *root* every member
-    transitively waits on.  Ties break by ``repr`` so the result is a pure
-    function of the configuration.  Empty when nobody is hungry; a
-    priority cycle is cut after ``len(nodes)`` hops.
+    transitively waits on.  Empty when nobody is hungry; a priority cycle
+    is cut after ``len(nodes)`` hops.
     """
-    hungry = DinerState.HUNGRY.value
-    faulty = config.faulty
-    nodes = [
-        p
-        for p in config.topology.nodes
-        if p not in faulty and config.local(p, VAR_STATE) == hungry
-    ]
-    hungry_set = set(nodes)
-    cap = len(config.topology.nodes)
-    memo: Dict[Pid, int] = {}
-    succ: Dict[Pid, Pid] = {}  # the ancestor realising chain(p)
-    ON_STACK = -1
-
-    def chain(p: Pid) -> int:
-        cached = memo.get(p)
-        if cached == ON_STACK:
-            return cap  # cycle of hungry processes: unbounded wait
-        if cached is not None:
-            return cached
-        memo[p] = ON_STACK
-        best = 1
-        for q in sorted(direct_ancestors(config, p), key=repr):
-            if q not in hungry_set:
-                continue
-            length = min(cap, 1 + chain(q))
-            if length > best:
-                best = length
-                succ[p] = q
-        memo[p] = best
-        return best
-
-    head: Pid | None = None
-    head_len = 0
-    for p in sorted(nodes, key=repr):
-        length = chain(p)
-        if length > head_len:
-            head_len = length
-            head = p
-    if head is None:
-        return ()
-    path: List[Pid] = [head]
-    seen: Set[Pid] = {head}
-    while True:
-        nxt = succ.get(path[-1])
-        if nxt is None or nxt in seen or len(path) >= cap:
-            break
-        path.append(nxt)
-        seen.add(nxt)
-    return tuple(path)
+    return waiting_chain(config)[1]
 
 
 class ChainStarveStrategy(AdversaryStrategy):

@@ -8,7 +8,6 @@ from .locality import (
     LocalityReport,
     frozen_chain_radius,
     frozen_chain_scenario,
-    locality_sweep,
     measure_failure_locality,
     run_until_eating,
 )
@@ -16,7 +15,6 @@ from .masking import (
     MaskingReport,
     classify_violations,
     masking_probe,
-    masking_sweep,
 )
 from .metrics import (
     StepMonitor,
@@ -27,14 +25,7 @@ from .metrics import (
     throughput_report,
 )
 from .render import STATE_GLYPHS, render_configuration, render_strip
-from .priority_graph import (
-    PriorityGraphStats,
-    depth_errors,
-    find_live_cycles,
-    graph_stats,
-    longest_live_chain,
-    to_networkx,
-)
+from .priority_graph import find_live_cycles
 from .suite import (
     Section,
     SectionSpec,
@@ -61,8 +52,6 @@ __all__ = [
     "MaskingReport",
     "classify_violations",
     "masking_probe",
-    "masking_sweep",
-    "locality_sweep",
     "measure_failure_locality",
     "run_until_eating",
     "StepMonitor",
@@ -74,12 +63,7 @@ __all__ = [
     "STATE_GLYPHS",
     "render_configuration",
     "render_strip",
-    "PriorityGraphStats",
-    "depth_errors",
     "find_live_cycles",
-    "graph_stats",
-    "longest_live_chain",
-    "to_networkx",
     "Section",
     "SectionSpec",
     "SuiteConfig",

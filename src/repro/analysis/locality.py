@@ -212,28 +212,3 @@ def frozen_chain_radius(
         if system.is_live(p) and engine.eats_of(p) == 0
     ]
     return max((topology.distance(head, p) for p in starving), default=0)
-
-
-def locality_sweep(
-    algorithms: Sequence[Algorithm],
-    topology_factory: Callable[[int], Topology],
-    sizes: Sequence[int],
-    *,
-    victim: Callable[[Topology], Pid] = lambda t: t.nodes[0],
-    seed: int = 0,
-    **kwargs,
-) -> Dict[Tuple[str, int], LocalityReport]:
-    """Cross product of algorithms × system sizes (one benign crash each).
-
-    Returns ``{(algorithm name, size): report}``.  Keyword arguments are
-    forwarded to :func:`measure_failure_locality`.
-    """
-    results: Dict[Tuple[str, int], LocalityReport] = {}
-    for size in sizes:
-        topology = topology_factory(size)
-        for algorithm in algorithms:
-            report = measure_failure_locality(
-                algorithm, topology, [victim(topology)], seed=seed, **kwargs
-            )
-            results[(algorithm.name, size)] = report
-    return results

@@ -24,7 +24,7 @@ violations only during/immediately after the arbitrary phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from ..core.predicates import eating_pairs
 from ..sim.configuration import Configuration
@@ -115,29 +115,3 @@ def masking_probe(
         clean_pair=clean_pair,
         last_violation_step=last_violation,
     )
-
-
-def masking_sweep(
-    algorithm_factory,
-    topology: Topology,
-    victim: Pid,
-    malice_budgets: List[int],
-    *,
-    seeds: range = range(5),
-    **kwargs,
-) -> List[MaskingReport]:
-    """One probe per (budget, seed); reports in budget-major order."""
-    reports = []
-    for budget in malice_budgets:
-        for seed in seeds:
-            reports.append(
-                masking_probe(
-                    algorithm_factory(),
-                    topology,
-                    victim,
-                    malicious_steps=budget,
-                    seed=seed,
-                    **kwargs,
-                )
-            )
-    return reports

@@ -1,37 +1,19 @@
-"""Priority-graph analytics.
+"""Priority-graph analytics: the live cycles of a configuration.
 
 The priority graph (the orientation of the neighbour relation stored in the
 shared edge variables) is the data structure all of the paper's arguments
-revolve around.  This module extracts it from a configuration and answers
-the questions the proofs ask: is it acyclic, what are the waiting chains,
-how do the ``depth`` estimates compare with true descendant distances.
-
-networkx is used when available for the export helper; everything else is
-dependency-free.
+revolve around.  ``repro stabilize`` reports its live cycles through
+:func:`find_live_cycles`; the chain and depth questions the proofs ask are
+:mod:`repro.core.predicates`' (``longest_live_ancestor_chain``, ``shallow``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.predicates import priority_edges
-from ..core.state import VAR_DEPTH
 from ..sim.configuration import Configuration
 from ..sim.topology import Pid
-
-
-@dataclass(frozen=True)
-class PriorityGraphStats:
-    """Summary of one configuration's priority graph."""
-
-    n: int
-    edges: int
-    live_acyclic: bool
-    longest_live_chain: int  #: longest directed path through live processes
-    cycles: Tuple[Tuple[Pid, ...], ...]  #: simple cycles through live processes
-    sinks: Tuple[Pid, ...]  #: processes with no descendants (lowest priority)
-    sources: Tuple[Pid, ...]  #: processes with no ancestors (highest priority)
 
 
 def _live_adjacency(config: Configuration) -> Dict[Pid, List[Pid]]:
@@ -85,96 +67,3 @@ def find_live_cycles(
         if len(found) >= limit:
             break
     return tuple(found)
-
-
-def longest_live_chain(config: Configuration) -> int:
-    """Length (node count) of the longest directed live path; counts waiting
-    depth.  Returns ``len(live)`` when a live cycle makes chains unbounded."""
-    adjacency = _live_adjacency(config)
-    memo: Dict[Pid, int] = {}
-    ON_STACK = -1
-
-    def dfs(p: Pid) -> Optional[int]:
-        cached = memo.get(p)
-        if cached == ON_STACK:
-            return None  # cycle
-        if cached is not None:
-            return cached
-        memo[p] = ON_STACK
-        best = 1
-        for q in adjacency[p]:
-            below = dfs(q)
-            if below is None:
-                return None
-            best = max(best, 1 + below)
-        memo[p] = best
-        return best
-
-    longest = 0
-    for p in adjacency:
-        value = dfs(p)
-        if value is None:
-            return len(adjacency)
-        longest = max(longest, value)
-    return longest
-
-
-def graph_stats(config: Configuration) -> PriorityGraphStats:
-    """All priority-graph summary statistics for one configuration."""
-    adjacency = _live_adjacency(config)
-    cycles = find_live_cycles(config)
-    in_degree: Dict[Pid, int] = {p: 0 for p in adjacency}
-    for p, children in adjacency.items():
-        for q in children:
-            in_degree[q] += 1
-    return PriorityGraphStats(
-        n=len(config.topology),
-        edges=len(config.topology.edges),
-        live_acyclic=not cycles,
-        longest_live_chain=longest_live_chain(config),
-        cycles=cycles,
-        sinks=tuple(p for p, children in adjacency.items() if not children),
-        sources=tuple(p for p, d in in_degree.items() if d == 0),
-    )
-
-
-def depth_errors(config: Configuration) -> Dict[Pid, int]:
-    """Per live process: ``depth.p - true distance to farthest live
-    descendant``.  Zero everywhere means the estimates are exact; positive
-    values are stale overestimates (harmless unless they exceed ``D``);
-    negative values are underestimates ``fixdepth`` will correct.
-
-    Only meaningful when the live priority graph is acyclic.
-    """
-    adjacency = _live_adjacency(config)
-    memo: Dict[Pid, int] = {}
-
-    def true_depth(p: Pid) -> int:
-        if p in memo:
-            return memo[p]
-        memo[p] = 0  # temporarily, guards against unexpected cycles
-        value = 0
-        for q in adjacency[p]:
-            value = max(value, 1 + true_depth(q))
-        memo[p] = value
-        return value
-
-    return {
-        p: config.local(p, VAR_DEPTH) - true_depth(p) for p in adjacency
-    }
-
-
-def to_networkx(config: Configuration):
-    """Export the full priority graph as a ``networkx.DiGraph``.
-
-    Node attributes: ``state`` and ``dead``; requires networkx.
-    """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    faulty = config.faulty
-    for p in config.topology.nodes:
-        graph.add_node(p, state=config.local(p, "state"), dead=p in faulty)
-    for ancestor, descendant in priority_edges(config):
-        graph.add_edge(ancestor, descendant)
-    return graph

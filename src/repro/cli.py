@@ -76,6 +76,7 @@ from .analysis import (
 )
 from .artefact import KINDS, expand, identify
 from .campaign.shard import ALGORITHMS  # canonical registry, re-exported
+from .campaign.shard import make_algorithm as shard_make_algorithm
 from .core import (
     NADiners,
     invariant_report,
@@ -101,10 +102,12 @@ def parse_topology(spec: str) -> Topology:
 
 
 def make_algorithm(name: str):
+    """CLI-flavoured wrapper over :func:`repro.campaign.shard.make_algorithm`:
+    an unknown name exits with its message instead of raising."""
     try:
-        return ALGORITHMS[name]()
-    except KeyError:
-        raise SystemExit(f"unknown algorithm {name!r}; one of {sorted(ALGORITHMS)}")
+        return shard_make_algorithm(name)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
 
 
 # ------------------------------------------------------------ observability
@@ -1563,7 +1566,7 @@ def build_parser() -> argparse.ArgumentParser:
     observability(p)
     p.add_argument("--backend", choices=["object", "fast"], default="object",
                    help="state backend: the object model (reference) or the "
-                   "packed fast core (same computation, 10x+ faster)")
+                   "packed fast core (same computation, ~3x faster)")
     p.add_argument("--profile-out", default=None, dest="profile_out",
                    metavar="PATH",
                    help="cProfile the run's hot loop; write top hotspots "
@@ -1641,7 +1644,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arbitrary steps before halting (0 = benign crash)")
     p.add_argument("--backend", choices=["object", "fast"], default="object",
                    help="state backend for every trial; records are "
-                   "byte-identical either way (RNG parity), fast is 10x+")
+                   "byte-identical either way (RNG parity), fast is ~3x")
     p.add_argument("--quiet", action="store_true", help="no per-shard progress")
     p.add_argument("--progress", type=int, default=0, metavar="N",
                    help="heartbeat: one stderr line (with ETA) per N "

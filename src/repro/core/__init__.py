@@ -2,7 +2,9 @@
 
 Public surface:
 
-* :class:`NADiners` — the algorithm of Figure 1;
+* :data:`FIGURE1` — the paper's program as an action table, written once;
+* :class:`NADiners` — that program's variables, domains and initial state,
+  with the table lowered to guarded commands over ``ProcessView``;
 * the predicates of §3 (``invariant_holds``, ``nc_holds``, ``st_holds``,
   ``e_holds``, ``red_set``, ``green_set``, ...);
 * the ablation variants used by experiment E8;
@@ -17,7 +19,8 @@ from ..sim.hunger import (  # re-exported: hunger is the diners' input signal
     ScriptedHunger,
     SelectiveHunger,
 )
-from .algorithm import NADiners, view_ancestors, view_descendants
+from .algorithm import NADiners
+from .figure1 import FIGURE1, ActionTable
 from .figure2 import (
     FIGURE2_DEPTHS,
     FIGURE2_PRIORITIES,
@@ -35,7 +38,6 @@ from .predicates import (
     invariant_holds,
     invariant_report,
     invariant_with_threshold,
-    is_green,
     is_shallow,
     longest_live_ancestor_chain,
     nc_holds,
@@ -63,8 +65,6 @@ from .variants import (
     NoDynamicThresholdDiners,
     NoFixdepthDiners,
     WrongDiameterDiners,
-    overestimated_diameter,
-    underestimated_diameter,
 )
 
 __all__ = [
@@ -75,8 +75,8 @@ __all__ = [
     "ScriptedHunger",
     "SelectiveHunger",
     "NADiners",
-    "view_ancestors",
-    "view_descendants",
+    "FIGURE1",
+    "ActionTable",
     "FIGURE2_DEPTHS",
     "FIGURE2_PRIORITIES",
     "FIGURE2_SEQUENCE",
@@ -91,7 +91,6 @@ __all__ = [
     "invariant_holds",
     "invariant_report",
     "invariant_with_threshold",
-    "is_green",
     "is_shallow",
     "longest_live_ancestor_chain",
     "nc_holds",
@@ -115,6 +114,4 @@ __all__ = [
     "NoDynamicThresholdDiners",
     "NoFixdepthDiners",
     "WrongDiameterDiners",
-    "overestimated_diameter",
-    "underestimated_diameter",
 ]

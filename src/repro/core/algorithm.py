@@ -24,6 +24,9 @@ Five actions per process ``p``:
     priority cycle the estimates grow without bound until some process
     exceeds ``D`` and ``exit`` fires.
 
+The rows themselves are data, :data:`repro.core.figure1.FIGURE1`; this
+module declares the variables and the initial state, and its actions are
+that table lowered to ``ProcessView`` (``figure1.view_program``).
 The translation is literal except for two deliberate, documented choices:
 
 * ``fixdepth`` takes the **maximum** violating descendant value rather than
@@ -41,33 +44,10 @@ from __future__ import annotations
 from typing import Any, Mapping, Tuple
 
 from ..sim.domains import BoolDomain, Domain, FiniteDomain, IntRange, SaturatingInt
-from ..sim.process import ActionDef, Algorithm, ProcessView
+from ..sim.process import ActionDef, Algorithm
 from ..sim.topology import Edge, Pid, Topology
-from .state import (
-    ACTION_ENTER,
-    ACTION_EXIT,
-    ACTION_FIXDEPTH,
-    ACTION_JOIN,
-    ACTION_LEAVE,
-    VAR_DEPTH,
-    VAR_NEEDS,
-    VAR_STATE,
-    DinerState,
-)
-
-T = DinerState.THINKING.value
-H = DinerState.HUNGRY.value
-E = DinerState.EATING.value
-
-
-def view_ancestors(view: ProcessView) -> Tuple[Pid, ...]:
-    """Direct ancestors of the view's process (edge variable names them)."""
-    return tuple(q for q in view.neighbors if view.edge_value(q) == q)
-
-
-def view_descendants(view: ProcessView) -> Tuple[Pid, ...]:
-    """Direct descendants of the view's process."""
-    return tuple(q for q in view.neighbors if view.edge_value(q) == view.pid)
+from .figure1 import FIGURE1, STATE_VALUES, ActionTable, view_program
+from .state import VAR_DEPTH, VAR_NEEDS, VAR_STATE, DinerState
 
 
 class NADiners(Algorithm):
@@ -90,6 +70,10 @@ class NADiners(Algorithm):
     name = "na-diners"
     hunger_variable = VAR_NEEDS
 
+    #: The program this class runs.  A variant is a subclass with an edited
+    #: table; every backend lowers the same rows.
+    table: ActionTable = FIGURE1
+
     def __init__(
         self,
         depth_cap: int | None = None,
@@ -102,14 +86,7 @@ class NADiners(Algorithm):
             raise ValueError("diameter_override must be non-negative")
         self.depth_cap = depth_cap
         self.diameter_override = diameter_override
-        self._initial_depth_cache: dict[int, dict[Pid, int]] = {}
-        self._actions = (
-            ActionDef(ACTION_JOIN, self._join_guard, self._join),
-            ActionDef(ACTION_LEAVE, self._leave_guard, self._leave),
-            ActionDef(ACTION_ENTER, self._enter_guard, self._enter),
-            ActionDef(ACTION_EXIT, self._exit_guard, self._exit),
-            ActionDef(ACTION_FIXDEPTH, self._fixdepth_guard, self._fixdepth),
-        )
+        self._actions = view_program(self.table, depth_cap, diameter_override)
 
     # ------------------------------------------------------- declarations
 
@@ -122,7 +99,7 @@ class NADiners(Algorithm):
             # cycle-detection threshold.
             depth_domain = SaturatingInt(2 * topology.diameter + 2)
         return {
-            VAR_STATE: FiniteDomain((T, H, E)),
+            VAR_STATE: FiniteDomain(STATE_VALUES),
             VAR_NEEDS: BoolDomain(),
             VAR_DEPTH: depth_domain,
         }
@@ -134,7 +111,7 @@ class NADiners(Algorithm):
 
     def initial_locals(self, pid: Pid, topology: Topology) -> Mapping[str, Any]:
         return {
-            VAR_STATE: T,
+            VAR_STATE: DinerState.THINKING.value,
             VAR_NEEDS: False,
             VAR_DEPTH: self._initial_depth(pid, topology),
         }
@@ -143,17 +120,7 @@ class NADiners(Algorithm):
         """The exact distance to ``pid``'s farthest descendant in the initial
         (node-order) priority DAG, so the initial state is quiescent: with
         all-zero depths ``fixdepth`` would be legitimately enabled."""
-        key = id(topology)
-        if key not in self._initial_depth_cache:
-            order = {p: i for i, p in enumerate(topology.nodes)}
-            depths: dict[Pid, int] = {}
-            for p in reversed(topology.nodes):  # descendants come later
-                below = [
-                    depths[q] + 1 for q in topology.neighbors(p) if order[q] > order[p]
-                ]
-                depths[p] = max(below, default=0)
-            self._initial_depth_cache[key] = depths
-        value = self._initial_depth_cache[key][pid]
+        value = topology.node_order_depths()[pid]
         if self.depth_cap is not None:
             value = min(value, self.depth_cap)
         return value
@@ -166,77 +133,3 @@ class NADiners(Algorithm):
 
     def actions(self) -> Tuple[ActionDef, ...]:
         return self._actions
-
-    # ------------------------------------------------------------ actions
-
-    @staticmethod
-    def _join_guard(view: ProcessView) -> bool:
-        return (
-            bool(view.get(VAR_NEEDS))
-            and view.get(VAR_STATE) == T
-            and all(view.peek(q, VAR_STATE) == T for q in view_ancestors(view))
-        )
-
-    @staticmethod
-    def _join(view: ProcessView) -> None:
-        view.set(VAR_STATE, H)
-
-    @staticmethod
-    def _leave_guard(view: ProcessView) -> bool:
-        return view.get(VAR_STATE) == H and any(
-            view.peek(q, VAR_STATE) != T for q in view_ancestors(view)
-        )
-
-    @staticmethod
-    def _leave(view: ProcessView) -> None:
-        view.set(VAR_STATE, T)
-
-    @staticmethod
-    def _enter_guard(view: ProcessView) -> bool:
-        return (
-            view.get(VAR_STATE) == H
-            and all(view.peek(q, VAR_STATE) == T for q in view_ancestors(view))
-            and all(view.peek(q, VAR_STATE) != E for q in view_descendants(view))
-        )
-
-    @staticmethod
-    def _enter(view: ProcessView) -> None:
-        view.set(VAR_STATE, E)
-
-    def _d(self, view: ProcessView) -> int:
-        """The constant ``D`` as this algorithm instance believes it."""
-        if self.diameter_override is not None:
-            return self.diameter_override
-        return view.diameter
-
-    def _exit_guard(self, view: ProcessView) -> bool:
-        return view.get(VAR_STATE) == E or view.get(VAR_DEPTH) > self._d(view)
-
-    @staticmethod
-    def _exit(view: ProcessView) -> None:
-        view.set(VAR_STATE, T)
-        view.set(VAR_DEPTH, 0)
-        for q in view.neighbors:
-            view.set_edge(q, q)
-
-    def _fixdepth_guard(self, view: ProcessView) -> bool:
-        depth = view.get(VAR_DEPTH)
-        return any(
-            depth < self._propagated(view, q) for q in view_descendants(view)
-        )
-
-    def _fixdepth(self, view: ProcessView) -> None:
-        depth = view.get(VAR_DEPTH)
-        candidates = [
-            value
-            for q in view_descendants(view)
-            if (value := self._propagated(view, q)) > depth
-        ]
-        view.set(VAR_DEPTH, max(candidates))
-
-    def _propagated(self, view: ProcessView, q: Pid) -> int:
-        """``depth.q + 1``, clamped when a depth cap is in force."""
-        value = view.peek(q, VAR_DEPTH) + 1
-        if self.depth_cap is not None:
-            value = min(value, self.depth_cap)
-        return value

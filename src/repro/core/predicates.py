@@ -173,6 +173,7 @@ def longest_live_ancestor_chain(config: Configuration, pid: Pid) -> float:
     return chain(pid)
 
 
+
 def is_shallow(config: Configuration, pid: Pid, threshold: int | None = None) -> bool:
     """Predicate SH:p.
 
@@ -361,8 +362,3 @@ def red_set(config: Configuration) -> FrozenSet[Pid]:
 def green_set(config: Configuration) -> FrozenSet[Pid]:
     """All processes that are not red."""
     return frozenset(config.topology.nodes) - red_set(config)
-
-
-def is_green(config: Configuration, pid: Pid) -> bool:
-    """True when ``pid`` is green (unaffected by crashes, §3.2)."""
-    return pid in green_set(config)

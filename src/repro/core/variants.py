@@ -3,7 +3,8 @@
 Each variant removes (or misconfigures) exactly one of the mechanisms the
 paper's "Solution ideas" section credits with one tolerance property, so the
 ablation benchmarks (experiment E8) can show that the mechanism is what buys
-the property:
+the property.  Each is declared here and only here, as an edit of the action
+table (:data:`repro.core.figure1.FIGURE1`) that every backend lowers:
 
 * :class:`NoFixdepthDiners` — drops cycle breaking (``fixdepth`` and the
   ``depth > D`` disjunct of ``exit``).  Crash-tolerant but **not
@@ -20,19 +21,9 @@ the property:
 
 from __future__ import annotations
 
-from ..sim.process import ActionDef, ProcessView
-from ..sim.topology import Topology
 from .algorithm import NADiners
-from .state import (
-    ACTION_ENTER,
-    ACTION_EXIT,
-    ACTION_JOIN,
-    ACTION_LEAVE,
-    VAR_STATE,
-)
-from .state import DinerState
-
-E = DinerState.EATING.value
+from .figure1 import FIGURE1
+from .state import ACTION_EXIT, ACTION_FIXDEPTH, ACTION_LEAVE
 
 
 class NoFixdepthDiners(NADiners):
@@ -44,20 +35,9 @@ class NoFixdepthDiners(NADiners):
     """
 
     name = "na-diners/no-fixdepth"
-
-    def __init__(self, depth_cap: int | None = None) -> None:
-        super().__init__(depth_cap)
-        base = {a.name: a for a in super().actions()}
-        self._actions = (
-            base[ACTION_JOIN],
-            base[ACTION_LEAVE],
-            base[ACTION_ENTER],
-            ActionDef(ACTION_EXIT, self._exit_meal_only_guard, self._exit),
-        )
-
-    @staticmethod
-    def _exit_meal_only_guard(view: ProcessView) -> bool:
-        return view.get(VAR_STATE) == E
+    table = FIGURE1.without(ACTION_FIXDEPTH).with_guard(
+        ACTION_EXIT, (("state == E",),)
+    )
 
 
 class NoDynamicThresholdDiners(NADiners):
@@ -69,29 +49,13 @@ class NoDynamicThresholdDiners(NADiners):
     """
 
     name = "na-diners/no-threshold"
-
-    def __init__(self, depth_cap: int | None = None) -> None:
-        super().__init__(depth_cap)
-        self._actions = tuple(
-            a for a in super().actions() if a.name != ACTION_LEAVE
-        )
+    table = FIGURE1.without(ACTION_LEAVE)
 
 
 class WrongDiameterDiners(NADiners):
-    """The full program run with a wrong value of the constant ``D``."""
+    """The full program run with a wrong value of the constant ``D`` — the
+    same table, a different integer."""
 
     def __init__(self, assumed_diameter: int, depth_cap: int | None = None) -> None:
         super().__init__(depth_cap, diameter_override=assumed_diameter)
         self.name = f"na-diners/D={assumed_diameter}"
-
-
-def underestimated_diameter(topology: Topology) -> WrongDiameterDiners:
-    """The wrong-D variant with the smallest non-trivial underestimate."""
-    return WrongDiameterDiners(max(0, topology.diameter - 1))
-
-
-def overestimated_diameter(topology: Topology, factor: int = 2) -> WrongDiameterDiners:
-    """The wrong-D variant with an overestimate of ``factor * D``."""
-    if factor < 1:
-        raise ValueError("factor must be at least 1")
-    return WrongDiameterDiners(topology.diameter * factor)

@@ -10,12 +10,13 @@ place a backend *name* (``"object"`` or ``"fast"``) becomes a store:
 >>> engine = make_engine(topology, algorithm, backend="fast", seed=7)
 >>> engine.run(10_000)
 
-Step cycle, daemons, fault handling and RNG draws are shared code, so a seed
-produces the same computation on both; the guards and commands exist twice
-(``core/algorithm.py``'s ``ActionDef``s, and the action table of
-:mod:`repro.fastcore.table` from which the packed code is generated) — see
-:mod:`repro.fastcore.parity` for the co-run harness and ``tests/fastcore/``
-for the seeded battery that pins the two step-for-step.
+Step cycle, daemons, fault handling and RNG draws are shared code, and the
+guards and commands are written once — the action table of
+:mod:`repro.core.figure1`, lowered to ``ActionDef``s for the object model
+and, by :mod:`repro.fastcore.table`, to the packed code — so a seed produces
+the same computation on both; see :mod:`repro.fastcore.parity` for the
+co-run harness and ``tests/fastcore/`` for the seeded battery that pins the
+two step-for-step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ..sim.network import System
 from .engine import FastEngine, PackedSystem
 from .explorer import FastReachability, FastTransitionSystem
 from .packed import PackedCodec, PackedState, UnsupportedBackendError
-from .parity import ParityError, ParityReport, co_run, co_run_results
+from .parity import ParityError, ParityReport, co_run
 
 #: Registered state backends, by name.
 STATE_BACKENDS = ("object", "fast")
@@ -78,6 +79,5 @@ __all__ = [
     "STATE_BACKENDS",
     "UnsupportedBackendError",
     "co_run",
-    "co_run_results",
     "make_engine",
 ]

@@ -10,10 +10,11 @@ malice phase, hunger refresh, daemons and the fairness ledger are the
 engine's and exist once; the havoc/randomize draw recipe is
 ``StateStore``'s and exists once.  So a seed produces the same computation
 on either store by construction, and what the co-run battery in
-``tests/fastcore`` still has to vouch for is the part that does exist
+``tests/fastcore`` still has to vouch for is the part that is *lowered*
 twice: Figure 1's guards and commands (the code
 :func:`repro.fastcore.table.vector_program` generates from the action table
-against the ``ActionDef``s of ``core/algorithm.py``).
+against the ``ActionDef``s :func:`repro.core.figure1.view_program` generates
+from the same rows).
 Like ``System``, the packed store re-evaluates guards incrementally — a
 write at ``p`` re-evaluates ``p`` and its neighbours — here a handful of
 bitset operations per process instead of a dict walk through
@@ -21,8 +22,8 @@ bitset operations per process instead of a dict walk through
 
 What the packed store cannot run it refuses with
 :class:`~repro.fastcore.packed.UnsupportedBackendError`: an algorithm with
-no action table — anything but ``NADiners`` and its three ablations (at
-construction, in :class:`PackedCodec`) — and any part of ``System``'s public
+no action table, or whose actions are not its table's (at construction,
+in :class:`PackedCodec`) — and any part of ``System``'s public
 surface it does not serve (a strategy or score function reaching for
 ``read_edge``, ``view``, ``restore`` …, on first use).
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Tuple
 
+from ..core.figure1 import STATE_CODE, STATE_VALUES
 from ..core.state import VAR_DEPTH, VAR_NEEDS, VAR_STATE
 from ..sim.configuration import Configuration
 from ..sim.engine import Engine
@@ -43,8 +45,6 @@ from .packed import (
     ALIVE,
     DEAD,
     MALICIOUS,
-    STATE_CODE,
-    STATE_VALUES,
     PackedCodec,
     UnsupportedBackendError,
 )

@@ -16,9 +16,10 @@ re-encodes the same state as flat per-process vectors plus per-process
 Bitset operands act on the *whole process set at once*: ``anc[p] & nonT``
 evaluates the paper's ``∀ ancestor q: state.q = T`` for all ancestors in one
 machine operation, which is where the speedup over per-neighbour dict reads
-comes from.  No guard or command is written in this module: Figure 1 lives
-in :mod:`repro.fastcore.table`, which generates the code that reads these
-vectors (for the packed store) and the int below (for the explorer).
+comes from.  No guard or command is written in this module: Figure 1 is the
+action table of :mod:`repro.core.figure1`, and :mod:`repro.fastcore.table`
+generates from it the code that reads these vectors (for the packed store)
+and the int below (for the explorer).
 
 :class:`PackedCodec` converts between this encoding and the object model's
 :class:`~repro.sim.configuration.Configuration` — losslessly, so parity can
@@ -26,20 +27,17 @@ be asserted configuration-by-configuration — and between a state and one
 fixed-layout ``int`` (:meth:`PackedCodec.key` / :meth:`PackedCodec.unkey`,
 laid out by :class:`KeyLayout`), which *is* the checker's state: a
 successor is its parent's int with the writing process's fields replaced.
-(numpy does the bulk array conversion for analysis consumers via
-:meth:`PackedState.as_arrays`.)
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from ..core.algorithm import NADiners
+from ..core.figure1 import FIGURE1, STATE_CODE, STATE_VALUES, view_program
 from ..core.state import VAR_DEPTH, VAR_NEEDS, VAR_STATE
 from ..sim.configuration import Configuration
 from ..sim.errors import DomainError, SimulationError, UnknownProcessError
 from ..sim.topology import Pid, Topology
-from .table import FIGURE1, STATE_CODE, STATE_VALUES, table_for
 
 #: Figure 1's own action names and bit positions.  A store or explorer takes
 #: its positions from its algorithm's table (``PackedCodec.table``), which
@@ -85,17 +83,6 @@ class PackedState:
             self.desc[:],
         )
 
-    def as_arrays(self):
-        """Numpy views of the per-process vectors (for vectorized analysis)."""
-        import numpy as np
-
-        return {
-            "state": np.array(self.state, dtype=np.uint8),
-            "needs": np.array(self.needs, dtype=np.bool_),
-            "depth": np.array(self.depth, dtype=np.int64),
-            "status": np.array(self.status, dtype=np.uint8),
-        }
-
 
 class KeyLayout(NamedTuple):
     """Where each variable lives in the int :meth:`PackedCodec.key` returns.
@@ -123,12 +110,16 @@ class PackedCodec:
     cap), so engines and explorers share one source of truth.
     """
 
-    def __init__(self, topology: Topology, algorithm: NADiners) -> None:
-        table = table_for(algorithm)
-        if table is None:
+    def __init__(self, topology: Topology, algorithm) -> None:
+        # The refusal follows the program, not a class list: anything that
+        # runs exactly the actions its table lowers to has a packed form.
+        table = getattr(algorithm, "table", None)
+        if table is None or algorithm.actions() != view_program(
+            table, algorithm.depth_cap, algorithm.diameter_override
+        ):
             raise UnsupportedBackendError(
-                "fast backend supports NADiners and its table-edit ablations "
-                f"only, not {algorithm!r}"
+                "fast backend runs an action table (NADiners and its "
+                f"table-edit variants) only, not {algorithm!r}"
             )
         #: Figure 1 as this algorithm runs it; row order = action bit order.
         self.table = table

@@ -169,42 +169,3 @@ def co_run(
     return ParityReport(
         steps=taken, quiescent=quiescent, events=events, final=final_obj
     )
-
-
-def co_run_results(
-    topology: Topology,
-    algorithm_factory: Callable[[], object],
-    *,
-    max_steps: int,
-    seed: int = 0,
-    daemon_factory: Optional[Callable[[], object]] = None,
-    hunger_factory: Optional[Callable[[], object]] = None,
-    faults_factory: Optional[Callable[[], object]] = None,
-):
-    """Whole-run comparison: both backends' ``run()`` results must match.
-
-    Complements :func:`co_run` (which steps manually and never exercises
-    the run loop's quiescence/stop accounting): returns the two
-    :class:`~repro.sim.engine.RunResult` objects after asserting they agree
-    on steps, termination flags, and final configuration.
-    """
-    obj, fast = _pair(
-        topology, algorithm_factory, seed,
-        daemon_factory, hunger_factory, faults_factory,
-    )
-    result_obj = obj.run(max_steps)
-    result_fast = fast.run(max_steps)
-    if (
-        result_obj.steps != result_fast.steps
-        or result_obj.quiescent != result_fast.quiescent
-        or result_obj.stopped != result_fast.stopped
-        or result_obj.exhausted != result_fast.exhausted
-    ):
-        raise ParityError(
-            f"run results diverged: object {result_obj!r} != fast {result_fast!r}"
-        )
-    if result_obj.final != result_fast.final:
-        raise ParityError(
-            _diff_configurations(result_obj.steps, result_obj.final, result_fast.final)
-        )
-    return result_obj, result_fast

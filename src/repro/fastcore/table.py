@@ -1,10 +1,9 @@
-"""Figure 1 once, as data — and the two packed programs generated from it.
+"""The two packed programs generated from Figure 1's action table.
 
-:data:`FIGURE1` is the paper's program as a table, one :class:`Action` per
-row: a guard over a handful of *atoms* and a command as field assignments.
-The ablations are edits of that table (:func:`table_for`), not new code.
-Nothing here evaluates a guard; two *lowerings* turn a table into Python
-source, ``compile()`` it once and hand back the functions:
+The table itself (:data:`repro.core.figure1.FIGURE1`, its atoms, the
+ablations as table edits on the variant classes) lives in ``core`` with the
+lowering the object model runs; this module adds the two *packed* lowerings,
+each turning a table into Python source that is ``compile()``d once:
 
 * :func:`int_key_program` — per (topology, table, cap, ``D``): one
   straight-line ``expand(k)`` over :meth:`PackedCodec.key`'s int itself.
@@ -20,130 +19,32 @@ Both share :func:`_emit_rows`, which is where the table's structure becomes
 control flow: rows whose guard tests the process's own ``state`` are
 case-split on it (a conjunct known true is dropped, a row known false
 vanishes), so each branch evaluates only what can still matter — the nesting
-the hand-written guards used to have, derived instead of typed.
+hand-written packed guards used to have, derived instead of typed.
 
 Generated source is kept on the program (``.source``) and registered in
-:mod:`linecache` under a name saying what it was generated for, so a
-traceback or a profile shows its lines.  The object model's ``ActionDef``s
-in ``core/algorithm.py`` are the oracle the generated code is tested
-against (``tests/fastcore/test_table.py``).
+:mod:`linecache`; all three lowerings are tested against the hand-written
+reference in ``tests/core/figure1_oracle.py``.
 """
 
 from __future__ import annotations
 
-import linecache
 import re
 import zlib
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..core.algorithm import NADiners
-from ..core.state import (
-    ACTION_ENTER,
-    ACTION_EXIT,
-    ACTION_FIXDEPTH,
-    ACTION_JOIN,
-    ACTION_LEAVE,
-)
-from ..core.variants import (
-    NoDynamicThresholdDiners,
-    NoFixdepthDiners,
-    WrongDiameterDiners,
+from ..core.figure1 import (
+    ATOM,
+    STATE_CODE,
+    STATE_TEST,
+    Action,
+    ActionTable,
+    Guard,
+    Program,
+    compile_program,
 )
 
-#: T/H/E codes.  Order matters: it is the FiniteDomain declaration order.
-STATE_VALUES: Tuple[str, ...] = ("T", "H", "E")
-STATE_CODE: Dict[str, int] = {v: i for i, v in enumerate(STATE_VALUES)}
-
-#: A guard in disjunctive form: alternatives of conjuncts.
-Guard = Tuple[Tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
-class Action:
-    """One row of Figure 1.
-
-    ``when`` is the guard: any alternative holds, an alternative being a
-    conjunction of Python expressions over the atoms
-
-    * ``state == T`` / ``H`` / ``E`` (the process's own state; always a
-      whole conjunct, which is what lets a lowering case-split on it),
-    * ``needs``, ``depth`` — its other two variables,
-    * ``anc_nonT`` — some ancestor is not thinking,
-    * ``desc_E`` — some descendant is eating,
-    * ``prop`` — the largest ``depth.q + 1`` over its descendants, clamped
-      to the depth cap when one is in force (0 with no descendant),
-    * ``D`` — the cycle-detection threshold.
-
-    ``assign`` is the command, ``(variable, value)`` with the value a state
-    letter, a number or an atom; ``away`` adds "point every incident edge
-    away from the process".
-    """
-
-    name: str
-    when: Guard
-    assign: Tuple[Tuple[str, str], ...]
-    away: bool = False
-
-
-@dataclass(frozen=True)
-class ActionTable:
-    """Rows in declaration order — the order of the enabled list, and the
-    bit position of each action in an enabled set."""
-
-    rows: Tuple[Action, ...]
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(row.name for row in self.rows)
-
-    def without(self, name: str) -> "ActionTable":
-        return ActionTable(tuple(r for r in self.rows if r.name != name))
-
-    def with_guard(self, name: str, when: Guard) -> "ActionTable":
-        return ActionTable(
-            tuple(replace(r, when=when) if r.name == name else r for r in self.rows)
-        )
-
-
-FIGURE1 = ActionTable((
-    Action(ACTION_JOIN, (("needs", "state == T", "not anc_nonT"),),
-           (("state", "H"),)),
-    Action(ACTION_LEAVE, (("state == H", "anc_nonT"),), (("state", "T"),)),
-    Action(ACTION_ENTER, (("state == H", "not anc_nonT", "not desc_E"),),
-           (("state", "E"),)),
-    Action(ACTION_EXIT, (("state == E",), ("depth > D",)),
-           (("state", "T"), ("depth", "0")), away=True),
-    Action(ACTION_FIXDEPTH, (("depth < prop",),), (("depth", "prop"),)),
-))
-
-_TABLES = {
-    NADiners: FIGURE1,
-    WrongDiameterDiners: FIGURE1,  # differs in the integer D alone
-    NoFixdepthDiners: FIGURE1.without(ACTION_FIXDEPTH).with_guard(
-        ACTION_EXIT, (("state == E",),)
-    ),
-    NoDynamicThresholdDiners: FIGURE1.without(ACTION_LEAVE),
-}
-
-
-def table_for(algorithm) -> Optional[ActionTable]:
-    """The table of ``algorithm``'s program, or None when it has no packed
-    form (the baselines; a subclass this module has not been told about)."""
-    table = _TABLES.get(type(algorithm))
-    if table is not None and table.names != tuple(
-        a.name for a in algorithm.actions()
-    ):
-        return None
-    return table
-
-
-# ------------------------------------------------------------ rows -> code
-
-_STATE_TEST = re.compile(r"state == ([THE])")
-_ATOM = re.compile(r"\b(needs|depth|anc_nonT|desc_E|prop|D)\b")
 #: atom -> the local a block binds it to when it reads it more than once
 _LOCALS = {"anc_nonT": "an"}
 
@@ -156,7 +57,7 @@ def _residual(when: Guard, state: Optional[int]) -> str:
     for conjunction in when:
         rest = []
         for conjunct in conjunction:
-            test = _STATE_TEST.fullmatch(conjunct)
+            test = STATE_TEST.fullmatch(conjunct)
             if test is None:
                 rest.append(conjunct)
             elif STATE_CODE[test[1]] != state:
@@ -169,7 +70,7 @@ def _residual(when: Guard, state: Optional[int]) -> str:
 
 
 def _tests_state(row: Action) -> bool:
-    return any(_STATE_TEST.fullmatch(c) for alt in row.when for c in alt)
+    return any(STATE_TEST.fullmatch(c) for alt in row.when for c in alt)
 
 
 class _Lowering(NamedTuple):
@@ -191,7 +92,7 @@ def _block(pairs: Sequence[Tuple[str, str]], low: _Lowering) -> List[str]:
     text = "\n".join(g + "\n" + s for g, s in pairs if g != "False")
     lines: List[str] = []
     spelled = {}
-    uses = Counter(_ATOM.findall(text))
+    uses = Counter(ATOM.findall(text))
     for atom, source in low.atoms.items():
         if uses[atom]:
             lines += low.preludes.get(atom, ())
@@ -199,7 +100,7 @@ def _block(pairs: Sequence[Tuple[str, str]], low: _Lowering) -> List[str]:
             lines.append(f"{_LOCALS[atom]} = {source}")
             source = _LOCALS[atom]
         spelled[atom] = source
-    spell = lambda src: _ATOM.sub(lambda m: spelled[m[1]], src)
+    spell = lambda src: ATOM.sub(lambda m: spelled[m[1]], src)
     for guard, statement in pairs:
         if guard == "True":
             lines.append(spell(statement))
@@ -239,25 +140,6 @@ def _emit_rows(table: ActionTable, low: _Lowering) -> List[str]:
                 low,
             ))
     return lines
-
-
-class Program(NamedTuple):
-    """Compiled generated code: its functions by name, and its text."""
-
-    functions: Dict[str, Callable]
-    source: str
-
-
-def _compile(source: str, filename: str) -> Program:
-    """``compile()`` generated ``source`` under ``filename``, registered in
-    :mod:`linecache` (mtime None: never invalidated) so tracebacks, ``pdb``
-    and profilers can show its lines."""
-    linecache.cache[filename] = (
-        len(source), None, source.splitlines(True), filename
-    )
-    namespace: Dict[str, Callable] = {}
-    exec(compile(source, filename, "exec"), namespace)
-    return Program(namespace, source)
 
 
 # -------------------------------------------------------- int-key lowering
@@ -371,7 +253,7 @@ def int_key_program(codec) -> Program:
     # Topology has no name; its repr plus a digest of the edge list keeps two
     # graphs of one size from sharing (and overwriting) a linecache entry.
     edges = zlib.crc32(repr(layout.edges).encode())
-    return _compile(
+    return compile_program(
         source,
         f"<repro.fastcore int-key {codec.topology!r}/{edges:08x} "
         f"{codec.algorithm.name} cap={cap} D={codec.d_const}>",
@@ -456,6 +338,6 @@ def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Prog
         apply += _indent(command, " " * 8)
     source = "\n".join(recompute + ["", ""] + apply + [""])
     names = "+".join(table.names)
-    return _compile(
+    return compile_program(
         source, f"<repro.fastcore vector {names} cap={cap} D={d_const}>"
     )

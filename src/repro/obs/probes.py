@@ -30,12 +30,13 @@ produce identical registries for identical streams.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.predicates import e_holds, eating_pairs, nc_holds, st_holds
 from ..core.state import VAR_DEPTH, VAR_STATE, DinerState, direct_ancestors
 from ..sim.configuration import Configuration
 from ..sim.serialize import encode_literal
+from ..sim.topology import Pid
 from ..sim.trace import EventKind, TraceEvent
 from .bus import EventBus
 from .metrics import MetricsRegistry
@@ -172,14 +173,19 @@ class InvariantProbe(Probe):
         registry.counter("invariant/samples").inc(len(self.timeline))
 
 
-def waiting_chain_length(config: Configuration) -> int:
-    """Longest chain of live hungry processes each waiting on a live hungry
-    direct ancestor.
+def waiting_chain(config: Configuration) -> Tuple[int, Tuple[Pid, ...]]:
+    """The longest chain of live hungry processes each waiting on a live
+    hungry direct ancestor, as ``(length, path)``.
 
     A hungry process whose ancestor is not thinking cannot ``enter``; chains
     of such processes are exactly what the dynamic threshold (``leave``)
-    keeps short.  A priority cycle of hungry processes makes the chain
-    unbounded; this returns the live-process count in that case.
+    keeps short.  ``path`` is ``(p0, ..., pk)`` with ``p_{i+1}`` a hungry
+    direct ancestor of ``p_i`` — ``p0`` the most deeply blocked process,
+    ``pk`` the *root* every member transitively waits on; ties break by
+    ``repr`` so it is a pure function of the configuration.  A priority
+    cycle of hungry processes makes the wait unbounded: ``length`` is then
+    the process count, and ``path`` is cut where it would repeat.  ``(0,
+    ())`` when nobody is hungry.
     """
     hungry = DinerState.HUNGRY.value
     faulty = config.faulty
@@ -190,10 +196,11 @@ def waiting_chain_length(config: Configuration) -> int:
     ]
     hungry_set = set(nodes)
     cap = len(config.topology.nodes)
-    memo: Dict[Any, int] = {}
+    memo: Dict[Pid, int] = {}
+    succ: Dict[Pid, Pid] = {}  # the ancestor realising chain(p)
     ON_STACK = -1
 
-    def chain(p) -> int:
+    def chain(p: Pid) -> int:
         cached = memo.get(p)
         if cached == ON_STACK:
             return cap  # cycle of hungry processes: unbounded wait
@@ -201,13 +208,44 @@ def waiting_chain_length(config: Configuration) -> int:
             return cached
         memo[p] = ON_STACK
         best = 1
-        for q in direct_ancestors(config, p):
-            if q in hungry_set:
-                best = max(best, min(cap, 1 + chain(q)))
+        for q in sorted(direct_ancestors(config, p), key=repr):
+            if q not in hungry_set:
+                continue
+            length = min(cap, 1 + chain(q))
+            if length > best:
+                best = length
+                succ[p] = q
         memo[p] = best
         return best
 
-    return max((chain(p) for p in nodes), default=0)
+    head: Pid | None = None
+    head_len = 0
+    for p in sorted(nodes, key=repr):
+        length = chain(p)
+        if length > head_len:
+            head_len = length
+            head = p
+    if head is None:
+        return 0, ()
+    path: List[Pid] = [head]
+    seen: Set[Pid] = {head}
+    while True:
+        nxt = succ.get(path[-1])
+        if nxt is None or nxt in seen or len(path) >= cap:
+            break
+        path.append(nxt)
+        seen.add(nxt)
+    return head_len, tuple(path)
+
+
+def waiting_chain_length(config: Configuration) -> int:
+    """Longest chain of live hungry processes each waiting on a live hungry
+    direct ancestor (:func:`waiting_chain`'s length).
+
+    A priority cycle of hungry processes makes the chain unbounded; this
+    returns the process count in that case.
+    """
+    return waiting_chain(config)[0]
 
 
 class WaitingChainProbe(Probe):

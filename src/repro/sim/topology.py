@@ -89,6 +89,7 @@ class Topology:
         self._diameter = max(finite) if finite else 0
         self._longest_path: int | None = None
         self._colour_rank: Dict[Pid, Tuple[int, int]] | None = None
+        self._node_order_depths: Dict[Pid, int] | None = None
 
     # ------------------------------------------------------------------ views
 
@@ -230,6 +231,21 @@ class Topology:
                 p: (colour[p], i) for i, p in enumerate(self._nodes)
             }
         return self._colour_rank
+
+    def node_order_depths(self) -> Mapping[Pid, int]:
+        """``{p: distance from p to its farthest descendant}`` when every
+        edge points from its earlier endpoint (in node order) to its later
+        one — the diners' initial priority DAG; the result is cached."""
+        if self._node_order_depths is None:
+            order = {p: i for i, p in enumerate(self._nodes)}
+            depths: Dict[Pid, int] = {}
+            for p in reversed(self._nodes):  # descendants come later
+                depths[p] = max(
+                    (depths[q] + 1 for q in self._adjacency[p] if order[q] > order[p]),
+                    default=0,
+                )
+            self._node_order_depths = depths
+        return self._node_order_depths
 
     # ------------------------------------------------------------ internals
 

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.analysis import (
-    LocalityReport,
-    locality_sweep,
     measure_failure_locality,
     run_until_eating,
 )
@@ -103,20 +101,6 @@ class TestMeasureFailureLocality:
             seed=5,
         )
         assert report.starving  # at least the blocked neighbour
-
-
-class TestSweep:
-    def test_sweep_shape(self):
-        results = locality_sweep(
-            [NADiners()],
-            line,
-            [5, 6],
-            warmup_steps=15_000,
-            settle_steps=4_000,
-            window=12_000,
-        )
-        assert set(results) == {("na-diners", 5), ("na-diners", 6)}
-        assert all(isinstance(r, LocalityReport) for r in results.values())
 
 
 class TestFrozenChainScenario:

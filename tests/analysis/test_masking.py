@@ -1,6 +1,6 @@
 """Unit tests for the masking analysis."""
 
-from repro.analysis import classify_violations, masking_probe, masking_sweep
+from repro.analysis import classify_violations, masking_probe
 from repro.core import NADiners
 from repro.sim import System, line, ring
 
@@ -61,10 +61,3 @@ class TestMaskingProbe:
             for s in range(4)
         )
         assert hits > 0
-
-    def test_sweep_shape(self):
-        reports = masking_sweep(
-            NADiners, line(5), 1, [5, 10], seeds=range(2), observe=2000
-        )
-        assert len(reports) == 4
-        assert {r.malicious_steps for r in reports} == {5, 10}

@@ -229,6 +229,18 @@ class TestInitialState:
         for topo in (line(5), star(4), binary_tree(3)):
             assert System(topo, NADiners()).is_quiescent()
 
+    def test_one_algorithm_over_short_lived_topologies(self):
+        # The initial depths belong to the topology.  Cached on the
+        # algorithm under ``id(topology)`` they were another graph's once a
+        # dead topology's address was reused: line(3) -> [7, 6, 5], an
+        # illegitimate initial state, or a KeyError.
+        algo = NADiners()
+        for i in range(2000):
+            n = 3 + i % 7
+            topo = line(n) if i % 2 else ring(n)
+            depths = [algo.initial_locals(p, topo)["depth"] for p in topo.nodes]
+            assert depths == list(range(n - 1, -1, -1))
+
     def test_ring_initial_state_churns(self):
         # On a ring the node-order chain exceeds the diameter, so the
         # process at the top legitimately has a (spurious) exit enabled —

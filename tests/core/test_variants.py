@@ -1,16 +1,13 @@
 """Unit tests for the ablation variants."""
 
-import pytest
-
 from repro.analysis import plant_priority_cycle
 from repro.core import (
     NADiners,
     NoDynamicThresholdDiners,
     NoFixdepthDiners,
     WrongDiameterDiners,
-    overestimated_diameter,
-    underestimated_diameter,
 )
+from repro.core.figure1 import FIGURE1
 from repro.sim import AlwaysHungry, Engine, System, WeaklyFairDaemon, line, ring
 
 
@@ -95,22 +92,27 @@ class TestWrongDiameter:
         assert WrongDiameterDiners(5).name == "na-diners/D=5"
 
     def test_underestimate_factory(self):
+        # The same five rows, a different integer: D is the only thing a
+        # wrong-D instance changes, and its generated guard says so.
         topo = line(5)
-        algo = underestimated_diameter(topo)
+        algo = WrongDiameterDiners(topo.diameter - 1)
+        assert algo.table is FIGURE1
         assert algo.diameter_override == topo.diameter - 1
+        exit_guard = algo.action_named("exit").guard
+        assert f"D={topo.diameter - 1}>" in exit_guard.__code__.co_filename
 
     def test_overestimate_factory(self):
         topo = line(5)
-        algo = overestimated_diameter(topo, factor=3)
-        assert algo.diameter_override == topo.diameter * 3
-
-    def test_overestimate_factor_validation(self):
-        with pytest.raises(ValueError):
-            overestimated_diameter(line(3), factor=0)
+        algo = WrongDiameterDiners(topo.diameter * 3)
+        s = System(topo, algo)
+        s.write_local(0, "depth", topo.diameter * 3)  # > true D, not > 3D
+        assert "exit" not in [a.name for a in s.enabled_actions(0)]
+        s.write_local(0, "depth", topo.diameter * 3 + 1)
+        assert "exit" in [a.name for a in s.enabled_actions(0)]
 
     def test_underestimate_keeps_liveness(self):
         topo = line(5)
-        s = System(topo, underestimated_diameter(topo))
+        s = System(topo, WrongDiameterDiners(topo.diameter - 1))
         e = Engine(s, hunger=AlwaysHungry(), seed=4)
         e.run(8000)
         assert all(e.eats_of(p) > 0 for p in s.pids)

@@ -86,18 +86,20 @@ class TestUnsupportedCombinations:
     """The fast backend must refuse — loudly — what it cannot replicate."""
 
     def test_variant_algorithms_rejected(self):
-        # The ablations are table edits now and run packed; what has no
-        # action table is still refused: the three baselines, and a subclass
-        # nobody wrote a table edit for.
+        # What has no action table is refused: the two baselines with their
+        # own fork/token cells.  Whatever runs a table's actions is not — an
+        # ablation, choy-singh (the no-fixdepth table under another name),
+        # or a subclass nobody told the backend about.
         class Tweaked(NADiners):
             pass
 
-        for algorithm in (
-            ChoySinghDiners(), HygienicDiners(), ForkOrderingDiners(), Tweaked()
-        ):
+        for algorithm in (HygienicDiners(), ForkOrderingDiners()):
             with pytest.raises(UnsupportedBackendError):
                 make_engine(ring(4), algorithm, backend="fast")
-        make_engine(ring(4), NoFixdepthDiners(), backend="fast").run(50)
+        for algorithm in (NoFixdepthDiners, ChoySinghDiners, Tweaked):
+            make_engine(ring(4), algorithm(), backend="fast").run(50)
+            co_run(ring(6), algorithm, steps=300, seed=5,
+                   hunger_factory=AlwaysHungry)
 
     def test_round_daemon_co_runs(self):
         # Refused while FastEngine mirrored the daemons it knew; now the
@@ -192,11 +194,11 @@ class TestCliBackendFlag:
     def test_run_fast_rejects_variant_algorithms(self):
         with pytest.raises(SystemExit):
             main(
-                ["run", "--topology", "ring:4", "--algorithm", "choy-singh",
+                ["run", "--topology", "ring:4", "--algorithm", "hygienic",
                  "--backend", "fast"]
             )
 
-    @pytest.mark.parametrize("name", ["no-fixdepth", "no-threshold"])
+    @pytest.mark.parametrize("name", ["no-fixdepth", "no-threshold", "choy-singh"])
     def test_run_fast_runs_the_ablations(self, name, capsys):
         argv = ["run", "--topology", "ring:6", "--steps", "1500",
                 "--algorithm", name]

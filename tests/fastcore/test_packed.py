@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.baselines import ForkOrderingDiners, HygienicDiners
 from repro.core import NADiners, NoFixdepthDiners, e_holds
 from repro.fastcore import PackedCodec, UnsupportedBackendError
 from repro.sim import DomainError, System, grid, line, ring
@@ -112,24 +113,27 @@ class TestKey:
 
 class TestSupport:
     def test_rejects_algorithm_variants(self):
-        # A variant changes the action semantics, so the codec must refuse
-        # one it has no action table for rather than mis-run it: a subclass
-        # nobody registered, and one whose actions are not its table's rows.
+        # The refusal follows the program, not a class list: the codec runs
+        # whatever runs exactly the actions its table lowers to — so an
+        # untouched subclass is accepted, of the paper's program or of an
+        # ablation, with its parent's table ...
         class Tweaked(NADiners):
             pass
 
         class Unlisted(NoFixdepthDiners):
             pass
 
-        drifted = NoFixdepthDiners()
-        drifted._actions = drifted._actions[:-1]
-        for algorithm in (Tweaked(), Unlisted(), drifted):
-            with pytest.raises(UnsupportedBackendError):
-                PackedCodec(ring(4), algorithm)
-        # ... while the ablation itself is a table edit and has a codec.
-        assert PackedCodec(ring(4), NoFixdepthDiners()).table.names == (
+        assert PackedCodec(ring(4), Tweaked()).table is NADiners.table
+        assert PackedCodec(ring(4), Unlisted()).table.names == (
             "join", "leave", "enter", "exit",
         )
+        # ... and one whose actions are not its table's rows ("drifted"), or
+        # that has no table at all, must be refused rather than mis-run.
+        drifted = NoFixdepthDiners()
+        drifted._actions = drifted._actions[:-1]
+        for algorithm in (drifted, HygienicDiners(), ForkOrderingDiners()):
+            with pytest.raises(UnsupportedBackendError):
+                PackedCodec(ring(4), algorithm)
 
     def test_neighbors_eating_matches_e_predicate(self):
         topo = ring(6)

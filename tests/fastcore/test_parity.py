@@ -21,7 +21,8 @@ from repro.core import (
     NoFixdepthDiners,
     WrongDiameterDiners,
 )
-from repro.fastcore import ParityError, co_run, co_run_results
+from repro.fastcore import ParityError, co_run
+from repro.fastcore.parity import _pair
 from repro.sim import (
     AlwaysHungry,
     BenignCrash,
@@ -158,10 +159,20 @@ class TestLockstepBattery:
         )
 
 
+def run_both(topology, algorithm_factory, *, max_steps, seed,
+             hunger_factory=None, faults_factory=None):
+    """Both backends' whole-run ``RunResult``s (``co_run`` steps by hand and
+    never exercises the run loop's quiescence/stop accounting)."""
+    obj, fast = _pair(
+        topology, algorithm_factory, seed, None, hunger_factory, faults_factory
+    )
+    return obj.run(max_steps), fast.run(max_steps)
+
+
 class TestRunResults:
     @pytest.mark.parametrize("topo", TOPOLOGIES)
     def test_full_run_results_agree(self, topo):
-        obj, fast = co_run_results(
+        obj, fast = run_both(
             topo,
             NADiners,
             max_steps=500,
@@ -169,12 +180,14 @@ class TestRunResults:
             hunger_factory=AlwaysHungry,
             faults_factory=malicious_plan,
         )
-        assert obj.steps == fast.steps
+        assert (obj.steps, obj.quiescent, obj.stopped, obj.exhausted) == (
+            fast.steps, fast.quiescent, fast.stopped, fast.exhausted
+        )
         assert obj.final == fast.final
 
     def test_quiescence_agrees_without_hunger(self):
         # With nobody hungry the run must go quiescent at the same step.
-        obj, fast = co_run_results(ring(6), NADiners, max_steps=200, seed=1)
+        obj, fast = run_both(ring(6), NADiners, max_steps=200, seed=1)
         assert obj.quiescent and fast.quiescent
         assert obj.steps == fast.steps
 
