@@ -9,12 +9,16 @@ For each instance we enumerate the *entire* state space and machine-check:
   yields an *empty* invariant, while the longest-simple-path threshold
   restores a non-empty, closed, convergent one.
 
-These runs also double as macro-benchmarks of the checker itself.
+The diners instances run the way ``repro check`` does — the properties of
+``repro.verification`` over ``FastTransitionSystem``'s int keys — so these
+runs double as macro-benchmarks of that path; the K-state instance has no
+action table and runs on the object ``TransitionSystem``.
 """
 
 from conftest import print_table
 
 from repro.core import NADiners, invariant_with_threshold
+from repro.fastcore import FastTransitionSystem
 from repro.mp import KStateToken, single_privilege
 from repro.sim import line, ring, star
 from repro.verification import (
@@ -25,28 +29,42 @@ from repro.verification import (
     enumerate_configurations,
     optimal_recovery_diameter,
 )
+from repro.verification.check import full_space
 
 
 def check_instance(topo, threshold=None):
     t = topo.diameter if threshold is None else threshold
-    algo = NADiners(depth_cap=t + 1, diameter_override=t)
-    pred = invariant_with_threshold(t)
-    configs = list(
-        enumerate_configurations(algo, topo, fixed_locals={"needs": True})
-    )
-    ts = TransitionSystem(algo, topo)
-    closure = check_closure(ts, pred, configs)
-    graph = build_graph(ts, configs)
-    convergence = check_convergence(ts, pred, configs, graph=graph)
+    fts = FastTransitionSystem(NADiners(depth_cap=t + 1, diameter_override=t), topo)
+    keys, pred = full_space(fts, invariant_with_threshold(t))
+    closure = check_closure(fts, pred, keys)
+    graph = build_graph(fts, keys)
+    convergence = check_convergence(fts, pred, keys, graph=graph)
     recovery = optimal_recovery_diameter(graph, pred)
     return {
-        "states": len(configs),
+        "states": len(keys),
         "legit": convergence.legit_states,
         "closed": closure.holds,
         "converges": convergence.converges,
         "sccs": convergence.scc_count,
         "optimal_recovery": recovery,
     }
+
+
+def _rows(results):
+    return [
+        (
+            name,
+            data["states"],
+            data["legit"],
+            "yes" if data["closed"] else "NO",
+            "yes" if data["converges"] else "NO",
+            "-" if data["optimal_recovery"] is None else data["optimal_recovery"],
+        )
+        for name, data in results.items()
+    ]
+
+
+HEADER = ("instance", "states", "legit states", "I closed", "converges", "opt. recovery")
 
 
 def test_e9_diners_instances(benchmark):
@@ -61,21 +79,9 @@ def test_e9_diners_instances(benchmark):
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        (
-            name,
-            data["states"],
-            data["legit"],
-            "yes" if data["closed"] else "NO",
-            "yes" if data["converges"] else "NO",
-            "-" if data["optimal_recovery"] is None else data["optimal_recovery"],
-        )
-        for name, data in results.items()
-    ]
+    rows = _rows(results)
     print_table(
-        "E9a: exhaustive verification of Theorem 1 per instance",
-        ("instance", "states", "legit states", "I closed", "converges", "opt. recovery"),
-        rows,
+        "E9a: exhaustive verification of Theorem 1 per instance", HEADER, rows
     )
     benchmark.extra_info["rows"] = rows
 
@@ -88,6 +94,33 @@ def test_e9_diners_instances(benchmark):
     # corrected threshold restores the theorem
     corrected = results["ring(3), longest path"]
     assert corrected["legit"] > 0 and corrected["closed"] and corrected["converges"]
+
+
+def test_e9_diameter3_instances(benchmark):
+    """The first graphs on which the "distance 3" of failure locality 2
+    exists (≈ 2.5 min, ≈ 0.9 GB peak on ring(4) under the longest path)."""
+
+    def run():
+        return {
+            "line(4), D literal": check_instance(line(4)),
+            "ring(4), D literal": check_instance(ring(4)),
+            "ring(4), longest path": check_instance(
+                ring(4), threshold=ring(4).longest_simple_path()
+            ),
+        }
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = _rows(results)
+    print_table("E9a': Theorem 1 at diameter 3 and on the 4-cycle", HEADER, rows)
+    benchmark.extra_info["rows"] = rows
+
+    assert results["line(4), D literal"]["closed"]
+    assert results["line(4), D literal"]["converges"]
+    # finding 4a.1 on the cyclic shape: literal D leaves I non-empty, not closed
+    literal = results["ring(4), D literal"]
+    assert literal["legit"] > 0 and not literal["closed"]
+    corrected = results["ring(4), longest path"]
+    assert corrected["closed"] and corrected["converges"]
 
 
 def test_e9_kstate_instance(benchmark):

@@ -3,19 +3,18 @@
 This package scales the repository's quantitative claims from one-shot
 loops to many-seed campaigns: work is described as self-contained
 :class:`~repro.campaign.shard.Shard`\\ s — simulation trials as
-``(topology, algorithm, fault-plan, seed)`` tuples, model-check enumeration
-as seed-deterministic slices — executed across a worker pool, streamed to
-disk as JSONL records, and resumed for free after a crash (completed shards
-are recognised by key and skipped).
+``(topology, algorithm, fault-plan, seed)`` tuples — executed across a
+worker pool, streamed to disk as JSONL records, and resumed for free after
+a crash (completed shards are recognised by key and skipped).
 
 Entry points:
 
-* :func:`run_shards` — execute any shard list (the ``sweep`` CLI, the
-  parallel ``check``, and ``run_suite`` all go through it);
+* :func:`run_shards` — execute any shard list (the ``sweep`` CLI and
+  ``run_suite`` go through it);
 * :class:`SweepSpec` / :func:`aggregate_sim` — the many-seed randomized
   sweep behind ``python -m repro sweep``;
 * :func:`parallel_map` — order-preserving pool map for object-valued work
-  (the model checker's graph fragments).
+  (the fuzzer's schedule evaluations).
 """
 
 from .checkpoint import ResumePlan, plan_resume, truncate_lines

@@ -233,9 +233,8 @@ def parallel_map(
     """Order-preserving map over a worker pool (sequential when ``jobs=1``).
 
     The generic sibling of :func:`run_shards` for work that produces live
-    Python objects rather than JSONL records — e.g. the model checker's
-    per-shard transition-graph fragments, which the parent merges before the
-    SCC pass.  ``fn`` must be picklable (module-level).
+    Python objects rather than JSONL records — the fuzzer's per-schedule
+    evaluations.  ``fn`` must be picklable (module-level).
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

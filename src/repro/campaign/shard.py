@@ -6,16 +6,9 @@ Params are plain JSON values (topology *specs*, algorithm *names*, fault
 as cheaply as a dict and its identity (:func:`repro.campaign.record.shard_key`)
 is a pure function of its definition.
 
-Two shard families exist:
-
-* **simulation shards** (``sim``, ``throughput``, ``stabilize``,
-  ``locality``, ``malicious``, ``masking``) — one randomized trial each,
-  seeded from the shard's own ``seed`` through a private
-  ``random.Random``;
-* **model-check shards** (``check-closure``) — a seed-deterministic slice
-  of the state-space enumeration: shard *i* of *k* checks every *k*-th
-  configuration starting at offset *i*, so the union of all shards covers
-  the space exactly once.
+Every kind (``sim``, ``throughput``, ``stabilize``, ``locality``,
+``malicious``, ``masking``) is one randomized trial, seeded from the
+shard's own ``seed`` through a private ``random.Random``.
 
 Handlers are module-level functions (multiprocessing needs to pickle them by
 reference) and must return JSON-serialisable dicts: these become the
@@ -28,7 +21,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..baselines import ChoySinghDiners, ForkOrderingDiners, HygienicDiners
 from ..core import (
@@ -37,7 +30,6 @@ from ..core import (
     NoFixdepthDiners,
     e_holds,
     invariant_holds,
-    invariant_with_threshold,
     nc_holds,
 )
 from ..sim import (
@@ -265,80 +257,6 @@ def _run_masking(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     }
 
 
-# ----------------------------------------------------- model-check handlers
-
-
-def _check_instance(params: Mapping[str, Any]):
-    """(algorithm, topology, predicate) of a model-check shard."""
-    topology = from_spec(params["topology"])
-    threshold = params["threshold"]
-    algorithm = NADiners(depth_cap=threshold + 1, diameter_override=threshold)
-    return algorithm, topology, invariant_with_threshold(threshold)
-
-
-def _run_check_closure(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """Closure check over one deterministic slice of the state space.
-
-    Shard ``i`` of ``k`` checks configurations ``i, i+k, i+2k, ...`` of the
-    canonical enumeration order; the union over shards is exactly the check
-    the sequential path performs.  ``seed`` is carried for record identity
-    only — enumeration is deterministic.
-    """
-    from ..verification import TransitionSystem, check_closure
-    from ..verification.explorer import shard_configurations
-
-    algorithm, topology, predicate = _check_instance(params)
-    configs = shard_configurations(
-        algorithm,
-        topology,
-        shard_index=params["shard_index"],
-        shard_count=params["shard_count"],
-        fixed_locals={"needs": True},
-    )
-    ts = TransitionSystem(algorithm, topology)
-    report = check_closure(ts, predicate, configs)
-    counterexample = None
-    if report.counterexample is not None:
-        from ..sim.serialize import to_json
-
-        cx = report.counterexample
-        counterexample = {
-            "pid": repr(cx.pid),
-            "action": cx.action,
-            "source": to_json(cx.source, indent=None),
-            "target": to_json(cx.target, indent=None),
-        }
-    return {
-        "holds": report.holds,
-        "checked_states": report.checked_states,
-        "counterexample": counterexample,
-    }
-
-
-def build_graph_shard(args) -> Dict[Any, List[Any]]:
-    """Worker for the parallel convergence check: the reachability closure
-    of one enumeration slice.
-
-    Returns a ``{Configuration: [Transition, ...]}`` fragment; the parent
-    merges fragments (successor lists are identical wherever shards overlap,
-    so dict union is sound) and runs the SCC analysis on the whole graph.
-    """
-    params, shard_index, shard_count = args
-    from ..verification import TransitionSystem
-    from ..verification.explorer import shard_configurations
-
-    algorithm, topology, _ = _check_instance(params)
-    ts = TransitionSystem(algorithm, topology)
-    configs = shard_configurations(
-        algorithm,
-        topology,
-        shard_index=shard_index,
-        shard_count=shard_count,
-        fixed_locals={"needs": True},
-    )
-    return ts.reachable_from(configs)
-
-
 HANDLERS: Dict[str, Callable[[Mapping[str, Any], int], Dict[str, Any]]] = {
     "sim": _run_sim,
     "throughput": _run_throughput,
@@ -346,7 +264,6 @@ HANDLERS: Dict[str, Callable[[Mapping[str, Any], int], Dict[str, Any]]] = {
     "locality": _run_locality,
     "malicious": _run_malicious,
     "masking": _run_masking,
-    "check-closure": _run_check_closure,
 }
 
 

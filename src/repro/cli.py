@@ -39,8 +39,8 @@ Examples
     python -m repro locality --topology line:12 --algorithm hygienic --victim 0
     python -m repro stabilize --topology ring:8 --plant-cycle
     python -m repro figure2
-    python -m repro check --topology line:3 --jobs 4
-    python -m repro check --topology ring:5 --reachable --backend fast --progress 5
+    python -m repro check --topology line:4
+    python -m repro check --topology ring:5 --reachable --progress 5
     python -m repro sweep --topology ring:8 --trials 32 --jobs 4 --out out.jsonl
     python -m repro stats out/run.metrics
     python -m repro bench --quick --out BENCH_now.json
@@ -66,7 +66,6 @@ import json
 import os
 import random
 import sys
-import time
 
 from .analysis import (
     find_live_cycles,
@@ -78,7 +77,6 @@ from .artefact import KINDS, expand, identify
 from .campaign.shard import ALGORITHMS  # canonical registry, re-exported
 from .campaign.shard import make_algorithm as shard_make_algorithm
 from .core import (
-    NADiners,
     invariant_report,
     invariant_with_threshold,
     nc_holds,
@@ -86,7 +84,7 @@ from .core import (
     run_figure2,
 )
 from .sim import AlwaysHungry, System, Topology, from_spec
-from .sim.errors import SimulationError, StateSpaceExceededError, TopologyError
+from .sim.errors import SimulationError, TopologyError
 
 
 def parse_topology(spec: str) -> Topology:
@@ -400,174 +398,17 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_reachable(args, topology, algo, threshold, backend) -> int:
-    """``check --reachable``: BFS the states reachable from the canonical
-    all-hungry initial configuration and audit eating-exclusion on each.
-
-    Runs on either backend with identical counts — the CI smoke job diffs
-    the ``reachable:`` lines — but the fast backend, whose every state is
-    one int in a set, is the one that scales: the object graph materializes
-    every configuration.  Timing goes on its own ``elapsed:`` line.
-    """
-    import resource
-
-    if getattr(args, "jobs", 1) > 1:
-        raise SystemExit("--reachable does not shard; drop --jobs")
-    every = getattr(args, "progress", 0)
-    if every and backend != "fast":
-        raise SystemExit(
-            "--progress on a --reachable sweep reports BFS levels, which "
-            "only --backend fast has"
-        )
-    system = System(topology, algo)
-    for pid in topology.nodes:
-        system.write_local(pid, "needs", True)
-    initial = system.snapshot()
-    max_states = getattr(args, "max_states", 1_000_000)
-    started = time.monotonic()
-
-    def heartbeat(level: int, states: int, frontier: int) -> None:
-        if level % every == 0:
-            rate = states / max(time.monotonic() - started, 1e-9)
-            print(
-                f"[level {level}] {states} states, frontier {frontier}, "
-                f"{rate:.0f} states/s",
-                file=sys.stderr,
-            )
-
-    try:
-        if backend == "fast":
-            from .verification import FastExplorer
-
-            stats = FastExplorer(algo, topology).reachable_count(
-                [initial],
-                max_states=max_states,
-                progress=heartbeat if every else None,
-            )
-            states, transitions, violations = (
-                stats.states,
-                stats.transitions,
-                stats.violations,
-            )
-        else:
-            from .core import e_holds
-            from .verification import TransitionSystem
-
-            graph = TransitionSystem(algo, topology).reachable_from(
-                [initial], max_states=max_states
-            )
-            states = len(graph)
-            transitions = sum(len(v) for v in graph.values())
-            violations = sum(1 for config in graph if not e_holds(config))
-    except StateSpaceExceededError as exc:
-        print(
-            f"repro check: {args.topology} has more than {exc.max_states} "
-            f"reachable states (the --max-states cap); raise it with "
-            f"--max-states N",
-            file=sys.stderr,
-        )
-        return 2
-    elapsed = max(time.monotonic() - started, 1e-9)
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(
-        f"{topology}, threshold={threshold}: "
-        f"reachable from all-hungry initial ({backend} backend)"
-    )
-    print(f"reachable: {states} states, {transitions} transitions")
-    print(f"safety violations (neighbours eating): {violations}")
-    print(
-        f"elapsed: {elapsed:.2f} s, {states / elapsed:.0f} states/s, "
-        f"peak RSS {peak_kb / 1024:.1f} MB"
-    )
-    return 0 if violations == 0 else 1
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    from .verification import (
-        TransitionSystem,
-        check_closure,
-        check_convergence,
-        enumerate_configurations,
-        space_size,
+    from .verification.check import run_check
+
+    return run_check(
+        parse_topology(args.topology),
+        args.topology,
+        corrected_threshold=args.corrected_threshold,
+        reachable=args.reachable,
+        max_states=args.max_states,
+        progress=args.progress,
     )
-
-    topology = parse_topology(args.topology)
-    threshold = (
-        topology.longest_simple_path()
-        if args.corrected_threshold
-        else topology.diameter
-    )
-    algo = NADiners(depth_cap=threshold + 1, diameter_override=threshold)
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-
-    backend = getattr(args, "backend", "object")
-    if getattr(args, "reachable", False):
-        return _check_reachable(args, topology, algo, threshold, backend)
-    if backend == "fast":
-        raise SystemExit(
-            "--backend fast runs reachability sweeps (add --reachable); "
-            "full closure/convergence checking stays on the object backend"
-        )
-    predicate = invariant_with_threshold(threshold)
-    ts = TransitionSystem(algo, topology)
-
-    if jobs > 1:
-        # Sharded path: the enumeration splits into `jobs` deterministic
-        # slices; closure runs as campaign shards, convergence merges the
-        # per-shard reachability graphs before one SCC pass.
-        from .campaign import Shard, parallel_map, run_shards
-        from .campaign.shard import build_graph_shard
-
-        params = {"topology": args.topology, "threshold": threshold}
-        states = space_size(algo, topology, fixed_locals={"needs": True})
-        print(f"{topology}, threshold={threshold}: {states} states ({jobs} shards)")
-        closure_shards = [
-            Shard(
-                "check-closure",
-                {**params, "shard_index": i, "shard_count": jobs},
-                seed=0,
-            )
-            for i in range(jobs)
-        ]
-        check_progress = None
-        if getattr(args, "progress", None):
-            from .campaign import heartbeat_progress
-
-            check_progress = heartbeat_progress(args.progress)
-        campaign = run_shards(closure_shards, jobs=jobs, progress=check_progress)
-        results = [campaign.records[key].result for key in sorted(campaign.records)]
-        closure_holds = all(r["holds"] for r in results)
-        checked = sum(r["checked_states"] for r in results)
-        print(f"I closed: {closure_holds} ({checked} legit states)")
-        fragments = parallel_map(
-            build_graph_shard,
-            [(params, i, jobs) for i in range(jobs)],
-            jobs=jobs,
-        )
-        graph = {}
-        for fragment in fragments:
-            graph.update(fragment)
-        convergence = check_convergence(ts, predicate, (), graph=graph)
-        print(
-            f"converges: {convergence.converges} "
-            f"({convergence.scc_count} SCCs, {convergence.legit_states} legit states)"
-        )
-        return 0 if closure_holds and convergence.converges else 1
-
-    configs = list(
-        enumerate_configurations(algo, topology, fixed_locals={"needs": True})
-    )
-    print(f"{topology}, threshold={threshold}: {len(configs)} states")
-    closure = check_closure(ts, predicate, configs)
-    print(f"I closed: {closure.holds} ({closure.checked_states} legit states)")
-    convergence = check_convergence(ts, predicate, configs)
-    print(
-        f"converges: {convergence.converges} "
-        f"({convergence.scc_count} SCCs, {convergence.legit_states} legit states)"
-    )
-    return 0 if closure.holds and convergence.converges else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -1596,21 +1437,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="model-check a small instance exhaustively")
     p.add_argument("--topology", default="line:3")
     p.add_argument("--corrected-threshold", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; >1 shards the state space")
     p.add_argument("--progress", type=int, default=0, metavar="N",
-                   help="heartbeat: one stderr line per N completed shards "
-                   "(with --reachable --backend fast: per N BFS levels)")
-    p.add_argument("--backend", choices=["object", "fast"], default="object",
-                   help="state backend for --reachable sweeps (counts are "
-                   "identical; the fast core keeps each state as one int)")
+                   help="heartbeat with --reachable: one stderr line per N "
+                   "BFS levels")
     p.add_argument("--reachable", action="store_true",
                    help="BFS states reachable from the all-hungry initial "
                    "configuration and audit eating-exclusion, instead of "
                    "the full-space closure/convergence check")
     p.add_argument("--max-states", type=int, default=1_000_000,
                    dest="max_states",
-                   help="abort a --reachable sweep past this many states")
+                   help="exit 2 instead of checking a full space, or "
+                   "sweeping a --reachable closure, of more states than this")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser(

@@ -12,23 +12,30 @@ of the int by constant shifts, and each successor is the parent int with
 only the writer's fields replaced (§2: a command at ``p`` writes ``p``'s
 locals and ``p``'s incident edges, nothing else).
 The decoded :meth:`successors` output is asserted identical to the object
-model's in ``tests/fastcore``; :meth:`reachable_stats` is what the CLI's
-``check --backend fast`` runs.
+model's in ``tests/fastcore``.  ``repro check`` runs on this class alone:
+:meth:`reachable_stats` is ``--reachable``, and the theorems are
+:mod:`repro.verification.properties` over :meth:`enumerate_keys` with
+:meth:`successors` taking the keys as they are.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Tuple, Union
 
+from ..core.figure1 import STATE_CODE
+from ..core.state import VAR_DEPTH, VAR_STATE
 from ..sim.configuration import Configuration
 from ..sim.errors import StateSpaceExceededError
-from ..sim.topology import Topology
+from ..sim.topology import Pid, Topology
 from ..verification.explorer import Transition
-from .packed import PackedCodec, PackedState
+from .packed import ALIVE, DEAD, PackedCodec, PackedState
 from .table import int_key_program
 
-Source = Union[Configuration, PackedState]
+#: A state in any of its spellings; an ``int`` is a :meth:`PackedCodec.key`.
+Source = Union[Configuration, PackedState, int]
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,8 @@ class FastTransitionSystem:
     # -------------------------------------------------------- object layer
 
     def _key(self, source: Source) -> int:
+        if isinstance(source, int):
+            return source
         if not isinstance(source, PackedState):
             source = self.codec.pack(source)
         return self.codec.key(source)
@@ -98,14 +107,60 @@ class FastTransitionSystem:
             for p, a, _k in self.successors_packed(self._key(config))[0]
         ]
 
-    def successors(self, config: Source) -> List[Transition]:
-        """Decoded mirror of ``TransitionSystem.successors``."""
+    def successors(self, config: Source) -> Sequence[Tuple]:
+        """Decoded mirror of ``TransitionSystem.successors`` — or, for a
+        state given as its key, the ``(p, a, successor key)`` triples as
+        generated: states in, the same kind of states out, which is what
+        :mod:`repro.verification.properties` asks of a transition system
+        (``codec.pids[p]`` / ``codec.table.names[a]`` name a reported label).
+        """
+        if isinstance(config, int):
+            return self.successors_packed(config)[0]
         codec = self.codec
         names = codec.table.names
         return [
             Transition(codec.pids[p], names[a], codec.unpack(codec.unkey(k)))
             for p, a, k in self.successors_packed(self._key(config))[0]
         ]
+
+    # --------------------------------------------------------- enumeration
+
+    def enumerate_keys(self, *, dead: Iterable[Pid] = ()) -> Iterator[int]:
+        """Every state of the full space, as its key, ``needs`` pinned true.
+
+        Counts through :class:`KeyLayout`'s fields — no ``Configuration`` is
+        built — in the order of ``enumerate_configurations(algorithm,
+        topology, fixed_locals={"needs": True}, dead=dead)``: the last
+        process and the last edge vary fastest, an edge tries its earlier
+        endpoint as the ancestor first.  ``space_size`` of the same arguments
+        is how many there are.
+        """
+        codec = self.codec
+        layout = codec.require_layout()
+        dead_at = {codec.index[pid] for pid in dead}
+        states = [STATE_CODE[v] for v in codec.local_domains[VAR_STATE].values()]
+        depths = list(codec.local_domains[VAR_DEPTH].values())
+        fields = [
+            [
+                layout.field(s, True, DEAD if p in dead_at else ALIVE, d) << shift
+                for s in states
+                for d in depths
+            ]
+            for p, shift in enumerate(layout.shift)
+        ]
+        # The edge bit is set when the layout's *first* endpoint is the
+        # ancestor; the object enumeration sorts edges by endpoint indices.
+        edges = sorted(
+            (sorted((i, j)), (1 << bit, 0) if i < j else (0, 1 << bit))
+            for bit, (i, j) in enumerate(layout.edges, layout.edge_base)
+        )
+        orientations = [
+            sum(bits) for bits in itertools.product(*(pair for _e, pair in edges))
+        ]
+        for locals_ in itertools.product(*fields):
+            base = sum(locals_)
+            for edge_bits in orientations:
+                yield base | edge_bits
 
     # ------------------------------------------------------- reachability
 

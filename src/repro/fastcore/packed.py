@@ -99,6 +99,10 @@ class KeyLayout(NamedTuple):
     edge_base: int
     edges: Tuple[Tuple[int, int], ...]
 
+    def field(self, state: int, needs: bool, status: int, depth: int) -> int:
+        """One process's field, before its shift."""
+        return ((state << 1 | needs) << 2 | status) << self.depth_bits | depth
+
 
 class PackedCodec:
     """Bidirectional Configuration ↔ PackedState translation for the
@@ -268,10 +272,7 @@ class PackedCodec:
             d = ps.depth[p]
             if not 0 <= d <= self.cap:
                 raise DomainError(VAR_DEPTH, d)  # would spill into a neighbour
-            k |= (
-                ((ps.state[p] << 1 | ps.needs[p]) << 2 | ps.status[p])
-                << layout.depth_bits | d
-            ) << shift
+            k |= layout.field(ps.state[p], ps.needs[p], ps.status[p], d) << shift
         for bit, (i, j) in enumerate(layout.edges, layout.edge_base):
             if (ps.anc[j] >> i) & 1:
                 k |= 1 << bit

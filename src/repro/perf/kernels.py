@@ -222,6 +222,35 @@ def fastcore_reachable():
     return kernel
 
 
+@register("checker/prove/line3", ops=6912, rounds=7)
+def checker_prove():
+    """Theorem 1 on line(3), whole: what ``repro check --topology line:3``
+    does — enumerate the 6 912 keys, evaluate ``I`` on each decoded state,
+    closure, graph, Tarjan and the fair-escape test per illegitimate SCC.
+
+    One op is one state of the full space; most of it is the object model's
+    ``I`` on a decoded ``Configuration`` (EXPERIMENTS.md E9).
+    """
+    from ..core import NADiners, invariant_with_threshold
+    from ..fastcore.explorer import FastTransitionSystem
+    from ..sim import line
+    from ..verification import check_closure, check_convergence
+    from ..verification.check import full_space
+
+    topo = line(3)
+    t = topo.diameter
+    fts = FastTransitionSystem(NADiners(depth_cap=t + 1, diameter_override=t), topo)
+
+    def kernel():
+        keys, legit = full_space(fts, invariant_with_threshold(t))
+        closed = check_closure(fts, legit, keys).holds
+        report = check_convergence(fts, legit, keys)
+        if not (closed and report.converges and report.scc_count == 6087):
+            raise RuntimeError(f"line3 proof changed: {closed}, {report}")
+
+    return kernel
+
+
 def _mp_ticks(n: int):
     from ..mp import MpEngine, build_diners
     from ..sim import ring

@@ -15,6 +15,12 @@ Workflow (see experiment E9)::
     configs = list(enumerate_configurations(algo, topo, fixed_locals={"needs": True}))
     assert check_closure(ts, invariant_holds, configs).holds        # I closed
     assert check_convergence(ts, invariant_holds, configs).converges  # true ⤳ I
+
+That is the object path: the reference, and the explorer for any
+``Algorithm``.  The property functions take any hashable state, and
+``repro check`` (:mod:`repro.verification.check`) runs the same ones over
+:class:`repro.fastcore.FastTransitionSystem`'s int keys — star(3) in 13 s
+instead of 111 s, line(4) and ring(4) at all.
 """
 
 from .explorer import (
@@ -22,7 +28,6 @@ from .explorer import (
     Transition,
     TransitionSystem,
     enumerate_configurations,
-    shard_configurations,
     space_size,
 )
 from .properties import (
@@ -45,7 +50,6 @@ __all__ = [
     "Transition",
     "TransitionSystem",
     "enumerate_configurations",
-    "shard_configurations",
     "space_size",
     "ClosureReport",
     "ConvergenceReport",

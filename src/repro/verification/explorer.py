@@ -10,14 +10,20 @@ runs — no second implementation of the semantics exists to drift.
 Enumerability requires finite domains, so algorithms must be instantiated
 with finite counters (e.g. ``NADiners(depth_cap=topology.diameter + 1)`` —
 see :mod:`repro.core.algorithm` for why that cap is sound).
+
+:class:`TransitionSystem` over ``Configuration`` objects is the reference
+explorer: it runs every ``Algorithm`` (K-state, the baselines, the
+low-atomicity adapter have no other), and the int-keyed
+:class:`repro.fastcore.explorer.FastTransitionSystem` that ``repro check``
+uses is tested against it.  :class:`Transition` and :func:`reachable_graph`
+are what the two share with :mod:`repro.verification.properties`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ..sim.configuration import Configuration
 from ..sim.errors import SimulationError, StateSpaceExceededError
@@ -92,47 +98,54 @@ def enumerate_configurations(
             )
 
 
-def shard_configurations(
-    algorithm: Algorithm,
-    topology: Topology,
-    *,
-    shard_index: int,
-    shard_count: int,
-    fixed_locals: Mapping[str, Any] | None = None,
-    dead: Iterable[Pid] = (),
-) -> Iterator[Configuration]:
-    """One deterministic slice of the enumeration: every ``shard_count``-th
-    configuration starting at offset ``shard_index``.
+class Transition(NamedTuple):
+    """One labelled edge of a transition system: ``(pid, action, target)``.
 
-    The enumeration order is itself deterministic (itertools.product over
-    canonically ordered domains), so shard *i* of *k* names the same
-    configurations on every machine and every run — the property the
-    campaign runner's checkpoint/resume relies on.  The ``shard_count``
-    slices partition the space exactly.
+    The property checks destructure it, so any plain triple serves — the
+    int-keyed explorer's generated ``(process index, action index, key)``
+    tuples go through :mod:`repro.verification.properties` as they are.
     """
-    if shard_count < 1:
-        raise SimulationError("shard_count must be >= 1")
-    if not 0 <= shard_index < shard_count:
-        raise SimulationError(
-            f"shard_index {shard_index} outside [0, {shard_count})"
-        )
-    return itertools.islice(
-        enumerate_configurations(
-            algorithm, topology, fixed_locals=fixed_locals, dead=dead
-        ),
-        shard_index,
-        None,
-        shard_count,
-    )
+
+    pid: Any
+    action: Any
+    target: Any
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One labelled edge of the transition system."""
+#: What ``successors(state)`` returns, for states of any hashable kind.
+Triples = Sequence[Tuple[Any, Any, Any]]
 
-    pid: Pid
-    action: str
-    target: Configuration
+
+def reachable_graph(
+    successors: Callable[[Any], Triples],
+    sources: Iterable[Any],
+    *,
+    max_states: int = 1_000_000,
+) -> Dict[Any, Triples]:
+    """BFS closure of ``sources`` under ``successors``: the full labelled
+    graph ``{state: transitions}``, for states of any hashable kind.
+
+    Raises :class:`StateSpaceExceededError` past ``max_states`` (guard against an
+    accidentally infinite space, e.g. an uncapped depth counter).
+    """
+    graph: Dict[Any, Triples] = {}
+    frontier: List[Any] = []
+    for state in sources:
+        if state not in graph:
+            graph[state] = ()  # until expanded
+            frontier.append(state)
+    cursor = 0
+    while cursor < len(frontier):
+        state = frontier[cursor]
+        cursor += 1
+        transitions = successors(state)
+        graph[state] = transitions
+        for _pid, _action, target in transitions:
+            if target not in graph:
+                if len(graph) >= max_states:
+                    raise StateSpaceExceededError(max_states)
+                graph[target] = ()
+                frontier.append(target)
+    return graph
 
 
 class FastExplorer:
@@ -220,29 +233,6 @@ class TransitionSystem:
     def reachable_from(
         self, sources: Iterable[Configuration], *, max_states: int = 1_000_000
     ) -> Dict[Configuration, List[Transition]]:
-        """BFS closure of ``sources`` under the transition relation.
-
-        Returns the full labelled graph ``{config: transitions}``.  Raises
-        :class:`StateSpaceExceededError` past ``max_states`` (guard against an
-        accidentally infinite space, e.g. an uncapped depth counter).
-        """
-        graph: Dict[Configuration, List[Transition]] = {}
-        frontier: List[Configuration] = []
-        for config in sources:
-            if config not in graph:
-                graph[config] = []
-                frontier.append(config)
-        cursor = 0
-        while cursor < len(frontier):
-            config = frontier[cursor]
-            cursor += 1
-            transitions = self.successors(config)
-            graph[config] = transitions
-            for transition in transitions:
-                target = transition.target
-                if target not in graph:
-                    if len(graph) >= max_states:
-                        raise StateSpaceExceededError(max_states)
-                    graph[target] = []
-                    frontier.append(target)
-        return graph
+        """BFS closure of ``sources``: :func:`reachable_graph` over
+        :meth:`successors` (same ``max_states`` guard)."""
+        return reachable_graph(self.successors, sources, max_states=max_states)

@@ -1,5 +1,16 @@
 """Exhaustive property checks: closure, convergence, monotonicity.
 
+One implementation for every state representation: a *state* is any
+hashable, a transition system is anything whose ``successors(state)``
+returns ``(pid, action, target)`` triples over the same kind of state, and a
+predicate is a callable on states.  The object model's
+:class:`~repro.verification.explorer.TransitionSystem` runs them over
+``Configuration`` objects (the reference, and the only explorer for
+algorithms without an action table); ``repro check`` runs them over
+:class:`repro.fastcore.explorer.FastTransitionSystem`'s int keys, where a
+label is a ``(process index, action index)`` pair and a counterexample or
+stuck SCC is decoded (``codec.unpack(codec.unkey(k))``) only when reported.
+
 These functions turn the paper's lemmas into machine-checked statements on
 small instances:
 
@@ -35,32 +46,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
+    Any,
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
 
-from ..sim.configuration import Configuration
-from ..sim.topology import Pid
-from .explorer import Transition, TransitionSystem
+from .explorer import Triples, reachable_graph
 
-Predicate = Callable[[Configuration], bool]
-SetFn = Callable[[Configuration], AbstractSet[Pid]]
-Graph = Dict[Configuration, List[Transition]]
+State = Hashable
+Predicate = Callable[[Any], bool]
+SetFn = Callable[[Any], AbstractSet[Any]]
+Graph = Dict[State, Triples]  # state -> its (pid, action, target) triples
+
+
+class TransitionRelation(Protocol):
+    """What the checks need of a transition system."""
+
+    def successors(self, state: Any) -> Triples: ...
 
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A transition that violated a property."""
+    """A transition that violated a property (in the checked system's own
+    state and label vocabulary)."""
 
-    source: Configuration
-    pid: Pid
-    action: str
-    target: Configuration
+    source: State
+    pid: Any
+    action: Any
+    target: State
 
 
 @dataclass(frozen=True)
@@ -71,8 +91,8 @@ class ClosureReport:
 
 
 def build_graph(
-    ts: TransitionSystem,
-    configs: Iterable[Configuration],
+    ts: TransitionRelation,
+    configs: Iterable[State],
     *,
     close_under_reachability: bool = True,
     max_states: int = 1_000_000,
@@ -84,14 +104,14 @@ def build_graph(
     enumerated space adds nothing, but partial seed sets stay sound.
     """
     if close_under_reachability:
-        return ts.reachable_from(configs, max_states=max_states)
+        return reachable_graph(ts.successors, configs, max_states=max_states)
     return {config: ts.successors(config) for config in configs}
 
 
 def check_closure(
-    ts: TransitionSystem,
+    ts: TransitionRelation,
     predicate: Predicate,
-    configs: Iterable[Configuration],
+    configs: Iterable[State],
 ) -> ClosureReport:
     """Does every transition out of a predicate-state stay in the predicate?
 
@@ -103,22 +123,20 @@ def check_closure(
         if not predicate(config):
             continue
         checked += 1
-        for transition in ts.successors(config):
-            if not predicate(transition.target):
+        for pid, action, target in ts.successors(config):
+            if not predicate(target):
                 return ClosureReport(
                     holds=False,
                     checked_states=checked,
-                    counterexample=Counterexample(
-                        config, transition.pid, transition.action, transition.target
-                    ),
+                    counterexample=Counterexample(config, pid, action, target),
                 )
     return ClosureReport(holds=True, checked_states=checked, counterexample=None)
 
 
 def check_monotone_set(
-    ts: TransitionSystem,
+    ts: TransitionRelation,
     set_fn: SetFn,
-    configs: Iterable[Configuration],
+    configs: Iterable[State],
     *,
     only_when: Predicate | None = None,
 ) -> ClosureReport:
@@ -135,14 +153,12 @@ def check_monotone_set(
             continue
         checked += 1
         members = set_fn(config)
-        for transition in ts.successors(config):
-            if not members <= set_fn(transition.target):
+        for pid, action, target in ts.successors(config):
+            if not members <= set_fn(target):
                 return ClosureReport(
                     holds=False,
                     checked_states=checked,
-                    counterexample=Counterexample(
-                        config, transition.pid, transition.action, transition.target
-                    ),
+                    counterexample=Counterexample(config, pid, action, target),
                 )
     return ClosureReport(holds=True, checked_states=checked, counterexample=None)
 
@@ -161,25 +177,25 @@ class ConvergenceReport:
     illegit_scc_count: int
     #: When the check fails: the states of the first SCC that is neither
     #: legitimate nor provably fair-escapable (for inspection).
-    stuck_scc: Tuple[Configuration, ...] = ()
+    stuck_scc: Tuple[State, ...] = ()
     #: "deadlock" when the stuck SCC is a terminal illegitimate state;
     #: "no-escape-action" when it cycles without a provable escape.
     failure_kind: Optional[str] = None
 
 
-def _tarjan_sccs(graph: Graph) -> List[List[Configuration]]:
+def _tarjan_sccs(graph: Graph) -> List[List[State]]:
     """Iterative Tarjan strongly-connected components."""
-    index: Dict[Configuration, int] = {}
-    low: Dict[Configuration, int] = {}
+    index: Dict[State, int] = {}
+    low: Dict[State, int] = {}
     on_stack: set = set()
-    stack: List[Configuration] = []
-    sccs: List[List[Configuration]] = []
+    stack: List[State] = []
+    sccs: List[List[State]] = []
     counter = 0
 
     for root in graph:
         if root in index:
             continue
-        work: List[Tuple[Configuration, int]] = [(root, 0)]
+        work: List[Tuple[State, int]] = [(root, 0)]
         while work:
             node, child_index = work[-1]
             if child_index == 0:
@@ -190,7 +206,7 @@ def _tarjan_sccs(graph: Graph) -> List[List[Configuration]]:
             advanced = False
             transitions = graph[node]
             while child_index < len(transitions):
-                child = transitions[child_index].target
+                child = transitions[child_index][2]
                 child_index += 1
                 if child not in index:
                     work[-1] = (node, child_index)
@@ -203,7 +219,7 @@ def _tarjan_sccs(graph: Graph) -> List[List[Configuration]]:
                 continue
             work.pop()
             if low[node] == index[node]:
-                scc: List[Configuration] = []
+                scc: List[State] = []
                 while True:
                     member = stack.pop()
                     on_stack.discard(member)
@@ -219,40 +235,37 @@ def _tarjan_sccs(graph: Graph) -> List[List[Configuration]]:
 
 def _has_internal_transition(scc_set: set, graph: Graph) -> bool:
     return any(
-        transition.target in scc_set
+        target in scc_set
         for node in scc_set
-        for transition in graph[node]
+        for _pid, _action, target in graph[node]
     )
 
 
-def _fair_escape_exists(scc: Sequence[Configuration], graph: Graph) -> bool:
+def _fair_escape_exists(scc: Sequence[State], graph: Graph) -> bool:
     """Is there an action enabled at every SCC state that always exits it?"""
     scc_set = set(scc)
     # Candidate labels: (pid, action) pairs enabled at the first state.
     first = scc[0]
-    candidates = {(t.pid, t.action) for t in graph[first]}
+    candidates = {(pid, action) for pid, action, _target in graph[first]}
     for node in scc:
-        labels = {(t.pid, t.action) for t in graph[node]}
-        candidates &= labels
+        candidates &= {(pid, action) for pid, action, _target in graph[node]}
         if not candidates:
             return False
     for pid, action in sorted(candidates, key=repr):
         if all(
-            all(
-                t.target not in scc_set
-                for t in graph[node]
-                if t.pid == pid and t.action == action
-            )
+            target not in scc_set
             for node in scc
+            for p, a, target in graph[node]
+            if p == pid and a == action
         ):
             return True
     return False
 
 
 def check_convergence(
-    ts: TransitionSystem,
+    ts: TransitionRelation,
     predicate: Predicate,
-    configs: Iterable[Configuration],
+    configs: Iterable[State],
     *,
     max_states: int = 1_000_000,
     graph: Graph | None = None,
@@ -307,7 +320,7 @@ def check_convergence(
 
 def convergence_distances(
     graph: Graph, predicate: Predicate
-) -> Dict[Configuration, Optional[int]]:
+) -> Dict[State, Optional[int]]:
     """Per state: the length of the *shortest* path to a legitimate state.
 
     Computed by reverse BFS from the legitimate set, so one pass covers the
@@ -317,12 +330,12 @@ def convergence_distances(
     a lower bound on any daemon's worst-case convergence time, useful to
     compare against the measured E3 numbers.
     """
-    reverse: Dict[Configuration, List[Configuration]] = {c: [] for c in graph}
+    reverse: Dict[State, List[State]] = {c: [] for c in graph}
     for config, transitions in graph.items():
-        for t in transitions:
-            reverse[t.target].append(config)
-    distances: Dict[Configuration, Optional[int]] = {c: None for c in graph}
-    frontier: List[Configuration] = []
+        for _pid, _action, target in transitions:
+            reverse[target].append(config)
+    distances: Dict[State, Optional[int]] = {c: None for c in graph}
+    frontier: List[State] = []
     for config in graph:
         if predicate(config):
             distances[config] = 0
@@ -352,9 +365,9 @@ def optimal_recovery_diameter(graph: Graph, predicate: Predicate) -> Optional[in
 
 
 def check_numeric_nonincreasing(
-    ts: TransitionSystem,
-    measure: Callable[[Configuration], float],
-    configs: Iterable[Configuration],
+    ts: TransitionRelation,
+    measure: Callable[[Any], float],
+    configs: Iterable[State],
 ) -> ClosureReport:
     """Does ``measure`` never increase along any transition?
 
@@ -366,20 +379,18 @@ def check_numeric_nonincreasing(
     for config in configs:
         checked += 1
         value = measure(config)
-        for transition in ts.successors(config):
-            if measure(transition.target) > value:
+        for pid, action, target in ts.successors(config):
+            if measure(target) > value:
                 return ClosureReport(
                     holds=False,
                     checked_states=checked,
-                    counterexample=Counterexample(
-                        config, transition.pid, transition.action, transition.target
-                    ),
+                    counterexample=Counterexample(config, pid, action, target),
                 )
     return ClosureReport(holds=True, checked_states=checked, counterexample=None)
 
 
 def confirm_fair_livelock(
-    ts: TransitionSystem, states: Sequence[Configuration]
+    ts: TransitionRelation, states: Sequence[State]
 ) -> bool:
     """Is an infinite *weakly fair* execution trapped in ``states``?
 
@@ -400,13 +411,14 @@ def confirm_fair_livelock(
     scc_set = set(states)
     if len(states) == 1:
         has_self_loop = any(
-            t.target in scc_set for t in ts.successors(states[0])
+            target in scc_set for _pid, _action, target in ts.successors(states[0])
         )
         if not has_self_loop:
             return False
     common = None
     for config in states:
-        labels = set(ts.enabled(config))
+        # one transition per enabled (pid, action): these are the enabled set
+        labels = {(pid, action) for pid, action, _target in ts.successors(config)}
         common = labels if common is None else common & labels
         if not common:
             return True
@@ -414,8 +426,8 @@ def confirm_fair_livelock(
 
 
 def check_all_states(
-    predicate: Predicate, configs: Iterable[Configuration]
-) -> Tuple[bool, Optional[Configuration]]:
+    predicate: Predicate, configs: Iterable[State]
+) -> Tuple[bool, Optional[State]]:
     """Does ``predicate`` hold at every configuration?  Returns the first
     counterexample otherwise (used for "safety inside I" style checks)."""
     for config in configs:

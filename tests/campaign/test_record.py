@@ -34,7 +34,7 @@ class TestShardKey:
         base = shard_key("sim", {"a": 1}, 0)
         assert shard_key("sim", {"a": 2}, 0) != base
         assert shard_key("sim", {"a": 1}, 1) != base
-        assert shard_key("check-closure", {"a": 1}, 0) != base
+        assert shard_key("stabilize", {"a": 1}, 0) != base
 
 
 class TestLineRoundTrip:

@@ -102,20 +102,14 @@ class TestResume:
 
 class TestParallelMap:
     def test_sequential_and_parallel_agree(self):
-        from repro.campaign.shard import build_graph_shard
+        from repro.campaign.shard import execute_shard
 
-        params = {"topology": "line:2", "threshold": 1}
-        args = [(params, i, 2) for i in range(2)]
-        seq = parallel_map(build_graph_shard, args, jobs=1)
-        par = parallel_map(build_graph_shard, args, jobs=2)
-        merged_seq = {}
-        for fragment in seq:
-            merged_seq.update(fragment)
-        merged_par = {}
-        for fragment in par:
-            merged_par.update(fragment)
-        assert merged_seq.keys() == merged_par.keys()
-        assert len(merged_seq) > 0
+        shards = sweep(trials=3).shards()
+        seq = parallel_map(execute_shard, shards, jobs=1)
+        par = parallel_map(execute_shard, shards, jobs=2)
+        # order-preserving, and the live objects come back whole
+        assert [r.key for r in par] == [s.key for s in shards]
+        assert [r.result for r in par] == [r.result for r in seq]
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):

@@ -208,45 +208,54 @@ class TestCliBackendFlag:
         assert capsys.readouterr().out == object_out
 
     def test_check_reachable_backends_agree(self, capsys):
-        argv = ["check", "--topology", "ring:3", "--reachable"]
-        assert main(argv + ["--backend", "object"]) == 0
-        object_out = capsys.readouterr().out
-        assert main(argv + ["--backend", "fast"]) == 0
-        fast_out = capsys.readouterr().out
-        assert "reachable: 720 states" in object_out
-        assert "reachable: 720 states" in fast_out
+        # The CLI sweeps int keys; the object model's configuration-keyed BFS
+        # is the reference its counts are read against.
+        from repro.core import e_holds
+        from repro.verification import TransitionSystem
 
-        # Timing has its own line, so the lines CI cmp's stay identical.
-        counts = lambda text: [
-            l for l in text.splitlines() if not l.startswith("elapsed:")
-        ][1:]
-        assert counts(fast_out) == counts(object_out)
-        for out in (object_out, fast_out):
-            (elapsed,) = [l for l in out.splitlines() if l.startswith("elapsed:")]
-            assert "states/s" in elapsed and "peak RSS" in elapsed
-
-    def test_check_fast_requires_reachable(self):
-        with pytest.raises(SystemExit):
-            main(["check", "--topology", "ring:3", "--backend", "fast"])
-
-    @pytest.mark.parametrize("backend", ["object", "fast"])
-    def test_check_reachable_overflow_is_one_line_not_a_traceback(
-        self, backend, capsys
-    ):
-        status = main(
-            ["check", "--topology", "ring:3", "--reachable", "--backend",
-             backend, "--max-states", "100"]
+        assert main(["check", "--topology", "ring:3", "--reachable"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        topo = ring(3)
+        algo = NADiners(depth_cap=topo.diameter + 1, diameter_override=topo.diameter)
+        system = System(topo, algo)
+        for pid in topo.nodes:
+            system.write_local(pid, "needs", True)
+        graph = TransitionSystem(algo, topo).reachable_from([system.snapshot()])
+        assert len(graph) == 720
+        assert out[1] == (
+            f"reachable: {len(graph)} states, "
+            f"{sum(len(v) for v in graph.values())} transitions"
         )
+        assert out[2] == (
+            "safety violations (neighbours eating): "
+            f"{sum(not e_holds(c) for c in graph)}"
+        )
+        # Timing has its own line, so the lines CI greps stay stable.
+        assert out[3].startswith("elapsed:")
+        assert "states/s" in out[3] and "peak RSS" in out[3]
+
+    @pytest.mark.parametrize(
+        "spec, argv, needed",
+        [
+            ("ring:3", ["--reachable", "--max-states", "100"], "100"),
+            # the full space is a closed formula: refused before enumerating
+            ("star:4", [], "3981312"),
+        ],
+        ids=["reachable", "full-space"],
+    )
+    def test_check_reachable_overflow_is_one_line_not_a_traceback(
+        self, spec, argv, needed, capsys
+    ):
+        status = main(["check", "--topology", spec] + argv)
         captured = capsys.readouterr()
         assert status == 2
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("repro check: ring:3 ")
-        assert "100" in line and "--max-states" in line
+        assert line.startswith(f"repro check: {spec} ")
+        assert needed in line and "--max-states" in line
 
     def test_check_reachable_progress_heartbeats_per_level(self, capsys):
-        argv = ["check", "--topology", "ring:3", "--reachable", "--backend",
-                "fast", "--progress", "4"]
+        argv = ["check", "--topology", "ring:3", "--reachable", "--progress", "4"]
         assert main(argv) == 0
         captured = capsys.readouterr()
         beats = captured.err.splitlines()
@@ -256,12 +265,6 @@ class TestCliBackendFlag:
         ]
         assert "reachable: 720 states" in captured.out
 
-    def test_check_reachable_progress_needs_the_fast_backend(self):
-        # The object BFS has no levels: refuse, as --jobs is refused, rather
-        # than accept the flag and print nothing.
-        with pytest.raises(SystemExit, match="--backend fast"):
-            main(["check", "--topology", "ring:3", "--reachable", "--progress", "4"])
-
     def test_check_fast_sweep_builds_no_object_transition_system(
         self, monkeypatch, capsys
     ):
@@ -270,10 +273,8 @@ class TestCliBackendFlag:
         def boom(*args, **kwargs):
             raise AssertionError("a fast sweep built a scratch System")
 
-        monkeypatch.setattr(verification, "TransitionSystem", boom)
-        assert main(
-            ["check", "--topology", "ring:3", "--reachable", "--backend", "fast"]
-        ) == 0
+        monkeypatch.setattr(verification.TransitionSystem, "__init__", boom)
+        assert main(["check", "--topology", "ring:3", "--reachable"]) == 0
         assert "reachable: 720 states" in capsys.readouterr().out
 
     def test_sweep_fast_matches_object(self, capsys):

@@ -4,11 +4,26 @@ import random
 
 import pytest
 
-from repro.core import NADiners, NoDynamicThresholdDiners, NoFixdepthDiners
+from repro.core import (
+    NADiners,
+    NoDynamicThresholdDiners,
+    NoFixdepthDiners,
+    e_holds,
+    invariant_with_threshold,
+    nc_holds,
+)
 from repro.fastcore import FastTransitionSystem, UnsupportedBackendError
 from repro.fastcore.explorer import FastReachability
 from repro.sim import SimulationError, System, line, ring
-from repro.verification import FastExplorer, TransitionSystem
+from repro.verification import (
+    FastExplorer,
+    TransitionSystem,
+    check_closure,
+    check_convergence,
+    confirm_fair_livelock,
+    enumerate_configurations,
+    space_size,
+)
 
 
 def all_hungry_initial(topo, algo):
@@ -59,6 +74,8 @@ class TestReachability:
         [
             pytest.param(ring(3), 720, id="ring3"),
             pytest.param(line(3), 484, id="line3"),
+            # the largest instance the object side affords (86 672 transitions)
+            pytest.param(ring(4), 19264, id="ring4"),
         ],
     )
     def test_reachable_counts_match_object_bfs(self, topo, expected_states):
@@ -240,3 +257,104 @@ class TestFastExplorerSeam:
         stats = FastExplorer(algo, topo).reachable_count([config])
         assert stats.states == len(graph) == states
         assert stats.transitions == sum(len(v) for v in graph.values())
+
+
+class TestFullSpace:
+    """The int-key path of ``repro check`` against the object path: the same
+    enumeration, and the same properties giving the same reports."""
+
+    @pytest.mark.parametrize("dead", [(), (1,)], ids=["alive", "dead1"])
+    def test_enumerate_keys_is_the_object_enumeration(self, dead):
+        topo = line(3)
+        algo = NADiners(depth_cap=topo.diameter + 1)
+        fts = FastTransitionSystem(algo, topo)
+        codec = fts.codec
+        keys = list(fts.enumerate_keys(dead=dead))
+        assert len(keys) == len(set(keys)) == space_size(
+            algo, topo, fixed_locals={"needs": True}
+        )
+        # same states in the same order, so a Tarjan pass over either visits
+        # the same roots first
+        assert [codec.unpack(codec.unkey(k)) for k in keys] == list(
+            enumerate_configurations(
+                algo, topo, fixed_locals={"needs": True}, dead=dead
+            )
+        )
+
+    def test_uncapped_enumeration_rejected(self):
+        with pytest.raises(UnsupportedBackendError, match="depth_cap <= 255"):
+            next(FastTransitionSystem(NADiners(), line(3)).enumerate_keys())
+
+    @staticmethod
+    def _instance(name):
+        """(algorithm, topology, predicate, pinned locals) of an oracle row."""
+        if name == "k3-no-fixdepth":  # DESIGN 4a finding 2: Figure 2's livelock
+            pinned = {"needs": True, "depth": 0}
+            return NoFixdepthDiners(depth_cap=1), ring(3), (
+                lambda c: nc_holds(c) and e_holds(c)
+            ), pinned
+        topo = line(3) if name == "line3" else ring(3)
+        t = topo.longest_simple_path() if name == "ring3-corrected" else topo.diameter
+        algo = NADiners(depth_cap=t + 1, diameter_override=t)
+        return algo, topo, invariant_with_threshold(t), {"needs": True}
+
+    @pytest.mark.parametrize(
+        "name", ["line3", "ring3-literal", "ring3-corrected", "k3-no-fixdepth"]
+    )
+    def test_reports_equal_the_object_path(self, name):
+        algo, topo, predicate, pinned = self._instance(name)
+        configs = list(enumerate_configurations(algo, topo, fixed_locals=pinned))
+        ts = TransitionSystem(algo, topo)
+        fts = FastTransitionSystem(algo, topo)
+        codec = fts.codec
+        decode = lambda k: codec.unpack(codec.unkey(k))
+        on_keys = lambda k: predicate(decode(k))
+        if pinned == {"needs": True}:
+            keys = list(fts.enumerate_keys())
+        else:  # any iterable of states seeds the checks
+            keys = [codec.key(codec.pack(c)) for c in configs]
+
+        closure, fast_closure = (
+            check_closure(ts, predicate, configs),
+            check_closure(fts, on_keys, keys),
+        )
+        assert (fast_closure.holds, fast_closure.checked_states) == (
+            closure.holds, closure.checked_states
+        )
+        report, fast = (
+            check_convergence(ts, predicate, configs),
+            check_convergence(fts, on_keys, keys),
+        )
+        for field in ("converges", "total_states", "legit_states", "scc_count",
+                      "illegit_scc_count", "failure_kind"):
+            assert getattr(fast, field) == getattr(report, field), field
+        assert {decode(k) for k in fast.stuck_scc} == set(report.stuck_scc)
+        assert report.converges == (name in ("line3", "ring3-corrected"))
+        livelock = confirm_fair_livelock(ts, report.stuck_scc)
+        assert confirm_fair_livelock(fts, fast.stuck_scc) == livelock
+        if name == "k3-no-fixdepth":
+            assert livelock
+
+    def test_ring4_literal_counterexample_is_real_in_the_object_model(self):
+        """DESIGN 4a finding 1 on the 4-cycle: with the literal diameter
+        threshold I is not closed, and the transition the int path reports
+        is one the object model takes."""
+        topo = ring(4)
+        t = topo.diameter
+        algo = NADiners(depth_cap=t + 1, diameter_override=t)
+        invariant = invariant_with_threshold(t)
+        fts = FastTransitionSystem(algo, topo)
+        codec = fts.codec
+        decode = lambda k: codec.unpack(codec.unkey(k))
+        report = check_closure(
+            fts, lambda k: invariant(decode(k)), fts.enumerate_keys()
+        )
+        assert not report.holds
+        cx = report.counterexample
+        source, target = decode(cx.source), decode(cx.target)
+        label = (codec.pids[cx.pid], codec.table.names[cx.action])
+        assert (*label, target) in TransitionSystem(algo, topo).successors(source)
+        assert invariant(source) and not invariant(target)
+        # ... and the longest-simple-path threshold closes that exit
+        fixed = invariant_with_threshold(topo.longest_simple_path())
+        assert fixed(source) and fixed(target)

@@ -182,17 +182,6 @@ class TestSweepCommand:
             main(["sweep", "--algorithm", "nope", "--quiet"])
 
 
-class TestCheckJobs:
-    def test_parallel_check_matches_sequential(self, capsys):
-        assert main(["check", "--topology", "line:3"]) == 0
-        seq = capsys.readouterr().out
-        assert main(["check", "--topology", "line:3", "--jobs", "2"]) == 0
-        par = capsys.readouterr().out
-        pick = lambda text: [l for l in text.splitlines() if "legitimate" in l or "converges" in l or "closed" in l]
-        assert pick(seq) == pick(par)
-        assert "2 shards" in par
-
-
 class TestObservability:
     """--trace / --metrics-out wiring and the offline replay commands."""
 
