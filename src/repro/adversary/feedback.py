@@ -29,6 +29,7 @@ import random
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..net.chaos import ChaosController, ChaosSchedule, FaultEvent, Link
+from ..obs.slo import greedy_chain
 from ..sim.topology import Pid, Topology
 
 __all__ = ["FeedbackChaosController"]
@@ -137,27 +138,17 @@ class FeedbackChaosController(ChaosController):
     def waiting_chain(self) -> List[str]:
         """Longest-waiting head, extended greedily through waiting
         neighbours — the obs-stream approximation of the simulator's
-        :func:`~repro.adversary.strategies.longest_waiting_chain`."""
+        :func:`~repro.adversary.strategies.longest_waiting_chain`.
+
+        "Waiting" here is "not holding since the last release or restart",
+        not an open wait span: spans exist only in traced runs, and the
+        adversary must aim without them."""
         waiting = {
             n: since
             for n, since in self._waiting_since.items()
             if n not in self._holding
         }
-        if not waiting:
-            return []
-        chain = [min(waiting, key=lambda n: (waiting[n], n))]
-        seen = set(chain)
-        while True:
-            frontier = [
-                n
-                for n in self._neighbors.get(chain[-1], ())
-                if n in waiting and n not in seen
-            ]
-            if not frontier:
-                return chain
-            nxt = min(frontier, key=lambda n: (waiting[n], n))
-            chain.append(nxt)
-            seen.add(nxt)
+        return greedy_chain(waiting, self._neighbors, key=lambda n: (waiting[n], n))
 
     # ------------------------------------------------------------- deciding
 

@@ -892,8 +892,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 async def _node_main(args: argparse.Namespace) -> None:
     import asyncio
 
-    from .mp.diners_mp import DinersMpProcess
-    from .net import LockDinerProcess, NodeServer
+    from .net import NodeServer
+    from .net.cluster import build_process
 
     topology = parse_topology(args.topology)
     if not 0 <= args.pid < len(topology):
@@ -902,14 +902,12 @@ async def _node_main(args: argparse.Namespace) -> None:
             f"(has {len(topology)} processes)"
         )
     pid = topology.nodes[args.pid]
-    if args.lock_service:
-        process = LockDinerProcess(pid, topology, seed=args.seed)
-    else:
-        process = DinersMpProcess(pid, topology, eat_ticks=2, seed=args.seed)
     server = NodeServer(
         pid,
         topology,
-        process,
+        build_process(
+            pid, topology, lock_service=args.lock_service, seed=args.seed
+        ),
         host=args.host,
         port=args.port,
         tick_interval=args.tick_interval,

@@ -44,7 +44,7 @@ from ..obs.events import NetEventKind
 from ..obs.flight import DEFAULT_CAPACITY, FlightRecorder, dump_flight
 from ..obs.metrics import MetricsRegistry, percentile_of_sorted, write_metrics
 from ..obs.prom import PROM_CONTENT_TYPE, Sample, render_prometheus
-from ..obs.slo import LiveSloEvaluator, SloSpec
+from ..obs.slo import LiveSloEvaluator, LockState, SloSpec
 from ..obs.tracing import LamportClock, SpanRecorder, write_spans
 from ..sim.topology import Pid, Topology
 from ..sim.trace import TraceEvent
@@ -216,6 +216,16 @@ class EventRow(Mapping):
         return f"EventRow({dict(self)!r})"
 
 
+def build_process(pid: Pid, topology: Topology, *, lock_service: bool, seed: int):
+    """The diner a live node hosts: :class:`LockDinerProcess` (client-driven
+    demand) or an always-hungry :class:`DinersMpProcess`, both in repair
+    mode — real links drop frames, and without repair one dropped frame
+    loses an edge's fork for good."""
+    if lock_service:
+        return LockDinerProcess(pid, topology, seed=seed)
+    return DinersMpProcess(pid, topology, eat_ticks=2, seed=seed, repair=True)
+
+
 class ClusterSupervisor:
     """Builds, runs, faults, observes, and tears down one live cluster."""
 
@@ -261,10 +271,11 @@ class ClusterSupervisor:
             None if config.slo is None
             else LiveSloEvaluator(config.slo, config.topology)
         )
-        # ---- live telemetry state (fed by _collect from the obs stream)
-        self._hunger_waits: List[float] = []
-        self._waiting: Dict[str, int] = {}  # node -> open waiting spans
-        self._holding: set = set()
+        #: Who waits, who holds, grant waits: the one fold of the rows.
+        self.lock_state: LockState = (
+            LockState(config.topology) if self.slo_eval is None
+            else self.slo_eval.state
+        )
         self._retired_edge_rtx: Dict[tuple, int] = {}
         self._metrics_endpoint: Optional[MetricsEndpoint] = None
         self.metrics_port: Optional[int] = None
@@ -302,12 +313,15 @@ class ClusterSupervisor:
             flight = self.flights.get(node)
             if flight is not None:
                 flight.note_event(row)
-        # Live SLO judgment: the evaluator digests the same row; a newly
-        # exhausted budget stamps the implicated spans and freezes every
-        # black box while the incriminating history is still in the rings.
+        # The lock-service state /metrics reads; an armed SLO evaluator
+        # folds the row into it while judging it.  A newly exhausted budget
+        # stamps the implicated spans and freezes every black box while the
+        # incriminating history is still in the rings.
         if self.slo_eval is not None:
             for hit in self.slo_eval.on_event(row):
                 self._on_slo_exhausted(hit, row.t)
+        elif kind not in _TRAFFIC_EVENTS:
+            self.lock_state.feed(row)
         # A client watchdog declaring a link silently stalled is a flight
         # trigger too — the stall's lead-up is exactly what the ring holds.
         if (
@@ -315,26 +329,6 @@ class ClusterSupervisor:
             and "watchdog" in str(extra.get("after", ""))
         ):
             self.dump_flights(f"stall:{node}")
-        # Live-telemetry watches (span lifecycles -> hunger latency and the
-        # waiting set the /metrics endpoint reports the chain length of).
-        if node is not None:
-            if kind == NetEventKind.SPAN_OPEN.value:
-                if extra.get("name") in ("acquire", "hunger"):
-                    self._waiting[node] = self._waiting.get(node, 0) + 1
-            elif kind == NetEventKind.SPAN_CLOSE.value:
-                if extra.get("name") in ("acquire", "hunger"):
-                    left = self._waiting.get(node, 0) - 1
-                    if left > 0:
-                        self._waiting[node] = left
-                    else:
-                        self._waiting.pop(node, None)
-                wait = extra.get("wait_s")
-                if isinstance(wait, (int, float)):
-                    self._hunger_waits.append(float(wait))
-            elif kind == NetEventKind.GRANT.value:
-                self._holding.add(node)
-            elif kind == NetEventKind.RELEASE.value:
-                self._holding.discard(node)
         # The adaptive adversary (when configured) reads the same stream
         # the artefacts record — no privileged state channel.
         observe = getattr(self.controller, "observe", None)
@@ -365,10 +359,8 @@ class ClusterSupervisor:
 
     def _build_process(self, pid: Pid, index: int):
         cfg = self.config
-        if cfg.lock_service:
-            return LockDinerProcess(pid, cfg.topology, seed=cfg.seed + index)
-        return DinersMpProcess(
-            pid, cfg.topology, eat_ticks=2, seed=cfg.seed + index, repair=True
+        return build_process(
+            pid, cfg.topology, lock_service=cfg.lock_service, seed=cfg.seed + index
         )
 
     def _tracer_for(self, pid: Pid) -> Optional[SpanRecorder]:
@@ -768,32 +760,6 @@ class ClusterSupervisor:
 
     # ------------------------------------------------------------ telemetry
 
-    def waiting_chain(self) -> List[str]:
-        """Longest-waiting head extended greedily through waiting
-        neighbours — the live approximation of the simulator's chain
-        probe, over nodes with an open acquire/hunger span and no grant."""
-        waiting = {
-            n for n, count in self._waiting.items()
-            if count > 0 and n not in self._holding
-        }
-        if not waiting:
-            return []
-        neighbors = {
-            repr(p): [repr(q) for q in self.config.topology.neighbors(p)]
-            for p in self.config.topology.nodes
-        }
-        chain = [min(waiting)]
-        seen = set(chain)
-        while True:
-            frontier = [
-                n for n in neighbors.get(chain[-1], ())
-                if n in waiting and n not in seen
-            ]
-            if not frontier:
-                return chain
-            chain.append(min(frontier))
-            seen.add(chain[-1])
-
     def precedence_depth(self) -> int:
         """Longest "has priority over" chain among the nodes still serving
         the protocol, read off their fork state — what bounds how many can
@@ -816,14 +782,14 @@ class ClusterSupervisor:
             Sample("repro_cluster_killed", float(len(self.killed)),
                    help="Nodes halted by malicious crashes"),
             Sample("repro_cluster_waiting_chain_length",
-                   float(len(self.waiting_chain())),
+                   float(len(self.lock_state.waiting_chain())),
                    help="Longest chain of hungry nodes waiting on each other"),
             Sample("repro_cluster_precedence_depth",
                    float(self.precedence_depth()),
                    help="Longest has-priority-over chain among live nodes"),
         ]
-        if self._hunger_waits:
-            ordered = sorted(self._hunger_waits)
+        if self.lock_state.grants:
+            ordered = sorted(wait for _t, _n, wait in self.lock_state.grants)
             for q in (0.5, 0.9, 0.99):
                 samples.append(
                     Sample("repro_cluster_hunger_latency_seconds",
@@ -895,7 +861,8 @@ class ClusterSupervisor:
             mode="soak" if cfg.lock_service else "run",
             nodes=[repr(p) for p in cfg.topology.nodes],
             counters=counters,
-            events=sorted(self.events, key=lambda e: (e["t"], e["event"])),
+            # Stable: rows stamped with the same time keep arrival order.
+            events=sorted(self.events, key=lambda e: e.t),
             schedule=None if self.schedule is None else self.schedule.describe(),
             killed=[repr(p) for p in self.killed],
             byzantine=[repr(p) for p in self.byzantine],

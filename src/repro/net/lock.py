@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.events import NetEventKind
-from ..obs.slo import SloReport
+from ..obs.slo import LockState, SloReport, in_time_order
 from ..sim.topology import Pid, Topology
 from ..sim.trace import TraceEvent
 from .codec import Decoder, Frame, T_RSP, encode_hello, encode_request
@@ -360,36 +360,19 @@ class Violation:
 def hold_intervals(
     events: Sequence[Mapping[str, Any]], *, end_t: float
 ) -> Dict[str, List[Tuple[float, float]]]:
-    """Per-node ``(grant_t, release_t)`` intervals from an event stream.
+    """Per-node ``(grant_t, release_t)`` intervals from an event stream —
+    :class:`~repro.obs.slo.LockState`'s, folded in time order.
 
     A grant without a matching release (node crashed or run ended while
     eating) closes at ``end_t``.  Tolerates duplicate releases and events
-    out of order within a node (sorts first) — the stream is honest data,
-    not a trusted invariant.
+    out of order (sorts by time first; equal times keep stream order) —
+    the stream is honest data, not a trusted invariant.
     """
-    by_node: Dict[str, List[Tuple[float, str]]] = {}
-    for event in events:
-        kind = event.get("event")
-        node = event.get("node")
-        if node is None or kind not in ("net-grant", "net-release"):
-            continue
-        by_node.setdefault(node, []).append((float(event.get("t", 0.0)), kind))
-    intervals: Dict[str, List[Tuple[float, float]]] = {}
-    for node, marks in by_node.items():
-        marks.sort()
-        spans: List[Tuple[float, float]] = []
-        open_at: Optional[float] = None
-        for t, kind in marks:
-            if kind == "net-grant":
-                if open_at is None:
-                    open_at = t
-            elif open_at is not None:
-                spans.append((open_at, t))
-                open_at = None
-        if open_at is not None:
-            spans.append((open_at, end_t))
-        intervals[node] = spans
-    return intervals
+    state = LockState()
+    marks = [e for e in events if e.get("event") in ("net-grant", "net-release")]
+    for event in in_time_order(marks):
+        state.feed(event)
+    return state.hold_intervals(end_t)
 
 
 def neighbour_violations(
@@ -601,7 +584,10 @@ async def soak(
                 pass
         await supervisor.stop()
     result = supervisor.result(duration_s)
-    intervals = hold_intervals(result.events, end_t=duration_s)
+    # The supervisor's fold saw every grant and release in arrival order —
+    # the order the event log keeps for equal times — so its intervals are
+    # the log's without a second pass over the retained rows.
+    intervals = supervisor.lock_state.hold_intervals(duration_s)
     violations = neighbour_violations(
         config.topology, intervals, exclude=result.killed
     )

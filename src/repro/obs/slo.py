@@ -38,7 +38,18 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..artefact import KINDS, identify, read_document, write_atomic
 from .metrics import percentile_of_sorted
@@ -234,41 +245,55 @@ class SloObservations:
     # Each ``add_*`` takes what the artefact's own reader returns (the
     # registry in :mod:`repro.artefact` pairs them).
 
+    def observe_row(self, state: "LockState", row: Mapping[str, Any]) -> bool:
+        """Feed one event row through ``state`` and record what it shows: a
+        grant wait, a waiting-chain sample (whenever who waits or who holds
+        moved), a convergence deadline.  The live evaluator and
+        :meth:`add_events` read every row through here, so their reports
+        agree by construction.  True when anything was recorded."""
+        t = float(row.get("t", 0.0))
+        self.observe_duration(t)
+        waits = len(state.grants)
+        observed = False
+        if state.feed(row) and state.neighbors:
+            self.chain_samples.append((t, len(state.waiting_chain())))
+            observed = True
+        if len(state.grants) > waits:
+            self.grants.append(state.grants[-1])
+            observed = True
+        if row.get("event") == "net-convergence":
+            node = row.get("node")
+            elapsed = (row.get("detail") or {}).get("elapsed_s")
+            if node is not None and isinstance(elapsed, (int, float)):
+                self.convergence_s[str(node)] = float(elapsed)
+                observed = True
+        return observed
+
     def add_events(
         self, log: Tuple[Mapping[str, Any], Sequence[Mapping[str, Any]], int]
     ) -> None:
-        """Digest a cluster/soak event log — the richest artefact: grant
-        waits, replayed waiting chains, convergence deadlines, and the
-        neighbour-exclusion audit all come out of one file."""
+        """Digest a cluster/soak event log — the richest artefact: its rows
+        go through :meth:`observe_row` in time order, exactly as the live
+        evaluator saw them, and the neighbour-exclusion verdict is the
+        interval audit's, as ``soak`` adopts it."""
         # Deferred: repro.net imports this module at package level.
-        from ..net.lock import hold_intervals, neighbour_violations
+        from ..net.lock import neighbour_violations
+        from ..sim.errors import TopologyError
         from ..sim.topology import from_spec
 
         header, events, _skipped = log
-        end_t = max((float(e.get("t", 0.0)) for e in events), default=0.0)
-        self.observe_duration(header.get("duration_s"))
-        self.observe_duration(end_t)
         topology = None
         spec = header.get("topology")
         if isinstance(spec, str):
             try:
                 topology = from_spec(spec)
-            except ValueError:
-                topology = None
+            except TopologyError as exc:
+                raise ValueError(f"header topology {spec!r}: {exc}") from None
+        state = LockState(topology)
+        events = in_time_order(events)
         for event in events:
-            kind = event.get("event")
-            node = event.get("node")
-            detail = event.get("detail") or {}
-            if kind == "net-span-close" and node is not None:
-                wait = detail.get("wait_s")
-                if isinstance(wait, (int, float)):
-                    self.grants.append(
-                        (float(event.get("t", 0.0)), str(node), float(wait))
-                    )
-            elif kind == "net-convergence" and node is not None:
-                elapsed = detail.get("elapsed_s")
-                if isinstance(elapsed, (int, float)):
-                    self.convergence_s[str(node)] = float(elapsed)
+            self.observe_row(state, event)
+        self.observe_duration(header.get("duration_s"))
         conv = header.get("convergence_s")
         if isinstance(conv, Mapping):
             for node, value in conv.items():
@@ -276,12 +301,11 @@ class SloObservations:
                     self.convergence_s[str(node)] = float(value)
         if topology is not None:
             killed = [str(k) for k in header.get("killed") or ()]
-            intervals = hold_intervals(events, end_t=end_t)
+            end_t = float(events[-1].get("t", 0.0)) if events else 0.0
             for violation in neighbour_violations(
-                topology, intervals, exclude=killed
+                topology, state.hold_intervals(end_t), exclude=killed
             ):
                 self.violation_times.append(violation.overlap_start)
-            self.chain_samples.extend(_replay_chains(topology, events))
 
     def add_spans(self, span_file: Any) -> None:
         """Grant waits from a span artefact (``spans-*`` or ``flight-*``):
@@ -360,75 +384,133 @@ class SloObservations:
                 self.violation_count = max(self.violation_count, violations)
 
 
-def neighbor_map(topology: Any) -> Dict[str, List[str]]:
-    """``repr(pid) -> [repr(neighbour), ...]`` — the evaluator's view."""
-    return {
-        repr(p): [repr(q) for q in topology.neighbors(p)]
-        for p in topology.nodes
-    }
+# ----------------------------------------------------- lock-service state
 
 
-def chain_length(
-    waiting: Mapping[str, int],
-    holding: "set[str]",
+#: Rows after which a node holds nothing and waits for nothing.
+_NODE_DOWN = ("net-crash-detect", "net-node-stop")
+#: Every row kind :meth:`LockState.feed` reads; the rest pass it by.
+_STATE_KINDS = frozenset(
+    ("net-span-open", "net-span-close", "net-grant", "net-release", *_NODE_DOWN)
+)
+
+
+def greedy_chain(
+    waiting: Collection[str],
     neighbors: Mapping[str, Sequence[str]],
-) -> int:
-    """Greedy longest-waiting-head chain — mirrors
-    :meth:`repro.net.cluster.ClusterSupervisor.waiting_chain` so live and
-    offline evaluations agree."""
-    live = {n for n, count in waiting.items() if count > 0 and n not in holding}
-    if not live:
-        return 0
-    chain = [min(live)]
+    key: Optional[Callable[[str], Any]] = None,
+) -> List[str]:
+    """The waiting chain over node labels: the first waiter by ``key`` (the
+    label itself by default), extended greedily through the first
+    not-yet-visited waiting neighbour — the event-stream approximation of
+    :func:`repro.obs.probes.waiting_chain`.  ``/metrics``, the SLO
+    ``waiting_chain`` objective and the adaptive adversary all walk here."""
+    if not waiting:
+        return []
+    chain = [min(waiting, key=key)]
     seen = set(chain)
     while True:
         frontier = [
             n for n in neighbors.get(chain[-1], ())
-            if n in live and n not in seen
+            if n in waiting and n not in seen
         ]
         if not frontier:
-            return len(chain)
-        chain.append(min(frontier))
+            return chain
+        chain.append(min(frontier, key=key))
         seen.add(chain[-1])
 
 
-def _replay_chains(
-    topology: Any, events: Sequence[Mapping[str, Any]]
-) -> List[Tuple[float, int]]:
-    """Waiting-chain samples replayed from span/grant/release lifecycles."""
-    neighbors = neighbor_map(topology)
-    waiting: Dict[str, int] = {}
-    holding: set = set()
-    samples: List[Tuple[float, int]] = []
-    for event in sorted(events, key=lambda e: float(e.get("t", 0.0))):
-        node = event.get("node")
-        if node is None:
-            continue
-        kind = event.get("event")
-        detail = event.get("detail") or {}
-        changed = False
-        if kind == "net-span-open" and detail.get("name") in _WAIT_SPANS:
-            waiting[node] = waiting.get(node, 0) + 1
-            changed = True
-        elif kind == "net-span-close" and detail.get("name") in _WAIT_SPANS:
-            left = waiting.get(node, 0) - 1
-            if left > 0:
-                waiting[node] = left
-            else:
-                waiting.pop(node, None)
-            changed = True
-        elif kind == "net-grant":
-            holding.add(node)
-            changed = True
-        elif kind == "net-release":
-            holding.discard(node)
-            changed = True
-        if changed:
-            samples.append(
-                (float(event.get("t", 0.0)),
-                 chain_length(waiting, holding, neighbors))
-            )
-    return samples
+def in_time_order(events: Iterable[Mapping[str, Any]]) -> List[Mapping[str, Any]]:
+    """Event rows by ``t``; rows with equal times keep their given order
+    (the order they arrived in), because the sort is stable."""
+    return sorted(events, key=lambda e: float(e.get("t", 0.0)))
+
+
+class LockState:
+    """The lock service's per-node state, folded one event row at a time.
+
+    Per node it keeps the open wait spans (``acquire``/``hunger``
+    lifecycles), whether the node holds the lock, and its hold intervals;
+    beside them, every grant wait a span close reported.  A
+    ``net-crash-detect`` or ``net-node-stop`` clears the node's hold and
+    waits — a dead node holds nothing, so a malicious crash mid-hold must
+    not read as a chain link or as its neighbours breaking exclusion.  Hold
+    intervals are the audit's and ignore it: a grant stays open until a
+    release or the end of the log, and the audit excludes killed nodes.
+
+    Rows come in arrival order live and :func:`in_time_order` offline —
+    the same order: rows are stamped as they arrive, and the event log is
+    the arrival order stably sorted by ``t``.  ``/metrics``
+    (:class:`repro.net.cluster.ClusterSupervisor`), the live and offline SLO
+    evaluation and the safety audit (``soak`` reads the supervisor's fold,
+    :func:`repro.net.lock.hold_intervals` folds a log) all read their
+    quantities from this one class.
+    """
+
+    def __init__(self, topology: Any = None) -> None:
+        #: ``repr(pid) -> neighbour labels`` (the rows' node labels);
+        #: empty without a topology.
+        self.neighbors: Dict[str, List[str]] = {} if topology is None else {
+            repr(p): [repr(q) for q in topology.neighbors(p)]
+            for p in topology.nodes
+        }
+        self.waiting: Dict[str, int] = {}  #: node -> open wait spans
+        self.holding: set = set()
+        #: node -> its closed ``(grant_t, release_t)`` hold intervals.
+        self._intervals: Dict[str, List[Tuple[float, float]]] = {}
+        self._open: Dict[str, float] = {}  #: node -> grant time of its open hold
+        #: ``(t, node, wait_s)`` — one per span close that saw a grant.
+        self.grants: List[Tuple[float, str, float]] = []
+
+    def feed(self, row: Mapping[str, Any]) -> bool:
+        """Fold one row; True when who waits or who holds may have moved."""
+        kind = row.get("event")
+        node = row.get("node")
+        if kind not in _STATE_KINDS or node is None:
+            return False
+        if kind == "net-grant":
+            self.holding.add(node)
+            self._intervals.setdefault(node, [])
+            self._open.setdefault(node, float(row.get("t", 0.0)))
+            return True
+        if kind == "net-release":
+            self.holding.discard(node)
+            spans = self._intervals.setdefault(node, [])
+            opened = self._open.pop(node, None)
+            if opened is not None:
+                spans.append((opened, float(row.get("t", 0.0))))
+            return True
+        if kind in _NODE_DOWN:
+            moved = node in self.holding or node in self.waiting
+            self.holding.discard(node)
+            self.waiting.pop(node, None)
+            return moved
+        detail = row.get("detail") or {}
+        wait = detail.get("wait_s")
+        if kind == "net-span-close" and isinstance(wait, (int, float)):
+            self.grants.append((float(row.get("t", 0.0)), node, float(wait)))
+        if detail.get("name") not in _WAIT_SPANS:
+            return False
+        left = self.waiting.get(node, 0) + (1 if kind == "net-span-open" else -1)
+        if left > 0:
+            self.waiting[node] = left
+        else:
+            self.waiting.pop(node, None)
+        return True
+
+    def waiting_chain(self) -> List[str]:
+        """The chain over nodes with an open wait span and no hold."""
+        return greedy_chain(
+            {n for n in self.waiting if n not in self.holding}, self.neighbors
+        )
+
+    def hold_intervals(self, end_t: float) -> Dict[str, List[Tuple[float, float]]]:
+        """Every node's hold intervals, a still-open one closed at ``end_t``."""
+        return {
+            node: spans + [(self._open[node], end_t)]
+            if node in self._open else list(spans)
+            for node, spans in self._intervals.items()
+        }
 
 
 # -------------------------------------------------------------- evaluation
@@ -709,8 +791,9 @@ def format_report(report: SloReport) -> str:
 class LiveSloEvaluator:
     """Incremental evaluation over the supervisor's collected event rows.
 
-    Feeds the same :class:`SloObservations` the offline path uses, so the
-    live verdict and the post-run report agree.  :meth:`on_event` returns
+    Reads each row through :meth:`SloObservations.observe_row` and its own
+    :class:`LockState`, exactly as the offline path does, so the live
+    verdict and the post-run report agree.  :meth:`on_event` returns
     the objectives whose budget that event newly exhausted (with the
     implicated nodes for safety hits) so the supervisor can annotate spans
     and trigger flight dumps; :meth:`samples` exports remaining budget and
@@ -720,67 +803,20 @@ class LiveSloEvaluator:
     def __init__(self, spec: SloSpec, topology: Any) -> None:
         self.spec = spec
         self.obs = SloObservations()
-        self._neighbors = neighbor_map(topology)
-        self._waiting: Dict[str, int] = {}
-        self._holding: set = set()
+        self.state = LockState(topology)
         self._exhausted: set = set()
 
     def on_event(self, row: Mapping[str, Any]) -> List[Dict[str, Any]]:
-        t = float(row.get("t", 0.0))
-        self.obs.observe_duration(t)
-        node = row.get("node")
-        kind = row.get("event")
-        detail = row.get("detail") or {}
-        observed = False
-        chain_moved = False
+        observed = self.obs.observe_row(self.state, row)
         implicated: List[str] = []
-        if node is not None:
-            if kind == "net-span-close":
-                wait = detail.get("wait_s")
-                if isinstance(wait, (int, float)):
-                    self.obs.grants.append((t, node, float(wait)))
+        if row.get("event") == "net-grant":
+            node = row.get("node")
+            for peer in self.state.neighbors.get(node, ()):
+                if peer in self.state.holding:
+                    # Neighbour exclusion broken right now, live.
+                    self.obs.violation_times.append(float(row.get("t", 0.0)))
                     observed = True
-                if detail.get("name") in _WAIT_SPANS:
-                    left = self._waiting.get(node, 0) - 1
-                    if left > 0:
-                        self._waiting[node] = left
-                    else:
-                        self._waiting.pop(node, None)
-                    chain_moved = True
-            elif kind == "net-span-open":
-                if detail.get("name") in _WAIT_SPANS:
-                    self._waiting[node] = self._waiting.get(node, 0) + 1
-                    chain_moved = True
-            elif kind == "net-grant":
-                for peer in self._neighbors.get(node, ()):
-                    if peer in self._holding:
-                        # Neighbour exclusion broken right now, live.
-                        self.obs.violation_times.append(t)
-                        observed = True
-                        implicated = sorted({node, peer, *implicated})
-                self._holding.add(node)
-                chain_moved = True
-            elif kind == "net-release":
-                self._holding.discard(node)
-                chain_moved = True
-            elif kind in ("net-crash-detect", "net-node-stop"):
-                # A dead node holds nothing: a malicious crash mid-hold
-                # must not read as its neighbours breaking exclusion
-                # (the offline audit likewise excludes killed holders).
-                if node in self._holding or node in self._waiting:
-                    self._holding.discard(node)
-                    self._waiting.pop(node, None)
-                    chain_moved = True
-            elif kind == "net-convergence":
-                elapsed = detail.get("elapsed_s")
-                if isinstance(elapsed, (int, float)):
-                    self.obs.convergence_s[node] = float(elapsed)
-                    observed = True
-        if chain_moved:
-            self.obs.chain_samples.append(
-                (t, chain_length(self._waiting, self._holding, self._neighbors))
-            )
-            observed = True
+                    implicated = sorted({node, peer, *implicated})
         if not observed:
             return []
         hits: List[Dict[str, Any]] = []

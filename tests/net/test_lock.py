@@ -9,13 +9,16 @@ import pytest
 from repro.net import (
     DEFAULT_ACQUIRE_TIMEOUT,
     ClusterConfig,
+    ClusterSupervisor,
     LockClient,
     LockError,
     hold_intervals,
     neighbour_violations,
     soak,
 )
+from repro.obs.events import NetEventKind
 from repro.sim import ring
+from repro.sim.trace import TraceEvent
 
 
 def grant(node, t):
@@ -48,6 +51,34 @@ class TestHoldIntervals:
     def test_foreign_events_skipped(self):
         events = [{"event": "net-send", "node": "0", "t": 1.0}, grant("1", 2.0)]
         assert hold_intervals(events, end_t=5.0) == {"1": [(2.0, 5.0)]}
+
+    #: Node 0 releases and re-acquires within one rounded microsecond, then
+    #: holds across node 1's meal: ordering the tie by event name puts the
+    #: grant first and the second hold — and the violation — vanish.
+    TIED = [grant("0", 1.0), release("0", 2.0), grant("0", 2.0),
+            grant("1", 2.5), release("1", 2.6), release("0", 3.0)]
+
+    def test_equal_times_keep_arrival_order(self):
+        intervals = hold_intervals(self.TIED, end_t=5.0)
+        assert intervals == {"0": [(1.0, 2.0), (2.0, 3.0)], "1": [(2.5, 2.6)]}
+        assert len(neighbour_violations(ring(3), intervals)) == 1
+
+    def test_the_run_log_keeps_arrival_order_too(self):
+        supervisor = ClusterSupervisor(ClusterConfig(
+            topology=ring(3), topology_spec="ring:3", lock_service=True,
+        ))
+        kinds = {"net-grant": NetEventKind.GRANT,
+                 "net-release": NetEventKind.RELEASE}
+        for seq, row in enumerate(self.TIED):
+            supervisor.bus.publish(TraceEvent(
+                seq, kinds[row["event"]], int(row["node"]), {"t": row["t"]}
+            ))
+        events = supervisor.result(5.0).events
+        assert [dict(e) for e in events] == self.TIED
+        # soak audits the supervisor's own fold; it must read as the log does.
+        assert supervisor.lock_state.hold_intervals(5.0) == hold_intervals(
+            events, end_t=5.0
+        )
 
 
 class TestNeighbourViolations:
@@ -82,6 +113,7 @@ class TestLiveSoak:
         )
         result = asyncio.run(soak(config, 1.5, hold_s=0.02))
         assert result.safe, result.violations
+        assert result.intervals == hold_intervals(result.cluster.events, end_t=1.5)
         assert sum(c.acquired for c in result.clients) > 0
         survivors = [c for c in result.clients if c.node not in result.cluster.killed]
         assert all(c.errors == 0 for c in survivors)

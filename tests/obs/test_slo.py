@@ -1,13 +1,17 @@
 """Unit tests for the SLO engine: spec validation, budget math, reports,
 artefact ingestion, and the live evaluator's agreement with offline."""
 
+import asyncio
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.net.cluster import read_cluster_events
+from repro.net.cluster import ClusterConfig, ClusterSupervisor, read_cluster_events
 from repro.obs import (
+    NetEventKind,
+    TraceEvent,
+    find,
     LiveSloEvaluator,
     SloObjective,
     SloObservations,
@@ -271,8 +275,11 @@ class TestLiveEvaluator:
         assert safety[0]["nodes"] == ["0", "1"]
 
     def test_live_report_matches_offline(self):
-        """The acceptance criterion: live and offline verdicts agree."""
-        for name in ("clean.events", "violation.events"):
+        """The acceptance criterion: live and offline verdicts agree —
+        including across a node stopped mid-hold, a release that lands
+        after the stop, and a restart that acquires while both neighbours
+        wait (``restart.events``)."""
+        for name in ("clean.events", "violation.events", "restart.events"):
             live, _hits = self._feed(name)
             offline = SloObservations()
             ingest_artefact(offline, FIXTURES / name)
@@ -280,6 +287,34 @@ class TestLiveEvaluator:
                 live.report().to_json()
                 == evaluate(fixture_spec(), offline).to_json()
             )
+
+    def test_metrics_chain_is_the_slo_chain(self):
+        """``/metrics`` and the SLO objective read one fold: replayed
+        through a supervisor, the crash-restart rows give the same waiting
+        chain on the live page as in the evaluator, row by row."""
+        _header, events, _skipped = read_cluster_events(FIXTURES / "restart.events")
+        supervisor = ClusterSupervisor(ClusterConfig(
+            topology=ring(3), topology_spec="ring:3", lock_service=True,
+        ))
+        supervisor.precedence_depth = lambda: 0  # no node servers to read
+        live = LiveSloEvaluator(fixture_spec(), ring(3))
+
+        async def replay():
+            lengths = []
+            for seq, row in enumerate(events):
+                supervisor.bus.publish(TraceEvent(
+                    seq, NetEventKind(row["event"]), int(row["node"]),
+                    {"t": row["t"], **row.get("detail", {})},
+                ))
+                live.on_event(row)
+                gauge = find(
+                    supervisor.live_samples(), "repro_cluster_waiting_chain_length"
+                )
+                assert gauge.value == len(live.state.waiting_chain())
+                lengths.append(gauge.value)
+            return lengths
+
+        assert max(asyncio.run(replay())) == 3  # the restarted node joins
 
     def test_reconcile_safety_adopts_audit_wholesale(self):
         live, _ = self._feed("clean.events")

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,29 @@ class TestCommands:
     def test_unknown_algorithm(self):
         with pytest.raises(SystemExit):
             main(["run", "--algorithm", "nope"])
+
+    def test_node_hosts_its_diner_in_repair_mode(self, monkeypatch):
+        """A standalone node runs over links that drop frames, so it hosts
+        the same repair-mode process the supervisor would build."""
+        import repro.net
+
+        hosted = []
+
+        class Hosted(Exception):
+            pass
+
+        class CaptureServer:
+            def __init__(self, pid, topology, process, **kwargs):
+                hosted.append(process)
+
+            async def start_listening(self):
+                raise Hosted
+
+        monkeypatch.setattr(repro.net, "NodeServer", CaptureServer)
+        for extra in ([], ["--lock-service"]):
+            with pytest.raises(Hosted):
+                main(["node", "--topology", "line:2", "--pid", "0", *extra])
+        assert [p.repair for p in hosted] == [True, True]
 
 
 class TestReportCommand:
@@ -628,6 +652,17 @@ class TestSloCli:
             main(["slo", f"{self.FIXTURES}/spec.json", str(path)])
         assert str(info.value) == (
             f"{path}: loadgen format 99 is newer than this tool (1)"
+        )
+
+    def test_slo_bad_header_topology_is_one_line(self, tmp_path):
+        path = tmp_path / "ring1.events"
+        clean = Path(self.FIXTURES, "clean.events").read_text()
+        path.write_text(clean.replace('"ring:3"', '"ring:1"', 1))
+        with pytest.raises(SystemExit) as info:
+            main(["slo", f"{self.FIXTURES}/spec.json", str(path)])
+        assert str(info.value) == (
+            f"{path}: header topology 'ring:1': "
+            "a ring needs at least 3 processes"
         )
 
     def test_slo_empty_directory_exits(self, tmp_path):
