@@ -100,6 +100,8 @@ _ROWS = (
          slo="add_metrics"),
     Kind("records", {"key": ..., "params": ..., "seed": ..., "result": ...}, 2,
          "repro.campaign.record", "read_records", "summarize_records"),
+    Kind("campaign-trace", {"kind": _HEADER, "source": ("campaign-trace",)}, 1,
+         "repro.campaign.record", "read_jsonl", "summarize_campaign_trace"),
     Kind("trace", {"kind": _HEADER, "source": (None,), "model": ...}, 1,
          "repro.obs.trace_io", "read_trace", "summarize_trace"),
     Kind("events",
@@ -117,6 +119,8 @@ _ROWS = (
     Kind("loadgen", {"kind": ("loadgen-report",)}, 1,
          "repro.gateway.report", "read_loadgen_report",
          "summarize_loadgen_report", slo="add_loadgen"),
+    Kind("slo-spec", {"kind": ("slo-spec",)}, 1,
+         "repro.obs.slo", "read_slo_spec", "summarize_slo_spec"),
     Kind("slo-report", {"kind": ("slo-report",)}, 1,
          "repro.obs.slo", "read_slo_report", "summarize_slo_report"),
     Kind("bench", {"kind": ("bench",)}, 1,

@@ -38,9 +38,16 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
-from ..artefact import CANONICAL, KINDS, tally, write_atomic
+from ..artefact import (
+    CANONICAL,
+    KINDS,
+    read_jsonl,
+    skipped_note,
+    tally,
+    write_atomic,
+)
 
 FORMAT_VERSION = KINDS["records"].format
 
@@ -139,17 +146,26 @@ def parse_line(line: str) -> Optional[TrialRecord]:
         return None
 
 
-def read_records(path: Path | str) -> List[TrialRecord]:
+class Records(list):
+    """:func:`read_records`' list, plus ``skipped``: the non-blank lines
+    that were not a record (torn or foreign)."""
+
+    skipped = 0
+
+
+def read_records(path: Path | str) -> Records:
     """Every complete record in ``path`` (missing file ⇒ empty list)."""
     path = Path(path)
+    records = Records()
     if not path.exists():
-        return []
-    records: List[TrialRecord] = []
+        return records
     with path.open("r", encoding="utf-8") as handle:
         for line in handle:
             record = parse_line(line)
             if record is not None:
                 records.append(record)
+            elif line.strip():
+                records.skipped += 1
     return records
 
 
@@ -181,17 +197,80 @@ def write_records(
     write_atomic(path, iter_lines(records, include_meta=include_meta))
 
 
-def summarize_records(records: List[TrialRecord]) -> List[str]:
+def summarize_records(records: Records) -> List[str]:
     """The ``repro stats`` lines for a campaign records file."""
     if not records:
         raise ValueError("no complete campaign record")
     lines = [f"campaign records: {len(records)}"]
     lines += tally((record.kind for record in records), " shards")
-    durations = [r.duration_s for r in records if r.duration_s is not None]
-    if durations:
-        lines.append(
-            f"  duration_s: total {sum(durations):.3f}, "
-            f"mean {sum(durations) / len(durations):.3f}, "
-            f"max {max(durations):.3f}"
+    lines += _duration_line(r.duration_s for r in records)
+    return lines + skipped_note(records.skipped)
+
+
+def _duration_line(seconds: Iterable[Optional[float]]) -> List[str]:
+    """The ``duration_s`` line of a campaign summary (none without one)."""
+    durations = [s for s in seconds if s is not None]
+    if not durations:
+        return []
+    return [
+        f"  duration_s: total {sum(durations):.3f}, "
+        f"mean {sum(durations) / len(durations):.3f}, "
+        f"max {max(durations):.3f}"
+    ]
+
+
+class CampaignTraceLog:
+    """``sweep --trace``: a JSONL log of shard completions with durations.
+
+    The campaign-granularity sibling of an engine trace: one header line,
+    then one line per completed shard in completion order — the timeline a
+    profiler wants, complementary to the key-ordered records file.  Read
+    back with :func:`~repro.artefact.read_jsonl`.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = self.path.open("w", encoding="utf-8")
+        self._write(
+            {
+                "format": KINDS["campaign-trace"].format,
+                "kind": "header",
+                "source": "campaign-trace",
+            }
         )
-    return lines
+
+    def _write(self, payload: dict) -> None:
+        self._handle.write(canonical_json(payload) + "\n")
+        self._handle.flush()
+
+    def wrap(self, inner):
+        def progress(record, done, total):
+            self._write(
+                {
+                    "kind": "shard",
+                    "index": done,
+                    "total": total,
+                    "key": record.key,
+                    "shard_kind": record.kind,
+                    "seed": record.seed,
+                    "duration_s": record.duration_s,
+                }
+            )
+            if inner is not None:
+                inner(record, done, total)
+
+        return progress
+
+    def close(self) -> None:
+        self._handle.close()
+
+
+def summarize_campaign_trace(parsed) -> List[str]:
+    """The ``repro stats`` lines for a ``sweep --trace`` log."""
+    _header, rows, skipped = parsed
+    shards = [row for row in rows if row.get("kind") == "shard"]
+    lines = [f"campaign trace: {len(shards)} shards completed"]
+    lines += tally((str(row.get("shard_kind")) for row in shards), " shards")
+    lines += _duration_line(row.get("duration_s") for row in shards)
+    return lines + skipped_note(skipped)

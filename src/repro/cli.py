@@ -327,6 +327,11 @@ def cmd_locality(args: argparse.Namespace) -> int:
 def cmd_stabilize(args: argparse.Namespace) -> int:
     topology = parse_topology(args.topology)
     algorithm = make_algorithm(args.algorithm)
+    if "depth" not in algorithm.local_domains(topology):
+        raise SystemExit(
+            f"repro stabilize: {algorithm.name} has no depth counter; "
+            "the paper's predicates read the NADiners family's state"
+        )
     system = System(topology, algorithm)
     system.randomize(random.Random(args.seed))
     if args.plant_cycle:
@@ -377,7 +382,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
             seed=args.seed,
             steps_taken=steps_taken,
             threshold=threshold,
-            has_depth="depth" in algorithm.local_domains(topology),
+            has_depth=True,
             snapshot_every=every,
         )
     return status
@@ -413,6 +418,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .campaign import SweepSpec, aggregate_sim, run_shards
+    from .campaign.record import CampaignTraceLog
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
@@ -446,7 +452,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     progress = _campaign_progress(args)
-    trace_log = _CampaignTraceLog(args.trace) if args.trace else None
+    trace_log = CampaignTraceLog(args.trace) if args.trace else None
     if trace_log is not None:
         progress = trace_log.wrap(progress)
     try:
@@ -514,52 +520,6 @@ def _campaign_progress(args: argparse.Namespace):
         )
 
     return progress
-
-
-class _CampaignTraceLog:
-    """``sweep --trace``: a JSONL log of shard completions with durations.
-
-    The campaign-granularity sibling of an engine trace: one header line,
-    then one line per completed shard in completion order — the timeline a
-    profiler wants, complementary to the key-ordered records file.
-    """
-
-    def __init__(self, path: str) -> None:
-        import pathlib
-
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w", encoding="utf-8")
-        self._write(
-            {"format": 1, "kind": "header", "source": "campaign-trace"}
-        )
-
-    def _write(self, payload: dict) -> None:
-        self._handle.write(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-        self._handle.flush()
-
-    def wrap(self, inner):
-        def progress(record, done, total):
-            self._write(
-                {
-                    "kind": "shard",
-                    "index": done,
-                    "total": total,
-                    "key": record.key,
-                    "shard_kind": record.kind,
-                    "seed": record.seed,
-                    "duration_s": record.duration_s,
-                }
-            )
-            if inner is not None:
-                inner(record, done, total)
-
-        return progress
-
-    def close(self) -> None:
-        self._handle.close()
 
 
 def cmd_trace(args: argparse.Namespace) -> int:

@@ -1,24 +1,43 @@
 """The paper's predicates: NC, SH/ST, E, the invariant I, and RD colouring.
 
-Every function here is a pure function of a
-:class:`~repro.sim.configuration.Configuration`, evaluated exactly as §3 of
-the paper defines it:
+Each predicate is written once, as a pass over the packed layout of
+:mod:`repro.fastcore.packed`: the per-process ``state``/``depth``/``status``
+vectors and the ``anc``/``desc`` bitsets (bit ``q`` of ``anc[p]`` set when
+``q`` is a direct ancestor of ``p``), exactly as §3 of the paper defines
+them:
 
 * **NC** (Lemma 1) — every cycle of the priority graph contains a dead
   process; equivalently, the subgraph induced by live processes is acyclic.
+  One Kahn pass over the live masks decides it and yields every ``l:p``, the
+  length of the longest chain of live ancestors of ``p`` including ``p``; a
+  process the pass cannot reach sits on or below a live cycle and gets ∞.
 * **SH:p** (shallow, §3.1) — ``p`` is dead, or ``depth.p ≤ D`` and for every
   direct descendant ``q`` either ``depth.q + l.p ≤ D`` (a large depth can no
   longer be propagated past ``D``) or ``depth.q + 1 ≤ depth.p`` (``p``'s
-  fixdepth is disabled with respect to ``q``); ``l.p`` is the length of the
-  longest chain of live ancestors of ``p``, including ``p`` itself.
+  fixdepth is disabled with respect to ``q``).
 * **stably shallow** — shallow, and dead or with all live (transitive)
-  descendants shallow.  **ST** (Lemma 3): every process is stably shallow.
-* **E** (Lemma 4) — two neighbours eat simultaneously only if both are dead.
+  descendants shallow: one backward closure over ``anc`` from the live
+  non-shallow processes finds who is not.  **ST** (Lemma 3): every process
+  is stably shallow — which holds exactly when every live process is
+  shallow, since a non-shallow one is not stably shallow itself.
+* **E** (Lemma 4) — two neighbours eat simultaneously only if both are dead:
+  the eating mask tested against each live eater's ``anc | desc``.
 * **I = NC ∧ ST ∧ E** (Theorem 1) — the legitimate-state predicate the
   program stabilizes to.
 * **RD / red–green** (§3.2) — the least fixpoint classifying processes into
   *red* (transitively blocked by dead processes; their color never changes
-  once I holds) and *green* (guaranteed to make progress — Theorem 2).
+  once I holds) and *green* (guaranteed to make progress — Theorem 2),
+  iterated on masks.
+
+Every public function takes either spelling of a state.  A
+:class:`~repro.sim.configuration.Configuration` crosses into the packed
+layout once per call, through the lossless ``PackedCodec.pack`` (one codec
+per topology), and pid sets come back as pids.  A ``PackedState`` is read
+as it is — the model checker's ``codec.unkey(k)`` — and its answers name
+process indices.  E on a ``Configuration`` (:func:`eating_pairs`,
+:func:`e_holds`) is the exception: it reads only ``state`` and the topology
+and never packs, because the baselines (hygienic, fork-ordering) have no
+packed form and every sweep trial ends in it.
 
 Reproduction finding — the ``threshold`` parameter
 --------------------------------------------------
@@ -34,7 +53,8 @@ trees and lines the longest simple path equals the diameter and the paper's
 claims hold literally.
 
 Every depth-sensitive predicate therefore takes ``threshold`` (default: the
-diameter, the paper's literal choice).  Passing
+diameter, the paper's literal choice — for a ``PackedState``, the diameter
+of the graph its masks describe).  Passing
 ``Topology.longest_simple_path()`` — and running
 ``NADiners(diameter_override=...)`` with the same value — restores a
 non-empty invariant on any graph.  Experiment E9 demonstrates both regimes.
@@ -43,322 +63,375 @@ non-empty invariant on any graph.  Experiment E9 demonstrates both regimes.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
-
-from ..sim.configuration import Configuration
-from ..sim.topology import Pid
-from .state import (
-    VAR_DEPTH,
-    DinerState,
-    diner_state,
-    direct_ancestors,
-    direct_descendants,
+from functools import lru_cache
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Sequence,
+    Tuple,
+    Union,
 )
 
-T = DinerState.THINKING
-H = DinerState.HUNGRY
-E = DinerState.EATING
+from ..sim.configuration import Configuration
+from ..sim.errors import UnknownProcessError
+from ..sim.topology import Pid, Topology
+from .algorithm import NADiners
+from .figure1 import STATE_CODE
+from .state import VAR_STATE, DinerState
+
+if TYPE_CHECKING:
+    from ..fastcore.packed import PackedState
+
+#: Either spelling of a state every public function here accepts.
+State = Union[Configuration, "PackedState"]
+
+THINKING, EATING = STATE_CODE["T"], STATE_CODE["E"]
+
+
+# ------------------------------------------------------------- the crossing
+
+
+@lru_cache(maxsize=64)
+def _codec(topology: Topology):
+    """The codec a ``Configuration`` of ``topology`` is packed with."""
+    from ..fastcore.packed import PackedCodec  # first use: not at import
+
+    return PackedCodec(topology, NADiners())
+
+
+def _packed(state: State) -> Tuple[PackedState, Sequence[Pid]]:
+    """``(PackedState, pid of each index)`` for either spelling of a state."""
+    if isinstance(state, Configuration):
+        return _codec(state.topology).pack(state), state.topology.nodes
+    return state, range(len(state.state))
+
+
+def _bound(state: State, ps: PackedState, threshold: int | None) -> int:
+    """The depth bound ``D``: ``threshold``, else the diameter."""
+    if threshold is not None:
+        return threshold
+    if isinstance(state, Configuration):
+        return state.topology.diameter
+    adjacent = [a | d for a, d in zip(ps.anc, ps.desc)]
+    diameter = 0
+    for p in range(len(adjacent)):
+        seen = frontier = 1 << p
+        hops = 0
+        while True:
+            reached = 0
+            for q in _bits(frontier):
+                reached |= adjacent[q]
+            frontier = reached & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            hops += 1
+        diameter = max(diameter, hops)
+    return diameter
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of ``mask``'s set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _index(names: Sequence[Pid], pid: Pid) -> int:
+    try:
+        return names.index(pid)
+    except ValueError:
+        raise UnknownProcessError(pid) from None
+
+
+def _named(mask: int, names: Sequence[Pid]) -> FrozenSet[Pid]:
+    return frozenset(names[p] for p in _bits(mask))
+
+
+# -------------------------------------------------------------- the passes
+
+
+def _mask(values: Sequence[int], code: int) -> int:
+    """The processes whose entry in ``values`` is ``code``, as a bitset."""
+    mask = 0
+    for p, value in enumerate(values):
+        if value == code:
+            mask |= 1 << p
+    return mask
+
+
+def _live(ps: PackedState) -> int:
+    return _mask(ps.status, 0)  # 0 is alive; malicious and dead are faulty
+
+
+def _chains(ps: PackedState, live: int) -> List[float]:
+    """Every ``l:p``, by Kahn's algorithm over the live ancestor masks.
+
+    ``l[p]`` is 0 for a faulty process, ``1 + max l`` of its live direct
+    ancestors once they are all placed, and ``math.inf`` for a live process
+    the pass never places (on or below a live cycle).  NC holds iff no
+    ``l[p]`` is infinite.
+    """
+    anc, desc = ps.anc, ps.desc
+    n = len(anc)
+    chain: List[float] = [0] * n
+    waiting = [0] * n
+    placed: List[int] = []
+    for p in _bits(live):
+        chain[p] = 1
+        waiting[p] = (anc[p] & live).bit_count()
+        if not waiting[p]:
+            placed.append(p)
+    for p in placed:  # grows while it is walked: the Kahn queue
+        below = chain[p] + 1
+        for q in _bits(desc[p] & live):
+            if chain[q] < below:
+                chain[q] = below
+            waiting[q] -= 1
+            if not waiting[q]:
+                placed.append(q)
+    if len(placed) < live.bit_count():
+        for p in range(n):
+            if waiting[p]:
+                chain[p] = math.inf
+    return chain
+
+
+def _shallow(
+    ps: PackedState, live: int, chain: List[float], bound: int
+) -> int:
+    """The mask of shallow processes: every faulty one, and each live ``p``
+    with ``depth.p ≤ D`` whose direct descendants' depths all stay within
+    ``max(D - l.p, depth.p - 1)`` — SH's two escapes, solved for ``depth.q``."""
+    depth, desc = ps.depth, ps.desc
+    shallow = ((1 << len(depth)) - 1) & ~live
+    for p in _bits(live):
+        d = depth[p]
+        if d > bound:
+            continue
+        limit = max(bound - chain[p], d - 1)
+        for q in _bits(desc[p]):
+            if depth[q] > limit:
+                break
+        else:
+            shallow |= 1 << p
+    return shallow
+
+
+def _stably_shallow(ps: PackedState, live: int, shallow: int) -> int:
+    """``shallow`` minus every live process with a descendant path to a live
+    non-shallow one: the closure over ``anc`` from that set, through any
+    process, dead or alive."""
+    anc = ps.anc
+    reaches = 0
+    frontier = live & ~shallow
+    while frontier:
+        above = 0
+        for p in _bits(frontier):
+            above |= anc[p]
+        frontier = above & ~reaches
+        reaches |= above
+    return shallow & ~(reaches & live)
+
+
+def _e(ps: PackedState, live: int) -> bool:
+    """E: no live eater has an eating neighbour."""
+    eating = _mask(ps.state, EATING)
+    anc, desc = ps.anc, ps.desc
+    return not any((anc[p] | desc[p]) & eating for p in _bits(eating & live))
+
+
+def _red(ps: PackedState) -> int:
+    """RD's least fixpoint, from the faulty processes up (RD is monotone)."""
+    anc, desc = ps.anc, ps.desc
+    everyone = (1 << len(anc)) - 1
+    thinking, eating = _mask(ps.state, THINKING), _mask(ps.state, EATING)
+    hungry = everyone & ~thinking & ~eating
+    red = everyone & ~_live(ps)
+    while True:
+        grown = red
+        for p in _bits(thinking & ~red):
+            if anc[p] & red & ~thinking:  # an ancestor blocked for good
+                grown |= 1 << p
+        red_thinking, red_eating = red & thinking, red & eating
+        for p in _bits(hungry & ~red):
+            if not anc[p] & ~red_thinking and desc[p] & red_eating:
+                grown |= 1 << p
+        if grown == red:
+            return red
+        red = grown
 
 
 # --------------------------------------------------------- priority graph
 
 
-def priority_edges(config: Configuration) -> Tuple[Tuple[Pid, Pid], ...]:
-    """All priority-graph edges as ``(ancestor, descendant)`` pairs."""
-    topology = config.topology
-    order = {p: i for i, p in enumerate(topology.nodes)}
+def priority_edges(config: State) -> Tuple[Tuple[Pid, Pid], ...]:
+    """All priority-graph edges as ``(ancestor, descendant)`` pairs, by
+    endpoint indices."""
+    ps, names = _packed(config)
     result: List[Tuple[Pid, Pid]] = []
-    for e in sorted(topology.edges, key=lambda e: tuple(sorted(order[x] for x in e))):
-        p, q = sorted(e, key=lambda x: order[x])
-        ancestor = config.edge_value(p, q)
-        descendant = q if ancestor == p else p
-        result.append((ancestor, descendant))
+    for p, (anc, desc) in enumerate(zip(ps.anc, ps.desc)):
+        for q in _bits((anc | desc) >> (p + 1) << (p + 1)):
+            a, d = (p, q) if desc >> q & 1 else (q, p)
+            result.append((names[a], names[d]))
     return tuple(result)
 
 
-def _descendant_adjacency(
-    config: Configuration, *, live_only: bool
-) -> Dict[Pid, Tuple[Pid, ...]]:
-    """Adjacency ``p -> direct descendants of p`` (optionally live-induced)."""
-    faulty = config.faulty
-    adjacency: Dict[Pid, Tuple[Pid, ...]] = {}
-    for p in config.topology.nodes:
-        if live_only and p in faulty:
-            adjacency[p] = ()
-            continue
-        descendants = direct_descendants(config, p)
-        if live_only:
-            descendants = tuple(q for q in descendants if q not in faulty)
-        adjacency[p] = descendants
-    return adjacency
-
-
-def _has_cycle(adjacency: Dict[Pid, Tuple[Pid, ...]], nodes: Iterable[Pid]) -> bool:
-    """Iterative three-colour DFS cycle detection."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {p: WHITE for p in nodes}
-    for start in colour:
-        if colour[start] is not WHITE:
-            continue
-        stack: List[Tuple[Pid, int]] = [(start, 0)]
-        colour[start] = GREY
-        while stack:
-            node, index = stack[-1]
-            children = adjacency.get(node, ())
-            if index < len(children):
-                stack[-1] = (node, index + 1)
-                child = children[index]
-                if child not in colour:
-                    continue
-                if colour[child] == GREY:
-                    return True
-                if colour[child] == WHITE:
-                    colour[child] = GREY
-                    stack.append((child, 0))
-            else:
-                colour[node] = BLACK
-                stack.pop()
-    return False
-
-
-def nc_holds(config: Configuration) -> bool:
+def nc_holds(config: State) -> bool:
     """Predicate NC: every priority cycle contains a dead process."""
-    live = [p for p in config.topology.nodes if p not in config.faulty]
-    adjacency = _descendant_adjacency(config, live_only=True)
-    return not _has_cycle(adjacency, live)
+    ps, _names = _packed(config)
+    return math.inf not in _chains(ps, _live(ps))
 
 
 # ----------------------------------------------------------- shallowness
 
 
-def longest_live_ancestor_chain(config: Configuration, pid: Pid) -> float:
+def longest_live_ancestor_chain(config: State, pid: Pid) -> float:
     """The paper's ``l:p``: longest chain of live ancestors including ``p``.
 
     Returns ``math.inf`` when ``p`` sits on (or below) a live priority
     cycle, in which case chains are unbounded.  Dead processes contribute
     0 and block chain growth through them.
     """
-    faulty = config.faulty
-    if pid in faulty:
-        return 0.0
-    # Ancestor adjacency restricted to live processes.
-    live_ancestors: Dict[Pid, Tuple[Pid, ...]] = {}
-    memo: Dict[Pid, float] = {}
-    ON_STACK = object()
-    state: Dict[Pid, object] = {}
-
-    def ancestors(p: Pid) -> Tuple[Pid, ...]:
-        if p not in live_ancestors:
-            live_ancestors[p] = tuple(
-                q for q in direct_ancestors(config, p) if q not in faulty
-            )
-        return live_ancestors[p]
-
-    def chain(p: Pid) -> float:
-        if p in memo:
-            return memo[p]
-        if state.get(p) is ON_STACK:
-            return math.inf
-        state[p] = ON_STACK
-        best = 1.0
-        for q in ancestors(p):
-            value = chain(q)
-            best = max(best, 1.0 + value)
-            if best == math.inf:
-                break
-        state[p] = None
-        memo[p] = best
-        return best
-
-    return chain(pid)
+    ps, names = _packed(config)
+    return float(_chains(ps, _live(ps))[_index(names, pid)])
 
 
+def _shallow_of(
+    config: State, threshold: int | None
+) -> Tuple[PackedState, Sequence[Pid], int, int]:
+    """``(PackedState, names, live mask, shallow mask)`` of ``config``."""
+    ps, names = _packed(config)
+    live = _live(ps)
+    shallow = _shallow(ps, live, _chains(ps, live), _bound(config, ps, threshold))
+    return ps, names, live, shallow
 
-def is_shallow(config: Configuration, pid: Pid, threshold: int | None = None) -> bool:
+
+def is_shallow(config: State, pid: Pid, threshold: int | None = None) -> bool:
     """Predicate SH:p.
 
     ``threshold`` is the constant the paper calls ``D``; None means the
     literal choice (the graph diameter) — see the module docstring.
     """
-    if pid in config.faulty:
-        return True
-    bound = config.topology.diameter if threshold is None else threshold
-    depth = config.local(pid, VAR_DEPTH)
-    if depth > bound:
-        return False
-    l_p = longest_live_ancestor_chain(config, pid)
-    for q in direct_descendants(config, pid):
-        depth_q = config.local(q, VAR_DEPTH)
-        if depth_q + l_p <= bound:
-            continue
-        if depth_q + 1 <= depth:
-            continue
-        return False
-    return True
+    _ps, names, _live, shallow = _shallow_of(config, threshold)
+    return bool(shallow >> _index(names, pid) & 1)
 
 
-def shallow_set(config: Configuration, threshold: int | None = None) -> FrozenSet[Pid]:
+def shallow_set(config: State, threshold: int | None = None) -> FrozenSet[Pid]:
     """All shallow processes."""
-    return frozenset(
-        p for p in config.topology.nodes if is_shallow(config, p, threshold)
-    )
+    _ps, names, _live, shallow = _shallow_of(config, threshold)
+    return _named(shallow, names)
 
 
 def stably_shallow_set(
-    config: Configuration, threshold: int | None = None
+    config: State, threshold: int | None = None
 ) -> FrozenSet[Pid]:
     """All stably shallow processes.
 
     A process is stably shallow when it is shallow and either dead or all of
     its live (transitive) descendants are shallow.
     """
-    shallow = shallow_set(config, threshold)
-    faulty = config.faulty
-    adjacency = _descendant_adjacency(config, live_only=False)
-
-    # Transitive closure of descendants per process, memoized by DFS.  The
-    # graph may contain cycles (we are outside the invariant), so use an
-    # explicit visited set per query but share reachability via cache of
-    # "reaches an unshallow live process".
-    reaches_unshallow: Dict[Pid, bool] = {}
-
-    def query(p: Pid) -> bool:
-        """Does ``p`` reach (via descendants, through any process) a live
-        non-shallow process?"""
-        if p in reaches_unshallow:
-            return reaches_unshallow[p]
-        seen: Set[Pid] = set()
-        stack = [p]
-        found = False
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            for child in adjacency[node]:
-                if child not in faulty and child not in shallow:
-                    found = True
-                    stack.clear()
-                    break
-                if child not in seen:
-                    stack.append(child)
-        reaches_unshallow[p] = found
-        return found
-
-    result = []
-    for p in config.topology.nodes:
-        if p not in shallow:
-            continue
-        if p in faulty:
-            result.append(p)
-        elif not query(p):
-            result.append(p)
-    return frozenset(result)
+    ps, names, live, shallow = _shallow_of(config, threshold)
+    return _named(_stably_shallow(ps, live, shallow), names)
 
 
-def st_holds(config: Configuration, threshold: int | None = None) -> bool:
+def st_holds(config: State, threshold: int | None = None) -> bool:
     """Predicate ST: all processes are stably shallow."""
-    return len(stably_shallow_set(config, threshold)) == len(config.topology)
+    _ps, _names, live, shallow = _shallow_of(config, threshold)
+    return not live & ~shallow
 
 
 # --------------------------------------------------------------- eating
 
 
-def eating_pairs(config: Configuration) -> FrozenSet[frozenset]:
+def eating_pairs(config: State) -> FrozenSet[frozenset]:
     """Edges whose both endpoints are eating (dead or alive)."""
+    if not isinstance(config, Configuration):
+        eating = _mask(config.state, EATING)
+        return frozenset(
+            frozenset((p, q))
+            for p in _bits(eating)
+            for q in _bits(config.desc[p] & eating)
+        )
+    eats = DinerState.EATING.value
     result = []
     for e in config.topology.edges:
         p, q = tuple(e)
-        if diner_state(config, p) is E and diner_state(config, q) is E:
+        if config.local(p, VAR_STATE) == eats and config.local(q, VAR_STATE) == eats:
             result.append(e)
     return frozenset(result)
 
 
-def e_holds(config: Configuration) -> bool:
+def e_holds(config: State) -> bool:
     """Predicate E: neighbours eat simultaneously only if both are dead."""
+    if not isinstance(config, Configuration):
+        return _e(config, _live(config))
     faulty = config.faulty
-    for e in eating_pairs(config):
-        if not all(p in faulty for p in e):
-            return False
-    return True
+    return all(e <= faulty for e in eating_pairs(config))
 
 
 # -------------------------------------------------------------- invariant
 
 
-def invariant_holds(config: Configuration, threshold: int | None = None) -> bool:
+def _conjuncts(config: State, threshold: int | None) -> Iterator[bool]:
+    """NC, E and ST of ``config`` in that order, each computed when asked."""
+    ps, _names = _packed(config)
+    live = _live(ps)
+    chain = _chains(ps, live)
+    yield math.inf not in chain
+    yield _e(ps, live)
+    yield not live & ~_shallow(ps, live, chain, _bound(config, ps, threshold))
+
+
+def invariant_report(
+    config: State, threshold: int | None = None
+) -> Dict[str, bool]:
+    """Each conjunct separately — convenient for diagnostics and tests."""
+    nc, e, st = _conjuncts(config, threshold)
+    return {"NC": nc, "ST": st, "E": e}
+
+
+def invariant_holds(config: State, threshold: int | None = None) -> bool:
     """The paper's invariant ``I = NC ∧ ST ∧ E`` (Theorem 1).
 
     ``threshold`` parameterises the depth bound used by ST; see the module
     docstring.  When checking a run of ``NADiners(diameter_override=t)``,
     pass the same ``t`` here.
     """
-    return nc_holds(config) and e_holds(config) and st_holds(config, threshold)
+    return all(_conjuncts(config, threshold))
 
 
-def invariant_with_threshold(threshold: int) -> Callable[[Configuration], bool]:
+def invariant_with_threshold(threshold: int) -> Callable[[State], bool]:
     """A single-argument invariant predicate bound to ``threshold``
     (convenient for ``Engine.run(stop_when=...)``)."""
 
-    def predicate(config: Configuration) -> bool:
+    def predicate(config: State) -> bool:
         return invariant_holds(config, threshold)
 
     predicate.__name__ = f"invariant_holds_t{threshold}"
     return predicate
 
 
-def invariant_report(
-    config: Configuration, threshold: int | None = None
-) -> Dict[str, bool]:
-    """Each conjunct separately — convenient for diagnostics and tests."""
-    return {
-        "NC": nc_holds(config),
-        "ST": st_holds(config, threshold),
-        "E": e_holds(config),
-    }
-
-
 # ------------------------------------------------------------ red / green
 
 
-def red_set(config: Configuration) -> FrozenSet[Pid]:
+def red_set(config: State) -> FrozenSet[Pid]:
     """The least fixpoint of the paper's RD predicate.
 
     Red processes are those (transitively) blocked by dead processes; the
-    dead themselves are red by definition.  Computed by iterating RD until
-    no process changes colour — RD is monotone, so the iteration reaches the
-    unique least fixpoint.
+    dead themselves are red by definition.  RD is monotone, so iterating it
+    from the dead set reaches the unique least fixpoint.
     """
-    faulty = config.faulty
-    red: Set[Pid] = set(faulty)
-    changed = True
-    while changed:
-        changed = False
-        for p in config.topology.nodes:
-            if p in red:
-                continue
-            state_p = diner_state(config, p)
-            if state_p is T:
-                blocked = any(
-                    q in red and diner_state(config, q) is not T
-                    for q in direct_ancestors(config, p)
-                )
-            elif state_p is H:
-                ancestors = direct_ancestors(config, p)
-                descendants = direct_descendants(config, p)
-                blocked = all(
-                    q in red and diner_state(config, q) is T for q in ancestors
-                ) and any(
-                    q in red and diner_state(config, q) is E for q in descendants
-                )
-            else:
-                blocked = False
-            if blocked:
-                red.add(p)
-                changed = True
-    return frozenset(red)
+    ps, names = _packed(config)
+    return _named(_red(ps), names)
 
 
-def green_set(config: Configuration) -> FrozenSet[Pid]:
+def green_set(config: State) -> FrozenSet[Pid]:
     """All processes that are not red."""
-    return frozenset(config.topology.nodes) - red_set(config)
+    ps, names = _packed(config)
+    return _named(((1 << len(names)) - 1) & ~_red(ps), names)

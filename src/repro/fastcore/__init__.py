@@ -14,9 +14,8 @@ Step cycle, daemons, fault handling and RNG draws are shared code, and the
 guards and commands are written once — the action table of
 :mod:`repro.core.figure1`, lowered to ``ActionDef``s for the object model
 and, by :mod:`repro.fastcore.table`, to the packed code — so a seed produces
-the same computation on both; see :mod:`repro.fastcore.parity` for the
-co-run harness and ``tests/fastcore/`` for the seeded battery that pins the
-two step-for-step.
+the same computation on both; ``tests/fastcore/`` holds the co-run harness
+and the seeded battery that pins the two step-for-step.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from ..sim.network import System
 from .engine import FastEngine, PackedSystem
 from .explorer import FastReachability, FastTransitionSystem
 from .packed import PackedCodec, PackedState, UnsupportedBackendError
-from .parity import ParityError, ParityReport, co_run
 
 #: Registered state backends, by name.
 STATE_BACKENDS = ("object", "fast")
@@ -74,10 +72,7 @@ __all__ = [
     "PackedCodec",
     "PackedState",
     "PackedSystem",
-    "ParityError",
-    "ParityReport",
     "STATE_BACKENDS",
     "UnsupportedBackendError",
-    "co_run",
     "make_engine",
 ]

@@ -19,7 +19,8 @@ machine operation, which is where the speedup over per-neighbour dict reads
 comes from.  No guard or command is written in this module: Figure 1 is the
 action table of :mod:`repro.core.figure1`, and :mod:`repro.fastcore.table`
 generates from it the code that reads these vectors (for the packed store)
-and the int below (for the explorer).
+and the int below (for the explorer).  No predicate is written here either:
+:mod:`repro.core.predicates` reads a :class:`PackedState` as it is.
 
 :class:`PackedCodec` converts between this encoding and the object model's
 :class:`~repro.sim.configuration.Configuration` — losslessly, so parity can
@@ -137,10 +138,6 @@ class PackedCodec:
             tuple(self.index[q] for q in topology.neighbors(pid))
             for pid in self.pids
         )
-        #: Neighbour bitset per process (for dirty marking / safety checks).
-        self.nbr_mask: Tuple[int, ...] = tuple(
-            sum(1 << q for q in row) for row in self.nbrs
-        )
         #: Edges in ``topology.edges`` iteration order — the exact order
         #: ``System.randomize`` samples them in, which RNG parity requires.
         self.edge_order = []
@@ -196,8 +193,9 @@ class PackedCodec:
 
     def pack(self, config: Configuration) -> PackedState:
         """Encode an object-model configuration (validating as it goes)."""
-        if config.topology.nodes != self.topology.nodes or (
-            config.topology.edges != self.topology.edges
+        if config.topology is not self.topology and (
+            config.topology.nodes != self.topology.nodes
+            or config.topology.edges != self.topology.edges
         ):
             raise UnknownProcessError("configuration topology mismatch")
         n = self.n
@@ -212,11 +210,12 @@ class PackedCodec:
             state[p] = STATE_CODE[self._state_dom.validate(VAR_STATE, values[VAR_STATE])]
             needs[p] = self._needs_dom.validate(VAR_NEEDS, values[VAR_NEEDS])
             depth[p] = self._depth_dom.validate(VAR_DEPTH, values[VAR_DEPTH])
-        for _e, i, j, dom in self.edge_order:
-            value = dom.validate(f"edge {(self.pids[i], self.pids[j])!r}",
-                                 config.edge_value(self.pids[i], self.pids[j]))
-            a = i if value == self.pids[i] else j
-            d = j if a == i else i
+        edges = config.edge_values()
+        for e, i, j, dom in self.edge_order:
+            value = edges[e]
+            if not dom.contains(value):  # the edge is named only on failure
+                raise DomainError(f"edge {(self.pids[i], self.pids[j])!r}", value)
+            a, d = (i, j) if value == self.pids[i] else (j, i)
             anc[d] |= 1 << a
             desc[a] |= 1 << d
         for pid in config.dead:
@@ -296,24 +295,3 @@ class PackedCodec:
             anc[d] |= 1 << a
             desc[a] |= 1 << d
         return PackedState(state, needs, depth, status, anc, desc)
-
-    # -------------------------------------------------------------- safety
-
-    def neighbors_eating(self, ps: PackedState) -> bool:
-        """True when two neighbouring processes are both in state E —
-        the safety violation every reachability sweep watches for."""
-        e_mask = 0
-        for p, s in enumerate(ps.state):
-            if s == 2:
-                e_mask |= 1 << p
-        return self.adjacent(e_mask)
-
-    def adjacent(self, mask: int) -> bool:
-        """True when the process bitset ``mask`` holds two neighbours."""
-        m = mask
-        while m:
-            p = (m & -m).bit_length() - 1
-            m &= m - 1
-            if mask & self.nbr_mask[p]:
-                return True
-        return False

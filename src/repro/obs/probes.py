@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..core.predicates import e_holds, eating_pairs, nc_holds, st_holds
+from ..core.predicates import eating_pairs, invariant_report
 from ..core.state import VAR_DEPTH, VAR_STATE, DinerState, direct_ancestors
 from ..sim.configuration import Configuration
 from ..sim.serialize import encode_literal
@@ -135,14 +135,8 @@ class InvariantProbe(Probe):
         self.timeline: List[Tuple[int, bool, bool, bool]] = []
 
     def on_sample(self, step: int, config: Configuration) -> None:
-        self.timeline.append(
-            (
-                step,
-                nc_holds(config),
-                st_holds(config, self.threshold),
-                e_holds(config),
-            )
-        )
+        report = invariant_report(config, self.threshold)
+        self.timeline.append((step, report["NC"], report["ST"], report["E"]))
 
     @staticmethod
     def distance(entry: Tuple[int, bool, bool, bool]) -> int:

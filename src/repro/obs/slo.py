@@ -202,6 +202,18 @@ def read_slo_spec(path: Path | str) -> SloSpec:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def summarize_slo_spec(spec: SloSpec) -> List[str]:
+    """The ``repro stats`` lines for a spec file."""
+    lines = [f"SLO spec: {spec.name} ({len(spec.objectives)} objectives)"]
+    for o in spec.objectives:
+        threshold = "" if o.threshold is None else f" thr={o.threshold:g}"
+        lines.append(
+            f"  {o.name}: {o.kind}{threshold} target={o.target:g} "
+            f"window={o.window_s:g}s{' hard' if o.hard else ''}"
+        )
+    return lines
+
+
 # ----------------------------------------------------------- observations
 
 

@@ -86,7 +86,9 @@ def snapshot_cost():
 
 @register("invariant/eval/ring16", ops=100)
 def invariant_eval():
-    """Full invariant ``I`` on a converged ring(16) configuration."""
+    """Full invariant ``I`` on a converged ring(16) configuration: the
+    crossing into the packed layout (``PackedCodec.pack``) plus the mask
+    passes of :mod:`repro.core.predicates`."""
     from ..core import NADiners, invariant_holds
     from ..sim import AlwaysHungry, Engine, System, ring
 
@@ -225,11 +227,12 @@ def fastcore_reachable():
 @register("checker/prove/line3", ops=6912, rounds=7)
 def checker_prove():
     """Theorem 1 on line(3), whole: what ``repro check --topology line:3``
-    does — enumerate the 6 912 keys, evaluate ``I`` on each decoded state,
-    closure, graph, Tarjan and the fair-escape test per illegitimate SCC.
+    does — enumerate the 6 912 keys, evaluate ``I`` on each key's
+    ``PackedState``, closure, graph, Tarjan and the fair-escape test per
+    illegitimate SCC.
 
-    One op is one state of the full space; most of it is the object model's
-    ``I`` on a decoded ``Configuration`` (EXPERIMENTS.md E9).
+    One op is one state of the full space; ``unkey`` and ``I`` are about
+    two thirds of it, the graph and Tarjan the rest (EXPERIMENTS.md E9).
     """
     from ..core import NADiners, invariant_with_threshold
     from ..fastcore.explorer import FastTransitionSystem

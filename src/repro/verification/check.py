@@ -4,9 +4,9 @@ One path for the one algorithm the command checks: ``NADiners`` capped at
 ``threshold + 1`` always has a packed form, so every state is an int key of
 :class:`repro.fastcore.explorer.FastTransitionSystem` and the properties of
 :mod:`repro.verification.properties` run over those keys.  The invariant is
-the object model's own ``invariant_with_threshold``, evaluated once per
-state on the decoded configuration; nothing else is decoded unless it is
-printed.
+:func:`repro.core.invariant_with_threshold`, evaluated once per state on the
+key's ``PackedState`` (``codec.unkey``); a ``Configuration`` is decoded only
+for a printed counterexample.
 """
 
 from __future__ import annotations
@@ -34,16 +34,17 @@ def _over_cap(spec: str, max_states: int, what: str, needed="N") -> int:
 
 def full_space(fts: FastTransitionSystem, predicate):
     """``(keys, predicate over keys)``: every state of ``fts``'s full space
-    (:meth:`~FastTransitionSystem.enumerate_keys`) and ``predicate`` — a
-    callable on ``Configuration`` objects — evaluated once per state, here.
+    (:meth:`~FastTransitionSystem.enumerate_keys`) and ``predicate`` — one
+    of :mod:`repro.core.predicates`, which read a ``PackedState`` as it is —
+    evaluated once per state, here, on ``codec.unkey(k)``.
 
     The space is closed under transitions (no action writes ``needs`` or a
     status), so the returned membership test answers the predicate for every
     successor as well without decoding anything again.
     """
-    codec = fts.codec
+    unkey = fts.codec.unkey
     keys = list(fts.enumerate_keys())
-    satisfying = {k for k in keys if predicate(codec.unpack(codec.unkey(k)))}
+    satisfying = {k for k in keys if predicate(unkey(k))}
     return keys, satisfying.__contains__
 
 

@@ -77,6 +77,19 @@ class TestFiles:
         path.write_text(full + "\n" + record("bbb").to_line()[:30])
         back = read_records(path)
         assert [r.key for r in back] == ["aaa"]
+        assert back.skipped == 1
+
+    def test_stats_reports_a_torn_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "out.jsonl"
+        write_records(path, [record("a"), record("b")])
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"torn')
+        assert main(["stats", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "campaign records: 2"
+        assert out[-1] == "  skipped lines: 1 (truncated or foreign)"
 
     def test_iter_lines_meta_toggle(self):
         lines = list(iter_lines([record()], include_meta=False))

@@ -1,5 +1,7 @@
 """The parity harness: co-run both stores and refuse any divergence.
 
+A test helper (nothing in ``src/`` calls it).
+
 The fast core's whole claim is "same computation, faster".  This module
 makes that claim checkable: :func:`co_run` drives the one
 :class:`~repro.sim.engine.Engine` over an object-model
@@ -25,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from ..sim.configuration import Configuration
-from ..sim.engine import Engine
-from ..sim.errors import SimulationError
-from ..sim.network import System
-from ..sim.topology import Topology
-from ..sim.trace import TraceEvent, TraceRecorder
-from .engine import FastEngine
+from repro.fastcore.engine import FastEngine
+from repro.sim.configuration import Configuration
+from repro.sim.engine import Engine
+from repro.sim.errors import SimulationError
+from repro.sim.network import System
+from repro.sim.topology import Topology
+from repro.sim.trace import TraceEvent, TraceRecorder
 
 
 class ParityError(SimulationError):

@@ -10,7 +10,6 @@ from repro.fastcore import (
     FastEngine,
     PackedSystem,
     UnsupportedBackendError,
-    co_run,
     make_engine,
 )
 from repro.sim import (
@@ -26,6 +25,8 @@ from repro.sim import (
     edge,
     ring,
 )
+
+from .parity import co_run
 
 
 class TestMakeEngine:
@@ -148,8 +149,6 @@ class TestUnsupportedCombinations:
     def test_scripted_hunger_uses_generic_path(self):
         # Arbitrary hunger policies fall back to per-step wants() calls —
         # slower, but parity still holds.
-        from repro.fastcore import co_run
-
         co_run(
             ring(5),
             NADiners,

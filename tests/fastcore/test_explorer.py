@@ -347,7 +347,7 @@ class TestFullSpace:
         codec = fts.codec
         decode = lambda k: codec.unpack(codec.unkey(k))
         report = check_closure(
-            fts, lambda k: invariant(decode(k)), fts.enumerate_keys()
+            fts, lambda k: invariant(codec.unkey(k)), fts.enumerate_keys()
         )
         assert not report.holds
         cx = report.counterexample
@@ -358,3 +358,21 @@ class TestFullSpace:
         # ... and the longest-simple-path threshold closes that exit
         fixed = invariant_with_threshold(topo.longest_simple_path())
         assert fixed(source) and fixed(target)
+
+    def test_the_proof_decodes_no_state(self, monkeypatch, capsys):
+        """``repro check`` tests each key's ``PackedState``: proving line3
+        builds no ``Configuration`` at all."""
+        from repro.fastcore import PackedCodec
+        from repro.verification.check import run_check
+
+        unpacked = []
+        real = PackedCodec.unpack
+
+        def counting(codec, ps):
+            unpacked.append(ps)
+            return real(codec, ps)
+
+        monkeypatch.setattr(PackedCodec, "unpack", counting)
+        assert run_check(line(3), "line:3") == 0
+        assert "924 legit states" in capsys.readouterr().out
+        assert unpacked == []

@@ -5,8 +5,12 @@ import random
 import pytest
 
 from repro.baselines import ForkOrderingDiners, HygienicDiners
-from repro.core import NADiners, NoFixdepthDiners, e_holds
-from repro.fastcore import PackedCodec, UnsupportedBackendError
+from repro.core import NADiners, NoFixdepthDiners, e_holds, eating_pairs
+from repro.fastcore import (
+    FastTransitionSystem,
+    PackedCodec,
+    UnsupportedBackendError,
+)
 from repro.sim import DomainError, System, grid, line, ring
 
 
@@ -136,13 +140,17 @@ class TestSupport:
                 PackedCodec(ring(4), algorithm)
 
     def test_neighbors_eating_matches_e_predicate(self):
+        # The generated expansion's audit flag is "two neighbours eat, dead
+        # or not": the packed eating pairs, and — nobody faulty here — not E.
         topo = ring(6)
-        algo = NADiners()
-        codec = PackedCodec(topo, algo)
+        algo = NADiners(depth_cap=topo.diameter + 1)
+        fts = FastTransitionSystem(algo, topo)
+        codec = fts.codec
         violations = 0
         for seed in range(30):
             config = randomized_config(topo, algo, seed)
-            fast = codec.neighbors_eating(codec.pack(config))
-            assert fast == (not e_holds(config))
-            violations += fast
+            ps = codec.pack(config)
+            flag = fts.successors_packed(codec.key(ps))[1]
+            assert flag == bool(eating_pairs(ps)) == (not e_holds(config))
+            violations += flag
         assert violations  # randomized states do hit E violations

@@ -1,7 +1,7 @@
 """The seeded parity battery: fast backend == object backend, step for step.
 
 Every combination of topology shape × fault plan × hunger policy × daemon
-runs both backends in lockstep via :func:`repro.fastcore.co_run`, which
+runs both backends in lockstep via :func:`tests.fastcore.parity.co_run`, which
 asserts per-step configuration equality, byte-identical trace-event
 streams, and matching action counts.  These are the acceptance tests of
 the fast core's one claim: same computation, faster.
@@ -21,8 +21,6 @@ from repro.core import (
     NoFixdepthDiners,
     WrongDiameterDiners,
 )
-from repro.fastcore import ParityError, co_run
-from repro.fastcore.parity import _pair
 from repro.sim import (
     AlwaysHungry,
     BenignCrash,
@@ -37,6 +35,8 @@ from repro.sim import (
     line,
     ring,
 )
+
+from .parity import ParityError, _pair, co_run
 
 TOPOLOGIES = [
     pytest.param(ring(6), id="ring6"),
@@ -196,7 +196,7 @@ class TestHarness:
     def test_divergence_is_localized(self):
         # A doctored configuration must produce a field-level diff naming
         # the divergent process, not just "configurations differ".
-        from repro.fastcore.parity import _diff_configurations
+        from .parity import _diff_configurations
         from repro.sim import System
 
         topo = ring(4)

@@ -31,6 +31,7 @@ from repro.core import (
     NoFixdepthDiners,
     WrongDiameterDiners,
     e_holds,
+    eating_pairs,
 )
 from repro.core import figure1
 from repro.core.figure1 import FIGURE1
@@ -134,7 +135,7 @@ def test_generated_programs_equal_the_object_model(topology, algorithm):
         ]
         # The audit counts any two eating neighbours; predicate E excuses a
         # pair that is faulty on both ends, so it can only be the stricter.
-        assert eating == codec.neighbors_eating(ps)
+        assert eating == bool(eating_pairs(ps))
         excused = any(ps.status[i] and ps.status[j] for i, j in codec.layout.edges)
         assert eating == (not e_holds(config)) or (excused and eating)
         check_vector_program(codec, ps, reference)

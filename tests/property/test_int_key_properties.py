@@ -18,7 +18,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import NADiners
+from repro.core import NADiners, eating_pairs
 from repro.fastcore import FastTransitionSystem, PackedCodec
 from repro.fastcore.packed import ACTION_NAMES, A_EXIT, PackedState
 from repro.sim import System, grid, line, ring
@@ -120,7 +120,7 @@ def test_successor_keys_decode_to_the_object_targets(instance):
     assert [codec.unpack(codec.unkey(k)) for _p, _a, k in successors] == [
         t.target for t in reference
     ]
-    assert eating == codec.neighbors_eating(codec.pack(config))
+    assert eating == bool(eating_pairs(codec.pack(config)))
     # The scratch is undone after every command: same key, same expansion,
     # on the same instance — also after expanding an unrelated state between.
     assert fts.successors_packed(key) == (successors, eating)

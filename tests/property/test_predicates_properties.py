@@ -26,7 +26,7 @@ seeds = st.integers(0, 10_000)
 n_dead = st.integers(0, 2)
 
 
-def arbitrary_system(topo_builder, n, seed, dead_count=0):
+def arbitrary_system(topo_builder, n, seed, dead_count=0, malicious_count=0):
     s = System(topo_builder(n), NADiners())
     rng = random.Random(seed)
     s.randomize(rng)
@@ -34,6 +34,8 @@ def arbitrary_system(topo_builder, n, seed, dead_count=0):
     rng.shuffle(pids)
     for p in pids[:dead_count]:
         s.kill(p)
+    for p in pids[dead_count : dead_count + malicious_count]:
+        s.mark_malicious(p)
     return s
 
 

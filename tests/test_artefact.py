@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from repro.artefact import KINDS, expand, identify, read_jsonl, write_atomic
+from repro.campaign.record import TrialRecord
 from repro.cli import main
 
 
@@ -26,9 +27,18 @@ def _metrics(path):
 
 
 def _records(path):
-    from repro.campaign.record import TrialRecord, write_records
+    from repro.campaign.record import write_records
 
     write_records(path, [TrialRecord("k1", "sim", {"n": 3}, 7, {"eats": 2})])
+    return path
+
+
+def _campaign_trace(path):
+    from repro.campaign.record import CampaignTraceLog
+
+    log = CampaignTraceLog(path)
+    log.wrap(None)(TrialRecord("k1", "sim", {"n": 3}, 7, {"eats": 2}), 1, 1)
+    log.close()
     return path
 
 
@@ -83,6 +93,13 @@ def _loadgen(path):
     return write_loadgen_report(path, build_report({}, {"grants": 0}))
 
 
+def _slo_spec(path):
+    from repro.obs.slo import SloObjective, SloSpec
+
+    spec = SloSpec(name="t", objectives=(SloObjective("safe", "safety"),))
+    return write_atomic(path, [json.dumps(spec.to_json(), indent=2)])
+
+
 def _slo_report(path):
     from repro.obs import SloObservations, evaluate, write_slo_report
     from repro.obs.slo import SloObjective, SloSpec
@@ -107,18 +124,19 @@ def _schedule(path):
 
 
 #: kind → (builder, what a half-written last line does to ``stats``):
-#: ``skipped`` — summarised, the line counted; ``silent`` — summarised (a
-#: torn campaign record is re-executed on resume, not reported);
-#: ``error`` — a one-line refusal (strict analysis input, or a document).
+#: ``skipped`` — summarised, the line counted; ``error`` — a one-line
+#: refusal (strict analysis input, or a document).
 BUILDERS = {
     "metrics": (_metrics, "skipped"),
-    "records": (_records, "silent"),
+    "records": (_records, "skipped"),
+    "campaign-trace": (_campaign_trace, "skipped"),
     "trace": (_trace, "error"),
     "events": (_events, "skipped"),
     "spans": (_spans, "skipped"),
     "flight": (_flight, "skipped"),
     "timeline": (_timeline, "skipped"),
     "loadgen": (_loadgen, "error"),
+    "slo-spec": (_slo_spec, "error"),
     "slo-report": (_slo_report, "error"),
     "bench": (_bench, "error"),
     "schedule": (_schedule, "error"),

@@ -80,6 +80,13 @@ class TestCommands:
         )
         assert code == 0
 
+    def test_stabilize_refuses_an_algorithm_without_depth(self):
+        # The predicates read the NADiners family's state; a baseline gets
+        # one line, not a traceback from inside them.
+        with pytest.raises(SystemExit, match="hygienic has no depth counter"):
+            main(["stabilize", "--topology", "ring:5", "--algorithm",
+                  "hygienic", "--nc-only"])
+
     def test_figure2(self, capsys):
         assert main(["figure2"]) == 0
         out = capsys.readouterr().out
