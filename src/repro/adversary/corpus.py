@@ -199,9 +199,9 @@ def write_schedule(
     return write_atomic(path, [body])
 
 
-def read_schedule(path: Path | str) -> ScheduleDoc:
+def read_schedule(path: Path | str, document: Any = None) -> ScheduleDoc:
     """Load + validate one schedule file."""
-    doc = read_document(path)
+    doc = read_document(path, document)
     try:
         return schedule_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:

@@ -708,3 +708,38 @@ def run_fuzz(
                 )
             )
     return result
+
+
+def cmd_fuzz(
+    *, topology: str, seed: int, budget: int, duration: float, steps: int,
+    sample_every: int, jobs: int, keep: int, corpus_dir: Optional[str], byzantine: bool,
+    minimise_budget: int, quiet: bool,
+) -> int:
+    """``repro fuzz``: :func:`run_fuzz`, then the kept signatures and the
+    corpus files written."""
+    result = run_fuzz(
+        topology,
+        seed=seed,
+        budget=budget,
+        duration_s=duration,
+        jobs=jobs,
+        keep=keep,
+        corpus_dir=corpus_dir,
+        limits=FuzzLimits(steps=steps, sample_every=sample_every),
+        byzantine=byzantine,
+        minimise_budget=minimise_budget,
+        progress=None if quiet else print,
+    )
+    print(
+        f"fuzz {result.topology_spec} seed={result.seed}: "
+        f"{result.executed} runs, {result.coverage} distinct signatures"
+    )
+    for rank, entry in enumerate(result.entries[:keep]):
+        print(
+            f"  #{rank}: score={entry.score:.0f} "
+            f"signature={list(entry.signature)} "
+            f"events={len(entry.schedule.events)} ({entry.origin})"
+        )
+    for path in result.written:
+        print(f"corpus: {path}")
+    return 0

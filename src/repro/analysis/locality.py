@@ -24,6 +24,7 @@ topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 from typing import Callable, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from ..core.state import VAR_STATE, DinerState
@@ -36,6 +37,9 @@ from ..sim.process import Algorithm
 from ..sim.scheduler import Daemon, WeaklyFairDaemon
 from ..sim.topology import Pid, Topology
 from ..sim.trace import TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..obs.bus import EventBus
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,7 @@ def measure_failure_locality(
     seed: int = 0,
     daemon_factory: Callable[[], Daemon] | None = None,
     recorder: "TraceRecorder | None" = None,
+    bus: "EventBus | None" = None,
 ) -> LocalityReport:
     """Run the worst-case crash scenario and report who starves.
 
@@ -124,7 +129,8 @@ def measure_failure_locality(
     system = System(topology, algorithm)
     daemon = daemon_factory() if daemon_factory is not None else WeaklyFairDaemon()
     engine = Engine(
-        system, daemon, hunger=AlwaysHungry(), recorder=recorder, seed=seed
+        system, daemon, hunger=AlwaysHungry(), recorder=recorder, bus=bus,
+        seed=seed,
     )
 
     for victim in victims:

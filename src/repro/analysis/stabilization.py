@@ -19,7 +19,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..core.predicates import invariant_holds
 from ..core.state import VAR_DEPTH
@@ -31,6 +31,9 @@ from ..sim.process import Algorithm
 from ..sim.scheduler import Daemon, WeaklyFairDaemon
 from ..sim.topology import Pid, Topology, edge
 from ..sim.trace import TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..obs.bus import EventBus
 
 Predicate = Callable[[Configuration], bool]
 
@@ -78,6 +81,7 @@ def steps_to_predicate(
     hunger: HungerPolicy | None = None,
     check_every: int = 1,
     recorder: "TraceRecorder | None" = None,
+    bus: "EventBus | None" = None,
 ) -> ConvergenceResult:
     """Run ``system`` until ``predicate`` holds on a snapshot."""
     engine = Engine(
@@ -85,6 +89,7 @@ def steps_to_predicate(
         daemon if daemon is not None else WeaklyFairDaemon(),
         hunger=hunger if hunger is not None else AlwaysHungry(),
         recorder=recorder,
+        bus=bus,
         seed=seed,
     )
     result = engine.run(max_steps, stop_when=predicate, check_every=check_every)

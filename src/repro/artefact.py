@@ -8,13 +8,15 @@ object, and every consumer goes through the same few names:
   reader, ``repro stats`` summary and SLO intake (imported on first use,
   so importing this module loads nothing else);
 * :func:`identify` — one look at the file, one version rule, one row
-  back or a one-line reason;
+  back or a one-line reason; :func:`load` adds the row's reader, handing
+  it the document identification already parsed;
 * :func:`read_jsonl` / :func:`read_document` — the lenient line loop
   (a soak cut short by a malicious crash leaves a torn or garbage tail;
   such lines are counted, not fatal) and the strict whole-file parse;
 * :func:`write_jsonl` / :func:`write_atomic` — a reader never sees a
   half-written file, a teardown racing a SIGKILL keeps the tail;
-* :func:`expand` — directory arguments to the files of the wanted kinds.
+* :func:`expand` — directory arguments to the files of the wanted kinds;
+* :func:`cmd_stats` — ``repro stats``, a kind's summary of any file.
 """
 
 from __future__ import annotations
@@ -84,12 +86,8 @@ class Kind:
             for key, allowed in self.tag.items()
         )
 
-    def read(self, path: Path | str) -> Any:
-        """The parsed artefact, as this kind's own reader returns it."""
-        return getattr(importlib.import_module(self.module), self.reader)(path)
-
     def summarize(self, parsed: Any) -> List[str]:
-        """The lines ``repro stats`` prints for :meth:`read`'s result."""
+        """The lines ``repro stats`` prints for :func:`load`'s result."""
         return getattr(importlib.import_module(self.module), self.summary)(parsed)
 
 
@@ -172,34 +170,28 @@ def write_jsonl(
 # --------------------------------------------------------------- identify
 
 
-def _first_object(path: Path) -> Dict[str, Any]:
-    """The file's first JSON object: its first line, or — when that line
-    is not complete JSON (a pretty-printed document) — the whole file.
-    ``{}`` when neither parses to an object."""
+def _first_object(path: Path) -> Tuple[Dict[str, Any], Any]:
+    """``(first, document)``: the file's first JSON object — its first
+    line, or, when that line is not complete JSON (a pretty-printed
+    document), the whole file, which is then ``document`` too (``None``
+    otherwise).  ``first`` is ``{}`` when neither parses to an object."""
     with path.open("rb") as handle:
         head = handle.readline()
         try:
-            doc = json.loads(head)
+            doc, document = json.loads(head), None
         except ValueError:  # includes undecodable bytes
             try:
-                doc = json.loads(head + handle.read())
+                doc = document = json.loads(head + handle.read())
             except ValueError:
-                return {}
-    return doc if isinstance(doc, dict) else {}
+                return {}, None
+    return (doc, document) if isinstance(doc, dict) else ({}, None)
 
 
-def identify(path: Path | str) -> Kind:
-    """The :data:`KINDS` row ``path`` belongs to.
-
-    Raises :class:`ValueError` with a one-line, path-prefixed reason when
-    the file is missing, empty, of no known kind, or of a ``format``
-    outside ``1..row.format``.
-    """
-    path = Path(path)
+def _identify(path: Path) -> Tuple[Kind, Any]:
     try:
         if not os.path.getsize(path):
             raise ValueError(f"{path}: empty file")
-        first = _first_object(path)
+        first, document = _first_object(path)
     except FileNotFoundError:
         raise ValueError(f"{path}: no such file") from None
     except IsADirectoryError:
@@ -217,7 +209,26 @@ def identify(path: Path | str) -> Kind:
             f"{path}: {row.name} format {found} is newer than this tool "
             f"({row.format})"
         )
-    return row
+    return row, document
+
+
+def identify(path: Path | str) -> Kind:
+    """The :data:`KINDS` row ``path`` belongs to.
+
+    Raises :class:`ValueError` with a one-line, path-prefixed reason when
+    the file is missing, empty, of no known kind, or of a ``format``
+    outside ``1..row.format``.
+    """
+    return _identify(Path(path))[0]
+
+
+def load(path: Path | str) -> Tuple[Kind, Any]:
+    """``(row, parsed)``: :func:`identify` and the row's reader, with a
+    whole-file document parsed once — identification's parse is the one
+    the reader gets."""
+    row, document = _identify(Path(path))
+    reader = getattr(importlib.import_module(row.module), row.reader)
+    return row, reader(path) if document is None else reader(path, document)
 
 
 # ------------------------------------------------------------------- read
@@ -257,9 +268,12 @@ def skipped_note(skipped: int) -> List[str]:
     return [f"  skipped lines: {skipped} (truncated or foreign)"] if skipped else []
 
 
-def read_document(path: Path | str) -> Any:
-    """A whole-file JSON artefact; :class:`ValueError` naming ``path``
+def read_document(path: Path | str, document: Any = None) -> Any:
+    """A whole-file JSON artefact — ``document`` itself when
+    :func:`load` already parsed it; :class:`ValueError` naming ``path``
     when it does not parse."""
+    if document is not None:
+        return document
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # includes undecodable bytes
@@ -285,3 +299,23 @@ def expand(paths: Iterable[str], kinds: Sequence[str]) -> List[str]:
             raise ValueError(f"{arg}: no {' or '.join(globs)} files in directory")
         out.extend(found)
     return out
+
+
+def cmd_stats(*, path: str) -> int:
+    """``repro stats``: print the summary of any artefact the toolkit
+    writes — the kind's ``summarize`` function, the same lines the command
+    that wrote the file printed.  Anything else (empty, binary, truncated)
+    is a :class:`ValueError` with a one-line, path-prefixed reason."""
+    from .sim.errors import SimulationError
+
+    try:
+        row, parsed = load(path)
+        lines = row.summarize(parsed)
+    except (OSError, ValueError, KeyError, TypeError, SimulationError) as exc:
+        # identify() and the readers name the path; a summary need not.
+        reason = str(exc)
+        if not reason.startswith(str(path)):
+            reason = f"{path}: unreadable artefact ({reason})"
+        raise ValueError(reason) from None
+    print("\n".join(lines))
+    return 0

@@ -13,11 +13,13 @@ worker, or with 16.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..sim.topology import from_spec
 from .record import TrialRecord
-from .shard import Shard, derive_seed
+from .shard import ALGORITHMS, Shard, derive_seed
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,29 @@ class SweepSpec:
     #: the two produce identical records; "object" is omitted from shard
     #: params so existing checkpoints keep their keys.
     backend: str = "object"
+
+    def __post_init__(self) -> None:
+        """Refuse, before any shard runs, what every shard would fail on."""
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, not {self.steps}")
+        for name in self.algorithms:
+            if name not in ALGORITHMS:
+                raise ValueError(
+                    f"unknown algorithm {name!r}; one of {sorted(ALGORITHMS)}"
+                )
+        fault = self.fault
+        if not fault:
+            return
+        for key in ("at_step", "malicious_steps"):
+            if fault.get(key, 0) < 0:
+                raise ValueError(f"fault {key} must be >= 0, not {fault[key]}")
+        for spec in self.topologies:
+            size = len(from_spec(spec))
+            if not 0 <= fault["victim"] < size:
+                raise ValueError(
+                    f"fault victim {fault['victim']} out of range for {spec} "
+                    f"(has {size} processes)"
+                )
 
     def shards(self) -> List[Shard]:
         """Expand the sweep into its shard list (deterministic order)."""
@@ -111,3 +136,84 @@ def aggregate_sim(records: Mapping[str, TrialRecord]) -> SweepAggregate:
         worst_min_eats=min(r["min_live_eats"] for r in results),
         safety_ok=sum(1 for r in results if r["safety_ok"]),
     )
+
+
+def cmd_sweep(
+    *, topology: Optional[Sequence[str]], algorithm: Optional[Sequence[str]],
+    trials: int, steps: int, seed: int, jobs: int, out: Optional[str], fresh: bool,
+    no_meta: bool, crash_victim: Optional[int], crash_at: int, malicious: int,
+    backend: str, quiet: bool, progress: int, trace: Optional[str],
+    metrics_out: Optional[str],
+) -> int:
+    """``repro sweep``: a :class:`SweepSpec` (default ``ring:8`` ×
+    ``na-diners``) through :func:`~repro.campaign.runner.run_shards`, then
+    its aggregate.  Per-shard progress goes to stderr: one line a shard,
+    one heartbeat per ``progress`` shards, or none when ``quiet``."""
+    from ..obs.metrics import write_metrics
+    from .record import CampaignTraceLog
+    from .runner import campaign_metrics, heartbeat_progress, run_shards
+
+    if jobs < 1:
+        raise ValueError("--jobs must be >= 1")
+    sweep = SweepSpec(
+        topologies=tuple(topology or ["ring:8"]),
+        algorithms=tuple(algorithm or ["na-diners"]),
+        trials=trials,
+        steps=steps,
+        seed=seed,
+        fault=None if crash_victim is None else {
+            "victim": crash_victim, "at_step": crash_at, "malicious_steps": malicious,
+        },
+        backend=backend,
+    )
+
+    def each_shard(record: TrialRecord, done: int, total: int) -> None:
+        print(
+            f"[{done}/{total}] {record.kind} {record.params.get('topology')} "
+            f"{record.params.get('algorithm')} seed={record.seed}",
+            file=sys.stderr,
+        )
+
+    report = each_shard
+    if quiet:
+        report = None
+    elif progress:
+        report = heartbeat_progress(progress)
+    trace_log = CampaignTraceLog(trace) if trace else None
+    if trace_log is not None:
+        report = trace_log.wrap(report)
+    try:
+        result = run_shards(
+            sweep.shards(),
+            jobs=jobs,
+            out_path=out,
+            resume=not fresh,
+            include_meta=not no_meta,
+            progress=report,
+        )
+    finally:
+        if trace_log is not None:
+            trace_log.close()
+    print(
+        f"shards: {result.total} "
+        f"(executed {result.executed}, resumed {result.resumed})"
+    )
+    print("\n".join(aggregate_sim(result.records).lines()))
+    if result.path is not None:
+        print(f"records: {result.path}")
+    if trace_log is not None:
+        print(f"trace: {trace_log.path}")
+    if metrics_out:
+        path = write_metrics(
+            metrics_out,
+            campaign_metrics(result.records),
+            header={
+                "source": "campaign",
+                "shards": result.total,
+                "executed": result.executed,
+                "resumed": result.resumed,
+            },
+            include_meta=not no_meta,
+        )
+        print(f"metrics: {path}")
+    return 0

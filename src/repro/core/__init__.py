@@ -57,9 +57,7 @@ from .state import (
     VAR_NEEDS,
     VAR_STATE,
     DinerState,
-    diner_state,
     direct_ancestors,
-    direct_descendants,
 )
 from .variants import (
     NoDynamicThresholdDiners,
@@ -108,9 +106,7 @@ __all__ = [
     "VAR_NEEDS",
     "VAR_STATE",
     "DinerState",
-    "diner_state",
     "direct_ancestors",
-    "direct_descendants",
     "NoDynamicThresholdDiners",
     "NoFixdepthDiners",
     "WrongDiameterDiners",

@@ -48,24 +48,10 @@ ACTION_EXIT = "exit"
 ACTION_FIXDEPTH = "fixdepth"
 
 
-def diner_state(config: Configuration, pid: Pid) -> DinerState:
-    """The T/H/E state of ``pid`` in ``config``."""
-    return DinerState(config.local(pid, VAR_STATE))
-
-
 def direct_ancestors(config: Configuration, pid: Pid) -> Tuple[Pid, ...]:
     """Neighbours with priority over ``pid`` (edge variable names them)."""
     return tuple(
         q
         for q in config.topology.neighbors(pid)
         if config.edge_value(pid, q) == q
-    )
-
-
-def direct_descendants(config: Configuration, pid: Pid) -> Tuple[Pid, ...]:
-    """Neighbours ``pid`` has priority over (edge variable names ``pid``)."""
-    return tuple(
-        q
-        for q in config.topology.neighbors(pid)
-        if config.edge_value(pid, q) == pid
     )

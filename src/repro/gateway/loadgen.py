@@ -48,7 +48,9 @@ from .report import (
     LATENCY_SAMPLE_CAP,
     PER_NODE_SAMPLE_CAP,
     build_report,
+    summarize_loadgen_report,
     thin_samples,
+    write_loadgen_report,
 )
 
 #: Sim-mode transport model: one-way network delay and grant overhead.
@@ -769,3 +771,78 @@ async def run_live(
         result,
         violations,
     )
+
+
+def cmd_loadgen(
+    *, nodes: int, topology: Optional[str], seed: int, duration: float, clients: int,
+    mode: str, arrival_rate: float, think: float, hold: float, max_retries: int,
+    upstreams_per_node: int, max_upstreams: int, max_per_client: int, queue_depth: int,
+    max_in_flight: int, retry_after: float, batch_frames: int, batch_bytes: int,
+    batch_delay: float, sim: bool, out: Optional[str], metrics_out: Optional[str],
+    events_out: Optional[str], **cluster_flags: Any,
+) -> int:
+    """``repro loadgen``: drive a fleet of logical clients through the
+    gateway tier and print the report's summary.
+
+    ``sim`` runs the seeded virtual-time engine (byte-stable report);
+    otherwise a real cluster (``cluster_flags`` are
+    :func:`~repro.net.cluster.cluster_config`'s) is spawned behind a real
+    gateway and the neighbour-exclusion audit runs over the event stream.
+    Exit 1 on a safety violation.
+    """
+    from ..net.cluster import (
+        announce_metrics_endpoint,
+        cluster_config,
+        run_interruptible,
+        write_cluster_artefacts,
+    )
+    from ..sim.topology import from_spec
+
+    spec = topology or f"ring:{nodes}"
+    config = LoadgenConfig(
+        clients=clients,
+        nodes=len(from_spec(spec)),
+        topology=spec,
+        seed=seed,
+        duration_s=duration,
+        mode=mode,
+        arrival_rate_hz=arrival_rate,
+        think_s=think,
+        hold_s=hold,
+        max_retries=max_retries,
+        upstreams_per_node=upstreams_per_node,
+        max_upstreams=max_upstreams,
+        admission=AdmissionConfig(
+            max_per_client=max_per_client,
+            max_queue_depth=queue_depth,
+            max_in_flight=max_in_flight,
+            retry_after_s=retry_after,
+        ),
+        flush=FlushPolicy(
+            max_frames=batch_frames, max_bytes=batch_bytes, max_delay_s=batch_delay
+        ),
+    )
+    config.validate()
+    violations: List[Any] = []
+    if sim:
+        report = run_sim(config)
+    else:
+        cluster, _ = cluster_config(
+            lock_service=True, nodes=nodes, topology=topology, seed=seed,
+            duration=duration, events_out=events_out, **cluster_flags,
+        )
+        announce_metrics_endpoint(cluster)
+        report, result, violations = run_interruptible(run_live(config, cluster))
+        write_cluster_artefacts(
+            result,
+            metrics_out=metrics_out,
+            events_out=events_out,
+            extra_header={"safe": not violations, "violations": len(violations)},
+        )
+    print("\n".join(summarize_loadgen_report(report)))
+    # The overlaps themselves are not in the report, only their count.
+    for violation in violations[:10]:
+        print(f"    {violation}")
+    if out:
+        print(f"  loadgen report: {write_loadgen_report(out, report)}")
+    return 1 if violations else 0

@@ -91,9 +91,9 @@ def write_loadgen_report(path: Path | str, report: Dict[str, Any]) -> Path:
     return write_atomic(path, [body])
 
 
-def read_loadgen_report(path: Path | str) -> Dict[str, Any]:
+def read_loadgen_report(path: Path | str, document: Any = None) -> Dict[str, Any]:
     """Parse a report document; :class:`ValueError` if it is not one."""
-    doc = read_document(path)
+    doc = read_document(path, document)
     if not isinstance(doc, dict) or doc.get("kind") != LOADGEN_REPORT_KIND:
         raise ValueError(f"{path}: not a loadgen-report document")
     if not isinstance(doc.get("format"), int):
@@ -109,43 +109,61 @@ def read_loadgen_report(path: Path | str) -> Dict[str, Any]:
 
 
 def summarize_loadgen_report(report: Dict[str, Any]) -> List[str]:
-    """The ``repro stats`` lines for a report document."""
+    """The one rendering of a report document: what ``repro loadgen``
+    prints, and ``repro stats`` prints on the file it wrote."""
     spec = report.get("spec") or {}
-    results = report.get("results") or {}
-    lat = results.get("latency") or {}
-    fair = results.get("fairness") or {}
-    safety = results.get("safety") or {}
+    res = report.get("results") or {}
+    lat = res.get("latency") or {}
+    fair = res.get("fairness") or {}
     lines = [
         f"loadgen report [{spec.get('engine', '?')}]: "
         f"{spec.get('topology', '?')} seed={spec.get('seed', '?')} "
-        f"clients={spec.get('clients', '?')} "
-        f"mode={spec.get('mode', '?')}",
-        f"  grants: {results.get('grants', 0)}, "
-        f"shed {results.get('shed_total', 0)}, "
-        f"retries {results.get('retries', 0)}, "
-        f"failures {results.get('failures', 0)}",
+        f"clients={spec.get('clients', '?')} mode={spec.get('mode', '?')} "
+        f"duration={spec.get('duration_s', '?')}s",
+        f"  grants: {res.get('grants', 0)} "
+        f"({res.get('throughput_hz', 0.0):.1f}/s), "
+        f"releases {res.get('releases', 0)}, shed {res.get('shed_total', 0)}, "
+        f"retries {res.get('retries', 0)}, abandoned {res.get('abandoned', 0)}, "
+        f"failures {res.get('failures', 0)}",
     ]
     if lat.get("count"):
         lines.append(
-            f"  latency: p50={lat.get('p50_s')}s "
-            f"p99={lat.get('p99_s')}s p999={lat.get('p999_s')}s "
-            f"(n={lat.get('count')})"
+            f"  latency: p50={lat.get('p50_s')}s p99={lat.get('p99_s')}s "
+            f"p999={lat.get('p999_s')}s (n={lat['count']})"
         )
+    else:
+        lines.append("  latency: no grants observed")
     lines.append(
         f"  fairness: grant_count_cv={fair.get('grant_count_cv')} "
-        f"granted={fair.get('clients_granted')}/"
-        f"{fair.get('clients_active')}"
+        f"mean_wait_cv={fair.get('mean_wait_cv')} "
+        f"active={fair.get('clients_active')} "
+        f"granted={fair.get('clients_granted')}"
     )
-    if safety.get("mode") == "live":
-        verdict = "OK" if not safety.get("violations") else (
-            f"VIOLATED ({safety['violations']} overlaps)"
+    sheds = res.get("sheds") or {}
+    lines += [f"    shed[{reason}]: {sheds[reason]}" for reason in sorted(sheds)]
+    batching = res.get("batching") or {}
+    if batching.get("upstream_flushes"):
+        lines.append(
+            f"  batching: {batching['upstream_frames']} frames in "
+            f"{batching['upstream_flushes']} flushes "
+            f"(mean batch {batching['mean_batch']:.2f}, "
+            f"{batching['dials']} dials)"
         )
-        lines.append(f"  safety: {verdict}")
-    per_node = results.get("per_node") or {}
+    per_node = res.get("per_node") or {}
     for label in sorted(per_node):
         doc = per_node[label]
         lines.append(
             f"  node {label}: {doc.get('grants', 0)} grants, "
             f"p99={doc.get('p99_s')}s"
+        )
+    safety = res.get("safety") or {}
+    if safety.get("mode") != "live":
+        lines.append("  safety: modelled (sim engine; audit needs a live run)")
+    elif safety.get("violations"):
+        lines.append(f"  safety: VIOLATED ({safety['violations']} overlaps)")
+    else:
+        lines.append(
+            f"  safety: OK (audited {safety.get('audited_events')} events, "
+            f"killed: {', '.join(safety.get('killed') or ()) or 'none'})"
         )
     return lines

@@ -24,10 +24,11 @@ import json
 import os
 import random
 import re
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from ..artefact import (
     CANONICAL,
@@ -44,9 +45,9 @@ from ..obs.events import NetEventKind
 from ..obs.flight import DEFAULT_CAPACITY, FlightRecorder, dump_flight
 from ..obs.metrics import MetricsRegistry, percentile_of_sorted, write_metrics
 from ..obs.prom import PROM_CONTENT_TYPE, Sample, render_prometheus
-from ..obs.slo import LiveSloEvaluator, LockState, SloSpec
+from ..obs.slo import LiveSloEvaluator, LockState, SloSpec, read_slo_spec
 from ..obs.tracing import LamportClock, SpanRecorder, write_spans
-from ..sim.topology import Pid, Topology
+from ..sim.topology import Pid, Topology, from_spec
 from ..sim.trace import TraceEvent
 from .chaos import ChaosController, ChaosSchedule, LinkProxy, build_schedule
 from .node import LockDinerProcess, NodeServer
@@ -166,6 +167,45 @@ class ClusterResult:
     @property
     def total_garbage_bytes(self) -> int:
         return sum(c.get("garbage_bytes", 0) for c in self.counters.values())
+
+    def lines(self) -> List[str]:
+        """What ``cluster run``/``soak`` print for the run: per-node
+        counters, the faults played, restarts and the artefacts written."""
+        interrupted = " (interrupted)" if self.interrupted else ""
+        lines = [
+            f"cluster {self.topology_spec} seed={self.seed}: {self.mode} for "
+            f"{self.duration_s}s, {len(self.nodes)} nodes{interrupted}"
+        ]
+        for node in self.nodes:
+            c = self.counters.get(node, {})
+            lines.append(
+                f"  {node}: eats={c.get('eats', 0)} grants={c.get('grants', 0)} "
+                f"msgs in/out={c.get('msgs_in', 0)}/{c.get('msgs_out', 0)} "
+                f"garbage={c.get('garbage_bytes', 0)}B "
+                f"junk={c.get('junk_frames', 0)}"
+            )
+        scheduled = len(self.schedule.get("events", ())) if self.schedule else 0
+        chaos = f"  chaos: {scheduled} scheduled faults"
+        if self.chunk_faults:
+            chaos += "; link-level " + ", ".join(
+                f"{kind}×{count}" for kind, count in sorted(self.chunk_faults.items())
+            )
+        lines.append(chaos)
+        if self.killed:
+            lines.append(f"  maliciously crashed: {', '.join(self.killed)}")
+        if self.byzantine:
+            lines.append(f"  byzantine (never halted): {', '.join(self.byzantine)}")
+        if self.restarts:
+            lines.append("  restarted: " + ", ".join(
+                f"{node}×{count}" for node, count in sorted(self.restarts.items())
+            ))
+        for node, elapsed in sorted(self.convergence_s.items()):
+            lines.append(
+                f"  convergence: {node} re-granted {elapsed:.3f}s after restart"
+            )
+        lines += [f"  spans: {path}" for path in self.trace_paths]
+        lines += [f"  flight: {path}" for path in self.flight_paths]
+        return lines
 
 
 #: The two per-frame event kinds — the bulk of every run's rows.
@@ -1095,3 +1135,207 @@ def write_cluster_events(path: Path | str, result: ClusterResult) -> Path:
         path, "events", header,
         ({"kind": "event", **event} for event in result.events),
     )
+
+
+# ------------------------------------------------------------------ command
+
+
+def cluster_config(
+    *, lock_service: bool, nodes: int, topology: Optional[str], seed: int,
+    duration: float, tick_interval: float, host: str, no_chaos: bool, partitions: int,
+    malicious: int, restart_policy: str, max_restarts: int, restart_delay: float,
+    byzantine: int, adaptive: bool, adaptive_interval: float,
+    schedule_file: Optional[str], trace: Optional[str], metrics_port: Optional[int],
+    events_out: Optional[str], flight: Optional[str], flight_capacity: Optional[int],
+    slo: Optional[str] = None,
+) -> Tuple[ClusterConfig, float]:
+    """``(config, duration_s)`` for the flags every live-cluster command
+    (``cluster run``/``soak``, ``loadgen``) shares.  The rules:
+
+    * a ``schedule_file`` is the whole experiment — topology, seed,
+      duration and the complete fault plan come from it, never from the
+      other flags;
+    * a replayed plan that schedules restarts may execute them: without a
+      ``restart_policy`` they get an arbitrary-state one allowing each
+      node's scheduled count, or the replay silently runs a different
+      experiment;
+    * ``slo`` is the path of a spec evaluated live; ``flight_capacity``
+      (``None``: the recorder's default) must be at least 1.
+    """
+    loaded = None
+    if schedule_file:
+        from ..adversary.corpus import read_schedule
+
+        loaded = read_schedule(schedule_file)
+        spec, topo = loaded.topology_spec, loaded.topology
+        seed, duration = loaded.schedule.seed, loaded.schedule.duration_s
+    else:
+        if nodes < 2 and not topology:
+            raise ValueError("--nodes must be >= 2")
+        spec = topology or f"ring:{nodes}"
+        topo = from_spec(spec)
+    restart = None
+    if restart_policy != "off":
+        if max_restarts < 1:
+            raise ValueError("--max-restarts must be >= 1 with a restart policy")
+        restart = RestartPolicy(
+            max_restarts=max_restarts,
+            delay_s=restart_delay,
+            arbitrary_state=restart_policy == "arbitrary",
+        )
+    elif loaded is not None:
+        restarts = Counter(
+            repr(event.node) for event in loaded.schedule.events
+            if event.kind == "restart"
+        )
+        if restarts:
+            restart = RestartPolicy(
+                max_restarts=max(restarts.values()), delay_s=0.0,
+                arbitrary_state=True,
+            )
+    if flight_capacity is not None and flight_capacity < 1:
+        raise ValueError("--flight-capacity must be >= 1")
+    return ClusterConfig(
+        topology=topo,
+        topology_spec=spec,
+        seed=seed,
+        tick_interval=tick_interval,
+        lock_service=lock_service,
+        chaos=not no_chaos,
+        partitions=partitions,
+        malicious_crashes=malicious,
+        host=host,
+        restart=restart,
+        schedule=None if loaded is None else loaded.schedule,
+        byzantine=byzantine,
+        adaptive=adaptive,
+        adaptive_interval=adaptive_interval,
+        trace_dir=trace,
+        metrics_port=metrics_port,
+        stream_events=events_out,
+        flight_dir=flight,
+        flight_capacity=flight_capacity or DEFAULT_CAPACITY,
+        slo=None if slo is None else read_slo_spec(slo),
+    ), duration
+
+
+def announce_metrics_endpoint(config: ClusterConfig) -> None:
+    if config.metrics_port:
+        # Ephemeral (0) binds after the loop starts, so only a fixed port
+        # can be announced upfront for `repro top` to attach to.
+        print(f"metrics endpoint: http://{config.host}:{config.metrics_port}"
+              "/metrics", flush=True)
+
+
+def run_interruptible(coro):
+    """``asyncio.run`` with SIGTERM/SIGINT routed to task cancellation.
+
+    The cluster entry points treat cancellation as an early, orderly
+    shutdown (teardown still runs, partial artefacts still flush), so a
+    killed soak keeps its event/span tail instead of dying mid-write.
+    """
+    import signal
+
+    async def _main():
+        task = asyncio.ensure_future(coro)
+        loop = asyncio.get_running_loop()
+        installed = []
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(sig, task.cancel)
+                installed.append(sig)
+            except (NotImplementedError, RuntimeError, ValueError):
+                pass  # non-unix loop; KeyboardInterrupt still works
+        try:
+            return await task
+        finally:
+            for sig in installed:
+                loop.remove_signal_handler(sig)
+
+    return asyncio.run(_main())
+
+
+def write_cluster_artefacts(
+    result: ClusterResult,
+    *,
+    metrics_out: Optional[str],
+    events_out: Optional[str],
+    extra_header: Dict[str, Any] | None = None,
+) -> None:
+    """Write ``--metrics-out``/``--events-out`` and print their paths."""
+    if metrics_out:
+        path = write_cluster_metrics(metrics_out, result, extra_header=extra_header)
+        print(f"metrics: {path}")
+    if events_out:
+        print(f"events: {write_cluster_events(events_out, result)}")
+
+
+def cmd_cluster_run(
+    *, metrics_out: Optional[str], events_out: Optional[str], **flags: Any,
+) -> int:
+    """``repro cluster run``: always-hungry diners under chaos (``flags``
+    are :func:`cluster_config`'s); print the counters."""
+    config, duration = cluster_config(
+        lock_service=False, events_out=events_out, **flags
+    )
+    announce_metrics_endpoint(config)
+    result = run_interruptible(run_cluster(config, duration))
+    print("\n".join(result.lines()))
+    write_cluster_artefacts(result, metrics_out=metrics_out, events_out=events_out)
+    return 0
+
+
+def cmd_node(
+    *, topology: str, pid: int, host: str, port: int, peer: Optional[List[str]],
+    seed: int, tick_interval: float, duration: float, lock_service: bool,
+) -> int:
+    """``repro node``: serve process ``pid`` (an index into ``topology``)
+    behind real sockets for ``duration`` seconds (0: until interrupted),
+    dialling each ``peer`` (``IDX=HOST:PORT``); then print its counters."""
+    topo = from_spec(topology)
+    if not 0 <= pid < len(topo):
+        raise ValueError(
+            f"--pid {pid} out of range for {topology} (has {len(topo)} processes)"
+        )
+    me = topo.nodes[pid]
+    peers = {}
+    for spec in peer or ():
+        index, sep, address = spec.partition("=")
+        peer_host, sep2, peer_port = address.rpartition(":")
+        if not sep or not sep2:
+            raise ValueError(f"--peer {spec!r}: expected IDX=HOST:PORT")
+        try:
+            peers[topo.nodes[int(index)]] = (peer_host, int(peer_port))
+        except (ValueError, IndexError):
+            raise ValueError(f"--peer {spec!r}: bad node index or port") from None
+
+    async def serve() -> None:
+        server = NodeServer(
+            me,
+            topo,
+            build_process(me, topo, lock_service=lock_service, seed=seed),
+            host=host,
+            port=port,
+            tick_interval=tick_interval,
+        )
+        await server.start_listening()
+        print(f"node {me!r} listening on {host}:{server.port}", flush=True)
+        try:
+            await server.connect_peers(peers)
+        except ValueError as exc:
+            await server.stop()
+            raise ValueError(f"{exc} (give --peer for every neighbour)") from None
+        try:
+            if duration > 0:
+                await asyncio.sleep(duration)
+            else:
+                await asyncio.Event().wait()  # serve until interrupted
+        finally:
+            await server.stop()
+        print(f"counters: {json.dumps(server.counters(), sort_keys=True)}")
+
+    try:
+        asyncio.run(serve())
+    except KeyboardInterrupt:
+        pass
+    return 0

@@ -356,6 +356,10 @@ class Violation:
     overlap_start: float
     overlap_end: float
 
+    def __str__(self) -> str:
+        return (f"{self.node_a} ∦ {self.node_b}: "
+                f"[{self.overlap_start:.3f}, {self.overlap_end:.3f}]s")
+
 
 def hold_intervals(
     events: Sequence[Mapping[str, Any]], *, end_t: float
@@ -475,6 +479,41 @@ class SoakResult:
         return sum(
             1 for c in self.cluster.counters.values() if c.get("grants", 0) > 0
         )
+
+    @property
+    def starved(self) -> List[str]:
+        """Nodes the schedule did not kill that never granted — the
+        ``--require-progress`` verdict."""
+        cluster = self.cluster
+        return [
+            n for n in cluster.nodes
+            if n not in cluster.killed
+            and cluster.counters.get(n, {}).get("grants", 0) == 0
+        ]
+
+    def lines(self) -> List[str]:
+        """What ``cluster soak`` prints after the run's own lines: client
+        totals, progress, and the safety audit's verdict."""
+        lines = [
+            f"  clients: {sum(c.acquired for c in self.clients)} acquisitions, "
+            f"{sum(c.timeouts for c in self.clients)} timeouts, "
+            f"{sum(c.errors for c in self.clients)} errors",
+            f"  progress: {self.nodes_with_grants}/{len(self.cluster.nodes)} "
+            "nodes granted at least once",
+        ]
+        if self.safe:
+            return lines + ["  safety: OK (no neighbouring holders)"]
+        lines.append(f"  safety: VIOLATED ({len(self.violations)} overlaps)")
+        lines += [f"    {violation}" for violation in self.violations[:10]]
+        blamed = self.blamed
+        attribution = f"  attribution: blames {', '.join(blamed) or 'nobody'}"
+        if self.byzantine:
+            same = sorted(blamed) == sorted(self.byzantine)
+            match = "matches" if same else "MISMATCHES"
+            attribution += (
+                f" (byzantine set {match}: {', '.join(self.byzantine)})"
+            )
+        return lines + [attribution]
 
 
 async def _client_loop(
@@ -613,3 +652,48 @@ async def soak(
         byzantine=list(result.byzantine),
         slo_report=slo_report,
     )
+
+
+def cmd_cluster_soak(
+    *, hold: float, acquire_timeout: float, require_progress: bool,
+    slo_report: Optional[str], metrics_out: Optional[str], events_out: Optional[str],
+    **flags: Any,
+) -> int:
+    """``repro cluster soak``: lock-service clients under chaos (``flags``
+    are :func:`~repro.net.cluster.cluster_config`'s); exit 1 on a safety
+    violation, an exhausted SLO budget or, with ``require_progress``, a
+    surviving node that never granted."""
+    from ..obs.slo import summarize_slo_report, write_slo_report
+    from .cluster import (
+        announce_metrics_endpoint,
+        cluster_config,
+        run_interruptible,
+        write_cluster_artefacts,
+    )
+
+    config, duration = cluster_config(
+        lock_service=True, events_out=events_out, **flags
+    )
+    announce_metrics_endpoint(config)
+    result = run_interruptible(
+        soak(config, duration, hold_s=hold, acquire_timeout=acquire_timeout)
+    )
+    print("\n".join(result.cluster.lines() + result.lines()))
+    write_cluster_artefacts(
+        result.cluster,
+        metrics_out=metrics_out,
+        events_out=events_out,
+        extra_header={"safe": result.safe, "violations": len(result.violations)},
+    )
+    status = 0 if result.safe else 1
+    if result.slo_report is not None:
+        for line in summarize_slo_report(result.slo_report.to_json()):
+            print(f"  {line}")
+        if slo_report:
+            print(f"  slo report: {write_slo_report(slo_report, result.slo_report)}")
+        if result.slo_report.exhausted:
+            status = 1
+    if require_progress and result.starved:
+        print(f"  progress: FAILED — no grants at {', '.join(result.starved)}")
+        status = 1
+    return status

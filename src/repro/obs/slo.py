@@ -51,7 +51,7 @@ from typing import (
     Tuple,
 )
 
-from ..artefact import KINDS, identify, read_document, write_atomic
+from ..artefact import KINDS, expand, load, read_document, write_atomic
 from .metrics import percentile_of_sorted
 
 SLO_FORMAT_VERSION = KINDS["slo-report"].format
@@ -193,9 +193,9 @@ class SloSpec:
         raise KeyError(name)
 
 
-def read_slo_spec(path: Path | str) -> SloSpec:
+def read_slo_spec(path: Path | str, document: Any = None) -> SloSpec:
     """Load and validate a spec file; :class:`ValueError` names the path."""
-    doc = read_document(path)
+    doc = read_document(path, document)
     try:
         return SloSpec.from_json(doc)
     except ValueError as exc:
@@ -733,68 +733,50 @@ def write_slo_report(path: Path | str, report: SloReport) -> Path:
     return write_atomic(path, [body])
 
 
-def read_slo_report(path: Path | str) -> Dict[str, Any]:
+def read_slo_report(path: Path | str, document: Any = None) -> Dict[str, Any]:
     """Parse a report document; :class:`ValueError` if it is not one."""
-    doc = read_document(path)
+    doc = read_document(path, document)
     if not isinstance(doc, dict) or doc.get("kind") != SLO_REPORT_KIND:
         raise ValueError(f"{path}: not an slo-report document")
     return doc
 
 
 def summarize_slo_report(doc: Mapping[str, Any]) -> List[str]:
-    """The ``repro stats`` lines for a report document."""
-    verdict = "OK" if doc.get("ok") else "EXHAUSTED"
-    objectives = doc.get("objectives") or []
-    lines = [f"SLO report: {doc.get('spec', '?')} — {verdict} "
-             f"({len(objectives)} objectives, "
-             f"window {doc.get('duration_s')}s)"]
-    for key, value in sorted((doc.get("observations") or {}).items()):
-        lines.append(f"  {key}: {value}")
-    for row in objectives:
-        status = "ok" if row.get("ok") else "EXHAUSTED"
-        lines.append(
-            f"  {row.get('name')}: {row.get('kind')} "
-            f"spent={row.get('budget_spent')} "
-            f"remaining={row.get('budget_remaining')}  {status}"
-        )
-    return lines
-
-
-def format_report(report: SloReport) -> str:
-    """The human-readable verdict table ``repro slo`` prints.
+    """The one rendering of a report document (:meth:`SloReport.to_json`):
+    what ``repro slo`` and ``cluster soak --slo`` print, and ``repro stats``
+    prints on the file they wrote.
 
     The last line is the machine-greppable budget verdict:
     ``budget: OK ...`` or ``budget: EXHAUSTED ...``.
     """
-    lines = [
-        f"slo spec: {report.spec_name}  "
-        f"(window {report.duration_s}s, "
-        + ", ".join(f"{k} {v}" for k, v in sorted(report.observations.items()))
-        + ")"
-    ]
-    width = max(len(v.name) for v in report.verdicts)
-    for v in report.verdicts:
-        status = "ok" if v.ok else "EXHAUSTED"
-        detail = f"{v.kind:<13}"
-        if v.value is not None:
-            detail += f" value={v.value:g}"
-        if v.threshold is not None:
-            detail += f" thr={v.threshold:g}"
-        if v.good_fraction is not None:
-            detail += f" good={v.good_fraction:.2%} ({v.total - v.bad}/{v.total})"
-        if v.hard:
+    objectives = doc.get("objectives") or []
+    lines = [f"SLO report: {doc.get('spec', '?')} (window "
+             f"{doc.get('duration_s')}s, {len(objectives)} objectives)"]
+    for key, value in sorted((doc.get("observations") or {}).items()):
+        lines.append(f"  {key}: {value}")
+    width = max((len(row["name"]) for row in objectives), default=0)
+    for row in objectives:
+        detail = f"{row['kind']:<13}"
+        if row.get("value") is not None:
+            detail += f" value={row['value']:g}"
+        if row.get("threshold") is not None:
+            detail += f" thr={row['threshold']:g}"
+        if row.get("good_fraction") is not None:
+            good = row["total"] - row["bad"]
+            detail += f" good={row['good_fraction']:.2%} ({good}/{row['total']})"
+        if row.get("hard"):
             detail += " hard"
-        detail += f" spent={v.budget_spent:g}"
-        if v.burn_rate is not None:
-            detail += f" burn={v.burn_rate:g}"
-        lines.append(f"  {v.name:<{width}}  {detail}  {status}")
-    if report.ok:
-        lines.append(
-            f"budget: OK — {len(report.verdicts)} objectives within budget"
-        )
+        detail += (f" spent={row['budget_spent']:g}"
+                   f" remaining={row['budget_remaining']:g}")
+        if row.get("burn_rate") is not None:
+            detail += f" burn={row['burn_rate']:g}"
+        status = "ok" if row.get("ok") else "EXHAUSTED"
+        lines.append(f"  {row['name']:<{width}}  {detail}  {status}")
+    if doc.get("ok"):
+        lines.append(f"budget: OK — {len(objectives)} objectives within budget")
     else:
-        lines.append("budget: EXHAUSTED — " + ", ".join(report.exhausted))
-    return "\n".join(lines)
+        lines.append("budget: EXHAUSTED — " + ", ".join(doc.get("exhausted") or ()))
+    return lines
 
 
 # ------------------------------------------------------------ live stream
@@ -895,12 +877,27 @@ def ingest_artefact(obs: SloObservations, path: Path | str) -> str:
     ``metrics`` / ``loadgen``); :class:`ValueError` if the file is of a
     kind with no SLO intake, or of none.
     """
-    row = identify(path)
+    row, parsed = load(path)
     if row.slo is None:
         raise ValueError(f"{path}: {row.name} is not an SLO-evaluable artefact")
-    parsed = row.read(path)
     try:
         getattr(obs, row.slo)(parsed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return row.name
+
+
+def cmd_slo(*, spec: str, artefacts: Sequence[str], out: Optional[str]) -> int:
+    """``repro slo``: evaluate the spec file ``spec`` offline against
+    recorded artefacts (a ``--trace`` or ``--flight`` directory drops in);
+    exit 1 when any objective's error budget is exhausted."""
+    slo_spec = read_slo_spec(spec)
+    observations = SloObservations()
+    in_directories = [n for n, row in KINDS.items() if row.slo and row.glob]
+    for path in expand(artefacts, in_directories):
+        print(f"ingested {ingest_artefact(observations, path)}: {path}")
+    report = evaluate(slo_spec, observations)
+    print("\n".join(summarize_slo_report(report.to_json())))
+    if out:
+        print(f"slo report: {write_slo_report(out, report)}")
+    return 1 if report.exhausted else 0

@@ -24,13 +24,14 @@ byte-stable for a given set of span files.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..artefact import present, read_jsonl, skipped_note, tally, write_jsonl
-from .tracing import Span
+from ..artefact import expand, load, read_jsonl, skipped_note, tally, write_jsonl
+from .tracing import Span, SpanEvent
 
 
 @dataclass(frozen=True)
@@ -385,13 +386,123 @@ def read_timeline(path: Path | str) -> TimelineFile:
     return TimelineFile(header=header, entries=entries, skipped=skipped)
 
 
+def _spans_of(entries: Sequence[TimelineEntry]) -> Dict[str, List[Span]]:
+    """The spans behind a timeline's entries, per node, as far as
+    :func:`attribute_grants` reads them: id, open time and the span's
+    events in program order."""
+    ordered = sorted(entries, key=lambda e: (e.node, e.seq))
+    spans: Dict[str, Dict[str, Span]] = {}
+    for e in ordered:
+        if e.ev == "open":
+            spans.setdefault(e.node, {})[e.span] = Span(
+                e.span, e.name, e.node, 0, e.lc, e.t
+            )
+    for e in ordered:
+        span = spans.get(e.node, {}).get(e.span)
+        if span is not None and e.ev not in ("open", "close"):
+            span.events.append(SpanEvent(e.ev, e.lc, e.t, e.detail))
+    return {node: list(by_id.values()) for node, by_id in spans.items()}
+
+
 def summarize_timeline(timeline: TimelineFile) -> List[str]:
-    """The ``repro stats`` lines for a merged timeline."""
-    nodes = timeline.header.get("nodes") or sorted(
-        {e.node for e in timeline.entries}
+    """The one rendering of a merged timeline: what ``repro timeline``
+    prints, and ``repro stats`` prints on the artefact it wrote — the
+    causality check and the grant-latency attribution, re-derived from
+    the entries."""
+    entries = timeline.entries
+    lines = _timeline_lines(
+        entries, _spans_of(entries), causality_report(entries)
     )
-    lines = [f"timeline: {len(timeline.entries)} entries across "
-             f"{len(nodes)} nodes"]
-    lines += present(timeline.header, ("causality_ok", "matched_messages"))
-    lines += tally(entry.ev for entry in timeline.entries)
     return lines + skipped_note(timeline.skipped)
+
+
+def _timeline_lines(
+    entries: Sequence[TimelineEntry],
+    spans_by_node: Mapping[str, Sequence[Span]],
+    report: CausalityReport,
+) -> List[str]:
+    """:func:`summarize_timeline`'s lines from the entries, the spans
+    behind them and their causality report."""
+    spans = sum(len(node_spans) for node_spans in spans_by_node.values())
+    lo, hi = (entries[0].lc, entries[-1].lc) if entries else (0, 0)
+    lines = [
+        f"timeline: {len({e.node for e in entries})} nodes, {spans} spans, "
+        f"{len(entries)} entries, lc {lo}..{hi}"
+    ]
+    if report.ok:
+        lines.append(f"causality: OK ({report.matched_messages} matched messages)")
+    else:
+        lines.append(f"causality: CORRUPTED ({len(report.violations)} violations)")
+        lines += [f"  {violation}" for violation in report.violations[:10]]
+    attributions = attribute_grants(spans_by_node)
+    for node, row in sorted(attribution_by_node(attributions).items()):
+        lines.append(
+            f"  {node}: {row['grants']} grants, total {row['total_s']:.3f}s "
+            f"= queue {row['queue_s']:.3f}s + transfer {row['transfer_s']:.3f}s"
+            f" + retransmit {row['retransmit_s']:.3f}s "
+            f"({row['retransmits']} retransmits)"
+        )
+    return lines + tally(entry.ev for entry in entries)
+
+
+#: The artefact kinds that carry spans, i.e. what ``repro timeline`` merges.
+SPAN_KINDS = ("spans", "flight")
+
+
+def cmd_timeline(
+    *, paths: Sequence[str], events: Optional[str], out: Optional[str], limit: int,
+) -> int:
+    """``repro timeline``: merge per-node span logs (files, or ``--trace``
+    / ``--flight`` directories) into one happened-before-consistent
+    timeline and print its summary; with ``events`` (a soak's event log),
+    walk each exclusion violation back to the spans open across it.
+    Exit 1 when causality is corrupted."""
+    spans_by_node: Dict[str, List[Span]] = {}
+    for path in expand(paths, SPAN_KINDS):
+        row, parsed = load(path)
+        if row.name not in SPAN_KINDS:
+            raise ValueError(f"{path}: {row.name} is not a span artefact")
+        for span in parsed.spans:
+            spans_by_node.setdefault(span.node, []).append(span)
+    entries = merge_timeline(spans_by_node)
+    report = causality_report(entries)
+    header = {"causality_ok": report.ok, "matched_messages": report.matched_messages}
+    print("\n".join(_timeline_lines(entries, spans_by_node, report)))
+    if events:
+        # Deferred: repro.net imports repro.obs at package init.
+        from ..net.cluster import read_cluster_events
+        from ..sim.topology import from_spec
+
+        log_header, rows, _ = read_cluster_events(events)
+        if not log_header.get("topology"):
+            raise ValueError(f"{events}: event log has no topology")
+        reconstructed = reconstruct_violations(
+            from_spec(log_header["topology"]),
+            rows,
+            spans_by_node,
+            end_t=float(log_header.get("duration_s") or 0.0),
+            exclude=log_header.get("killed") or (),
+            byzantine=log_header.get("byzantine") or (),
+        )
+        if not reconstructed:
+            print("violations: none reconstructed")
+        for row in reconstructed:
+            blame = ", ".join(row["byzantine"]) or "(no byzantine node)"
+            print(
+                f"violation: {row['node_a']} ∦ {row['node_b']} "
+                f"[{row['start']:.3f}, {row['end']:.3f}]s — {blame}"
+            )
+            for node, span_ids in sorted(row["spans"].items()):
+                print(f"  {node} spans open: {', '.join(span_ids) or '-'}")
+    for entry in entries[:limit]:
+        detail = json.dumps(entry.detail, sort_keys=True)
+        print(
+            f"  lc={entry.lc} {entry.node} {entry.name}/{entry.ev} "
+            f"span={entry.span} {detail}"
+        )
+    if limit and len(entries) > limit:
+        print(f"  ... ({len(entries) - limit} more entries)")
+    if out:
+        path = write_timeline(out, entries, header=header)
+        print(f"timeline artefact: {path}")
+    return 0 if report.ok else 1

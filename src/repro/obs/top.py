@@ -173,3 +173,21 @@ def run_top(
         previous = samples
         count += 1
     return 0
+
+
+def cmd_top(
+    *, url: Optional[str], host: str, port: Optional[int], interval: float, once: bool,
+) -> int:
+    """``repro top``: the dashboard over ``url``, or over a cluster's
+    ``--metrics-port`` on ``host``; ``once`` renders one frame."""
+    if not url and port is None:
+        raise ValueError("--url or --port is required")
+    try:
+        return run_top(
+            url or f"http://{host}:{port}/metrics",
+            interval_s=interval,
+            iterations=1 if once else None,
+            clear=not once,
+        )
+    except KeyboardInterrupt:
+        return 0

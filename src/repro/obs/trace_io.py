@@ -26,14 +26,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..artefact import CANONICAL, KINDS, tally, write_atomic
+from ..artefact import CANONICAL, KINDS, identify, write_atomic
 from ..sim.configuration import Configuration
 from ..sim.errors import SimulationError
 from ..sim.serialize import decode_literal, encode_literal, from_json, to_json
 from ..sim.trace import EventKind, TraceEvent, TraceRecorder
+from .bus import EventBus
 from .events import MpEventKind
 from .metrics import MetricsRegistry, write_metrics
-from .probes import Probe, standard_probes
+from .probes import Probe, StepTimerProbe, standard_probes
 
 TRACE_FORMAT_VERSION = KINDS["trace"].format
 
@@ -179,9 +180,10 @@ def read_trace(path: Path | str) -> Trace:
     """Load a trace written by :func:`write_trace`.
 
     Raises :class:`~repro.sim.errors.SimulationError` on a missing or
-    version-mismatched header; a malformed body line is an error too —
-    unlike campaign checkpoints, a trace is an analysis input, and silent
-    truncation would skew every derived number.
+    version-mismatched header — naming the kind :func:`identify` finds
+    when the file is another artefact; a malformed body line is an error
+    too — unlike campaign checkpoints, a trace is an analysis input, and
+    silent truncation would skew every derived number.
     """
     path = Path(path)
     header: Optional[Dict[str, Any]] = None
@@ -195,11 +197,13 @@ def read_trace(path: Path | str) -> Trace:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                raise SimulationError(
-                    f"{path}:{lineno}: not valid JSON"
-                ) from None
+                error = SimulationError(f"{path}:{lineno}: not valid JSON")
+                raise (error if header else _not_a_trace(path, error)) from None
             if not isinstance(record, dict):
                 raise SimulationError(f"{path}:{lineno}: not a JSON object")
+            if header is None and not KINDS["trace"].claims(record):
+                error = SimulationError(f"{path}: no trace header line")
+                raise _not_a_trace(path, error)
             kind = record.get("kind")
             if kind == "header":
                 if record.get("format") != TRACE_FORMAT_VERSION:
@@ -224,15 +228,22 @@ def read_trace(path: Path | str) -> Trace:
     )
 
 
+def _not_a_trace(path: Path, error: SimulationError) -> SimulationError:
+    """``error``, for a file that does not open with a trace header —
+    unless :func:`identify` knows the file as another kind, or as none."""
+    try:
+        row = identify(path)
+    except ValueError as exc:
+        return SimulationError(str(exc))
+    if row.name != "trace":
+        return SimulationError(f"{path}: {row.name} artefact, not a trace")
+    return error
+
+
 def summarize_trace(trace: Trace) -> List[str]:
-    """The ``repro stats`` lines for a trace."""
-    header = trace.header
-    return [
-        f"trace file: {header.get('model')} / {header.get('algorithm')} on "
-        f"{header.get('topology')}, {header.get('steps_taken')} steps",
-        *tally((event.kind.value for event in trace.events), " events"),
-        f"  snapshots: {len(trace.snapshots)}",
-    ]
+    """The one rendering of a trace: what ``repro trace`` and an observed
+    ``repro run`` print, and ``repro stats`` prints on the trace file."""
+    return analyze(trace).lines()
 
 
 # ---------------------------------------------------------------- analyze
@@ -249,6 +260,17 @@ class TraceAnalysis:
 
     def summary_json(self) -> str:
         return json.dumps(self.summary, **CANONICAL)
+
+    def lines(self) -> List[str]:
+        """The trace's header line, then its probe summary."""
+        header = self.trace.header
+        return [
+            f"trace: {header.get('model')} / {header.get('algorithm')} on "
+            f"{header.get('topology')} seed={header.get('seed')}, "
+            f"{header.get('steps_taken')} steps ({len(self.trace.events)} "
+            f"events, {len(self.trace.snapshots)} snapshots)",
+            f"summary: {self.summary_json()}",
+        ]
 
 
 def analyze(
@@ -374,3 +396,112 @@ def write_analysis_metrics(
     return write_metrics(
         path, analysis.registry, header=header, include_meta=include_meta
     )
+
+
+# ---------------------------------------------------------------- commands
+
+
+class RunObserver:
+    """What ``--trace``, ``--metrics-out`` and ``--timings-out`` attach to
+    one simulated run — :attr:`recorder` and :attr:`bus`, ``None`` unless
+    asked for — and what they write and print after it (:meth:`finish`).
+
+    The snapshot cadence is ``snapshot_every``, or ~100 snapshots over
+    ``steps``.  Timings ride the engine's bus into a
+    :class:`~repro.obs.probes.StepTimerProbe`: wall-clock timing cannot be
+    recovered from a recorded trace, so it is captured live and written to
+    a file of its own, leaving ``--metrics-out`` byte-identical under replay.
+    """
+
+    def __init__(
+        self,
+        *,
+        trace: Optional[str],
+        metrics_out: Optional[str],
+        timings_out: Optional[str],
+        snapshot_every: int,
+        steps: int,
+    ) -> None:
+        self.trace_path = trace
+        self.metrics_out = metrics_out
+        self.timings_out = timings_out
+        self.snapshot_every = 0
+        self.recorder: Optional[TraceRecorder] = None
+        if trace or metrics_out:
+            self.snapshot_every = snapshot_every or max(1, steps // 100)
+            self.recorder = TraceRecorder(snapshot_every=self.snapshot_every)
+        self.timer: Optional[StepTimerProbe] = None
+        self.bus: Optional[EventBus] = None
+        if timings_out:
+            self.timer = StepTimerProbe()
+            self.bus = EventBus()
+            self.bus.subscribe_all(self.timer.on_event)
+
+    def finish(
+        self,
+        *,
+        model: str,
+        algorithm: Any,
+        topology_spec: str,
+        seed: int,
+        threshold: Optional[int],
+        has_depth: bool,
+    ) -> None:
+        """Write the files asked for and print their paths, then the
+        trace's summary — :func:`summarize_trace`'s lines, which ``repro
+        trace`` and ``repro stats`` print on the trace file."""
+        analysis = None
+        if self.recorder is not None:
+            events = self.recorder.events  # the last is of the last step taken
+            header = build_header(
+                model=model,
+                algorithm=algorithm.name,
+                topology=topology_spec,
+                enter_action=algorithm.enter_action,
+                exit_action=algorithm.exit_action,
+                threshold=threshold,
+                has_depth=has_depth,
+                seed=seed,
+                steps_taken=events[-1].step + 1 if events else 0,
+                snapshot_every=self.snapshot_every,
+            )
+            trace = trace_from_recorder(self.recorder, header)
+            if self.trace_path:
+                print(f"trace: {write_trace(self.trace_path, trace)}")
+            analysis = analyze(trace)
+            if self.metrics_out:
+                path = write_analysis_metrics(self.metrics_out, analysis)
+                print(f"metrics: {path}")
+        if self.timer is not None:
+            registry = MetricsRegistry()
+            self.timer.publish(registry)
+            path = write_metrics(
+                self.timings_out,
+                registry,
+                header={
+                    "source": "timings",
+                    "model": model,
+                    "algorithm": algorithm.name,
+                    "topology": topology_spec,
+                    "seed": seed,
+                },
+                include_meta=True,
+            )
+            print(f"timings: {path}")
+        if analysis is not None:
+            print("\n".join(analysis.lines()))
+
+
+def cmd_trace(*, path: str, metrics_out: Optional[str], limit: int) -> int:
+    """``repro trace``: replay a recorded trace offline through the same
+    probes and print its summary — what the recording run printed — then,
+    with ``limit``, its first events."""
+    analysis = analyze(read_trace(path))
+    print("\n".join(analysis.lines()))
+    for event in analysis.trace.events[:limit]:
+        print(str(event))
+    if limit and len(analysis.trace.events) > limit:
+        print(f"... ({len(analysis.trace.events) - limit} more events)")
+    if metrics_out:
+        print(f"metrics: {write_analysis_metrics(metrics_out, analysis)}")
+    return 0

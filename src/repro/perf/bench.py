@@ -212,3 +212,93 @@ def run_benchmarks(
         if progress is not None:
             progress(result)
     return results
+
+
+def cmd_bench(
+    *, quick: bool, filter: Optional[str], list: bool, out: Optional[str],
+    compare: Optional[Sequence[str]], history: Optional[str], threshold: float,
+    profile: bool, profile_out: str, profile_top: int,
+) -> int:
+    """``repro bench``: run the registry's benchmarks (those whose name
+    contains ``filter``) and optionally write a BENCH file — or, instead,
+    ``list`` them, ``compare`` two BENCH files (exit 1 on a regression past
+    ``threshold``) or tabulate a ``history`` directory."""
+    from .bench_io import (
+        compare as compare_bench,
+        format_compare,
+        format_history,
+        read_bench,
+        scan_bench_history,
+        write_bench,
+    )
+
+    if threshold < 0:
+        raise ValueError("--threshold must be non-negative")
+    if history:
+        entries, ignored = scan_bench_history(history)
+        if not entries:
+            raise ValueError(f"{history}: no BENCH_*.json files")
+        print(format_history(entries))
+        if ignored:
+            print(f"ignored {len(ignored)} non-BENCH file(s): " + ", ".join(ignored))
+        return 0
+    if compare:
+        old_path, new_path = compare
+        report = compare_bench(
+            read_bench(old_path), read_bench(new_path), threshold=threshold
+        )
+        print(format_compare(report))
+        return 0 if report.ok else 1
+
+    benches = select(filter)
+    if not benches:
+        raise ValueError(
+            f"no benchmark matches --filter {filter!r}; try `repro bench --list`"
+        )
+    if list:
+        for bench in benches:
+            plan = bench.plan(quick)
+            print(f"{bench.name}  (ops={bench.ops}, rounds={plan.rounds}, "
+                  f"warmup={plan.warmup})")
+        return 0
+
+    profiler = None
+    if profile:
+        import cProfile
+
+        profiler = cProfile.Profile()
+
+    def progress(result: BenchResult) -> None:
+        stats = result.stats
+        rate = result.ops_per_sec
+        print(
+            f"{result.name:35s} median {stats['median_s']:.6f}s  "
+            f"iqr {stats['iqr_s']:.6f}s  min {stats['min_s']:.6f}s  "
+            f"{'' if rate is None else f'{rate:,.0f} ops/s'}"
+        )
+
+    print(f"running {len(benches)} benchmarks ({'quick' if quick else 'full'})")
+    results = run_benchmarks(
+        benches, quick=quick, profiler=profiler, progress=progress
+    )
+    if out:
+        path = write_bench(
+            out,
+            results,
+            options={"quick": quick, "filter": filter, "profiled": profile},
+        )
+        print(f"bench: {path}")
+    if profiler is not None:
+        from .profile import format_hotspots, hotspots, write_profile_metrics
+
+        print(format_hotspots(hotspots(profiler, top=profile_top)))
+        path = write_profile_metrics(
+            profile_out,
+            profiler,
+            header={"benchmarks": len(results), "quick": quick},
+            top=profile_top,
+        )
+        print(f"profile: {path}")
+        print("note: profiled round times are inflated; do not commit them "
+              "as a baseline")
+    return 0

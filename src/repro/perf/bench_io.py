@@ -92,13 +92,13 @@ def write_bench(
     return write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
-def read_bench(path: Path | str) -> Dict[str, Any]:
+def read_bench(path: Path | str, document: Any = None) -> Dict[str, Any]:
     """Load and validate a BENCH document.
 
     Raises ``ValueError`` with a one-line reason on anything that is not a
     version-matched BENCH file — the CLI turns that into a clean exit.
     """
-    payload = read_document(path)
+    payload = read_document(path, document)
     if not isinstance(payload, dict) or payload.get("kind") != "bench":
         raise ValueError(f"{path}: not a BENCH file")
     if payload.get("format") != BENCH_FORMAT_VERSION:

@@ -17,7 +17,7 @@ import time
 
 from ..core import NADiners, invariant_report, invariant_with_threshold
 from ..fastcore.explorer import FastTransitionSystem
-from ..sim import System, Topology
+from ..sim import System, from_spec
 from ..sim.errors import StateSpaceExceededError
 from .explorer import space_size
 from .properties import check_closure, check_convergence
@@ -49,23 +49,19 @@ def full_space(fts: FastTransitionSystem, predicate):
 
 
 def run_check(
-    topology: Topology,
-    spec: str,
-    *,
-    corrected_threshold: bool = False,
-    reachable: bool = False,
-    max_states: int = 1_000_000,
-    progress: int = 0,
+    *, topology: str, corrected_threshold: bool = False, reachable: bool = False,
+    max_states: int = 1_000_000, progress: int = 0,
 ) -> int:
-    """Check ``topology`` (``spec`` is how the user named it) and print the
-    verdict; the return value is the process exit code: 0 proved / no
-    violation, 1 not, 2 past ``max_states``.
+    """``repro check``: check the topology named by the spec ``topology``
+    and print the verdict; the return value is the process exit code: 0
+    proved / no violation, 1 not, 2 past ``max_states``.
 
     Default: closure of ``I`` and convergence to it from *every* state
     (``needs`` pinned true).  ``reachable``: BFS from the all-hungry initial
     configuration auditing eating-exclusion instead, with a stderr heartbeat
     every ``progress`` BFS levels.
     """
+    spec, topology = topology, from_spec(topology)
     threshold = (
         topology.longest_simple_path() if corrected_threshold else topology.diameter
     )

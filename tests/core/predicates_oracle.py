@@ -13,19 +13,27 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from repro.core.state import (
-    VAR_DEPTH,
-    DinerState,
-    diner_state,
-    direct_ancestors,
-    direct_descendants,
-)
+from repro.core.state import VAR_DEPTH, VAR_STATE, DinerState, direct_ancestors
 from repro.sim.configuration import Configuration
 from repro.sim.topology import Pid
 
 T = DinerState.THINKING
 H = DinerState.HUNGRY
 E = DinerState.EATING
+
+
+def diner_state(config: Configuration, pid: Pid) -> DinerState:
+    """The T/H/E state of ``pid`` in ``config``."""
+    return DinerState(config.local(pid, VAR_STATE))
+
+
+def direct_descendants(config: Configuration, pid: Pid) -> Tuple[Pid, ...]:
+    """Neighbours ``pid`` has priority over (edge variable names ``pid``)."""
+    return tuple(
+        q
+        for q in config.topology.neighbors(pid)
+        if config.edge_value(pid, q) == pid
+    )
 
 
 # --------------------------------------------------------- priority graph

@@ -1,13 +1,9 @@
 """Unit tests for the shared diners vocabulary (core.state)."""
 
-from repro.core import (
-    DinerState,
-    NADiners,
-    diner_state,
-    direct_ancestors,
-    direct_descendants,
-)
+from repro.core import DinerState, NADiners, direct_ancestors
 from repro.sim import System, edge, line, star
+
+from .predicates_oracle import diner_state, direct_descendants
 
 
 class TestDinerState:

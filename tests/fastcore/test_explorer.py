@@ -373,6 +373,6 @@ class TestFullSpace:
             return real(codec, ps)
 
         monkeypatch.setattr(PackedCodec, "unpack", counting)
-        assert run_check(line(3), "line:3") == 0
+        assert run_check(topology="line:3") == 0
         assert "924 legit states" in capsys.readouterr().out
         assert unpacked == []

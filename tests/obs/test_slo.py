@@ -18,10 +18,10 @@ from repro.obs import (
     SloSpec,
     evaluate,
     evaluate_objective,
-    format_report,
     ingest_artefact,
     read_slo_report,
     read_slo_spec,
+    summarize_slo_report,
     write_slo_report,
 )
 from repro.sim import ring
@@ -215,13 +215,12 @@ class TestReportDocument:
             assert forbidden not in text
 
     def test_format_report_verdict_line(self):
-        report = self._report()
-        text = format_report(report)
-        assert text.splitlines()[-1].startswith("budget: OK")
+        lines = summarize_slo_report(self._report().to_json())
+        assert lines[-1].startswith("budget: OK")
         obs = SloObservations()
         ingest_artefact(obs, FIXTURES / "violation.events")
-        text = format_report(evaluate(fixture_spec(), obs))
-        assert text.splitlines()[-1] == "budget: EXHAUSTED — safety"
+        lines = summarize_slo_report(evaluate(fixture_spec(), obs).to_json())
+        assert lines[-1] == "budget: EXHAUSTED — safety"
 
 
 class TestIngestArtefact:

@@ -129,6 +129,20 @@ class TestFileRoundTrip:
         with pytest.raises(SimulationError):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("slo-report", '{\n  "format": 1,\n  "kind": "slo-report"\n}\n'),
+            ("metrics", '{"format":1,"kind":"header","source":"unit"}\n'),
+        ],
+    )
+    def test_another_artefact_is_named(self, tmp_path, kind, text):
+        # A pretty-printed report once read as "line 1: not valid JSON".
+        path = tmp_path / "other.json"
+        path.write_text(text)
+        with pytest.raises(SimulationError, match=f": {kind} artefact, not a trace"):
+            read_trace(path)
+
     def test_wrong_format_version_rejected(self, tmp_path):
         path = tmp_path / "future.trace"
         path.write_text('{"format":99,"kind":"header","model":"sim"}\n')

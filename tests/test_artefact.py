@@ -247,6 +247,29 @@ def test_stats_opens_a_trace_at_most_twice(tmp_path, capsys, monkeypatch):
     assert 1 <= len(opened) <= 2
 
 
+@pytest.mark.parametrize(
+    "name", ["loadgen", "slo-spec", "slo-report", "bench", "schedule"]
+)
+def test_stats_parses_a_document_once(name, tmp_path, capsys, monkeypatch):
+    """Identification parses a pretty-printed document whole; the reader
+    gets that parse instead of making its own."""
+    path = _build(name, tmp_path)
+    whole = path.read_bytes().strip()
+    assert b"\n" in whole  # a document, not a one-line JSONL file
+    parses = []
+    real_loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        data = text.encode() if isinstance(text, str) else bytes(text)
+        if data.strip() == whole:
+            parses.append(name)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    assert main(["stats", str(path)]) == 0
+    assert len(parses) == 1
+
+
 def test_importing_the_registry_loads_no_optional_subpackage():
     probe = (
         "import sys, repro.artefact; print([m for m in ('repro.gateway', "

@@ -1,35 +1,44 @@
 """Tests for the command-line interface."""
 
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import ALGORITHMS, main, parse_topology
+from repro.cli import (
+    ALGORITHMS,
+    COMMANDS,
+    build_parser,
+    entry_point,
+    main,
+)
+from repro.sim import from_spec
+from repro.sim.errors import TopologyError
 
 
 class TestParseTopology:
     def test_ring(self):
-        assert len(parse_topology("ring:6")) == 6
+        assert len(from_spec("ring:6")) == 6
 
     def test_grid(self):
-        assert len(parse_topology("grid:4:3")) == 12
+        assert len(from_spec("grid:4:3")) == 12
 
     def test_tree(self):
-        assert len(parse_topology("tree:2")) == 7
+        assert len(from_spec("tree:2")) == 7
 
     def test_random_with_seed(self):
-        t1 = parse_topology("random:8:3")
-        t2 = parse_topology("random:8:3")
+        t1 = from_spec("random:8:3")
+        t2 = from_spec("random:8:3")
         assert t1.edges == t2.edges
 
     def test_unknown_kind(self):
-        with pytest.raises(SystemExit):
-            parse_topology("torus:3")
+        with pytest.raises(TopologyError):
+            from_spec("torus:3")
 
     def test_bad_arity(self):
-        with pytest.raises(SystemExit):
-            parse_topology("grid:4")
+        with pytest.raises(TopologyError):
+            from_spec("grid:4")
 
 
 class TestCommands:
@@ -107,7 +116,7 @@ class TestCommands:
     def test_node_hosts_its_diner_in_repair_mode(self, monkeypatch):
         """A standalone node runs over links that drop frames, so it hosts
         the same repair-mode process the supervisor would build."""
-        import repro.net
+        import repro.net.cluster
 
         hosted = []
 
@@ -121,7 +130,7 @@ class TestCommands:
             async def start_listening(self):
                 raise Hosted
 
-        monkeypatch.setattr(repro.net, "NodeServer", CaptureServer)
+        monkeypatch.setattr(repro.net.cluster, "NodeServer", CaptureServer)
         for extra in ([], ["--lock-service"]):
             with pytest.raises(Hosted):
                 main(["node", "--topology", "line:2", "--pid", "0", *extra])
@@ -414,6 +423,18 @@ class TestPerfCli:
         assert "source: timings" in text
         assert "step_time/" in text
         assert "rate/events_per_sec" in text
+
+    def test_timings_alone_record_no_trace(self, tmp_path, capsys):
+        """--timings-out rides the engine bus; only --trace or --metrics-out
+        record a trace, so timings alone print no trace summary."""
+        timings = tmp_path / "run.timings"
+        assert main([
+            "run", "--topology", "ring:5", "--steps", "600",
+            "--timings-out", str(timings),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert f"timings: {timings}" in out
+        assert "summary:" not in out
 
     def test_timings_do_not_perturb_deterministic_metrics(self, tmp_path, capsys):
         """--timings-out must leave --metrics-out byte-identical."""
@@ -729,7 +750,7 @@ class TestSloCli:
         ])
         out = capsys.readouterr().out
         assert code in (0, 1)
-        assert "slo spec: soak-defaults" in out
+        assert "SLO report: soak-defaults" in out
         assert "budget:" in out
         assert report.exists()
 
@@ -781,7 +802,7 @@ class TestLoadgenCommand:
     def test_sim_smoke(self, tmp_path, capsys):
         code, path, out = self._sim(tmp_path, capsys)
         assert code == 0
-        assert "loadgen [sim]" in out
+        assert "loadgen report [sim]:" in out
         assert "latency: p50=" in out and "p999=" in out
         assert "fairness: grant_count_cv=" in out
         assert path.exists()
@@ -838,8 +859,119 @@ class TestLoadgenCommand:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "loadgen [live]" in out
+        assert "loadgen report [live]:" in out
         assert "safety: OK" in out
         assert report.exists()
         assert main(["stats", str(report)]) == 0
         assert "loadgen report [live]:" in capsys.readouterr().out
+
+
+class TestDispatch:
+    """`repro.cli` is the parser and a table; the bodies live beside their
+    subsystems and take exactly the flags their parser defines."""
+
+    #: Positional arguments and required flags, so every parser parses.
+    REQUIRED = {
+        "trace": ["x"], "stats": ["x"], "node": ["--pid", "0"],
+        "timeline": ["x"], "slo": ["x", "y"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_entry_point_takes_its_flags(self, command):
+        from repro.net.cluster import cluster_config
+
+        flags = vars(build_parser().parse_args(
+            command.split() + self.REQUIRED.get(command, [])
+        ))
+        flags.pop("command")
+        flags.pop("cluster_command", None)
+        params = inspect.signature(entry_point(command)).parameters
+        named = {n for n, p in params.items() if p.kind is p.KEYWORD_ONLY}
+        required = {n for n in named if params[n].default is params[n].empty}
+        assert required <= set(flags)
+        rest = set(flags) - named
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            # the shared live-cluster flags, handed on to cluster_config
+            assert rest <= set(inspect.signature(cluster_config).parameters)
+        else:
+            assert not rest
+
+
+class TestUserErrors:
+    """A bad argument ends in one line on stderr, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--steps", "-1"],
+            ["sweep", "--steps", "-5"],
+            ["stabilize", "--max-steps", "-1"],
+            ["locality", "--victim", "99"],
+            ["locality", "--victim", "-1"],
+            ["report", "--jobs", "0"],
+            ["fuzz", "--budget", "0"],
+            ["sweep", "--crash-victim", "0", "--crash-at", "-3"],
+        ],
+        ids="_".join,
+    )
+    def test_one_line_exit(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        message = info.value.code  # what the interpreter prints; status 1
+        assert isinstance(message, str) and message
+        assert "\n" not in message and "Traceback" not in message
+        assert capsys.readouterr().err == ""
+
+
+class TestOneRendering:
+    """What a command prints about its result is the block `repro stats`
+    prints on the file the command wrote."""
+
+    def _assert_block(self, argv, path, capsys):
+        assert main(argv) in (0, 1)
+        out = capsys.readouterr().out
+        assert main(["stats", str(path)]) == 0
+        stats = capsys.readouterr().out
+        assert stats.strip() and f"\n{stats}" in f"\n{out}"
+
+    def test_slo(self, tmp_path, capsys):
+        out = tmp_path / "slo-report.json"
+        fixtures = TestSloCli.FIXTURES
+        self._assert_block(
+            ["slo", f"{fixtures}/spec.json", f"{fixtures}/violation.events",
+             "--out", str(out)],
+            out, capsys,
+        )
+
+    def test_loadgen_sim(self, tmp_path, capsys):
+        out = tmp_path / "loadgen-report.json"
+        self._assert_block(
+            ["loadgen", "--sim", "--nodes", "3", "--seed", "11", "--duration",
+             "1.0", "--clients", "300", "--think", "0.1", "--out", str(out)],
+            out, capsys,
+        )
+
+    def test_run_trace(self, tmp_path, capsys):
+        trace = tmp_path / "run.trace"
+        self._assert_block(
+            ["run", "--topology", "ring:5", "--steps", "600",
+             "--trace", str(trace)],
+            trace, capsys,
+        )
+
+    def test_timeline(self, tmp_path, capsys):
+        from repro.obs.tracing import SpanRecorder, write_spans
+
+        a, b = SpanRecorder("0"), SpanRecorder("1")
+        acquire = a.open("acquire", lc=1, t=0.0)
+        a.event(acquire, "send", lc=2, t=0.01, detail={"dst": "1", "seq": 1})
+        root = b.open("node", lc=1, t=0.0)
+        b.event(root, "recv", lc=3, t=0.02, detail={"src": "0", "seq": 1})
+        a.event(acquire, "grant", lc=4, t=0.05)
+        a.close(acquire, lc=5, t=0.06)
+        for tracer in (a, b):
+            write_spans(tmp_path / f"spans-{tracer.node}.jsonl", tracer)
+        out = tmp_path / "timeline.jsonl"
+        self._assert_block(
+            ["timeline", str(tmp_path), "--out", str(out)], out, capsys
+        )
