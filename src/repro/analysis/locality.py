@@ -142,16 +142,14 @@ def measure_failure_locality(
             engine.inject(MaliciousCrash(victim, malicious_steps=malicious_steps))
 
     engine.run(settle_steps)
-    baseline = dict(engine.action_counts)
+    baseline = {pid: engine.eats_of(pid) for pid in topology.nodes}
     engine.run(window)
 
-    enter = algorithm.enter_action
-    eats: Dict[Pid, int] = {}
-    for pid in topology.nodes:
-        if not system.is_live(pid):
-            continue
-        key = (pid, enter)
-        eats[pid] = engine.action_counts.get(key, 0) - baseline.get(key, 0)
+    eats: Dict[Pid, int] = {
+        pid: engine.eats_of(pid) - baseline[pid]
+        for pid in topology.nodes
+        if system.is_live(pid)
+    }
 
     starving = frozenset(pid for pid, count in eats.items() if count == 0)
     radius: Optional[int] = None

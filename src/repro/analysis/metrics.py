@@ -71,14 +71,14 @@ class ThroughputReport:
 
 def throughput_report(engine: Engine, steps: int) -> ThroughputReport:
     """Run ``engine`` for ``steps`` and report the eats delta per process."""
-    before = dict(engine.action_counts)
+    pids = engine.system.pids
+    before = {pid: engine.eats_of(pid) for pid in pids}
     result = engine.run(steps)
-    enter = engine.system.algorithm.enter_action
-    eats: Dict[Pid, int] = {}
-    for pid in engine.system.pids:
-        if engine.system.is_live(pid):
-            key = (pid, enter)
-            eats[pid] = engine.action_counts.get(key, 0) - before.get(key, 0)
+    eats: Dict[Pid, int] = {
+        pid: engine.eats_of(pid) - before[pid]
+        for pid in pids
+        if engine.system.is_live(pid)
+    }
     return ThroughputReport(
         algorithm=engine.system.algorithm.name,
         steps=result.steps,

@@ -11,21 +11,22 @@ engine's and exist once; the havoc/randomize draw recipe is
 ``StateStore``'s and exists once.  So a seed produces the same computation
 on either store by construction, and what the co-run battery in
 ``tests/fastcore`` still has to vouch for is the part that is *lowered*
-twice: Figure 1's guards and commands (the code
+twice: Figure 1's guards and commands (the program
 :func:`repro.fastcore.table.vector_program` generates from the action table
-against the ``ActionDef``s :func:`repro.core.figure1.view_program` generates
-from the same rows).
+and each store binds over its own vectors, against the ``ActionDef``s
+:func:`repro.core.figure1.view_program` generates from the same rows).
 Like ``System``, the packed store re-evaluates guards incrementally — a
 write at ``p`` re-evaluates ``p`` and its neighbours — here a handful of
 bitset operations per process instead of a dict walk through
-``ProcessView``.
+``ProcessView``, and for the engine's ``fire(p, a)`` inside the same
+generated frame as the command.
 
 What the packed store cannot run it refuses with
 :class:`~repro.fastcore.packed.UnsupportedBackendError`: an algorithm with
 no action table, or whose actions are not its table's (at construction,
 in :class:`PackedCodec`) — and any part of ``System``'s public
 surface it does not serve (a strategy or score function reaching for
-``read_edge``, ``view``, ``restore`` …, on first use).
+``read_edge``, ``view``, ``restore`` …, on first read).
 """
 
 from __future__ import annotations
@@ -87,17 +88,18 @@ class PackedSystem(StateStore):
         #: table, cap and D, however many stores are built).
         program = vector_program(codec.table, codec.cap, codec.d_const)
         self.source = program.source
-        self._guards = program.functions["recompute"]
-        self._apply = program.functions["apply"]
         self._action_index = {name: a for a, name in enumerate(codec.table.names)}
-        self._nbrs = codec.nbrs
         #: Who may read a cell of ``p``: the process and its neighbours.
         self._readers = tuple((p,) + row for p, row in enumerate(codec.nbrs))
+        # ``fire(p, a)`` is the engine's per-step entry, spared the pid/name
+        # round trip: command, masks and guard refresh in one generated
+        # frame.  The closures hold ``ps``'s lists and the enabled set's
+        # ``bits``/``changed``, which are therefore never rebound.
+        self.fire, self._recompute, self._set_state = program.functions["bind"](
+            ps.state, ps.needs, ps.depth, ps.status, ps.anc, ps.desc,
+            codec.nbrs, self._readers, self._enabled,
+        )
         self._local_domains = codec.local_domains
-        # Whole-system bitsets the guards read, maintained with the state.
-        self._nonT_mask = self._e_mask = 0
-        for p, code in enumerate(ps.state):
-            self._state_changed(p, code)
         edge_cells = {
             e: (self._orient, (i, j), dom) for e, i, j, dom in codec.edge_order
         }
@@ -113,17 +115,6 @@ class PackedSystem(StateStore):
         }
         self._recompute(range(codec.n))
 
-    def __getattr__(self, name: str):
-        # The one refusal for "the packed store does not serve that": a
-        # strategy, score function or fault event written against System
-        # gets a typed error naming what it reached for.
-        if not name.startswith("_") and hasattr(System, name):
-            raise UnsupportedBackendError(
-                f"the packed store does not serve System.{name}; "
-                "run this on the object backend"
-            )
-        raise AttributeError(name)
-
     def _p(self, pid: Pid) -> int:
         try:
             return self._index[pid]
@@ -131,17 +122,6 @@ class PackedSystem(StateStore):
             raise UnknownProcessError(pid) from None
 
     # -------------------------------------------------------------- guards
-
-    def _recompute(self, processes: Tuple[int, ...]) -> None:
-        """Refresh the enabled bits of ``processes`` after state they read
-        changed — ``_readers[p]`` after a write at ``p``."""
-        # The per-step hot loop is generated: guards and ``EnabledSet.update``
-        # inline in one loop, no call per process.
-        ps = self._ps
-        self._guards(
-            processes, self._enabled, ps.state, ps.needs, ps.depth, ps.status,
-            ps.anc, ps.desc, self._nonT_mask, self._e_mask,
-        )
 
     def _wrote(self, pid: Pid) -> None:
         self._recompute(self._readers[self._index[pid]])
@@ -152,25 +132,6 @@ class PackedSystem(StateStore):
         if self._ps.status[p]:
             raise DeadProcessError(pid)
         self.fire(p, self._action_index[action.name])
-
-    def fire(self, p: int, a: int) -> None:
-        """:meth:`execute` in the indices the packed encoding thinks in —
-        the engine's per-step entry, spared the pid/name round trip."""
-        ps = self._ps
-        self._apply(p, a, self._nbrs[p], ps.state, ps.depth, ps.anc, ps.desc)
-        self._state_changed(p, ps.state[p])
-        self._recompute(self._readers[p])
-
-    def _state_changed(self, p: int, code: int) -> None:
-        bp = 1 << p
-        if code:
-            self._nonT_mask |= bp
-        else:
-            self._nonT_mask &= ~bp
-        if code == 2:
-            self._e_mask |= bp
-        else:
-            self._e_mask &= ~bp
 
     # -------------------------------------------------------------- status
 
@@ -223,8 +184,7 @@ class PackedSystem(StateStore):
         p, variable = cell
         ps = self._ps
         if variable == VAR_STATE:
-            code = ps.state[p] = STATE_CODE[value]
-            self._state_changed(p, code)
+            self._set_state(p, STATE_CODE[value])
         elif variable == VAR_NEEDS:
             ps.needs[p] = value
         else:
@@ -247,6 +207,26 @@ class PackedSystem(StateStore):
     def snapshot(self) -> Configuration:
         """Decode the current packed state into a Configuration."""
         return self.codec.unpack(self._ps)
+
+
+def _refusal(name: str) -> property:
+    def refuse(self):
+        raise UnsupportedBackendError(
+            f"the packed store does not serve System.{name}; "
+            "run this on the object backend"
+        )
+
+    return property(refuse)
+
+
+# The one refusal for "the packed store does not serve that": a strategy,
+# score function or fault event written against System gets a typed error
+# naming what it reached for.  Properties rather than ``__getattr__``: a
+# class with that hook takes CPython's slow path on *every* attribute read,
+# and the engine reads the store's several times a step.
+for _name in dir(System):
+    if not _name.startswith("_") and not hasattr(PackedSystem, _name):
+        setattr(PackedSystem, _name, _refusal(_name))
 
 
 class FastEngine(Engine):

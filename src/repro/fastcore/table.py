@@ -12,8 +12,10 @@ each turning a table into Python source that is ``compile()``d once:
   no function is called per transition.  It is the body of
   :meth:`FastTransitionSystem.successors_packed`.
 * :func:`vector_program` — topology-independent, memoised per (table, cap,
-  ``D``) so a campaign's thousand stores compile once: the guard loop and
-  the commands :class:`PackedSystem` runs over its vectors and bitsets.
+  ``D``) so a campaign's thousand stores compile once: a ``bind`` factory
+  each :class:`PackedSystem` calls once over its vectors and bitsets, whose
+  ``fire(p, a)`` is a whole packed step — the row's command, the masks the
+  guards read, the guard refresh of ``p``'s readers — in one frame.
 
 Both share :func:`_emit_rows`, which is where the table's structure becomes
 control flow: rows whose guard tests the process's own ``state`` are
@@ -110,7 +112,7 @@ def _block(pairs: Sequence[Tuple[str, str]], low: _Lowering) -> List[str]:
 
 
 def _indent(lines: Sequence[str], by: str = "    ") -> List[str]:
-    return [by + line for line in lines]
+    return [by + line if line else line for line in lines]
 
 
 def _emit_rows(table: ActionTable, low: _Lowering) -> List[str]:
@@ -263,12 +265,32 @@ def int_key_program(codec) -> Program:
 # --------------------------------------------------------- vector lowering
 
 
+#: The whole-system masks the guards read, updated where a command assigns
+#: ``state``: per assigned code, what happens to its bit ``bp`` in each.
+_MASK_UPDATE = {
+    0: ["nonT &= ~bp", "eating &= ~bp"],
+    1: ["nonT |= bp", "eating &= ~bp"],
+    2: ["nonT |= bp", "eating |= bp"],
+}
+
+
 @lru_cache(maxsize=None)
 def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Program:
-    """``recompute`` and ``apply`` over :class:`PackedState`'s vectors, for
-    any topology: the guard loop (with the enabled set's bookkeeping) and
-    the commands.  Memoised — one compile per (table, cap, ``D``) per
-    process, however many stores are built."""
+    """``bind(state, needs, depth, status, anc, desc, nbrs, readers,
+    enabled)`` over :class:`PackedState`'s vectors, for any topology.
+
+    ``bind`` returns three closures over one store's vectors, its enabled
+    set's ``bits``/``changed`` and the non-thinking and eating masks (kept
+    as ``nonlocal`` ints, computed from ``state`` at bind time):
+
+    * ``fire(p, a)`` — row ``a``'s command at ``p``, the masks' update, then
+      the guard refresh of ``readers[p]``: a packed step in one frame;
+    * ``recompute(processes)`` — refresh the enabled bits of ``processes``;
+    * ``set_state(p, code)`` — store a state code and update the masks.
+
+    The closures hold the lists, so they must be mutated in place and never
+    rebound.  Memoised — one compile per (table, cap, ``D``) per process,
+    however many stores are built."""
     prop = [
         "m = 0",
         "dm = desc[p]",
@@ -295,48 +317,86 @@ def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Prog
     )
     guards = _emit_rows(table, low)
     uses_depth = any(re.search(r"\bd\b", line) for line in guards)
-    recompute = [
-        "def recompute(processes, enabled, state, needs, depth, status,",
-        "              anc, desc, nonT, eating):",
-        '    """Refresh ``enabled`` for ``processes``."""',
-        "    bits = enabled.bits",
-        "    for p in processes:",
-        "        new = 0",
-        "        if not status[p]:",
-        "            s = state[p]",
-    ] + (["            d = depth[p]"] if uses_depth else []) + _indent(
-        guards, " " * 12
-    ) + [
-        "        old = bits[p]",
-        "        if new != old:",
-        "            bits[p] = new",
-        "            enabled.count += new.bit_count() - old.bit_count()",
-        "            enabled.changed.add(p)",
-    ]
-    apply = [
-        "def apply(p, a, nbrs, state, depth, anc, desc):",
-        '    """Run action ``a`` at ``p`` in place."""',
+
+    def refresh(over: str) -> List[str]:
+        """The guard loop over ``over`` with the enabled set's bookkeeping
+        inline: the one text both refreshes are made of."""
+        return [
+            f"for p in {over}:",
+            "    new = 0",
+            "    if not status[p]:",
+            "        s = state[p]",
+        ] + (["        d = depth[p]"] if uses_depth else []) + _indent(
+            guards, " " * 8
+        ) + [
+            "    old = bits[p]",
+            "    if new != old:",
+            "        bits[p] = new",
+            "        enabled.count += new.bit_count() - old.bit_count()",
+            "        changed.add(p)",
+        ]
+
+    fire = [
+        "def fire(p, a):",
+        '    """Run action ``a`` at ``p``, then refresh everyone who reads it."""',
+        "    nonlocal nonT, eating",
     ]
     for a, row in enumerate(table.rows):
-        apply.append(f"    {'if' if a == 0 else 'elif'} a == {a}:  # {row.name}")
+        fire.append(f"    {'if' if a == 0 else 'elif'} a == {a}:  # {row.name}")
         command: List[str] = []
+        if row.away or "state" in dict(row.assign):
+            command.append("bp = 1 << p")
         for variable, value in row.assign:
             if value in low.preludes:
                 command += low.preludes[value]
-            value = str(STATE_CODE.get(value, low.atoms.get(value, value)))
-            command.append(f"{variable}[p] = {value}")
+            code = STATE_CODE.get(value)
+            command.append(
+                f"{variable}[p] = {low.atoms.get(value, value) if code is None else code}"
+            )
+            if variable == "state":
+                command += _MASK_UPDATE[code]
         if row.away:
             command += [
-                "bp = 1 << p",
-                "for q in nbrs:",
+                "for q in nbrs[p]:",
                 "    bq = 1 << q",
                 "    anc[p] |= bq",
                 "    desc[p] &= ~bq",
                 "    anc[q] &= ~bp",
                 "    desc[q] |= bp",
             ]
-        apply += _indent(command, " " * 8)
-    source = "\n".join(recompute + ["", ""] + apply + [""])
+        fire += _indent(command, " " * 8)
+    # ``readers[p]`` is evaluated once, before the loop rebinds ``p``.
+    fire += _indent(refresh("readers[p]"))
+    body = [
+        "nonT = eating = 0",
+        "for p, s in enumerate(state):",
+        "    if s:",
+        "        nonT |= 1 << p",
+        "        if s == 2:",
+        "            eating |= 1 << p",
+        "bits, changed = enabled.bits, enabled.changed",
+        "",
+        "def recompute(processes):",
+        '    """Refresh the enabled bits of ``processes``."""',
+    ] + _indent(refresh("processes")) + [
+        "",
+        "def set_state(p, code):",
+        '    """Store state ``code`` at ``p``; no guard is refreshed."""',
+        "    nonlocal nonT, eating",
+        "    state[p] = code",
+        "    bp = 1 << p",
+        "    nonT = nonT | bp if code else nonT & ~bp",
+        "    eating = eating | bp if code == 2 else eating & ~bp",
+        "",
+    ] + fire + ["", "return fire, recompute, set_state"]
+    source = "\n".join(
+        [
+            "def bind(state, needs, depth, status, anc, desc, nbrs, readers, enabled):",
+            '    """Figure 1 bound to one store: ``(fire, recompute, set_state)``."""',
+        ]
+        + _indent(body)
+        + [""]
+    )
     names = "+".join(table.names)
     return compile_program(
         source, f"<repro.fastcore vector {names} cap={cap} D={d_const}>"

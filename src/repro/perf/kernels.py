@@ -159,9 +159,12 @@ def fastcore_steps_ring():
     1000 steps per op — with the one engine driving a
     :class:`repro.fastcore.PackedSystem` instead of the object model.  Same
     engine, daemon and ledger, so both kernels execute the *same* action
-    sequence and the ratio is representation alone (bitset guards and
-    commands against dicts and ``ProcessView`` calls): 3.5x measured, gated
-    in CI at >= 1.7x (EXPERIMENTS.md E18 has the history).
+    sequence and the ratio is representation alone: a packed action is one
+    generated frame (command, masks and the readers' guard refresh, bound
+    to the store's vectors) against ``ProcessView`` calls and a guard call
+    per action per stale process.  CI gates the ratio (see the
+    ``fastcore-smoke`` job for the floor; EXPERIMENTS.md E18 has the
+    history).
     """
     from ..core import NADiners
     from ..fastcore import FastEngine

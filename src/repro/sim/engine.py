@@ -123,8 +123,13 @@ class Engine:
         self.bus = bus
         self.rng = rng if rng is not None else random.Random(seed)
         self.step_count = 0
-        #: Executed algorithm actions, keyed by ``(pid, action_name)``.
-        self.action_counts: Counter = Counter()
+        enabled = system.enabled()
+        self._pids = enabled.pids
+        self._names = tuple(action.name for action in enabled.actions)
+        self._width = len(self._names)
+        #: Executed algorithm actions, at ``p * width + a`` (the enabled
+        #: set's indices); :attr:`action_counts` is the named reading.
+        self._counts = [0] * (len(self._pids) * self._width)
         self._malicious_budget: Dict[Pid, int] = (
             faults.malicious_budget() if faults is not None else {}
         )
@@ -164,11 +169,10 @@ class Engine:
         enabled = system.enabled()
         if enabled.count:
             p, a = self.daemon.select(system, enabled, step, self.rng)
-            pid = enabled.pids[p]
-            name = enabled.actions[a].name
             if not (enabled.bits[p] >> a) & 1:
                 raise SchedulingError(
-                    f"daemon chose disabled action {name!r} at {pid!r}"
+                    f"daemon chose disabled action {self._names[a]!r} "
+                    f"at {self._pids[p]!r}"
                 )
             # The payload is the acting process's locals *before* the command
             # runs: probes need the value ``depth`` held when ``exit`` fired,
@@ -178,13 +182,15 @@ class Engine:
             wanted = self.recorder is not None or (
                 bus is not None and bus.wants_events
             )
-            payload = system.locals_of(pid) if wanted else None
+            payload = system.locals_of(self._pids[p]) if wanted else None
             system.fire(p, a)
-            self.action_counts[(pid, name)] += 1
+            self._counts[p * self._width + a] += 1
             if wanted:
-                self._emit(step, EventKind.ACTION, pid, name, payload)
+                self._emit(
+                    step, EventKind.ACTION, self._pids[p], self._names[a], payload
+                )
             elif bus is not None:
-                bus.announce(step, EventKind.ACTION, pid, name)
+                bus.announce(step, EventKind.ACTION, self._pids[p], self._names[a])
         else:
             if not pending_faults and not system.malicious_pids():
                 return False
@@ -288,6 +294,23 @@ class Engine:
         if self.recorder is not None:
             self.recorder.record_event(event)
 
+    @property
+    def action_counts(self) -> Counter:
+        """Executed algorithm actions, keyed by ``(pid, action_name)``."""
+        pids, names, width = self._pids, self._names, self._width
+        return Counter({
+            (pids[i // width], names[i % width]): count
+            for i, count in enumerate(self._counts)
+            if count
+        })
+
+    def _enter_index(self, enter_action: Optional[str]) -> int:
+        """The action index of ``enter_action`` (default: the algorithm's),
+        or -1 when the algorithm has no such action."""
+        if enter_action is None:
+            enter_action = self.algorithm.enter_action
+        return self._names.index(enter_action) if enter_action in self._names else -1
+
     def eats_of(self, pid: Pid, enter_action: Optional[str] = None) -> int:
         """How many times ``pid`` has executed its enter action.
 
@@ -295,19 +318,15 @@ class Engine:
         (``Algorithm.enter_action``), so variants that rename their
         critical-section entry are counted correctly.
         """
-        if enter_action is None:
-            enter_action = self.algorithm.enter_action
-        return self.action_counts[(pid, enter_action)]
+        a = self._enter_index(enter_action)
+        if a < 0 or pid not in self._pids:
+            return 0
+        return self._counts[self._pids.index(pid) * self._width + a]
 
     def total_eats(self, enter_action: Optional[str] = None) -> int:
         """Total enter-action executions across all processes."""
-        if enter_action is None:
-            enter_action = self.algorithm.enter_action
-        return sum(
-            count
-            for (pid, name), count in self.action_counts.items()
-            if name == enter_action
-        )
+        a = self._enter_index(enter_action)
+        return sum(self._counts[a :: self._width]) if a >= 0 else 0
 
     # ------------------------------------------------------------ internals
 

@@ -11,7 +11,8 @@ inherits the no-fixdepth table, so it is that program):
 * the int-key program's successors equal the object model's transition for
   transition, in order, and its eating flag is the E audit;
 * the vector program's enabled bits name the same transitions, and each of
-  its commands produces the same target.
+  its fires produces the same target and leaves the enabled bits a
+  from-scratch evaluation of that target gives.
 
 Plus what the generated code owes its users: one ``compile`` however many
 stores are built, source a traceback can show, the typed refusal.
@@ -83,31 +84,36 @@ def arbitrary_state(codec, rng):
     )
 
 
-def vector_enabled(codec, ps):
-    """The vector program's enabled ``(p, a)`` list at ``ps``."""
+def bound(codec, ps):
+    """The vector program bound over ``ps`` (mutated in place by ``fire``),
+    every enabled bit evaluated from scratch: ``(fire, enabled)``."""
     program = vector_program(codec.table, codec.cap, codec.d_const)
     enabled = EnabledSet(codec.pids, codec.algorithm.actions())
-    non_t = sum(1 << p for p, s in enumerate(ps.state) if s)
-    eating = sum(1 << p for p, s in enumerate(ps.state) if s == 2)
-    program.functions["recompute"](
-        range(codec.n), enabled, ps.state, ps.needs, ps.depth, ps.status,
-        ps.anc, ps.desc, non_t, eating,
+    readers = tuple((p,) + row for p, row in enumerate(codec.nbrs))
+    fire, recompute, _set_state = program.functions["bind"](
+        ps.state, ps.needs, ps.depth, ps.status, ps.anc, ps.desc,
+        codec.nbrs, readers, enabled,
     )
+    recompute(range(codec.n))
     assert enabled.count == sum(b.bit_count() for b in enabled.bits)
-    return enabled.items()
+    return fire, enabled
 
 
 def check_vector_program(codec, ps, reference):
     names = codec.table.names
-    items = vector_enabled(codec, ps)
+    items = bound(codec, ps)[1].items()
     assert [(codec.pids[p], names[a]) for p, a in items] == [
         (t.pid, t.action) for t in reference
     ]
-    apply = vector_program(codec.table, codec.cap, codec.d_const).functions["apply"]
     for (p, a), transition in zip(items, reference):
         after = ps.copy()
-        apply(p, a, codec.nbrs[p], after.state, after.depth, after.anc, after.desc)
+        fire, enabled = bound(codec, after)
+        fire(p, a)
         assert codec.unpack(after) == transition.target
+        # The masks and the readers' refresh left the bits a from-scratch
+        # evaluation of the target gives.
+        scratch = bound(codec, after.copy())[1]
+        assert (enabled.bits, enabled.count) == (scratch.bits, scratch.count)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -186,7 +192,7 @@ def test_a_thousand_stores_compile_once(monkeypatch):
     vector_program.cache_clear()
     stores = [PackedSystem(ring(12), NADiners()) for _ in range(100)]
     assert len(compiles) == 1
-    assert len({id(store._guards) for store in stores}) == 1
+    assert len({store.fire.__code__ for store in stores}) == 1
     # A different cap, D or table is a different program.
     PackedSystem(ring(12), NADiners(depth_cap=7))
     PackedSystem(ring(10), NADiners())
@@ -207,5 +213,5 @@ def test_generated_source_is_what_a_traceback_shows():
     shown = "".join(traceback.format_exception(caught.value))
     assert filename in shown and "s0 = k >> " in shown
     store = PackedSystem(topo, NADiners())
-    assert "def recompute(" in store.source and "def apply(" in store.source
-    assert linecache.getlines(store._guards.__code__.co_filename)
+    assert "def bind(" in store.source and "def fire(" in store.source
+    assert linecache.getlines(store.fire.__code__.co_filename)

@@ -288,8 +288,7 @@ class TestTracedFrames:
         assert frame.span == "0/0/7"
         assert decode_message(frame) == message
 
-    def test_v1_frames_decode_with_no_stamps(self):
-        # ("v1" in the id: what an unstamped frame used to be called.)
+    def test_unstamped_frames_decode_with_no_stamps(self):
         frames = Decoder().feed(encode_message(Message(0, 1, ("x",))))
         assert frames[0].lc is None and frames[0].span is None
 
@@ -442,9 +441,7 @@ class TestBinaryEncodeErrors:
 
 
 class TestBinaryGarbageTolerance:
-    # ("v3" in these ids: what the packed records used to be called.)
-
-    def test_malformed_v3_body_is_junk(self):
+    def test_malformed_packed_body_is_junk(self):
         # CRC-valid lock-service frames whose packed body is malformed must
         # resync exactly like a truncated trace block.
         good = encode_request("acquire", "ok.1")
@@ -464,7 +461,7 @@ class TestBinaryGarbageTolerance:
         assert decoder.garbage_bytes > 0
         assert decoder.resyncs >= 1
 
-    def test_v3_unknown_type_is_junk(self):
+    def test_unknown_frame_type_is_junk(self):
         # The type byte selects the schema; one naming no type selects none,
         # flagged or not.
         payload = b"\x01\x00\x00\x00\x01x"
@@ -473,7 +470,7 @@ class TestBinaryGarbageTolerance:
             assert decoder.feed(raw_frame(type_byte, payload)) == []
         assert decoder.garbage_bytes > 0 and decoder.frames_decoded == 0
 
-    def test_v3_survives_garbage_interleave(self):
+    def test_packed_record_survives_garbage_interleave(self):
         frame = encode_request("acquire", "g.1")
         decoder = Decoder()
         frames = decoder.feed(JUNK[:13] + frame + JUNK[:13])

@@ -8,6 +8,13 @@ the incremental engine, checked here across every algorithm family the
 kernel runs (the paper's program, both ablations, the three baselines, the
 low-atomicity transformation, and the K-state token ring) on graphs with
 degree 1 to 3 and with and without triangles.
+
+The packed store keeps its enabled set current from inside the generated
+``fire`` (the command, the non-thinking and eating masks, the readers'
+guard refresh) and from ``recompute`` after every other write.  Its oracle
+is a store rebuilt from ``snapshot()``: the masks are not observable, so a
+stale one has to show up as wrong enabled bits, and a refresh that misses
+``changed`` as a process whose bits moved unannounced.
 """
 
 import random
@@ -16,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import ChoySinghDiners, ForkOrderingDiners, HygienicDiners
 from repro.core import NADiners, NoDynamicThresholdDiners, NoFixdepthDiners
+from repro.fastcore import PackedSystem
 from repro.lowatom import LowAtomicityAdapter
 from repro.mp.kstate import KStateToken
 from repro.sim import System, Topology, grid, line, ring
@@ -136,3 +144,58 @@ def test_restored_scratch_system_matches_a_fresh_one(operations, seed):
     assert [(p, a.name) for p, a in scratch.all_enabled()] == [
         (p, a.name) for p, a in fresh.all_enabled()
     ]
+
+
+PACKED_ALGORITHMS = (
+    NADiners, NoFixdepthDiners, NoDynamicThresholdDiners, ChoySinghDiners,
+)
+
+PACKED_OPERATIONS = (
+    "fire", "fire", "fire", "write_local", "havoc", "randomize", "kill",
+    "mark_malicious",
+)
+
+
+def apply_packed_operation(store, name, rng):
+    pid = rng.choice(store.pids)
+    if name == "fire":
+        items = store.enabled().items()
+        if items:
+            store.fire(*rng.choice(items))
+    elif name == "write_local":
+        variable, domain = rng.choice(list(store.codec.local_domains.items()))
+        store.write_local(pid, variable, domain.sample(rng))
+    elif name == "havoc":
+        if store.status(pid) is not ProcessStatus.DEAD:
+            store.havoc_process(pid, rng)
+    elif name == "randomize":
+        store.randomize(rng, rng.sample(store.pids, rng.randint(1, len(store.pids))))
+    elif name == "kill":
+        store.kill(pid)
+    elif name == "mark_malicious":
+        if store.status(pid) is not ProcessStatus.DEAD:
+            store.mark_malicious(pid)
+
+
+@given(
+    st.integers(0, len(TOPOLOGIES) - 1),
+    st.integers(0, len(PACKED_ALGORITHMS) - 1),
+    st.lists(st.integers(0, len(PACKED_OPERATIONS) - 1), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_packed_enabled_set_equals_a_rebuilt_store(topology, algorithm, operations, seed):
+    topo, algo = TOPOLOGIES[topology](), PACKED_ALGORITHMS[algorithm]()
+    store = PackedSystem(topo, algo)
+    rng = random.Random(seed)
+    enabled = store.enabled()
+    for index in operations:
+        name = PACKED_OPERATIONS[index]
+        before = list(enabled.bits)
+        enabled.changed.clear()
+        apply_packed_operation(store, name, rng)
+        # The snapshot carries dead and malicious processes as statuses.
+        rebuilt = PackedSystem(topo, algo, initial=store.snapshot()).enabled()
+        assert (enabled.bits, enabled.count) == (rebuilt.bits, rebuilt.count), name
+        moved = {p for p, bits in enumerate(enabled.bits) if bits != before[p]}
+        assert moved <= enabled.changed, name
