@@ -6,44 +6,49 @@ reports grant-latency percentiles (p50/p99/p999 via the repo's
 accounting, and — in live mode — the neighbour-exclusion safety audit
 over the cluster's event stream.
 
-Two engines share the fleet logic and the report format:
+The client policy is written once, as :class:`ClientFleet`, and two
+engines drive it through ``GatewayServer``'s in-process seam
+(``submit(client, node, op, callback)``, ``flush()``, ``.mux``); they
+share the report format too:
 
 * **sim** — a virtual-time, discrete-event twin.  The *real*
   :class:`~repro.gateway.mux.GatewayMux` and admission controller make
   every routing/shed decision; only the transport and the diner are
-  modelled (fixed network delay, exponential holds, FIFO grants per
+  modelled (:class:`SimGateway`: fixed network delay, FIFO grants per
   node).  Everything is seeded, so the report is **byte-stable**: same
   (topology, seed, duration) → identical bytes.  This is how 10⁶
   clients fit in one process, and how CI pins the artefact.
 * **live** — a real :class:`~repro.net.cluster.ClusterSupervisor` (with
   chaos, if asked) behind a real :class:`~repro.gateway.server.
   GatewayServer` over TCP.  Latencies are wall-clock; the safety audit
-  runs over the emitted grant/release stream exactly as ``soak`` does.
+  reads the supervisor's fold of the grant/release stream exactly as
+  ``soak`` does.
 
-The fleet is driven from one coroutine with a timer heap — no
-task-per-client — so 10⁴ clients cost one loop, not 10⁴ stacks.
+The fleet is one timer heap — no task-per-client — so 10⁴ clients cost
+one loop, not 10⁴ stacks.
 
 Closed loop: each client cycles acquire → hold → release → think, with
 exponential think/hold times from its own seeded RNG.  Open loop:
 arrivals form a seeded Poisson process at ``arrival_rate_hz`` total,
 assigned to clients uniformly at random.  A shed (typed RETRY) is
 retried after the server's ``retry_after_s`` hint plus seeded jitter, up
-to ``max_retries`` per cycle.
+to ``max_retries`` per cycle; an upstream failure is retried the same
+way, after the admission hint.
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
 import random
 from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..obs.metrics import Histogram, Timer
+from ..obs.metrics import Histogram, Timer, percentile_of_sorted
 from .admission import AdmissionConfig
 from .batch import FlushPolicy
-from .mux import Completion, GatewayMux
+from .mux import Completion, Decision, GatewayMux
 from .report import (
     LATENCY_SAMPLE_CAP,
     PER_NODE_SAMPLE_CAP,
@@ -62,13 +67,6 @@ SIM_GRANT_OVERHEAD_S = 0.0002
 #: Clients share ``pool[i % RNG_POOL_SIZE]``; the event order is already
 #: deterministic, so pooling preserves byte-stability.
 RNG_POOL_SIZE = 4096
-
-
-def _rng_pool(seed: int, clients: int) -> List[random.Random]:
-    size = min(clients, RNG_POOL_SIZE)
-    return [
-        random.Random(seed * 1_000_003 + i + 1) for i in range(size)
-    ]
 
 
 @dataclass(frozen=True)
@@ -181,17 +179,11 @@ class FleetStats:
         }
         self.histogram = Histogram("grant-wait-ms")
 
-    def issued(self, client: int) -> None:
-        self.active[client] = True
-
     def grant(self, client: int, node_label: str, wait_s: float) -> None:
         self.grant_counts[client] += 1
         self.wait_sums[client] += wait_s
         self.node_timers[node_label].observe(wait_s)
         self.histogram.observe(round(wait_s * 1000.0, 1))
-
-    def shed(self, client: int) -> None:
-        self.sheds[client] += 1
 
     def merged_timer(self) -> Timer:
         merged = Timer("grant-wait")
@@ -214,9 +206,9 @@ class FleetStats:
         latency: Dict[str, Any] = {"count": merged.count}
         if samples:
             latency.update(
-                p50_s=_pct(samples, 0.50),
-                p99_s=_pct(samples, 0.99),
-                p999_s=_pct(samples, 0.999),
+                p50_s=percentile_of_sorted(samples, 0.50),
+                p99_s=percentile_of_sorted(samples, 0.99),
+                p999_s=percentile_of_sorted(samples, 0.999),
                 mean_s=merged.total / merged.count,
                 min_s=samples[0],
                 max_s=samples[-1],
@@ -229,7 +221,7 @@ class FleetStats:
             if node_samples:
                 doc.update(
                     mean_wait_s=timer.total / timer.count,
-                    p99_s=_pct(node_samples, 0.99),
+                    p99_s=percentile_of_sorted(node_samples, 0.99),
                     samples_s=thin_samples(node_samples, PER_NODE_SAMPLE_CAP),
                 )
             per_node[label] = doc
@@ -280,164 +272,321 @@ class FleetStats:
         }
 
 
-def _pct(sorted_samples: List[float], q: float) -> float:
-    from ..obs.metrics import percentile_of_sorted
+# --------------------------------------------------------------- the fleet
 
-    return percentile_of_sorted(sorted_samples, q)
+
+class ClientFleet:
+    """The client policy, written once, that both engines drive.
+
+    It owns the per-client state — seeded RNG pool, label, node, retry
+    budget, what each client holds — and one ``(t, seq, action, arg)``
+    timer heap, and reaches the gateway only through ``gateway.submit(
+    client, node, op, callback)``: a shed :class:`Decision`, or ``None``
+    and ``callback`` later fires with the :class:`Completion`.  An engine
+    sets ``now`` before it runs a timer or hands over a completion:
+    :meth:`simulate` pops the heap in virtual time (the
+    :class:`SimGateway` pushes its transport events onto the same heap),
+    :meth:`drive` runs it against the loop clock.  Either holds the
+    gateway only while it runs: a :class:`SimGateway` refers back to the
+    fleet, and that cycle would keep a finished run's per-client state
+    alive until a full garbage collection.
+
+    The retry budget refills on admission, at each closed-loop cycle and
+    at each open-loop arrival.  A retry after an upstream failure leaves
+    it alone on admission, so a node that keeps failing exhausts it.
+    """
+
+    def __init__(self, config: LoadgenConfig, stats: FleetStats) -> None:
+        self.config = config
+        self.stats = stats
+        self.gateway: Any = None
+        self.now = 0.0
+        self.stop_at = config.duration_s
+        self._rngs = [
+            random.Random(config.seed * 1_000_003 + i + 1)
+            for i in range(min(config.clients, RNG_POOL_SIZE))
+        ]
+        self.arrivals_rng = random.Random(config.seed)
+        self._labels = [f"c{i}" for i in range(config.clients)]
+        self._node_of = [i % config.nodes for i in range(config.clients)]
+        self.retry_left = [0] * config.clients
+        self.holding: Dict[int, int] = {}  #: client -> node while it holds
+        self.heap: List[Tuple[float, int, Callable[[Any], None], Any]] = []
+        self._seq = 0
+
+    def push(self, t: float, action: Callable[[Any], None], arg: Any) -> None:
+        self._seq += 1
+        heappush(self.heap, (t, self._seq, action, arg))
+
+    def _rng(self, i: int) -> random.Random:
+        return self._rngs[i % len(self._rngs)]
+
+    def _think(self, i: int) -> float:
+        think = self.config.think_s
+        return self._rng(i).expovariate(1.0 / think) if think else 0.0
+
+    def _hold(self, i: int) -> float:
+        hold = self.config.hold_s
+        return self._rng(i).expovariate(1.0 / hold) if hold else 0.0
+
+    # ------------------------------------------------------------- policy
+
+    def start(self, t0: float, stop_at: float) -> None:
+        """Seed the first wave (closed loop) or the first arrival (open)."""
+        cfg = self.config
+        self.now, self.stop_at = t0, stop_at
+        if cfg.mode == "closed":
+            window = min(max(cfg.think_s, 0.001), cfg.duration_s)
+            for i in range(cfg.clients):
+                self.retry_left[i] = cfg.max_retries
+                self.push(t0 + self._rng(i).uniform(0.0, window), self.acquire, i)
+        else:
+            self.push(
+                t0 + self.arrivals_rng.expovariate(cfg.arrival_rate_hz),
+                self.arrive,
+                None,
+            )
+
+    def arrive(self, _: None) -> None:
+        """One open-loop arrival: a random client acquires; draw the next."""
+        now = self.now
+        if now > self.stop_at:
+            return
+        i = self.arrivals_rng.randrange(self.config.clients)
+        self.retry_left[i] = self.config.max_retries
+        self.acquire(i)
+        self.push(
+            now + self.arrivals_rng.expovariate(self.config.arrival_rate_hz),
+            self.arrive,
+            None,
+        )
+
+    def acquire(self, i: int, refill: bool = True) -> None:
+        if self.now > self.stop_at:
+            return
+        stats = self.stats
+        stats.active[i] = True
+        shed = self.gateway.submit(
+            self._labels[i], self._node_of[i], "acquire", self.on_completion
+        )
+        if shed is None:
+            if refill:
+                self.retry_left[i] = self.config.max_retries
+            return
+        stats.sheds[i] += 1
+        self._back_off(i, shed.retry_after_s, self.acquire)
+
+    def _acquire_after_failure(self, i: int) -> None:
+        self.acquire(i, refill=False)
+
+    def _back_off(
+        self, i: int, after_s: float, retry: Callable[[int], None]
+    ) -> None:
+        """Retry after ``after_s`` plus seeded jitter while the budget
+        lasts; then abandon the cycle and, closed loop, think."""
+        now = self.now
+        if self.retry_left[i] > 0:
+            self.retry_left[i] -= 1
+            self.stats.retries[i] += 1
+            self.push(now + (after_s + self._rng(i).expovariate(100.0)), retry, i)
+        else:
+            self.stats.abandoned += 1
+            if self.config.mode == "closed":
+                self.retry_left[i] = self.config.max_retries
+                self.push(now + self._think(i), self.acquire, i)
+
+    def release(self, i: int) -> None:
+        if self.gateway.submit(
+            self._labels[i], self.holding.pop(i), "release", self.on_completion
+        ) is not None:
+            # Releases are never shed by policy; a refusal here means the
+            # mux rejected the node index — count and drop.
+            self.stats.failures[i] += 1
+
+    def complete(self, completion: Completion) -> None:
+        now = self.now
+        i = int(completion.client[1:])
+        if completion.op == "acquire":
+            if completion.ok:
+                self.stats.grant(
+                    i, self.stats.node_labels[completion.node], completion.wait_s
+                )
+                self.holding[i] = completion.node
+                self.push(now + self._hold(i), self.release, i)
+            else:
+                # Upstream failure (crashed node, lost pipe): back off and
+                # retry like a shed — the node may be restarting.
+                self.stats.failures[i] += 1
+                self._back_off(
+                    i, self.config.admission.retry_after_s,
+                    self._acquire_after_failure,
+                )
+            return
+        if completion.ok:
+            self.stats.releases += 1
+        else:
+            self.stats.failures[i] += 1
+        if self.config.mode == "closed" and now <= self.stop_at:
+            self.retry_left[i] = self.config.max_retries
+            self.push(now + self._think(i), self.acquire, i)
+
+    #: What ``submit`` calls back; :meth:`drive` shadows it with a wrapper.
+    on_completion = complete
+
+    # ------------------------------------------------------------ engines
+
+    def simulate(self, gateway: Any) -> None:
+        """Run to an empty heap in virtual time, from 0 to ``duration_s``."""
+        self.gateway = gateway
+        self.start(0.0, self.config.duration_s)
+        heap = self.heap
+        try:
+            while heap:
+                self.now, _, action, arg = heappop(heap)
+                action(arg)
+        finally:
+            self.gateway = None
+
+    async def drive(
+        self, gateway: Any, stop_at: float, drain_grace_s: float = 2.0
+    ) -> None:
+        """Run against the loop clock until ``stop_at``; then drain.
+
+        Draining lets held locks run out their hold until nothing is held
+        or pending, or ``drain_grace_s`` passes; whatever is still held
+        then is released at once and given half a second to complete.  A
+        completion after that (the gateway abandoning on stop) is not
+        counted.
+        """
+        loop = asyncio.get_running_loop()
+        wake = asyncio.Event()
+        listening = True
+
+        def on_completion(completion: Completion) -> None:
+            if listening:
+                self.now = loop.time()
+                self.complete(completion)
+                wake.set()
+
+        async def idle(timeout: float) -> None:
+            try:
+                await asyncio.wait_for(wake.wait(), timeout)
+            except asyncio.TimeoutError:
+                pass
+            wake.clear()
+
+        self.on_completion = on_completion
+        self.gateway = gateway
+        self.start(loop.time(), stop_at)
+        heap = self.heap
+        deadline = stop_at + drain_grace_s
+        try:
+            while True:
+                now = self.now = loop.time()
+                if now > stop_at and (
+                    now >= deadline
+                    or not (self.holding or gateway.mux.pending_count())
+                ):
+                    break
+                if heap and heap[0][0] <= now:
+                    while heap and heap[0][0] <= now:
+                        _, _, action, arg = heappop(heap)
+                        action(arg)
+                    continue
+                gateway.flush()
+                await idle(
+                    max(0.0, min(heap[0][0] - now, 0.05) if heap else 0.05)
+                )
+            for i in list(self.holding):
+                self.release(i)
+            gateway.flush()
+            settle_until = loop.time() + 0.5
+            while gateway.mux.pending_count() and loop.time() < settle_until:
+                await idle(0.05)
+        finally:
+            listening = False
+            self.gateway = None
 
 
 # ---------------------------------------------------------------- sim engine
 
 
-def run_sim(config: LoadgenConfig) -> Dict[str, Any]:
-    """The virtual-time engine: a byte-stable report, no sockets.
+class SimGateway:
+    """The sim's transport and diner behind ``GatewayServer``'s seam.
 
-    Event-driven over a heap; the real mux/admission objects decide, a
-    fixed-delay transport and FIFO-grant nodes model the rest.
+    The real mux decides every submission and resolves every response —
+    one ``submit`` and one ``resolve`` per operation.  An admitted
+    operation reaches its node ``SIM_NET_DELAY_S`` later; each node grants
+    acquires FIFO, one holder at a time, and a response takes the same
+    delay back (plus ``SIM_GRANT_OVERHEAD_S`` for a grant).  Transport
+    events go on the fleet's heap, at the fleet's virtual ``now``.
     """
+
+    def __init__(self, mux: GatewayMux, fleet: ClientFleet) -> None:
+        self.mux = mux
+        self._fleet = fleet
+        self._callbacks: Dict[str, Callable[[Completion], None]] = {}
+        self._holder: List[Optional[str]] = [None] * len(mux.nodes)
+        self._queue: List[deque] = [deque() for _ in mux.nodes]
+
+    def submit(
+        self, client: str, node: int, op: str,
+        callback: Callable[[Completion], None],
+    ) -> Optional[Decision]:
+        fleet = self._fleet
+        decision = self.mux.submit(client, node, op, fleet.now)
+        if not decision.admitted:
+            return decision
+        self._callbacks[decision.req_id] = callback
+        fleet.push(
+            fleet.now + SIM_NET_DELAY_S,
+            self._arrive if op == "acquire" else self._release,
+            decision,
+        )
+        return None
+
+    def _arrive(self, decision: Decision) -> None:
+        self._queue[decision.node].append(decision)
+        self._grant_next(decision.node)
+
+    def _release(self, decision: Decision) -> None:
+        node = decision.node
+        if self._holder[node] == decision.client:
+            self._holder[node] = None
+        self._fleet.push(
+            self._fleet.now + SIM_NET_DELAY_S, self._respond, decision.req_id
+        )
+        self._grant_next(node)
+
+    def _grant_next(self, node: int) -> None:
+        if self._holder[node] is not None or not self._queue[node]:
+            return
+        granted = self._queue[node].popleft()
+        self._holder[node] = granted.client
+        self._fleet.push(
+            self._fleet.now + SIM_GRANT_OVERHEAD_S + SIM_NET_DELAY_S,
+            self._respond,
+            granted.req_id,
+        )
+
+    def _respond(self, req_id: str) -> None:
+        completion = self.mux.resolve(req_id, True, self._fleet.now)
+        self._callbacks.pop(req_id)(completion)
+
+
+def run_sim(config: LoadgenConfig) -> Dict[str, Any]:
+    """The virtual-time engine: a byte-stable report, no sockets."""
     config.validate()
-    n_nodes = config.nodes
-    node_labels = [f"n{i}" for i in range(n_nodes)]
+    node_labels = [f"n{i}" for i in range(config.nodes)]
     mux = GatewayMux(
         node_labels,
         upstreams_per_node=config.upstreams_per_node,
         admission=config.admission,
         gateway_id=config.gateway_id,
     )
-    if mux.upstream_count > config.max_upstreams:
-        raise ValueError(
-            f"{mux.upstream_count} upstreams exceed budget "
-            f"{config.max_upstreams}"
-        )
     stats = FleetStats(config.clients, node_labels)
-    pool = _rng_pool(config.seed, config.clients)
-    client_rng = lambda i: pool[i % len(pool)]  # noqa: E731
-    arrivals_rng = random.Random(config.seed)
-    client_label = [f"c{i}" for i in range(config.clients)]
-    client_node = [i % n_nodes for i in range(config.clients)]
-    retry_left = [0] * config.clients
-    #: req_id -> client index, for completion routing.
-    owner: Dict[str, int] = {}
-
-    # Node model: current holder + FIFO of granted order.
-    holder: List[Optional[str]] = [None] * n_nodes
-    queue: List[deque] = [deque() for _ in range(n_nodes)]
-
-    heap: List[Tuple[float, int, str, Any]] = []
-    seq = 0
-
-    def push(t: float, kind: str, data: Any) -> None:
-        nonlocal seq
-        seq += 1
-        heapq.heappush(heap, (t, seq, kind, data))
-
-    def think_delay(i: int) -> float:
-        if config.think_s == 0:
-            return 0.0
-        return client_rng(i).expovariate(1.0 / config.think_s)
-
-    def hold_delay(i: int) -> float:
-        if config.hold_s == 0:
-            return 0.0
-        return client_rng(i).expovariate(1.0 / config.hold_s)
-
-    def submit_acquire(i: int, t: float) -> None:
-        if t > config.duration_s:
-            return
-        stats.issued(i)
-        decision = mux.submit(client_label[i], client_node[i], "acquire", t)
-        if decision.admitted:
-            retry_left[i] = config.max_retries
-            owner[decision.req_id] = i
-            push(t + SIM_NET_DELAY_S, "node-arrive", decision.req_id)
-            return
-        stats.shed(i)
-        if retry_left[i] > 0:
-            retry_left[i] -= 1
-            stats.retries[i] += 1
-            backoff = decision.retry_after_s + client_rng(i).expovariate(100.0)
-            push(t + backoff, "acquire", i)
-        else:
-            stats.abandoned += 1
-            if config.mode == "closed":
-                retry_left[i] = config.max_retries
-                push(t + think_delay(i), "acquire", i)
-
-    def grant_next(node: int, t: float) -> None:
-        if holder[node] is not None or not queue[node]:
-            return
-        req_id = queue[node].popleft()
-        holder[node] = req_id
-        push(t + SIM_GRANT_OVERHEAD_S + SIM_NET_DELAY_S, "grant-rsp", req_id)
-
-    # Seed the first wave.
-    if config.mode == "closed":
-        for i in range(config.clients):
-            retry_left[i] = config.max_retries
-            start = client_rng(i).uniform(
-                0.0, min(max(config.think_s, 0.001), config.duration_s)
-            )
-            push(start, "acquire", i)
-    else:
-        push(arrivals_rng.expovariate(config.arrival_rate_hz), "arrival", None)
-
-    while heap:
-        t, _, kind, data = heapq.heappop(heap)
-        if kind == "arrival":
-            if t <= config.duration_s:
-                i = arrivals_rng.randrange(config.clients)
-                retry_left[i] = config.max_retries
-                submit_acquire(i, t)
-                push(
-                    t + arrivals_rng.expovariate(config.arrival_rate_hz),
-                    "arrival",
-                    None,
-                )
-        elif kind == "acquire":
-            submit_acquire(data, t)
-        elif kind == "node-arrive":
-            req_id = data
-            client = owner.get(req_id)
-            if client is None:
-                continue
-            node = client_node[client]
-            queue[node].append(req_id)
-            grant_next(node, t)
-        elif kind == "grant-rsp":
-            req_id = data
-            i = owner.pop(req_id, None)
-            completion = mux.resolve(req_id, True, t)
-            if completion is None or i is None:
-                continue
-            stats.grant(i, node_labels[completion.node], completion.wait_s)
-            push(t + hold_delay(i), "release", (i, completion.node, req_id))
-        elif kind == "release":
-            i, node, held_req = data
-            decision = mux.submit(client_label[i], node, "release", t)
-            if decision.admitted:
-                owner[decision.req_id] = i
-                push(
-                    t + SIM_NET_DELAY_S,
-                    "node-release",
-                    (decision.req_id, node, held_req),
-                )
-        elif kind == "node-release":
-            rel_id, node, held_req = data
-            if holder[node] == held_req:
-                holder[node] = None
-            push(t + SIM_NET_DELAY_S, "release-rsp", rel_id)
-            grant_next(node, t)
-        elif kind == "release-rsp":
-            rel_id = data
-            i = owner.pop(rel_id, None)
-            completion = mux.resolve(rel_id, True, t)
-            if completion is None or i is None:
-                continue
-            stats.releases += 1
-            if config.mode == "closed" and t <= config.duration_s:
-                retry_left[i] = config.max_retries
-                push(t + think_delay(i), "acquire", i)
-
+    fleet = ClientFleet(config, stats)
+    fleet.simulate(SimGateway(mux, fleet))
     results = stats.results_doc(
         config.duration_s,
         mux,
@@ -459,227 +608,6 @@ def run_sim(config: LoadgenConfig) -> Dict[str, Any]:
 # --------------------------------------------------------------- live engine
 
 
-class LiveFleet:
-    """The timer-heap fleet driver over a running gateway."""
-
-    def __init__(
-        self,
-        config: LoadgenConfig,
-        gateway,
-        stats: FleetStats,
-        node_labels: List[str],
-    ) -> None:
-        self.config = config
-        self.gateway = gateway
-        self.stats = stats
-        self.node_labels = node_labels
-        self._rng_pool = _rng_pool(config.seed, config.clients)
-        self.client_rng = lambda i: self._rng_pool[i % len(self._rng_pool)]
-        self.arrivals_rng = random.Random(config.seed)
-        self.client_label = [f"c{i}" for i in range(config.clients)]
-        self.client_node = [i % config.nodes for i in range(config.clients)]
-        self.retry_left = [0] * config.clients
-        self.heap: List[Tuple[float, int, str, Any]] = []
-        self.seq = 0
-        self.completions: deque = deque()
-        self.wake = asyncio.Event()
-        self.draining = False
-        self.holding: Dict[int, int] = {}  #: client -> node while held
-
-    def push(self, t: float, kind: str, data: Any) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (t, self.seq, kind, data))
-
-    # ------------------------------------------------------------- actions
-
-    def _submit_acquire(self, i: int, now: float) -> None:
-        if self.draining:
-            return
-        self.stats.issued(i)
-        decision = self.gateway.submit(
-            self.client_label[i],
-            self.client_node[i],
-            "acquire",
-            self._completed,
-        )
-        if decision is None:
-            return
-        self.stats.shed(i)
-        if self.retry_left[i] > 0:
-            self.retry_left[i] -= 1
-            self.stats.retries[i] += 1
-            backoff = (
-                decision.retry_after_s
-                + self.client_rng(i).expovariate(100.0)
-            )
-            self.push(now + backoff, "acquire", i)
-        else:
-            self.stats.abandoned += 1
-            if self.config.mode == "closed":
-                self.retry_left[i] = self.config.max_retries
-                self.push(now + self._think(i), "acquire", i)
-
-    def _think(self, i: int) -> float:
-        if self.config.think_s == 0:
-            return 0.0
-        return self.client_rng(i).expovariate(1.0 / self.config.think_s)
-
-    def _hold(self, i: int) -> float:
-        if self.config.hold_s == 0:
-            return 0.0
-        return self.client_rng(i).expovariate(1.0 / self.config.hold_s)
-
-    def _completed(self, completion: Completion) -> None:
-        self.completions.append(completion)
-        self.wake.set()
-
-    def _client_of(self, completion: Completion) -> Optional[int]:
-        label = completion.client
-        if label.startswith("c"):
-            try:
-                return int(label[1:])
-            except ValueError:
-                return None
-        return None
-
-    def _process_completion(self, completion: Completion, now: float) -> None:
-        i = self._client_of(completion)
-        if i is None:
-            return
-        if completion.op == "acquire":
-            if completion.ok:
-                self.stats.grant(
-                    i, self.node_labels[completion.node], completion.wait_s
-                )
-                self.holding[i] = completion.node
-                delay = 0.0 if self.draining else self._hold(i)
-                self.push(now + delay, "release", i)
-            else:
-                # Upstream failure (crashed node, lost pipe): back off and
-                # retry like a shed — the node may be restarting.
-                self.stats.failures[i] += 1
-                if not self.draining:
-                    if self.retry_left[i] > 0:
-                        self.retry_left[i] -= 1
-                        self.stats.retries[i] += 1
-                        self.push(
-                            now + 0.05 + self.client_rng(i).expovariate(50.0),
-                            "acquire",
-                            i,
-                        )
-                    elif self.config.mode == "closed":
-                        self.stats.abandoned += 1
-                        self.retry_left[i] = self.config.max_retries
-                        self.push(now + self._think(i), "acquire", i)
-        elif completion.op == "release":
-            self.holding.pop(i, None)
-            if completion.ok:
-                self.stats.releases += 1
-            else:
-                self.stats.failures[i] += 1
-            if (
-                self.config.mode == "closed"
-                and not self.draining
-            ):
-                self.retry_left[i] = self.config.max_retries
-                self.push(now + self._think(i), "acquire", i)
-
-    def _send_release(self, i: int, now: float) -> None:
-        node = self.holding.get(i)
-        if node is None:
-            return
-        decision = self.gateway.submit(
-            self.client_label[i], node, "release", self._completed
-        )
-        if decision is not None:
-            # Releases are never shed by policy; a refusal here means the
-            # mux rejected the node index — count and drop.
-            self.stats.failures[i] += 1
-            self.holding.pop(i, None)
-
-    # ---------------------------------------------------------------- run
-
-    async def run(self, stop_at: float, drain_grace_s: float = 2.0) -> None:
-        loop = asyncio.get_running_loop()
-        cfg = self.config
-        if cfg.mode == "closed":
-            now = loop.time()
-            for i in range(cfg.clients):
-                self.retry_left[i] = cfg.max_retries
-                start = self.client_rng(i).uniform(
-                    0.0, min(max(cfg.think_s, 0.001), cfg.duration_s)
-                )
-                self.push(now + start, "acquire", i)
-        else:
-            self.push(
-                loop.time()
-                + self.arrivals_rng.expovariate(cfg.arrival_rate_hz),
-                "arrival",
-                None,
-            )
-        drain_deadline = stop_at + drain_grace_s
-        while True:
-            now = loop.time()
-            if not self.draining and now >= stop_at:
-                self.draining = True
-            if self.draining:
-                if now >= drain_deadline:
-                    break
-                if (
-                    not self.holding
-                    and self.gateway.mux.pending_count() == 0
-                ):
-                    break
-            while self.completions:
-                self._process_completion(self.completions.popleft(), now)
-            ran_action = False
-            while self.heap and self.heap[0][0] <= now:
-                _, _, kind, data = heapq.heappop(self.heap)
-                ran_action = True
-                if kind == "acquire":
-                    self._submit_acquire(data, now)
-                elif kind == "release":
-                    self._send_release(data, now)
-                elif kind == "arrival":
-                    if not self.draining:
-                        i = self.arrivals_rng.randrange(cfg.clients)
-                        self.retry_left[i] = cfg.max_retries
-                        self._submit_acquire(i, now)
-                        self.push(
-                            now
-                            + self.arrivals_rng.expovariate(
-                                cfg.arrival_rate_hz
-                            ),
-                            "arrival",
-                            None,
-                        )
-            if ran_action or self.completions:
-                continue
-            self.gateway.flush()
-            next_due = self.heap[0][0] if self.heap else now + 0.05
-            timeout = max(0.0, min(next_due - now, 0.05))
-            try:
-                await asyncio.wait_for(self.wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
-            self.wake.clear()
-        # Final sweep: release anything still held, then let it settle.
-        for i in list(self.holding):
-            self._send_release(i, loop.time())
-        self.gateway.flush()
-        settle_until = loop.time() + 0.5
-        while loop.time() < settle_until and (
-            self.holding or self.completions
-        ):
-            while self.completions:
-                self._process_completion(self.completions.popleft(), loop.time())
-            try:
-                await asyncio.wait_for(self.wake.wait(), 0.05)
-            except asyncio.TimeoutError:
-                pass
-            self.wake.clear()
-
-
 async def run_live(
     config: LoadgenConfig,
     cluster_config,
@@ -690,7 +618,7 @@ async def run_live(
     artefacts and decides the exit code.
     """
     from ..net.cluster import ClusterSupervisor
-    from ..net.lock import hold_intervals, neighbour_violations
+    from ..net.lock import neighbour_violations
     from .server import GatewayConfig, GatewayServer
 
     config.validate()
@@ -725,10 +653,10 @@ async def run_live(
         )
         gateway = GatewayServer(gateway_config)
         await gateway.start()
-        loop = asyncio.get_running_loop()
-        fleet = LiveFleet(config, gateway, stats, node_labels)
-        stop_at = supervisor._t0 + config.duration_s
-        fleet_task = asyncio.create_task(fleet.run(stop_at))
+        fleet = ClientFleet(config, stats)
+        fleet_task = asyncio.create_task(
+            fleet.drive(gateway, supervisor._t0 + config.duration_s)
+        )
         await supervisor.run(config.duration_s)
         await fleet_task
         fleet_task = None
@@ -749,7 +677,9 @@ async def run_live(
             await gateway.stop()
         await supervisor.stop()
     result = supervisor.result(config.duration_s)
-    intervals = hold_intervals(result.events, end_t=config.duration_s)
+    # The supervisor's fold saw every grant and release in arrival order,
+    # the order the event log keeps for equal times: soak's audit.
+    intervals = supervisor.lock_state.hold_intervals(config.duration_s)
     violations = neighbour_violations(
         cluster_config.topology, intervals, exclude=result.killed
     )

@@ -197,8 +197,11 @@ class Engine:
             self._emit(step, EventKind.IDLE)
 
         self.step_count += 1
-        if self.recorder is not None:
-            self.recorder.maybe_snapshot(self.step_count, system.snapshot())
+        # A snapshot is an O(n) copy (a full unpack on the packed store):
+        # build one only on the recorder's cadence.
+        recorder = self.recorder
+        if recorder is not None and recorder.wants_snapshot(self.step_count):
+            recorder.maybe_snapshot(self.step_count, system.snapshot())
         return True
 
     def snapshot(self) -> "Configuration":

@@ -82,9 +82,13 @@ class TraceRecorder:
         if self.keep_events:
             self._events.append(event)
 
+    def wants_snapshot(self, step: int) -> bool:
+        """Whether ``step`` is on the cadence — ask before building one."""
+        return bool(self.snapshot_every) and step % self.snapshot_every == 0
+
     def maybe_snapshot(self, step: int, configuration: Configuration) -> None:
-        """Called by the engine after each step; applies the cadence."""
-        if self.snapshot_every and step % self.snapshot_every == 0:
+        """Record ``configuration`` if ``step`` is on the cadence."""
+        if self.wants_snapshot(step):
             self._snapshots.append((step, configuration))
 
     def force_snapshot(self, step: int, configuration: Configuration) -> None:

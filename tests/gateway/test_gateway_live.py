@@ -213,16 +213,34 @@ class TestGauges:
         assert counters["failures"] == 0
 
 
-class TestRunLive:
-    def test_small_fleet_end_to_end(self):
-        config = LoadgenConfig(
-            clients=40, nodes=3, topology="ring:3", seed=5,
-            duration_s=1.2, think_s=0.05, hold_s=0.005,
-            upstreams_per_node=2,
-        )
+@pytest.fixture(scope="module")
+def live_run():
+    """One small fleet through ``run_live``, keeping its supervisor."""
+    import repro.net.cluster as cluster
+
+    made = []
+
+    class KeptSupervisor(cluster.ClusterSupervisor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    config = LoadgenConfig(
+        clients=40, nodes=3, topology="ring:3", seed=5,
+        duration_s=1.2, think_s=0.05, hold_s=0.005,
+        upstreams_per_node=2,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cluster, "ClusterSupervisor", KeptSupervisor)
         report, result, violations = asyncio.run(
             run_live(config, make_cluster_config())
         )
+    return config, made[0], report, result, violations
+
+
+class TestRunLive:
+    def test_small_fleet_end_to_end(self, live_run):
+        _, _, report, result, violations = live_run
         assert violations == []
         assert report["kind"] == "loadgen-report"
         assert report["spec"]["engine"] == "live"
@@ -236,3 +254,13 @@ class TestRunLive:
         assert any(e.get("event") == "net-grant" for e in result.events)
         # The report is JSON-serialisable as written.
         json.dumps(report)
+
+    def test_audit_reads_the_supervisors_fold(self, live_run):
+        # run_live audits the supervisor's fold, as soak does; re-folding
+        # the recorded event log must give the same intervals.
+        from repro.net.lock import hold_intervals
+
+        config, supervisor, _, result, _ = live_run
+        folded = supervisor.lock_state.hold_intervals(config.duration_s)
+        assert folded == hold_intervals(result.events, end_t=config.duration_s)
+        assert sum(len(spans) for spans in folded.values()) > 0

@@ -154,6 +154,26 @@ class TestRealRunCoverage:
         assert all(s % 25 == 0 for s in steps)
         assert steps == sorted(set(steps))
 
+    def test_snapshots_built_only_on_cadence(self):
+        from repro.sim import AlwaysHungry, Engine, WeaklyFairDaemon
+
+        class CountingSystem(System):
+            calls = 0
+
+            def snapshot(self):
+                CountingSystem.calls += 1
+                return super().snapshot()
+
+        recorder = TraceRecorder(snapshot_every=25)
+        engine = Engine(
+            CountingSystem(line(4), NADiners()), WeaklyFairDaemon(), seed=2,
+            hunger=AlwaysHungry(), recorder=recorder,
+        )
+        engine.run(100)
+        assert [s for s, _ in recorder.snapshots] == [0, 25, 50, 75, 100]
+        # Run start, four cadence steps and the run's final configuration.
+        assert CountingSystem.calls == 6
+
     def test_jsonl_round_trip_of_real_run(self, tmp_path):
         from repro.obs import build_header, read_trace, trace_from_recorder, write_trace
 
