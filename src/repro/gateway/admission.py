@@ -149,9 +149,6 @@ class AdmissionController:
     def queue_depth(self, node: Any) -> int:
         return self._node_queue.get(node, 0)
 
-    def queue_depths(self) -> Dict[Any, int]:
-        return dict(self._node_queue)
-
     def shed_total(self) -> int:
         return sum(self.shed.values())
 

@@ -122,9 +122,5 @@ class BatchWriter:
     # -------------------------------------------------------------- gauges
 
     @property
-    def pending_frames(self) -> int:
-        return len(self._pending)
-
-    @property
     def mean_batch(self) -> float:
         return self.frames_out / self.flushes if self.flushes else 0.0

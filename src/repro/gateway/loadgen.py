@@ -18,11 +18,11 @@ share the report format too:
   node).  Everything is seeded, so the report is **byte-stable**: same
   (topology, seed, duration) → identical bytes.  This is how 10⁶
   clients fit in one process, and how CI pins the artefact.
-* **live** — a real :class:`~repro.net.cluster.ClusterSupervisor` (with
-  chaos, if asked) behind a real :class:`~repro.gateway.server.
-  GatewayServer` over TCP.  Latencies are wall-clock; the safety audit
-  reads the supervisor's fold of the grant/release stream exactly as
-  ``soak`` does.
+* **live** — the fleet is the traffic of a
+  :func:`~repro.net.cluster.supervised_run` (a real cluster, with chaos
+  if asked), through a real :class:`~repro.gateway.server.GatewayServer`
+  over TCP.  Latencies are wall-clock; the safety audit is the run's own,
+  as for ``soak``: the same verdict, violation lines and flight dump.
 
 The fleet is one timer heap — no task-per-client — so 10⁴ clients cost
 one loop, not 10⁴ stacks.
@@ -45,10 +45,19 @@ from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..net.cluster import (
+    cluster_config,
+    run_interruptible,
+    supervised_run,
+    write_cluster_artefacts,
+)
+from ..net.lock import violation_lines
 from ..obs.metrics import Histogram, Timer, percentile_of_sorted
+from ..sim.topology import from_spec
 from .admission import AdmissionConfig
 from .batch import FlushPolicy
 from .mux import Completion, Decision, GatewayMux
+from .server import GatewayConfig, GatewayServer
 from .report import (
     LATENCY_SAMPLE_CAP,
     PER_NODE_SAMPLE_CAP,
@@ -104,6 +113,11 @@ class LoadgenConfig:
             raise ValueError("think_s/hold_s must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.mode == "closed" and self.think_s == 0 and self.max_retries == 0:
+            raise ValueError(
+                "a closed loop with think_s 0 needs max_retries >= 1: a shed "
+                "client would re-acquire at the same instant for ever"
+            )
         if self.upstreams_per_node < 1:
             raise ValueError("upstreams_per_node must be >= 1")
         total = self.nodes * self.upstreams_per_node
@@ -612,95 +626,58 @@ async def run_live(
     config: LoadgenConfig,
     cluster_config,
 ) -> Tuple[Dict[str, Any], Any, List[Any]]:
-    """The live engine: cluster + gateway + fleet, then the audit.
+    """The live engine: the fleet through a gateway in front of a
+    supervised cluster run, then the run's audit.
 
     Returns ``(report, cluster_result, violations)`` — the CLI writes the
     artefacts and decides the exit code.
     """
-    from ..net.cluster import ClusterSupervisor
-    from ..net.lock import neighbour_violations
-    from .server import GatewayConfig, GatewayServer
-
     config.validate()
-    if not cluster_config.lock_service:
-        raise ValueError("loadgen requires a lock_service cluster config")
     topology_nodes = list(cluster_config.topology.nodes)
     if len(topology_nodes) != config.nodes:
         raise ValueError(
             f"cluster topology has {len(topology_nodes)} nodes, "
             f"loadgen config says {config.nodes}"
         )
-    supervisor = ClusterSupervisor(cluster_config)
-    gateway: Optional[GatewayServer] = None
     node_labels = [repr(pid) for pid in topology_nodes]
     stats = FleetStats(config.clients, node_labels)
-    fleet_task: Optional[asyncio.Task] = None
-    interrupted = False
-    try:
-        await supervisor.start(config.duration_s)
-        gateway_config = GatewayConfig(
+    #: What the gateway leaves behind: its mux and batch counters.
+    served: Dict[str, Any] = {"mux": GatewayMux(node_labels), "batching": {}}
+
+    async def traffic(supervisor, stop_at: float) -> None:
+        gateway = GatewayServer(GatewayConfig(
             upstream_addrs=[
                 (cluster_config.host, supervisor.nodes[pid].port)
                 for pid in topology_nodes
             ],
-            node_labels=node_labels,
+            node_labels=node_labels, host=cluster_config.host,
             upstreams_per_node=config.upstreams_per_node,
-            max_upstreams=config.max_upstreams,
-            admission=config.admission,
-            upstream_flush=config.flush,
-            gateway_id=config.gateway_id,
-            host=cluster_config.host,
-        )
-        gateway = GatewayServer(gateway_config)
-        await gateway.start()
-        fleet = ClientFleet(config, stats)
-        fleet_task = asyncio.create_task(
-            fleet.drive(gateway, supervisor._t0 + config.duration_s)
-        )
-        await supervisor.run(config.duration_s)
-        await fleet_task
-        fleet_task = None
-    except asyncio.CancelledError:
-        supervisor.interrupted = True
-        interrupted = True
-    finally:
-        if fleet_task is not None:
-            fleet_task.cancel()
-            try:
-                await fleet_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        batching = (
-            gateway.batch_counters() if gateway is not None else {}
-        )
-        if gateway is not None:
+            max_upstreams=config.max_upstreams, admission=config.admission,
+            upstream_flush=config.flush, gateway_id=config.gateway_id,
+        ))
+        served["mux"] = gateway.mux
+        try:
+            await gateway.start()
+            await ClientFleet(config, stats).drive(gateway, stop_at)
+        finally:
+            served["batching"] = gateway.batch_counters()
             await gateway.stop()
-        await supervisor.stop()
-    result = supervisor.result(config.duration_s)
-    # The supervisor's fold saw every grant and release in arrival order,
-    # the order the event log keeps for equal times: soak's audit.
-    intervals = supervisor.lock_state.hold_intervals(config.duration_s)
-    violations = neighbour_violations(
-        cluster_config.topology, intervals, exclude=result.killed
-    )
-    mux = gateway.mux if gateway is not None else GatewayMux(node_labels)
+
+    result = await supervised_run(cluster_config, config.duration_s, traffic)
+    violations = result.audit.violations
     results = stats.results_doc(
         config.duration_s,
-        mux,
-        batching=batching,
+        served["mux"],
+        batching=served["batching"],
         safety={
             "mode": "live",
             "violations": len(violations),
             "audited_events": len(result.events),
             "killed": sorted(result.killed),
-            "interrupted": interrupted,
+            "interrupted": result.interrupted,
         },
     )
-    return (
-        build_report(config.spec_doc("live"), results),
-        result,
-        violations,
-    )
+    return build_report(config.spec_doc("live"), results), result, violations
 
 
 def cmd_loadgen(
@@ -720,14 +697,6 @@ def cmd_loadgen(
     gateway and the neighbour-exclusion audit runs over the event stream.
     Exit 1 on a safety violation.
     """
-    from ..net.cluster import (
-        announce_metrics_endpoint,
-        cluster_config,
-        run_interruptible,
-        write_cluster_artefacts,
-    )
-    from ..sim.topology import from_spec
-
     spec = topology or f"ring:{nodes}"
     config = LoadgenConfig(
         clients=clients,
@@ -753,26 +722,22 @@ def cmd_loadgen(
         ),
     )
     config.validate()
-    violations: List[Any] = []
     if sim:
         report = run_sim(config)
+        violations: List[Any] = []
     else:
         cluster, _ = cluster_config(
             lock_service=True, nodes=nodes, topology=topology, seed=seed,
             duration=duration, events_out=events_out, **cluster_flags,
         )
-        announce_metrics_endpoint(cluster)
-        report, result, violations = run_interruptible(run_live(config, cluster))
-        write_cluster_artefacts(
-            result,
-            metrics_out=metrics_out,
-            events_out=events_out,
-            extra_header={"safe": not violations, "violations": len(violations)},
+        report, result, violations = run_interruptible(
+            cluster, run_live(config, cluster)
         )
+        write_cluster_artefacts(result, metrics_out=metrics_out, events_out=events_out)
     print("\n".join(summarize_loadgen_report(report)))
-    # The overlaps themselves are not in the report, only their count.
-    for violation in violations[:10]:
-        print(f"    {violation}")
+    if violations:
+        # The overlaps themselves are not in the report, only their count.
+        print("\n".join(violation_lines(violations, result.byzantine)))
     if out:
         print(f"  loadgen report: {write_loadgen_report(out, report)}")
     return 1 if violations else 0

@@ -104,12 +104,6 @@ class ChaosSchedule:
             e.node for e in self.events if e.kind == "malicious-crash"
         )
 
-    @property
-    def byzantine_nodes(self) -> Tuple[Pid, ...]:
-        return tuple(
-            e.node for e in self.events if e.kind == "byzantine-crash"
-        )
-
     def describe(self) -> Dict[str, Any]:
         """JSON-ready audit record, embedded in soak artefacts."""
         return {

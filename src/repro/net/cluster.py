@@ -28,7 +28,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, Awaitable, Callable, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from ..artefact import (
     CANONICAL,
@@ -45,7 +45,15 @@ from ..obs.events import NetEventKind
 from ..obs.flight import DEFAULT_CAPACITY, FlightRecorder, dump_flight
 from ..obs.metrics import MetricsRegistry, percentile_of_sorted, write_metrics
 from ..obs.prom import PROM_CONTENT_TYPE, Sample, render_prometheus
-from ..obs.slo import LiveSloEvaluator, LockState, SloSpec, read_slo_spec
+from ..obs.slo import (
+    ExclusionAudit,
+    LiveSloEvaluator,
+    LockState,
+    SloReport,
+    SloSpec,
+    exclusion_audit,
+    read_slo_spec,
+)
 from ..obs.tracing import LamportClock, SpanRecorder, write_spans
 from ..sim.topology import Pid, Topology, from_spec
 from ..sim.trace import TraceEvent
@@ -154,8 +162,11 @@ class ClusterResult:
     trace_paths: List[str] = field(default_factory=list)
     #: Flight-recorder dumps triggered during (or just after) the run.
     flight_paths: List[str] = field(default_factory=list)
-    #: SLO objectives whose budget the live evaluator saw exhausted.
-    slo_exhausted: List[str] = field(default_factory=list)
+    #: The neighbour-exclusion audit (lock-service runs only).
+    audit: Optional[ExclusionAudit] = None
+    #: The live SLO evaluation (an armed ``slo`` only), its safety verdict
+    #: the audit's.
+    slo_report: Optional[SloReport] = None
     #: ``True`` when the run was cut short (SIGTERM/SIGINT) — the result
     #: and artefacts cover the partial window.
     interrupted: bool = False
@@ -837,12 +848,7 @@ class ClusterSupervisor:
                            labels={"q": str(q)},
                            help="Acquire-to-grant latency percentiles")
                 )
-        per_node = {
-            repr(p): merge_counters(
-                self._retired_counters.get(repr(p), {}), n.counters()
-            )
-            for p, n in self.nodes.items()
-        }
+        per_node = self.counters()
         gauges = (
             ("repro_node_grants_total", "grants", "counter"),
             ("repro_node_msgs_in_total", "msgs_in", "counter"),
@@ -886,21 +892,24 @@ class ClusterSupervisor:
 
     # -------------------------------------------------------------- results
 
-    def result(self, duration_s: float) -> ClusterResult:
-        cfg = self.config
-        counters = {
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        """Every node's counters, its retired incarnations' folded in."""
+        return {
             repr(p): merge_counters(
                 self._retired_counters.get(repr(p), {}), n.counters()
             )
             for p, n in self.nodes.items()
         }
+
+    def result(self, duration_s: float) -> ClusterResult:
+        cfg = self.config
         return ClusterResult(
             topology_spec=cfg.topology_spec,
             seed=cfg.seed,
             duration_s=duration_s,
             mode="soak" if cfg.lock_service else "run",
             nodes=[repr(p) for p in cfg.topology.nodes],
-            counters=counters,
+            counters=self.counters(),
             # Stable: rows stamped with the same time keep arrival order.
             events=sorted(self.events, key=lambda e: e.t),
             schedule=None if self.schedule is None else self.schedule.describe(),
@@ -911,9 +920,6 @@ class ClusterSupervisor:
             convergence_s=dict(self.convergence_s),
             trace_paths=list(self.trace_paths),
             flight_paths=list(self.flight_paths),
-            slo_exhausted=(
-                [] if self.slo_eval is None else self.slo_eval.exhausted
-            ),
             interrupted=self.interrupted,
         )
 
@@ -1002,24 +1008,68 @@ def merge_counters(
     return merged
 
 
-async def run_cluster(
-    config: ClusterConfig, duration_s: float
+async def supervised_run(
+    config: ClusterConfig,
+    duration_s: float,
+    traffic: Optional[Callable[[ClusterSupervisor, float], Awaitable[None]]] = None,
 ) -> ClusterResult:
-    """One complete supervised run: start → serve → stop → result.
+    """The one live run: start → traffic → stop → result, with a lock
+    service's :func:`~repro.obs.slo.exclusion_audit` as ``result.audit``.
 
-    Cancellation (SIGTERM/SIGINT routed through the CLI's interruptible
-    runner) is an early, orderly shutdown: the partial result still comes
-    back and the artefacts cover the truncated window.
+    ``traffic`` is called with the started supervisor and the window's end
+    (loop time); it stops itself or is cancelled, and tears down what it
+    started.  Cancellation (SIGTERM/SIGINT, see :func:`run_interruptible`)
+    is an orderly early shutdown — traffic first, then the cluster — and
+    the partial result still comes back.  An armed SLO evaluator adopts
+    the audit's verdict; a violation freezes the black boxes.
     """
+    if traffic is not None and not config.lock_service:
+        raise ValueError("lock clients need a lock_service cluster config")
     supervisor = ClusterSupervisor(config)
+    task: Optional[asyncio.Task] = None
     try:
         await supervisor.start(duration_s)
+        if traffic is not None:
+            task = asyncio.create_task(
+                traffic(supervisor, supervisor._t0 + duration_s)
+            )
         await supervisor.run(duration_s)
+        if task is not None:
+            await task
     except asyncio.CancelledError:
         supervisor.interrupted = True
     finally:
+        if task is not None and not task.done():
+            task.cancel()
+            await asyncio.wait([task])
         await supervisor.stop()
-    return supervisor.result(duration_s)
+    result = supervisor.result(duration_s)
+    if not config.lock_service:
+        return result
+    # The supervisor's fold saw every grant and release in arrival order —
+    # the order the event log keeps for equal times — so its intervals are
+    # the log's without a second pass over the retained rows.
+    audit = result.audit = exclusion_audit(
+        supervisor.lock_state, duration_s, result.killed
+    )
+    if supervisor.slo_eval is not None:
+        # The interval audit is authoritative for safety: adopt any overlap
+        # the live grant-order check missed before the final verdict.
+        supervisor.slo_eval.reconcile_safety(
+            [v.overlap_start for v in audit.violations]
+        )
+        result.slo_report = supervisor.slo_eval.report()
+    if audit.violations:
+        # Neighbour exclusion was broken: freeze the black boxes so the
+        # postmortem survives even if artefact writes never happen.
+        supervisor.dump_flights("soak-violation")
+        result.flight_paths = list(supervisor.flight_paths)
+    return result
+
+
+async def run_cluster(config: ClusterConfig, duration_s: float) -> ClusterResult:
+    """A supervised run with no traffic but the diners' own hunger."""
+    return await supervised_run(config, duration_s)
 
 
 # ---------------------------------------------------------------- artefacts
@@ -1073,13 +1123,12 @@ def artefact_header(result: ClusterResult, source: str) -> Dict[str, Any]:
     }
 
 
-def write_cluster_metrics(
-    path: Path | str, result: ClusterResult, *, extra_header: Dict[str, Any] | None = None
-) -> Path:
+def write_cluster_metrics(path: Path | str, result: ClusterResult) -> Path:
     source = "cluster-soak" if result.mode == "soak" else "cluster-run"
     header = artefact_header(result, source)
-    if extra_header:
-        header.update(extra_header)
+    if result.audit is not None:
+        violations = len(result.audit.violations)
+        header.update(safe=not violations, violations=violations)
     return write_metrics(
         path, cluster_metrics(result), header=header, include_meta=True
     )
@@ -1219,22 +1268,21 @@ def cluster_config(
     ), duration
 
 
-def announce_metrics_endpoint(config: ClusterConfig) -> None:
-    if config.metrics_port:
-        # Ephemeral (0) binds after the loop starts, so only a fixed port
-        # can be announced upfront for `repro top` to attach to.
-        print(f"metrics endpoint: http://{config.host}:{config.metrics_port}"
-              "/metrics", flush=True)
-
-
-def run_interruptible(coro):
-    """``asyncio.run`` with SIGTERM/SIGINT routed to task cancellation.
+def run_interruptible(config: ClusterConfig, coro):
+    """Run a live-cluster command's coroutine: ``asyncio.run`` with
+    SIGTERM/SIGINT routed to task cancellation.
 
     The cluster entry points treat cancellation as an early, orderly
     shutdown (teardown still runs, partial artefacts still flush), so a
     killed soak keeps its event/span tail instead of dying mid-write.
     """
     import signal
+
+    if config.metrics_port:
+        # Ephemeral (0) binds after the loop starts, so only a fixed port
+        # can be announced upfront for `repro top` to attach to.
+        print(f"metrics endpoint: http://{config.host}:{config.metrics_port}"
+              "/metrics", flush=True)
 
     async def _main():
         task = asyncio.ensure_future(coro)
@@ -1260,12 +1308,10 @@ def write_cluster_artefacts(
     *,
     metrics_out: Optional[str],
     events_out: Optional[str],
-    extra_header: Dict[str, Any] | None = None,
 ) -> None:
     """Write ``--metrics-out``/``--events-out`` and print their paths."""
     if metrics_out:
-        path = write_cluster_metrics(metrics_out, result, extra_header=extra_header)
-        print(f"metrics: {path}")
+        print(f"metrics: {write_cluster_metrics(metrics_out, result)}")
     if events_out:
         print(f"events: {write_cluster_events(events_out, result)}")
 
@@ -1278,8 +1324,7 @@ def cmd_cluster_run(
     config, duration = cluster_config(
         lock_service=False, events_out=events_out, **flags
     )
-    announce_metrics_endpoint(config)
-    result = run_interruptible(run_cluster(config, duration))
+    result = run_interruptible(config, run_cluster(config, duration))
     print("\n".join(result.lines()))
     write_cluster_artefacts(result, metrics_out=metrics_out, events_out=events_out)
     return 0

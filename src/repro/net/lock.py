@@ -8,13 +8,15 @@ malicious crashes disturb at most radius 2 in the §3 program, and only
 the faulty edge-set under Chandy–Misra) become service-level guarantees:
 two clients of *neighbouring* nodes never hold their locks at once.
 
-``soak`` drives one client per node against a chaos-injected cluster and
-then audits the **emitted event stream**, not in-process state: grant and
-release events (state transitions observed at each node) are folded into
-hold intervals, and every topology edge is checked for overlap.  Nodes the
-schedule crashed maliciously are excluded from the safety audit — the
-paper's specification says nothing about what a faulty process itself
-does, only about its healthy neighbourhood.
+``soak`` drives one client per node against a chaos-injected cluster
+through :func:`~repro.net.cluster.supervised_run`, whose safety audit
+(:func:`~repro.obs.slo.exclusion_audit`) reads the **emitted event
+stream**, not in-process state: grant and release events (state
+transitions observed at each node) are folded into hold intervals, and
+every topology edge is checked for overlap.  Nodes the schedule crashed
+maliciously are excluded from the safety audit — the paper's
+specification says nothing about what a faulty process itself does, only
+about its healthy neighbourhood.
 """
 
 from __future__ import annotations
@@ -25,11 +27,27 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.events import NetEventKind
-from ..obs.slo import LockState, SloReport, in_time_order
-from ..sim.topology import Pid, Topology
+from ..obs.slo import (  # Violation, neighbour_violations: public here too
+    LockState,
+    SloReport,
+    Violation,
+    in_time_order,
+    neighbour_violations,
+    summarize_slo_report,
+    write_slo_report,
+)
+from ..sim.topology import Pid
 from ..sim.trace import TraceEvent
 from .codec import Decoder, Frame, T_RSP, encode_hello, encode_request
-from .cluster import ClusterConfig, ClusterResult, ClusterSupervisor
+from .cluster import (
+    ClusterConfig,
+    ClusterResult,
+    ClusterSupervisor,
+    cluster_config,
+    run_interruptible,
+    supervised_run,
+    write_cluster_artefacts,
+)
 
 #: An acquire over a dead or silently partitioned link must fail, not
 #: hang forever — the default is deliberately finite.
@@ -347,20 +365,6 @@ class LockClient:
 # ------------------------------------------------------------------- safety
 
 
-@dataclass(frozen=True)
-class Violation:
-    """Two neighbouring nodes held the lock at once."""
-
-    node_a: str
-    node_b: str
-    overlap_start: float
-    overlap_end: float
-
-    def __str__(self) -> str:
-        return (f"{self.node_a} ∦ {self.node_b}: "
-                f"[{self.overlap_start:.3f}, {self.overlap_end:.3f}]s")
-
-
 def hold_intervals(
     events: Sequence[Mapping[str, Any]], *, end_t: float
 ) -> Dict[str, List[Tuple[float, float]]]:
@@ -377,34 +381,6 @@ def hold_intervals(
     for event in in_time_order(marks):
         state.feed(event)
     return state.hold_intervals(end_t)
-
-
-def neighbour_violations(
-    topology: Topology,
-    intervals: Dict[str, List[Tuple[float, float]]],
-    *,
-    exclude: Sequence[str] = (),
-) -> List[Violation]:
-    """Every overlap of hold intervals across a topology edge.
-
-    ``exclude`` names (repr'd) nodes outside the audit — the maliciously
-    crashed ones, whose own behaviour the specification does not bound.
-    """
-    excluded = set(exclude)
-    violations: List[Violation] = []
-    for e in topology.edges:
-        p, q = tuple(e)
-        a, b = repr(p), repr(q)
-        if a in excluded or b in excluded:
-            continue
-        for start_a, end_a in intervals.get(a, ()):
-            for start_b, end_b in intervals.get(b, ()):
-                lo = max(start_a, start_b)
-                hi = min(end_a, end_b)
-                if lo < hi:
-                    violations.append(Violation(a, b, lo, hi))
-    violations.sort(key=lambda v: (v.overlap_start, v.node_a, v.node_b))
-    return violations
 
 
 def attribute_violations(violations: Sequence[Violation]) -> List[str]:
@@ -430,6 +406,21 @@ def attribute_violations(violations: Sequence[Violation]) -> List[str]:
             v for v in remaining if worst not in (v.node_a, v.node_b)
         ]
     return blamed
+
+
+def violation_lines(
+    violations: Sequence[Violation], byzantine: Sequence[str]
+) -> List[str]:
+    """What ``cluster soak`` and live ``loadgen`` print under a
+    ``safety: VIOLATED`` line: the first ten overlaps and the attribution,
+    checked against the nodes the run subverted."""
+    blamed = attribute_violations(violations)
+    attribution = f"  attribution: blames {', '.join(blamed) or 'nobody'}"
+    if byzantine:
+        same = sorted(blamed) == sorted(byzantine)
+        match = "matches" if same else "MISMATCHES"
+        attribution += f" (byzantine set {match}: {', '.join(byzantine)})"
+    return [f"    {violation}" for violation in violations[:10]] + [attribution]
 
 
 # --------------------------------------------------------------------- soak
@@ -503,17 +494,10 @@ class SoakResult:
         ]
         if self.safe:
             return lines + ["  safety: OK (no neighbouring holders)"]
-        lines.append(f"  safety: VIOLATED ({len(self.violations)} overlaps)")
-        lines += [f"    {violation}" for violation in self.violations[:10]]
-        blamed = self.blamed
-        attribution = f"  attribution: blames {', '.join(blamed) or 'nobody'}"
-        if self.byzantine:
-            same = sorted(blamed) == sorted(self.byzantine)
-            match = "matches" if same else "MISMATCHES"
-            attribution += (
-                f" (byzantine set {match}: {', '.join(self.byzantine)})"
-            )
-        return lines + [attribution]
+        return lines + [
+            f"  safety: VIOLATED ({len(self.violations)} overlaps)",
+            *violation_lines(self.violations, self.byzantine),
+        ]
 
 
 async def _client_loop(
@@ -572,85 +556,41 @@ async def soak(
     hold_s: float = 0.05,
     acquire_timeout: float = 5.0,
 ) -> SoakResult:
-    """Run a lock-service cluster under chaos and audit the event stream."""
-    if not config.lock_service:
-        raise ValueError("soak requires a lock_service cluster config")
-    supervisor = ClusterSupervisor(config)
-    client_tasks: List[asyncio.Task] = []
-    stats: List[ClientStats] = []
-    try:
-        await supervisor.start(duration_s)
-        loop = asyncio.get_running_loop()
-        stop_at = supervisor._t0 + duration_s
-        for i, pid in enumerate(config.topology.nodes):
-            node = supervisor.nodes[pid]
-            stat = ClientStats(node=repr(pid))
-            stats.append(stat)
-            client = LockClient(
-                config.host,
-                node.port,
-                client_id=f"client-{i}",
-                stall_timeout_s=acquire_timeout,
-                max_backoff_s=0.5,
-                bus=supervisor.bus,
-                obs_pid=pid,
-                t0=supervisor._t0,
-                rng=random.Random(config.seed * 7919 + i),
-            )
-            client_tasks.append(
-                asyncio.create_task(
-                    _client_loop(
-                        client,
-                        stat,
-                        stop_at=stop_at,
-                        rng=random.Random(config.seed * 1000 + i),
-                        hold_s=hold_s,
-                        acquire_timeout=acquire_timeout,
-                    )
-                )
-            )
-        await supervisor.run(duration_s)
-    except asyncio.CancelledError:
-        # SIGTERM mid-soak: tear down in order and audit the partial window.
-        supervisor.interrupted = True
-    finally:
-        for task in client_tasks:
-            task.cancel()
-        for task in client_tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        await supervisor.stop()
-    result = supervisor.result(duration_s)
-    # The supervisor's fold saw every grant and release in arrival order —
-    # the order the event log keeps for equal times — so its intervals are
-    # the log's without a second pass over the retained rows.
-    intervals = supervisor.lock_state.hold_intervals(duration_s)
-    violations = neighbour_violations(
-        config.topology, intervals, exclude=result.killed
-    )
-    slo_report = None
-    if supervisor.slo_eval is not None:
-        # The interval audit is authoritative for safety: adopt any overlap
-        # the live grant-order check missed before the final verdict.
-        supervisor.slo_eval.reconcile_safety(
-            [v.overlap_start for v in violations]
-        )
-        slo_report = supervisor.slo_eval.report()
-        result.slo_exhausted = slo_report.exhausted
-    if violations:
-        # Neighbour exclusion was broken: freeze the black boxes so the
-        # postmortem survives even if artefact writes never happen.
-        supervisor.dump_flights("soak-violation")
-        result.flight_paths = list(supervisor.flight_paths)
+    """One lock client per node against a chaos-injected cluster for the
+    window, then the run's exclusion audit."""
+    nodes = config.topology.nodes
+    stats = [ClientStats(node=repr(pid)) for pid in nodes]
+
+    async def traffic(supervisor: ClusterSupervisor, stop_at: float) -> None:
+        tasks = [
+            asyncio.create_task(_client_loop(
+                LockClient(
+                    config.host, supervisor.nodes[pid].port,
+                    client_id=f"client-{i}", stall_timeout_s=acquire_timeout,
+                    max_backoff_s=0.5, bus=supervisor.bus, obs_pid=pid,
+                    t0=supervisor._t0, rng=random.Random(config.seed * 7919 + i),
+                ),
+                stats[i],
+                stop_at=stop_at, rng=random.Random(config.seed * 1000 + i),
+                hold_s=hold_s, acquire_timeout=acquire_timeout,
+            ))
+            for i, pid in enumerate(nodes)
+        ]
+        try:
+            await asyncio.sleep(stop_at - asyncio.get_running_loop().time())
+        finally:
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+
+    result = await supervised_run(config, duration_s, traffic)
     return SoakResult(
         cluster=result,
         clients=stats,
-        violations=violations,
-        intervals=intervals,
+        violations=result.audit.violations,
+        intervals=result.audit.intervals,
         byzantine=list(result.byzantine),
-        slo_report=slo_report,
+        slo_report=result.slo_report,
     )
 
 
@@ -663,28 +603,15 @@ def cmd_cluster_soak(
     are :func:`~repro.net.cluster.cluster_config`'s); exit 1 on a safety
     violation, an exhausted SLO budget or, with ``require_progress``, a
     surviving node that never granted."""
-    from ..obs.slo import summarize_slo_report, write_slo_report
-    from .cluster import (
-        announce_metrics_endpoint,
-        cluster_config,
-        run_interruptible,
-        write_cluster_artefacts,
-    )
-
     config, duration = cluster_config(
         lock_service=True, events_out=events_out, **flags
     )
-    announce_metrics_endpoint(config)
     result = run_interruptible(
-        soak(config, duration, hold_s=hold, acquire_timeout=acquire_timeout)
+        config,
+        soak(config, duration, hold_s=hold, acquire_timeout=acquire_timeout),
     )
     print("\n".join(result.cluster.lines() + result.lines()))
-    write_cluster_artefacts(
-        result.cluster,
-        metrics_out=metrics_out,
-        events_out=events_out,
-        extra_header={"safe": result.safe, "violations": len(result.violations)},
-    )
+    write_cluster_artefacts(result.cluster, metrics_out=metrics_out, events_out=events_out)
     status = 0 if result.safe else 1
     if result.slo_report is not None:
         for line in summarize_slo_report(result.slo_report.to_json()):

@@ -46,6 +46,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -286,10 +287,9 @@ class SloObservations:
     ) -> None:
         """Digest a cluster/soak event log — the richest artefact: its rows
         go through :meth:`observe_row` in time order, exactly as the live
-        evaluator saw them, and the neighbour-exclusion verdict is the
-        interval audit's, as ``soak`` adopts it."""
-        # Deferred: repro.net imports this module at package level.
-        from ..net.lock import neighbour_violations
+        evaluator saw them, and the neighbour-exclusion verdict is
+        :func:`exclusion_audit`'s, closed where :func:`log_end_t` says the
+        run ended — as the run itself audited it."""
         from ..sim.errors import TopologyError
         from ..sim.topology import from_spec
 
@@ -313,11 +313,8 @@ class SloObservations:
                     self.convergence_s[str(node)] = float(value)
         if topology is not None:
             killed = [str(k) for k in header.get("killed") or ()]
-            end_t = float(events[-1].get("t", 0.0)) if events else 0.0
-            for violation in neighbour_violations(
-                topology, state.hold_intervals(end_t), exclude=killed
-            ):
-                self.violation_times.append(violation.overlap_start)
+            audit = exclusion_audit(state, log_end_t(header, events), killed)
+            self.violation_times += [v.overlap_start for v in audit.violations]
 
     def add_spans(self, span_file: Any) -> None:
         """Grant waits from a span artefact (``spans-*`` or ``flight-*``):
@@ -454,12 +451,13 @@ class LockState:
     the same order: rows are stamped as they arrive, and the event log is
     the arrival order stably sorted by ``t``.  ``/metrics``
     (:class:`repro.net.cluster.ClusterSupervisor`), the live and offline SLO
-    evaluation and the safety audit (``soak`` reads the supervisor's fold,
-    :func:`repro.net.lock.hold_intervals` folds a log) all read their
+    evaluation and the safety audit (:func:`exclusion_audit`, over the
+    supervisor's fold live and a fold of the log offline) all read their
     quantities from this one class.
     """
 
     def __init__(self, topology: Any = None) -> None:
+        self.topology = topology
         #: ``repr(pid) -> neighbour labels`` (the rows' node labels);
         #: empty without a topology.
         self.neighbors: Dict[str, List[str]] = {} if topology is None else {
@@ -523,6 +521,82 @@ class LockState:
             if node in self._open else list(spans)
             for node, spans in self._intervals.items()
         }
+
+
+# ------------------------------------------------------- exclusion audit
+
+
+@dataclass(frozen=True)
+class Violation:
+    """Two neighbouring nodes held the lock at once."""
+
+    node_a: str
+    node_b: str
+    overlap_start: float
+    overlap_end: float
+
+    def __str__(self) -> str:
+        return (f"{self.node_a} ∦ {self.node_b}: "
+                f"[{self.overlap_start:.3f}, {self.overlap_end:.3f}]s")
+
+
+def neighbour_violations(
+    topology: Any,
+    intervals: Dict[str, List[Tuple[float, float]]],
+    *,
+    exclude: Sequence[str] = (),
+) -> List[Violation]:
+    """Every overlap of hold intervals across a topology edge.
+
+    ``exclude`` names (repr'd) nodes outside the audit — the maliciously
+    crashed ones, whose own behaviour the specification does not bound.
+    """
+    excluded = set(exclude)
+    violations: List[Violation] = []
+    for e in topology.edges:
+        p, q = tuple(e)
+        a, b = repr(p), repr(q)
+        if a in excluded or b in excluded:
+            continue
+        for start_a, end_a in intervals.get(a, ()):
+            for start_b, end_b in intervals.get(b, ()):
+                lo = max(start_a, start_b)
+                hi = min(end_a, end_b)
+                if lo < hi:
+                    violations.append(Violation(a, b, lo, hi))
+    violations.sort(key=lambda v: (v.overlap_start, v.node_a, v.node_b))
+    return violations
+
+
+class ExclusionAudit(NamedTuple):
+    """One neighbour-exclusion verdict and the hold intervals it read."""
+
+    intervals: Dict[str, List[Tuple[float, float]]]
+    violations: List[Violation]
+
+
+def exclusion_audit(
+    state: LockState, end_t: float, killed: Sequence[str] = ()
+) -> ExclusionAudit:
+    """The paper's E as a service verdict, reached only here — live over
+    the supervisor's fold, offline (``repro slo``, ``repro timeline
+    --events``) over a fold of the log.  Open holds close at ``end_t``, the
+    run's ``duration_s`` (:func:`log_end_t`); ``killed`` (maliciously
+    crashed) nodes are outside the audit."""
+    intervals = state.hold_intervals(end_t)
+    return ExclusionAudit(
+        intervals,
+        neighbour_violations(state.topology, intervals, exclude=killed),
+    )
+
+
+def log_end_t(header: Mapping[str, Any], events: Sequence[Mapping[str, Any]]) -> float:
+    """A recorded run's end for :func:`exclusion_audit`: its header's
+    ``duration_s``, else (a log still streaming) the last row's ``t``."""
+    end = header.get("duration_s")
+    if isinstance(end, (int, float)):
+        return float(end)
+    return max((float(e.get("t", 0.0)) for e in events), default=0.0)
 
 
 # -------------------------------------------------------------- evaluation

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..artefact import expand, load, read_jsonl, skipped_note, tally, write_jsonl
+from .slo import LockState, exclusion_audit, in_time_order, log_end_t
 from .tracing import Span, SpanEvent
 
 
@@ -295,17 +296,16 @@ def reconstruct_violations(
 ) -> List[Dict[str, Any]]:
     """Each neighbour-exclusion overlap of a soak, walked back to spans.
 
-    Re-runs the soak audit (:func:`repro.net.lock.hold_intervals` /
-    ``neighbour_violations``) over the event log, then finds, for both
-    nodes of every overlap, the spans that were open across it.  A node
-    from ``byzantine`` is named as the localisation — its spans *are* the
+    Runs the run's own audit (:func:`~repro.obs.slo.exclusion_audit`)
+    over a fold of the event log, then finds, for both nodes of every
+    overlap, the spans that were open across it.  A node from
+    ``byzantine`` is named as the localisation — its spans *are* the
     violation's causal context.
     """
-    # Deferred: repro.net imports repro.obs at package init.
-    from ..net.lock import hold_intervals, neighbour_violations
-
-    intervals = hold_intervals(list(events), end_t=end_t)
-    violations = neighbour_violations(topology, intervals, exclude=exclude)
+    state = LockState(topology)
+    for event in in_time_order(events):
+        state.feed(event)
+    violations = exclusion_audit(state, end_t, exclude).violations
     byz = set(byzantine)
     out: List[Dict[str, Any]] = []
     for violation in violations:
@@ -480,7 +480,7 @@ def cmd_timeline(
             from_spec(log_header["topology"]),
             rows,
             spans_by_node,
-            end_t=float(log_header.get("duration_s") or 0.0),
+            end_t=log_end_t(log_header, rows),
             exclude=log_header.get("killed") or (),
             byzantine=log_header.get("byzantine") or (),
         )

@@ -192,6 +192,8 @@ class TestConfigValidation:
             {"mode": "open", "arrival_rate_hz": 0},
             {"think_s": -1},
             {"max_retries": -1},
+            # a shed client would re-acquire at the same instant for ever
+            {"think_s": 0, "max_retries": 0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

@@ -2,6 +2,7 @@
 regression tests for the client's failure paths."""
 
 import asyncio
+import json
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from repro.net import (
     soak,
 )
 from repro.obs.events import NetEventKind
+from repro.obs.slo import exclusion_audit, log_end_t
 from repro.sim import ring
 from repro.sim.trace import TraceEvent
 
@@ -99,6 +101,58 @@ class TestNeighbourViolations:
     def test_excluded_nodes_are_not_audited(self):
         intervals = {"0": [(1.0, 3.0)], "1": [(2.0, 4.0)], "2": []}
         assert neighbour_violations(self.topo, intervals, exclude=["1"]) == []
+
+
+class TestAuditEndRule:
+    """One audit, one end rule: a hold still open at the end of the log
+    closes at the run's ``duration_s``, live and offline alike."""
+
+    #: ring:3, header ``duration_s: 5``; node 1's grant is the last row.
+    ROWS = [grant("0", 1.0), grant("1", 2.0)]
+
+    @pytest.fixture
+    def log(self, tmp_path):
+        from repro.artefact import KINDS, write_jsonl
+
+        header = {"format": KINDS["events"].format, "source": "soak-events",
+                  "topology": "ring:3", "duration_s": 5}
+        return write_jsonl(tmp_path / "run.events", "events", header,
+                           ({"kind": "event", **row} for row in self.ROWS))
+
+    def test_live_audit_closes_at_the_duration(self):
+        supervisor = ClusterSupervisor(ClusterConfig(
+            topology=ring(3), topology_spec="ring:3", lock_service=True,
+        ))
+        for seq, row in enumerate(self.ROWS):
+            supervisor.bus.publish(TraceEvent(
+                seq, NetEventKind.GRANT, int(row["node"]), {"t": row["t"]}
+            ))
+        audit = exclusion_audit(supervisor.lock_state, 5.0)
+        assert [(v.overlap_start, v.overlap_end) for v in audit.violations] == [
+            (2.0, 5.0)
+        ]
+
+    def test_repro_slo_counts_the_same_overlap(self, log, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "slo.json"
+        assert main(["slo", "examples/slo.json", str(log), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["observations"]["violations"] == 1
+        assert report["exhausted"] == ["safety"]
+
+    def test_repro_timeline_reconstructs_it(self, log, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.tracing import SpanRecorder, write_spans
+
+        spans = write_spans(tmp_path / "spans-0.jsonl", SpanRecorder("0"))
+        assert main(["timeline", str(spans), "--events", str(log)]) == 0
+        assert "violation: 0 ∦ 1 [2.000, 5.000]s" in capsys.readouterr().out
+
+    def test_a_log_without_a_duration_ends_at_its_last_row(self):
+        # The provisional log a run streams carries no duration_s yet.
+        assert log_end_t({"duration_s": 5}, self.ROWS) == 5.0
+        assert log_end_t({}, self.ROWS) == 2.0
 
 
 class TestLiveSoak:

@@ -22,7 +22,7 @@ oldest).
 import random
 from typing import Any, List, Tuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mp import MpEngine, MpProcess
@@ -223,6 +223,17 @@ def available_events(engine):
 
 @settings(max_examples=60, deadline=None)
 @given(specs, patiences, factories, st.integers(0, 999), interleavings)
+# A selection that finds nothing available ends every wait: a channel
+# emptied behind the engine's back and refilled after it is young again.
+@example(
+    spec="line:3", patience=1, factory=WireChannel, seed=6,
+    interleaving=[("step", 0, 0)] * 13 + [
+        ("crash", 1, 0), ("crash", 2, 0), ("malice", 0, 2),
+        ("transient", 0, 1), ("transient", 0, 0), ("transient", 0, 0),
+        ("step", 0, 1), ("step", 0, 3), ("deliver", 2, 0), ("step", 0, 0),
+        ("transient", 0, 0),
+    ],
+)
 def test_no_available_event_waits_patience_selections(
     spec, patience, factory, seed, interleaving
 ):
@@ -235,6 +246,9 @@ def test_no_available_event_waits_patience_selections(
         before = available_events(engine)
         if not engine.step():
             assert not before
+            # Nothing was available, so no event's run of selections
+            # continues past this one.
+            waited.clear()
             return
         fired = engine.chosen[-1]
         assert fired in before

@@ -861,9 +861,36 @@ class TestLoadgenCommand:
         assert code == 0
         assert "loadgen report [live]:" in out
         assert "safety: OK" in out
+        assert "attribution:" not in out  # violation lines only on a violation
         assert report.exists()
         assert main(["stats", str(report)]) == 0
         assert "loadgen report [live]:" in capsys.readouterr().out
+
+    def test_live_violation_prints_soaks_lines(self, monkeypatch, capsys):
+        from types import SimpleNamespace
+
+        from repro.gateway import loadgen
+        from repro.net.lock import Violation, violation_lines
+
+        violations = [Violation("0", "1", 1.0, 2.0)]
+        report = loadgen.run_sim(loadgen.LoadgenConfig(
+            clients=30, nodes=3, topology="ring:3", duration_s=0.5,
+        ))
+        report["results"]["safety"] = {"mode": "live", "violations": 1}
+
+        async def violated_run(config, cluster):
+            return report, SimpleNamespace(byzantine=["0"]), violations
+
+        monkeypatch.setattr(loadgen, "run_live", violated_run)
+        code = main(["loadgen", "--nodes", "3", "--duration", "0.5",
+                     "--clients", "30"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "  safety: VIOLATED (1 overlaps)" in out
+        assert out[-2:] == violation_lines(violations, ["0"]) == [
+            "    0 ∦ 1: [1.000, 2.000]s",
+            "  attribution: blames 0 (byzantine set matches: 0)",
+        ]
 
 
 class TestDispatch:
