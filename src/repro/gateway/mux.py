@@ -26,11 +26,19 @@ from .admission import AdmissionConfig, AdmissionController, RETRY_ERROR
 
 #: The error a completion carries when its upstream connection died.
 LOST_ERROR = "connection-lost"
+#: The refusal for a request no node can admit (no node index, or
+#: ``BAD_NODE``, one out of range): not a shed, so no retry is offered.
+BAD_REQUEST_ERROR = "bad-request"
+BAD_NODE = "bad-node"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Decision:
-    """The outcome of one ``submit``: admitted-and-routed, or shed."""
+    """The outcome of one ``submit``: admitted-and-routed, or refused.
+
+    Slotted, not frozen: a frozen ``__init__`` sends every field through
+    ``object.__setattr__``, and that was most of the cost of a shed.
+    """
 
     admitted: bool
     client: str
@@ -38,11 +46,11 @@ class Decision:
     op: str
     req_id: Optional[str] = None  #: set when admitted
     upstream: int = -1  #: connection slot when admitted
-    reason: Optional[str] = None  #: typed shed reason otherwise
+    reason: Optional[str] = None  #: shed reason or ``BAD_NODE`` otherwise
     retry_after_s: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Completion:
     """One finished operation, routed back to its logical client."""
 
@@ -54,15 +62,6 @@ class Completion:
     wait_s: float
     error: Optional[str] = None
     retry_after_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class _Pending:
-    client: str
-    node: int
-    op: str
-    upstream: int
-    at: float
 
 
 class GatewayMux:
@@ -93,7 +92,8 @@ class GatewayMux:
                 self.slot_node.append(index)
             self._node_slots.append(slots)
         self._rr: List[int] = [0] * len(self.nodes)
-        self._pending: Dict[str, _Pending] = {}
+        #: req_id -> (the admitted decision, its submit time)
+        self._pending: Dict[str, Tuple[Decision, float]] = {}
         self._seq = 0
         self.grants = 0
         self.failures = 0
@@ -115,7 +115,7 @@ class GatewayMux:
         if not 0 <= node < len(self.nodes):
             return Decision(
                 admitted=False, client=client, node=node, op=op,
-                reason="bad-node",
+                reason=BAD_NODE,
             )
         slots = self._node_slots[node]
         slot = slots[self._rr[node] % len(slots)]
@@ -129,11 +129,12 @@ class GatewayMux:
             )
         self._seq += 1
         req_id = f"{self.gateway_id}.{self._seq:x}"
-        self._pending[req_id] = _Pending(client, node, op, slot, now)
-        return Decision(
+        decision = Decision(
             admitted=True, client=client, node=node, op=op,
             req_id=req_id, upstream=slot,
         )
+        self._pending[req_id] = (decision, now)
+        return decision
 
     # ------------------------------------------------------------ resolve
 
@@ -151,39 +152,26 @@ class GatewayMux:
         if entry is None:
             self.unmatched += 1
             return None
-        self.admission.settle(entry.client, entry.node, entry.upstream, entry.op)
-        if ok and entry.op == "acquire":
+        decision, at = entry
+        client, node, op = decision.client, decision.node, decision.op
+        self.admission.settle(client, node, decision.upstream, op)
+        if ok and op == "acquire":
             self.grants += 1
         elif not ok:
             self.failures += 1
         return Completion(
-            client=entry.client,
-            node=entry.node,
-            op=entry.op,
-            req_id=req_id,
-            ok=ok,
-            wait_s=max(0.0, now - entry.at),
-            error=error,
-            retry_after_s=retry_after_s,
+            client, node, op, req_id, ok, max(0.0, now - at), error,
+            retry_after_s,
         )
 
     def abandon(self, upstream: int, now: float) -> List[Completion]:
         """Fail everything in flight on a dead upstream connection."""
         dead = [
             req_id
-            for req_id, entry in self._pending.items()
-            if entry.upstream == upstream
+            for req_id, (decision, _) in self._pending.items()
+            if decision.upstream == upstream
         ]
-        return [
-            completion
-            for req_id in dead
-            if (
-                completion := self.resolve(
-                    req_id, False, now, error=LOST_ERROR
-                )
-            )
-            is not None
-        ]
+        return [self.resolve(r, False, now, error=LOST_ERROR) for r in dead]
 
     # ------------------------------------------------------------- gauges
 
@@ -192,7 +180,7 @@ class GatewayMux:
 
     def holders(self) -> List[Tuple[str, int]]:
         """``(req_id, node)`` of pending ops, for drain/diagnostics."""
-        return [(r, e.node) for r, e in self._pending.items()]
+        return [(r, d.node) for r, (d, _) in self._pending.items()]
 
     def counters(self) -> Dict[str, Any]:
         adm = self.admission
@@ -262,12 +250,15 @@ class GatewayMux:
 
 
 def retry_body(decision: Decision) -> Dict[str, Any]:
-    """The typed RETRY response body for a shed decision.
+    """The typed response body for a refused decision.
 
     Shape-compatible with a node's refusal so clients handle both with
-    one code path; ``error`` is the literal ``"retry"`` and the shed
-    reason rides in ``shed``.
+    one code path.  A shed's ``error`` is the literal ``"retry"`` and its
+    reason rides in ``shed``; a ``BAD_NODE`` refusal is ``"bad-request"``,
+    the answer to a request that names no node, and carries no ``shed``.
     """
+    if decision.reason == BAD_NODE:
+        return {"op": decision.op, "ok": False, "error": BAD_REQUEST_ERROR}
     return {
         "op": decision.op,
         "ok": False,

@@ -36,7 +36,7 @@ from ..net.codec import (
 )
 from .admission import AdmissionConfig
 from .batch import BatchWriter, FlushPolicy
-from .mux import Completion, Decision, GatewayMux, retry_body
+from .mux import BAD_REQUEST_ERROR, Completion, Decision, GatewayMux, retry_body
 
 #: ``(host, port)`` of one node's client-facing socket.
 Address = Tuple[str, int]
@@ -395,7 +395,7 @@ class GatewayServer:
         node = body.get("node")
         if node is None:
             self._respond_downstream(
-                downstream, original_id, op, False, error="bad-request"
+                downstream, original_id, op, False, error=BAD_REQUEST_ERROR
             )
             return
         # The logical client is the id's stem (``client.seq`` by

@@ -234,8 +234,8 @@ def encode_response(
     """One lock-service response as a packed ``T_RSP`` frame.
 
     ``error`` is the typed refusal (``"retry"`` for admission sheds,
-    ``"bad-op"`` for protocol misuse); ``retry_after_s`` is the shed
-    back-off hint, carried as whole milliseconds.
+    ``"bad-request"`` for no or an unknown node, ``"bad-op"`` for protocol
+    misuse); ``retry_after_s`` is the shed back-off hint, in whole ms.
     """
     code = _OP_CODES.get(op)
     if code is None:

@@ -137,7 +137,13 @@ async def _scenario():
         writer.write(encode_request("acquire", "dave.1"))
         rsp4 = (await _read_frames(reader, decoder, 1))[0]
         facts["tcp_bad"] = dict(rsp4.body)
+        # Nor may a node index past the cluster be answered as a retry.
+        writer.write(encode_request("acquire", "erin.1", node=99))
+        rsp5 = (await _read_frames(reader, decoder, 1))[0]
+        facts["tcp_bad_node"] = dict(rsp5.body)
         writer.close()
+        bad_node = await gateway.request("erin", 99, "acquire")
+        facts["inproc_bad_node"] = (bad_node.ok, bad_node.error)
 
         # Face 3: the metrics endpoint.
         facts["metrics_text"] = await _scrape(
@@ -189,6 +195,10 @@ class TestTcpFace:
     def test_malformed_request_refused_typed(self, facts):
         assert facts["tcp_bad"]["ok"] is False
         assert facts["tcp_bad"]["error"] == "bad-request"
+        assert facts["tcp_bad_node"]["ok"] is False
+        assert facts["tcp_bad_node"]["error"] == "bad-request"
+        assert facts["inproc_bad_node"] == (False, "bad-request")
+        assert sum(facts["counters"]["shed"].values()) == 0
 
 
 class TestGauges:

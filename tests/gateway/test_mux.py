@@ -63,15 +63,39 @@ class TestCompletions:
         assert mux.resolve(decision.req_id, True, 0.0) is None
         assert mux.unmatched == 2
 
-    def test_shed_decision_carries_retry_hint(self):
-        mux = make(max_per_client=1, retry_after_s=0.07)
-        mux.submit("c", 0, "acquire", 0.0)
-        shed = mux.submit("c", 0, "acquire", 0.0)
-        assert not shed.admitted
-        assert shed.retry_after_s == pytest.approx(0.07)
+    @pytest.mark.parametrize(
+        "window, admitted, refused, reason",
+        [
+            ({"max_per_client": 1}, [("c", 0)], ("c", 0), "client-window"),
+            ({"max_queue_depth": 1}, [("a", 0)], ("b", 0), "queue-full"),
+            # Two slots per node: the third acquire is back on slot 0.
+            ({"max_in_flight": 1}, [("a", 0), ("b", 0)], ("c", 0),
+             "in-flight-window"),
+            # No node 99: refused as a bad request, not a retryable shed.
+            ({}, [], ("c", 99), "bad-node"),
+        ],
+        ids=["client-window", "queue-full", "in-flight-window", "bad-node"],
+    )
+    def test_shed_decision_carries_retry_hint(
+        self, window, admitted, refused, reason
+    ):
+        mux = make(retry_after_s=0.07, **{"max_per_client": 10, **window})
+        for client, node in admitted:
+            assert mux.submit(client, node, "acquire", 0.0).admitted
+        shed = mux.submit(*refused, "acquire", 0.0)
+        assert not shed.admitted and shed.reason == reason
         body = retry_body(shed)
-        assert body["error"] == RETRY_ERROR and body["ok"] is False
-        assert body["shed"] == "client-window"
+        assert body["ok"] is False
+        if reason == "bad-node":
+            assert shed.retry_after_s == 0.0
+            assert body["error"] == "bad-request" and "shed" not in body
+            assert mux.admission.shed_total() == 0
+            return
+        assert shed.retry_after_s == pytest.approx(0.07)
+        assert body["error"] == RETRY_ERROR and body["shed"] == reason
+        assert mux.admission.shed == {
+            r: int(r == reason) for r in mux.admission.shed
+        }
 
     def test_abandon_fails_only_that_slot(self):
         mux = make(max_per_client=10)

@@ -138,6 +138,16 @@ class TestRunner:
         result = run_benchmark(bench, quick=True)
         assert result.median > 0
 
+    def test_gateway_mux_kernel_sheds(self):
+        # The kernel times the shed path as well as the admitted one: 113
+        # of its 200 submissions are shed, by every reason.
+        mux = registry()["gateway/mux"].setup()()
+        assert mux.admission.admitted == 87
+        assert mux.admission.shed == {
+            "client-window": 23, "queue-full": 85, "in-flight-window": 5,
+        }
+        assert mux.pending_count() == 0
+
     def test_payload_shape(self):
         bench, _ = make_bench(rounds=2, warmup=0, ops=10)
         ticks = iter([0.0, 1.0, 1.0, 2.0])
