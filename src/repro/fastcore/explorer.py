@@ -4,38 +4,31 @@ state.
 Mirrors :class:`repro.verification.explorer.TransitionSystem` — same enabled
 order (pid-major, action declaration order), same successor set, same
 ``max_states`` guard — but a state here is one ``int``,
-:meth:`PackedCodec.key`'s fixed-layout encoding: it is the visited-set
+:meth:`PackedCodec.key`'s encoding in the :class:`~.packed.KeyLayout`
+derived from the algorithm's declared domains: it is the visited-set
 element, the frontier element and the successor at once.  Expanding a state
 runs code generated for this topology from the algorithm's action table
 (:func:`repro.fastcore.table.int_key_program`): guards read neighbour fields
 of the int by constant shifts, and each successor is the parent int with
 only the writer's fields replaced (§2: a command at ``p`` writes ``p``'s
 locals and ``p``'s incident edges, nothing else).
-The decoded :meth:`successors` output is asserted identical to the object
-model's in ``tests/fastcore``.  ``repro check`` runs on this class alone:
-:meth:`reachable_stats` is ``--reachable``, and the theorems are
+``tests/fastcore`` decodes :meth:`successors` and asserts it identical to
+the object model's.  ``repro check`` runs on this class alone:
+:meth:`reachable_count` is ``--reachable``, and the theorems are
 :mod:`repro.verification.properties` over :meth:`enumerate_keys` with
 :meth:`successors` taking the keys as they are.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set
-from typing import Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..core.figure1 import STATE_CODE
-from ..core.state import VAR_DEPTH, VAR_STATE
 from ..sim.configuration import Configuration
 from ..sim.errors import StateSpaceExceededError
 from ..sim.topology import Pid, Topology
-from ..verification.explorer import Transition
-from .packed import ALIVE, DEAD, PackedCodec, PackedState
+from .packed import PackedCodec
 from .table import int_key_program
-
-#: A state in any of its spellings; an ``int`` is a :meth:`PackedCodec.key`.
-Source = Union[Configuration, PackedState, int]
 
 
 @dataclass(frozen=True)
@@ -43,8 +36,9 @@ class FastReachability:
     """Outcome of a packed BFS sweep.
 
     ``states`` matches ``len(TransitionSystem.reachable_from(sources))``
-    exactly (the CI smoke job cmp's the two); ``violations`` counts visited
-    states where two neighbours eat simultaneously.
+    exactly (``tests/fastcore`` holds the two to each other; CI greps the
+    command's pinned counts); ``violations`` counts visited states where two
+    neighbours eat simultaneously.
     """
 
     states: int
@@ -56,8 +50,9 @@ class FastTransitionSystem:
     """Successor computation over int-keyed packed states.
 
     Constructed like the object :class:`TransitionSystem` —
-    ``FastTransitionSystem(algorithm, topology)`` — so call sites can switch
-    backends by swapping the class.
+    ``FastTransitionSystem(algorithm, topology)``.  A state is a key:
+    :meth:`successors` and :meth:`enumerate_keys` speak keys, and
+    :meth:`describe` turns one into text for a report.
     """
 
     def __init__(self, algorithm, topology: Topology) -> None:
@@ -74,8 +69,6 @@ class FastTransitionSystem:
             self.source = program.source
             self._expand = program.functions["expand"]
 
-    # -------------------------------------------------------- packed layer
-
     def successors_packed(
         self, k: int
     ) -> Tuple[List[Tuple[int, int, int]], bool]:
@@ -90,88 +83,40 @@ class FastTransitionSystem:
         """
         return self._expand(k)
 
-    # -------------------------------------------------------- object layer
-
-    def _key(self, source: Source) -> int:
-        if isinstance(source, int):
-            return source
-        if not isinstance(source, PackedState):
-            source = self.codec.pack(source)
-        return self.codec.key(source)
-
-    def enabled(self, config: Source) -> List[Tuple[object, str]]:
-        """Decoded mirror of ``TransitionSystem.enabled``."""
-        pids, names = self.codec.pids, self.codec.table.names
-        return [
-            (pids[p], names[a])
-            for p, a, _k in self.successors_packed(self._key(config))[0]
-        ]
-
-    def successors(self, config: Source) -> Sequence[Tuple]:
-        """Decoded mirror of ``TransitionSystem.successors`` — or, for a
-        state given as its key, the ``(p, a, successor key)`` triples as
+    def successors(self, k: int) -> List[Tuple[int, int, int]]:
+        """The ``(p, a, successor key)`` triples of the state ``k``, as
         generated: states in, the same kind of states out, which is what
         :mod:`repro.verification.properties` asks of a transition system
         (``codec.pids[p]`` / ``codec.table.names[a]`` name a reported label).
         """
-        if isinstance(config, int):
-            return self.successors_packed(config)[0]
-        codec = self.codec
-        names = codec.table.names
-        return [
-            Transition(codec.pids[p], names[a], codec.unpack(codec.unkey(k)))
-            for p, a, k in self.successors_packed(self._key(config))[0]
-        ]
+        return self.successors_packed(k)[0]
 
-    # --------------------------------------------------------- enumeration
+    def describe(self, k: int) -> str:
+        """The state ``k`` as ``Configuration.describe`` prints it."""
+        codec = self.codec
+        return codec.unpack(codec.unkey(k)).describe()
 
     def enumerate_keys(self, *, dead: Iterable[Pid] = ()) -> Iterator[int]:
-        """Every state of the full space, as its key, ``needs`` pinned true.
-
-        Counts through :class:`KeyLayout`'s fields — no ``Configuration`` is
-        built — in the order of ``enumerate_configurations(algorithm,
-        topology, fixed_locals={"needs": True}, dead=dead)``: the last
-        process and the last edge vary fastest, an edge tries its earlier
-        endpoint as the ancestor first.  ``space_size`` of the same arguments
-        is how many there are.
+        """Every state of the full space, as its key, ``needs`` pinned true
+        and the processes ``dead`` dead: :meth:`KeyLayout.keys`, in the
+        order of ``enumerate_configurations(algorithm, topology,
+        fixed_locals={"needs": True}, dead=dead)``.  ``codec.layout.size``
+        is how many there are.  An unknown process in ``dead`` raises
+        :class:`~repro.sim.errors.UnknownProcessError` here, not when the
+        first key is drawn.
         """
         codec = self.codec
-        layout = codec.require_layout()
-        dead_at = {codec.index[pid] for pid in dead}
-        states = [STATE_CODE[v] for v in codec.local_domains[VAR_STATE].values()]
-        depths = list(codec.local_domains[VAR_DEPTH].values())
-        fields = [
-            [
-                layout.field(s, True, DEAD if p in dead_at else ALIVE, d) << shift
-                for s in states
-                for d in depths
-            ]
-            for p, shift in enumerate(layout.shift)
-        ]
-        # The edge bit is set when the layout's *first* endpoint is the
-        # ancestor; the object enumeration sorts edges by endpoint indices.
-        edges = sorted(
-            (sorted((i, j)), (1 << bit, 0) if i < j else (0, 1 << bit))
-            for bit, (i, j) in enumerate(layout.edges, layout.edge_base)
-        )
-        orientations = [
-            sum(bits) for bits in itertools.product(*(pair for _e, pair in edges))
-        ]
-        for locals_ in itertools.product(*fields):
-            base = sum(locals_)
-            for edge_bits in orientations:
-                yield base | edge_bits
+        return codec.require_layout().keys(frozenset(codec.indices(dead)))
 
-    # ------------------------------------------------------- reachability
-
-    def reachable_stats(
+    def reachable_count(
         self,
-        sources: Iterable[Source],
+        sources: Iterable[Configuration],
         *,
         max_states: int = 1_000_000,
         progress: Optional[Callable[[int, int, int], None]] = None,
     ) -> FastReachability:
-        """BFS closure of ``sources``, counting instead of materializing.
+        """BFS closure of the configurations ``sources``, counting instead
+        of materializing.
 
         Level-synchronous over a ``set`` of int keys: a state is one int from
         the moment it is found, each level's list is dropped once expanded,
@@ -183,7 +128,7 @@ class FastTransitionSystem:
         visited: Set[int] = set()
         frontier: List[int] = []
         for source in sources:
-            k = self._key(source)
+            k = self.codec.key(self.codec.pack(source))
             if k not in visited:
                 visited.add(k)
                 frontier.append(k)

@@ -25,18 +25,24 @@ and the int below (for the explorer).  No predicate is written here either:
 :class:`PackedCodec` converts between this encoding and the object model's
 :class:`~repro.sim.configuration.Configuration` — losslessly, so parity can
 be asserted configuration-by-configuration — and between a state and one
-fixed-layout ``int`` (:meth:`PackedCodec.key` / :meth:`PackedCodec.unkey`,
-laid out by :class:`KeyLayout`), which *is* the checker's state: a
-successor is its parent's int with the writing process's fields replaced.
+fixed-layout ``int`` (:meth:`PackedCodec.key` / :meth:`PackedCodec.unkey`),
+which *is* the checker's state: a successor is its parent's int with the
+writing process's fields replaced.  :class:`KeyLayout` decides where every
+field sits, once, from the algorithm's declared domains; the key codec, the
+full-space enumeration and the generated successor code all read it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+import itertools
+from functools import cached_property
+from typing import AbstractSet, Any, Dict, Iterable, Iterator, List, Mapping
+from typing import Optional, Sequence, Tuple
 
 from ..core.figure1 import FIGURE1, STATE_CODE, STATE_VALUES, view_program
 from ..core.state import VAR_DEPTH, VAR_NEEDS, VAR_STATE
 from ..sim.configuration import Configuration
+from ..sim.domains import Domain
 from ..sim.errors import DomainError, SimulationError, UnknownProcessError
 from ..sim.topology import Pid, Topology
 
@@ -47,6 +53,9 @@ ACTION_NAMES: Tuple[str, ...] = FIGURE1.names
 A_JOIN, A_LEAVE, A_ENTER, A_EXIT, A_FIXDEPTH = range(len(ACTION_NAMES))
 
 ALIVE, MALICIOUS, DEAD = 0, 1, 2
+#: The liveness status's name beside the declared locals (a key field and a
+#: :class:`PackedState` vector, like them).
+STATUS = "status"
 
 
 class UnsupportedBackendError(SimulationError):
@@ -54,7 +63,9 @@ class UnsupportedBackendError(SimulationError):
 
 
 class PackedState:
-    """One mutable packed configuration (plain lists + int bitsets)."""
+    """One mutable packed configuration (plain lists + int bitsets); the
+    vectors come in :class:`KeyLayout`'s field order, as ``unkey`` builds
+    them."""
 
     __slots__ = ("state", "needs", "depth", "status", "anc", "desc")
 
@@ -85,24 +96,96 @@ class PackedState:
         )
 
 
-class KeyLayout(NamedTuple):
-    """Where each variable lives in the int :meth:`PackedCodec.key` returns.
+#: The locals the checker's full space pins: no action writes ``needs`` and
+#: no stabilization predicate reads it, so it is held true throughout.
+PINNED: Dict[str, Any] = {VAR_NEEDS: True}
 
-    Process ``p`` owns one field at ``shift[p]`` holding ``state · needs ·
-    status · depth`` (high to low: 2, 1, 2 and ``depth_bits`` bits); above
-    the ``n`` fields, from ``edge_base``, sits one bit per edge of ``edges``
-    (endpoint index pairs, in ``topology.edges`` order), set when the
-    edge's first endpoint is the ancestor.
+
+class KeyLayout:
+    """Where each variable lives in the int :meth:`PackedCodec.key` returns,
+    derived from the algorithm's declared domains.
+
+    Process ``p`` owns a slot of :attr:`slot_bits` bits from ``p ·
+    slot_bits``.  Read from its top bit down, the slot holds the 2-bit
+    liveness ``status`` and then every declared local in declaration order,
+    each as its index in ``domain.values()`` in just enough bits for the
+    largest index.  Above the ``n`` slots, from :attr:`edge_base`, sits one
+    bit per edge (``topology.edges`` order): the edge's index in its
+    ``edge_domain``.  :attr:`edges` holds each edge's endpoint indices in
+    that domain's order, so a set bit names the second one the ancestor.
     """
 
-    depth_bits: int
-    shift: Tuple[int, ...]
-    edge_base: int
-    edges: Tuple[Tuple[int, int], ...]
+    def __init__(
+        self, domains: Mapping[str, Domain], n: int, edges: Sequence[Tuple[int, int]]
+    ) -> None:
+        #: name -> its domain's values, in declaration order, ``status`` last
+        self.values = {name: tuple(dom.values()) for name, dom in domains.items()}
+        self.values[STATUS] = (ALIVE, MALICIOUS, DEAD)
+        self.width = {
+            name: (len(values) - 1).bit_length() for name, values in self.values.items()
+        }
+        #: name -> its offset in a slot
+        self.offset: Dict[str, int] = {}
+        low = 0
+        for name in (*reversed(list(domains)), STATUS):  # status on top
+            self.offset[name], low = low, low + self.width[name]
+        self.n, self.slot_bits, self.edge_base = n, low, n * low
+        self.edges: Tuple[Tuple[int, int], ...] = tuple(edges)
+        #: bits in a key
+        self.bits = self.edge_base + len(self.edges)
 
-    def field(self, state: int, needs: bool, status: int, depth: int) -> int:
-        """One process's field, before its shift."""
-        return ((state << 1 | needs) << 2 | status) << self.depth_bits | depth
+    def at(self, p: int, name: str) -> int:
+        """The offset of process ``p``'s ``name`` in a key."""
+        return p * self.slot_bits + self.offset[name]
+
+    def mask(self, name: str) -> int:
+        """``name``'s bits, before a process's offset shifts them."""
+        return (1 << self.width[name]) - 1
+
+    def _live_slots(self) -> List[int]:
+        """A live process's slot values in the full space, in enumeration
+        order: each declared local over its domain (the first declared
+        slowest), the :data:`PINNED` ones held."""
+        declared = [name for name in self.values if name != STATUS]
+        indices = [
+            [self.values[name].index(PINNED[name])] if name in PINNED
+            else range(len(self.values[name]))
+            for name in declared
+        ]
+        return [
+            sum(i << self.offset[name] for name, i in zip(declared, combo))
+            for combo in itertools.product(*indices)
+        ]
+
+    @property
+    def size(self) -> int:
+        """How many keys :meth:`keys` yields."""
+        return len(self._live_slots()) ** self.n << len(self.edges)
+
+    def keys(self, dead: AbstractSet[int] = frozenset()) -> Iterator[int]:
+        """Every key of the full space — the :data:`PINNED` locals held,
+        the processes at indices ``dead`` dead, every other variable over
+        its whole domain — in the order of ``enumerate_configurations(
+        algorithm, topology, fixed_locals=PINNED, dead=…)``: the last
+        process and the last edge (by endpoint indices) vary fastest, each
+        variable and edge through its domain's order."""
+        live = self._live_slots()
+        dead_bits = DEAD << self.offset[STATUS]
+        slots = [
+            [(v | dead_bits if p in dead else v) << p * self.slot_bits for v in live]
+            for p in range(self.n)
+        ]
+        edge_bits = [
+            (0, 1 << bit)
+            for _pair, bit in sorted(
+                zip(map(sorted, self.edges), range(self.edge_base, self.bits))
+            )
+        ]
+        orientations = [sum(bits) for bits in itertools.product(*edge_bits)]
+        for locals_ in itertools.product(*slots):
+            base = sum(locals_)
+            for edges in orientations:
+                yield base | edges
 
 
 class PackedCodec:
@@ -158,13 +241,10 @@ class PackedCodec:
         #: field width), and then :meth:`require_layout` refuses.
         self.layout: Optional[KeyLayout] = None
         if self.cap is not None and self.cap <= 255:
-            width = self.cap.bit_length() + 5
-            self.layout = KeyLayout(
-                depth_bits=self.cap.bit_length(),
-                shift=tuple(p * width for p in range(self.n)),
-                edge_base=self.n * width,
-                edges=tuple((i, j) for _e, i, j, _dom in self.edge_order),
-            )
+            self.layout = KeyLayout(self.local_domains, self.n, [
+                tuple(self.index[v] for v in dom.values())
+                for _e, _i, _j, dom in self.edge_order
+            ])
 
     # ------------------------------------------------------------ initial
 
@@ -183,11 +263,16 @@ class PackedCodec:
             lo, hi = (i, j) if i < j else (j, i)
             anc[hi] |= 1 << lo  # earlier node-order endpoint is the ancestor
             desc[lo] |= 1 << hi
-        for pid in initially_dead:
-            if pid not in self.index:
-                raise UnknownProcessError(pid)
-            status[self.index[pid]] = DEAD
+        for p in self.indices(initially_dead):
+            status[p] = DEAD
         return PackedState(state, needs, depth, status, anc, desc)
+
+    def indices(self, pids: Iterable[Pid]) -> List[int]:
+        """The process indices of ``pids``; an unknown one is refused."""
+        try:
+            return [self.index[pid] for pid in pids]
+        except KeyError as exc:
+            raise UnknownProcessError(exc.args[0]) from None
 
     # ------------------------------------------------------- pack / unpack
 
@@ -267,13 +352,13 @@ class PackedCodec:
         """
         layout = self.require_layout()
         k = 0
-        for p, shift in enumerate(layout.shift):
-            d = ps.depth[p]
-            if not 0 <= d <= self.cap:
-                raise DomainError(VAR_DEPTH, d)  # would spill into a neighbour
-            k |= layout.field(ps.state[p], ps.needs[p], ps.status[p], d) << shift
+        for name, values in layout.values.items():
+            for p, v in enumerate(getattr(ps, name)):
+                if not 0 <= v < len(values):
+                    raise DomainError(name, v)  # would spill into a neighbour
+                k |= v << layout.at(p, name)
         for bit, (i, j) in enumerate(layout.edges, layout.edge_base):
-            if (ps.anc[j] >> i) & 1:
+            if (ps.anc[i] >> j) & 1:
                 k |= 1 << bit
         return k
 
@@ -281,17 +366,27 @@ class PackedCodec:
         """Inverse of :meth:`key` (for ints :meth:`key` or the generated
         successor code made)."""
         layout = self.require_layout()
-        n, db = self.n, layout.depth_bits
-        state, needs, depth, status = [0] * n, [False] * n, [0] * n, [0] * n
-        anc, desc = [0] * n, [0] * n
-        for p, shift in enumerate(layout.shift):
-            f = k >> shift
-            depth[p] = f & ((1 << db) - 1)
-            status[p] = (f >> db) & 3
-            needs[p] = bool((f >> (db + 2)) & 1)
-            state[p] = (f >> (db + 3)) & 3
+        rows, bits = self._slot_rows, layout.slot_bits
+        mask = (1 << bits) - 1
+        slots = [rows[k >> at & mask] for at in range(0, layout.edge_base, bits)]
+        anc, desc = [0] * self.n, [0] * self.n
         for bit, (i, j) in enumerate(layout.edges, layout.edge_base):
-            a, d = (i, j) if (k >> bit) & 1 else (j, i)
+            a, d = (j, i) if (k >> bit) & 1 else (i, j)
             anc[d] |= 1 << a
             desc[a] |= 1 << d
-        return PackedState(state, needs, depth, status, anc, desc)
+        return PackedState(*map(list, zip(*slots)), anc, desc)
+
+    @cached_property
+    def _slot_rows(self) -> List[Tuple[Any, ...]]:
+        """:meth:`unkey`'s table: a slot's value -> its fields in
+        :class:`PackedState`'s vector order (the layout's; ``needs`` a bool)."""
+        layout = self.layout
+        return [
+            tuple(
+                (bool if name == VAR_NEEDS else int)(
+                    slot >> layout.offset[name] & layout.mask(name)
+                )
+                for name in layout.values
+            )
+            for slot in range(1 << layout.slot_bits)
+        ]

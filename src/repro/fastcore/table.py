@@ -46,6 +46,8 @@ from ..core.figure1 import (
     Program,
     compile_program,
 )
+from ..core.state import VAR_DEPTH, VAR_NEEDS, VAR_STATE
+from .packed import STATUS
 
 #: atom -> the local a block binds it to when it reads it more than once
 _LOCALS = {"anc_nonT": "an"}
@@ -149,23 +151,28 @@ def _emit_rows(table: ActionTable, low: _Lowering) -> List[str]:
 
 def int_key_program(codec) -> Program:
     """``expand(k) -> (successors, eating)`` for ``codec``'s topology, table,
-    cap and ``D``, over the int layout :meth:`PackedCodec.key` fixes.
+    cap and ``D``, over the int layout the codec's :class:`KeyLayout` fixes.
 
     ``successors`` are ``(p, a, key)`` triples, pid-major in declaration
     order; ``eating`` is whether two neighbours are both in state E.
     """
     layout = codec.layout
-    db, shifts = layout.depth_bits, layout.shift
+    at, mask = layout.at, layout.mask
     table, cap, n = codec.table, codec.cap, codec.n
-    state_at = [s + db + 3 for s in shifts]
-    every_bit = (1 << (layout.edge_base + len(layout.edges))) - 1
+    every_bit = (1 << layout.bits) - 1
+
+    def read(p: int, name: str) -> str:
+        """Source for the index ``p``'s ``name`` holds in ``k``."""
+        shift = f" >> {at(p, name)}" if at(p, name) else ""
+        return f"k{shift} & {mask(name)}"
+
     #: per process: (neighbour, edge variable, "is the neighbour my ancestor
     #: when the edge's key bit is set", the edge's key bit)
     incident: List[List[Tuple[int, str, bool, int]]] = [[] for _ in range(n)]
     for e, (i, j) in enumerate(layout.edges):
         bit = 1 << (layout.edge_base + e)
-        incident[i].append((j, f"e{e}", False, bit))
-        incident[j].append((i, f"e{e}", True, bit))
+        incident[i].append((j, f"e{e}", True, bit))
+        incident[j].append((i, f"e{e}", False, bit))
 
     def over(p: int, ancestors: bool, what: str) -> str:
         """Disjunction of ``what`` (over neighbour ``q``) across ``p``'s
@@ -178,7 +185,6 @@ def int_key_program(codec) -> Program:
 
     body: List[str] = []
     for p in range(n):
-        shift = shifts[p]
         prop = []
         for q, ev, set_means_anc, _bit in incident[p]:
             is_desc = ("not " if set_means_anc else "") + ev
@@ -192,23 +198,22 @@ def int_key_program(codec) -> Program:
             clear = fixed = 0
             moving = ""
             for variable, value in row.assign:
-                at, bits = (
-                    (state_at[p], 2) if variable == "state" else (shift, db)
-                )
-                clear |= ((1 << bits) - 1) << at
+                offset = at(p, variable)
+                clear |= mask(variable) << offset
                 if value in STATE_CODE:
-                    fixed |= STATE_CODE[value] << at
+                    fixed |= STATE_CODE[value] << offset
                 elif value.isdigit():
-                    fixed |= int(value) << at
+                    fixed |= int(value) << offset
                 else:  # an atom, known only when the code runs
-                    moving += f" | {value} << {at}" if at else f" | {value}"
+                    moving += f" | {value} << {offset}" if offset else f" | {value}"
             if row.away:
                 for _q, _ev, set_means_anc, bit in incident[p]:
                     clear |= bit
                     fixed |= bit if set_means_anc else 0
-            if state is not None and clear == 3 << state_at[p]:
+            own = at(p, VAR_STATE)
+            if state is not None and clear == mask(VAR_STATE) << own:
                 # Only the state changes and this arm knows its old value.
-                successor = f"k ^ {(state << state_at[p]) ^ fixed:#x}"
+                successor = f"k ^ {(state << own) ^ fixed:#x}"
             else:
                 successor = f"k & {~clear & every_bit:#x}"
                 successor += f" | {fixed:#x}" if fixed else ""
@@ -216,7 +221,7 @@ def int_key_program(codec) -> Program:
 
         low = _Lowering(
             atoms={
-                "needs": f"k & {1 << (shift + db + 2):#x}",
+                "needs": f"k & {mask(VAR_NEEDS) << at(p, VAR_NEEDS):#x}",
                 "depth": f"d{p}",
                 "anc_nonT": "(" + over(p, True, "s{q}") + ")",
                 "desc_E": "(" + over(p, False, "s{q} == 2") + ")",
@@ -227,7 +232,8 @@ def int_key_program(codec) -> Program:
             state=f"s{p}",
             fire=fire,
         )
-        body.append(f"if not k & {3 << (shift + db):#x}:  # {codec.pids[p]!r} alive")
+        alive = mask(STATUS) << at(p, STATUS)
+        body.append(f"if not k & {alive:#x}:  # {codec.pids[p]!r} alive")
         body += _indent(_emit_rows(table, low))
 
     both_eat = " or ".join(
@@ -235,18 +241,17 @@ def int_key_program(codec) -> Program:
     ) or "False"
     # Decode only what some guard, command or the audit reads (an ablation
     # without fixdepth never looks at a depth).
-    read = set(re.findall(r"\b[sde]\d+\b", "\n".join(body) + both_eat))
+    used = set(re.findall(r"\b[sde]\d+\b", "\n".join(body) + both_eat))
     decode = []
     for p in range(n):
-        if f"s{p}" in read:
-            decode.append(f"s{p} = k >> {state_at[p]} & 3")
-        if f"d{p}" in read:
-            at = f" >> {shifts[p]}" if shifts[p] else ""
-            decode.append(f"d{p} = k{at} & {(1 << db) - 1}")
+        if f"s{p}" in used:
+            decode.append(f"s{p} = {read(p, VAR_STATE)}")
+        if f"d{p}" in used:
+            decode.append(f"d{p} = {read(p, VAR_DEPTH)}")
     for e in range(len(layout.edges)):
-        if f"e{e}" in read:
+        if f"e{e}" in used:
             decode.append(f"e{e} = k & {1 << (layout.edge_base + e):#x}")
-    any_eats = sum(2 << at for at in state_at)
+    any_eats = sum(STATE_CODE["E"] << at(p, VAR_STATE) for p in range(n))
     source = "\n".join(
         ["def expand(k):", "    out = []", "    add = out.append"]
         + _indent(decode + body)

@@ -220,7 +220,7 @@ def fastcore_reachable():
     fts = FastTransitionSystem(algo, topo)
 
     def kernel():
-        states = fts.reachable_stats([config]).states
+        states = fts.reachable_count([config]).states
         if states != 19264:  # ops= above is only honest for this closure
             raise RuntimeError(f"ring4 closure has {states} states, not 19264")
 

@@ -19,17 +19,12 @@ Workflow (see experiment E9)::
 That is the object path: the reference, and the explorer for any
 ``Algorithm``.  The property functions take any hashable state, and
 ``repro check`` (:mod:`repro.verification.check`) runs the same ones over
-:class:`repro.fastcore.FastTransitionSystem`'s int keys — star(3) in 13 s
-instead of 111 s, line(4) and ring(4) at all.
+:class:`repro.fastcore.FastTransitionSystem`'s int keys (exported here as
+:data:`FastExplorer`, the same class) — star(3) in 5–8 s and 180 MB on a
+1-CPU container instead of 111 s and 3.2 GB, line(4) and ring(4) at all.
 """
 
-from .explorer import (
-    FastExplorer,
-    Transition,
-    TransitionSystem,
-    enumerate_configurations,
-    space_size,
-)
+from .explorer import Transition, TransitionSystem, enumerate_configurations
 from .properties import (
     ClosureReport,
     ConvergenceReport,
@@ -50,7 +45,6 @@ __all__ = [
     "Transition",
     "TransitionSystem",
     "enumerate_configurations",
-    "space_size",
     "ClosureReport",
     "ConvergenceReport",
     "Counterexample",
@@ -64,3 +58,14 @@ __all__ = [
     "convergence_distances",
     "optimal_recovery_diameter",
 ]
+
+
+def __getattr__(name: str):
+    # FastExplorer is fastcore's one int-keyed explorer class, under the name
+    # benchmarks/e2e/offline.py imports; resolved on first use so that
+    # ``import repro`` does not load fastcore.
+    if name == "FastExplorer":
+        from ..fastcore.explorer import FastTransitionSystem
+
+        return FastTransitionSystem
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

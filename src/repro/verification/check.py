@@ -19,7 +19,6 @@ from ..core import NADiners, invariant_report, invariant_with_threshold
 from ..fastcore.explorer import FastTransitionSystem
 from ..sim import System, from_spec
 from ..sim.errors import StateSpaceExceededError
-from .explorer import space_size
 from .properties import check_closure, check_convergence
 
 
@@ -70,7 +69,7 @@ def run_check(
     if reachable:
         return _check_reachable(fts, spec, threshold, max_states, progress)
 
-    states = space_size(algo, topology, fixed_locals={"needs": True})
+    states = fts.codec.layout.size
     if states > max_states:
         return _over_cap(spec, max_states, "states", states)
     print(f"{topology}, threshold={threshold}: {states} states", flush=True)
@@ -79,17 +78,15 @@ def run_check(
     print(f"I closed: {closure.holds} ({closure.checked_states} legit states)")
     if closure.counterexample is not None:
         cx, codec = closure.counterexample, fts.codec
-        source, target = (
-            codec.unpack(codec.unkey(k)) for k in (cx.source, cx.target)
-        )
         print(
             f"counterexample: process {codec.pids[cx.pid]!r} executes "
             f"{codec.table.names[cx.action]} at"
         )
-        print(source.describe())
+        print(fts.describe(cx.source))
         print("and reaches")
-        print(target.describe())
-        print(f"where I's conjuncts read {invariant_report(target, threshold)}")
+        print(fts.describe(cx.target))
+        report = invariant_report(codec.unkey(cx.target), threshold)
+        print(f"where I's conjuncts read {report}")
     convergence = check_convergence(fts, predicate, keys, max_states=max_states)
     print(
         f"converges: {convergence.converges} "
@@ -118,7 +115,7 @@ def _check_reachable(fts, spec, threshold, max_states, every) -> int:
             )
 
     try:
-        stats = fts.reachable_stats(
+        stats = fts.reachable_count(
             [system.snapshot()],
             max_states=max_states,
             progress=heartbeat if every else None,

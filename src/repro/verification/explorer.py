@@ -16,40 +16,21 @@ explorer: it runs every ``Algorithm`` (K-state, the baselines, the
 low-atomicity adapter have no other), and the int-keyed
 :class:`repro.fastcore.explorer.FastTransitionSystem` that ``repro check``
 uses is tested against it.  :class:`Transition` and :func:`reachable_graph`
-are what the two share with :mod:`repro.verification.properties`.
+are what :mod:`repro.verification.properties` builds on.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from ..sim.configuration import Configuration
 from ..sim.errors import SimulationError, StateSpaceExceededError
+from ..sim.errors import UnknownProcessError
 from ..sim.network import System
 from ..sim.process import Algorithm
 from ..sim.topology import Pid, Topology
-
-
-def space_size(
-    algorithm: Algorithm,
-    topology: Topology,
-    *,
-    fixed_locals: Mapping[str, Any] | None = None,
-) -> int:
-    """How many configurations :func:`enumerate_configurations` will yield."""
-    fixed = fixed_locals or {}
-    domains = algorithm.local_domains(topology)
-    per_process = 1
-    for name, domain in domains.items():
-        if name in fixed:
-            continue
-        per_process *= len(list(domain.values()))
-    total = per_process ** len(topology)
-    for e in topology.edges:
-        total *= len(list(algorithm.edge_domain(topology, e).values()))
-    return total
 
 
 def enumerate_configurations(
@@ -65,7 +46,8 @@ def enumerate_configurations(
     ``{"needs": True}``, which cuts the space in half per process without
     affecting the stabilization predicates (they never read ``needs``).
     ``dead`` marks processes as crashed; their variables still range over
-    their domains (a dead process's state is frozen but arbitrary).
+    their domains (a dead process's state is frozen but arbitrary).  An
+    unknown process in ``dead`` raises :class:`UnknownProcessError`.
     """
     fixed = dict(fixed_locals or {})
     domains = dict(algorithm.local_domains(topology))
@@ -87,6 +69,9 @@ def enumerate_configurations(
     edge_values = [list(algorithm.edge_domain(topology, e).values()) for e in edges]
 
     dead = tuple(dead)
+    for pid in dead:
+        if pid not in order:
+            raise UnknownProcessError(pid)
     for local_combo in itertools.product(per_process, repeat=len(nodes)):
         local_values = dict(zip(nodes, local_combo))
         for edge_combo in itertools.product(*edge_values):
@@ -148,51 +133,6 @@ def reachable_graph(
     return graph
 
 
-class FastExplorer:
-    """Packed-state reachability for the checker's visited set.
-
-    Wraps :class:`repro.fastcore.explorer.FastTransitionSystem` behind the
-    verification layer's vocabulary: ``enabled``/``successors`` match
-    :class:`TransitionSystem` transition-for-transition (the parity battery
-    pins this), while :meth:`reachable_count` replaces the object BFS's
-    configuration-keyed graph with a ``set`` of ints, one per state — the
-    representation that lets exhaustive sweeps scale past toy rings.
-    """
-
-    def __init__(self, algorithm: Algorithm, topology: Topology) -> None:
-        # Imported lazily: fastcore imports this module for ``Transition``.
-        from ..fastcore.explorer import FastTransitionSystem
-
-        self.algorithm = algorithm
-        self.topology = topology
-        self._fts = FastTransitionSystem(algorithm, topology)
-
-    def enabled(self, config: Configuration) -> List[Tuple[Pid, str]]:
-        """Mirror of :meth:`TransitionSystem.enabled`."""
-        return self._fts.enabled(config)
-
-    def successors(self, config: Configuration) -> "List[Transition]":
-        """Mirror of :meth:`TransitionSystem.successors`."""
-        return self._fts.successors(config)
-
-    def reachable_count(
-        self,
-        sources: Iterable[Configuration],
-        *,
-        max_states: int = 1_000_000,
-        progress: Optional[Callable[[int, int, int], None]] = None,
-    ):
-        """BFS closure size + transition/violation counts over packed keys.
-
-        Returns a :class:`repro.fastcore.explorer.FastReachability` whose
-        ``states`` equals ``len(TransitionSystem.reachable_from(sources))``;
-        ``progress(level, states, frontier)`` is called once per BFS level.
-        """
-        return self._fts.reachable_stats(
-            sources, max_states=max_states, progress=progress
-        )
-
-
 class TransitionSystem:
     """Computes successors of configurations by executing the algorithm.
 
@@ -200,9 +140,9 @@ class TransitionSystem:
     computation restores it to the source configuration, executes one
     enabled action, and snapshots.
 
-    :class:`FastExplorer` is the packed-state drop-in for the read-only
-    surface (``enabled``/``successors``/reachability counting); this class
-    remains the reference that defines what those must return.
+    The int-keyed :class:`repro.fastcore.explorer.FastTransitionSystem`
+    is tested against it; this class remains the reference that defines
+    what its successors and closures must be.
     """
 
     def __init__(self, algorithm: Algorithm, topology: Topology) -> None:

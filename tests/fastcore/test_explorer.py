@@ -14,7 +14,14 @@ from repro.core import (
 )
 from repro.fastcore import FastTransitionSystem, UnsupportedBackendError
 from repro.fastcore.explorer import FastReachability
-from repro.sim import SimulationError, System, line, ring
+from repro.sim import (
+    SimulationError,
+    System,
+    UnknownProcessError,
+    line,
+    ring,
+    star,
+)
 from repro.verification import (
     FastExplorer,
     TransitionSystem,
@@ -22,7 +29,6 @@ from repro.verification import (
     check_convergence,
     confirm_fair_livelock,
     enumerate_configurations,
-    space_size,
 )
 
 
@@ -31,6 +37,16 @@ def all_hungry_initial(topo, algo):
     for pid in topo.nodes:
         system.write_local(pid, "needs", True)
     return system.snapshot()
+
+
+def labelled(fts, triples):
+    """Generated ``(p, a, key)`` triples as the object model's
+    ``(pid, action name, configuration)``."""
+    codec = fts.codec
+    return [
+        (codec.pids[p], codec.table.names[a], codec.unpack(codec.unkey(k)))
+        for p, a, k in triples
+    ]
 
 
 def randomized_config(topo, algo, seed, dead=()):
@@ -48,21 +64,23 @@ class TestSuccessorParity:
         algo = NADiners(depth_cap=topo.diameter + 1)
         config = randomized_config(topo, algo, seed)
         slow = TransitionSystem(algo, topo).successors(config)
-        fast = FastTransitionSystem(algo, topo).successors(config)
+        fts = FastTransitionSystem(algo, topo)
+        fast = labelled(fts, fts.successors(fts.codec.key(fts.codec.pack(config))))
         # Same transitions in the same (pid-major, declaration) order.
-        assert [(t.pid, t.action) for t in fast] == [
+        assert [(pid, action) for pid, action, _c in fast] == [
             (t.pid, t.action) for t in slow
         ]
-        assert [t.target for t in fast] == [t.target for t in slow]
+        assert [target for _p, _a, target in fast] == [t.target for t in slow]
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_enabled_identical(self, seed):
         topo = ring(6)
         algo = NADiners(depth_cap=topo.diameter + 1)
         config = randomized_config(topo, algo, seed)
-        assert FastTransitionSystem(algo, topo).enabled(config) == (
-            TransitionSystem(algo, topo).enabled(config)
-        )
+        fts = FastTransitionSystem(algo, topo)
+        key = fts.codec.key(fts.codec.pack(config))
+        fast = [(pid, action) for pid, action, _c in labelled(fts, fts.successors(key))]
+        assert fast == TransitionSystem(algo, topo).enabled(config)
 
 
 class TestReachability:
@@ -83,7 +101,7 @@ class TestReachability:
             depth_cap=topo.diameter + 1, diameter_override=topo.diameter
         )
         config = all_hungry_initial(topo, algo)
-        stats = FastTransitionSystem(algo, topo).reachable_stats([config])
+        stats = FastTransitionSystem(algo, topo).reachable_count([config])
         assert isinstance(stats, FastReachability)
         assert stats.states == expected_states
         assert stats.violations == 0
@@ -113,7 +131,7 @@ class TestReachability:
             config = all_hungry_initial(topo, algo)
         else:
             config = randomized_config(topo, algo, seed, dead)
-        stats = FastTransitionSystem(algo, topo).reachable_stats([config])
+        stats = FastTransitionSystem(algo, topo).reachable_count([config])
         assert (stats.states, stats.transitions, stats.violations) == expected
 
     def test_memory_per_state_stays_a_set_entry_and_an_int(self):
@@ -130,7 +148,7 @@ class TestReachability:
         config = all_hungry_initial(topo, algo)
         tracemalloc.start()
         try:
-            stats = fts.reachable_stats([config])
+            stats = fts.reachable_count([config])
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -168,7 +186,7 @@ class TestReachability:
 
         for pid in (0, 1):
             system.write_local(pid, "state", DinerState.EATING)
-        stats = FastTransitionSystem(algo, topo).reachable_stats(
+        stats = FastTransitionSystem(algo, topo).reachable_count(
             [system.snapshot()], max_states=200_000
         )
         assert stats.violations > 0
@@ -180,16 +198,16 @@ class TestReachability:
         )
         config = all_hungry_initial(topo, algo)
         with pytest.raises(SimulationError, match="max_states=100") as caught:
-            FastTransitionSystem(algo, topo).reachable_stats(
+            FastTransitionSystem(algo, topo).reachable_count(
                 [config], max_states=100
             )
         assert caught.value.max_states == 100
         # The cap is exact on both explorers: the closure has 720 states.
-        assert FastTransitionSystem(algo, topo).reachable_stats(
+        assert FastTransitionSystem(algo, topo).reachable_count(
             [config], max_states=720
         ).states == 720
         with pytest.raises(SimulationError, match="max_states=719"):
-            FastTransitionSystem(algo, topo).reachable_stats(
+            FastTransitionSystem(algo, topo).reachable_count(
                 [config], max_states=719
             )
         with pytest.raises(SimulationError, match="max_states=719"):
@@ -202,20 +220,24 @@ class TestReachability:
         )
         config = all_hungry_initial(topo, algo)
         fts = FastTransitionSystem(algo, topo)
-        assert fts.reachable_stats([config, config]).states == 484
+        assert fts.reachable_count([config, config]).states == 484
 
 
 class TestFastExplorerSeam:
-    def test_wraps_fast_transition_system(self):
+    def test_is_the_fast_transition_system(self):
+        # One explorer class; the verification name is an alias of it.
+        assert FastExplorer is FastTransitionSystem
         topo = ring(4)
         algo = NADiners(depth_cap=topo.diameter + 1)
         explorer = FastExplorer(algo, topo)
         config = randomized_config(topo, algo, 2)
         reference = TransitionSystem(algo, topo)
-        assert explorer.enabled(config) == reference.enabled(config)
-        assert [(t.pid, t.action, t.target) for t in explorer.successors(config)] == [
+        key = explorer.codec.key(explorer.codec.pack(config))
+        fast = labelled(explorer, explorer.successors(key))
+        assert fast == [
             (t.pid, t.action, t.target) for t in reference.successors(config)
         ]
+        assert [(pid, action) for pid, action, _c in fast] == reference.enabled(config)
 
     def test_reachable_count(self):
         topo = ring(3)
@@ -233,7 +255,7 @@ class TestFastExplorerSeam:
         fts = FastTransitionSystem(NADiners(), topo)
         config = all_hungry_initial(topo, NADiners())
         with pytest.raises(UnsupportedBackendError):
-            fts.reachable_stats([config])
+            fts.reachable_count([config])
         # ... and so does expanding a key got from somewhere else: the typed
         # refusal, not a TypeError from inside the generator.
         with pytest.raises(UnsupportedBackendError, match="depth_cap <= 255"):
@@ -263,23 +285,53 @@ class TestFullSpace:
     """The int-key path of ``repro check`` against the object path: the same
     enumeration, and the same properties giving the same reports."""
 
-    @pytest.mark.parametrize("dead", [(), (1,)], ids=["alive", "dead1"])
-    def test_enumerate_keys_is_the_object_enumeration(self, dead):
-        topo = line(3)
-        algo = NADiners(depth_cap=topo.diameter + 1)
+    #: name -> (algorithm, topology, dead)
+    ENUMERATIONS = {
+        "alive": (NADiners(depth_cap=3), line(3), ()),
+        "dead1": (NADiners(depth_cap=3), line(3), (1,)),
+        "star3-centre-dead": (NADiners(depth_cap=3), star(3), (0,)),
+        # longest simple path 2 on the triangle: threshold 2, cap 3
+        "ring3-corrected": (
+            NADiners(depth_cap=3, diameter_override=2), ring(3), ()
+        ),
+        # line(4) iterates its edges out of endpoint order, which the key
+        # enumeration must sort like the object one
+        "line4-no-threshold": (NoDynamicThresholdDiners(depth_cap=1), line(4), ()),
+    }
+
+    @pytest.mark.parametrize("name", list(ENUMERATIONS))
+    def test_enumerate_keys_is_the_object_enumeration(self, name):
+        algo, topo, dead = self.ENUMERATIONS[name]
         fts = FastTransitionSystem(algo, topo)
         codec = fts.codec
         keys = list(fts.enumerate_keys(dead=dead))
-        assert len(keys) == len(set(keys)) == space_size(
-            algo, topo, fixed_locals={"needs": True}
-        )
+        assert len(keys) == len(set(keys)) == codec.layout.size
         # same states in the same order, so a Tarjan pass over either visits
-        # the same roots first
-        assert [codec.unpack(codec.unkey(k)) for k in keys] == list(
-            enumerate_configurations(
-                algo, topo, fixed_locals={"needs": True}, dead=dead
-            )
+        # the same roots first (streamed: star3 is 165 888 configurations)
+        configs = enumerate_configurations(
+            algo, topo, fixed_locals={"needs": True}, dead=dead
         )
+        count = 0
+        for k, config in zip(keys, configs):
+            assert codec.unpack(codec.unkey(k)) == config
+            count += 1
+        assert next(configs, None) is None and count == codec.layout.size
+
+    @pytest.mark.parametrize(
+        "enumerate",
+        [
+            lambda algo, topo, dead: FastTransitionSystem(algo, topo)
+            .enumerate_keys(dead=dead),
+            lambda algo, topo, dead: enumerate_configurations(
+                algo, topo, dead=dead
+            ),
+        ],
+        ids=["enumerate_keys", "enumerate_configurations"],
+    )
+    def test_an_unknown_dead_process_is_refused(self, enumerate):
+        algo = NADiners(depth_cap=3, diameter_override=2)
+        with pytest.raises(UnknownProcessError):
+            next(iter(enumerate(algo, line(3), [99])))
 
     def test_uncapped_enumeration_rejected(self):
         with pytest.raises(UnsupportedBackendError, match="depth_cap <= 255"):

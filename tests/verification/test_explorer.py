@@ -3,13 +3,10 @@
 import pytest
 
 from repro.core import NADiners
+from repro.fastcore import PackedCodec
 from repro.mp import KStateToken
 from repro.sim import SimulationError, System, line, ring
-from repro.verification import (
-    TransitionSystem,
-    enumerate_configurations,
-    space_size,
-)
+from repro.verification import TransitionSystem, enumerate_configurations
 
 
 class TestEnumeration:
@@ -18,13 +15,21 @@ class TestEnumeration:
         algo = NADiners(depth_cap=2)
         configs = list(enumerate_configurations(algo, topo))
         # per process: 3 states x 2 needs x 3 depths = 18; edge: 2 values.
-        assert space_size(algo, topo) == 18 * 18 * 2 == len(configs)
+        assert len(configs) == 18 * 18 * 2
+        # The key layout counts the checker's space (needs pinned) from the
+        # same domains: 9 x 9 x 2.
+        pinned = list(
+            enumerate_configurations(algo, topo, fixed_locals={"needs": True})
+        )
+        assert PackedCodec(topo, algo).layout.size == 9 * 9 * 2 == len(pinned)
 
     def test_fixed_locals_shrink_space(self):
         topo = line(2)
         algo = NADiners(depth_cap=2)
-        full = space_size(algo, topo)
-        fixed = space_size(algo, topo, fixed_locals={"needs": True})
+        full = len(list(enumerate_configurations(algo, topo)))
+        fixed = len(
+            list(enumerate_configurations(algo, topo, fixed_locals={"needs": True}))
+        )
         assert fixed * 4 == full
 
     def test_fixed_value_applied(self):
