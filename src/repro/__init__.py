@@ -19,7 +19,7 @@ A complete reproduction of Nesterenko & Arora (ICDCS 2002):
   asyncio TCP with a chaos proxy layer and a lock-service client API.
 """
 
-from . import analysis, baselines, core, lowatom, mp, net, sim, verification
+from ._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
@@ -41,6 +41,10 @@ def version() -> str:
     except Exception:  # pragma: no cover - metadata backend quirks
         return __version__
 
+
+# Every subpackage (``repro.sim``, ``repro.net``, …) is imported on first
+# access, never by ``import repro``.
+__getattr__, __dir__, _ = lazy_namespace(__name__, {})
 
 __all__ = [
     "analysis",

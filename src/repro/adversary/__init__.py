@@ -23,34 +23,17 @@ replayable:
   message-passing engine.
 """
 
-from .byzantine import ByzantineDinerProcess, subvert
-from .corpus import (
-    SCHEDULE_FORMAT_VERSION,
-    ScheduleDoc,
-    read_schedule,
-    schedule_from_doc,
-    schedule_to_doc,
-    write_schedule,
-)
-from .feedback import FeedbackChaosController
-from .fuzz import FuzzLimits, FuzzResult, evaluate_schedule, mutate_schedule, run_fuzz
-from .strategies import ChainStarveStrategy, longest_waiting_chain
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "ByzantineDinerProcess",
-    "ChainStarveStrategy",
-    "FeedbackChaosController",
-    "FuzzLimits",
-    "FuzzResult",
-    "SCHEDULE_FORMAT_VERSION",
-    "ScheduleDoc",
-    "evaluate_schedule",
-    "longest_waiting_chain",
-    "mutate_schedule",
-    "read_schedule",
-    "run_fuzz",
-    "schedule_from_doc",
-    "schedule_to_doc",
-    "subvert",
-    "write_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".byzantine": "ByzantineDinerProcess subvert",
+    ".corpus": (
+        "SCHEDULE_FORMAT_VERSION ScheduleDoc read_schedule schedule_from_doc "
+        "schedule_to_doc write_schedule"
+    ),
+    ".feedback": "FeedbackChaosController",
+    ".fuzz": (
+        "FuzzLimits FuzzResult evaluate_schedule mutate_schedule run_fuzz"
+    ),
+    ".strategies": "ChainStarveStrategy longest_waiting_chain",
+})

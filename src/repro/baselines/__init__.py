@@ -16,8 +16,10 @@ the four that is simultaneously failure-local *and* stabilizing — which is
 exactly what the benchmark suite demonstrates.
 """
 
-from .choy_singh import ChoySinghDiners
-from .fork_ordering import FORK_FREE, ForkOrderingDiners
-from .hygienic import HygienicDiners
+from .._lazy import lazy_namespace
 
-__all__ = ["ChoySinghDiners", "FORK_FREE", "ForkOrderingDiners", "HygienicDiners"]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".choy_singh": "ChoySinghDiners",
+    ".fork_ordering": "FORK_FREE ForkOrderingDiners",
+    ".hygienic": "HygienicDiners",
+})

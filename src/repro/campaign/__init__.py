@@ -17,49 +17,20 @@ Entry points:
   (the fuzzer's schedule evaluations).
 """
 
-from .checkpoint import ResumePlan, plan_resume, truncate_lines
-from .record import (
-    TrialRecord,
-    canonical_json,
-    iter_lines,
-    parse_line,
-    read_records,
-    shard_key,
-    write_records,
-)
-from .runner import (
-    CampaignResult,
-    campaign_metrics,
-    heartbeat_progress,
-    parallel_map,
-    run_shards,
-)
-from .shard import ALGORITHMS, HANDLERS, Shard, derive_seed, execute_shard, make_algorithm
-from .specs import SweepAggregate, SweepSpec, aggregate_sim
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "ALGORITHMS",
-    "CampaignResult",
-    "HANDLERS",
-    "ResumePlan",
-    "Shard",
-    "SweepAggregate",
-    "SweepSpec",
-    "TrialRecord",
-    "aggregate_sim",
-    "campaign_metrics",
-    "canonical_json",
-    "derive_seed",
-    "execute_shard",
-    "heartbeat_progress",
-    "iter_lines",
-    "make_algorithm",
-    "parallel_map",
-    "parse_line",
-    "plan_resume",
-    "read_records",
-    "run_shards",
-    "shard_key",
-    "truncate_lines",
-    "write_records",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".checkpoint": "ResumePlan plan_resume truncate_lines",
+    ".record": (
+        "TrialRecord canonical_json iter_lines parse_line read_records "
+        "shard_key write_records"
+    ),
+    ".runner": (
+        "CampaignResult campaign_metrics heartbeat_progress parallel_map "
+        "run_shards"
+    ),
+    ".shard": (
+        "ALGORITHMS HANDLERS Shard derive_seed execute_shard make_algorithm"
+    ),
+    ".specs": "SweepAggregate SweepSpec aggregate_sim",
+})

@@ -47,17 +47,31 @@ COMMANDS = {
 }
 
 
+class _VersionAction(argparse.Action):
+    """``--version``, reading the distribution metadata only when given:
+    importing ``importlib.metadata`` (38 modules, tens of milliseconds)
+    would cost every other command."""
+
+    def __init__(self, option_strings, dest):
+        super().__init__(
+            option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
+            nargs=0, help="show program's version number and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from . import version
+
+        print(f"{parser.prog} {version()}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Dining philosophers that tolerate malicious crashes "
         "(Nesterenko & Arora, ICDCS 2002) — reproduction toolkit.",
     )
-    from . import version as _version
-
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_version()}"
-    )
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, steps_default=20_000):

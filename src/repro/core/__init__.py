@@ -11,103 +11,31 @@ Public surface:
 * the Figure 2 reconstruction.
 """
 
-from ..sim.hunger import (  # re-exported: hunger is the diners' input signal
-    AlwaysHungry,
-    HungerPolicy,
-    NeverHungry,
-    ProbabilisticHunger,
-    ScriptedHunger,
-    SelectiveHunger,
-)
-from .algorithm import NADiners
-from .figure1 import FIGURE1, ActionTable
-from .figure2 import (
-    FIGURE2_DEPTHS,
-    FIGURE2_PRIORITIES,
-    FIGURE2_SEQUENCE,
-    FIGURE2_STATES,
-    Figure2Replay,
-    figure2_configuration,
-    figure2_system,
-    run_figure2,
-)
-from .predicates import (
-    e_holds,
-    eating_pairs,
-    green_set,
-    invariant_holds,
-    invariant_report,
-    invariant_with_threshold,
-    is_shallow,
-    longest_live_ancestor_chain,
-    nc_holds,
-    priority_edges,
-    red_set,
-    shallow_set,
-    st_holds,
-    stably_shallow_set,
-)
-from .state import (
-    ACTION_ENTER,
-    ACTION_EXIT,
-    ACTION_FIXDEPTH,
-    ACTION_JOIN,
-    ACTION_LEAVE,
-    VAR_DEPTH,
-    VAR_NEEDS,
-    VAR_STATE,
-    DinerState,
-    direct_ancestors,
-)
-from .variants import (
-    NoDynamicThresholdDiners,
-    NoFixdepthDiners,
-    WrongDiameterDiners,
-)
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "AlwaysHungry",
-    "HungerPolicy",
-    "NeverHungry",
-    "ProbabilisticHunger",
-    "ScriptedHunger",
-    "SelectiveHunger",
-    "NADiners",
-    "FIGURE1",
-    "ActionTable",
-    "FIGURE2_DEPTHS",
-    "FIGURE2_PRIORITIES",
-    "FIGURE2_SEQUENCE",
-    "FIGURE2_STATES",
-    "Figure2Replay",
-    "figure2_configuration",
-    "figure2_system",
-    "run_figure2",
-    "e_holds",
-    "eating_pairs",
-    "green_set",
-    "invariant_holds",
-    "invariant_report",
-    "invariant_with_threshold",
-    "is_shallow",
-    "longest_live_ancestor_chain",
-    "nc_holds",
-    "priority_edges",
-    "red_set",
-    "shallow_set",
-    "st_holds",
-    "stably_shallow_set",
-    "ACTION_ENTER",
-    "ACTION_EXIT",
-    "ACTION_FIXDEPTH",
-    "ACTION_JOIN",
-    "ACTION_LEAVE",
-    "VAR_DEPTH",
-    "VAR_NEEDS",
-    "VAR_STATE",
-    "DinerState",
-    "direct_ancestors",
-    "NoDynamicThresholdDiners",
-    "NoFixdepthDiners",
-    "WrongDiameterDiners",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    # re-exported: hunger is the diners' input signal
+    "..sim.hunger": (
+        "AlwaysHungry HungerPolicy NeverHungry ProbabilisticHunger "
+        "ScriptedHunger SelectiveHunger"
+    ),
+    ".algorithm": "NADiners",
+    ".figure1": "FIGURE1 ActionTable",
+    ".figure2": (
+        "FIGURE2_DEPTHS FIGURE2_PRIORITIES FIGURE2_SEQUENCE FIGURE2_STATES "
+        "Figure2Replay figure2_configuration figure2_system run_figure2"
+    ),
+    ".predicates": (
+        "e_holds eating_pairs green_set invariant_holds invariant_report "
+        "invariant_with_threshold is_shallow longest_live_ancestor_chain "
+        "nc_holds priority_edges red_set shallow_set st_holds "
+        "stably_shallow_set"
+    ),
+    ".state": (
+        "ACTION_ENTER ACTION_EXIT ACTION_FIXDEPTH ACTION_JOIN ACTION_LEAVE "
+        "VAR_DEPTH VAR_NEEDS VAR_STATE DinerState direct_ancestors"
+    ),
+    ".variants": (
+        "NoDynamicThresholdDiners NoFixdepthDiners WrongDiameterDiners"
+    ),
+})

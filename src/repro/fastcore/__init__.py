@@ -18,61 +18,10 @@ the same computation on both; ``tests/fastcore/`` holds the co-run harness
 and the seeded battery that pins the two step-for-step.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_namespace
 
-from ..sim.engine import Engine
-from ..sim.network import System
-from .engine import FastEngine, PackedSystem
-from .explorer import FastReachability, FastTransitionSystem
-from .packed import PackedCodec, PackedState, UnsupportedBackendError
-
-#: Registered state backends, by name.
-STATE_BACKENDS = ("object", "fast")
-
-
-def make_engine(
-    topology,
-    algorithm,
-    daemon=None,
-    *,
-    backend: str = "object",
-    initially_dead=(),
-    initial=None,
-    **kwargs,
-) -> Engine:
-    """Build an engine over the state store ``backend`` names.
-
-    ``initial`` starts from an arbitrary configuration (and then decides who
-    is dead); everything else is passed to :class:`Engine`.
-    """
-    if backend == "fast":
-        return FastEngine(
-            topology,
-            algorithm,
-            daemon,
-            initially_dead=initially_dead,
-            initial=initial,
-            **kwargs,
-        )
-    if backend != "object":
-        raise UnsupportedBackendError(
-            f"unknown state backend {backend!r}; expected one of {STATE_BACKENDS}"
-        )
-    if initial is not None:
-        system = System.from_configuration(algorithm, initial)
-    else:
-        system = System(topology, algorithm, initially_dead=initially_dead)
-    return Engine(system, daemon, **kwargs)
-
-
-__all__ = [
-    "FastEngine",
-    "FastReachability",
-    "FastTransitionSystem",
-    "PackedCodec",
-    "PackedState",
-    "PackedSystem",
-    "STATE_BACKENDS",
-    "UnsupportedBackendError",
-    "make_engine",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".engine": "FastEngine PackedSystem STATE_BACKENDS make_engine",
+    ".explorer": "FastReachability FastTransitionSystem",
+    ".packed": "PackedCodec PackedState UnsupportedBackendError",
+})

@@ -255,3 +255,42 @@ class FastEngine(Engine):
             daemon,
             **kwargs,
         )
+
+
+#: Registered state backends, by name.
+STATE_BACKENDS = ("object", "fast")
+
+
+def make_engine(
+    topology,
+    algorithm,
+    daemon=None,
+    *,
+    backend: str = "object",
+    initially_dead=(),
+    initial=None,
+    **kwargs,
+) -> Engine:
+    """Build an engine over the state store ``backend`` names.
+
+    ``initial`` starts from an arbitrary configuration (and then decides who
+    is dead); everything else is passed to :class:`Engine`.
+    """
+    if backend == "fast":
+        return FastEngine(
+            topology,
+            algorithm,
+            daemon,
+            initially_dead=initially_dead,
+            initial=initial,
+            **kwargs,
+        )
+    if backend != "object":
+        raise UnsupportedBackendError(
+            f"unknown state backend {backend!r}; expected one of {STATE_BACKENDS}"
+        )
+    if initial is not None:
+        system = System.from_configuration(algorithm, initial)
+    else:
+        system = System(topology, algorithm, initially_dead=initially_dead)
+    return Engine(system, daemon, **kwargs)

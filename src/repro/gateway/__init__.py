@@ -8,60 +8,21 @@ logical clients through it — live over real sockets, or as a seeded
 virtual-time simulation whose report is byte-stable.
 """
 
-from .admission import (
-    RETRY_ERROR,
-    SHED_CLIENT_WINDOW,
-    SHED_IN_FLIGHT,
-    SHED_QUEUE_FULL,
-    SHED_REASONS,
-    AdmissionConfig,
-    AdmissionController,
-)
-from .batch import BatchWriter, FlushPolicy
-from .loadgen import (
-    FleetStats,
-    LoadgenConfig,
-    coefficient_of_variation,
-    run_live,
-    run_sim,
-)
-from .mux import LOST_ERROR, Completion, Decision, GatewayMux, retry_body
-from .report import (
-    LOADGEN_FORMAT_VERSION,
-    LOADGEN_REPORT_KIND,
-    build_report,
-    read_loadgen_report,
-    thin_samples,
-    write_loadgen_report,
-)
-from .server import GatewayConfig, GatewayServer
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
-    "BatchWriter",
-    "Completion",
-    "Decision",
-    "FleetStats",
-    "FlushPolicy",
-    "GatewayConfig",
-    "GatewayMux",
-    "GatewayServer",
-    "LOADGEN_FORMAT_VERSION",
-    "LOADGEN_REPORT_KIND",
-    "LOST_ERROR",
-    "LoadgenConfig",
-    "RETRY_ERROR",
-    "SHED_CLIENT_WINDOW",
-    "SHED_IN_FLIGHT",
-    "SHED_QUEUE_FULL",
-    "SHED_REASONS",
-    "build_report",
-    "coefficient_of_variation",
-    "read_loadgen_report",
-    "retry_body",
-    "run_live",
-    "run_sim",
-    "thin_samples",
-    "write_loadgen_report",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".admission": (
+        "RETRY_ERROR SHED_CLIENT_WINDOW SHED_IN_FLIGHT SHED_QUEUE_FULL "
+        "SHED_REASONS AdmissionConfig AdmissionController"
+    ),
+    ".batch": "BatchWriter FlushPolicy",
+    ".loadgen": (
+        "FleetStats LoadgenConfig coefficient_of_variation run_live run_sim"
+    ),
+    ".mux": "LOST_ERROR Completion Decision GatewayMux retry_body",
+    ".report": (
+        "LOADGEN_FORMAT_VERSION LOADGEN_REPORT_KIND build_report "
+        "read_loadgen_report thin_samples write_loadgen_report"
+    ),
+    ".server": "GatewayConfig GatewayServer",
+})

@@ -26,6 +26,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List
 
+from .. import version
 from ..artefact import KINDS, read_document, write_atomic
 
 LOADGEN_FORMAT_VERSION = KINDS["loadgen"].format
@@ -71,8 +72,6 @@ def thin_samples(sorted_samples: List[float], cap: int) -> List[float]:
 
 def build_report(spec: Dict[str, Any], results: Dict[str, Any]) -> Dict[str, Any]:
     """The complete report document from a spec and raw results."""
-    from .. import version
-
     return _canonical(
         {
             "format": LOADGEN_FORMAT_VERSION,

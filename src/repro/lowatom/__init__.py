@@ -7,6 +7,8 @@ neighbour state with one remote read per step — and experiment E11 measures
 the safety gap the refinement exists to close.
 """
 
-from .adapter import CachedView, LowAtomicityAdapter, cache_var, edge_cache_var
+from .._lazy import lazy_namespace
 
-__all__ = ["CachedView", "LowAtomicityAdapter", "cache_var", "edge_cache_var"]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".adapter": "CachedView LowAtomicityAdapter cache_var edge_cache_var",
+})

@@ -12,46 +12,19 @@
   collection, §4's first suggested route.
 """
 
-from .channel import Channel
-from .diners_mp import (
-    TAG_ACK,
-    TAG_FORK,
-    TAG_MISSING,
-    TAG_REQUEST,
-    DinersMpProcess,
-    build_diners,
-    eating_now,
-    edge_key,
-    neighbours_both_eating,
-    precedence_depth,
-)
-from .engine import MpEngine
-from .handshake import HandshakeNode, HandshakeSession, HandshakeStats, make_session_pair
-from .kstate import KStateToken, privileged, single_privilege
-from .message import Message
-from .node import MpContext, MpProcess
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "Channel",
-    "TAG_ACK",
-    "TAG_FORK",
-    "TAG_MISSING",
-    "TAG_REQUEST",
-    "DinersMpProcess",
-    "build_diners",
-    "eating_now",
-    "edge_key",
-    "neighbours_both_eating",
-    "precedence_depth",
-    "MpEngine",
-    "HandshakeNode",
-    "HandshakeSession",
-    "HandshakeStats",
-    "make_session_pair",
-    "KStateToken",
-    "privileged",
-    "single_privilege",
-    "Message",
-    "MpContext",
-    "MpProcess",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".channel": "Channel",
+    ".diners_mp": (
+        "TAG_ACK TAG_FORK TAG_MISSING TAG_REQUEST DinersMpProcess build_diners "
+        "eating_now edge_key neighbours_both_eating precedence_depth"
+    ),
+    ".engine": "MpEngine",
+    ".handshake": (
+        "HandshakeNode HandshakeSession HandshakeStats make_session_pair"
+    ),
+    ".kstate": "KStateToken privileged single_privilege",
+    ".message": "Message",
+    ".node": "MpContext MpProcess",
+})

@@ -20,100 +20,27 @@ the in-process simulator and onto real asyncio TCP sockets:
   safety from the emitted event stream.
 """
 
-from .chaos import (
-    EVENT_KINDS,
-    ChaosController,
-    ChaosSchedule,
-    FaultEvent,
-    LinkProfile,
-    LinkProxy,
-    build_schedule,
-    validate_schedule,
-)
-from .cluster import (
-    ClusterConfig,
-    ClusterResult,
-    ClusterSupervisor,
-    MetricsEndpoint,
-    RestartPolicy,
-    cluster_metrics,
-    merge_counters,
-    read_cluster_events,
-    run_cluster,
-    sanitize_node,
-    write_cluster_events,
-    write_cluster_metrics,
-)
-from .codec import (
-    Decoder,
-    Frame,
-    WIRE_VERSION,
-    CodecError,
-    decode_message,
-    encode_frame,
-    encode_hello,
-    encode_message,
-    encode_request,
-    encode_response,
-    hello_fields,
-)
-from .lock import (
-    DEFAULT_ACQUIRE_TIMEOUT,
-    LockClient,
-    LockError,
-    SoakResult,
-    Violation,
-    attribute_violations,
-    hold_intervals,
-    neighbour_violations,
-    soak,
-)
-from .node import LockDinerProcess, NetContext, NodeServer
-from .wire_channel import WireChannel
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "ChaosController",
-    "ChaosSchedule",
-    "FaultEvent",
-    "LinkProfile",
-    "LinkProxy",
-    "build_schedule",
-    "validate_schedule",
-    "EVENT_KINDS",
-    "ClusterConfig",
-    "ClusterResult",
-    "ClusterSupervisor",
-    "RestartPolicy",
-    "cluster_metrics",
-    "merge_counters",
-    "read_cluster_events",
-    "run_cluster",
-    "sanitize_node",
-    "write_cluster_events",
-    "write_cluster_metrics",
-    "Decoder",
-    "Frame",
-    "MetricsEndpoint",
-    "WIRE_VERSION",
-    "CodecError",
-    "decode_message",
-    "encode_frame",
-    "encode_request",
-    "encode_response",
-    "encode_hello",
-    "encode_message",
-    "hello_fields",
-    "DEFAULT_ACQUIRE_TIMEOUT",
-    "LockClient",
-    "LockError",
-    "SoakResult",
-    "Violation",
-    "attribute_violations",
-    "hold_intervals",
-    "neighbour_violations",
-    "soak",
-    "LockDinerProcess",
-    "NetContext",
-    "NodeServer",
-    "WireChannel",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".chaos": (
+        "EVENT_KINDS ChaosController ChaosSchedule FaultEvent LinkProfile "
+        "LinkProxy build_schedule validate_schedule"
+    ),
+    ".cluster": (
+        "ClusterConfig ClusterResult ClusterSupervisor MetricsEndpoint "
+        "RestartPolicy cluster_metrics merge_counters read_cluster_events "
+        "run_cluster sanitize_node write_cluster_events write_cluster_metrics"
+    ),
+    ".codec": (
+        "Decoder Frame WIRE_VERSION CodecError decode_message encode_frame "
+        "encode_hello encode_message encode_request encode_response "
+        "hello_fields"
+    ),
+    ".lock": (
+        "DEFAULT_ACQUIRE_TIMEOUT LockClient LockError SoakResult Violation "
+        "attribute_violations hold_intervals neighbour_violations soak"
+    ),
+    ".node": "LockDinerProcess NetContext NodeServer",
+    ".wire_channel": "WireChannel",
+})

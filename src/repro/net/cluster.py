@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Awaitable, Callable, Dict, Iterator, List, Optional, TextIO, Tuple
 
+from .. import version
+from ..adversary.byzantine import subvert
 from ..artefact import (
     CANONICAL,
     KINDS,
@@ -708,8 +710,6 @@ class ClusterSupervisor:
         node = self.nodes.get(pid)
         if node is None or not node._running:
             return
-        from ..adversary.byzantine import subvert  # deferred: import cycle
-
         try:
             node.process = subvert(node.process)
         except TypeError:
@@ -1111,15 +1111,13 @@ def cluster_metrics(result: ClusterResult) -> MetricsRegistry:
 
 def artefact_header(result: ClusterResult, source: str) -> Dict[str, Any]:
     """The shared header of both cluster artefact files."""
-    from .. import version as repro_version  # deferred: package-init cycle
-
     return {
         "source": source,
         "topology": result.topology_spec,
         "seed": result.seed,
         "duration_s": result.duration_s,
         "nodes": len(result.nodes),
-        "version": repro_version(),
+        "version": version(),
     }
 
 

@@ -12,197 +12,47 @@ so ``repro trace`` on a recorded file reproduces the live run's numbers
 byte for byte.
 """
 
-from .bus import EventBus
-from .events import EventKind, MpEventKind, NetEventKind, TraceEvent
-from .tracing import (
-    ROOT_SPAN,
-    LamportClock,
-    Span,
-    SpanEvent,
-    SpanFile,
-    SpanRecorder,
-    read_spans,
-    span_from_json,
-    write_spans,
-)
-from .metrics import (
-    METRICS_FORMAT_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricsFile,
-    MetricsRegistry,
-    Series,
-    Timer,
-    metrics_lines,
-    percentile_of_sorted,
-    read_metrics,
-    write_metrics,
-)
-from .probes import (
-    DepthProbe,
-    EatingPairsProbe,
-    EatsProbe,
-    InvariantProbe,
-    LocalityProbe,
-    Probe,
-    StepTimerProbe,
-    WaitingChainProbe,
-    standard_probes,
-    waiting_chain_length,
-)
-from .prom import (
-    PROM_CONTENT_TYPE,
-    Sample,
-    find,
-    parse_prometheus,
-    render_prometheus,
-    sanitize_name,
-    sum_by_label,
-)
-from .timeline import (
-    CausalityReport,
-    GrantAttribution,
-    TimelineEntry,
-    TimelineFile,
-    attribute_grants,
-    attribution_by_node,
-    causality_report,
-    merge_timeline,
-    read_timeline,
-    reconstruct_violations,
-    write_timeline,
-)
-from .flight import (
-    DEFAULT_CAPACITY,
-    FLIGHT_SOURCE,
-    FlightFile,
-    FlightRecorder,
-    dump_flight,
-    read_flight,
-)
-from .slo import (
-    OBJECTIVE_KINDS,
-    SLO_FORMAT_VERSION,
-    SLO_REPORT_KIND,
-    SLO_SPEC_KIND,
-    LiveSloEvaluator,
-    ObjectiveVerdict,
-    SloObjective,
-    SloObservations,
-    SloReport,
-    SloSpec,
-    evaluate,
-    evaluate_objective,
-    ingest_artefact,
-    read_slo_report,
-    read_slo_spec,
-    summarize_slo_report,
-    write_slo_report,
-)
-from .top import fetch_metrics, render_top, run_top
-from .trace_io import (
-    TRACE_FORMAT_VERSION,
-    Trace,
-    TraceAnalysis,
-    analyze,
-    build_header,
-    read_trace,
-    trace_from_recorder,
-    write_analysis_metrics,
-    write_trace,
-)
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "EventBus",
-    "EventKind",
-    "MpEventKind",
-    "NetEventKind",
-    "TraceEvent",
-    "ROOT_SPAN",
-    "LamportClock",
-    "Span",
-    "SpanEvent",
-    "SpanFile",
-    "SpanRecorder",
-    "read_spans",
-    "span_from_json",
-    "write_spans",
-    "CausalityReport",
-    "GrantAttribution",
-    "TimelineEntry",
-    "TimelineFile",
-    "attribute_grants",
-    "attribution_by_node",
-    "causality_report",
-    "merge_timeline",
-    "read_timeline",
-    "reconstruct_violations",
-    "write_timeline",
-    "PROM_CONTENT_TYPE",
-    "Sample",
-    "find",
-    "parse_prometheus",
-    "render_prometheus",
-    "sanitize_name",
-    "sum_by_label",
-    "fetch_metrics",
-    "render_top",
-    "run_top",
-    "DEFAULT_CAPACITY",
-    "FLIGHT_SOURCE",
-    "FlightFile",
-    "FlightRecorder",
-    "dump_flight",
-    "read_flight",
-    "OBJECTIVE_KINDS",
-    "SLO_FORMAT_VERSION",
-    "SLO_REPORT_KIND",
-    "SLO_SPEC_KIND",
-    "LiveSloEvaluator",
-    "ObjectiveVerdict",
-    "SloObjective",
-    "SloObservations",
-    "SloReport",
-    "SloSpec",
-    "evaluate",
-    "evaluate_objective",
-    "ingest_artefact",
-    "read_slo_report",
-    "read_slo_spec",
-    "summarize_slo_report",
-    "write_slo_report",
-    "METRICS_FORMAT_VERSION",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metric",
-    "MetricsFile",
-    "MetricsRegistry",
-    "Series",
-    "Timer",
-    "metrics_lines",
-    "percentile_of_sorted",
-    "read_metrics",
-    "write_metrics",
-    "DepthProbe",
-    "EatingPairsProbe",
-    "EatsProbe",
-    "InvariantProbe",
-    "LocalityProbe",
-    "Probe",
-    "StepTimerProbe",
-    "WaitingChainProbe",
-    "standard_probes",
-    "waiting_chain_length",
-    "TRACE_FORMAT_VERSION",
-    "Trace",
-    "TraceAnalysis",
-    "analyze",
-    "build_header",
-    "read_trace",
-    "trace_from_recorder",
-    "write_analysis_metrics",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".bus": "EventBus",
+    ".events": "EventKind MpEventKind NetEventKind TraceEvent",
+    ".tracing": (
+        "ROOT_SPAN LamportClock Span SpanEvent SpanFile SpanRecorder read_spans "
+        "span_from_json write_spans"
+    ),
+    ".metrics": (
+        "METRICS_FORMAT_VERSION Counter Gauge Histogram Metric MetricsFile "
+        "MetricsRegistry Series Timer metrics_lines percentile_of_sorted "
+        "read_metrics write_metrics"
+    ),
+    ".probes": (
+        "DepthProbe EatingPairsProbe EatsProbe InvariantProbe LocalityProbe "
+        "Probe StepTimerProbe WaitingChainProbe standard_probes "
+        "waiting_chain_length"
+    ),
+    ".prom": (
+        "PROM_CONTENT_TYPE Sample find parse_prometheus render_prometheus "
+        "sanitize_name sum_by_label"
+    ),
+    ".timeline": (
+        "CausalityReport GrantAttribution TimelineEntry TimelineFile "
+        "attribute_grants attribution_by_node causality_report merge_timeline "
+        "read_timeline reconstruct_violations write_timeline"
+    ),
+    ".flight": (
+        "DEFAULT_CAPACITY FLIGHT_SOURCE FlightFile FlightRecorder dump_flight "
+        "read_flight"
+    ),
+    ".slo": (
+        "OBJECTIVE_KINDS SLO_FORMAT_VERSION SLO_REPORT_KIND SLO_SPEC_KIND "
+        "LiveSloEvaluator ObjectiveVerdict SloObjective SloObservations "
+        "SloReport SloSpec evaluate evaluate_objective ingest_artefact "
+        "read_slo_report read_slo_spec summarize_slo_report write_slo_report"
+    ),
+    ".top": "fetch_metrics render_top run_top",
+    ".trace_io": (
+        "TRACE_FORMAT_VERSION Trace TraceAnalysis analyze build_header "
+        "read_trace trace_from_recorder write_analysis_metrics write_trace"
+    ),
+})

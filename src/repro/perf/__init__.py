@@ -14,68 +14,20 @@ The layer every performance claim in this repo flows through:
   through the standard metrics registry, so ``repro stats`` reads them.
 """
 
-from .bench import (
-    Benchmark,
-    BenchResult,
-    register,
-    registry,
-    robust_stats,
-    run_benchmark,
-    run_benchmarks,
-    select,
-)
-from .bench_io import (
-    BENCH_FORMAT_VERSION,
-    DEFAULT_THRESHOLD,
-    CompareReport,
-    Delta,
-    HistoryEntry,
-    bench_payload,
-    compare,
-    environment,
-    format_compare,
-    format_history,
-    git_revision,
-    read_bench,
-    scan_bench_history,
-    write_bench,
-)
-from .profile import (
-    DEFAULT_TOP,
-    format_hotspots,
-    hotspots,
-    profile_call,
-    publish_hotspots,
-    write_profile_metrics,
-)
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "Benchmark",
-    "BenchResult",
-    "register",
-    "registry",
-    "robust_stats",
-    "run_benchmark",
-    "run_benchmarks",
-    "select",
-    "BENCH_FORMAT_VERSION",
-    "DEFAULT_THRESHOLD",
-    "CompareReport",
-    "Delta",
-    "HistoryEntry",
-    "bench_payload",
-    "compare",
-    "environment",
-    "format_compare",
-    "format_history",
-    "git_revision",
-    "read_bench",
-    "scan_bench_history",
-    "write_bench",
-    "DEFAULT_TOP",
-    "format_hotspots",
-    "hotspots",
-    "profile_call",
-    "publish_hotspots",
-    "write_profile_metrics",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".bench": (
+        "Benchmark BenchResult register registry robust_stats run_benchmark "
+        "run_benchmarks select"
+    ),
+    ".bench_io": (
+        "BENCH_FORMAT_VERSION DEFAULT_THRESHOLD CompareReport Delta "
+        "HistoryEntry bench_payload compare environment format_compare "
+        "format_history git_revision read_bench scan_bench_history write_bench"
+    ),
+    ".profile": (
+        "DEFAULT_TOP format_hotspots hotspots profile_call publish_hotspots "
+        "write_profile_metrics"
+    ),
+})

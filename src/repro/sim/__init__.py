@@ -15,139 +15,34 @@ Typical usage::
     result = engine.run(10_000)
 """
 
-from .configuration import Configuration
-from .domains import BoolDomain, Domain, FiniteDomain, IntRange, SaturatingInt
-from .engine import Engine, RunResult
-from .errors import (
-    DeadProcessError,
-    DomainError,
-    FaultPlanError,
-    NotNeighborsError,
-    SchedulingError,
-    SimulationError,
-    StateSpaceExceededError,
-    TopologyError,
-    UnknownProcessError,
-    UnknownVariableError,
-)
-from .faults import BenignCrash, FaultEvent, FaultPlan, MaliciousCrash, TransientFault
-from .hunger import (
-    AlwaysHungry,
-    HungerPolicy,
-    NeverHungry,
-    ProbabilisticHunger,
-    ScriptedHunger,
-    SelectiveHunger,
-)
-from .network import ProcessStatus, System
-from .process import ActionDef, Algorithm, ProcessView
-from .scheduler import (
-    AdversarialDaemon,
-    AdversaryStrategy,
-    Daemon,
-    RoundDaemon,
-    RoundRobinDaemon,
-    StrategyDaemon,
-    WeaklyFairDaemon,
-    starve_target,
-)
-from .topology import (
-    Edge,
-    Pid,
-    Topology,
-    binary_tree,
-    complete,
-    edge,
-    figure2,
-    from_mapping,
-    from_spec,
-    grid,
-    line,
-    hypercube,
-    random_connected,
-    ring,
-    star,
-    torus,
-)
-from .serialize import ConfigurationDiff, diff_configurations, from_json, to_json
-from .trace import EventKind, TraceEvent, TraceRecorder
+from .._lazy import lazy_namespace
 
-__all__ = [
-    # configuration
-    "Configuration",
-    # domains
-    "BoolDomain",
-    "Domain",
-    "FiniteDomain",
-    "IntRange",
-    "SaturatingInt",
-    # engine
-    "Engine",
-    "RunResult",
-    # errors
-    "DeadProcessError",
-    "DomainError",
-    "FaultPlanError",
-    "NotNeighborsError",
-    "SchedulingError",
-    "SimulationError",
-    "StateSpaceExceededError",
-    "TopologyError",
-    "UnknownProcessError",
-    "UnknownVariableError",
-    # faults
-    "BenignCrash",
-    "FaultEvent",
-    "FaultPlan",
-    "MaliciousCrash",
-    "TransientFault",
-    # hunger
-    "AlwaysHungry",
-    "HungerPolicy",
-    "NeverHungry",
-    "ProbabilisticHunger",
-    "ScriptedHunger",
-    "SelectiveHunger",
-    # network
-    "ProcessStatus",
-    "System",
-    # process
-    "ActionDef",
-    "Algorithm",
-    "ProcessView",
-    # scheduler
-    "AdversarialDaemon",
-    "AdversaryStrategy",
-    "Daemon",
-    "RoundDaemon",
-    "RoundRobinDaemon",
-    "StrategyDaemon",
-    "WeaklyFairDaemon",
-    "starve_target",
-    # topology
-    "Edge",
-    "Pid",
-    "Topology",
-    "binary_tree",
-    "complete",
-    "edge",
-    "figure2",
-    "from_mapping",
-    "from_spec",
-    "grid",
-    "line",
-    "hypercube",
-    "random_connected",
-    "ring",
-    "star",
-    "torus",
-    # serialize
-    "ConfigurationDiff",
-    "diff_configurations",
-    "from_json",
-    "to_json",
-    # trace
-    "EventKind",
-    "TraceEvent",
-    "TraceRecorder",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".configuration": "Configuration",
+    ".domains": "BoolDomain Domain FiniteDomain IntRange SaturatingInt",
+    ".engine": "Engine RunResult",
+    ".errors": (
+        "DeadProcessError DomainError FaultPlanError NotNeighborsError "
+        "SchedulingError SimulationError StateSpaceExceededError TopologyError "
+        "UnknownProcessError UnknownVariableError"
+    ),
+    ".faults": (
+        "BenignCrash FaultEvent FaultPlan MaliciousCrash TransientFault"
+    ),
+    ".hunger": (
+        "AlwaysHungry HungerPolicy NeverHungry ProbabilisticHunger "
+        "ScriptedHunger SelectiveHunger"
+    ),
+    ".network": "ProcessStatus System",
+    ".process": "ActionDef Algorithm ProcessView",
+    ".scheduler": (
+        "AdversarialDaemon AdversaryStrategy Daemon RoundDaemon "
+        "RoundRobinDaemon StrategyDaemon WeaklyFairDaemon starve_target"
+    ),
+    ".topology": (
+        "Edge Pid Topology binary_tree complete edge figure2 from_mapping "
+        "from_spec grid line hypercube random_connected ring star torus"
+    ),
+    ".serialize": "ConfigurationDiff diff_configurations from_json to_json",
+    ".trace": "EventKind TraceEvent TraceRecorder",
+})

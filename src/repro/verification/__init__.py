@@ -24,48 +24,17 @@ That is the object path: the reference, and the explorer for any
 1-CPU container instead of 111 s and 3.2 GB, line(4) and ring(4) at all.
 """
 
-from .explorer import Transition, TransitionSystem, enumerate_configurations
-from .properties import (
-    ClosureReport,
-    ConvergenceReport,
-    Counterexample,
-    build_graph,
-    check_all_states,
-    check_closure,
-    check_convergence,
-    check_monotone_set,
-    check_numeric_nonincreasing,
-    confirm_fair_livelock,
-    convergence_distances,
-    optimal_recovery_diameter,
-)
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "FastExplorer",
-    "Transition",
-    "TransitionSystem",
-    "enumerate_configurations",
-    "ClosureReport",
-    "ConvergenceReport",
-    "Counterexample",
-    "build_graph",
-    "check_all_states",
-    "check_closure",
-    "check_convergence",
-    "check_monotone_set",
-    "check_numeric_nonincreasing",
-    "confirm_fair_livelock",
-    "convergence_distances",
-    "optimal_recovery_diameter",
-]
-
-
-def __getattr__(name: str):
-    # FastExplorer is fastcore's one int-keyed explorer class, under the name
-    # benchmarks/e2e/offline.py imports; resolved on first use so that
-    # ``import repro`` does not load fastcore.
-    if name == "FastExplorer":
-        from ..fastcore.explorer import FastTransitionSystem
-
-        return FastTransitionSystem
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".explorer": "Transition TransitionSystem enumerate_configurations",
+    ".properties": (
+        "ClosureReport ConvergenceReport Counterexample build_graph "
+        "check_all_states check_closure check_convergence check_monotone_set "
+        "check_numeric_nonincreasing confirm_fair_livelock "
+        "convergence_distances optimal_recovery_diameter"
+    ),
+    # fastcore's one int-keyed explorer, under the name
+    # benchmarks/e2e/offline.py imports
+    "..fastcore.explorer": {"FastExplorer": "FastTransitionSystem"},
+})

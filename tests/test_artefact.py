@@ -270,11 +270,26 @@ def test_stats_parses_a_document_once(name, tmp_path, capsys, monkeypatch):
     assert len(parses) == 1
 
 
-def test_importing_the_registry_loads_no_optional_subpackage():
+@pytest.mark.parametrize(
+    "entry, forbidden",
+    [
+        ("import repro.artefact",
+         ("repro.gateway", "repro.perf", "repro.adversary", "repro.fastcore")),
+        ("import repro.cli",
+         ("asyncio", "http.client", "repro.net", "repro.gateway")),
+        ("import repro.mp.engine",
+         ("asyncio", "repro.net", "repro.obs.top", "repro.obs.slo")),
+        ("from repro.verification import FastExplorer",
+         ("repro.net", "repro.mp", "repro.obs")),
+    ],
+    ids=["repro.artefact", "repro.cli", "repro.mp.engine", "FastExplorer"],
+)
+def test_importing_the_registry_loads_no_optional_subpackage(entry, forbidden):
+    """Importing a module costs only its own imports: no package namespace
+    drags in a subsystem the entry point does not use."""
     probe = (
-        "import sys, repro.artefact; print([m for m in ('repro.gateway', "
-        "'repro.perf', 'repro.adversary', 'repro.fastcore') "
-        "if m in sys.modules])"
+        f"import sys; {entry}; "
+        f"print([m for m in {forbidden!r} if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
