@@ -13,6 +13,10 @@ exported name to the defining module's name for an alias.  A name is
 imported from its module on first access and then cached in the package
 dict, so every later read is a plain dict hit; an undeclared name that is
 a submodule is imported; anything else raises ``AttributeError``.
+
+A registry that names its entries without importing them (the CLI's
+commands, the campaign's algorithms) writes each as ``"module:name"`` and
+calls :func:`resolve` when it uses one.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ from importlib import import_module
 from typing import Callable, Dict, List, Mapping, Tuple, Union
 
 Row = Union[str, Mapping[str, str]]
+
+
+def resolve(target: str) -> object:
+    """The object ``"package.module:name"`` names, importing its module."""
+    module, _, name = target.partition(":")
+    return getattr(import_module(module), name)
 
 
 def lazy_namespace(

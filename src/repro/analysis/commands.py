@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..campaign.shard import make_algorithm
+from ..campaign.algorithms import make_algorithm
 from ..core import (
     invariant_holds,
     invariant_report,

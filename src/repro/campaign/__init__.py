@@ -29,8 +29,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
         "CampaignResult campaign_metrics heartbeat_progress parallel_map "
         "run_shards"
     ),
-    ".shard": (
-        "ALGORITHMS HANDLERS Shard derive_seed execute_shard make_algorithm"
-    ),
+    ".algorithms": "ALGORITHMS make_algorithm",
+    ".shard": "HANDLERS Shard derive_seed execute_shard",
     ".specs": "SweepAggregate SweepSpec aggregate_sim",
 })

@@ -23,15 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from ..baselines import ChoySinghDiners, ForkOrderingDiners, HygienicDiners
-from ..core import (
-    NADiners,
-    NoDynamicThresholdDiners,
-    NoFixdepthDiners,
-    e_holds,
-    invariant_holds,
-    nc_holds,
-)
+from ..core import e_holds, invariant_holds, nc_holds
 from ..sim import (
     AlwaysHungry,
     BenignCrash,
@@ -41,28 +33,8 @@ from ..sim import (
     System,
     from_spec,
 )
+from .algorithms import make_algorithm
 from .record import TrialRecord, shard_key
-
-#: Canonical algorithm registry (name -> zero-argument factory).  The CLI
-#: re-exports this; shard handlers use it to rebuild algorithms from names.
-ALGORITHMS: Dict[str, Callable[[], Any]] = {
-    "na-diners": NADiners,
-    "choy-singh": ChoySinghDiners,
-    "hygienic": HygienicDiners,
-    "fork-ordering": ForkOrderingDiners,
-    "no-fixdepth": NoFixdepthDiners,
-    "no-threshold": NoDynamicThresholdDiners,
-}
-
-
-def make_algorithm(name: str):
-    """Instantiate a registered algorithm by name."""
-    try:
-        return ALGORITHMS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown algorithm {name!r}; one of {sorted(ALGORITHMS)}"
-        ) from None
 
 
 @dataclass(frozen=True)

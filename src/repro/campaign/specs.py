@@ -19,7 +19,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sim.topology import from_spec
 from .record import TrialRecord
-from .shard import ALGORITHMS, Shard, derive_seed
+from .algorithms import ALGORITHMS
+from .shard import Shard, derive_seed
 
 
 @dataclass(frozen=True)

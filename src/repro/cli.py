@@ -16,12 +16,12 @@ has every flag.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 
+from ._lazy import resolve
 from .artefact import KINDS
-from .campaign.shard import ALGORITHMS  # canonical registry, re-exported
+from .campaign.algorithms import ALGORITHMS  # canonical registry, re-exported
 from .sim.errors import SimulationError
 
 #: Each command's entry point, ``module:function``, imported when it runs.
@@ -524,8 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def entry_point(command: str):
     """The function :data:`COMMANDS` names for ``command``."""
-    module, _, name = COMMANDS[command].partition(":")
-    return getattr(importlib.import_module(module), name)
+    return resolve(COMMANDS[command])
 
 
 def main(argv=None) -> int:

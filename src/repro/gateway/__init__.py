@@ -4,8 +4,9 @@ A thin front-end that multiplexes many logical clients over a small
 pool of upstream TCP connections to the diner nodes: packed request/response frames
 on the hot path, per-connection write batching, and admission control
 with typed RETRY shedding.  The ``loadgen`` module drives 10⁴–10⁶
-logical clients through it — live over real sockets, or as a seeded
-virtual-time simulation whose report is byte-stable.
+logical clients through it as a seeded virtual-time simulation whose
+report is byte-stable; the ``live`` module drives the same fleet over
+real sockets.
 """
 
 from .._lazy import lazy_namespace
@@ -16,9 +17,8 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
         "SHED_REASONS AdmissionConfig AdmissionController"
     ),
     ".batch": "BatchWriter FlushPolicy",
-    ".loadgen": (
-        "FleetStats LoadgenConfig coefficient_of_variation run_live run_sim"
-    ),
+    ".live": "run_live",
+    ".loadgen": "FleetStats LoadgenConfig coefficient_of_variation run_sim",
     ".mux": "LOST_ERROR Completion Decision GatewayMux retry_body",
     ".report": (
         "LOADGEN_FORMAT_VERSION LOADGEN_REPORT_KIND build_report "

@@ -11,18 +11,18 @@ engines drive it through ``GatewayServer``'s in-process seam
 (``submit(client, node, op, callback)``, ``flush()``, ``.mux``); they
 share the report format too:
 
-* **sim** — a virtual-time, discrete-event twin.  The *real*
-  :class:`~repro.gateway.mux.GatewayMux` and admission controller make
-  every routing/shed decision; only the transport and the diner are
+* **sim** — a virtual-time, discrete-event twin, in this module.  The
+  *real* :class:`~repro.gateway.mux.GatewayMux` and admission controller
+  make every routing/shed decision; only the transport and the diner are
   modelled (:class:`SimGateway`: fixed network delay, FIFO grants per
   node).  Everything is seeded, so the report is **byte-stable**: same
   (topology, seed, duration) → identical bytes.  This is how 10⁶
   clients fit in one process, and how CI pins the artefact.
-* **live** — the fleet is the traffic of a
-  :func:`~repro.net.cluster.supervised_run` (a real cluster, with chaos
-  if asked), through a real :class:`~repro.gateway.server.GatewayServer`
-  over TCP.  Latencies are wall-clock; the safety audit is the run's own,
-  as for ``soak``: the same verdict, violation lines and flight dump.
+* **live** — :func:`~repro.gateway.live.run_live`, beside the live
+  gateway: the fleet is the traffic of a real cluster run, through a
+  real :class:`~repro.gateway.server.GatewayServer` over TCP.  This
+  module imports no part of that tier; :func:`cmd_loadgen` imports it
+  only when it runs live.
 
 The fleet is one timer heap — no task-per-client — so 10⁴ clients cost
 one loop, not 10⁴ stacks.
@@ -39,25 +39,17 @@ way, after the admission hint.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from collections import deque
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..net.cluster import (
-    cluster_config,
-    run_interruptible,
-    supervised_run,
-    write_cluster_artefacts,
-)
-from ..net.lock import violation_lines
 from ..obs.metrics import Histogram, Timer, percentile_of_sorted
-from ..sim.topology import from_spec
 from .admission import AdmissionConfig
 from .batch import FlushPolicy
 from .mux import Completion, Decision, GatewayMux
-from .server import GatewayConfig, GatewayServer
 from .report import (
     LATENCY_SAMPLE_CAP,
     PER_NODE_SAMPLE_CAP,
@@ -99,6 +91,11 @@ class LoadgenConfig:
     gateway_id: str = "gw"
 
     def validate(self) -> None:
+        for name in ("duration_s", "think_s", "hold_s", "arrival_rate_hz"):
+            # an inf duration never ends the run and an inf rate draws zero
+            # gaps; nan passes every comparison below into the report
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.clients < 1:
             raise ValueError("clients must be >= 1")
         if self.nodes < 1:
@@ -619,67 +616,6 @@ def run_sim(config: LoadgenConfig) -> Dict[str, Any]:
     return build_report(config.spec_doc("sim"), results)
 
 
-# --------------------------------------------------------------- live engine
-
-
-async def run_live(
-    config: LoadgenConfig,
-    cluster_config,
-) -> Tuple[Dict[str, Any], Any, List[Any]]:
-    """The live engine: the fleet through a gateway in front of a
-    supervised cluster run, then the run's audit.
-
-    Returns ``(report, cluster_result, violations)`` — the CLI writes the
-    artefacts and decides the exit code.
-    """
-    config.validate()
-    topology_nodes = list(cluster_config.topology.nodes)
-    if len(topology_nodes) != config.nodes:
-        raise ValueError(
-            f"cluster topology has {len(topology_nodes)} nodes, "
-            f"loadgen config says {config.nodes}"
-        )
-    node_labels = [repr(pid) for pid in topology_nodes]
-    stats = FleetStats(config.clients, node_labels)
-    #: What the gateway leaves behind: its mux and batch counters.
-    served: Dict[str, Any] = {"mux": GatewayMux(node_labels), "batching": {}}
-
-    async def traffic(supervisor, stop_at: float) -> None:
-        gateway = GatewayServer(GatewayConfig(
-            upstream_addrs=[
-                (cluster_config.host, supervisor.nodes[pid].port)
-                for pid in topology_nodes
-            ],
-            node_labels=node_labels, host=cluster_config.host,
-            upstreams_per_node=config.upstreams_per_node,
-            max_upstreams=config.max_upstreams, admission=config.admission,
-            upstream_flush=config.flush, gateway_id=config.gateway_id,
-        ))
-        served["mux"] = gateway.mux
-        try:
-            await gateway.start()
-            await ClientFleet(config, stats).drive(gateway, stop_at)
-        finally:
-            served["batching"] = gateway.batch_counters()
-            await gateway.stop()
-
-    result = await supervised_run(cluster_config, config.duration_s, traffic)
-    violations = result.audit.violations
-    results = stats.results_doc(
-        config.duration_s,
-        served["mux"],
-        batching=served["batching"],
-        safety={
-            "mode": "live",
-            "violations": len(violations),
-            "audited_events": len(result.events),
-            "killed": sorted(result.killed),
-            "interrupted": result.interrupted,
-        },
-    )
-    return build_report(config.spec_doc("live"), results), result, violations
-
-
 def cmd_loadgen(
     *, nodes: int, topology: Optional[str], seed: int, duration: float, clients: int,
     mode: str, arrival_rate: float, think: float, hold: float, max_retries: int,
@@ -692,11 +628,14 @@ def cmd_loadgen(
     gateway tier and print the report's summary.
 
     ``sim`` runs the seeded virtual-time engine (byte-stable report);
-    otherwise a real cluster (``cluster_flags`` are
-    :func:`~repro.net.cluster.cluster_config`'s) is spawned behind a real
-    gateway and the neighbour-exclusion audit runs over the event stream.
-    Exit 1 on a safety violation.
+    otherwise :func:`~repro.gateway.live.run_live_command` spawns a real
+    cluster (``cluster_flags`` are
+    :func:`~repro.net.cluster.cluster_config`'s) behind a real gateway and
+    the neighbour-exclusion audit runs over the event stream.  Exit 1 on a
+    safety violation.
     """
+    from ..sim.topology import from_spec
+
     spec = topology or f"ring:{nodes}"
     config = LoadgenConfig(
         clients=clients,
@@ -723,21 +662,18 @@ def cmd_loadgen(
     )
     config.validate()
     if sim:
-        report = run_sim(config)
-        violations: List[Any] = []
+        report, violated = run_sim(config), []
     else:
-        cluster, _ = cluster_config(
-            lock_service=True, nodes=nodes, topology=topology, seed=seed,
-            duration=duration, events_out=events_out, **cluster_flags,
+        from .live import run_live_command
+
+        report, violated = run_live_command(
+            config, nodes=nodes, topology=topology, seed=seed,
+            duration=duration, metrics_out=metrics_out, events_out=events_out,
+            **cluster_flags,
         )
-        report, result, violations = run_interruptible(
-            cluster, run_live(config, cluster)
-        )
-        write_cluster_artefacts(result, metrics_out=metrics_out, events_out=events_out)
     print("\n".join(summarize_loadgen_report(report)))
-    if violations:
-        # The overlaps themselves are not in the report, only their count.
-        print("\n".join(violation_lines(violations, result.byzantine)))
+    if violated:
+        print("\n".join(violated))
     if out:
         print(f"  loadgen report: {write_loadgen_report(out, report)}")
-    return 1 if violations else 0
+    return 1 if violated else 0

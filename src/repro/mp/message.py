@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
-from ..sim.topology import Pid
+if TYPE_CHECKING:
+    from ..sim.topology import Pid
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,16 @@ class TestConfigValidation:
             {"max_retries": -1},
             # a shed client would re-acquire at the same instant for ever
             {"think_s": 0, "max_retries": 0},
+            # inf never ends the run or draws zero gaps; nan passes every
+            # comparison and writes "nan" into the report
+            {"duration_s": float("inf")},
+            {"duration_s": float("nan")},
+            {"think_s": float("inf")},
+            {"think_s": float("nan")},
+            {"hold_s": float("inf")},
+            {"hold_s": float("nan")},
+            {"mode": "open", "arrival_rate_hz": float("inf")},
+            {"mode": "open", "arrival_rate_hz": float("nan")},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

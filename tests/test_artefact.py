@@ -276,13 +276,19 @@ def test_stats_parses_a_document_once(name, tmp_path, capsys, monkeypatch):
         ("import repro.artefact",
          ("repro.gateway", "repro.perf", "repro.adversary", "repro.fastcore")),
         ("import repro.cli",
-         ("asyncio", "http.client", "repro.net", "repro.gateway")),
+         ("asyncio", "http.client", "repro.net", "repro.gateway",
+          "repro.core", "repro.baselines", "repro.campaign.shard")),
         ("import repro.mp.engine",
          ("asyncio", "repro.net", "repro.obs.top", "repro.obs.slo")),
         ("from repro.verification import FastExplorer",
          ("repro.net", "repro.mp", "repro.obs")),
+        ("from repro.gateway.loadgen import LoadgenConfig, run_sim",
+         ("repro.net.cluster", "repro.net.lock", "repro.net.node",
+          "repro.net.chaos", "repro.gateway.server", "repro.obs.slo",
+          "repro.obs.flight", "repro.adversary", "repro.mp.diners_mp")),
     ],
-    ids=["repro.artefact", "repro.cli", "repro.mp.engine", "FastExplorer"],
+    ids=["repro.artefact", "repro.cli", "repro.mp.engine", "FastExplorer",
+         "run_sim"],
 )
 def test_importing_the_registry_loads_no_optional_subpackage(entry, forbidden):
     """Importing a module costs only its own imports: no package namespace

@@ -842,6 +842,13 @@ class TestLoadgenCommand:
         with pytest.raises(SystemExit):
             main(["loadgen", "--sim", "--mode", "burst"])
 
+    @pytest.mark.parametrize("flag", ["--duration", "--think", "--hold"])
+    def test_non_finite_time_is_a_one_line_exit(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["loadgen", "--sim", flag, "nan"])
+        assert str(info.value).endswith("must be finite")
+        assert capsys.readouterr().out == ""
+
     def test_upstream_budget_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main([
@@ -869,7 +876,7 @@ class TestLoadgenCommand:
     def test_live_violation_prints_soaks_lines(self, monkeypatch, capsys):
         from types import SimpleNamespace
 
-        from repro.gateway import loadgen
+        from repro.gateway import live, loadgen
         from repro.net.lock import Violation, violation_lines
 
         violations = [Violation("0", "1", 1.0, 2.0)]
@@ -881,7 +888,7 @@ class TestLoadgenCommand:
         async def violated_run(config, cluster):
             return report, SimpleNamespace(byzantine=["0"]), violations
 
-        monkeypatch.setattr(loadgen, "run_live", violated_run)
+        monkeypatch.setattr(live, "run_live", violated_run)
         code = main(["loadgen", "--nodes", "3", "--duration", "0.5",
                      "--clients", "30"])
         out = capsys.readouterr().out.splitlines()
