@@ -18,9 +18,11 @@ batching layer is invisible to the protocol above it.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import asyncio
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ class BatchWriter:
         ):
             self.flush()
         elif self._timer is None and policy.max_delay_s > 0:
+            import asyncio
+
             loop = asyncio.get_running_loop()
             self._timer = loop.call_later(policy.max_delay_s, self.flush)
         elif policy.max_delay_s == 0:

@@ -38,7 +38,6 @@ way, after the admission hint.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import random
 from collections import deque
@@ -469,6 +468,8 @@ class ClientFleet:
         completion after that (the gateway abandoning on stop) is not
         counted.
         """
+        import asyncio
+
         loop = asyncio.get_running_loop()
         wake = asyncio.Event()
         listening = True

@@ -147,8 +147,6 @@ class MpEngine:
         self.step_count = 0
         self.delivered = 0
         self.ticks = 0
-        #: per-process delivered/tick counters for tests and metrics.
-        self.counters: Counter = Counter()
         #: Every event the scheduler can ever pick, by slot, in scan order
         #: — one delivery per directed channel, then one tick per process —
         #: and, per slot, the selection at which the event last became
@@ -160,6 +158,8 @@ class MpEngine:
         self._tick_slot: Dict[Pid, int] = {
             pid: len(self._channels) + i for i, pid in enumerate(topology.nodes)
         }
+        #: Times each slot's event fired; :attr:`counters` reads them.
+        self._fired: List[int] = [0] * len(self._events)
         self._born: List[int | None] = [None] * len(self._events)
         #: The available slots, ascending, as of the last selection;
         #: ``_listed[slot]`` says whether ``slot`` is among them.
@@ -186,6 +186,20 @@ class MpEngine:
 
     # ------------------------------------------------------------- access
 
+    @property
+    def counters(self) -> Counter:
+        """Per-process ``("delivered"|"tick", pid)`` counts, for tests and
+        metrics; built on read, with no entry for a count of zero."""
+        counts: Counter = Counter()
+        fired = self._fired
+        for channel in self._channels.values():
+            if fired[channel._slot]:
+                counts[("delivered", channel.dst)] += fired[channel._slot]
+        for pid, slot in self._tick_slot.items():
+            if fired[slot]:
+                counts[("tick", pid)] = fired[slot]
+        return counts
+
     def _emit(self, kind: MpEventKind, pid: Pid | None, detail: Any = None) -> None:
         if self.bus is not None:
             self.bus.publish(TraceEvent(self.step_count, kind, pid, detail))
@@ -199,7 +213,11 @@ class MpEngine:
         :attr:`~repro.obs.events.MpEventKind.DROP` for each one the channel
         refused or lost.
         """
-        accepted = self.channel(src, dst).send(payload)
+        try:
+            channel = self._channels[(src, dst)]
+        except KeyError:
+            raise SimulationError(f"no channel {src!r}->{dst!r}") from None
+        accepted = channel.send(payload)
         if accepted:
             self.clocks[src].tick()
         if self.bus is not None:
@@ -328,12 +346,20 @@ class MpEngine:
             return None
         self._selections = selection + 1
         # Every listed slot has a live entry, so the queue cannot run dry.
-        while born[oldest[0][1]] != oldest[0][0]:
+        first, chosen = oldest[0]
+        while born[chosen] != first:
             oldest.popleft()
-        if selection - oldest[0][0] + 1 >= self.patience:
-            chosen = oldest[0][1]
-        else:
-            chosen = available[self.rng.randrange(len(available))]
+            first, chosen = oldest[0]
+        if selection - first + 1 < self.patience:
+            # ``rng.randrange(n)`` without its two frames: the same bits
+            # drawn the same way, so the same choice.
+            n = len(available)
+            getrandbits = self.rng.getrandbits
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            chosen = available[r]
         # Listed but unborn until the next selection looks at it again.
         born[chosen] = None
         dirty.add(chosen)
@@ -346,27 +372,28 @@ class MpEngine:
             return False
         kind, detail, channel = event
         heard = self.bus is not None
+        clocks = self.clocks
         if kind == "deliver":
             src, dst = detail
-            message = channel.deliver()
+            # ``_choose`` offers only a non-empty channel, so no second
+            # check; the pop still goes through the funnel and marks it.
+            message = channel._pop()
             self.delivered += 1
-            self.counters[("delivered", dst)] += 1
-            self.clocks[dst].merge(self.clocks[src].value)
+            self._fired[channel._slot] += 1
+            clocks[dst].merge(clocks[src].value)
             if heard:
                 self._emit(MpEventKind.DELIVER, dst, src)
-            if self._alive[dst]:
-                budget = self._malicious_budget.get(dst)
-                if budget is None:
-                    self.processes[dst].on_message(
-                        self._contexts[dst], message.src, message.payload
-                    )
-                # A malicious process consumes messages without meaningful
-                # processing; its havoc happens on its ticks.
+            # A malicious process consumes messages without meaningful
+            # processing; its havoc happens on its ticks.
+            if self._alive[dst] and dst not in self._malicious_budget:
+                self.processes[dst].on_message(
+                    self._contexts[dst], message.src, message.payload
+                )
         else:
             pid = detail
             self.ticks += 1
-            self.counters[("tick", pid)] += 1
-            self.clocks[pid].tick()
+            self._fired[self._tick_slot[pid]] += 1
+            clocks[pid].tick()
             budget = self._malicious_budget.get(pid)
             if budget is not None:
                 if heard:

@@ -60,20 +60,17 @@ class ProcessContext(Protocol):
 class MpContext:
     """Capabilities handed to a process during one of its steps."""
 
-    __slots__ = ("_engine", "_pid", "_neighbors")
+    __slots__ = ("_engine", "_pid", "neighbors")
 
     def __init__(self, engine: "MpEngine", pid: Pid) -> None:
         self._engine = engine
         self._pid = pid
-        self._neighbors = engine.topology.neighbors(pid)
+        #: Read several times a step, so a plain attribute, set once.
+        self.neighbors: Tuple[Pid, ...] = engine.topology.neighbors(pid)
 
     @property
     def pid(self) -> Pid:
         return self._pid
-
-    @property
-    def neighbors(self) -> Tuple[Pid, ...]:
-        return self._neighbors
 
     @property
     def topology(self) -> Topology:
@@ -81,7 +78,7 @@ class MpContext:
 
     def send(self, dst: Pid, payload: Tuple) -> bool:
         """Send to a neighbour; returns False if the channel dropped it."""
-        if dst not in self._neighbors:
+        if dst not in self.neighbors:
             raise NotNeighborsError(self._pid, dst)
         return self._engine.send_message(self._pid, dst, payload)
 

@@ -283,7 +283,7 @@ def test_stats_parses_a_document_once(name, tmp_path, capsys, monkeypatch):
         ("from repro.verification import FastExplorer",
          ("repro.net", "repro.mp", "repro.obs")),
         ("from repro.gateway.loadgen import LoadgenConfig, run_sim",
-         ("repro.net.cluster", "repro.net.lock", "repro.net.node",
+         ("asyncio", "repro.net.cluster", "repro.net.lock", "repro.net.node",
           "repro.net.chaos", "repro.gateway.server", "repro.obs.slo",
           "repro.obs.flight", "repro.adversary", "repro.mp.diners_mp")),
     ],

@@ -15,7 +15,9 @@ import pytest
 from repro.fastcore.engine import FastEngine
 from repro.fastcore.explorer import FastTransitionSystem
 from repro.fastcore.packed import PackedCodec
+from repro.mp.diners_mp import DinersMpProcess, build_diners
 from repro.mp.engine import MpEngine
+from repro.sim import from_spec
 from repro.sim.engine import Engine
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "tracer.py"
@@ -42,6 +44,37 @@ def test_a_packed_step_and_an_object_step_are_patched_apart():
     # step a FastEngine runs must be the one its own class dict holds.
     assert vars(FastEngine)["step"] is vars(Engine)["step"]
     assert FastEngine.run is Engine.run  # ... which looks ``self.step`` up
+
+
+def test_every_mp_step_and_every_diner_call_goes_through_the_class_dict(
+    monkeypatch,
+):
+    # The tracer times mp_crash by wrapping these three class-dict entries:
+    # a run loop that fused the step would leave the step wrapper counting
+    # nothing, and every tick and delivery must reach the diner through them.
+    calls = {"step": 0, "on_tick": 0, "on_message": 0}
+
+    def counting(owner, attr):
+        fn = vars(owner)[attr]
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    counting(MpEngine, "step")
+    counting(DinersMpProcess, "on_tick")
+    counting(DinersMpProcess, "on_message")
+    topology = from_spec("ring:8")
+    engine = MpEngine(
+        topology, build_diners(topology, eat_ticks=2, repair=True), seed=3
+    )
+    assert engine.run(500) == 500
+    assert calls["step"] == 500
+    assert engine.ticks + engine.delivered == 500
+    assert calls["on_tick"] == engine.ticks > 0
+    assert calls["on_message"] == engine.delivered > 0
 
 
 @pytest.mark.skipif(not TRACER.exists(), reason="benchmark harness not in this checkout")
