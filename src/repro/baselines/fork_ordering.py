@@ -6,7 +6,10 @@ when it holds every incident fork and releases them all afterwards.
 
 In the shared-memory model the fork on edge ``{p, q}`` is the edge variable,
 taking one of three values: ``FORK_FREE``, ``p`` (p holds it), or ``q``.
-The global order is the edge's index in a canonical enumeration.
+The global order ranks edge ``{p, q}`` by ``(min, max)`` of the endpoints'
+node indices, so each process meets its forks in its neighbours' index
+order: every lower-indexed neighbour first, then every higher one, each
+ascending.
 
 Expected behaviour under the paper's fault models (what E2/E8 measure):
 
@@ -21,8 +24,9 @@ Expected behaviour under the paper's fault models (what E2/E8 measure):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
 
+from ..core.figure1 import FORK_FREE, Action, ActionTable, table_bits, view_program
 from ..core.state import (
     ACTION_ENTER,
     ACTION_EXIT,
@@ -32,42 +36,46 @@ from ..core.state import (
     DinerState,
 )
 from ..sim.domains import BoolDomain, Domain, FiniteDomain
-from ..sim.process import ActionDef, Algorithm, ProcessView
-from ..sim.topology import Edge, Pid, Topology, edge
+from ..sim.process import ActionDef, Algorithm
+from ..sim.topology import Edge, Pid, Topology
 
 T = DinerState.THINKING.value
 H = DinerState.HUNGRY.value
 E = DinerState.EATING.value
 
-#: Sentinel: the fork lies on the table.
-FORK_FREE = "<free>"
-
 ACTION_ACQUIRE = "acquire"
+
+#: The program, in the action-table vocabulary of Figure 1: ``next_free``
+#: is "the lowest-ordered fork I lack is free", ``all_held`` "I hold every
+#: fork".
+FORK_ORDERING = ActionTable((
+    Action(ACTION_JOIN, (("needs", "state == T"),), (("state", "H"),)),
+    Action(ACTION_ACQUIRE, (("state == H", "next_free"),), (), edges="take next"),
+    Action(ACTION_ENTER, (("state == H", "all_held"),), (("state", "E"),)),
+    Action(ACTION_EXIT, (("state == E",),), (("state", "T"),),
+           edges="release held"),
+))
 
 
 class ForkOrderingDiners(Algorithm):
     """Resource-ordering diners: acquire incident forks in ascending order.
 
-    Four actions per process ``p``:
+    Four actions per process ``p`` (:data:`FORK_ORDERING`):
 
     ``join``     ``needs ∧ state = T  →  state := H``
-    ``acquire``  ``state = H ∧ the lowest-ordered fork p is missing is free ∧
-                 p holds every lower-ordered incident fork  →  take it``
+    ``acquire``  ``state = H ∧ the lowest-ordered fork p is missing is free
+                 →  take it``
     ``enter``    ``state = H ∧ p holds all incident forks  →  state := E``
-    ``exit``     ``state = E  →  state := T; release all incident forks``
+    ``exit``     ``state = E  →  state := T; release all forks p holds``
     """
 
     name = "fork-ordering"
     hunger_variable = VAR_NEEDS
 
+    table: ActionTable = FORK_ORDERING
+
     def __init__(self) -> None:
-        self._actions = (
-            ActionDef(ACTION_JOIN, self._join_guard, self._join),
-            ActionDef(ACTION_ACQUIRE, self._acquire_guard, self._acquire),
-            ActionDef(ACTION_ENTER, self._enter_guard, self._enter),
-            ActionDef(ACTION_EXIT, self._exit_guard, self._exit),
-        )
-        self._rank_cache: Dict[int, Dict[Edge, int]] = {}
+        self._actions = view_program(self.table, None, None)
 
     # ------------------------------------------------------- declarations
 
@@ -91,70 +99,5 @@ class ForkOrderingDiners(Algorithm):
     def actions(self) -> Tuple[ActionDef, ...]:
         return self._actions
 
-    # ----------------------------------------------------------- ordering
-
-    def _ranks(self, topology: Topology) -> Dict[Edge, int]:
-        """The canonical total order on forks (cached per topology)."""
-        key = id(topology)
-        if key not in self._rank_cache:
-            order = {p: i for i, p in enumerate(topology.nodes)}
-            ordered = sorted(
-                topology.edges, key=lambda e: tuple(sorted(order[x] for x in e))
-            )
-            self._rank_cache[key] = {e: i for i, e in enumerate(ordered)}
-        return self._rank_cache[key]
-
-    def _incident_in_order(self, view: ProcessView) -> List[Pid]:
-        """Neighbours of the view's process, by ascending fork rank."""
-        ranks = self._ranks(view.topology)
-        return sorted(view.neighbors, key=lambda q: ranks[edge(view.pid, q)])
-
-    # ------------------------------------------------------------ actions
-
-    @staticmethod
-    def _join_guard(view: ProcessView) -> bool:
-        return bool(view.get(VAR_NEEDS)) and view.get(VAR_STATE) == T
-
-    @staticmethod
-    def _join(view: ProcessView) -> None:
-        view.set(VAR_STATE, H)
-
-    def _next_missing(self, view: ProcessView) -> Pid | None:
-        """The neighbour across the lowest-ordered fork ``p`` does not hold,
-        provided every lower-ordered incident fork is held; ``None`` when
-        all forks are held or a lower fork is held by someone else."""
-        for q in self._incident_in_order(view):
-            if view.edge_value(q) != view.pid:
-                return q
-        return None
-
-    def _acquire_guard(self, view: ProcessView) -> bool:
-        if view.get(VAR_STATE) != H:
-            return False
-        q = self._next_missing(view)
-        return q is not None and view.edge_value(q) == FORK_FREE
-
-    def _acquire(self, view: ProcessView) -> None:
-        q = self._next_missing(view)
-        assert q is not None
-        view.set_edge(q, view.pid)
-
-    def _enter_guard(self, view: ProcessView) -> bool:
-        return view.get(VAR_STATE) == H and all(
-            view.edge_value(q) == view.pid for q in view.neighbors
-        )
-
-    @staticmethod
-    def _enter(view: ProcessView) -> None:
-        view.set(VAR_STATE, E)
-
-    @staticmethod
-    def _exit_guard(view: ProcessView) -> bool:
-        return view.get(VAR_STATE) == E
-
-    @staticmethod
-    def _exit(view: ProcessView) -> None:
-        view.set(VAR_STATE, T)
-        for q in view.neighbors:
-            if view.edge_value(q) == view.pid:  # release only forks we hold
-                view.set_edge(q, FORK_FREE)
+    def enabled_bits(self) -> Optional[Callable[..., int]]:
+        return table_bits(self)

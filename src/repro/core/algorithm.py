@@ -26,7 +26,8 @@ Five actions per process ``p``:
 
 The rows themselves are data, :data:`repro.core.figure1.FIGURE1`; this
 module declares the variables and the initial state, and its actions are
-that table lowered to ``ProcessView`` (``figure1.view_program``).
+that table lowered to ``ProcessView`` (``figure1.view_program``, and
+``figure1.view_bits`` for the store's one-frame refresh).
 The translation is literal except for two deliberate, documented choices:
 
 * ``fixdepth`` takes the **maximum** violating descendant value rather than
@@ -41,12 +42,12 @@ The translation is literal except for two deliberate, documented choices:
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 from ..sim.domains import BoolDomain, Domain, FiniteDomain, IntRange, SaturatingInt
 from ..sim.process import ActionDef, Algorithm
 from ..sim.topology import Edge, Pid, Topology
-from .figure1 import FIGURE1, STATE_VALUES, ActionTable, view_program
+from .figure1 import FIGURE1, STATE_VALUES, ActionTable, table_bits, view_program
 from .state import VAR_DEPTH, VAR_NEEDS, VAR_STATE, DinerState
 
 
@@ -133,3 +134,6 @@ class NADiners(Algorithm):
 
     def actions(self) -> Tuple[ActionDef, ...]:
         return self._actions
+
+    def enabled_bits(self) -> Optional[Callable[..., int]]:
+        return table_bits(self)

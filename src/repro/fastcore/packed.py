@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import AbstractSet, Any, Dict, Iterable, Iterator, List, Mapping
 from typing import Optional, Sequence, Tuple
 
-from ..core.figure1 import FIGURE1, STATE_CODE, STATE_VALUES, view_program
+from ..core.figure1 import FIGURE1, STATE_CODE, STATE_VALUES, lowered_table
 from ..core.state import VAR_DEPTH, VAR_NEEDS, VAR_STATE
 from ..sim.configuration import Configuration
 from ..sim.domains import Domain
@@ -200,17 +200,16 @@ class PackedCodec:
 
     def __init__(self, topology: Topology, algorithm) -> None:
         # The refusal follows the program, not a class list: anything that
-        # runs exactly the actions its table lowers to has a packed form.
-        table = getattr(algorithm, "table", None)
-        if table is None or algorithm.actions() != view_program(
-            table, algorithm.depth_cap, algorithm.diameter_override
-        ):
+        # runs exactly the actions its table lowers to, in the vocabulary the
+        # packed lowerings spell (Figure 1's: no fork atoms), has a packed form.
+        lowered = lowered_table(algorithm)
+        if lowered is None or not lowered.table.vocabulary <= FIGURE1.vocabulary:
             raise UnsupportedBackendError(
                 "fast backend runs an action table (NADiners and its "
                 f"table-edit variants) only, not {algorithm!r}"
             )
         #: Figure 1 as this algorithm runs it; row order = action bit order.
-        self.table = table
+        self.table = lowered.table
         self.topology = topology
         self.algorithm = algorithm
         self.pids: Tuple[Pid, ...] = topology.nodes
@@ -231,10 +230,10 @@ class PackedCodec:
         self._state_dom = self.local_domains[VAR_STATE]
         self._needs_dom = self.local_domains[VAR_NEEDS]
         self._depth_dom = self.local_domains[VAR_DEPTH]
-        self.cap: Optional[int] = algorithm.depth_cap
+        self.cap: Optional[int] = lowered.cap
         self.d_const: int = (
-            algorithm.diameter_override
-            if algorithm.diameter_override is not None
+            lowered.d_override
+            if lowered.d_override is not None
             else topology.diameter
         )
         #: The int-key layout; None without a depth cap <= 255 (no fixed

@@ -1,9 +1,13 @@
-"""The two packed programs generated from Figure 1's action table.
+"""The two packed programs generated from an action table.
 
 The table itself (:data:`repro.core.figure1.FIGURE1`, its atoms, the
-ablations as table edits on the variant classes) lives in ``core`` with the
-lowering the object model runs; this module adds the two *packed* lowerings,
-each turning a table into Python source that is ``compile()``d once:
+ablations as table edits on the variant classes) lives in ``core``, and so
+does the row emitter every lowering shares (:func:`repro.core.figure1.
+emit_rows`, which case-splits the rows on the process's own ``state`` and
+binds a neighbour atom read twice once) together with the lowering the
+object model runs.  This module adds the two *packed* lowerings, each
+spelling the atoms for packed state and turning a table into Python source
+that is ``compile()``d once:
 
 * :func:`int_key_program` — per (topology, table, cap, ``D``): one
   straight-line ``expand(k)`` over :meth:`PackedCodec.key`'s int itself.
@@ -17,133 +21,31 @@ each turning a table into Python source that is ``compile()``d once:
   ``fire(p, a)`` is a whole packed step — the row's command, the masks the
   guards read, the guard refresh of ``p``'s readers — in one frame.
 
-Both share :func:`_emit_rows`, which is where the table's structure becomes
-control flow: rows whose guard tests the process's own ``state`` are
-case-split on it (a conjunct known true is dropped, a row known false
-vanishes), so each branch evaluates only what can still matter — the nesting
-hand-written packed guards used to have, derived instead of typed.
-
-Generated source is kept on the program (``.source``) and registered in
-:mod:`linecache`; all three lowerings are tested against the hand-written
-reference in ``tests/core/figure1_oracle.py``.
+Both spell Figure 1's vocabulary only (no fork atoms): the codec refuses a
+table that uses more.  Generated source is kept on the program
+(``.source``) and registered in :mod:`linecache`; all three lowerings are
+tested against the hand-written reference in ``tests/core/figure1_oracle.py``.
 """
 
 from __future__ import annotations
 
 import re
 import zlib
-from collections import Counter
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.figure1 import (
-    ATOM,
     STATE_CODE,
-    STATE_TEST,
     Action,
     ActionTable,
-    Guard,
+    Lowering,
     Program,
     compile_program,
+    emit_rows,
+    indent,
 )
 from ..core.state import VAR_DEPTH, VAR_NEEDS, VAR_STATE
 from .packed import STATUS
-
-#: atom -> the local a block binds it to when it reads it more than once
-_LOCALS = {"anc_nonT": "an"}
-
-
-def _residual(when: Guard, state: Optional[int]) -> str:
-    """``when`` as source, with the process's own state known (or, for a
-    guard that does not test it, None): ``"True"``, ``"False"`` or what is
-    left to evaluate."""
-    alternatives = []
-    for conjunction in when:
-        rest = []
-        for conjunct in conjunction:
-            test = STATE_TEST.fullmatch(conjunct)
-            if test is None:
-                rest.append(conjunct)
-            elif STATE_CODE[test[1]] != state:
-                break
-        else:
-            if not rest:
-                return "True"
-            alternatives.append(" and ".join(rest))
-    return " or ".join(alternatives) or "False"
-
-
-def _tests_state(row: Action) -> bool:
-    return any(STATE_TEST.fullmatch(c) for alt in row.when for c in alt)
-
-
-class _Lowering(NamedTuple):
-    """How one target spells the atoms and what it does with an enabled row."""
-
-    #: atom -> expression source
-    atoms: Dict[str, str]
-    #: atom -> statements that must run before its expression is read
-    preludes: Dict[str, List[str]]
-    #: the variable holding the process's own state code
-    state: str
-    #: ``(action index, row, own state or None) -> statement`` for "enabled"
-    fire: Callable[[int, Action, Optional[int]], str]
-
-
-def _block(pairs: Sequence[Tuple[str, str]], low: _Lowering) -> List[str]:
-    """``if guard: statement`` for each pair, over atoms spelled by ``low``:
-    preludes first, an atom read twice bound to a local once."""
-    text = "\n".join(g + "\n" + s for g, s in pairs if g != "False")
-    lines: List[str] = []
-    spelled = {}
-    uses = Counter(ATOM.findall(text))
-    for atom, source in low.atoms.items():
-        if uses[atom]:
-            lines += low.preludes.get(atom, ())
-        if uses[atom] > 1 and atom in _LOCALS:
-            lines.append(f"{_LOCALS[atom]} = {source}")
-            source = _LOCALS[atom]
-        spelled[atom] = source
-    spell = lambda src: ATOM.sub(lambda m: spelled[m[1]], src)
-    for guard, statement in pairs:
-        if guard == "True":
-            lines.append(spell(statement))
-        elif guard != "False":
-            lines.append(f"if {spell(guard)}: {spell(statement)}")
-    return lines or ["pass"]
-
-
-def _indent(lines: Sequence[str], by: str = "    ") -> List[str]:
-    return [by + line if line else line for line in lines]
-
-
-def _emit_rows(table: ActionTable, low: _Lowering) -> List[str]:
-    """The statements that fire every enabled row, in declaration order.
-
-    A run of rows that test the own state becomes one ``if``/``elif`` chain
-    on it, each arm holding what is left of those rows' guards there; rows
-    that do not test it follow (or precede) the chain as they are declared.
-    """
-    lines: List[str] = []
-    rows = list(enumerate(table.rows))
-    while rows:
-        chained = _tests_state(rows[0][1])
-        run = []
-        while rows and _tests_state(rows[0][1]) == chained:
-            run.append(rows.pop(0))
-        if not chained:
-            lines += _block(
-                [(_residual(r.when, None), low.fire(a, r, None)) for a, r in run], low
-            )
-            continue
-        for state, keyword in ((0, "if"), (1, "elif"), (2, "else")):
-            test = f" {low.state} == {state}" if keyword != "else" else ""
-            lines.append(f"{keyword}{test}:")
-            lines += _indent(_block(
-                [(_residual(r.when, state), low.fire(a, r, state)) for a, r in run],
-                low,
-            ))
-    return lines
 
 
 # -------------------------------------------------------- int-key lowering
@@ -206,7 +108,7 @@ def int_key_program(codec) -> Program:
                     fixed |= int(value) << offset
                 else:  # an atom, known only when the code runs
                     moving += f" | {value} << {offset}" if offset else f" | {value}"
-            if row.away:
+            if row.edges == "away":
                 for _q, _ev, set_means_anc, bit in incident[p]:
                     clear |= bit
                     fixed |= bit if set_means_anc else 0
@@ -219,7 +121,7 @@ def int_key_program(codec) -> Program:
                 successor += f" | {fixed:#x}" if fixed else ""
             return f"add(({p}, {a}, {successor}{moving}))"
 
-        low = _Lowering(
+        low = Lowering(
             atoms={
                 "needs": f"k & {mask(VAR_NEEDS) << at(p, VAR_NEEDS):#x}",
                 "depth": f"d{p}",
@@ -234,7 +136,7 @@ def int_key_program(codec) -> Program:
         )
         alive = mask(STATUS) << at(p, STATUS)
         body.append(f"if not k & {alive:#x}:  # {codec.pids[p]!r} alive")
-        body += _indent(_emit_rows(table, low))
+        body += indent(emit_rows(table, low))
 
     both_eat = " or ".join(
         f"s{i} == 2 and s{j} == 2" for i, j in layout.edges
@@ -254,7 +156,7 @@ def int_key_program(codec) -> Program:
     any_eats = sum(STATE_CODE["E"] << at(p, VAR_STATE) for p in range(n))
     source = "\n".join(
         ["def expand(k):", "    out = []", "    add = out.append"]
-        + _indent(decode + body)
+        + indent(decode + body)
         + [f"    return out, ({both_eat}) if k & {any_eats:#x} else False", ""]
     )
     # Topology has no name; its repr plus a digest of the edge list keeps two
@@ -307,7 +209,7 @@ def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Prog
     ]
     if cap is not None:
         prop.append(f"if m > {cap}: m = {cap}")
-    low = _Lowering(
+    low = Lowering(
         atoms={
             "needs": "needs[p]",
             "depth": "d",
@@ -320,7 +222,7 @@ def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Prog
         state="s",
         fire=lambda a, row, state: f"new |= {1 << a}",
     )
-    guards = _emit_rows(table, low)
+    guards = emit_rows(table, low)
     uses_depth = any(re.search(r"\bd\b", line) for line in guards)
 
     def refresh(over: str) -> List[str]:
@@ -331,7 +233,7 @@ def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Prog
             "    new = 0",
             "    if not status[p]:",
             "        s = state[p]",
-        ] + (["        d = depth[p]"] if uses_depth else []) + _indent(
+        ] + (["        d = depth[p]"] if uses_depth else []) + indent(
             guards, " " * 8
         ) + [
             "    old = bits[p]",
@@ -349,7 +251,7 @@ def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Prog
     for a, row in enumerate(table.rows):
         fire.append(f"    {'if' if a == 0 else 'elif'} a == {a}:  # {row.name}")
         command: List[str] = []
-        if row.away or "state" in dict(row.assign):
+        if row.edges or "state" in dict(row.assign):
             command.append("bp = 1 << p")
         for variable, value in row.assign:
             if value in low.preludes:
@@ -360,7 +262,7 @@ def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Prog
             )
             if variable == "state":
                 command += _MASK_UPDATE[code]
-        if row.away:
+        if row.edges == "away":
             command += [
                 "for q in nbrs[p]:",
                 "    bq = 1 << q",
@@ -369,9 +271,9 @@ def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Prog
                 "    anc[q] &= ~bp",
                 "    desc[q] |= bp",
             ]
-        fire += _indent(command, " " * 8)
+        fire += indent(command, " " * 8)
     # ``readers[p]`` is evaluated once, before the loop rebinds ``p``.
-    fire += _indent(refresh("readers[p]"))
+    fire += indent(refresh("readers[p]"))
     body = [
         "nonT = eating = 0",
         "for p, s in enumerate(state):",
@@ -383,7 +285,7 @@ def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Prog
         "",
         "def recompute(processes):",
         '    """Refresh the enabled bits of ``processes``."""',
-    ] + _indent(refresh("processes")) + [
+    ] + indent(refresh("processes")) + [
         "",
         "def set_state(p, code):",
         '    """Store state ``code`` at ``p``; no guard is refreshed."""',
@@ -399,7 +301,7 @@ def vector_program(table: ActionTable, cap: Optional[int], d_const: int) -> Prog
             "def bind(state, needs, depth, status, anc, desc, nbrs, readers, enabled):",
             '    """Figure 1 bound to one store: ``(fire, recompute, set_state)``."""',
         ]
-        + _indent(body)
+        + indent(body)
         + [""]
     )
     names = "+".join(table.names)

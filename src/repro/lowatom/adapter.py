@@ -83,6 +83,10 @@ class CachedView:
     def neighbors(self) -> Tuple[Pid, ...]:
         return self._inner.neighbors
 
+    @property
+    def ordered_neighbors(self) -> Tuple[Pid, ...]:
+        return self._inner.ordered_neighbors
+
     def get(self, variable: str) -> Any:
         return self._inner.get(variable)
 

@@ -69,6 +69,19 @@ def engine_steps_grid():
     return lambda: engine.run(1000)
 
 
+@register("engine/steps/fork-ordering/ring12", ops=1000)
+def engine_steps_fork_ordering():
+    """Same loop for Dijkstra's fork-ordering diners, a ``sweep_object``
+    algorithm: its guards scan the forks in neighbour-index order."""
+    from ..baselines import ForkOrderingDiners
+    from ..sim import AlwaysHungry, Engine, System, ring
+
+    engine = Engine(
+        System(ring(12), ForkOrderingDiners()), hunger=AlwaysHungry(), seed=1
+    )
+    return lambda: engine.run(1000)
+
+
 @register("snapshot/ring16", ops=100)
 def snapshot_cost():
     """Configuration snapshot cost — the price of every observation."""

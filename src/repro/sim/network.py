@@ -307,6 +307,11 @@ class System(StateStore):
         self._stale: Set[Pid] = set(topology.nodes)
         #: Each action's bit in the enabled set, beside its guard.
         self._guards = tuple((1 << a, action.guard) for a, action in enumerate(self._actions))
+        #: The one refresh ``enabled`` calls per stale live process: the
+        #: algorithm's generated one when it offers it, else the guard loop.
+        self._bits: Callable[[ProcessView], int] = (
+            algorithm.enabled_bits() or self._guard_bits
+        )
         #: Who may read a local of ``pid``: the process and its neighbours.
         self._readers: Dict[Pid, Tuple[Pid, ...]] = {
             pid: (pid,) + topology.neighbors(pid) for pid in topology.nodes
@@ -486,17 +491,20 @@ class System(StateStore):
         """
         if self._stale:
             update, index, views = self._enabled.update, self._index, self._views
-            alive = ProcessStatus.ALIVE
+            refresh, status, alive = self._bits, self._status, ProcessStatus.ALIVE
             for pid in self._stale:
-                bits = 0
-                if self._status[pid] is alive:
-                    view = views[pid]
-                    for bit, guard in self._guards:
-                        if guard(view):
-                            bits |= bit
-                update(index[pid], bits)
+                update(index[pid], refresh(views[pid]) if status[pid] is alive else 0)
             self._stale.clear()
         return self._enabled
+
+    def _guard_bits(self, view: ProcessView) -> int:
+        """The enabled bits at ``view``, one guard call per action: the
+        refresh of an algorithm that offers none of its own."""
+        bits = 0
+        for bit, guard in self._guards:
+            if guard(view):
+                bits |= bit
+        return bits
 
     def execute(self, pid: Pid, action: ActionDef) -> None:
         """Run ``action`` at ``pid`` (the caller has checked the guard)."""

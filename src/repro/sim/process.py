@@ -54,7 +54,8 @@ class ProcessView:
     """
 
     __slots__ = (
-        "_system", "_pid", "_neighbors", "_own", "_readable", "_edges", "_edge_of",
+        "_system", "_pid", "_neighbors", "_ordered", "_own", "_readable", "_edges",
+        "_edge_of",
     )
 
     def __init__(
@@ -67,6 +68,7 @@ class ProcessView:
         self._system = system
         self._pid = pid
         self._neighbors = system.topology.neighbors(pid)
+        self._ordered: Tuple[Pid, ...] | None = None
         self._own = local_cells[pid]
         self._readable = {q: local_cells[q] for q in (pid,) + self._neighbors}
         self._edges = edge_cells
@@ -91,6 +93,15 @@ class ProcessView:
     def neighbors(self) -> Tuple[Pid, ...]:
         """The direct neighbours of this process."""
         return self._neighbors
+
+    @property
+    def ordered_neighbors(self) -> Tuple[Pid, ...]:
+        """The direct neighbours by node index (their order in
+        ``topology.nodes``) — static, so sorted once per view."""
+        if self._ordered is None:
+            nodes = self._system.topology.nodes
+            self._ordered = tuple(sorted(self._neighbors, key=nodes.index))
+        return self._ordered
 
     # ------------------------------------------------------------- locals
 
@@ -215,6 +226,13 @@ class Algorithm(ABC):
     @abstractmethod
     def actions(self) -> Tuple[ActionDef, ...]:
         """The guarded commands every process runs, in declaration order."""
+
+    def enabled_bits(self) -> Callable[[ProcessView], int] | None:
+        """One function giving a view's whole enabled set at once (bit ``a``
+        set when ``actions()[a]``'s guard holds), or None, and then a store
+        evaluates the guards one by one.  A table algorithm returns its
+        generated refresh while it runs exactly its table's lowering."""
+        return None
 
     # ------------------------------------------------------------ helpers
 

@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import ChoySinghDiners
+from repro.baselines.fork_ordering import FORK_ORDERING
 from repro.core import (
     FIGURE1,
     NADiners,
@@ -202,3 +203,13 @@ def test_design_shows_the_tables_own_listing():
         r"<!-- FIGURE1.listing\(\) -->\n```\n(.*?)\n```", design.read_text(), re.S
     )
     assert block and block[1] == FIGURE1.listing()
+
+
+def test_design_shows_the_fork_tables_own_listing():
+    design = Path(__file__).resolve().parents[2] / "DESIGN.md"
+    block = re.search(
+        r"<!-- FORK_ORDERING.listing\(\) -->\n```\n(.*?)\n```",
+        design.read_text(),
+        re.S,
+    )
+    assert block and block[1] == FORK_ORDERING.listing()
