@@ -10,29 +10,12 @@ process takes infinitely many spontaneous steps.
 
 The scheduler reads an *event index*, not the network.  Every event has a
 slot, in scan order: one delivery per directed channel (in the order the
-channels were built: node by node, neighbour by neighbour), then one tick
-per process.  ``_available`` is the sorted list of the slots whose event
-can fire, so ``_available[k]`` is the ``k``-th available event a pass over
-every channel and every process would have counted off, and a uniform draw
-from it is the draw such a pass made.  Writers do not maintain the list;
-they only add a slot to ``_dirty`` when its availability *may* have changed
-— a channel through its mutation funnel (:mod:`repro.mp.channel`),
-``crash``/``restart`` for a tick, the selection itself for the slot it
-fires — and the next selection looks at the dirty slots alone, so a step
-costs the same on ring(64) as on ring(8).  Flushing at selection time is
-part of the semantics, not a shortcut: a channel cleared and refilled
-between two selections was available at both, so it keeps its age, exactly
-as a scan — which sees the network only when it selects — reads it.
-
-This is the rule of ``sim.network.EnabledSet`` (writes mark, the selection
-reads and clears) and the ledger of ``sim.scheduler._FairnessLedger`` (a
-birth per entry instead of a stored age, the oldest found in a queue whose
-stale entries are dropped when they surface).  It is not built on them: an
-event here is a slot, not a ``(process, action)`` pair behind a guard, and
-selecting through an ``EnabledSet`` and ``WeaklyFairDaemon`` was measured
-at no gain over the scan.  And the queue needs no heap: births only ascend
-(a slot is born at the current selection) and one flush visits its slots in
-ascending order, so appending keeps ``(born, slot)`` order.
+channels were built), then one tick per process.  Writers only add a slot
+to ``_dirty`` when its availability *may* have changed — a channel through
+its mutation funnel (:mod:`repro.mp.channel`), ``crash``/``restart`` for a
+tick, the selection for the slot it fires — and the next selection reads
+those slots alone and hands them to :class:`~repro.sim.fairness.FairSelector`
+(the daemons' rule), so a step costs the same on ring(64) as on ring(8).
 
 The fault repertoire mirrors :mod:`repro.sim.faults`:
 
@@ -47,13 +30,11 @@ The fault repertoire mirrors :mod:`repro.sim.faults`:
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import Counter
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Deque,
     Dict,
     Iterable,
     List,
@@ -65,6 +46,7 @@ from typing import (
 from ..obs.events import MpEventKind
 from ..obs.tracing import LamportClock
 from ..sim.errors import DeadProcessError, SimulationError, UnknownProcessError
+from ..sim.fairness import FairSelector
 from ..sim.topology import Pid, Topology
 from ..sim.trace import TraceEvent
 from .channel import Channel
@@ -120,8 +102,6 @@ class MpEngine:
     ) -> None:
         if set(processes) != set(topology.nodes):
             raise SimulationError("processes must cover exactly the topology nodes")
-        if patience < 1:
-            raise SimulationError("patience must be at least 1")
         self.topology = topology
         self.processes: Dict[Pid, MpProcess] = dict(processes)
         self._channels: Dict[Tuple[Pid, Pid], Channel] = {}
@@ -145,13 +125,8 @@ class MpEngine:
         self.bus = bus
         self.rng = random.Random(seed)
         self.step_count = 0
-        self.delivered = 0
-        self.ticks = 0
         #: Every event the scheduler can ever pick, by slot, in scan order
-        #: — one delivery per directed channel, then one tick per process —
-        #: and, per slot, the selection at which the event last became
-        #: available (``None`` while it is not, and from the moment it
-        #: fires): its weak-fairness age is ``selection - born + 1``.
+        #: — one delivery per directed channel, then one tick per process.
         self._events: List[Tuple[str, Any, Channel | None]] = [
             ("deliver", key, channel) for key, channel in self._channels.items()
         ] + [("tick", pid, None) for pid in topology.nodes]
@@ -160,21 +135,12 @@ class MpEngine:
         }
         #: Times each slot's event fired; :attr:`counters` reads them.
         self._fired: List[int] = [0] * len(self._events)
-        self._born: List[int | None] = [None] * len(self._events)
-        #: The available slots, ascending, as of the last selection;
-        #: ``_listed[slot]`` says whether ``slot`` is among them.
-        self._available: List[int] = []
-        self._listed = bytearray(len(self._events))
-        #: ``(born, slot)`` in ascending order, so the oldest event — among
-        #: equally old ones the lowest slot — is the first live entry; an
-        #: entry is live while ``_born[slot] == born``.
-        self._oldest: Deque[Tuple[int, int]] = deque()
+        self._selector = FairSelector(patience, len(self._events))
         #: Slots to look at again at the next selection: everything, to
         #: begin with.
         self._dirty: Set[int] = set(range(len(self._events)))
         for slot, channel in enumerate(self._channels.values()):
             channel._watch(self._dirty, slot)
-        self._selections = 0
         #: Per-process Lamport clocks, maintained by the engine itself:
         #: ticked on every send/tick/havoc, merged (with the sender's value
         #: at delivery time — an upper bound on its value at send time,
@@ -199,6 +165,16 @@ class MpEngine:
             if fired[slot]:
                 counts[("tick", pid)] = fired[slot]
         return counts
+
+    @property
+    def delivered(self) -> int:
+        """Deliveries so far (to dead processes too)."""
+        return sum(self._fired[: len(self._channels)])
+
+    @property
+    def ticks(self) -> int:
+        """Ticks so far, havoc steps included."""
+        return sum(self._fired[len(self._channels) :])
 
     def _emit(self, kind: MpEventKind, pid: Pid | None, detail: Any = None) -> None:
         if self.bus is not None:
@@ -312,56 +288,22 @@ class MpEngine:
     # ----------------------------------------------------------- stepping
 
     def _choose(self) -> Tuple[str, Any, Channel | None] | None:
-        """Pick the next event, or ``None`` when none is available.
-
-        The oldest available event (the lowest slot among equally old
-        ones) fires once it has been available for ``patience`` selections
-        in a row; otherwise one is drawn uniformly from the available
-        ones.  The chosen event's age restarts, as does that of any event
-        this selection finds unavailable.
-        """
-        selection = self._selections
-        born = self._born
-        available = self._available
-        oldest = self._oldest
+        """Pick the next event, or ``None`` when none is available: the
+        dirty slots, read now, go to the selector (see
+        :meth:`~repro.sim.fairness.FairSelector.select`)."""
         dirty = self._dirty
         events = self._events
         alive = self._alive
-        listed = self._listed
+        changes = []
         for slot in sorted(dirty) if len(dirty) > 1 else dirty:
             _, detail, channel = events[slot]
-            if channel.empty if channel is not None else not alive[detail]:
-                if listed[slot]:
-                    del available[bisect_left(available, slot)]
-                    listed[slot] = False
-                    born[slot] = None
-            elif born[slot] is None:
-                born[slot] = selection
-                oldest.append((selection, slot))
-                if not listed[slot]:
-                    insort(available, slot)
-                    listed[slot] = True
+            gone = channel.empty if channel is not None else not alive[detail]
+            changes.append(~slot if gone else slot)
         dirty.clear()
-        if not available:
+        chosen = self._selector.select(changes, self.rng)
+        if chosen is None:
             return None
-        self._selections = selection + 1
-        # Every listed slot has a live entry, so the queue cannot run dry.
-        first, chosen = oldest[0]
-        while born[chosen] != first:
-            oldest.popleft()
-            first, chosen = oldest[0]
-        if selection - first + 1 < self.patience:
-            # ``rng.randrange(n)`` without its two frames: the same bits
-            # drawn the same way, so the same choice.
-            n = len(available)
-            getrandbits = self.rng.getrandbits
-            k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            chosen = available[r]
-        # Listed but unborn until the next selection looks at it again.
-        born[chosen] = None
+        # Fired, it ages again only once the next selection has read it.
         dirty.add(chosen)
         return events[chosen]
 
@@ -378,7 +320,6 @@ class MpEngine:
             # ``_choose`` offers only a non-empty channel, so no second
             # check; the pop still goes through the funnel and marks it.
             message = channel._pop()
-            self.delivered += 1
             self._fired[channel._slot] += 1
             clocks[dst].merge(clocks[src].value)
             if heard:
@@ -391,7 +332,6 @@ class MpEngine:
                 )
         else:
             pid = detail
-            self.ticks += 1
             self._fired[self._tick_slot[pid]] += 1
             clocks[pid].tick()
             budget = self._malicious_budget.get(pid)

@@ -59,8 +59,8 @@ class EnabledSet:
 
     ``bits[p]`` has bit ``a`` set when ``actions[a]`` is enabled at
     ``pids[p]``; ``count`` is the number of set bits.  ``changed`` holds the
-    processes whose bits changed since a fairness ledger last cleared it —
-    a set, so a daemon that keeps no ledger and never clears it leaks
+    processes whose bits changed since a fair daemon last cleared it — a
+    set, so a daemon that keeps no ages and never clears it leaks
     nothing.  It has one consumer: the daemon of the engine driving the
     store.
     """
@@ -92,21 +92,6 @@ class EnabledSet:
                 out.append((p, low.bit_length() - 1))
                 bits ^= low
         return out
-
-    def nth(self, k: int) -> Tuple[int, int]:
-        """``items()[k]`` without building the list."""
-        p = 0
-        for bits in self.bits:
-            if bits:
-                c = bits.bit_count()
-                if k < c:
-                    while k:
-                        bits &= bits - 1
-                        k -= 1
-                    return p, (bits & -bits).bit_length() - 1
-                k -= c
-            p += 1
-        raise IndexError("enabled set has fewer entries")
 
     def pairs(self) -> List[Tuple[Pid, ActionDef]]:
         """:meth:`items` as ``(pid, action)`` pairs, for code that reads

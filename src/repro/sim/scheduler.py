@@ -15,7 +15,9 @@ is handed ``EnabledSet.pairs()``.
 * :class:`WeaklyFairDaemon` — the default; random choice with an explicit
   *patience* bound that forces any action enabled for ``patience``
   consecutive opportunities to fire, making weak fairness a hard guarantee
-  rather than a probability-1 property.
+  rather than a probability-1 property.  The bound is
+  :class:`~repro.sim.fairness.FairSelector`'s, the one statement of the
+  rule, which :class:`~repro.mp.engine.MpEngine` selects through too.
 * :class:`RoundRobinDaemon` — deterministic cyclic scheduling (a common
   refinement; trivially weakly fair).
 * :class:`RoundDaemon` — asynchronous rounds, counted.
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .errors import SchedulingError
+from .fairness import FairSelector
 from .process import ActionDef
 from .topology import Pid
 
@@ -63,73 +65,6 @@ class Daemon(ABC):
         """Forget any internal scheduling state (start of a new run)."""
 
 
-class _FairnessLedger:
-    """How long each enabled action has gone without firing.
-
-    An action's *age* is the number of consecutive selections that found it
-    enabled and did not fire it.  Weak fairness only protects *continuously*
-    enabled actions, so one selection that finds it disabled drops the count.
-
-    Ages are not stored: the ledger counts selections (``tick``) and keeps,
-    per action, the tick that first saw it enabled (``since``), so ``age =
-    tick - since + 1``, and a selection looks only at the processes in
-    ``EnabledSet.changed`` (which it clears) instead of rebuilding a table of
-    everything enabled.  A min-heap of ``(since, p, a)`` yields the oldest
-    action — among equals the first in enabled-set order; an entry whose
-    action was since seen disabled, or fired, is dropped when it surfaces.
-    """
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        #: The enabled set being followed; handed another (or the first),
-        #: :meth:`oldest` starts over.
-        self._enabled: Optional["EnabledSet"] = None
-
-    def oldest(self, enabled: "EnabledSet") -> Tuple[int, Pick]:
-        """Count one selection; return the oldest enabled action and its
-        age, this selection included."""
-        bits, changed = enabled.bits, enabled.changed
-        if enabled is not self._enabled:
-            self._enabled = enabled
-            self._tick = 0
-            self._width = len(enabled.actions)
-            #: per process, the action bits the last selection saw (less
-            #: the one it fired)
-            self._seen = [0] * len(bits)
-            #: per (process, action), at ``p * width + a``: the tick that
-            #: first saw it enabled
-            self._since = [0] * (len(bits) * self._width)
-            self._heap: List[Tuple[int, int, int]] = []
-            changed.update(range(len(bits)))
-        tick = self._tick = self._tick + 1
-        seen, since, heap, width = self._seen, self._since, self._heap, self._width
-        for p in changed:
-            new = bits[p]
-            gained = new & ~seen[p]
-            while gained:
-                low = gained & -gained
-                a = low.bit_length() - 1
-                gained ^= low
-                since[p * width + a] = tick
-                heappush(heap, (tick, p, a))
-            seen[p] = new
-        changed.clear()
-        while True:
-            first, p, a = heap[0]
-            if (seen[p] >> a) & 1 and since[p * width + a] == first:
-                return tick - first + 1, (p, a)
-            heappop(heap)
-
-    def fired(self, enabled: "EnabledSet", pick: Pick) -> None:
-        """``pick`` executes: if it is still enabled at the next selection
-        it is seen afresh, at age 1."""
-        p, a = pick
-        self._seen[p] &= ~(1 << a)
-        enabled.changed.add(p)
-
-
 class WeaklyFairDaemon(Daemon):
     """Random scheduling with a hard weak-fairness guarantee.
 
@@ -137,13 +72,20 @@ class WeaklyFairDaemon(Daemon):
     opportunities it fires; otherwise a uniformly random enabled action
     does.  Any action enabled in all but finitely many states therefore
     executes infinitely often, as the model requires.
+
+    The rule is :class:`~repro.sim.fairness.FairSelector`'s; the daemon
+    numbers ``(p, a)`` as slot ``p * width + a`` and hands it the slots of
+    the processes in ``EnabledSet.changed`` (which it clears).
     """
 
+    #: The non-forced choice; ``None`` is the selector's uniform draw.
+    _pick: Callable[..., Pick] | None = None
+
     def __init__(self, patience: int = 64) -> None:
-        if patience < 1:
-            raise SchedulingError("patience must be at least 1")
         self.patience = patience
-        self._ledger = _FairnessLedger()
+        # Checks ``patience`` now; :meth:`_follow` sizes one per enabled set.
+        self._selector = FairSelector(patience)
+        self._enabled: Optional["EnabledSet"] = None
 
     def select(
         self,
@@ -152,17 +94,47 @@ class WeaklyFairDaemon(Daemon):
         step: int,
         rng: random.Random,
     ) -> Pick:
-        # The default daemon, so the per-step path of nearly every run:
-        # spelled out rather than routed through _PatientDaemon._pick.
-        ledger = self._ledger
-        age, pick = ledger.oldest(enabled)
-        if age < self.patience:
-            pick = enabled.nth(rng.randrange(enabled.count))
-        ledger.fired(enabled, pick)
-        return pick
+        changed = enabled.changed
+        if enabled is not self._enabled:
+            self._follow(enabled)
+        bits, seen, width = enabled.bits, self._seen, self._width
+        # Every action a changed process lost (``~slot``) or has: one of
+        # them may have just fired, and is unborn until a selection sees it.
+        changes = []
+        for p in sorted(changed) if len(changed) > 1 else changed:
+            new = bits[p]
+            touched = seen[p] | new
+            seen[p] = new
+            base = p * width
+            while touched:
+                low = touched & -touched
+                slot = base + low.bit_length() - 1
+                changes.append(slot if new & low else ~slot)
+                touched ^= low
+        changed.clear()
+        prefer = None
+        pick = self._pick
+        if pick is not None:
+
+            def prefer() -> int:
+                p, a = pick(system, enabled, step, rng)
+                return p * width + a
+
+        p, a = divmod(self._selector.select(changes, rng, prefer), width)
+        changed.add(p)
+        return p, a
+
+    def _follow(self, enabled: "EnabledSet") -> None:
+        """Start over on ``enabled`` (the first, or another store's)."""
+        self._enabled = enabled
+        self._width = len(enabled.actions)
+        #: per process, the action bits the selector was last shown
+        self._seen = [0] * len(enabled.bits)
+        self._selector = FairSelector(self.patience, len(enabled.bits) * self._width)
+        enabled.changed.update(range(len(enabled.bits)))
 
     def reset(self) -> None:
-        self._ledger.reset()
+        self._enabled = None
 
 
 class RoundRobinDaemon(Daemon):
@@ -243,7 +215,7 @@ class RoundDaemon(Daemon):
 ScoreFn = Callable[["StateStore", Pid, ActionDef], float]
 
 
-class _PatientDaemon(Daemon):
+class _PatientDaemon(WeaklyFairDaemon):
     """An adversary kept weakly fair by the same *patience* bound as
     :class:`WeaklyFairDaemon`: an action that has waited ``patience``
     consecutive selections fires, whatever the subclass's :meth:`_pick`
@@ -251,10 +223,9 @@ class _PatientDaemon(Daemon):
     bookkeeping)."""
 
     def __init__(self, patience: int | None) -> None:
-        if patience is not None and patience < 1:
-            raise SchedulingError("patience must be at least 1 (or None)")
         self.patience = patience
-        self._ledger = _FairnessLedger()
+        if patience is not None:
+            super().__init__(patience)
 
     def select(
         self,
@@ -265,11 +236,7 @@ class _PatientDaemon(Daemon):
     ) -> Pick:
         if self.patience is None:
             return self._pick(system, enabled, step, rng)
-        age, pick = self._ledger.oldest(enabled)
-        if age < self.patience:
-            pick = self._pick(system, enabled, step, rng)
-        self._ledger.fired(enabled, pick)
-        return pick
+        return super().select(system, enabled, step, rng)
 
     @abstractmethod
     def _pick(
@@ -280,9 +247,6 @@ class _PatientDaemon(Daemon):
         rng: random.Random,
     ) -> Pick:
         """The adversary's own preference among ``enabled``."""
-
-    def reset(self) -> None:
-        self._ledger.reset()
 
 
 class AdversarialDaemon(_PatientDaemon):

@@ -173,9 +173,9 @@ class TestUnsupportedCombinations:
         engine = FastEngine(ring(4), NADiners(), daemon, hunger=AlwaysHungry(), seed=0)
         assert engine.daemon is daemon
         assert engine.run(100).steps == daemon.selections == 100
-        assert daemon._ledger._tick == 100
+        assert daemon._selector.selections == 100
         daemon.reset()
-        assert daemon._ledger._enabled is None  # the next selection starts over
+        assert daemon._enabled is None  # the next selection starts over
 
 
 class TestCliBackendFlag:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.mp import MpEngine, MpProcess, build_diners
 from repro.mp.channel import Channel
-from repro.sim import DeadProcessError, SimulationError, line, ring
+from repro.sim import DeadProcessError, SchedulingError, SimulationError, line, ring
 
 
 class Echo(MpProcess):
@@ -62,6 +62,12 @@ class TestConstruction:
         _, engine = build(topo)
         with pytest.raises(SimulationError):
             engine.channel(0, 2)
+
+    def test_patience_below_one_is_a_scheduling_error(self):
+        # The shared-memory daemons' error: both engines select through
+        # the same selector, and it checks the bound.
+        with pytest.raises(SchedulingError):
+            build(line(3), patience=0)
 
 
 class TestDeliveryAndTicks:

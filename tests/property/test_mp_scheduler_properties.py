@@ -197,7 +197,7 @@ def test_the_index_chooses_what_the_scan_chose(
     for op, a, b in interleaving:
         assert apply(indexed, op, a, b) == apply(scanned, op, a, b), (op, a, b)
         assert indexed.chosen == scanned.chosen, (op, a, b)
-        assert indexed._selections == scanned._selections
+        assert indexed._selector.selections == scanned._selections
     # Run both dry: a mark lost earlier can show up late.
     for engine in (indexed, scanned):
         for pid in engine.live_pids():
@@ -206,7 +206,7 @@ def test_the_index_chooses_what_the_scan_chose(
         assert indexed.step() == scanned.step()
     assert indexed.chosen == scanned.chosen
     assert indexed.chosen[-1] is None
-    assert indexed._selections == scanned._selections
+    assert indexed._selector.selections == scanned._selections
     assert indexed.step_count == scanned.step_count
     assert [c.peek_all() for c in indexed.channels()] == [
         c.peek_all() for c in scanned.channels()

@@ -9,22 +9,24 @@ patience bound, and the adversarial daemons are pure functions of
 the whole adversary subsystem builds on.
 
 The daemons read an :class:`~repro.sim.network.EnabledSet` and keep ages in
-a tick + min-heap ledger that looks only at what changed.  The ledger it
-replaced — a dict of ages rebuilt from the whole enabled list every
-selection — is kept here as :class:`DictLedger`, the oracle: under random
-enable / disable / fire sequences both must name the same oldest action at
-the same age, and a daemon built on either must make the same choices for
-the same seed.
+a :class:`~repro.sim.fairness.FairSelector` (a birth per slot and a queue of
+births) that is told only what changed — the selector ``MpEngine`` selects
+through too.  The ledger it replaced — a dict of ages rebuilt from the whole
+enabled list every selection — is kept here as :class:`DictLedger`, the
+oracle: under random enable / disable / fire sequences both must name the
+same oldest action at the same age, and a daemon built on either must make
+the same choices for the same seed.
 """
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AdversarialDaemon, WeaklyFairDaemon
+from repro.sim import AdversarialDaemon, SchedulingError, WeaklyFairDaemon
+from repro.sim.fairness import FIRED, FairSelector
 from repro.sim.network import EnabledSet
-from repro.sim.scheduler import _FairnessLedger
 
 
 class Act:
@@ -155,12 +157,34 @@ rounds = st.lists(
 )
 
 
+class Probe(WeaklyFairDaemon):
+    """A daemon whose selector is never forced, so every selection asks
+    :meth:`_pick`, which notes the oldest enabled action and its age as the
+    selector holds them — the first live entry of its queue — and fires
+    ``items()[draw % count]``, or that oldest action when ``draw`` is
+    None."""
+
+    def __init__(self):
+        super().__init__(patience=10**9)
+        self.draw = None
+
+    def _pick(self, system, enabled, step, rng):
+        selector = self._selector
+        born, slot = next(
+            (b, s) for b, s in selector.queue if selector.born[s] == b
+        )
+        self.oldest = selector.selections - born, divmod(slot, len(enabled.actions))
+        if self.draw is None:
+            return self.oldest[1]
+        return enabled.items()[self.draw % enabled.count]
+
+
 class TestFairnessLedger:
     @given(rounds)
     @settings(max_examples=200, deadline=None)
     def test_heap_ledger_names_the_dict_ledgers_oldest_at_the_same_age(self, history):
         enabled = EnabledSet(PIDS, TRIO)
-        heap, oracle = _FairnessLedger(), DictLedger()
+        probe, oracle = Probe(), DictLedger()
         for patterns, draw in history:
             for p, successive in enumerate(patterns):
                 for bits in successive:
@@ -170,11 +194,12 @@ class TestFairnessLedger:
             pairs = enabled.pairs()
             oracle.observe(pairs)
             expected_age, expected = oracle.oldest(pairs)
-            age, pick = heap.oldest(enabled)
-            assert (age, pairs[enabled.items().index(pick)]) == (expected_age, expected)
+            probe.draw = draw
+            pick = probe.select(None, enabled, 0, random.Random(0))
+            age, oldest = probe.oldest
+            assert (age, pairs[enabled.items().index(oldest)]) == (expected_age, expected)
             if draw is not None:
-                pick = enabled.nth(draw % enabled.count)
-            heap.fired(enabled, pick)
+                assert pick == enabled.items()[draw % enabled.count]
             oracle.fired(pairs[enabled.items().index(pick)])
 
     @given(rounds, st.integers(1, 8), seeds)
@@ -208,24 +233,121 @@ class TestFairnessLedger:
         """Weak fairness protects *continuously* enabled actions: a round
         of disablement must drop the age back to zero."""
         enabled = EnabledSet(range(5), ACTS)
-        ledger = _FairnessLedger()
+        probe = Probe()
         streak = [0] * 5  # consecutive rounds each process has been enabled
-        for members in history:
+        for step, members in enumerate(history):
             present(enabled, members)
             streak = [streak[p] + 1 if p in members else 0 for p in range(5)]
-            age, (p, _a) = ledger.oldest(enabled)
+            probe.draw = step
+            fired, _a = probe.select(None, enabled, step, random.Random(0))
+            age, (p, _a) = probe.oldest
             assert age == max(streak) and streak[p] == age
+            streak[fired] = 0  # fired: its next selection sees it afresh
 
     def test_age_grows_while_enabled_and_resets_on_fire(self):
         enabled = EnabledSet(range(5), ACTS)
-        present(enabled, [0, 1])
-        ledger = _FairnessLedger()
-        for expected in (1, 2, 3):
-            assert ledger.oldest(enabled) == (expected, (0, 0))
-        ledger.fired(enabled, (0, 0))
-        assert ledger.oldest(enabled) == (4, (1, 0))
+        present(enabled, [0, 1, 4])
+        probe = Probe()
+        rng = random.Random(0)
+
+        def select(draw):
+            probe.draw = draw
+            pick = probe.select(None, enabled, 0, rng)
+            return probe.oldest, pick
+
+        # Process 4 soaks up the selections that fire nobody else.
+        for expected in (1, 2):
+            assert select(-1) == ((expected, (0, 0)), (4, 0))
+        assert select(0) == ((3, (0, 0)), (0, 0))
+        assert select(-1) == ((4, (1, 0)), (4, 0))
         enabled.update(1, 0)
-        assert ledger.oldest(enabled) == (2, (0, 0))
+        assert select(-1) == ((2, (0, 0)), (4, 0))
+
+
+#: One selector history over eight slots: per selection, the slots that
+#: were touched since the last one, each with one or two successive
+#: availabilities (a slot that went away and came back keeps its age; the
+#: selector is told only the last), and how the selection ends if nothing
+#: is overdue — a uniform draw (None) or the caller's preference.
+SLOTS = 8
+slot_rounds = st.lists(
+    st.tuples(
+        st.dictionaries(
+            st.integers(0, SLOTS - 1),
+            st.lists(st.booleans(), min_size=1, max_size=2),
+            max_size=SLOTS,
+        ),
+        st.one_of(st.none(), st.integers(0, 10_000)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+SLOT = Act("slot")
+
+
+class TestFairSelector:
+    @given(slot_rounds, st.integers(1, 8), seeds)
+    @settings(max_examples=200, deadline=None)
+    # Slot 1 goes away and comes back before the second selection, so at
+    # the third it is as old as slot 2 and, the lower slot, is forced; then
+    # a selection finds nothing available and every age starts over.
+    @example(
+        history=[
+            ({0: [True], 1: [True], 2: [True]}, 0),
+            ({1: [False, True]}, 0),
+            ({}, 0),
+            ({0: [False], 1: [False], 2: [False]}, None),
+            ({0: [True], 1: [True], 2: [True]}, 0),
+        ],
+        patience=3,
+        seed=0,
+    )
+    def test_the_selector_keeps_the_dict_ledgers_ages(self, history, patience, seed):
+        selector, oracle = FairSelector(patience, SLOTS), DictLedger()
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        up = set()
+        fired = None
+        for touched, draw in history:
+            for slot, successive in touched.items():
+                for available in successive:
+                    (up.add if available else up.discard)(slot)
+            marked = set(touched) | ({fired} if fired is not None else set())
+            changes = [slot if slot in up else ~slot for slot in sorted(marked)]
+            pairs = [(slot, SLOT) for slot in sorted(up)]
+            oracle.observe(pairs)  # an empty selection resets every age
+            asked = []
+
+            def prefer():
+                asked.append(True)
+                return pairs[draw % len(pairs)][0]
+
+            before = selector.selections
+            fired = selector.select(
+                changes, rng, None if draw is None else prefer
+            )
+            if not pairs:
+                assert fired is None and selector.selections == before
+                continue
+            assert selector.selections == before + 1
+            assert selector.available == sorted(up)
+            age, (oldest, _) = oracle.oldest(pairs)
+            if age >= patience:
+                assert (fired, asked) == (oldest, [])
+            elif draw is None:
+                assert fired == pairs[oracle_rng.randrange(len(pairs))][0]
+            else:
+                assert (fired, asked) == (pairs[draw % len(pairs)][0], [True])
+            # Every other available slot is as old as the oracle says.
+            for slot in up - {fired}:
+                assert selector.selections - selector.born[slot] == (
+                    oracle.oldest([(slot, SLOT)])[0]
+                )
+            assert selector.born[fired] == FIRED
+            oracle.fired((fired, SLOT))
+
+    def test_patience_below_one_is_a_scheduling_error(self):
+        with pytest.raises(SchedulingError):
+            FairSelector(0)
 
 
 def spite_scorer(system, pid, action):
