@@ -235,7 +235,7 @@ class Lowering(NamedTuple):
     #: the variable holding the process's own state
     state: str
     #: ``(action index, row, own state code or None) -> statement`` for
-    #: "enabled"
+    #: "enabled"; a block of several is its lines joined by newlines
     fire: Callable[[int, Action, Optional[int]], str]
     #: how ``state`` spells T, H and E
     codes: Tuple[str, str, str] = ("0", "1", "2")
@@ -243,7 +243,8 @@ class Lowering(NamedTuple):
 
 def _block(pairs: Sequence[Tuple[str, str]], low: Lowering) -> List[str]:
     """``if guard: statement`` for each pair, over atoms spelled by ``low``:
-    preludes first, an atom read twice bound to a local once."""
+    preludes first, an atom read twice bound to a local once.  A statement
+    block goes on its own indented lines."""
     text = "\n".join(g + "\n" + s for g, s in pairs if g != "False")
     lines: List[str] = []
     spelled = {}
@@ -260,10 +261,15 @@ def _block(pairs: Sequence[Tuple[str, str]], low: Lowering) -> List[str]:
         spelled[atom] = source
     spell = lambda src: ATOM.sub(lambda m: spelled[m[1]], src)
     for guard, statement in pairs:
+        if guard == "False":
+            continue
+        block = spell(statement).split("\n")
         if guard == "True":
-            lines.append(spell(statement))
-        elif guard != "False":
-            lines.append(f"if {spell(guard)}: {spell(statement)}")
+            lines += block
+        elif len(block) == 1:
+            lines.append(f"if {spell(guard)}: {block[0]}")
+        else:
+            lines += [f"if {spell(guard)}:", *indent(block)]
     return lines or ["pass"]
 
 

@@ -16,7 +16,12 @@ locals and ``p``'s incident edges, nothing else).
 the object model's.  ``repro check`` runs on this class alone:
 :meth:`reachable_count` is ``--reachable``, and the theorems are
 :mod:`repro.verification.properties` over :meth:`enumerate_keys` with
-:meth:`successors` taking the keys as they are.
+:meth:`successors` taking the keys as they are.  The two use the two
+functions generated from the same rows: the proofs need each transition's
+label, so they take ``expand``'s ``(p, a, key)`` triples one state at a
+time; a closure needs only the new keys, so :meth:`reachable_count` hands
+each BFS level to ``level``, which tests every successor against the
+visited set where it is computed.
 """
 
 from __future__ import annotations
@@ -68,6 +73,10 @@ class FastTransitionSystem:
             program = int_key_program(codec)
             self.source = program.source
             self._expand = program.functions["expand"]
+        #: The generated closure loop, ``level(frontier, seen, found, limit)``,
+        #: compiled by the first :meth:`reachable_count` that has a state to
+        #: expand: a proof over the full space never needs it.
+        self._level: Optional[Callable[..., Tuple[int, int]]] = None
 
     def successors_packed(
         self, k: int
@@ -78,8 +87,10 @@ class FastTransitionSystem:
         — pid-major, action declaration order, the object model's
         ``all_enabled`` order — and whether ``k`` itself has two neighbours
         eating (the audit shares the decode).  A method in this class's own
-        dict, called once per state: the layer a profiler or the
-        benchmark's tracer times.
+        dict, called once per state by the proofs (:meth:`successors`) —
+        the layer a profiler or the benchmark's tracer times there.
+        :meth:`reachable_count` does not call it: its levels run in the
+        generated ``level`` loop, one call per level.
         """
         return self._expand(k)
 
@@ -120,10 +131,13 @@ class FastTransitionSystem:
 
         Level-synchronous over a ``set`` of int keys: a state is one int from
         the moment it is found, each level's list is dropped once expanded,
-        and nothing else is kept per state.  ``progress(level, states,
-        frontier)`` is called after each level.  Raises
-        :class:`StateSpaceExceededError` past ``max_states``, like the
-        object explorer.
+        and nothing else is kept per state.  Each level is one call of the
+        generated ``level`` loop, which keeps :meth:`successors_packed`'s
+        order.  ``progress(level, states, frontier)`` is called after each
+        level.  Raises :class:`StateSpaceExceededError` when the closure
+        has more than ``max_states`` states, like the object explorer;
+        the size is checked after each expanded state, so the set holds at
+        most one state's successors more than the cap when it raises.
         """
         visited: Set[int] = set()
         frontier: List[int] = []
@@ -132,22 +146,22 @@ class FastTransitionSystem:
             if k not in visited:
                 visited.add(k)
                 frontier.append(k)
-        expand = self.successors_packed
+        # The sources alone may exceed the cap: only a state found past it
+        # raises, as in the object explorer.
+        limit = max(max_states, len(visited))
+        if frontier and self._level is None:
+            self._level = int_key_program(self.codec, "level").functions["level"]
+        expand_level = self._level
         transitions = 0
         violations = 0
         level = 0
         while frontier:
             found: List[int] = []
-            for k in frontier:
-                successors, eating = expand(k)
-                violations += eating
-                transitions += len(successors)
-                for _p, _a, target in successors:
-                    if target not in visited:
-                        if len(visited) >= max_states:
-                            raise StateSpaceExceededError(max_states)
-                        visited.add(target)
-                        found.append(target)
+            fanned, eating = expand_level(frontier, visited, found, limit)
+            if len(visited) > limit:
+                raise StateSpaceExceededError(max_states)
+            transitions += fanned
+            violations += eating
             frontier = found
             level += 1
             if progress is not None:

@@ -1,30 +1,40 @@
-"""The two packed programs generated from an action table.
+"""The three packed programs generated from an action table.
 
 The table itself (:data:`repro.core.figure1.FIGURE1`, its atoms, the
 ablations as table edits on the variant classes) lives in ``core``, and so
 does the row emitter every lowering shares (:func:`repro.core.figure1.
 emit_rows`, which case-splits the rows on the process's own ``state`` and
 binds a neighbour atom read twice once) together with the lowering the
-object model runs.  This module adds the two *packed* lowerings, each
-spelling the atoms for packed state and turning a table into Python source
-that is ``compile()``d once:
+object model runs.  This module adds the *packed* lowerings, each spelling
+the atoms for packed state and turning a table into Python source that is
+``compile()``d once:
 
-* :func:`int_key_program` — per (topology, table, cap, ``D``): one
-  straight-line ``expand(k)`` over :meth:`PackedCodec.key`'s int itself.
-  Every neighbour field is read by a constant shift, every successor is
-  ``k`` masked and or-ed with constants, nothing is decoded into lists and
-  no function is called per transition.  It is the body of
-  :meth:`FastTransitionSystem.successors_packed`.
+* :func:`int_key_program` — per (topology, table, cap, ``D``), over
+  :meth:`PackedCodec.key`'s int itself: every neighbour field is read by a
+  constant shift, every successor is ``k`` masked and or-ed with constants,
+  nothing is decoded into lists and no Python function is called per
+  transition.  It emits two programs from one set of rows, which differ
+  only in what an enabled row does with its successor:
+
+  - ``expand(k)``, straight-line, lists the labelled successors: the body
+    of :meth:`FastTransitionSystem.successors_packed`, which the proofs
+    run;
+  - ``level(frontier, seen, found, limit)`` expands a whole BFS level in one
+    frame, adding each new successor to the visited set and the next
+    frontier in place: the loop of
+    :meth:`FastTransitionSystem.reachable_count`.
 * :func:`vector_program` — topology-independent, memoised per (table, cap,
   ``D``) so a campaign's thousand stores compile once: a ``bind`` factory
   each :class:`PackedSystem` calls once over its vectors and bitsets, whose
   ``fire(p, a)`` is a whole packed step — the row's command, the masks the
   guards read, the guard refresh of ``p``'s readers — in one frame.
 
-Both spell Figure 1's vocabulary only (no fork atoms): the codec refuses a
-table that uses more.  Generated source is kept on the program
-(``.source``) and registered in :mod:`linecache`; all three lowerings are
-tested against the hand-written reference in ``tests/core/figure1_oracle.py``.
+All three spell Figure 1's vocabulary only (no fork atoms): the codec
+refuses a table that uses more.  Generated source is kept on the program
+(``.source``) and registered in :mod:`linecache`.  ``expand`` and ``bind``
+are tested against the hand-written reference in
+``tests/core/figure1_oracle.py``, ``level`` against ``expand`` in
+``tests/property/test_int_key_properties.py``.
 """
 
 from __future__ import annotations
@@ -51,17 +61,36 @@ from .packed import STATUS
 # -------------------------------------------------------- int-key lowering
 
 
-def int_key_program(codec) -> Program:
-    """``expand(k) -> (successors, eating)`` for ``codec``'s topology, table,
-    cap and ``D``, over the int layout the codec's :class:`KeyLayout` fixes.
+#: What an enabled row does with its successor ``t``, per generated function:
+#: ``expand`` lists it; ``level`` counts it and, if new, marks and queues it.
+_INT_KEY_FIRE = {
+    "expand": "add(({p}, {a}, {t}))",
+    "level": "t = {t}\nn += 1\nif t not in seen:\n    seen_add(t)\n    push(t)",
+}
 
-    ``successors`` are ``(p, a, key)`` triples, pid-major in declaration
-    order; ``eating`` is whether two neighbours are both in state E.
+
+def int_key_program(codec, function: str = "expand") -> Program:
+    """One function over ``codec``'s topology, table, cap and ``D``, on the
+    int layout the codec's :class:`KeyLayout` fixes:
+
+    * ``expand(k) -> (successors, eating)`` — ``successors`` are
+      ``(p, a, key)`` triples, pid-major in declaration order; ``eating`` is
+      whether two neighbours are both in state E;
+    * ``level(frontier, seen, found, limit) -> (transitions, violations)`` —
+      one BFS level: every key of ``frontier`` expanded in order, each
+      successor not in the set ``seen`` added to it and appended to the list
+      ``found``, in ``expand``'s order.  It returns how many successors there
+      were and how many of ``frontier``'s states have two neighbours
+      eating, and stops after the state that takes ``seen`` past ``limit``.
+
+    The two differ only in what an enabled row does with its successor
+    (:data:`_INT_KEY_FIRE`) and in the frame around the rows.
     """
     layout = codec.layout
     at, mask = layout.at, layout.mask
     table, cap, n = codec.table, codec.cap, codec.n
     every_bit = (1 << layout.bits) - 1
+    statement = _INT_KEY_FIRE[function]
 
     def read(p: int, name: str) -> str:
         """Source for the index ``p``'s ``name`` holds in ``k``."""
@@ -119,7 +148,7 @@ def int_key_program(codec) -> Program:
             else:
                 successor = f"k & {~clear & every_bit:#x}"
                 successor += f" | {fixed:#x}" if fixed else ""
-            return f"add(({p}, {a}, {successor}{moving}))"
+            return statement.format(p=p, a=a, t=successor + moving)
 
         low = Lowering(
             atoms={
@@ -154,17 +183,28 @@ def int_key_program(codec) -> Program:
         if f"e{e}" in used:
             decode.append(f"e{e} = k & {1 << (layout.edge_base + e):#x}")
     any_eats = sum(STATE_CODE["E"] << at(p, VAR_STATE) for p in range(n))
-    source = "\n".join(
-        ["def expand(k):", "    out = []", "    add = out.append"]
-        + indent(decode + body)
-        + [f"    return out, ({both_eat}) if k & {any_eats:#x} else False", ""]
-    )
+    if function == "expand":
+        lines = (
+            ["def expand(k):", "    out = []", "    add = out.append"]
+            + indent(decode + body)
+            + [f"    return out, ({both_eat}) if k & {any_eats:#x} else False"]
+        )
+    else:
+        lines = [
+            "def level(frontier, seen, found, limit):",
+            "    seen_add, push = seen.add, found.append",
+            "    n = v = 0",
+            "    for k in frontier:",
+        ] + indent(decode + body + [
+            f"if k & {any_eats:#x} and ({both_eat}): v += 1",
+            "if len(seen) > limit: break",
+        ], " " * 8) + ["    return n, v"]
     # Topology has no name; its repr plus a digest of the edge list keeps two
     # graphs of one size from sharing (and overwriting) a linecache entry.
     edges = zlib.crc32(repr(layout.edges).encode())
     return compile_program(
-        source,
-        f"<repro.fastcore int-key {codec.topology!r}/{edges:08x} "
+        "\n".join(lines + [""]),
+        f"<repro.fastcore int-key {function} {codec.topology!r}/{edges:08x} "
         f"{codec.algorithm.name} cap={cap} D={codec.d_const}>",
     )
 

@@ -221,7 +221,10 @@ def fastcore_reachable():
 
     One op is one of the closure's 19 264 states — expansion *plus* the
     visited set and the frontier, which the successors kernel cannot see
-    and which is where the memory went before states were ints.
+    and which is where the memory went before states were ints.  All three
+    run in the generated per-level loop, not in ``successors_packed``, so
+    this kernel moves when that loop does and the successors kernel does
+    not.
     """
     from ..core import NADiners
     from ..fastcore.explorer import FastTransitionSystem

@@ -47,6 +47,9 @@ Choice = Tuple[Pid, ActionDef]
 #: The same thing in the enabled set's index form: (process, action).
 Pick = Tuple[int, int]
 
+#: What every daemon raises when asked to select from an empty set.
+NOTHING_ENABLED = "no enabled action (select called on empty set?)"
+
 
 class Daemon(ABC):
     """Strategy object choosing the next action to execute."""
@@ -59,7 +62,8 @@ class Daemon(ABC):
         step: int,
         rng: random.Random,
     ) -> Pick:
-        """Pick one entry of ``enabled`` (guaranteed non-empty)."""
+        """Pick one entry of ``enabled``; :class:`SchedulingError` if it is
+        empty."""
 
     def reset(self) -> None:
         """Forget any internal scheduling state (start of a new run)."""
@@ -120,7 +124,10 @@ class WeaklyFairDaemon(Daemon):
                 p, a = pick(system, enabled, step, rng)
                 return p * width + a
 
-        p, a = divmod(self._selector.select(changes, rng, prefer), width)
+        slot = self._selector.select(changes, rng, prefer)
+        if slot is None:
+            raise SchedulingError(NOTHING_ENABLED)
+        p, a = divmod(slot, width)
         changed.add(p)
         return p, a
 
@@ -161,7 +168,7 @@ class RoundRobinDaemon(Daemon):
             if bits[p]:
                 self._cursor = (p + 1) % n
                 return p, (bits[p] & -bits[p]).bit_length() - 1
-        raise SchedulingError("no enabled action (select called on empty set?)")
+        raise SchedulingError(NOTHING_ENABLED)
 
     def reset(self) -> None:
         self._cursor = 0
@@ -202,10 +209,12 @@ class RoundDaemon(Daemon):
             if (bits[p] >> a) & 1:
                 return p, a
         # queue drained: a round completed; plan the next one.
+        queue = self._queue = enabled.items()
+        if not queue:
+            raise SchedulingError(NOTHING_ENABLED)
         self.rounds_completed += 1
-        self._queue = enabled.items()
-        rng.shuffle(self._queue)
-        return self._queue.pop()
+        rng.shuffle(queue)
+        return queue.pop()
 
     def reset(self) -> None:
         self.rounds_completed = 0
@@ -235,6 +244,8 @@ class _PatientDaemon(WeaklyFairDaemon):
         rng: random.Random,
     ) -> Pick:
         if self.patience is None:
+            if not enabled.count:
+                raise SchedulingError(NOTHING_ENABLED)
             return self._pick(system, enabled, step, rng)
         return super().select(system, enabled, step, rng)
 

@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.fastcore import FastTransitionSystem, UnsupportedBackendError
 from repro.fastcore.explorer import FastReachability
+from repro.fastcore.table import int_key_program
 from repro.sim import (
     SimulationError,
     System,
@@ -175,6 +176,33 @@ class TestReachability:
             assert after == before + found
         assert levels[-1][1:] == (stats.states, 0)
 
+    #: ``progress`` on ring4 from the all-hungry state, recorded from the
+    #: BFS that expanded one state per call, before the generated closure
+    #: loop replaced it: the loop keeps the order the levels are found in.
+    RING4_LEVELS = [
+        (1, 6, 5), (2, 21, 15), (3, 54, 33), (4, 113, 59), (5, 213, 100),
+        (6, 384, 171), (7, 664, 280), (8, 1092, 428), (9, 1725, 633),
+        (10, 2633, 908), (11, 3851, 1218), (12, 5369, 1518),
+        (13, 7154, 1785), (14, 9130, 1976), (15, 11135, 2005),
+        (16, 12951, 1816), (17, 14449, 1498), (18, 15693, 1244),
+        (19, 16806, 1113), (20, 17776, 970), (21, 18505, 729),
+        (22, 18955, 450), (23, 19174, 219), (24, 19250, 76),
+        (25, 19264, 14), (26, 19264, 0),
+    ]
+
+    def test_progress_on_ring4_is_pinned(self):
+        topo = ring(4)
+        algo = NADiners(
+            depth_cap=topo.diameter + 1, diameter_override=topo.diameter
+        )
+        levels = []
+        stats = FastTransitionSystem(algo, topo).reachable_count(
+            [all_hungry_initial(topo, algo)],
+            progress=lambda *row: levels.append(row),
+        )
+        assert levels == self.RING4_LEVELS
+        assert (stats.states, stats.transitions) == (19264, 86672)
+
     def test_violations_counted_from_bad_source(self):
         # Start both neighbours eating: the source itself violates E.
         topo = ring(4)
@@ -212,6 +240,25 @@ class TestReachability:
             )
         with pytest.raises(SimulationError, match="max_states=719"):
             TransitionSystem(algo, topo).reachable_from([config], max_states=719)
+
+    def test_the_level_loop_stops_after_the_state_that_passes_the_cap(self):
+        # What makes the cap exact at most one fan-out late: the generated
+        # loop checks the visited set's size after every state it expands.
+        topo = ring(4)
+        algo = NADiners(
+            depth_cap=topo.diameter + 1, diameter_override=topo.diameter
+        )
+        fts = FastTransitionSystem(algo, topo)
+        level = int_key_program(fts.codec, "level").functions["level"]
+        start = fts.codec.key(fts.codec.pack(all_hungry_initial(topo, algo)))
+        seen, frontier = {start}, []
+        level([start], seen, frontier, 10**9)
+        assert len(frontier) == 5
+        first = set(seen)
+        level(frontier[:1], first, [], 10**9)
+        capped, found = set(seen), []
+        level(frontier, capped, found, len(seen))
+        assert capped == first and len(found) == len(first) - len(seen) > 0
 
     def test_duplicate_sources_deduplicated(self):
         topo = line(3)

@@ -11,17 +11,27 @@ processes — on ring, line and grid:
   same ``(pid, action)`` order;
 * expanding leaves the reused scratch state as it found it, so the same key
   expands to the same list again (``exit``, the one edge-writing command,
-  included).
+  included);
+* the closure loop (``int_key_program(codec, "level")``), which expands
+  without listing, queues exactly the successors ``successors_packed``
+  lists that are new, in its order, and counts every one of them — for
+  Figure 1 and both ablations, whatever the visited set already holds.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import NADiners, eating_pairs
+from repro.core import (
+    NADiners,
+    NoDynamicThresholdDiners,
+    NoFixdepthDiners,
+    eating_pairs,
+)
 from repro.fastcore import FastTransitionSystem, PackedCodec
 from repro.fastcore.packed import ACTION_NAMES, A_EXIT, PackedState
-from repro.sim import System, grid, line, ring
+from repro.fastcore.table import int_key_program
+from repro.sim import System, grid, line, ring, star
 from repro.verification import TransitionSystem
 
 TOPOLOGIES = (lambda: ring(5), lambda: line(5), lambda: grid(2, 3))
@@ -128,3 +138,37 @@ def test_successor_keys_decode_to_the_object_targets(instance):
         if a == A_EXIT:
             fts.successors_packed(k)
     assert fts.successors_packed(key) == (successors, eating)
+
+
+@st.composite
+def keyed_states(draw):
+    """``(fts, key)``: Figure 1 or an ablation on a line, ring or star, in an
+    arbitrary state with up to two processes dead."""
+    topo = draw(st.sampled_from((ring(4), line(5), star(4))))
+    program = draw(
+        st.sampled_from((NADiners, NoFixdepthDiners, NoDynamicThresholdDiners))
+    )
+    algo = program(depth_cap=topo.diameter + 1)
+    system = System(topo, algo)
+    system.randomize(random.Random(draw(st.integers(0, 2**32 - 1))))
+    for pid in draw(st.lists(st.sampled_from(topo.nodes), max_size=2, unique=True)):
+        system.kill(pid)
+    fts = FastTransitionSystem(algo, topo)
+    return fts, fts.codec.key(fts.codec.pack(system.snapshot()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(keyed_states(), st.data())
+def test_level_queues_the_new_successors_in_expand_order(instance, data):
+    fts, key = instance
+    successors, eating = fts.successors_packed(key)
+    targets = [t for _p, _a, t in successors]
+    level = int_key_program(fts.codec, "level").functions["level"]
+    # Seen before: the key itself, then also some of its successors.
+    seeded = data.draw(st.sets(st.sampled_from(targets))) if targets else set()
+    for before in ({key}, {key} | seeded):
+        seen, found = set(before), []
+        closure = len(before | set(targets))
+        assert level([key], seen, found, closure) == (len(successors), int(eating))
+        assert found == [t for t in dict.fromkeys(targets) if t not in before]
+        assert seen == before | set(targets)

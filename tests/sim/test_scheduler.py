@@ -12,16 +12,20 @@ import pytest
 from repro.core import NADiners
 from repro.sim import (
     AdversarialDaemon,
+    AdversaryStrategy,
     AlwaysHungry,
     Engine,
+    RoundDaemon,
     RoundRobinDaemon,
     SchedulingError,
+    StrategyDaemon,
     System,
     WeaklyFairDaemon,
     line,
     ring,
     starve_target,
 )
+from repro.sim.network import EnabledSet
 
 
 def enabled_system():
@@ -36,6 +40,33 @@ def pick(daemon, system, step=0, rng=None):
     enabled = system.enabled()
     p, a = daemon.select(system, enabled, step, rng or random.Random(0))
     return enabled.pids[p], enabled.actions[a]
+
+
+class FirstStrategy(AdversaryStrategy):
+    def choose(self, system, enabled, step, rng):
+        return enabled[0]
+
+
+@pytest.mark.parametrize(
+    "daemon",
+    [
+        WeaklyFairDaemon(),
+        RoundRobinDaemon(),
+        RoundDaemon(),
+        AdversarialDaemon(starve_target(0)),
+        AdversarialDaemon(starve_target(0), patience=None),
+        StrategyDaemon(FirstStrategy()),
+        StrategyDaemon(FirstStrategy(), patience=None),
+    ],
+    ids=lambda d: f"{type(d).__name__}-patience={getattr(d, 'patience', '-')}",
+)
+def test_every_daemon_refuses_an_empty_set_alike(daemon):
+    empty = EnabledSet(range(3), ("a", "b"))
+    with pytest.raises(SchedulingError, match="no enabled action"):
+        daemon.select(None, empty, 0, random.Random(0))
+    # ... and again: the refusal left nothing behind that changes it.
+    with pytest.raises(SchedulingError, match="no enabled action"):
+        daemon.select(None, empty, 1, random.Random(0))
 
 
 class TestWeaklyFairDaemon:
