@@ -149,15 +149,13 @@ def cmd_locality(
 
 
 def cmd_stabilize(
-    *, topology: str, algorithm: str, seed: int, steps: int, trace: Optional[str],
+    *, topology: str, algorithm: str, seed: int, trace: Optional[str],
     metrics_out: Optional[str], snapshot_every: int, timings_out: Optional[str],
     plant_cycle: bool, nc_only: bool, corrected_threshold: bool, max_steps: int,
 ) -> int:
     """``repro stabilize``: corrupt the state (optionally planting a
     priority cycle) and time the recovery of ``I`` — or of NC alone —
-    within ``max_steps``; exit 1 when it does not converge.  ``steps``
-    comes with the scenario flags and is not read: ``max_steps`` bounds
-    the run."""
+    within ``max_steps``; exit 1 when it does not converge."""
     if max_steps < 0:
         raise ValueError("--max-steps must be >= 0")
     topo = from_spec(topology)

@@ -24,24 +24,13 @@ Expected behaviour under the paper's fault models (what E2/E8 measure):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Any
 
-from ..core.figure1 import FORK_FREE, Action, ActionTable, table_bits, view_program
-from ..core.state import (
-    ACTION_ENTER,
-    ACTION_EXIT,
-    ACTION_JOIN,
-    VAR_NEEDS,
-    VAR_STATE,
-    DinerState,
-)
-from ..sim.domains import BoolDomain, Domain, FiniteDomain
-from ..sim.process import ActionDef, Algorithm
-from ..sim.topology import Edge, Pid, Topology
-
-T = DinerState.THINKING.value
-H = DinerState.HUNGRY.value
-E = DinerState.EATING.value
+from ..core.algorithm import TableDiners
+from ..core.figure1 import FORK_FREE, Action, ActionTable
+from ..core.state import ACTION_ENTER, ACTION_EXIT, ACTION_JOIN
+from ..sim.domains import Domain, FiniteDomain
+from ..sim.topology import Edge, Topology
 
 ACTION_ACQUIRE = "acquire"
 
@@ -57,7 +46,7 @@ FORK_ORDERING = ActionTable((
 ))
 
 
-class ForkOrderingDiners(Algorithm):
+class ForkOrderingDiners(TableDiners):
     """Resource-ordering diners: acquire incident forks in ascending order.
 
     Four actions per process ``p`` (:data:`FORK_ORDERING`):
@@ -67,37 +56,15 @@ class ForkOrderingDiners(Algorithm):
                  →  take it``
     ``enter``    ``state = H ∧ p holds all incident forks  →  state := E``
     ``exit``     ``state = E  →  state := T; release all forks p holds``
+
+    Its edges are fork cells, not priorities: free, or the holder.
     """
 
     name = "fork-ordering"
-    hunger_variable = VAR_NEEDS
-
-    table: ActionTable = FORK_ORDERING
-
-    def __init__(self) -> None:
-        self._actions = view_program(self.table, None, None)
-
-    # ------------------------------------------------------- declarations
-
-    def local_domains(self, topology: Topology) -> Mapping[str, Domain]:
-        return {
-            VAR_STATE: FiniteDomain((T, H, E)),
-            VAR_NEEDS: BoolDomain(),
-        }
+    table = FORK_ORDERING
 
     def edge_domain(self, topology: Topology, e: Edge) -> Domain:
-        order = {p: i for i, p in enumerate(topology.nodes)}
-        p, q = sorted(e, key=lambda x: order[x])
-        return FiniteDomain((FORK_FREE, p, q))
-
-    def initial_locals(self, pid: Pid, topology: Topology) -> Mapping[str, Any]:
-        return {VAR_STATE: T, VAR_NEEDS: False}
+        return FiniteDomain((FORK_FREE, *super().edge_domain(topology, e).values()))
 
     def initial_edge(self, e: Edge, topology: Topology) -> Any:
         return FORK_FREE
-
-    def actions(self) -> Tuple[ActionDef, ...]:
-        return self._actions
-
-    def enabled_bits(self) -> Optional[Callable[..., int]]:
-        return table_bits(self)

@@ -5,119 +5,52 @@ granularity as the paper's program: an acyclic priority graph over the
 neighbour relation; a hungry process eats once every *conflicting* (hungry or
 eating) neighbour is its descendant; after eating it demotes itself below all
 neighbours.  This is the classic solution the paper builds on ("a well-known
-idea of maintaining a partial order of priority among processes [5]").
+idea of maintaining a partial order of priority among processes [5]"), and
+so it is Figure 1 less the paper's two mechanisms: three rows in the same
+vocabulary (:data:`HYGIENIC`), no new atom or cell.
 
 What it deliberately lacks — and what the benchmarks show it costs:
 
-* **no dynamic threshold** (``leave``): hungry processes wait on hungry
-  ancestors indefinitely, so a single crashed process can starve a chain of
-  processes of any length — failure locality grows with the topology;
-* **no cycle breaking**: from an arbitrary initial state a priority cycle
-  among hungry processes is a permanent deadlock — the algorithm is not
+* **no dynamic threshold** (``leave``, and ``join``'s ancestor test):
+  hungry processes wait on hungry ancestors indefinitely, so a single
+  crashed process can starve a chain of processes of any length — failure
+  locality grows with the topology;
+* **no cycle breaking** (``fixdepth``, ``depth`` and ``exit``'s
+  ``depth > D``): from an arbitrary initial state a priority cycle among
+  hungry processes is a permanent deadlock — the algorithm is not
   stabilizing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Tuple
+from ..core.algorithm import TableDiners
+from ..core.figure1 import Action, ActionTable
+from ..core.state import ACTION_ENTER, ACTION_EXIT, ACTION_JOIN
 
-from ..core.state import (
-    ACTION_ENTER,
-    ACTION_EXIT,
-    ACTION_JOIN,
-    VAR_NEEDS,
-    VAR_STATE,
-    DinerState,
-)
-from ..sim.domains import BoolDomain, Domain, FiniteDomain
-from ..sim.process import ActionDef, Algorithm, ProcessView
-from ..sim.topology import Edge, Pid, Topology
-
-T = DinerState.THINKING.value
-H = DinerState.HUNGRY.value
-E = DinerState.EATING.value
+#: The program: ``enter`` waits for no ancestor to be hungry or eating and
+#: no descendant to be eating — no conflicting neighbour above it.
+HYGIENIC = ActionTable((
+    Action(ACTION_JOIN, (("needs", "state == T"),), (("state", "H"),)),
+    Action(ACTION_ENTER, (("state == H", "not anc_nonT", "not desc_E"),),
+           (("state", "E"),)),
+    Action(ACTION_EXIT, (("state == E",),), (("state", "T"),), edges="away"),
+))
 
 
-class HygienicDiners(Algorithm):
+class HygienicDiners(TableDiners):
     """Priority-graph diners without threshold or stabilization machinery.
 
-    Three actions per process ``p``:
+    Three actions per process ``p`` (:data:`HYGIENIC`):
 
     ``join``   ``needs ∧ state = T  →  state := H``
-    ``enter``  ``state = H ∧ (∀ neighbour q: state.q ≠ E) ∧
-               (∀ hungry neighbour q: q is p's descendant)  →  state := E``
+    ``enter``  ``state = H ∧ (∀ ancestor q: state.q = T) ∧
+               (∀ descendant q: state.q ≠ E)  →  state := E``
     ``exit``   ``state = E  →  state := T; demote below all neighbours``
 
-    The edge-variable convention matches :class:`~repro.core.NADiners` (the
+    The edge-variable convention is :class:`~repro.core.NADiners`'s (the
     stored identifier is the ancestor), so all priority-graph analysis code
     applies unchanged.
     """
 
     name = "hygienic"
-    hunger_variable = VAR_NEEDS
-
-    def __init__(self) -> None:
-        self._actions = (
-            ActionDef(ACTION_JOIN, self._join_guard, self._join),
-            ActionDef(ACTION_ENTER, self._enter_guard, self._enter),
-            ActionDef(ACTION_EXIT, self._exit_guard, self._exit),
-        )
-
-    # ------------------------------------------------------- declarations
-
-    def local_domains(self, topology: Topology) -> Mapping[str, Domain]:
-        return {
-            VAR_STATE: FiniteDomain((T, H, E)),
-            VAR_NEEDS: BoolDomain(),
-        }
-
-    def edge_domain(self, topology: Topology, e: Edge) -> Domain:
-        order = {p: i for i, p in enumerate(topology.nodes)}
-        return FiniteDomain(tuple(sorted(e, key=lambda p: order[p])))
-
-    def initial_locals(self, pid: Pid, topology: Topology) -> Mapping[str, Any]:
-        return {VAR_STATE: T, VAR_NEEDS: False}
-
-    def initial_edge(self, e: Edge, topology: Topology) -> Any:
-        order = {p: i for i, p in enumerate(topology.nodes)}
-        return min(e, key=lambda p: order[p])
-
-    def actions(self) -> Tuple[ActionDef, ...]:
-        return self._actions
-
-    # ------------------------------------------------------------ actions
-
-    @staticmethod
-    def _join_guard(view: ProcessView) -> bool:
-        return bool(view.get(VAR_NEEDS)) and view.get(VAR_STATE) == T
-
-    @staticmethod
-    def _join(view: ProcessView) -> None:
-        view.set(VAR_STATE, H)
-
-    @staticmethod
-    def _enter_guard(view: ProcessView) -> bool:
-        if view.get(VAR_STATE) != H:
-            return False
-        for q in view.neighbors:
-            state_q = view.peek(q, VAR_STATE)
-            if state_q == E:
-                return False
-            if state_q == H and view.edge_value(q) != view.pid:
-                # A hungry neighbour with priority over us blocks us.
-                return False
-        return True
-
-    @staticmethod
-    def _enter(view: ProcessView) -> None:
-        view.set(VAR_STATE, E)
-
-    @staticmethod
-    def _exit_guard(view: ProcessView) -> bool:
-        return view.get(VAR_STATE) == E
-
-    @staticmethod
-    def _exit(view: ProcessView) -> None:
-        view.set(VAR_STATE, T)
-        for q in view.neighbors:
-            view.set_edge(q, q)
+    table = HYGIENIC

@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topology", default="ring:8", help="e.g. ring:8, line:12, grid:4:3")
         p.add_argument("--algorithm", default="na-diners", choices=sorted(ALGORITHMS))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--steps", type=int, default=steps_default)
+        if steps_default is not None:
+            p.add_argument("--steps", type=int, default=steps_default)
 
     def observability(p):
         p.add_argument("--trace", default=None, metavar="PATH",
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     observability(p)
 
     p = sub.add_parser("stabilize", help="corrupt the state and time recovery")
-    common(p)
+    common(p, steps_default=None)  # --max-steps bounds the run
     observability(p)
     p.add_argument("--plant-cycle", action="store_true")
     p.add_argument("--nc-only", action="store_true", help="wait for NC instead of full I")

@@ -5,6 +5,7 @@ Public surface:
 * :data:`FIGURE1` — the paper's program as an action table, written once;
 * :class:`NADiners` — that program's variables, domains and initial state,
   with the table lowered to guarded commands over ``ProcessView``;
+  :class:`TableDiners`, its base, is any diner written as a table;
 * the predicates of §3 (``invariant_holds``, ``nc_holds``, ``st_holds``,
   ``e_holds``, ``red_set``, ``green_set``, ...);
 * the ablation variants used by experiment E8;
@@ -19,7 +20,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
         "AlwaysHungry HungerPolicy NeverHungry ProbabilisticHunger "
         "ScriptedHunger SelectiveHunger"
     ),
-    ".algorithm": "NADiners",
+    ".algorithm": "NADiners TableDiners",
     ".figure1": "FIGURE1 ActionTable",
     ".figure2": (
         "FIGURE2_DEPTHS FIGURE2_PRIORITIES FIGURE2_SEQUENCE FIGURE2_STATES "

@@ -27,7 +27,10 @@ Five actions per process ``p``:
 The rows themselves are data, :data:`repro.core.figure1.FIGURE1`; this
 module declares the variables and the initial state, and its actions are
 that table lowered to ``ProcessView`` (``figure1.view_program``, and
-``figure1.view_bits`` for the store's one-frame refresh).
+``figure1.view_bits`` for the store's one-frame refresh).  What every diner
+written as a table shares — that lowering, ``state``/``needs`` and the
+node-order priority — is :class:`TableDiners`; the paper's program adds
+``depth``, a baseline its rows and, for fork-ordering, its fork cells.
 The translation is literal except for two deliberate, documented choices:
 
 * ``fixdepth`` takes the **maximum** violating descendant value rather than
@@ -51,7 +54,51 @@ from .figure1 import FIGURE1, STATE_VALUES, ActionTable, table_bits, view_progra
 from .state import VAR_DEPTH, VAR_NEEDS, VAR_STATE, DinerState
 
 
-class NADiners(Algorithm):
+class TableDiners(Algorithm):
+    """A diner that *is* an action table: its actions are ``table`` lowered
+    to ``ProcessView`` (with ``depth_cap`` and ``D`` as a subclass sets
+    them), its variables ``state`` and ``needs``, initially thinking and
+    sated, and its edges name the ancestor, the earlier endpoint in node
+    order at the start.  A subclass declares its rows and what it adds."""
+
+    hunger_variable = VAR_NEEDS
+
+    #: The program this class runs; every backend lowers the same rows.
+    table: ActionTable
+    depth_cap: Optional[int] = None
+    diameter_override: Optional[int] = None
+
+    def __init__(self) -> None:
+        self._actions = view_program(
+            self.table, self.depth_cap, self.diameter_override
+        )
+
+    # ------------------------------------------------------- declarations
+
+    def local_domains(self, topology: Topology) -> Mapping[str, Domain]:
+        return {VAR_STATE: FiniteDomain(STATE_VALUES), VAR_NEEDS: BoolDomain()}
+
+    def edge_domain(self, topology: Topology, e: Edge) -> Domain:
+        order = {p: i for i, p in enumerate(topology.nodes)}
+        return FiniteDomain(tuple(sorted(e, key=lambda p: order[p])))
+
+    def initial_locals(self, pid: Pid, topology: Topology) -> Mapping[str, Any]:
+        return {VAR_STATE: DinerState.THINKING.value, VAR_NEEDS: False}
+
+    def initial_edge(self, e: Edge, topology: Topology) -> Any:
+        # Priority by node order: the earlier endpoint is the ancestor.
+        # Consistent with a global topological order, hence acyclic.
+        order = {p: i for i, p in enumerate(topology.nodes)}
+        return min(e, key=lambda p: order[p])
+
+    def actions(self) -> Tuple[ActionDef, ...]:
+        return self._actions
+
+    def enabled_bits(self) -> Optional[Callable[..., int]]:
+        return table_bits(self)
+
+
+class NADiners(TableDiners):
     """Nesterenko–Arora malicious-crash-tolerant dining philosophers.
 
     Parameters
@@ -69,10 +116,8 @@ class NADiners(Algorithm):
     """
 
     name = "na-diners"
-    hunger_variable = VAR_NEEDS
 
-    #: The program this class runs.  A variant is a subclass with an edited
-    #: table; every backend lowers the same rows.
+    #: A variant is a subclass with an edited table.
     table: ActionTable = FIGURE1
 
     def __init__(
@@ -87,7 +132,7 @@ class NADiners(Algorithm):
             raise ValueError("diameter_override must be non-negative")
         self.depth_cap = depth_cap
         self.diameter_override = diameter_override
-        self._actions = view_program(self.table, depth_cap, diameter_override)
+        super().__init__()
 
     # ------------------------------------------------------- declarations
 
@@ -99,21 +144,11 @@ class NADiners(Algorithm):
             # transient fault can push depth both below and beyond the
             # cycle-detection threshold.
             depth_domain = SaturatingInt(2 * topology.diameter + 2)
-        return {
-            VAR_STATE: FiniteDomain(STATE_VALUES),
-            VAR_NEEDS: BoolDomain(),
-            VAR_DEPTH: depth_domain,
-        }
-
-    def edge_domain(self, topology: Topology, e: Edge) -> Domain:
-        order = {p: i for i, p in enumerate(topology.nodes)}
-        endpoints = sorted(e, key=lambda p: order[p])
-        return FiniteDomain(tuple(endpoints))
+        return {**super().local_domains(topology), VAR_DEPTH: depth_domain}
 
     def initial_locals(self, pid: Pid, topology: Topology) -> Mapping[str, Any]:
         return {
-            VAR_STATE: DinerState.THINKING.value,
-            VAR_NEEDS: False,
+            **super().initial_locals(pid, topology),
             VAR_DEPTH: self._initial_depth(pid, topology),
         }
 
@@ -125,15 +160,3 @@ class NADiners(Algorithm):
         if self.depth_cap is not None:
             value = min(value, self.depth_cap)
         return value
-
-    def initial_edge(self, e: Edge, topology: Topology) -> Any:
-        # Priority by node order: the earlier endpoint is the ancestor.
-        # Consistent with a global topological order, hence acyclic.
-        order = {p: i for i, p in enumerate(topology.nodes)}
-        return min(e, key=lambda p: order[p])
-
-    def actions(self) -> Tuple[ActionDef, ...]:
-        return self._actions
-
-    def enabled_bits(self) -> Optional[Callable[..., int]]:
-        return table_bits(self)

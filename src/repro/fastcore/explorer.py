@@ -78,19 +78,17 @@ class FastTransitionSystem:
         #: expand: a proof over the full space never needs it.
         self._level: Optional[Callable[..., Tuple[int, int]]] = None
 
-    def successors_packed(
-        self, k: int
-    ) -> Tuple[List[Tuple[int, int, int]], bool]:
+    def successors_packed(self, k: int) -> List[Tuple[int, int, int]]:
         """Expand the state ``k`` (a :meth:`PackedCodec.key` int).
 
         Returns its one-step successors as ``(p, a, successor key)`` triples
         — pid-major, action declaration order, the object model's
-        ``all_enabled`` order — and whether ``k`` itself has two neighbours
-        eating (the audit shares the decode).  A method in this class's own
-        dict, called once per state by the proofs (:meth:`successors`) —
-        the layer a profiler or the benchmark's tracer times there.
+        ``all_enabled`` order.  A method in this class's own dict, called
+        once per state by the proofs (:meth:`successors`) — the layer a
+        profiler or the benchmark's tracer times there.
         :meth:`reachable_count` does not call it: its levels run in the
-        generated ``level`` loop, one call per level.
+        generated ``level`` loop, one call per level, which also audits
+        each state for two neighbours eating.
         """
         return self._expand(k)
 
@@ -100,7 +98,7 @@ class FastTransitionSystem:
         :mod:`repro.verification.properties` asks of a transition system
         (``codec.pids[p]`` / ``codec.table.names[a]`` name a reported label).
         """
-        return self.successors_packed(k)[0]
+        return self.successors_packed(k)
 
     def describe(self, k: int) -> str:
         """The state ``k`` as ``Configuration.describe`` prints it."""

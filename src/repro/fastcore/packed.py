@@ -201,9 +201,14 @@ class PackedCodec:
     def __init__(self, topology: Topology, algorithm) -> None:
         # The refusal follows the program, not a class list: anything that
         # runs exactly the actions its table lowers to, in the vocabulary the
-        # packed lowerings spell (Figure 1's: no fork atoms), has a packed form.
+        # packed lowerings spell (Figure 1's: no fork atoms), over the
+        # variables they lay out (a ``depth`` too), has a packed form.
         lowered = lowered_table(algorithm)
-        if lowered is None or not lowered.table.vocabulary <= FIGURE1.vocabulary:
+        if (
+            lowered is None
+            or not lowered.table.vocabulary <= FIGURE1.vocabulary
+            or VAR_DEPTH not in algorithm.local_domains(topology)
+        ):
             raise UnsupportedBackendError(
                 "fast backend runs an action table (NADiners and its "
                 f"table-edit variants) only, not {algorithm!r}"

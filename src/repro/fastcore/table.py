@@ -21,8 +21,8 @@ the atoms for packed state and turning a table into Python source that is
     run;
   - ``level(frontier, seen, found, limit)`` expands a whole BFS level in one
     frame, adding each new successor to the visited set and the next
-    frontier in place: the loop of
-    :meth:`FastTransitionSystem.reachable_count`.
+    frontier in place, and audits each state for two neighbours eating:
+    the loop of :meth:`FastTransitionSystem.reachable_count`.
 * :func:`vector_program` — topology-independent, memoised per (table, cap,
   ``D``) so a campaign's thousand stores compile once: a ``bind`` factory
   each :class:`PackedSystem` calls once over its vectors and bitsets, whose
@@ -73,9 +73,8 @@ def int_key_program(codec, function: str = "expand") -> Program:
     """One function over ``codec``'s topology, table, cap and ``D``, on the
     int layout the codec's :class:`KeyLayout` fixes:
 
-    * ``expand(k) -> (successors, eating)`` — ``successors`` are
-      ``(p, a, key)`` triples, pid-major in declaration order; ``eating`` is
-      whether two neighbours are both in state E;
+    * ``expand(k) -> successors`` — ``(p, a, key)`` triples, pid-major in
+      declaration order;
     * ``level(frontier, seen, found, limit) -> (transitions, violations)`` —
       one BFS level: every key of ``frontier`` expanded in order, each
       successor not in the set ``seen`` added to it and appended to the list
@@ -84,7 +83,8 @@ def int_key_program(codec, function: str = "expand") -> Program:
       eating, and stops after the state that takes ``seen`` past ``limit``.
 
     The two differ only in what an enabled row does with its successor
-    (:data:`_INT_KEY_FIRE`) and in the frame around the rows.
+    (:data:`_INT_KEY_FIRE`) and in the frame around the rows, which for
+    ``level`` holds the eating audit.
     """
     layout = codec.layout
     at, mask = layout.at, layout.mask
@@ -170,9 +170,10 @@ def int_key_program(codec, function: str = "expand") -> Program:
     both_eat = " or ".join(
         f"s{i} == 2 and s{j} == 2" for i, j in layout.edges
     ) or "False"
+    audit = both_eat if function == "level" else ""
     # Decode only what some guard, command or the audit reads (an ablation
     # without fixdepth never looks at a depth).
-    used = set(re.findall(r"\b[sde]\d+\b", "\n".join(body) + both_eat))
+    used = set(re.findall(r"\b[sde]\d+\b", "\n".join(body) + audit))
     decode = []
     for p in range(n):
         if f"s{p}" in used:
@@ -187,7 +188,7 @@ def int_key_program(codec, function: str = "expand") -> Program:
         lines = (
             ["def expand(k):", "    out = []", "    add = out.append"]
             + indent(decode + body)
-            + [f"    return out, ({both_eat}) if k & {any_eats:#x} else False"]
+            + ["    return out"]
         )
     else:
         lines = [

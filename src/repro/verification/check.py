@@ -60,6 +60,10 @@ def run_check(
     configuration auditing eating-exclusion instead, with a stderr heartbeat
     every ``progress`` BFS levels.
     """
+    if max_states < 1:
+        raise ValueError("--max-states must be >= 1")
+    if progress < 0:
+        raise ValueError("--progress must be >= 0")
     spec, topology = topology, from_spec(topology)
     threshold = (
         topology.longest_simple_path() if corrected_threshold else topology.diameter

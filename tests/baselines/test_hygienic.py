@@ -1,8 +1,13 @@
 """Unit tests for the hygienic (Chandy–Misra style) baseline."""
 
+import pytest
+
 from repro.baselines import HygienicDiners
 from repro.core import e_holds
 from repro.sim import AlwaysHungry, Engine, System, edge, line, ring
+from repro.verification import TransitionSystem, enumerate_configurations
+
+from .hygienic_oracle import HygienicOracle
 
 
 class TestActions:
@@ -45,6 +50,27 @@ class TestActions:
         s.execute(1, HygienicDiners().action_named("exit"))
         assert s.read_edge(edge(0, 1)) == 0
         assert s.read_edge(edge(1, 2)) == 2
+
+
+class TestTableAgainstOracle:
+    """The table's lowering against the hand-written guards
+    (``hygienic_oracle.py``): same successors, same order, every state."""
+
+    @pytest.mark.parametrize(
+        "topo, states", [(ring(3), 1728), (line(4), 10368)], ids=["ring3", "line4"]
+    )
+    def test_every_state_has_the_hand_written_successors(self, topo, states):
+        derived = TransitionSystem(HygienicDiners(), topo)
+        oracle = TransitionSystem(HygienicOracle(), topo)
+        fired = set()
+        visited = 0
+        for config in enumerate_configurations(HygienicDiners(), topo):
+            successors = derived.successors(config)
+            assert successors == oracle.successors(config), config
+            fired.update(t.action for t in successors)
+            visited += 1
+        assert visited == states
+        assert fired == {"join", "enter", "exit"}
 
 
 class TestBehaviour:

@@ -32,6 +32,7 @@ import pytest
 
 from repro.baselines import ChoySinghDiners
 from repro.baselines.fork_ordering import FORK_ORDERING
+from repro.baselines.hygienic import HYGIENIC
 from repro.core import (
     FIGURE1,
     NADiners,
@@ -206,10 +207,10 @@ def test_design_shows_the_tables_own_listing():
 
 
 def test_design_shows_the_fork_tables_own_listing():
-    design = Path(__file__).resolve().parents[2] / "DESIGN.md"
-    block = re.search(
-        r"<!-- FORK_ORDERING.listing\(\) -->\n```\n(.*?)\n```",
-        design.read_text(),
-        re.S,
-    )
-    assert block and block[1] == FORK_ORDERING.listing()
+    # ...and the other baseline written as a table, hygienic's.
+    design = (Path(__file__).resolve().parents[2] / "DESIGN.md").read_text()
+    for name, table in (("FORK_ORDERING", FORK_ORDERING), ("HYGIENIC", HYGIENIC)):
+        block = re.search(
+            rf"<!-- {name}.listing\(\) -->\n```\n(.*?)\n```", design, re.S
+        )
+        assert block and block[1] == table.listing(), name

@@ -4,16 +4,17 @@
 process: one generated frame, case-split on the process's own state, each
 neighbour atom computed once.  On every configuration of line3 and ring3 it
 must equal the OR of the same table's per-row guards, for every table the
-repository runs — Figure 1, both ablations, choy-singh and fork-ordering —
-and a store built on it must publish what the row guards say with crash
-status varied.  Which refresh a store gets is decided by one predicate,
-``lowered_table``, checked at the end.
+repository runs — Figure 1, both ablations, choy-singh, fork-ordering and
+hygienic — and a store built on it must publish what the row guards say
+with crash status varied.  Which refresh a store gets is decided by one
+predicate, ``lowered_table``, checked at the end.
 """
 
 import pytest
 
 from repro.baselines import ChoySinghDiners, ForkOrderingDiners, HygienicDiners
 from repro.baselines.fork_ordering import FORK_ORDERING
+from repro.baselines.hygienic import HYGIENIC
 from repro.core import (
     FIGURE1,
     NADiners,
@@ -34,6 +35,7 @@ ALGORITHMS = {
     "no-threshold": lambda cap: NoDynamicThresholdDiners(depth_cap=cap),
     "choy-singh": lambda cap: ChoySinghDiners(depth_cap=cap),
     "fork-ordering": lambda cap: ForkOrderingDiners(),
+    "hygienic": lambda cap: HygienicDiners(),
 }
 
 
@@ -87,6 +89,7 @@ def test_every_row_of_every_table_is_enabled_somewhere():
 def test_only_an_algorithm_that_runs_its_lowering_gets_the_fused_refresh():
     assert NADiners().enabled_bits() is view_bits(FIGURE1, None, None)
     assert ForkOrderingDiners().enabled_bits() is view_bits(FORK_ORDERING, None, None)
+    assert HygienicDiners().enabled_bits() is view_bits(HYGIENIC, None, None)
 
     wrapped = NADiners()
     wrapped._actions = tuple(
@@ -95,7 +98,6 @@ def test_only_an_algorithm_that_runs_its_lowering_gets_the_fused_refresh():
     )
     for algorithm in (
         wrapped,
-        HygienicDiners(),
         LowAtomicityAdapter(NADiners()),
         LowAtomicityAdapter(ForkOrderingDiners()),
     ):

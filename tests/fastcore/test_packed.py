@@ -11,6 +11,7 @@ from repro.fastcore import (
     PackedCodec,
     UnsupportedBackendError,
 )
+from repro.fastcore.table import int_key_program
 from repro.sim import DomainError, System, grid, line, ring
 
 
@@ -140,17 +141,18 @@ class TestSupport:
                 PackedCodec(ring(4), algorithm)
 
     def test_neighbors_eating_matches_e_predicate(self):
-        # The generated expansion's audit flag is "two neighbours eat, dead
-        # or not": the packed eating pairs, and — nobody faulty here — not E.
+        # The closure loop's audit counts "two neighbours eat, dead or not":
+        # the packed eating pairs, and — nobody faulty here — not E.
         topo = ring(6)
         algo = NADiners(depth_cap=topo.diameter + 1)
-        fts = FastTransitionSystem(algo, topo)
-        codec = fts.codec
+        codec = FastTransitionSystem(algo, topo).codec
+        level = int_key_program(codec, "level").functions["level"]
         violations = 0
         for seed in range(30):
             config = randomized_config(topo, algo, seed)
             ps = codec.pack(config)
-            flag = fts.successors_packed(codec.key(ps))[1]
+            key = codec.key(ps)
+            _fanned, flag = level([key], {key}, [], 1)
             assert flag == bool(eating_pairs(ps)) == (not e_holds(config))
             violations += flag
         assert violations  # randomized states do hit E violations

@@ -9,7 +9,7 @@ paper's program and each ablation that is a table edit (``choy-singh``
 inherits the no-fixdepth table, so it is that program):
 
 * the int-key program's successors equal the object model's transition for
-  transition, in order, and its eating flag is the E audit;
+  transition, in order, and its closure loop's eating count is the E audit;
 * the vector program's enabled bits name the same transitions, and each of
   its fires produces the same target and leaves the enabled bits a
   from-scratch evaluation of that target gives.
@@ -38,7 +38,7 @@ from repro.core import figure1
 from repro.core.figure1 import FIGURE1
 from repro.fastcore import FastTransitionSystem, PackedSystem
 from repro.fastcore.packed import PackedCodec, PackedState
-from repro.fastcore.table import vector_program
+from repro.fastcore.table import int_key_program, vector_program
 from repro.sim import binary_tree, complete, grid, line, ring, star
 from repro.sim.network import EnabledSet
 from repro.verification import TransitionSystem
@@ -127,12 +127,16 @@ def test_generated_programs_equal_the_object_model(topology, algorithm):
     names = codec.table.names
     assert names == tuple(a.name for a in algo.actions())
     rng = random.Random(f"{topology}/{algorithm}")
+    level = int_key_program(codec, "level").functions["level"]
     fired = set()
     for _ in range(2000):
         ps = arbitrary_state(codec, rng)
         config = codec.unpack(ps)
         reference = oracle.successors(config)
-        successors, eating = fts.successors_packed(codec.key(ps))
+        key = codec.key(ps)
+        successors = fts.successors_packed(key)
+        fanned, eating = level([key], {key}, [], 1)
+        assert fanned == len(successors)
         assert [(codec.pids[p], names[a]) for p, a, _k in successors] == [
             (t.pid, t.action) for t in reference
         ]

@@ -14,8 +14,10 @@ processes — on ring, line and grid:
   included);
 * the closure loop (``int_key_program(codec, "level")``), which expands
   without listing, queues exactly the successors ``successors_packed``
-  lists that are new, in its order, and counts every one of them — for
-  Figure 1 and both ablations, whatever the visited set already holds.
+  lists that are new, in its order, counts every one of them, and counts a
+  state with two neighbours eating exactly when the decoded key has an
+  eating pair — for Figure 1 and both ablations, whatever the visited set
+  already holds.
 """
 
 import random
@@ -123,21 +125,20 @@ def test_successor_keys_decode_to_the_object_targets(instance):
     fts = FastTransitionSystem(algo, topo)
     codec = fts.codec
     key = codec.key(codec.pack(config))
-    successors, eating = fts.successors_packed(key)
+    successors = fts.successors_packed(key)
     assert [(codec.pids[p], ACTION_NAMES[a]) for p, a, _k in successors] == [
         (t.pid, t.action) for t in reference
     ]
     assert [codec.unpack(codec.unkey(k)) for _p, _a, k in successors] == [
         t.target for t in reference
     ]
-    assert eating == bool(eating_pairs(codec.pack(config)))
     # The scratch is undone after every command: same key, same expansion,
     # on the same instance — also after expanding an unrelated state between.
-    assert fts.successors_packed(key) == (successors, eating)
+    assert fts.successors_packed(key) == successors
     for _p, a, k in successors:
         if a == A_EXIT:
             fts.successors_packed(k)
-    assert fts.successors_packed(key) == (successors, eating)
+    assert fts.successors_packed(key) == successors
 
 
 @st.composite
@@ -161,7 +162,8 @@ def keyed_states(draw):
 @given(keyed_states(), st.data())
 def test_level_queues_the_new_successors_in_expand_order(instance, data):
     fts, key = instance
-    successors, eating = fts.successors_packed(key)
+    successors = fts.successors_packed(key)
+    eating = bool(eating_pairs(fts.codec.unkey(key)))
     targets = [t for _p, _a, t in successors]
     level = int_key_program(fts.codec, "level").functions["level"]
     # Seen before: the key itself, then also some of its successors.

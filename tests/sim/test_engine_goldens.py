@@ -13,6 +13,11 @@ enabled set in index form and one heap ledger (and before ``FastEngine``
 became this engine over a packed store): one trace per daemon, so the swap
 is pinned against the old ledger and the old selection code, not against
 itself.
+
+``HYGIENIC_*`` were recorded from the commit whose ``HygienicDiners`` still
+carried hand-written guards, before its actions became an action table
+lowered like Figure 1's: the same trace fault plan and the sweep's
+``_run_sim`` records, with hygienic as the algorithm.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.baselines import HygienicDiners
 from repro.campaign import SweepSpec, derive_seed
 from repro.campaign.shard import _run_sim
 from repro.core import NADiners
@@ -85,13 +91,19 @@ DAEMON_DIGESTS = {
 }
 
 
-def sweep_records():
-    """The fifteen ``_run_sim`` results the benchmark's counted chunks hold."""
+#: ``recorded_trace`` and ``sweep_records`` with hygienic as the algorithm.
+HYGIENIC_TRACE_DIGEST = "7dc811f166b9367d0c621226d87aae1c7fe3a74820891bc8e33ed54ef0547dd9"
+HYGIENIC_SWEEP_DIGEST = "535300abc62ddf5dcaec01ca963bf4ca105b69ec49186a73a386b87c11e5aa35"
+
+
+def sweep_records(algorithms=SWEEP_ALGORITHMS):
+    """The ``_run_sim`` results the benchmark's counted chunks hold: fifteen
+    for its three algorithms, one per chunk and algorithm."""
     records = []
     for chunk in range(5):
         spec = SweepSpec(
             topologies=("ring:12",),
-            algorithms=SWEEP_ALGORITHMS,
+            algorithms=algorithms,
             trials=1,
             steps=2000,
             seed=derive_seed(1, chunk),
@@ -105,13 +117,14 @@ def sweep_records():
     return records
 
 
-def recorded_trace(path, daemon=None):
+def recorded_trace(path, daemon=None, algorithm=None):
     """ring:8, a full and a partial transient fault, a malicious crash,
     RNG-drawing hunger — written the way ``repro run --trace-out`` writes."""
     topology = ring(8)
+    algorithm = NADiners() if algorithm is None else algorithm
     recorder = TraceRecorder(snapshot_every=25)
     engine = Engine(
-        System(topology, NADiners()),
+        System(topology, algorithm),
         daemon,
         hunger=ProbabilisticHunger(0.6),
         faults=FaultPlan(
@@ -127,7 +140,7 @@ def recorded_trace(path, daemon=None):
     result = engine.run(700)
     header = build_header(
         model="sim",
-        algorithm="na-diners",
+        algorithm=algorithm.name,
         seed=20021,
         steps_taken=result.steps,
         topology="ring:8",
@@ -164,3 +177,12 @@ def test_each_daemon_schedules_as_it_did_over_the_enabled_list(name, tmp_path):
     recorder = recorded_trace(path, make_daemon())
     assert len(recorder.events) == TRACE_EVENTS
     assert _sha256(path.read_bytes()) == digest
+
+
+def test_hygienic_trace_and_records_are_as_hand_written_guards_made_them(tmp_path):
+    path = tmp_path / "hygienic.trace.jsonl"
+    recorded_trace(path, algorithm=HygienicDiners())
+    assert _sha256(path.read_bytes()) == HYGIENIC_TRACE_DIGEST
+    blob = json.dumps(sweep_records(("hygienic",)), sort_keys=True,
+                      separators=(",", ":"))
+    assert _sha256(blob.encode()) == HYGIENIC_SWEEP_DIGEST

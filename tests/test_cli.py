@@ -945,6 +945,8 @@ class TestUserErrors:
             ["report", "--jobs", "0"],
             ["fuzz", "--budget", "0"],
             ["sweep", "--crash-victim", "0", "--crash-at", "-3"],
+            ["check", "--topology", "line:3", "--max-states", "-1"],
+            ["check", "--topology", "line:3", "--reachable", "--progress", "-1"],
         ],
         ids="_".join,
     )
