@@ -23,7 +23,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
         "suite_specs to_markdown"
     ),
     ".stabilization": (
-        "ConvergenceResult ConvergenceSummary convergence_study "
+        "ConvergenceResult ConvergenceSummary convergence_study convergence_trial "
         "plant_priority_cycle rounds_to_predicate steps_to_predicate"
     ),
 })

@@ -156,6 +156,25 @@ def plant_priority_cycle(
             system.write_local(p, VAR_DEPTH, 0)
 
 
+def convergence_trial(
+    algorithm: Algorithm, topology: Topology, rng: random.Random, *,
+    plant_cycle: bool, predicate: Predicate, max_steps: int, check_every: int,
+) -> ConvergenceResult:
+    """One trial of :func:`convergence_study`: ``rng`` first randomizes the
+    full system state (with ``plant_cycle``, a priority cycle around a
+    shortest ring goes in on top), then draws the engine seed."""
+    system = System(topology, algorithm)
+    system.randomize(rng)
+    if plant_cycle:
+        cycle = _find_cycle(topology)
+        if cycle is not None:
+            plant_priority_cycle(system, cycle)
+    return steps_to_predicate(
+        system, predicate, max_steps=max_steps, seed=rng.randrange(2**31),
+        check_every=check_every,
+    )
+
+
 def convergence_study(
     algorithm_factory: Callable[[], Algorithm],
     topology: Topology,
@@ -172,26 +191,17 @@ def convergence_study(
     Each trial randomizes the full system state (the paper's transient
     fault).  With ``plant_cycle=True`` a directed priority cycle around a
     shortest ring of the topology is additionally installed when one exists,
-    forcing the depth-propagation machinery to do real work.
+    forcing the depth-propagation machinery to do real work.  Trial ``t``
+    draws from ``random.Random(seed * 10_007 + t)``.
     """
-    results: List[ConvergenceResult] = []
-    for trial in range(trials):
-        rng = random.Random(seed * 10_007 + trial)
-        system = System(topology, algorithm_factory())
-        system.randomize(rng)
-        if plant_cycle:
-            cycle = _find_cycle(topology)
-            if cycle is not None:
-                plant_priority_cycle(system, cycle)
-        results.append(
-            steps_to_predicate(
-                system,
-                predicate,
-                max_steps=max_steps,
-                seed=rng.randrange(2**31),
-                check_every=check_every,
-            )
+    results = [
+        convergence_trial(
+            algorithm_factory(), topology, random.Random(seed * 10_007 + trial),
+            plant_cycle=plant_cycle, predicate=predicate, max_steps=max_steps,
+            check_every=check_every,
         )
+        for trial in range(trials)
+    ]
     converged = [r for r in results if r.converged]
     return ConvergenceSummary(
         trials=trials,

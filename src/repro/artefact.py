@@ -311,7 +311,9 @@ def cmd_stats(*, path: str) -> int:
     try:
         row, parsed = load(path)
         lines = row.summarize(parsed)
-    except (OSError, ValueError, KeyError, TypeError, SimulationError) as exc:
+    except (
+        OSError, ValueError, KeyError, TypeError, AttributeError, SimulationError,
+    ) as exc:
         # identify() and the readers name the path; a summary need not.
         reason = str(exc)
         if not reason.startswith(str(path)):

@@ -11,8 +11,8 @@ Entry points:
 
 * :func:`run_shards` — execute any shard list (the ``sweep`` CLI and
   ``run_suite`` go through it);
-* :class:`SweepSpec` / :func:`aggregate_sim` — the many-seed randomized
-  sweep behind ``python -m repro sweep``;
+* :class:`SweepSpec` — the many-seed randomized sweep behind ``python -m
+  repro sweep``, folded by :func:`aggregate_sim`;
 * :func:`parallel_map` — order-preserving pool map for object-valued work
   (the fuzzer's schedule evaluations).
 """
@@ -22,8 +22,8 @@ from .._lazy import lazy_namespace
 __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     ".checkpoint": "ResumePlan plan_resume truncate_lines",
     ".record": (
-        "TrialRecord canonical_json iter_lines parse_line read_records "
-        "shard_key write_records"
+        "TrialRecord aggregate_sim canonical_json iter_lines parse_line "
+        "read_records shard_key write_records"
     ),
     ".runner": (
         "CampaignResult campaign_metrics heartbeat_progress parallel_map "
@@ -31,5 +31,5 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     ),
     ".algorithms": "ALGORITHMS make_algorithm",
     ".shard": "HANDLERS Shard derive_seed execute_shard",
-    ".specs": "SweepAggregate SweepSpec aggregate_sim",
+    ".specs": "SweepSpec",
 })

@@ -197,12 +197,44 @@ def write_records(
     write_atomic(path, iter_lines(records, include_meta=include_meta))
 
 
+#: The result fields of a ``sim`` trial that :func:`aggregate_sim` folds.
+SIM_FIELDS = ("total_eats", "per_1000", "jain", "min_live_eats", "safety_ok")
+
+
+def aggregate_sim(records: Mapping[str, TrialRecord]) -> List[str]:
+    """The summary lines of the records whose result has every
+    :data:`SIM_FIELDS` (none when no record has them).
+
+    Records are visited in canonical key order, so every run of the same
+    campaign — fresh, resumed, or reparallelised — aggregates identically.
+    """
+    results = [records[key].result for key in sorted(records)]
+    results = [r for r in results if all(name in r for name in SIM_FIELDS)]
+    n = len(results)
+    if n == 0:
+        return []
+    per_1000 = [r["per_1000"] for r in results]
+    mean_jain = round(sum(r["jain"] for r in results) / n, 6)
+    return [
+        f"  trials: {n}",
+        f"  total eats: {sum(r['total_eats'] for r in results)}",
+        f"  meals/1k steps: mean={round(sum(per_1000) / n, 6):.4f} "
+        f"min={min(per_1000):.4f} max={max(per_1000):.4f}",
+        f"  jain fairness: mean={mean_jain:.4f}",
+        f"  worst per-process meals: {min(r['min_live_eats'] for r in results)}",
+        f"  safety (E at end): {sum(1 for r in results if r['safety_ok'])}/{n}",
+    ]
+
+
 def summarize_records(records: Records) -> List[str]:
-    """The ``repro stats`` lines for a campaign records file."""
+    """The ``repro stats`` lines for a campaign records file — and what
+    ``repro sweep`` prints for the records it writes: the kind tally, the
+    :func:`aggregate_sim` lines and, when the records carry it, wall time."""
     if not records:
         raise ValueError("no complete campaign record")
     lines = [f"campaign records: {len(records)}"]
     lines += tally((record.kind for record in records), " shards")
+    lines += aggregate_sim({record.key: record for record in records})
     lines += _duration_line(r.duration_s for r in records)
     return lines + skipped_note(records.skipped)
 

@@ -135,29 +135,17 @@ def _run_throughput(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
 
 
 def _run_stabilize(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """One convergence trial from a fully randomized state (E3).
+    """One trial of :func:`~repro.analysis.stabilization.convergence_study`
+    (E3), the shard seed being that trial's."""
+    from ..analysis.stabilization import convergence_trial
 
-    Mirrors :func:`repro.analysis.stabilization.convergence_study`'s
-    per-trial seed dance exactly: the shard seed feeds one private RNG that
-    first randomizes the state, then draws the engine seed.
-    """
-    from ..analysis.stabilization import plant_priority_cycle, steps_to_predicate
-    from ..analysis.stabilization import _find_cycle
-
-    topology = from_spec(params["topology"])
-    system = System(topology, make_algorithm(params["algorithm"]))
-    rng = random.Random(seed)
-    system.randomize(rng)
-    if params.get("plant_cycle"):
-        cycle = _find_cycle(topology)
-        if cycle is not None:
-            plant_priority_cycle(system, cycle)
-    predicate = nc_holds if params.get("predicate") == "nc" else invariant_holds
-    result = steps_to_predicate(
-        system,
-        predicate,
+    result = convergence_trial(
+        make_algorithm(params["algorithm"]),
+        from_spec(params["topology"]),
+        random.Random(seed),
+        plant_cycle=bool(params.get("plant_cycle")),
+        predicate=nc_holds if params.get("predicate") == "nc" else invariant_holds,
         max_steps=params["max_steps"],
-        seed=rng.randrange(2**31),
         check_every=params.get("check_every", 4),
     )
     return {"converged": result.converged, "steps": result.steps}

@@ -14,7 +14,7 @@ worker, or with 16.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sim.topology import from_spec
@@ -44,6 +44,8 @@ class SweepSpec:
         """Refuse, before any shard runs, what every shard would fail on."""
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, not {self.steps}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, not {self.trials}")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(
@@ -89,56 +91,6 @@ class SweepSpec:
         return shards
 
 
-@dataclass(frozen=True)
-class SweepAggregate:
-    """Deterministic summary of a sim sweep (order-independent)."""
-
-    trials: int
-    total_eats: int
-    mean_per_1000: float
-    min_per_1000: float
-    max_per_1000: float
-    mean_jain: float
-    worst_min_eats: int
-    safety_ok: int  #: trials whose final state satisfies E (no neighbours eating)
-
-    def lines(self) -> List[str]:
-        """Human-readable report lines with stable formatting."""
-        return [
-            f"trials: {self.trials}",
-            f"total eats: {self.total_eats}",
-            f"meals/1k steps: mean={self.mean_per_1000:.4f} "
-            f"min={self.min_per_1000:.4f} max={self.max_per_1000:.4f}",
-            f"jain fairness: mean={self.mean_jain:.4f}",
-            f"worst per-process meals: {self.worst_min_eats}",
-            f"safety (E at end): {self.safety_ok}/{self.trials}",
-        ]
-
-
-def aggregate_sim(records: Mapping[str, TrialRecord]) -> SweepAggregate:
-    """Fold sim-trial records into a :class:`SweepAggregate`.
-
-    Records are visited in canonical key order, so every run of the same
-    campaign — fresh, resumed, or reparallelised — aggregates identically.
-    """
-    results = [records[key].result for key in sorted(records)]
-    results = [r for r in results if r]  # tolerate empty placeholder results
-    n = len(results)
-    if n == 0:
-        return SweepAggregate(0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0)
-    per_1000 = [r["per_1000"] for r in results]
-    return SweepAggregate(
-        trials=n,
-        total_eats=sum(r["total_eats"] for r in results),
-        mean_per_1000=round(sum(per_1000) / n, 6),
-        min_per_1000=min(per_1000),
-        max_per_1000=max(per_1000),
-        mean_jain=round(sum(r["jain"] for r in results) / n, 6),
-        worst_min_eats=min(r["min_live_eats"] for r in results),
-        safety_ok=sum(1 for r in results if r["safety_ok"]),
-    )
-
-
 def cmd_sweep(
     *, topology: Optional[Sequence[str]], algorithm: Optional[Sequence[str]],
     trials: int, steps: int, seed: int, jobs: int, out: Optional[str], fresh: bool,
@@ -148,10 +100,13 @@ def cmd_sweep(
 ) -> int:
     """``repro sweep``: a :class:`SweepSpec` (default ``ring:8`` ×
     ``na-diners``) through :func:`~repro.campaign.runner.run_shards`, then
-    its aggregate.  Per-shard progress goes to stderr: one line a shard,
+    the ``repro stats`` block of the records as written (built in memory
+    without ``out``).  Per-shard progress goes to stderr: one line a shard,
     one heartbeat per ``progress`` shards, or none when ``quiet``."""
     from ..obs.metrics import write_metrics
-    from .record import CampaignTraceLog
+    from .record import (
+        CampaignTraceLog, Records, iter_lines, parse_line, summarize_records,
+    )
     from .runner import campaign_metrics, heartbeat_progress, run_shards
 
     if jobs < 1:
@@ -199,7 +154,8 @@ def cmd_sweep(
         f"shards: {result.total} "
         f"(executed {result.executed}, resumed {result.resumed})"
     )
-    print("\n".join(aggregate_sim(result.records).lines()))
+    written = iter_lines(result.records, include_meta=not no_meta)
+    print("\n".join(summarize_records(Records(map(parse_line, written)))))
     if result.path is not None:
         print(f"records: {result.path}")
     if trace_log is not None:

@@ -362,6 +362,8 @@ class MpEngine:
         ``stop_when`` receives the engine itself (message-passing state has
         no global snapshot object) and is polled every ``check_every`` steps.
         """
+        if max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
         if check_every < 1:
             raise ValueError("check_every must be positive")
         taken = 0

@@ -181,45 +181,6 @@ class ClusterResult:
     def total_garbage_bytes(self) -> int:
         return sum(c.get("garbage_bytes", 0) for c in self.counters.values())
 
-    def lines(self) -> List[str]:
-        """What ``cluster run``/``soak`` print for the run: per-node
-        counters, the faults played, restarts and the artefacts written."""
-        interrupted = " (interrupted)" if self.interrupted else ""
-        lines = [
-            f"cluster {self.topology_spec} seed={self.seed}: {self.mode} for "
-            f"{self.duration_s}s, {len(self.nodes)} nodes{interrupted}"
-        ]
-        for node in self.nodes:
-            c = self.counters.get(node, {})
-            lines.append(
-                f"  {node}: eats={c.get('eats', 0)} grants={c.get('grants', 0)} "
-                f"msgs in/out={c.get('msgs_in', 0)}/{c.get('msgs_out', 0)} "
-                f"garbage={c.get('garbage_bytes', 0)}B "
-                f"junk={c.get('junk_frames', 0)}"
-            )
-        scheduled = len(self.schedule.get("events", ())) if self.schedule else 0
-        chaos = f"  chaos: {scheduled} scheduled faults"
-        if self.chunk_faults:
-            chaos += "; link-level " + ", ".join(
-                f"{kind}×{count}" for kind, count in sorted(self.chunk_faults.items())
-            )
-        lines.append(chaos)
-        if self.killed:
-            lines.append(f"  maliciously crashed: {', '.join(self.killed)}")
-        if self.byzantine:
-            lines.append(f"  byzantine (never halted): {', '.join(self.byzantine)}")
-        if self.restarts:
-            lines.append("  restarted: " + ", ".join(
-                f"{node}×{count}" for node, count in sorted(self.restarts.items())
-            ))
-        for node, elapsed in sorted(self.convergence_s.items()):
-            lines.append(
-                f"  convergence: {node} re-granted {elapsed:.3f}s after restart"
-            )
-        lines += [f"  spans: {path}" for path in self.trace_paths]
-        lines += [f"  flight: {path}" for path in self.flight_paths]
-        return lines
-
 
 #: The two per-frame event kinds — the bulk of every run's rows.
 _TRAFFIC_EVENTS = frozenset(
@@ -1149,38 +1110,91 @@ def read_cluster_events(
 def summarize_cluster_events(
     log: tuple[Dict[str, Any], List[Dict[str, Any]], int],
 ) -> List[str]:
-    """The ``repro stats`` lines for a parsed event log."""
+    """The ``repro stats`` lines for a parsed event log — and what
+    ``cluster run``/``soak`` print for the log they write (see
+    :func:`run_summary`)."""
     header, events, skipped = log
     lines = [f"cluster event log: {len(events)} events "
              f"({header.get('source', '?')})"]
+    if header.get("nodes") is not None:  # the final header, not a provisional one
+        mode = "soak" if header.get("source") == "soak-events" else "run"
+        lines.append(
+            f"  cluster {header.get('topology')} seed={header.get('seed')}: "
+            f"{mode} for {header.get('duration_s')}s, {header['nodes']} nodes"
+            + (" (interrupted)" if header.get("interrupted") else "")
+        )
     lines += present(
         header, ("topology", "seed", "duration_s", "nodes", "version")
     )
-    killed = header.get("killed") or []
-    if killed:
-        lines.append(f"  maliciously crashed: {', '.join(killed)}")
+    for c in header.get("counters") or ():
+        lines.append(
+            f"    {c.get('node')}: eats={c.get('eats', 0)} "
+            f"grants={c.get('grants', 0)} "
+            f"msgs in/out={c.get('msgs_in', 0)}/{c.get('msgs_out', 0)} "
+            f"garbage={c.get('garbage_bytes', 0)}B junk={c.get('junk_frames', 0)}"
+        )
     schedule = header.get("schedule") or {}
     if schedule.get("events") is not None:
-        lines.append(f"  scheduled faults: {len(schedule['events'])}")
+        link = header.get("chunk_faults")
+        lines.append(f"  scheduled faults: {len(schedule['events'])}"
+                     + (f"; link-level {_times(link)}" if link else ""))
+    for key, label in (("killed", "maliciously crashed"),
+                       ("byzantine", "byzantine (never halted)")):
+        if header.get(key):
+            lines.append(f"  {label}: {', '.join(header[key])}")
+    if header.get("restarts"):
+        lines.append(f"  restarted: {_times(header['restarts'])}")
+    for node, elapsed in sorted((header.get("convergence_s") or {}).items()):
+        lines.append(
+            f"  convergence: {node} re-granted {elapsed:.3f}s after restart"
+        )
     lines += tally(event.get("event", "?") for event in events)
     return lines + skipped_note(skipped)
 
 
-def write_cluster_events(path: Path | str, result: ClusterResult) -> Path:
-    """The event-log artefact: header (with the fault schedule), then one
-    line per observed event in time order."""
+def _times(counts: Mapping[str, int]) -> str:
+    return ", ".join(f"{name}×{count}" for name, count in sorted(counts.items()))
+
+
+def events_header(result: ClusterResult) -> Dict[str, Any]:
+    """The event log's header: the run's facts, its fault schedule and
+    outcome, and every node's counters in node order."""
     source = "soak-events" if result.mode == "soak" else "cluster-events"
-    header = {
+    return {
         **artefact_header(result, source),
+        "interrupted": result.interrupted,
+        "counters": [
+            {"node": node, **result.counters.get(node, {})}
+            for node in result.nodes
+        ],
+        "chunk_faults": result.chunk_faults,
         "schedule": result.schedule,
         "killed": result.killed,
         "byzantine": result.byzantine,
         "restarts": result.restarts,
         "convergence_s": result.convergence_s,
     }
+
+
+def write_cluster_events(path: Path | str, result: ClusterResult) -> Path:
+    """The event-log artefact: :func:`events_header`, then one line per
+    observed event in time order."""
     return write_jsonl(
-        path, "events", header,
+        path, "events", events_header(result),
         ({"kind": "event", **event} for event in result.events),
+    )
+
+
+def run_summary(result: ClusterResult) -> List[str]:
+    """What ``cluster run``/``soak`` print about a run: the block ``repro
+    stats`` prints on its event log (the one ``--events-out`` writes, or
+    the same log in memory), then the span and flight paths the log does
+    not carry."""
+    log = (events_header(result), result.events, 0)
+    return (
+        summarize_cluster_events(log)
+        + [f"  spans: {path}" for path in result.trace_paths]
+        + [f"  flight: {path}" for path in result.flight_paths]
     )
 
 
@@ -1318,12 +1332,12 @@ def cmd_cluster_run(
     *, metrics_out: Optional[str], events_out: Optional[str], **flags: Any,
 ) -> int:
     """``repro cluster run``: always-hungry diners under chaos (``flags``
-    are :func:`cluster_config`'s); print the counters."""
+    are :func:`cluster_config`'s); print the :func:`run_summary`."""
     config, duration = cluster_config(
         lock_service=False, events_out=events_out, **flags
     )
     result = run_interruptible(config, run_cluster(config, duration))
-    print("\n".join(result.lines()))
+    print("\n".join(run_summary(result)))
     write_cluster_artefacts(result, metrics_out=metrics_out, events_out=events_out)
     return 0
 

@@ -45,6 +45,7 @@ from .cluster import (
     ClusterSupervisor,
     cluster_config,
     run_interruptible,
+    run_summary,
     supervised_run,
     write_cluster_artefacts,
 )
@@ -466,12 +467,6 @@ class SoakResult:
         return attribute_violations(self.violations)
 
     @property
-    def nodes_with_grants(self) -> int:
-        return sum(
-            1 for c in self.cluster.counters.values() if c.get("grants", 0) > 0
-        )
-
-    @property
     def starved(self) -> List[str]:
         """Nodes the schedule did not kill that never granted — the
         ``--require-progress`` verdict."""
@@ -483,13 +478,14 @@ class SoakResult:
         ]
 
     def lines(self) -> List[str]:
-        """What ``cluster soak`` prints after the run's own lines: client
+        """What ``cluster soak`` prints after the run's summary: client
         totals, progress, and the safety audit's verdict."""
+        granted = sum(1 for c in self.cluster.counters.values() if c.get("grants"))
         lines = [
             f"  clients: {sum(c.acquired for c in self.clients)} acquisitions, "
             f"{sum(c.timeouts for c in self.clients)} timeouts, "
             f"{sum(c.errors for c in self.clients)} errors",
-            f"  progress: {self.nodes_with_grants}/{len(self.cluster.nodes)} "
+            f"  progress: {granted}/{len(self.cluster.nodes)} "
             "nodes granted at least once",
         ]
         if self.safe:
@@ -610,7 +606,7 @@ def cmd_cluster_soak(
         config,
         soak(config, duration, hold_s=hold, acquire_timeout=acquire_timeout),
     )
-    print("\n".join(result.cluster.lines() + result.lines()))
+    print("\n".join(run_summary(result.cluster) + result.lines()))
     write_cluster_artefacts(result.cluster, metrics_out=metrics_out, events_out=events_out)
     status = 0 if result.safe else 1
     if result.slo_report is not None:

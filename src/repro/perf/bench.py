@@ -20,6 +20,7 @@ bench`` both draw from this one registry, so the two never drift apart.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
@@ -220,16 +221,14 @@ def cmd_bench(
     profile: bool, profile_out: str, profile_top: int,
 ) -> int:
     """``repro bench``: run the registry's benchmarks (those whose name
-    contains ``filter``) and optionally write a BENCH file — or, instead,
-    ``list`` them, ``compare`` two BENCH files (exit 1 on a regression past
-    ``threshold``) or tabulate a ``history`` directory."""
+    contains ``filter``), each one's line to stderr as it finishes, then
+    print the ``repro stats`` block of the BENCH document, written to
+    ``out`` when given — or, instead, ``list`` them, ``compare`` two BENCH
+    files (exit 1 on a regression past ``threshold``) or tabulate a
+    ``history`` directory."""
     from .bench_io import (
-        compare as compare_bench,
-        format_compare,
-        format_history,
-        read_bench,
-        scan_bench_history,
-        write_bench,
+        bench_payload, compare as compare_bench, format_compare, format_history,
+        kernel_line, read_bench, scan_bench_history, summarize_bench, write_bench,
     )
 
     if threshold < 0:
@@ -268,25 +267,17 @@ def cmd_bench(
 
         profiler = cProfile.Profile()
 
-    def progress(result: BenchResult) -> None:
-        stats = result.stats
-        rate = result.ops_per_sec
-        print(
-            f"{result.name:35s} median {stats['median_s']:.6f}s  "
-            f"iqr {stats['iqr_s']:.6f}s  min {stats['min_s']:.6f}s  "
-            f"{'' if rate is None else f'{rate:,.0f} ops/s'}"
-        )
-
-    print(f"running {len(benches)} benchmarks ({'quick' if quick else 'full'})")
+    print(f"running {len(benches)} benchmarks ({'quick' if quick else 'full'})",
+          file=sys.stderr)
     results = run_benchmarks(
-        benches, quick=quick, profiler=profiler, progress=progress
+        benches, quick=quick, profiler=profiler,
+        progress=lambda r: print(kernel_line(r.name, r.payload()), file=sys.stderr),
     )
+    options = {"quick": quick, "filter": filter, "profiled": profile}
+    payload = bench_payload(results, options=options)
+    print("\n".join(summarize_bench(payload)))
     if out:
-        path = write_bench(
-            out,
-            results,
-            options={"quick": quick, "filter": filter, "profiled": profile},
-        )
+        path = write_bench(out, results, options=options, env=payload["env"])
         print(f"bench: {path}")
     if profiler is not None:
         from .profile import format_hotspots, hotspots, write_profile_metrics

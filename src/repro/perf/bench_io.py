@@ -111,20 +111,25 @@ def read_bench(path: Path | str, document: Any = None) -> Dict[str, Any]:
 
 
 def summarize_bench(payload: Mapping[str, Any]) -> List[str]:
-    """The ``repro stats`` lines for a BENCH document."""
+    """The ``repro stats`` lines for a BENCH document — and what ``repro
+    bench`` prints for the document it writes."""
     env = payload.get("env", {})
     benchmarks = payload["benchmarks"]
     lines = [f"BENCH file: {len(benchmarks)} benchmarks"]
     lines += present(
         env, ("git_rev", "python", "platform", "cpu_count", "timestamp")
     )
-    for name in sorted(benchmarks):
-        stats = benchmarks[name].get("stats", {})
-        lines.append(
-            f"  {name}: median {stats.get('median_s')}s, "
-            f"iqr {stats.get('iqr_s')}s, min {stats.get('min_s')}s"
-        )
-    return lines
+    return lines + [kernel_line(name, benchmarks[name]) for name in sorted(benchmarks)]
+
+
+def kernel_line(name: str, doc: Mapping[str, Any]) -> str:
+    """One kernel's summary line, ``doc`` being its entry in a BENCH
+    document's ``benchmarks`` table."""
+    stats = doc.get("stats", {})
+    return (
+        f"  {name}: median {stats.get('median_s')}s, "
+        f"iqr {stats.get('iqr_s')}s, min {stats.get('min_s')}s"
+    )
 
 
 # ----------------------------------------------------------------- compare

@@ -104,6 +104,30 @@ class TestConvergenceStudy:
         )
         assert summary.all_converged
 
+    @pytest.mark.parametrize("topology, predicate", [
+        ("line:5", invariant_holds), ("ring:5", nc_holds),
+    ])
+    def test_the_suite_shard_is_a_study_trial(self, topology, predicate):
+        """The suite's E3 shard at seed ``s * 10_007 + t`` is trial ``t`` of
+        ``convergence_study(seed=s)``: one trial function, one seed dance."""
+        from repro.analysis.suite import SuiteConfig, suite_specs
+        from repro.campaign import execute_shard
+        from repro.sim import from_spec
+
+        config = SuiteConfig(seed=3, line_n=5, trials=3, max_steps=100_000)
+        stabilization = suite_specs(config)[1]
+        shards = [
+            s for s in stabilization.shards if s.params["topology"] == topology
+        ]
+        assert [s.seed for s in shards] == [3 * 10_007 + t for t in range(3)]
+        records = [execute_shard(s).result for s in shards]
+        summary = convergence_study(
+            NADiners, from_spec(topology), trials=3, max_steps=100_000, seed=3,
+            predicate=predicate,
+        )
+        assert summary.converged == sum(r["converged"] for r in records)
+        assert summary.steps == tuple(r["steps"] for r in records if r["converged"])
+
 
 class TestRoundsToPredicate:
     def test_rounds_counted(self):

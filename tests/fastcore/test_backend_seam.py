@@ -286,15 +286,16 @@ class TestCliBackendFlag:
         # Identical seeds and RNG parity: the aggregate lines must agree.
         tail = lambda text: [
             l for l in text.splitlines()
-            if l.startswith(("trials", "total eats", "meals/1k", "jain"))
+            if l.lstrip().startswith(("trials", "total eats", "meals/1k", "jain"))
         ]
+        assert len(tail(object_out)) == 4
         assert tail(fast_out) == tail(object_out)
 
     def test_sweep_fast_runs_the_ablations(self, capsys):
         argv = ["sweep", "--topology", "ring:5", "--trials", "2", "--steps", "400",
                 "--algorithm", "no-fixdepth", "--algorithm", "no-threshold",
                 "--crash-victim", "0", "--crash-at", "50", "--malicious", "20",
-                "--quiet"]
+                "--no-meta", "--quiet"]
         assert main(argv) == 0
         object_out = capsys.readouterr().out
         assert main(argv + ["--backend", "fast"]) == 0

@@ -69,6 +69,12 @@ class TestConstruction:
         with pytest.raises(SchedulingError):
             build(line(3), patience=0)
 
+    def test_negative_max_steps_is_refused(self):
+        # The shared-memory engine's refusal, word for word.
+        _, engine = build(line(3))
+        with pytest.raises(ValueError, match="max_steps must be non-negative"):
+            engine.run(-5)
+
 
 class TestDeliveryAndTicks:
     def test_messages_eventually_delivered(self):

@@ -219,6 +219,18 @@ class TestNotAnArtefact:
         path.write_bytes(b"\x00\xff\xfe\x01" * 64)
         assert str(path) in _refusal(["stats", str(path)])
 
+    @pytest.mark.parametrize("name, first", [
+        ("BENCH_x.json", '{"kind": "bench", "format": 1, "benchmarks": {"a": 5}}'),
+        ("run.events", '{"format": 1, "kind": "header", "source": '
+                       '"cluster-events", "nodes": 3, "counters": [5]}'),
+    ])
+    def test_a_malformed_entry_is_a_one_line_refusal(self, name, first, tmp_path):
+        path = tmp_path / name
+        path.write_text(first + "\n")
+        assert _refusal(["stats", str(path)]).startswith(
+            f"{path}: unreadable artefact"
+        )
+
     def test_garbage_after_the_header_is_skipped_not_fatal(
         self, tmp_path, capsys
     ):

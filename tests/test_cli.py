@@ -939,6 +939,7 @@ class TestUserErrors:
         [
             ["run", "--steps", "-1"],
             ["sweep", "--steps", "-5"],
+            ["sweep", "--trials", "0"],
             ["stabilize", "--max-steps", "-1"],
             ["locality", "--victim", "99"],
             ["locality", "--victim", "-1"],
@@ -1010,4 +1011,28 @@ class TestOneRendering:
         out = tmp_path / "timeline.jsonl"
         self._assert_block(
             ["timeline", str(tmp_path), "--out", str(out)], out, capsys
+        )
+
+    def test_sweep(self, tmp_path, capsys):
+        out = tmp_path / "sweep.jsonl"
+        self._assert_block(
+            ["sweep", "--topology", "ring:4", "--trials", "3", "--steps", "300",
+             "--out", str(out), "--quiet"],
+            out, capsys,
+        )
+
+    def test_bench(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_x.json"
+        self._assert_block(
+            ["bench", "--quick", "--filter", "snapshot", "--out", str(out)],
+            out, capsys,
+        )
+
+    def test_cluster_run(self, tmp_path, capsys):
+        out = tmp_path / "run.events"
+        self._assert_block(
+            ["cluster", "run", "--topology", "ring:3", "--seed", "1",
+             "--duration", "0.5", "--tick-interval", "0.005", "--no-chaos",
+             "--events-out", str(out)],
+            out, capsys,
         )
