@@ -20,14 +20,18 @@ the object model's.  ``repro check`` runs on this class alone:
 functions generated from the same rows: the proofs need each transition's
 label, so they take ``expand``'s ``(p, a, key)`` triples one state at a
 time; a closure needs only the new keys, so :meth:`reachable_count` hands
-each BFS level to ``level``, which tests every successor against the
-visited set where it is computed.
+each BFS level to a generated loop, which tests every successor against the
+visited states where it is computed.  Those are a bitmap indexed by
+:meth:`KeyLayout.rank` (``bitmap``, one bit a state of the full space, the
+successor key built only for a state not seen before) when every source
+shares its ``needs`` and ``status`` fields and the bitmap is at most 8
+bytes per state the cap allows; otherwise a ``set`` of keys (``level``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim.configuration import Configuration
 from ..sim.errors import StateSpaceExceededError
@@ -73,10 +77,10 @@ class FastTransitionSystem:
             program = int_key_program(codec)
             self.source = program.source
             self._expand = program.functions["expand"]
-        #: The generated closure loop, ``level(frontier, seen, found, limit)``,
-        #: compiled by the first :meth:`reachable_count` that has a state to
-        #: expand: a proof over the full space never needs it.
-        self._level: Optional[Callable[..., Tuple[int, int]]] = None
+        #: The generated closure loops (``level``, ``bitmap``), each
+        #: compiled by the first :meth:`reachable_count` that runs it: a
+        #: proof over the full space never needs them.
+        self._loops: Dict[str, Callable[..., Tuple[int, ...]]] = {}
 
     def successors_packed(self, k: int) -> List[Tuple[int, int, int]]:
         """Expand the state ``k`` (a :meth:`PackedCodec.key` int).
@@ -127,43 +131,83 @@ class FastTransitionSystem:
         """BFS closure of the configurations ``sources``, counting instead
         of materializing.
 
-        Level-synchronous over a ``set`` of int keys: a state is one int from
-        the moment it is found, each level's list is dropped once expanded,
-        and nothing else is kept per state.  Each level is one call of the
-        generated ``level`` loop, which keeps :meth:`successors_packed`'s
-        order.  ``progress(level, states, frontier)`` is called after each
-        level.  Raises :class:`StateSpaceExceededError` when the closure
-        has more than ``max_states`` states, like the object explorer;
-        the size is checked after each expanded state, so the set holds at
-        most one state's successors more than the cap when it raises.
+        Level-synchronous: each level is one call of a generated loop,
+        which keeps :meth:`successors_packed`'s order, and each level's
+        list is dropped once expanded.  The visited states are a bitmap of
+        ranks (:meth:`KeyLayout.rank`), one bit per state of the full space,
+        when every source has the same ``needs`` and ``status`` fields (no
+        action writes them, so the rank then tells the closure's states
+        apart) and the bitmap takes at most 8 bytes per state the cap
+        allows; otherwise a ``set`` of int keys, ≈ 70 bytes per state.
+        ``progress(level, states, frontier)`` is called after each level.
+        Raises :class:`StateSpaceExceededError` when the closure has more
+        than ``max_states`` states, like the object explorer; the count is
+        checked after each expanded state, so at most one state's
+        successors more than the cap are visited when it raises.
         """
-        visited: Set[int] = set()
-        frontier: List[int] = []
-        for source in sources:
-            k = self.codec.key(self.codec.pack(source))
-            if k not in visited:
-                visited.add(k)
-                frontier.append(k)
+        codec = self.codec
+        keys = list(dict.fromkeys(codec.key(codec.pack(s)) for s in sources))
+        if not keys:
+            return FastReachability(states=0, transitions=0, violations=0)
         # The sources alone may exceed the cap: only a state found past it
         # raises, as in the object explorer.
-        limit = max(max_states, len(visited))
-        if frontier and self._level is None:
-            self._level = int_key_program(self.codec, "level").functions["level"]
-        expand_level = self._level
-        transitions = 0
-        violations = 0
-        level = 0
-        while frontier:
-            found: List[int] = []
-            fanned, eating = expand_level(frontier, visited, found, limit)
-            if len(visited) > limit:
+        limit = max(max_states, len(keys))
+        layout = codec.layout
+        if (
+            len({k & layout.unranked for k in keys}) == 1
+            and -(-layout.size // 8) <= 8 * limit
+        ):
+            levels = self._bitmap_levels(keys, limit)
+        else:
+            levels = self._set_levels(keys, limit)
+        transitions = violations = 0
+        for level, (states, frontier, fanned, eating) in enumerate(levels, 1):
+            if states > limit:
                 raise StateSpaceExceededError(max_states)
             transitions += fanned
             violations += eating
-            frontier = found
-            level += 1
             if progress is not None:
-                progress(level, len(visited), len(frontier))
+                progress(level, states, frontier)
         return FastReachability(
-            states=len(visited), transitions=transitions, violations=violations
+            states=states, transitions=transitions, violations=violations
         )
+
+    def _loop(self, name: str) -> Callable[..., Tuple[int, ...]]:
+        """The generated closure loop ``name``, compiled on first use."""
+        if name not in self._loops:
+            self._loops[name] = int_key_program(self.codec, name).functions[name]
+        return self._loops[name]
+
+    def _set_levels(
+        self, keys: List[int], limit: int
+    ) -> Iterator[Tuple[int, int, int, int]]:
+        """Per BFS level from ``keys``: ``(states, frontier, transitions,
+        violations)``, the visited states a ``set`` of keys."""
+        expand_level = self._loop("level")
+        visited, frontier = set(keys), keys
+        while frontier:
+            found: List[int] = []
+            fanned, eating = expand_level(frontier, visited, found, limit)
+            frontier = found
+            yield len(visited), len(frontier), fanned, eating
+
+    def _bitmap_levels(
+        self, keys: List[int], limit: int
+    ) -> Iterator[Tuple[int, int, int, int]]:
+        """:meth:`_set_levels`, the visited states a bitmap of ranks; the
+        keys must share their :attr:`KeyLayout.unranked` bits."""
+        expand_level = self._loop("bitmap")
+        layout = self.codec.layout
+        seen = bytearray(-(-layout.size // 8))
+        frontier, ranks = keys, [layout.rank(k) for k in keys]
+        for r in ranks:
+            seen[r >> 3] |= 1 << (r & 7)
+        states = len(keys)
+        while frontier:
+            found: List[int] = []
+            found_ranks: List[int] = []
+            fanned, eating, states = expand_level(
+                frontier, ranks, seen, found, found_ranks, states, limit
+            )
+            frontier, ranks = found, found_ranks
+            yield states, len(frontier), fanned, eating

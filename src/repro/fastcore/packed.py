@@ -113,6 +113,10 @@ class KeyLayout:
     bit per edge (``topology.edges`` order): the edge's index in its
     ``edge_domain``.  :attr:`edges` holds each edge's endpoint indices in
     that domain's order, so a set bit names the second one the ancestor.
+
+    :meth:`rank` numbers the keys of one ``needs``/``status`` assignment
+    densely, in :meth:`keys`' order, so that a per-state structure can be a
+    flat array indexed by it rather than a hash table of keys.
     """
 
     def __init__(
@@ -157,10 +161,64 @@ class KeyLayout:
             for combo in itertools.product(*indices)
         ]
 
+    def _edge_offsets(self) -> List[int]:
+        """The edges' key bits, first varying slowest in :meth:`keys`: by
+        sorted endpoint indices."""
+        return [
+            bit for _pair, bit in sorted(
+                zip(map(sorted, self.edges), range(self.edge_base, self.bits))
+            )
+        ]
+
     @property
     def size(self) -> int:
         """How many keys :meth:`keys` yields."""
         return len(self._live_slots()) ** self.n << len(self.edges)
+
+    @cached_property
+    def _places(self) -> Dict[int, Tuple[int, int]]:
+        """:meth:`rank`'s digits: the key offset of every field a
+        transition can change -> ``(its mask, its place value)``.  The
+        declared locals but the :data:`PINNED` ones, process by process,
+        then the edges, each digit in :meth:`keys`' order of significance;
+        ``status`` and the pinned locals are no digit."""
+        digits = [
+            (self.at(p, name), len(values))
+            for p in range(self.n)
+            for name, values in self.values.items()
+            if name != STATUS and name not in PINNED
+        ] + [(bit, 2) for bit in self._edge_offsets()]
+        places, weight = {}, 1
+        for offset, radix in reversed(digits):
+            places[offset] = ((1 << (radix - 1).bit_length()) - 1, weight)
+            weight *= radix
+        return places
+
+    def weight(self, offset: int) -> int:
+        """The place value in :meth:`rank` of the field at ``offset`` in a
+        key (:meth:`at`, or ``edge_base + e`` for edge ``e``)."""
+        return self._places[offset][1]
+
+    @cached_property
+    def unranked(self) -> int:
+        """The bits of a key :meth:`rank` ignores: every process's
+        ``status`` and :data:`PINNED` locals, which no action writes."""
+        return sum(
+            self.mask(name) << self.at(p, name)
+            for p in range(self.n)
+            for name in self.values
+            if name == STATUS or name in PINNED
+        )
+
+    def rank(self, k: int) -> int:
+        """The index of ``k`` in ``keys(dead)``, ``dead`` being ``k``'s own
+        dead processes: a mixed-radix number in ``range(size)`` over the
+        fields a transition can change.  Two keys differing only in
+        :attr:`unranked` bits have one rank."""
+        return sum(
+            (k >> offset & mask) * weight
+            for offset, (mask, weight) in self._places.items()
+        )
 
     def keys(self, dead: AbstractSet[int] = frozenset()) -> Iterator[int]:
         """Every key of the full space — the :data:`PINNED` locals held,
@@ -175,12 +233,7 @@ class KeyLayout:
             [(v | dead_bits if p in dead else v) << p * self.slot_bits for v in live]
             for p in range(self.n)
         ]
-        edge_bits = [
-            (0, 1 << bit)
-            for _pair, bit in sorted(
-                zip(map(sorted, self.edges), range(self.edge_base, self.bits))
-            )
-        ]
+        edge_bits = [(0, 1 << bit) for bit in self._edge_offsets()]
         orientations = [sum(bits) for bits in itertools.product(*edge_bits)]
         for locals_ in itertools.product(*slots):
             base = sum(locals_)

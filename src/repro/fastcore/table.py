@@ -13,7 +13,7 @@ the atoms for packed state and turning a table into Python source that is
   :meth:`PackedCodec.key`'s int itself: every neighbour field is read by a
   constant shift, every successor is ``k`` masked and or-ed with constants,
   nothing is decoded into lists and no Python function is called per
-  transition.  It emits two programs from one set of rows, which differ
+  transition.  It emits three programs from one set of rows, which differ
   only in what an enabled row does with its successor:
 
   - ``expand(k)``, straight-line, lists the labelled successors: the body
@@ -22,7 +22,14 @@ the atoms for packed state and turning a table into Python source that is
   - ``level(frontier, seen, found, limit)`` expands a whole BFS level in one
     frame, adding each new successor to the visited set and the next
     frontier in place, and audits each state for two neighbours eating:
-    the loop of :meth:`FastTransitionSystem.reachable_count`.
+    the loop of :meth:`FastTransitionSystem.reachable_count` over a set of
+    keys;
+  - ``bitmap(frontier, ranks, seen, found, found_ranks, c, limit)`` is
+    ``level`` over a bitmap of ranks (:meth:`KeyLayout.rank`), one bit a
+    state: each row adds a difference fixed here to its parent's rank,
+    tests the successor's bit, and builds the successor key only when the
+    bit was clear — the loop ``reachable_count`` runs when the full
+    space's bitmap is small enough.
 * :func:`vector_program` — topology-independent, memoised per (table, cap,
   ``D``) so a campaign's thousand stores compile once: a ``bind`` factory
   each :class:`PackedSystem` calls once over its vectors and bitsets, whose
@@ -33,8 +40,8 @@ All three spell Figure 1's vocabulary only (no fork atoms): the codec
 refuses a table that uses more.  Generated source is kept on the program
 (``.source``) and registered in :mod:`linecache`.  ``expand`` and ``bind``
 are tested against the hand-written reference in
-``tests/core/figure1_oracle.py``, ``level`` against ``expand`` in
-``tests/property/test_int_key_properties.py``.
+``tests/core/figure1_oracle.py``, ``level`` against ``expand`` and
+``bitmap`` against ``level`` in ``tests/property/test_int_key_properties.py``.
 """
 
 from __future__ import annotations
@@ -61,11 +68,33 @@ from .packed import STATUS
 # -------------------------------------------------------- int-key lowering
 
 
-#: What an enabled row does with its successor ``t``, per generated function:
-#: ``expand`` lists it; ``level`` counts it and, if new, marks and queues it.
+#: What an enabled row does with its successor, per generated function:
+#: ``expand`` lists its key ``{t}``; ``level`` counts it and, if new, marks
+#: and queues it; ``bitmap`` does the same by its rank ``{r}``, building the
+#: key only for a state it has not seen.
 _INT_KEY_FIRE = {
     "expand": "add(({p}, {a}, {t}))",
     "level": "t = {t}\nn += 1\nif t not in seen:\n    seen_add(t)\n    push(t)",
+    "bitmap": (
+        "t = {r}\nn += 1\ni, b = t >> 3, 1 << (t & 7)\nif not seen[i] & b:\n"
+        "    seen[i] |= b\n    push({t})\n    push_rank(t)\n    c += 1"
+    ),
+}
+
+#: The frame of each closure loop around the rows: its signature, what it
+#: binds first, what it loops over, how many states it has visited, and
+#: what it returns.
+_CLOSURE_FRAMES = {
+    "level": (
+        "level(frontier, seen, found, limit)",
+        "seen_add, push = seen.add, found.append",
+        "k in frontier", "len(seen)", "n, v",
+    ),
+    "bitmap": (
+        "bitmap(frontier, ranks, seen, found, found_ranks, c, limit)",
+        "push, push_rank = found.append, found_ranks.append",
+        "k, r in zip(frontier, ranks)", "c", "n, v, c",
+    ),
 }
 
 
@@ -80,14 +109,25 @@ def int_key_program(codec, function: str = "expand") -> Program:
       successor not in the set ``seen`` added to it and appended to the list
       ``found``, in ``expand``'s order.  It returns how many successors there
       were and how many of ``frontier``'s states have two neighbours
-      eating, and stops after the state that takes ``seen`` past ``limit``.
+      eating, and stops after the state that takes ``seen`` past ``limit``;
+    * ``bitmap(frontier, ranks, seen, found, found_ranks, c, limit) ->
+      (transitions, violations, c)`` — the same level over
+      :meth:`KeyLayout.rank`: ``ranks`` holds each frontier key's rank,
+      ``seen`` is a ``bytearray`` with bit ``r`` set for every visited rank
+      ``r``, and ``c`` counts the visited states.  A successor's rank is
+      its parent's plus a difference written here, per row, from the
+      place values of the fields the row assigns; a successor whose bit is
+      clear gets it set, and its key and rank are appended to ``found`` and
+      ``found_ranks``.  It returns ``c`` too, and stops after the state
+      that takes ``c`` past ``limit``.  Sound only when every key has the
+      same :attr:`KeyLayout.unranked` bits, which no row writes.
 
-    The two differ only in what an enabled row does with its successor
+    They differ only in what an enabled row does with its successor
     (:data:`_INT_KEY_FIRE`) and in the frame around the rows, which for
-    ``level`` holds the eating audit.
+    ``level`` and ``bitmap`` holds the eating audit.
     """
     layout = codec.layout
-    at, mask = layout.at, layout.mask
+    at, mask, weight = layout.at, layout.mask, layout.weight
     table, cap, n = codec.table, codec.cap, codec.n
     every_bit = (1 << layout.bits) - 1
     statement = _INT_KEY_FIRE[function]
@@ -97,13 +137,16 @@ def int_key_program(codec, function: str = "expand") -> Program:
         shift = f" >> {at(p, name)}" if at(p, name) else ""
         return f"k{shift} & {mask(name)}"
 
+    def scaled(term: str, w: int) -> str:
+        return term if w == 1 else f"{term} * {w}"
+
     #: per process: (neighbour, edge variable, "is the neighbour my ancestor
-    #: when the edge's key bit is set", the edge's key bit)
+    #: when the edge's key bit is set", the edge's offset in a key)
     incident: List[List[Tuple[int, str, bool, int]]] = [[] for _ in range(n)]
     for e, (i, j) in enumerate(layout.edges):
-        bit = 1 << (layout.edge_base + e)
-        incident[i].append((j, f"e{e}", True, bit))
-        incident[j].append((i, f"e{e}", False, bit))
+        offset = layout.edge_base + e
+        incident[i].append((j, f"e{e}", True, offset))
+        incident[j].append((i, f"e{e}", False, offset))
 
     def over(p: int, ancestors: bool, what: str) -> str:
         """Disjunction of ``what`` (over neighbour ``q``) across ``p``'s
@@ -111,36 +154,56 @@ def int_key_program(codec, function: str = "expand") -> Program:
         return " or ".join(
             ("" if set_means_anc == ancestors else "not ") + f"{ev} and "
             + what.format(q=q)
-            for q, ev, set_means_anc, _bit in incident[p]
+            for q, ev, set_means_anc, _offset in incident[p]
         ) or "False"
 
     body: List[str] = []
     for p in range(n):
         prop = []
-        for q, ev, set_means_anc, _bit in incident[p]:
+        for q, ev, set_means_anc, _offset in incident[p]:
             is_desc = ("not " if set_means_anc else "") + ev
             prop.append(
                 f"if {is_desc} and d{q} >= m: m = d{q} + 1" if prop
                 else f"m = d{q} + 1 if {is_desc} else 0"
             )
+        prop = prop or ["m = 0"]  # no neighbour, no descendant
         prop.append(f"if m > {cap}: m = {cap}")
 
         def fire(a: int, row: Action, state: Optional[int]) -> str:
             clear = fixed = 0
             moving = ""
+            # The successor's rank less the parent's: a constant, plus the
+            # terms only the running code knows.
+            step, terms = 0, []
             for variable, value in row.assign:
                 offset = at(p, variable)
+                w = weight(offset)
                 clear |= mask(variable) << offset
-                if value in STATE_CODE:
-                    fixed |= STATE_CODE[value] << offset
-                elif value.isdigit():
-                    fixed |= int(value) << offset
+                new = STATE_CODE.get(value, int(value) if value.isdigit() else None)
+                if new is not None:
+                    fixed |= new << offset
+                    step += new * w
                 else:  # an atom, known only when the code runs
                     moving += f" | {value} << {offset}" if offset else f" | {value}"
+                old = {VAR_STATE: f"s{p}", VAR_DEPTH: f"d{p}"}.get(
+                    variable, f"({read(p, variable)})"
+                )
+                if variable == VAR_STATE and state is not None:
+                    step -= state * w
+                elif new is not None:
+                    terms.append(f" - {scaled(old, w)}")
+                else:
+                    terms.append(f" + {scaled(f'({value} - {old})', w)}")
             if row.edges == "away":
-                for _q, _ev, set_means_anc, bit in incident[p]:
-                    clear |= bit
-                    fixed |= bit if set_means_anc else 0
+                for _q, ev, set_means_anc, offset in incident[p]:
+                    clear |= 1 << offset
+                    fixed |= 1 << offset if set_means_anc else 0
+                    w = weight(offset)
+                    terms.append(
+                        f" + (0 if {ev} else {w})" if set_means_anc
+                        else f" - ({w} if {ev} else 0)"
+                    )
+            rank = "r" + (f" + {step}" if step > 0 else f" - {-step}" if step else "")
             own = at(p, VAR_STATE)
             if state is not None and clear == mask(VAR_STATE) << own:
                 # Only the state changes and this arm knows its old value.
@@ -148,7 +211,9 @@ def int_key_program(codec, function: str = "expand") -> Program:
             else:
                 successor = f"k & {~clear & every_bit:#x}"
                 successor += f" | {fixed:#x}" if fixed else ""
-            return statement.format(p=p, a=a, t=successor + moving)
+            return statement.format(
+                p=p, a=a, t=successor + moving, r=rank + "".join(terms)
+            )
 
         low = Lowering(
             atoms={
@@ -170,7 +235,7 @@ def int_key_program(codec, function: str = "expand") -> Program:
     both_eat = " or ".join(
         f"s{i} == 2 and s{j} == 2" for i, j in layout.edges
     ) or "False"
-    audit = both_eat if function == "level" else ""
+    audit = both_eat if function != "expand" else ""
     # Decode only what some guard, command or the audit reads (an ablation
     # without fixdepth never looks at a depth).
     used = set(re.findall(r"\b[sde]\d+\b", "\n".join(body) + audit))
@@ -191,15 +256,12 @@ def int_key_program(codec, function: str = "expand") -> Program:
             + ["    return out"]
         )
     else:
-        lines = [
-            "def level(frontier, seen, found, limit):",
-            "    seen_add, push = seen.add, found.append",
-            "    n = v = 0",
-            "    for k in frontier:",
-        ] + indent(decode + body + [
+        signature, bind, loop, visited, result = _CLOSURE_FRAMES[function]
+        lines = [f"def {signature}:", f"    {bind}", "    n = v = 0", f"    for {loop}:"]
+        lines += indent(decode + body + [
             f"if k & {any_eats:#x} and ({both_eat}): v += 1",
-            "if len(seen) > limit: break",
-        ], " " * 8) + ["    return n, v"]
+            f"if {visited} > limit: break",
+        ], " " * 8) + [f"    return {result}"]
     # Topology has no name; its repr plus a digest of the edge list keeps two
     # graphs of one size from sharing (and overwriting) a linecache entry.
     edges = zlib.crc32(repr(layout.edges).encode())

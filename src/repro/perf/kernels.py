@@ -220,11 +220,12 @@ def fastcore_reachable():
     """A whole packed closure: ring(4) from the all-hungry state.
 
     One op is one of the closure's 19 264 states — expansion *plus* the
-    visited set and the frontier, which the successors kernel cannot see
-    and which is where the memory went before states were ints.  All three
-    run in the generated per-level loop, not in ``successors_packed``, so
-    this kernel moves when that loop does and the successors kernel does
-    not.
+    visited states and the frontier, which the successors kernel cannot
+    see and which is where the memory went before states were ints.  The
+    visited states are a bitmap of the 331 776 ranks of ring(4)'s full
+    space (41 KB).  All three run in the generated per-level loop
+    (``bitmap``), not in ``successors_packed``, so this kernel moves when
+    that loop does and the successors kernel does not.
     """
     from ..core import NADiners
     from ..fastcore.explorer import FastTransitionSystem

@@ -101,8 +101,11 @@ def run_check(
 
 def _check_reachable(fts, spec, threshold, max_states, every) -> int:
     """BFS the states reachable from the canonical all-hungry initial
-    configuration and audit eating-exclusion on each; a state is one int in
-    a set.  Timing goes on its own ``elapsed:`` line."""
+    configuration and audit eating-exclusion on each; a visited state is
+    one bit of a bitmap over the full space's ranks, or one int in a set
+    when that bitmap exceeds 8 bytes per state ``max_states`` allows
+    (:meth:`FastTransitionSystem.reachable_count`).  Timing goes on its own
+    ``elapsed:`` line."""
     topology = fts.topology
     system = System(topology, fts.algorithm)
     for pid in topology.nodes:

@@ -17,6 +17,7 @@ from repro.fastcore.explorer import FastReachability
 from repro.fastcore.table import int_key_program
 from repro.sim import (
     SimulationError,
+    StateSpaceExceededError,
     System,
     UnknownProcessError,
     line,
@@ -155,6 +156,63 @@ class TestReachability:
             tracemalloc.stop()
         assert stats.states == 19264
         assert peak / stats.states < 200
+
+    def test_memory_per_state_is_a_bit_of_the_rank_bitmap(self):
+        # Host-independent pin: the ring4 closure marks ranks in a bitmap
+        # of its 331 776-state full space (41 KB), so what is left per
+        # state is the frontier's key and rank; the set of keys read 59.5 B.
+        # The loop is compiled first: its ≈ 1.1 MB is paid once per
+        # explorer, not per state.
+        import tracemalloc
+
+        topo = ring(4)
+        algo = NADiners(
+            depth_cap=topo.diameter + 1, diameter_override=topo.diameter
+        )
+        fts = FastTransitionSystem(algo, topo)
+        config = all_hungry_initial(topo, algo)
+        fts.reachable_count([config])
+        tracemalloc.start()
+        try:
+            stats = fts.reachable_count([config])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.states == 19264
+        assert peak / stats.states < 32
+
+    def test_sources_that_differ_in_needs_close_over_the_set(self):
+        # A rank ignores ``needs``: two sources differing in one process's
+        # ``needs`` could share ranks, so the closure keeps a set of keys.
+        topo = line(3)
+        algo = NADiners(depth_cap=topo.diameter + 1)
+        system = System(topo, algo)
+        system.randomize(random.Random(0))
+        for pid in topo.nodes:
+            system.write_local(pid, "needs", True)
+        hungry = system.snapshot()
+        system.write_local(1, "needs", False)
+        sources = [hungry, system.snapshot()]
+        fts = FastTransitionSystem(algo, topo)
+        stats = fts.reachable_count(sources)
+        graph = TransitionSystem(algo, topo).reachable_from(sources)
+        assert stats.states == len(graph)
+        assert stats.transitions == sum(len(v) for v in graph.values())
+        assert set(fts._loops) == {"level"}
+
+    def test_a_space_too_large_for_a_bitmap_caps_over_the_set(self):
+        # ring:8's bitmap would be 18^8 * 2^8 bits: the set runs, and its
+        # cap raises as it always has.
+        topo = ring(8)
+        algo = NADiners(
+            depth_cap=topo.diameter + 1, diameter_override=topo.diameter
+        )
+        fts = FastTransitionSystem(algo, topo)
+        with pytest.raises(StateSpaceExceededError) as caught:
+            fts.reachable_count([all_hungry_initial(topo, algo)], max_states=5000)
+        assert caught.value.max_states == 5000
+        assert str(caught.value) == "state space exceeds max_states=5000"
+        assert set(fts._loops) == {"level"}
 
     def test_progress_reports_every_level(self):
         topo = line(3)

@@ -5,14 +5,21 @@ import random
 import pytest
 
 from repro.baselines import ForkOrderingDiners, HygienicDiners
-from repro.core import NADiners, NoFixdepthDiners, e_holds, eating_pairs
+from repro.baselines import ChoySinghDiners
+from repro.core import (
+    NADiners,
+    NoDynamicThresholdDiners,
+    NoFixdepthDiners,
+    e_holds,
+    eating_pairs,
+)
 from repro.fastcore import (
     FastTransitionSystem,
     PackedCodec,
     UnsupportedBackendError,
 )
 from repro.fastcore.table import int_key_program
-from repro.sim import DomainError, System, grid, line, ring
+from repro.sim import DomainError, System, grid, line, ring, star
 
 
 def randomized_config(topo, algo, seed, dead=(), malicious=()):
@@ -114,6 +121,36 @@ class TestKey:
         assert flipped.bit_length() - 1 == (
             codec.n * (codec.cap.bit_length() + 5) + 2
         )
+
+
+class TestRank:
+    @pytest.mark.parametrize(
+        "program",
+        [NADiners, NoFixdepthDiners, NoDynamicThresholdDiners, ChoySinghDiners],
+    )
+    @pytest.mark.parametrize(
+        "topo", [line(3), ring(3), star(3)], ids=["line3", "ring3", "star3"]
+    )
+    @pytest.mark.parametrize("dead", [(), (0,), (1,)], ids=["alive", "dead0", "dead1"])
+    def test_rank_numbers_the_keys_in_enumeration_order(self, program, topo, dead):
+        layout = PackedCodec(topo, program(depth_cap=topo.diameter + 1)).layout
+        ranks = [layout.rank(k) for k in layout.keys(frozenset(dead))]
+        assert ranks == list(range(layout.size))
+
+    def test_needs_and_status_are_no_digit(self):
+        topo = ring(4)
+        algo = NADiners(depth_cap=topo.diameter + 1)
+        codec = PackedCodec(topo, algo)
+        layout = codec.layout
+        config = randomized_config(topo, algo, 3)
+        ps = codec.pack(config)
+        key = codec.key(ps)
+        ps.needs[2] = not ps.needs[2]
+        ps.status[1] = 1
+        ps.status[3] = 2
+        other = codec.key(ps)
+        assert other != key and (other ^ key) & ~layout.unranked == 0
+        assert layout.rank(other) == layout.rank(key)
 
 
 class TestSupport:

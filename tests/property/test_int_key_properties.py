@@ -17,7 +17,9 @@ processes — on ring, line and grid:
   lists that are new, in its order, counts every one of them, and counts a
   state with two neighbours eating exactly when the decoded key has an
   eating pair — for Figure 1 and both ablations, whatever the visited set
-  already holds.
+  already holds; and the bitmap loop (``"bitmap"``), which finds a
+  successor's rank from its parent's, does the same as the set loop and
+  marks exactly the ranks of the keys it queues.
 """
 
 import random
@@ -166,6 +168,15 @@ def test_level_queues_the_new_successors_in_expand_order(instance, data):
     eating = bool(eating_pairs(fts.codec.unkey(key)))
     targets = [t for _p, _a, t in successors]
     level = int_key_program(fts.codec, "level").functions["level"]
+    bitmap = int_key_program(fts.codec, "bitmap").functions["bitmap"]
+    layout = fts.codec.layout
+
+    def marked(keys):
+        marks = bytearray(-(-layout.size // 8))
+        for r in map(layout.rank, keys):
+            marks[r >> 3] |= 1 << (r & 7)
+        return marks
+
     # Seen before: the key itself, then also some of its successors.
     seeded = data.draw(st.sets(st.sampled_from(targets))) if targets else set()
     for before in ({key}, {key} | seeded):
@@ -174,3 +185,11 @@ def test_level_queues_the_new_successors_in_expand_order(instance, data):
         assert level([key], seen, found, closure) == (len(successors), int(eating))
         assert found == [t for t in dict.fromkeys(targets) if t not in before]
         assert seen == before | set(targets)
+        # The bitmap loop: the same level, by rank.
+        marks, queued, ranks = marked(before), [], []
+        assert bitmap(
+            [key], [layout.rank(key)], marks, queued, ranks, len(before), closure
+        ) == (len(successors), int(eating), closure)
+        assert queued == found
+        assert ranks == [layout.rank(t) for t in found]
+        assert marks == marked(seen)

@@ -106,6 +106,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "converges: True" in out
 
+    def test_check_a_process_with_no_neighbour(self, capsys):
+        # The int-key lowering once bound ``fixdepth``'s ``m`` only from a
+        # neighbour, so line:1 crashed in both modes.
+        assert main(["check", "--topology", "line:1"]) == 0
+        assert "threshold=0: 6 states" in capsys.readouterr().out
+        assert main(["check", "--topology", "line:1", "--reachable"]) == 0
+        out = capsys.readouterr().out
+        assert "reachable: 3 states, 3 transitions" in out
+        from repro.core import NADiners
+        from repro.sim import System, line
+        from repro.verification import TransitionSystem
+
+        topo = line(1)
+        algo = NADiners(depth_cap=1, diameter_override=0)
+        system = System(topo, algo)
+        system.write_local(0, "needs", True)
+        graph = TransitionSystem(algo, topo).reachable_from([system.snapshot()])
+        assert (len(graph), sum(map(len, graph.values()))) == (3, 3)
+
     def test_check_corrected_threshold(self, capsys):
         assert main(["check", "--topology", "ring:3", "--corrected-threshold"]) == 0
 
