@@ -30,10 +30,10 @@ from repro.sim import AlwaysHungry, Engine, NeverHungry, System, line, ring
 def test_e8a_no_fixdepth_livelock(benchmark):
     from repro.verification import (
         TransitionSystem,
-        check_convergence,
         confirm_fair_livelock,
         enumerate_configurations,
     )
+    from repro.verification.check import prove
 
     def run():
         topo = ring(3)
@@ -44,7 +44,7 @@ def test_e8a_no_fixdepth_livelock(benchmark):
             )
         )
         ts = TransitionSystem(algo, topo)
-        report = check_convergence(ts, lambda c: nc_holds(c) and e_holds(c), configs)
+        _, report, _ = prove(ts, configs, lambda c: nc_holds(c) and e_holds(c))
         livelock = confirm_fair_livelock(ts, report.stuck_scc)
         return report, livelock
 

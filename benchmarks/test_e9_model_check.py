@@ -9,10 +9,11 @@ For each instance we enumerate the *entire* state space and machine-check:
   yields an *empty* invariant, while the longest-simple-path threshold
   restores a non-empty, closed, convergent one.
 
-The diners instances run the way ``repro check`` does — the properties of
-``repro.verification`` over ``FastTransitionSystem``'s int keys — so these
-runs double as macro-benchmarks of that path; the K-state instance has no
-action table and runs on the object ``TransitionSystem``.
+Every instance runs through ``repro.verification.check.prove``, the driver
+``repro check`` runs.  The diners instances run the way that command does —
+over ``FastTransitionSystem``'s int keys — so these runs double as
+macro-benchmarks of that path; the K-state instance has no action table and
+runs on the object ``TransitionSystem``.
 """
 
 from conftest import print_table
@@ -23,22 +24,17 @@ from repro.mp import KStateToken, single_privilege
 from repro.sim import line, ring, star
 from repro.verification import (
     TransitionSystem,
-    build_graph,
-    check_closure,
-    check_convergence,
     enumerate_configurations,
     optimal_recovery_diameter,
 )
-from repro.verification.check import full_space
+from repro.verification.check import full_space, prove
 
 
 def check_instance(topo, threshold=None):
     t = topo.diameter if threshold is None else threshold
     fts = FastTransitionSystem(NADiners(depth_cap=t + 1, diameter_override=t), topo)
     keys, pred = full_space(fts, invariant_with_threshold(t))
-    closure = check_closure(fts, pred, keys)
-    graph = build_graph(fts, keys)
-    convergence = check_convergence(fts, pred, keys, graph=graph)
+    closure, convergence, graph = prove(fts, keys, pred)
     recovery = optimal_recovery_diameter(graph, pred)
     return {
         "states": len(keys),
@@ -130,10 +126,11 @@ def test_e9_kstate_instance(benchmark):
         configs = list(enumerate_configurations(algo, topo))
         ts = TransitionSystem(algo, topo)
         pred = lambda c: single_privilege(c, algo)
+        closure, convergence, _ = prove(ts, configs, pred)
         return {
             "states": len(configs),
-            "closed": check_closure(ts, pred, configs).holds,
-            "converges": check_convergence(ts, pred, configs).converges,
+            "closed": closure.holds,
+            "converges": convergence.converges,
         }
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,7 +9,8 @@ apples-to-apples:
 * :class:`ChoySinghDiners` — dynamic-threshold diners [6, 7]:
   failure locality 2 (optimal) but not stabilizing;
 * :class:`ForkOrderingDiners` — Dijkstra's resource-ordering diners [8]:
-  deadlock-free without faults, unbounded locality, not stabilizing.
+  deadlock-free without faults (starvation-free only under random
+  schedules), unbounded locality, not stabilizing.
 
 The paper's contribution (:class:`repro.core.NADiners`) is the only one of
 the four that is simultaneously failure-local *and* stabilizing — which is

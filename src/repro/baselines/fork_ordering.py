@@ -13,7 +13,10 @@ ascending.
 
 Expected behaviour under the paper's fault models (what E2/E8 measure):
 
-* deadlock-free and live without faults (the total order breaks cycles);
+* deadlock-free without faults (the total order breaks cycles), but
+  starvation-free only under random schedules: under weak fairness a
+  neighbour may retake the fork a hungry process waits for each time it is
+  free (every process of line(4) has such a run, machine-checked);
 * **unbounded failure locality**: a process that crashes holding forks
   blocks its neighbours, who sit on their lower-ordered forks forever and
   transitively block *their* neighbours — starvation chains of any length;

@@ -248,8 +248,8 @@ def fastcore_reachable():
 def checker_prove():
     """Theorem 1 on line(3), whole: what ``repro check --topology line:3``
     does — enumerate the 6 912 keys, evaluate ``I`` on each key's
-    ``PackedState``, closure, graph, Tarjan and the fair-escape test per
-    illegitimate SCC.
+    ``PackedState``, then ``prove``: graph, closure, Tarjan and the
+    fair-escape test per illegitimate SCC.
 
     One op is one state of the full space; ``unkey`` and ``I`` are about
     two thirds of it, the graph and Tarjan the rest (EXPERIMENTS.md E9).
@@ -257,8 +257,7 @@ def checker_prove():
     from ..core import NADiners, invariant_with_threshold
     from ..fastcore.explorer import FastTransitionSystem
     from ..sim import line
-    from ..verification import check_closure, check_convergence
-    from ..verification.check import full_space
+    from ..verification.check import full_space, prove
 
     topo = line(3)
     t = topo.diameter
@@ -266,10 +265,9 @@ def checker_prove():
 
     def kernel():
         keys, legit = full_space(fts, invariant_with_threshold(t))
-        closed = check_closure(fts, legit, keys).holds
-        report = check_convergence(fts, legit, keys)
-        if not (closed and report.converges and report.scc_count == 6087):
-            raise RuntimeError(f"line3 proof changed: {closed}, {report}")
+        closure, report, _ = prove(fts, keys, legit)
+        if not (closure.holds and report.converges and report.scc_count == 6087):
+            raise RuntimeError(f"line3 proof changed: {closure.holds}, {report}")
 
     return kernel
 

@@ -2,8 +2,9 @@
 
 One path for the one algorithm the command checks: ``NADiners`` capped at
 ``threshold + 1`` always has a packed form, so every state is an int key of
-:class:`repro.fastcore.explorer.FastTransitionSystem` and the properties of
-:mod:`repro.verification.properties` run over those keys.  The invariant is
+:class:`repro.fastcore.explorer.FastTransitionSystem` and :func:`prove` — the
+one driver of every exhaustive Theorem 1 check — runs the properties of
+:mod:`repro.verification.properties` over those keys.  The invariant is
 :func:`repro.core.invariant_with_threshold`, evaluated once per state on the
 key's ``PackedState`` (``codec.unkey``); a ``Configuration`` is decoded only
 for a printed counterexample.
@@ -14,11 +15,13 @@ from __future__ import annotations
 import resource
 import sys
 import time
+from types import SimpleNamespace
 
 from ..core import NADiners, invariant_report, invariant_with_threshold
 from ..fastcore.explorer import FastTransitionSystem
 from ..sim import System, from_spec
 from ..sim.errors import StateSpaceExceededError
+from .explorer import reachable_graph
 from .properties import check_closure, check_convergence
 
 
@@ -45,6 +48,25 @@ def full_space(fts: FastTransitionSystem, predicate):
     keys = list(fts.enumerate_keys())
     satisfying = {k for k in keys if predicate(unkey(k))}
     return keys, satisfying.__contains__
+
+
+def prove(ts, states, legit, *, max_states: int = 1_000_000):
+    """Theorem 1 on one instance: ``(closure, convergence, graph)``.
+
+    ``ts`` is any transition system (``successors(state)`` → ``(pid,
+    action, target)`` triples), ``states`` seeds the space and ``legit`` is
+    the invariant as a predicate on its states.  The labelled graph is built
+    once, closed under reachability (past ``max_states`` it raises
+    :class:`StateSpaceExceededError`); :func:`check_closure` and
+    :func:`check_convergence` both read it, so no state is expanded twice,
+    and it is returned for further passes such as
+    :func:`~repro.verification.properties.optimal_recovery_diameter`.
+    """
+    graph = reachable_graph(ts.successors, states, max_states=max_states)
+    expanded = SimpleNamespace(successors=graph.__getitem__)
+    closure = check_closure(expanded, legit, graph)
+    convergence = check_convergence(ts, legit, graph, graph=graph)
+    return closure, convergence, graph
 
 
 def run_check(
@@ -78,7 +100,7 @@ def run_check(
         return _over_cap(spec, max_states, "states", states)
     print(f"{topology}, threshold={threshold}: {states} states", flush=True)
     keys, predicate = full_space(fts, invariant_with_threshold(threshold))
-    closure = check_closure(fts, predicate, keys)
+    closure, convergence, _ = prove(fts, keys, predicate, max_states=max_states)
     print(f"I closed: {closure.holds} ({closure.checked_states} legit states)")
     if closure.counterexample is not None:
         cx, codec = closure.counterexample, fts.codec
@@ -91,7 +113,6 @@ def run_check(
         print(fts.describe(cx.target))
         report = invariant_report(codec.unkey(cx.target), threshold)
         print(f"where I's conjuncts read {report}")
-    convergence = check_convergence(fts, predicate, keys, max_states=max_states)
     print(
         f"converges: {convergence.converges} "
         f"({convergence.scc_count} SCCs, {convergence.legit_states} legit states)"

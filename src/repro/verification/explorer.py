@@ -12,8 +12,9 @@ with finite counters (e.g. ``NADiners(depth_cap=topology.diameter + 1)`` —
 see :mod:`repro.core.algorithm` for why that cap is sound).
 
 :class:`TransitionSystem` over ``Configuration`` objects is the reference
-explorer: it runs every ``Algorithm`` (K-state, the baselines, the
-low-atomicity adapter have no other), and the int-keyed
+explorer: it runs every ``Algorithm`` (K-state, hygienic, fork-ordering and
+the low-atomicity adapter have no other; choy-singh and the ablations also
+pack), and the int-keyed
 :class:`repro.fastcore.explorer.FastTransitionSystem` that ``repro check``
 uses is tested against it.  :class:`Transition` and :func:`reachable_graph`
 are what :mod:`repro.verification.properties` builds on.

@@ -90,22 +90,30 @@ class ClosureReport:
     counterexample: Optional[Counterexample]
 
 
-def build_graph(
+def _first_break(
     ts: TransitionRelation,
     configs: Iterable[State],
-    *,
-    close_under_reachability: bool = True,
-    max_states: int = 1_000_000,
-) -> Graph:
-    """The labelled transition graph over ``configs``.
-
-    With ``close_under_reachability`` (default) successors outside the given
-    set are explored too, so the graph is transition-closed; exploring a full
-    enumerated space adds nothing, but partial seed sets stay sound.
-    """
-    if close_under_reachability:
-        return reachable_graph(ts.successors, configs, max_states=max_states)
-    return {config: ts.successors(config) for config in configs}
+    select: Predicate | None,
+    kept_from: Callable[[Any], Predicate],
+) -> ClosureReport:
+    """The first transition from a ``select``-ed state (every state when
+    None) whose target fails the test ``kept_from(source)`` returns (called
+    once per source); the report counts the selected states up to and
+    including its source."""
+    checked = 0
+    for config in configs:
+        if select is not None and not select(config):
+            continue
+        checked += 1
+        kept = kept_from(config)
+        for pid, action, target in ts.successors(config):
+            if not kept(target):
+                return ClosureReport(
+                    holds=False,
+                    checked_states=checked,
+                    counterexample=Counterexample(config, pid, action, target),
+                )
+    return ClosureReport(holds=True, checked_states=checked, counterexample=None)
 
 
 def check_closure(
@@ -118,19 +126,7 @@ def check_closure(
     Only states satisfying the predicate are expanded — exactly the paper's
     definition of a closed predicate.
     """
-    checked = 0
-    for config in configs:
-        if not predicate(config):
-            continue
-        checked += 1
-        for pid, action, target in ts.successors(config):
-            if not predicate(target):
-                return ClosureReport(
-                    holds=False,
-                    checked_states=checked,
-                    counterexample=Counterexample(config, pid, action, target),
-                )
-    return ClosureReport(holds=True, checked_states=checked, counterexample=None)
+    return _first_break(ts, configs, predicate, lambda _config: predicate)
 
 
 def check_monotone_set(
@@ -147,20 +143,31 @@ def check_monotone_set(
     closed predicate, restricting sources checks whole computations, not
     just single steps.
     """
-    checked = 0
-    for config in configs:
-        if only_when is not None and not only_when(config):
-            continue
-        checked += 1
+
+    def kept_from(config: Any) -> Predicate:
         members = set_fn(config)
-        for pid, action, target in ts.successors(config):
-            if not members <= set_fn(target):
-                return ClosureReport(
-                    holds=False,
-                    checked_states=checked,
-                    counterexample=Counterexample(config, pid, action, target),
-                )
-    return ClosureReport(holds=True, checked_states=checked, counterexample=None)
+        return lambda target: members <= set_fn(target)
+
+    return _first_break(ts, configs, only_when, kept_from)
+
+
+def check_numeric_nonincreasing(
+    ts: TransitionRelation,
+    measure: Callable[[Any], float],
+    configs: Iterable[State],
+) -> ClosureReport:
+    """Does ``measure`` never increase along any transition?
+
+    Theorem 3 in checkable form: with ``measure = len ∘ eating_pairs``,
+    a pass over the full enumeration proves the simultaneously-eating-pairs
+    count is non-increasing from *every* state, not just inside I.
+    """
+
+    def kept_from(config: Any) -> Predicate:
+        value = measure(config)
+        return lambda target: measure(target) <= value
+
+    return _first_break(ts, configs, None, kept_from)
 
 
 # ------------------------------------------------------------- convergence
@@ -233,33 +240,39 @@ def _tarjan_sccs(graph: Graph) -> List[List[State]]:
     return sccs
 
 
-def _has_internal_transition(scc_set: set, graph: Graph) -> bool:
-    return any(
-        target in scc_set
-        for node in scc_set
-        for _pid, _action, target in graph[node]
-    )
+def _common_labels(
+    states: Iterable[State], successors: Callable[[Any], Triples]
+) -> set:
+    """The ``(pid, action)`` labels enabled at every one of ``states`` —
+    one transition per enabled label, so these are the enabled sets."""
+    common = None
+    for state in states:
+        labels = {(pid, action) for pid, action, _target in successors(state)}
+        common = labels if common is None else common & labels
+        if not common:
+            return set()
+    return common or set()
 
 
-def _fair_escape_exists(scc: Sequence[State], graph: Graph) -> bool:
-    """Is there an action enabled at every SCC state that always exits it?"""
+def _trap(scc: Sequence[State], graph: Graph) -> Optional[str]:
+    """Why an illegitimate SCC may hold a weakly fair computation forever —
+    "deadlock" (a terminal state) or "no-escape-action" (a cycle no label
+    enabled at all of its states is sure to leave) — or None if it cannot."""
     scc_set = set(scc)
-    # Candidate labels: (pid, action) pairs enabled at the first state.
-    first = scc[0]
-    candidates = {(pid, action) for pid, action, _target in graph[first]}
-    for node in scc:
-        candidates &= {(pid, action) for pid, action, _target in graph[node]}
-        if not candidates:
-            return False
-    for pid, action in sorted(candidates, key=repr):
+    if not any(
+        target in scc_set for node in scc for _pid, _action, target in graph[node]
+    ):
+        # Computations cannot linger; but a terminal state would trap.
+        return "deadlock" if not graph[scc[0]] else None
+    for pid, action in sorted(_common_labels(scc, graph.__getitem__), key=repr):
         if all(
             target not in scc_set
             for node in scc
             for p, a, target in graph[node]
             if p == pid and a == action
         ):
-            return True
-    return False
+            return None
+    return "no-escape-action"
 
 
 def check_convergence(
@@ -272,49 +285,31 @@ def check_convergence(
 ) -> ConvergenceReport:
     """Attempt the SCC-based convergence proof (see module docstring).
 
-    ``configs`` seeds the space; it is closed under reachability first, so
-    passing the full enumeration checks convergence from truly arbitrary
-    states.  Pass a prebuilt ``graph`` (from :func:`build_graph` over the
-    same configs) to reuse it across several checks.
+    ``configs`` seeds the space; it is closed under reachability first
+    (:func:`~repro.verification.explorer.reachable_graph`), so passing the
+    full enumeration checks convergence from truly arbitrary states.  Pass
+    the ``graph`` of those configs, as
+    :func:`repro.verification.check.prove` does, to reuse it.
     """
     if graph is None:
-        graph = build_graph(ts, configs, max_states=max_states)
+        graph = reachable_graph(ts.successors, configs, max_states=max_states)
     legit = {config for config in graph if predicate(config)}
     sccs = _tarjan_sccs(graph)
-
     illegit_sccs = [scc for scc in sccs if scc[0] not in legit]
+    stuck, kind = (), None
     for scc in illegit_sccs:
-        scc_set = set(scc)
-        internal = _has_internal_transition(scc_set, graph)
-        if not internal:
-            # Computations cannot linger; but a terminal state would trap.
-            if len(scc) == 1 and not graph[scc[0]]:
-                return ConvergenceReport(
-                    converges=False,
-                    total_states=len(graph),
-                    legit_states=len(legit),
-                    scc_count=len(sccs),
-                    illegit_scc_count=len(illegit_sccs),
-                    stuck_scc=tuple(scc),
-                    failure_kind="deadlock",
-                )
-            continue
-        if not _fair_escape_exists(scc, graph):
-            return ConvergenceReport(
-                converges=False,
-                total_states=len(graph),
-                legit_states=len(legit),
-                scc_count=len(sccs),
-                illegit_scc_count=len(illegit_sccs),
-                stuck_scc=tuple(scc),
-                failure_kind="no-escape-action",
-            )
+        kind = _trap(scc, graph)
+        if kind is not None:
+            stuck = tuple(scc)
+            break
     return ConvergenceReport(
-        converges=True,
+        converges=kind is None,
         total_states=len(graph),
         legit_states=len(legit),
         scc_count=len(sccs),
         illegit_scc_count=len(illegit_sccs),
+        stuck_scc=stuck,
+        failure_kind=kind,
     )
 
 
@@ -364,31 +359,6 @@ def optimal_recovery_diameter(graph: Graph, predicate: Predicate) -> Optional[in
     return worst
 
 
-def check_numeric_nonincreasing(
-    ts: TransitionRelation,
-    measure: Callable[[Any], float],
-    configs: Iterable[State],
-) -> ClosureReport:
-    """Does ``measure`` never increase along any transition?
-
-    Theorem 3 in checkable form: with ``measure = len ∘ eating_pairs``,
-    a pass over the full enumeration proves the simultaneously-eating-pairs
-    count is non-increasing from *every* state, not just inside I.
-    """
-    checked = 0
-    for config in configs:
-        checked += 1
-        value = measure(config)
-        for pid, action, target in ts.successors(config):
-            if measure(target) > value:
-                return ClosureReport(
-                    holds=False,
-                    checked_states=checked,
-                    counterexample=Counterexample(config, pid, action, target),
-                )
-    return ClosureReport(holds=True, checked_states=checked, counterexample=None)
-
-
 def confirm_fair_livelock(
     ts: TransitionRelation, states: Sequence[State]
 ) -> bool:
@@ -408,21 +378,11 @@ def confirm_fair_livelock(
     """
     if not states:
         return False
-    scc_set = set(states)
-    if len(states) == 1:
-        has_self_loop = any(
-            target in scc_set for _pid, _action, target in ts.successors(states[0])
-        )
-        if not has_self_loop:
-            return False
-    common = None
-    for config in states:
-        # one transition per enabled (pid, action): these are the enabled set
-        labels = {(pid, action) for pid, action, _target in ts.successors(config)}
-        common = labels if common is None else common & labels
-        if not common:
-            return True
-    return False
+    if len(states) == 1 and all(
+        target != states[0] for _pid, _action, target in ts.successors(states[0])
+    ):
+        return False  # no self-loop: nothing lingers in one state
+    return not _common_labels(states, ts.successors)
 
 
 def check_all_states(

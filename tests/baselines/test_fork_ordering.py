@@ -107,3 +107,49 @@ class TestBehaviour:
         e.run(10_000)
         assert e.eats_of(0) == 0
         assert e.eats_of(2) == 0
+
+
+class TestWeakFairness:
+    def test_deadlock_free_is_not_starvation_free(self):
+        """No fault at all, line(4) from all-hungry: 192 reachable states.
+        For each process ``q``, drop ``q``'s ``enter`` edges; an SCC with an
+        internal edge in which every ``(pid, action)`` enabled at all of its
+        states labels an internal edge hosts a weakly fair run where ``q``
+        never eats.  Every process has one.  Process 2's smallest is 4
+        states: it holds fork {1,2} and waits for {2,3}, which 3 takes each
+        time it is free, so 2's ``acquire`` is never continuously enabled."""
+        from repro.verification import TransitionSystem
+        from repro.verification.properties import _tarjan_sccs
+
+        topo = line(4)
+        ts = TransitionSystem(ForkOrderingDiners(), topo)
+        hungry = System(topo, ForkOrderingDiners())
+        for p in hungry.pids:
+            hungry.write_local(p, "needs", True)
+        graph = ts.reachable_from([hungry.snapshot()])
+        assert len(graph) == 192
+
+        def fair_sccs(q):
+            pruned = {
+                s: [t for t in out if (t.pid, t.action) != (q, "enter")]
+                for s, out in graph.items()
+            }
+            for scc in _tarjan_sccs(pruned):
+                members = set(scc)
+                internal = {
+                    (t.pid, t.action)
+                    for s in scc for t in pruned[s] if t.target in members
+                }
+                enabled = set.intersection(
+                    *({(t.pid, t.action) for t in graph[s]} for s in scc)
+                )
+                if internal and enabled <= internal:
+                    yield scc
+
+        sizes = {q: sorted(len(scc) for scc in fair_sccs(q)) for q in topo.nodes}
+        assert sizes == {0: [64], 1: [16, 64], 2: [4, 16, 56], 3: [58]}
+        (starving,) = [scc for scc in fair_sccs(2) if len(scc) == 4]
+        for s in starving:
+            assert s.local(2, "state") == "H"
+            assert s.edge_value(1, 2) == 2
+            assert s.edge_value(2, 3) in (FORK_FREE, 3)

@@ -137,24 +137,35 @@ class TestReachability:
         assert (stats.states, stats.transitions, stats.violations) == expected
 
     def test_memory_per_state_stays_a_set_entry_and_an_int(self):
-        # Host-independent pin: python-level allocation peak over states on
-        # the ring4 closure.  One int plus its set slot is ~60 B; the BFS
-        # that kept every expanded PackedState alive read 698 B.
+        # Host-independent pin: python-level allocation peak over states of
+        # the set loop ``level``.  Its sources differ in ``needs`` (process
+        # 0 sated in one), which a rank ignores, so the bitmap cannot run.
+        # One int plus its set slot and the frontier's reference read
+        # 128 B; the BFS that kept every expanded PackedState alive read
+        # 698 B.  The loop is compiled first, so its ≈ 1.1 MB is not the
+        # peak.
         import tracemalloc
 
         topo = ring(4)
         algo = NADiners(
             depth_cap=topo.diameter + 1, diameter_override=topo.diameter
         )
+        system = System(topo, algo)
+        for pid in topo.nodes:
+            system.write_local(pid, "needs", True)
+        hungry = system.snapshot()
+        system.write_local(0, "needs", False)
+        sources = [hungry, system.snapshot()]
         fts = FastTransitionSystem(algo, topo)
-        config = all_hungry_initial(topo, algo)
+        fts.reachable_count(sources)
         tracemalloc.start()
         try:
-            stats = fts.reachable_count([config])
+            stats = fts.reachable_count(sources)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert stats.states == 19264
+        assert set(fts._loops) == {"level"}
+        assert stats.states == 25600
         assert peak / stats.states < 200
 
     def test_memory_per_state_is_a_bit_of_the_rank_bitmap(self):

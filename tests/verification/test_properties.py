@@ -184,31 +184,19 @@ class TestConfirmFairLivelock:
         assert not confirm_fair_livelock(ts, [config])
 
 
-class TestBuildGraph:
-    def test_without_reachability_closure(self):
+class TestProve:
+    def test_graph_is_closed_under_successors(self):
+        """``prove`` closes its seed states under reachability before the
+        proof reads the graph."""
         from repro.sim import System
-        from repro.verification import build_graph
-
-        topo = line(3)
-        algo = NADiners()
-        system = System(topo, algo)
-        system.write_local(0, "needs", True)
-        config = system.snapshot()
-        ts = TransitionSystem(algo, topo)
-        graph = build_graph(ts, [config], close_under_reachability=False)
-        assert list(graph) == [config]
-        assert graph[config]  # join is enabled
-
-    def test_with_reachability_closure(self):
-        from repro.sim import System
-        from repro.verification import build_graph
+        from repro.verification.check import prove
 
         topo = line(3)
         algo = NADiners()
         system = System(topo, algo)
         system.write_local(0, "needs", True)
         ts = TransitionSystem(algo, topo)
-        graph = build_graph(ts, [system.snapshot()])
+        _closure, _convergence, graph = prove(ts, [system.snapshot()], nc_holds)
         assert len(graph) > 1
         for transitions in graph.values():
             for t in transitions:
@@ -285,20 +273,20 @@ class TestTheorem3Exhaustive:
 
 class TestConvergenceDistances:
     def test_legit_states_at_zero(self, line3):
-        from repro.verification import build_graph, convergence_distances
+        from repro.verification import convergence_distances
 
         _, _, configs, ts = line3
-        graph = build_graph(ts, configs)
+        graph = ts.reachable_from(configs)
         distances = convergence_distances(graph, invariant_holds)
         for config, d in distances.items():
             if invariant_holds(config):
                 assert d == 0
 
     def test_every_state_can_recover(self, line3):
-        from repro.verification import build_graph, optimal_recovery_diameter
+        from repro.verification import optimal_recovery_diameter
 
         _, _, configs, ts = line3
-        graph = build_graph(ts, configs)
+        graph = ts.reachable_from(configs)
         diameter = optimal_recovery_diameter(graph, invariant_holds)
         assert diameter is not None
         # the optimal recovery is short relative to system size: a few
@@ -306,7 +294,7 @@ class TestConvergenceDistances:
         assert 1 <= diameter <= 20
 
     def test_unreachable_marked_none(self):
-        from repro.verification import build_graph, optimal_recovery_diameter
+        from repro.verification import optimal_recovery_diameter
 
         # With an unsatisfiable target nothing can ever reach it.
         topo = line(3)
@@ -315,5 +303,5 @@ class TestConvergenceDistances:
         configs = list(
             enumerate_configurations(algo, topo, fixed_locals={"needs": True})
         )
-        graph = build_graph(ts, configs)
+        graph = ts.reachable_from(configs)
         assert optimal_recovery_diameter(graph, lambda c: False) is None
