@@ -1,10 +1,10 @@
 """Chaos at the socket layer: seeded fault schedules and link proxies.
 
-Every peer link of a live cluster runs through a :class:`LinkProxy` — a
-tiny asyncio TCP forwarder that can delay, drop, duplicate, and reorder
-byte chunks, black-hole a partitioned link, and deliver a **malicious
-crash** as the paper defines it operationally: a burst of arbitrary bytes
-on every outgoing link, then silence.
+Every peer link of a live cluster that plays faults runs through a
+:class:`LinkProxy` — a tiny asyncio TCP forwarder that can delay, drop,
+duplicate, and reorder byte chunks, black-hole a partitioned link, and
+deliver a **malicious crash** as the paper defines it operationally: a
+burst of arbitrary bytes on every outgoing link, then silence.
 
 Determinism contract: all *decisions* derive from :class:`ChaosSchedule`,
 which is a pure function of ``(topology, seed, duration, profile)`` —

@@ -1,12 +1,15 @@
-"""The cluster supervisor: N live nodes + chaos proxies on localhost.
+"""The cluster supervisor: N live nodes on localhost, behind chaos proxies
+when the run plays faults.
 
 ``ClusterSupervisor`` owns the whole runtime of one run:
 
 * one :class:`~repro.net.node.NodeServer` per topology node (same event
   loop, real TCP sockets on 127.0.0.1, ephemeral ports);
-* one :class:`~repro.net.chaos.LinkProxy` per *directed* edge — every
-  peer byte crosses a chaos-capable forwarder, so the fault schedule acts
-  at the socket level exactly where a real network would;
+* when a chaos schedule or the adaptive adversary can act on links, one
+  :class:`~repro.net.chaos.LinkProxy` per *directed* edge — every peer
+  byte crosses a chaos-capable forwarder, so the fault schedule acts at
+  the socket level exactly where a real network would.  A fault-free
+  cluster has no proxy hop: each node dials its neighbours' own ports;
 * a :class:`~repro.net.chaos.ChaosController` playing the seeded
   schedule, including malicious crashes (garbage burst on the victim's
   outgoing links, then the supervisor halts the node);
@@ -532,6 +535,18 @@ class ClusterSupervisor:
                 on_byzantine=self._subvert_node,
             )
 
+        # A proxy costs every peer frame one more TCP hop; build them only
+        # where something can act on links.
+        if cfg.schedule is not None or cfg.chaos or cfg.adaptive:
+            await self._start_proxies()
+        for p in cfg.topology.nodes:
+            await self.nodes[p].connect_peers(self._peer_addresses(p))
+        self._monitor_task = asyncio.create_task(self._monitor())
+
+    async def _start_proxies(self) -> None:
+        """One :class:`LinkProxy` per directed edge, registered with the
+        controller that plays the schedule on them."""
+        cfg = self.config
         for p in cfg.topology.nodes:
             for q in cfg.topology.neighbors(p):
                 link = (p, q)
@@ -549,13 +564,17 @@ class ClusterSupervisor:
                 self.proxies[link] = proxy
                 self.controller.register(proxy)
 
-        for p in cfg.topology.nodes:
-            peers = {
-                q: (cfg.host, self.proxies[(p, q)].port)
-                for q in cfg.topology.neighbors(p)
-            }
-            await self.nodes[p].connect_peers(peers)
-        self._monitor_task = asyncio.create_task(self._monitor())
+    def _peer_addresses(self, p: Pid) -> Dict[Pid, Tuple[str, int]]:
+        """Where ``p`` dials each neighbour: the link's chaos proxy, or
+        the neighbour's own port when the run has none."""
+        host = self.config.host
+        addresses = {}
+        for q in self.config.topology.neighbors(p):
+            proxy = self.proxies.get((p, q))
+            addresses[q] = (
+                host, self.nodes[q].port if proxy is None else proxy.port
+            )
+        return addresses
 
     async def run(self, duration_s: float) -> None:
         """Play the chaos schedule while the cluster serves for the window."""
@@ -681,10 +700,11 @@ class ClusterSupervisor:
     async def _restart_node(self, pid: Pid) -> None:
         """Relaunch a halted node under the configured restart policy.
 
-        The replacement listens on the *same* port (neighbour proxies dial
-        it by address), hosts a fresh process — randomized to an arbitrary
-        state when the policy says so — and re-dials its outgoing chaos
-        proxies, which the controller revived just before calling here.
+        The replacement listens on the *same* port (neighbours and their
+        proxies dial it by address), hosts a fresh process — randomized to
+        an arbitrary state when the policy says so — and re-dials what the
+        first incarnation dialled: its outgoing chaos proxies, which the
+        controller revived just before calling here, or its neighbours.
         """
         cfg = self.config
         policy = cfg.restart
@@ -736,11 +756,7 @@ class ClusterSupervisor:
         self.nodes[pid] = node
         self.restarts[pid] = count
         self._crash_reported.discard(pid)
-        peers = {
-            q: (cfg.host, self.proxies[(pid, q)].port)
-            for q in cfg.topology.neighbors(pid)
-        }
-        await node.connect_peers(peers)
+        await node.connect_peers(self._peer_addresses(pid))
         loop = asyncio.get_running_loop()
         restarted_at = round(loop.time() - self._t0, 6)
         self._awaiting_convergence[repr(pid)] = restarted_at
@@ -751,13 +767,11 @@ class ClusterSupervisor:
         )
 
     async def _monitor(self) -> None:
-        """Liveness watchdog: report nodes whose tick loop died."""
+        """Liveness watchdog: report nodes that stopped ticking."""
         while True:
             await asyncio.sleep(0.2)
             for pid, node in self.nodes.items():
-                task = node._tick_task
-                dead = task is not None and task.done()
-                if dead and pid not in self._crash_reported:
+                if node.halted and pid not in self._crash_reported:
                     self._crash_reported.add(pid)
                     expected = pid in self.killed
                     self._emit(

@@ -4,15 +4,18 @@ A :class:`NodeServer` hosts one :class:`~repro.mp.node.MpProcess` — the
 same object that runs under :class:`~repro.mp.engine.MpEngine` — behind a
 real socket transport:
 
-* one listening socket accepts *inbound* peer links and lock clients;
-* one outbound connection per neighbour (usually via a chaos proxy)
-  carries this node's sends, with automatic reconnect;
+* one listening socket accepts *inbound* peer links and lock clients,
+  each served as an :class:`asyncio.Protocol` straight from the event
+  loop's read callback;
+* one outbound connection per neighbour carries this node's sends, with
+  automatic reconnect — dialled through a chaos proxy when the cluster
+  plays faults, to the neighbour's own port when it does not;
 * the node is **event-driven**: every validated peer delivery, client
   ``acquire``, and ``release`` (or holder disconnect) is followed at once
   by :meth:`~repro.mp.node.MpProcess.on_wake`, the guard half of a tick,
   so a fork hop costs a round trip, not a timer period;
-* a tick loop fires :meth:`~repro.mp.node.MpProcess.on_tick` every
-  ``tick_interval`` seconds — the retransmit/timer period (repair
+* a ``call_later`` chain fires :meth:`~repro.mp.node.MpProcess.on_tick`
+  every ``tick_interval`` seconds — the retransmit/timer period (repair
   re-sends, yield counters, the client-less meal countdown) and the
   model's guarantee that every process takes infinitely many steps even
   when nothing arrives.  A wake is a delivery followed at once by that
@@ -185,7 +188,9 @@ class NodeServer:
         self._server: asyncio.base_events.Server | None = None
         self._links: Dict[Pid, _PeerLink] = {}
         self._ctx = NetContext(self)
-        self._tick_task: Optional[asyncio.Task] = None
+        #: The next tick, while the chain runs; see :attr:`halted`.
+        self._tick_handle: Optional[asyncio.TimerHandle] = None
+        self._ticked = False
         self._seq = 0
         self._running = False
         self._prev_state: Optional[str] = None
@@ -206,16 +211,16 @@ class NodeServer:
         #: Last payload written per neighbour — an identical re-send is the
         #: repair-mode retransmit the timeline attributes chaos latency to.
         self._last_sent: Dict[Pid, Tuple] = {}
-        #: FIFO of ``(writer, request_id, span)`` acquires awaiting a grant.
+        #: FIFO of ``(transport, request_id, span)`` acquires awaiting a grant.
         self._waiters: Deque[
-            Tuple[asyncio.StreamWriter, str, Optional[Span]]
+            Tuple[asyncio.Transport, str, Optional[Span]]
         ] = deque()
         if isinstance(process, LockDinerProcess):
             process.waiters = self._waiters  # hungry iff someone is queued
         #: Connection currently holding the lock — its death releases the
         #: lease, else the meal stays topped up forever and starves the
         #: neighbourhood.
-        self._holder: Optional[asyncio.StreamWriter] = None
+        self._holder: Optional[asyncio.Transport] = None
         #: Open inbound connections, closed on :meth:`stop` so peers and
         #: clients observe the halt instead of a silent zombie socket.
         self._conns: set = set()
@@ -307,8 +312,8 @@ class NodeServer:
 
     async def start_listening(self) -> int:
         """Bind the inbound socket; returns the (ephemeral) port."""
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.requested_port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self), self.host, self.requested_port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._running = True
@@ -331,14 +336,26 @@ class NodeServer:
             link = _PeerLink(peers[q])
             self._links[q] = link
             link.task = asyncio.create_task(self._maintain_link(q, link))
-        self._tick_task = asyncio.create_task(self._tick_loop())
+        self._ticked = True
+        self._tick_handle = asyncio.get_running_loop().call_later(
+            self.tick_interval, self._tick
+        )
+
+    @property
+    def halted(self) -> bool:
+        """The tick chain started and no longer runs: the node was
+        stopped, or a tick raised."""
+        return self._ticked and self._tick_handle is None
 
     async def stop(self) -> None:
         """Halt: cancel tasks, close every socket, publish NODE_STOP."""
         if not self._running:
             return
         self._running = False
-        tasks = [self._tick_task] + [l.task for l in self._links.values()]
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()
+            self._tick_handle = None
+        tasks = [l.task for l in self._links.values()]
         for task in tasks:
             if task is not None:
                 task.cancel()
@@ -466,75 +483,21 @@ class NodeServer:
 
     # -------------------------------------------------------------- inbound
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One inbound stream: a peer link or a lock client (HELLO decides).
-
-        Garbage may precede, interleave with, or replace valid frames; the
-        decoder resynchronises and this loop only trusts validated frames.
-        """
-        decoder = Decoder()
-        is_client = False
-        reported_garbage = 0
-        reported_resyncs = 0
-        # Highest accepted per-source sequence number, scoped to THIS
-        # connection: duplication/reordering only happen inside one proxied
-        # stream, and a restarted peer (fresh counters) arrives on a fresh
-        # connection — per-node tracking would drop its messages as stale.
-        last_seen: Dict[Pid, int] = {}
-        self._conns.add(writer)
-        try:
-            while self._running:
-                data = await reader.read(4096)
-                if not data:
-                    break
-                frames = decoder.feed(data)
-                if decoder.garbage_bytes > reported_garbage:
-                    fresh = decoder.garbage_bytes - reported_garbage
-                    self.garbage_bytes += fresh
-                    self.resyncs += decoder.resyncs - reported_resyncs
-                    reported_garbage = decoder.garbage_bytes
-                    reported_resyncs = decoder.resyncs
-                    self.publish(NetEventKind.GARBAGE, {"bytes": fresh})
-                for frame in frames:
-                    if self.flight is not None and not frame.is_hello:
-                        self.flight.note_frame(self._now(), "in", frame.type)
-                    if frame.is_hello:
-                        fields = hello_fields(frame)
-                        if fields is None or fields[0] != WIRE_VERSION:
-                            self.publish(
-                                NetEventKind.HELLO_BAD,
-                                {"got": None if fields is None else fields[0]},
-                            )
-                            return  # incompatible peer: drop the connection
-                        is_client = fields[2] == "client"
-                        self.publish(
-                            NetEventKind.HELLO_OK,
-                            {"from": fields[1], "role": fields[2]},
-                        )
-                    elif frame.type == T_REQ and is_client:
-                        self._handle_request(frame, writer)
-                    elif frame.type == T_MSG:
-                        self._handle_peer_message(frame, last_seen)
-                    else:
-                        self.junk_frames += 1
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._conns.discard(writer)
-            abandoned = [e for e in self._waiters if e[0] is writer]
-            if abandoned:
-                # Prune in place: the hosted process reads this very queue.
-                kept = [e for e in self._waiters if e[0] is not writer]
-                self._waiters.clear()
-                self._waiters.extend(kept)
-            for _, _, span in abandoned:
-                self._trace_event(span, "abandon")
-                self._trace_close(span)
-            if self._holder is writer:
-                self._release()
-            writer.close()
+    def _drop_connection(self, conn: asyncio.Transport) -> None:
+        """An inbound stream ended: its queued acquires go, and if it held
+        the lock, the lease ends with it."""
+        self._conns.discard(conn)
+        abandoned = [e for e in self._waiters if e[0] is conn]
+        if abandoned:
+            # Prune in place: the hosted process reads this very queue.
+            kept = [e for e in self._waiters if e[0] is not conn]
+            self._waiters.clear()
+            self._waiters.extend(kept)
+        for _, _, span in abandoned:
+            self._trace_event(span, "abandon")
+            self._trace_close(span)
+        if self._holder is conn:
+            self._release()
 
     def _handle_peer_message(
         self, frame: Frame, last_seen: Dict[Pid, int]
@@ -581,13 +544,13 @@ class NodeServer:
 
     # ---------------------------------------------------------- lock service
 
-    def _handle_request(self, frame: Frame, writer: asyncio.StreamWriter) -> None:
+    def _handle_request(self, frame: Frame, conn: asyncio.Transport) -> None:
         # A decoded T_REQ body is ``op`` (acquire|release) + ``id`` (a short
         # string) by the codec's schema; anything else never left the decoder.
         body = frame.body
         op, req_id = body["op"], body["id"]
         if not isinstance(self.process, LockDinerProcess):
-            self._respond(writer, op, req_id, False, error="bad-op")
+            self._respond(conn, op, req_id, False, error="bad-op")
         elif op == "acquire":
             span = self._trace_open(
                 "acquire",
@@ -595,37 +558,41 @@ class NodeServer:
                 else self._root_span.span_id,
                 attrs={"req": repr(req_id), "client_span": body["span"]},
             )
-            self._waiters.append((writer, req_id, span))
+            self._waiters.append((conn, req_id, span))
             self._wake()
         else:
             self._release()
-            self._respond(writer, op, req_id, True)
+            self._respond(conn, op, req_id, True)
 
     def _respond(
         self,
-        writer: asyncio.StreamWriter,
+        conn: asyncio.Transport,
         op: str,
         req_id: str,
         ok: bool,
         *,
         error: Optional[str] = None,
     ) -> None:
-        if writer.is_closing():
+        if conn.is_closing():
             return
         try:
-            writer.write(encode_response(op, req_id, ok, error=error))
+            conn.write(encode_response(op, req_id, ok, error=error))
         except (ConnectionError, OSError):
             pass
 
     # ------------------------------------------------------------- stepping
 
-    async def _tick_loop(self) -> None:
-        """The retransmit/timer period; progress itself rides the wakes."""
-        while self._running:
-            await asyncio.sleep(self.tick_interval)
-            self.ticks += 1
-            self.process.on_tick(self._ctx)
-            self._after_step()
+    def _tick(self) -> None:
+        """The retransmit/timer period; progress itself rides the wakes.
+        A tick that raises schedules no next one, so the node reads as
+        :attr:`halted`."""
+        self._tick_handle = None
+        self.ticks += 1
+        self.process.on_tick(self._ctx)
+        self._after_step()
+        self._tick_handle = asyncio.get_running_loop().call_later(
+            self.tick_interval, self._tick
+        )
 
     def _wake(self) -> None:
         """Something the process reacts to just changed: run its guards
@@ -664,10 +631,10 @@ class NodeServer:
             detail: Dict[str, Any] = {}
             granted_span: Optional[Span] = None
             if self._waiters and isinstance(self.process, LockDinerProcess):
-                writer, req_id, granted_span = self._waiters.popleft()
+                conn, req_id, granted_span = self._waiters.popleft()
                 self.process.grant_taken()
-                self._holder = writer
-                self._respond(writer, "acquire", req_id, True)
+                self._holder = conn
+                self._respond(conn, "acquire", req_id, True)
                 detail["req"] = req_id
             if granted_span is None:
                 granted_span = self._hunger_span
@@ -708,3 +675,68 @@ class NodeServer:
             "eats": getattr(self.process, "eats", 0),
             "epoch": self.epoch,
         }
+
+
+class _Inbound(asyncio.Protocol):
+    """One inbound stream: a peer link or a lock client (HELLO decides).
+
+    Served from the event loop's read callback, so a frame costs no task
+    switch.  Garbage may precede, interleave with, or replace valid
+    frames; the decoder resynchronises and only validated frames are
+    trusted.
+    """
+
+    def __init__(self, server: NodeServer) -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.decoder = Decoder()
+        self.is_client = False
+        self.reported_garbage = 0
+        self.reported_resyncs = 0
+        # Highest accepted per-source sequence number, scoped to THIS
+        # connection: duplication/reordering only happen inside one proxied
+        # stream, and a restarted peer (fresh counters) arrives on a fresh
+        # connection — per-node tracking would drop its messages as stale.
+        self.last_seen: Dict[Pid, int] = {}
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._conns.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._drop_connection(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        decoder = self.decoder
+        frames = decoder.feed(data)
+        if decoder.garbage_bytes > self.reported_garbage:
+            fresh = decoder.garbage_bytes - self.reported_garbage
+            server.garbage_bytes += fresh
+            server.resyncs += decoder.resyncs - self.reported_resyncs
+            self.reported_garbage = decoder.garbage_bytes
+            self.reported_resyncs = decoder.resyncs
+            server.publish(NetEventKind.GARBAGE, {"bytes": fresh})
+        for frame in frames:
+            if server.flight is not None and not frame.is_hello:
+                server.flight.note_frame(server._now(), "in", frame.type)
+            if frame.is_hello:
+                fields = hello_fields(frame)
+                if fields is None or fields[0] != WIRE_VERSION:
+                    server.publish(
+                        NetEventKind.HELLO_BAD,
+                        {"got": None if fields is None else fields[0]},
+                    )
+                    self.transport.close()  # incompatible peer: drop it
+                    return
+                self.is_client = fields[2] == "client"
+                server.publish(
+                    NetEventKind.HELLO_OK,
+                    {"from": fields[1], "role": fields[2]},
+                )
+            elif frame.type == T_REQ and self.is_client:
+                server._handle_request(frame, self.transport)
+            elif frame.type == T_MSG:
+                server._handle_peer_message(frame, self.last_seen)
+            else:
+                server.junk_frames += 1

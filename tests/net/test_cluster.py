@@ -14,6 +14,7 @@ from repro.net import (
     write_cluster_events,
     write_cluster_metrics,
 )
+from repro.net.chaos import ChaosSchedule
 from repro.net.codec import T_HELLO, WIRE_VERSION, encode_frame, encode_request
 from repro.obs import read_metrics
 from repro.sim import ring
@@ -91,6 +92,120 @@ class TestHandshake:
         for version in (1, 2, 3, WIRE_VERSION + 1):
             # Dropped before the acquire is looked at: EOF, not a grant.
             assert asyncio.run(scenario(version)) == (b"", [{"got": version}])
+
+
+class TestProxySelection:
+    """A chaos proxy is one more TCP hop per peer frame, so a run builds
+    them only when a schedule or the adaptive adversary can act on links."""
+
+    @staticmethod
+    def wiring(**overrides):
+        """``(proxy links, {(p, q): (dialled address, q's port, proxy's
+        port)})`` right after start."""
+        async def scenario():
+            supervisor = ClusterSupervisor(make_config(**overrides))
+            await supervisor.start(10.0)
+            try:
+                dialled = {}
+                for p, node in supervisor.nodes.items():
+                    for q, link in node._links.items():
+                        proxy = supervisor.proxies.get((p, q))
+                        dialled[(p, q)] = (
+                            link.address,
+                            supervisor.nodes[q].port,
+                            None if proxy is None else proxy.port,
+                        )
+                return sorted(supervisor.proxies), dialled
+            finally:
+                await supervisor.stop()
+
+        return asyncio.run(scenario())
+
+    EDGES = sorted((p, q) for p in range(3) for q in range(3) if p != q)
+
+    def test_a_fault_free_run_dials_its_neighbours_directly(self):
+        proxies, dialled = self.wiring()
+        assert proxies == []
+        assert sorted(dialled) == self.EDGES
+        for address, node_port, _ in dialled.values():
+            assert address == ("127.0.0.1", node_port)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"chaos": True},
+            {"schedule": ChaosSchedule(seed=1, duration_s=10.0)},
+            {"adaptive": True},
+        ],
+        ids=["chaos", "schedule", "adaptive"],
+    )
+    def test_a_run_that_can_fault_links_proxies_every_directed_edge(
+        self, overrides
+    ):
+        proxies, dialled = self.wiring(**overrides)
+        assert proxies == self.EDGES
+        for address, node_port, proxy_port in dialled.values():
+            assert address == ("127.0.0.1", proxy_port) != ("127.0.0.1", node_port)
+
+
+class TestCrashWatchdog:
+    """The supervisor reports a node that stopped ticking once, saying
+    whether the stop was one it made."""
+
+    @staticmethod
+    def crash(tmp_path, fault):
+        async def scenario():
+            supervisor = ClusterSupervisor(
+                make_config(lock_service=True, flight_dir=str(tmp_path))
+            )
+            await supervisor.start(10.0)
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+            try:
+                await fault(supervisor)
+                deadline = loop.time() + 5.0
+                while loop.time() < deadline:
+                    detected = [
+                        e for e in supervisor.events
+                        if e["event"] == "net-crash-detect"
+                    ]
+                    if detected:
+                        # One more watchdog round: still reported once.
+                        await asyncio.sleep(0.3)
+                        break
+                    await asyncio.sleep(0.02)
+                return [
+                    (e["node"], e["detail"]) for e in supervisor.events
+                    if e["event"] == "net-crash-detect"
+                ], errors
+            finally:
+                await supervisor.stop()
+
+        return asyncio.run(scenario())
+
+    def test_a_killed_node_is_an_expected_crash_and_dumps_flights(
+        self, tmp_path
+    ):
+        async def kill(supervisor):
+            await supervisor._kill_node(1)
+
+        detected, _ = self.crash(tmp_path, kill)
+        assert detected == [("1", {"expected": True})]
+        dump = tmp_path / "flight-1.jsonl"
+        assert dump.exists()
+        assert json.loads(dump.read_text().splitlines()[0])["reason"] == "crash:1"
+
+    def test_a_tick_that_raises_is_an_unexpected_crash(self, tmp_path):
+        async def break_tick(supervisor):
+            def on_tick(ctx):
+                raise RuntimeError("tick broke")
+
+            supervisor.nodes[2].process.on_tick = on_tick
+
+        detected, errors = self.crash(tmp_path, break_tick)
+        assert detected == [("2", {"expected": False})]
+        assert [str(ctx["exception"]) for ctx in errors] == ["tick broke"]
 
 
 class TestChaoticRun:
