@@ -15,8 +15,9 @@ when the run plays faults.
   outgoing links, then the supervisor halts the node);
 * a liveness monitor publishing ``CRASH_DETECT`` when a node dies;
 * one shared :class:`~repro.obs.bus.EventBus`; everything the nodes and
-  the chaos layer publish is collected into an ordered event log and
-  reduced to a :class:`~repro.obs.metrics.MetricsRegistry`, then written
+  the chaos layer publish is collected into an ordered event log and,
+  with the nodes' frame counters (traffic is counted, not logged),
+  reduced to a :class:`~repro.obs.metrics.MetricsRegistry` and written
   as the standard JSONL artefacts ``repro stats`` summarises.
 """
 
@@ -185,20 +186,15 @@ class ClusterResult:
         return sum(c.get("garbage_bytes", 0) for c in self.counters.values())
 
 
-#: The two per-frame event kinds — the bulk of every run's rows.
-_TRAFFIC_EVENTS = frozenset(
-    (NetEventKind.SEND.value, NetEventKind.RECV.value)
-)
-
 _ROW_FIELDS = ("t", "node", "event")
 
 
 class EventRow(Mapping):
     """One collected event, read as the mapping ``{"t", "node", "event"}``
     plus ``"detail"`` when there is any — the shape the event log has on
-    disk.  A run keeps a row per frame sent and received until it ends, so
-    the row is four slots (about 100 B with its timestamp), not a dict
-    (over 200 B), and read-only to everything downstream."""
+    disk.  A run keeps every row (grants, releases, spans, faults; not
+    traffic, which is counted) until it ends, so the row is four slots
+    (about 100 B with its timestamp), not a dict, and read-only downstream."""
 
     __slots__ = (*_ROW_FIELDS, "detail")
 
@@ -250,10 +246,8 @@ class ClusterSupervisor:
         self.config = config
         self.bus = EventBus()
         self.events: List[EventRow] = []
-        #: pid -> its ``repr`` label, and a traffic row's detail items ->
-        #: the one shared, read-only detail dict (see :meth:`_collect`).
+        #: pid -> its ``repr`` label, shared by every row of that node.
         self._labels: Dict[Pid, str] = {}
-        self._details: Dict[tuple, Dict[str, Any]] = {}
         self.bus.subscribe_all(self._collect)
         self.nodes: Dict[Pid, NodeServer] = {}
         self.proxies: Dict[tuple, LinkProxy] = {}
@@ -310,11 +304,6 @@ class ClusterSupervisor:
             if node is None:
                 node = self._labels[pid] = repr(pid)
         extra = {k: v for k, v in detail.items() if k != "t"}
-        # Rows are retained for the whole run and most of them are
-        # net-send/net-recv, whose detail only names the peer: every such
-        # row shares one dict per peer, which nothing may mutate.
-        if extra and kind in _TRAFFIC_EVENTS:
-            extra = self._details.setdefault(tuple(extra.items()), extra)
         row = EventRow(detail.get("t", 0.0), node, kind, extra)
         self.events.append(row)
         if self._stream_handle is not None:
@@ -337,7 +326,7 @@ class ClusterSupervisor:
         if self.slo_eval is not None:
             for hit in self.slo_eval.on_event(row):
                 self._on_slo_exhausted(hit, row.t)
-        elif kind not in _TRAFFIC_EVENTS:
+        else:
             self.lock_state.feed(row)
         # A client watchdog declaring a link silently stalled is a flight
         # trigger too — the stall's lead-up is exactly what the ring holds.

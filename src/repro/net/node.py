@@ -25,7 +25,9 @@ real socket transport:
   :class:`~repro.net.codec.Decoder`, and every decoded ``T_MSG`` is
   validated (dst is me, src is a neighbour, per-link sequence number is
   fresh) before reaching ``on_message`` — the wire image of the model's
-  "channels may hold arbitrary junk" discipline.
+  "channels may hold arbitrary junk" discipline;
+* peer traffic is counted (``msgs_out``/``msgs_in``), not published per
+  frame; only an armed flight ring or tracer records frames one by one.
 
 Per-link sequence numbers make duplication and reordering at the byte
 level safe for token-carrying protocols: a stale or repeated frame is
@@ -478,7 +480,6 @@ class NodeServer:
                 t=self._now(),
                 detail={"dst": repr(dst), "seq": link.seq},
             )
-        self.publish(NetEventKind.SEND, {"dst": repr(dst)})
         return True
 
     # -------------------------------------------------------------- inbound
@@ -537,7 +538,6 @@ class NodeServer:
                     self.tracer.current(), "recv", lc=lc, t=self._now(),
                     detail=detail,
                 )
-        self.publish(NetEventKind.RECV, {"src": repr(src)})
         self.process.on_message(self._ctx, src, message.payload)
         self._after_step()
         self._wake()

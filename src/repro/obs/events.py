@@ -39,7 +39,7 @@ class NetEventKind(enum.Enum):
     The live runtime publishes the same :class:`TraceEvent` dataclass as
     both engines; ``step`` carries a per-publisher monotonic sequence
     number (real time is environmental and goes in ``detail`` when an
-    event needs it).
+    event needs it).  Peer frames are counted, not published.
     """
 
     NODE_START = "net-node-start"  #: A node daemon began serving.
@@ -48,8 +48,8 @@ class NetEventKind(enum.Enum):
     CONN_LOST = "net-conn-lost"  #: A connection dropped (reconnects follow).
     HELLO_OK = "net-hello-ok"  #: Protocol-version handshake succeeded.
     HELLO_BAD = "net-hello-bad"  #: Handshake rejected (version/garbage).
-    SEND = "net-send"  #: A frame was written toward a peer.
-    RECV = "net-recv"  #: A valid frame was decoded from a peer.
+    SEND = "net-send"  #: A frame toward a peer; no longer emitted by ``NodeServer``.
+    RECV = "net-recv"  #: A frame from a peer; no longer emitted by ``NodeServer``.
     GARBAGE = "net-garbage"  #: Bytes discarded by the garbage-tolerant decoder.
     CHAOS = "net-chaos"  #: The chaos proxy applied a scheduled fault.
     GRANT = "net-grant"  #: The lock service granted an acquire (entered eating).

@@ -34,6 +34,7 @@ controller actuates on these verdicts instead of raw metrics.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -546,26 +547,35 @@ def neighbour_violations(
     *,
     exclude: Sequence[str] = (),
 ) -> List[Violation]:
-    """Every overlap of hold intervals across a topology edge.
+    """Every overlap of hold intervals across a topology edge, ordered by
+    start, then edge, then each endpoint's interval order: one sweep per
+    edge over both endpoints' start-sorted holds, each meeting only the
+    other endpoint's holds still open when it starts.
 
     ``exclude`` names (repr'd) nodes outside the audit — the maliciously
     crashed ones, whose own behaviour the specification does not bound.
     """
     excluded = set(exclude)
-    violations: List[Violation] = []
-    for e in topology.edges:
+    found = []
+    for n, e in enumerate(topology.edges):
         p, q = tuple(e)
         a, b = repr(p), repr(q)
         if a in excluded or b in excluded:
             continue
-        for start_a, end_a in intervals.get(a, ()):
-            for start_b, end_b in intervals.get(b, ()):
-                lo = max(start_a, start_b)
-                hi = min(end_a, end_b)
-                if lo < hi:
-                    violations.append(Violation(a, b, lo, hi))
-    violations.sort(key=lambda v: (v.overlap_start, v.node_a, v.node_b))
-    return violations
+        begun: Tuple[list, list] = ([], [])  # per endpoint: (end, index) heap
+        for start, side, k, end in sorted(
+            (s, side, k, t) for side, node in enumerate((a, b))
+            for k, (s, t) in enumerate(intervals.get(node, ())) if s < t
+        ):
+            other = begun[1 - side]
+            while other and other[0][0] <= start:
+                heapq.heappop(other)
+            for other_end, m in other:
+                i, j = (m, k) if side else (k, m)
+                found.append((start, a, b, n, i, j, min(end, other_end)))
+            heapq.heappush(begun[side], (end, k))
+    found.sort()
+    return [Violation(a, b, lo, hi) for lo, a, b, _n, _i, _j, hi in found]
 
 
 class ExclusionAudit(NamedTuple):

@@ -1,15 +1,20 @@
-"""The supervisor's event rows: a run keeps every one of them, so the bulk
-(``net-send``/``net-recv``) must share their node label and detail dict —
-and nothing downstream may write to a row."""
+"""The supervisor's event rows: a run keeps every one of them, so peer
+traffic is counted (``msgs_out``/``msgs_in``), not logged as a row per
+frame — and nothing downstream may write to a row."""
 
 import asyncio
 import copy
 import hashlib
+import re
 import tracemalloc
 import types
 from pathlib import Path
 
+from repro.cli import main
 from repro.net import ClusterConfig, ClusterSupervisor, soak, write_cluster_events
+from repro.net.cluster import EventRow
+from repro.net.codec import T_MSG
+from repro.obs import read_metrics
 from repro.obs.events import NetEventKind
 from repro.obs.slo import read_slo_spec
 from repro.sim import ring
@@ -27,19 +32,63 @@ def config(**overrides):
     return ClusterConfig(**defaults)
 
 
-def test_send_and_recv_rows_share_label_and_detail():
-    result = asyncio.run(soak(config(), 0.6, hold_s=0.005))
-    traffic = [
-        e for e in result.cluster.events
-        if e["event"] in ("net-send", "net-recv")
+def test_traffic_is_counted_not_logged():
+    """No row per peer frame: the frame counters are the record, and a
+    grant costs a handful of rows (it cost 14 while every frame was one)."""
+    cluster = asyncio.run(soak(config(), 0.6, hold_s=0.005)).cluster
+    assert not [
+        e for e in cluster.events if e["event"] in ("net-send", "net-recv")
     ]
-    assert len(traffic) > 50
-    details, labels = {}, {}
-    for row in traffic:
-        (item,) = row["detail"].items()
-        assert details.setdefault(item, row["detail"]) is row["detail"]
-        assert labels.setdefault(row["node"], row["node"]) is row["node"]
-    assert len(details) == 6  # {"dst"|"src": peer} for three peers, run-wide
+    assert len(cluster.counters) == 3
+    for counters in cluster.counters.values():
+        assert counters["msgs_out"] > 0 and counters["msgs_in"] > 0
+    assert cluster.total_grants > 0
+    assert len(cluster.events) / cluster.total_grants <= 3
+
+
+def test_the_counters_reach_stats_and_the_metrics_artefact(tmp_path, capsys):
+    events, metrics = tmp_path / "soak.events", tmp_path / "soak.metrics"
+    main(["cluster", "soak", "--nodes", "3", "--seed", "3", "--duration",
+          "0.6", "--tick-interval", "0.005", "--no-chaos", "--hold", "0.005",
+          "--events-out", str(events), "--metrics-out", str(metrics)])
+    capsys.readouterr()
+    main(["stats", str(events)])
+    lines = re.findall(r"msgs in/out=(\d+)/(\d+)", capsys.readouterr().out)
+    assert len(lines) == 3
+    assert all(int(n_in) > 0 and int(n_out) > 0 for n_in, n_out in lines)
+    recorded = read_metrics(metrics).metrics
+    for node in ("0", "1", "2"):
+        assert recorded[f"net/{node}/msgs_out"]["value"] > 0
+
+
+def test_an_armed_flight_ring_records_each_peer_frame_once(
+    tmp_path, monkeypatch
+):
+    """A sent or received peer frame is its ``note_frame`` and nothing
+    else: no event row follows it into the ring."""
+    init = ClusterSupervisor.__init__
+    supervisors = []
+
+    def capturing_init(self, cfg):
+        init(self, cfg)
+        supervisors.append(self)
+
+    monkeypatch.setattr(ClusterSupervisor, "__init__", capturing_init)
+    cluster = asyncio.run(soak(
+        config(flight_dir=str(tmp_path), flight_capacity=1_000_000),
+        0.4, hold_s=0.005,
+    )).cluster
+    (supervisor,) = supervisors
+    for node, counters in cluster.counters.items():
+        flight = supervisor.flights[node]
+        assert flight.dropped == 0
+        peer_records = [
+            r for r in flight.records()
+            if r.get("event") in ("net-send", "net-recv")
+            or r["rec"] == "frame" and (r["dir"] == "out" or r["type"] == T_MSG)
+        ]
+        frames = counters["msgs_out"] + counters["msgs_in"]
+        assert frames > 0 and len(peer_records) == frames
 
 
 def test_a_row_reads_as_the_mapping_it_is_written_as():
@@ -58,17 +107,18 @@ def test_a_row_reads_as_the_mapping_it_is_written_as():
 
 
 def test_a_traffic_row_retains_at_most_110_bytes():
+    """A lock-service row without detail, as ``net-release`` is
+    published: four slots and its timestamp."""
     supervisor = ClusterSupervisor(config())
     rows = 20_000
 
     def publish(n):
         for seq in range(n):
             supervisor.bus.publish(TraceEvent(
-                seq, NetEventKind.SEND, seq % 3,
-                {"t": seq / 1024.0, "dst": repr((seq + 1) % 3)},
+                seq, NetEventKind.RELEASE, seq % 3, {"t": seq / 1024.0},
             ))
 
-    publish(16)  # labels, shared details and the list's first growth
+    publish(16)  # labels and the list's first growth
     tracemalloc.start()
     before, _ = tracemalloc.get_traced_memory()
     publish(rows)
@@ -77,26 +127,25 @@ def test_a_traffic_row_retains_at_most_110_bytes():
     assert (after - before) / rows <= 110
 
 
-class _Freezing(dict):
-    """``_details`` stand-in: every shared dict goes out read-only."""
-
-    def setdefault(self, key, value):
-        return super().setdefault(key, types.MappingProxyType(value))
-
-
 def test_nothing_downstream_writes_to_a_row(tmp_path, monkeypatch):
     """A traced, SLO-judged, flight-recorded soak under the adaptive
-    adversary runs to the end with every shared detail frozen: a consumer
+    adversary runs to the end with every row's detail frozen: a consumer
     that assigned into one would raise ``TypeError`` mid-run."""
     init = ClusterSupervisor.__init__
+    row_init = EventRow.__init__
     supervisors = []
 
-    def frozen_init(self, cfg):
+    def capturing_init(self, cfg):
         init(self, cfg)
-        self._details = _Freezing()
         supervisors.append(self)
 
-    monkeypatch.setattr(ClusterSupervisor, "__init__", frozen_init)
+    def frozen_row(self, t, node, event, detail):
+        row_init(self, t, node, event, detail)
+        if self.detail is not None:
+            self.detail = types.MappingProxyType(self.detail)
+
+    monkeypatch.setattr(ClusterSupervisor, "__init__", capturing_init)
+    monkeypatch.setattr(EventRow, "__init__", frozen_row)
     result = asyncio.run(soak(
         config(
             trace_dir=str(tmp_path / "spans"),
