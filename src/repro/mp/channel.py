@@ -13,20 +13,21 @@ delays them; the drop counter makes silent overload visible in tests.
 
 The funnel invariant: ``_queue`` is mutated in exactly three places —
 :meth:`Channel._push`, :meth:`Channel._pop` and :meth:`Channel._reset` —
-and each of them reports the channel to whoever is watching it (see
-:meth:`Channel._watch`).  :class:`~repro.mp.engine.MpEngine` schedules
-from an index of the non-empty channels instead of reading every channel
-every step, and tests send on, clear and corrupt an engine's channels
-directly, so the index stays right only if *no* change of content can
-bypass the mark.  A subclass that stores messages (``WireChannel``) goes
-through the same three methods; it never touches ``_queue`` itself.
+and each of them writes whether the channel is non-empty, after the
+change, to whoever is watching it (see :meth:`Channel._watch`).
+:class:`~repro.mp.engine.MpEngine` schedules from those writes instead of
+reading every channel every step, and tests send on, clear and corrupt an
+engine's channels directly, so the record stays right only if *no* change
+of content can bypass the write.  A subclass that stores messages
+(``WireChannel``) goes through the same three methods; it never touches
+``_queue`` itself.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Iterable, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, Tuple
 
 from ..sim.errors import SimulationError
 from ..sim.topology import Pid
@@ -64,9 +65,9 @@ class Channel:
         self.loss_probability = loss_probability
         self._rng = rng if rng is not None else random.Random(0)
         self._queue: Deque[Message] = deque()
-        #: Where the funnel reports a change of content; a set of its own
-        #: until someone watches.
-        self._dirty: Set[int] = set()
+        #: Where the funnel writes the availability of slot ``_slot``; a
+        #: dict of its own until someone watches.
+        self._changes: Dict[int, object] = {}
         self._slot = -1
         self.dropped = 0
         self.lost = 0
@@ -80,25 +81,27 @@ class Channel:
 
     # ------------------------------------------------- the mutation funnel
 
-    def _watch(self, dirty: Set[int], slot: int) -> None:
-        """From now on, add ``slot`` to ``dirty`` whenever the content
-        changes — the engine's cue to look at :attr:`empty` again."""
-        self._dirty = dirty
+    def _watch(self, changes: Dict[int, object], slot: int) -> None:
+        """From now on, write ``changes[slot]`` — whether the channel has a
+        message to deliver — whenever the content changes, starting now."""
+        self._changes = changes
         self._slot = slot
+        changes[slot] = bool(self._queue)
 
     def _push(self, message: Message) -> None:
         self._queue.append(message)
-        self._dirty.add(self._slot)
+        self._changes[self._slot] = True
 
     def _pop(self) -> Message:
-        self._dirty.add(self._slot)
-        return self._queue.popleft()
+        message = self._queue.popleft()
+        self._changes[self._slot] = bool(self._queue)
+        return message
 
     def _reset(self, messages: Iterable[Message] = ()) -> None:
         """Replace the whole content."""
         self._queue.clear()
         self._queue.extend(messages)
-        self._dirty.add(self._slot)
+        self._changes[self._slot] = bool(self._queue)
 
     # ------------------------------------------------------------ traffic
 

@@ -10,12 +10,13 @@ process takes infinitely many spontaneous steps.
 
 The scheduler reads an *event index*, not the network.  Every event has a
 slot, in scan order: one delivery per directed channel (in the order the
-channels were built), then one tick per process.  Writers only add a slot
-to ``_dirty`` when its availability *may* have changed — a channel through
-its mutation funnel (:mod:`repro.mp.channel`), ``crash``/``restart`` for a
-tick, the selection for the slot it fires — and the next selection reads
-those slots alone and hands them to :class:`~repro.sim.fairness.FairSelector`
-(the daemons' rule), so a step costs the same on ring(64) as on ring(8).
+channels were built), then one tick per process.  Writers record a slot's
+availability in the :class:`~repro.sim.fairness.FairSelector`'s
+``changes`` whenever it may have changed — a channel through its mutation
+funnel (:mod:`repro.mp.channel`), ``crash``/``restart`` for a tick, the
+selector itself for the slot it fires — and the next selection reads those
+entries alone, in one pass, under the daemons' rule, so a step costs the
+same on ring(64) as on ring(8).
 
 The fault repertoire mirrors :mod:`repro.sim.faults`:
 
@@ -39,7 +40,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Set,
     Tuple,
 )
 
@@ -136,11 +136,12 @@ class MpEngine:
         #: Times each slot's event fired; :attr:`counters` reads them.
         self._fired: List[int] = [0] * len(self._events)
         self._selector = FairSelector(patience, len(self._events))
-        #: Slots to look at again at the next selection: everything, to
-        #: begin with.
-        self._dirty: Set[int] = set(range(len(self._events)))
+        # The first selection reads every slot.
+        changes = self._selector.changes
         for slot, channel in enumerate(self._channels.values()):
-            channel._watch(self._dirty, slot)
+            channel._watch(changes, slot)
+        for slot in self._tick_slot.values():
+            changes[slot] = True
         #: Per-process Lamport clocks, maintained by the engine itself:
         #: ticked on every send/tick/havoc, merged (with the sender's value
         #: at delivery time — an upper bound on its value at send time,
@@ -231,7 +232,7 @@ class MpEngine:
         if not self.is_alive(pid):
             raise DeadProcessError(pid)
         self._alive[pid] = False
-        self._dirty.add(self._tick_slot[pid])
+        self._selector.changes[self._tick_slot[pid]] = False
         self._malicious_budget.pop(pid, None)
         self._emit(MpEventKind.CRASH, pid)
 
@@ -261,7 +262,7 @@ class MpEngine:
         if self.is_alive(pid):
             raise SimulationError(f"restart of a live process {pid!r}")
         self._alive[pid] = True
-        self._dirty.add(self._tick_slot[pid])
+        self._selector.changes[self._tick_slot[pid]] = True
         self._malicious_budget.pop(pid, None)
         if rng is not None:
             self.processes[pid].corrupt(rng)
@@ -288,24 +289,10 @@ class MpEngine:
     # ----------------------------------------------------------- stepping
 
     def _choose(self) -> Tuple[str, Any, Channel | None] | None:
-        """Pick the next event, or ``None`` when none is available: the
-        dirty slots, read now, go to the selector (see
+        """Pick the next event, or ``None`` when none is available (see
         :meth:`~repro.sim.fairness.FairSelector.select`)."""
-        dirty = self._dirty
-        events = self._events
-        alive = self._alive
-        changes = []
-        for slot in sorted(dirty) if len(dirty) > 1 else dirty:
-            _, detail, channel = events[slot]
-            gone = channel.empty if channel is not None else not alive[detail]
-            changes.append(~slot if gone else slot)
-        dirty.clear()
-        chosen = self._selector.select(changes, self.rng)
-        if chosen is None:
-            return None
-        # Fired, it ages again only once the next selection has read it.
-        dirty.add(chosen)
-        return events[chosen]
+        chosen = self._selector.select(self.rng)
+        return None if chosen is None else self._events[chosen]
 
     def step(self) -> bool:
         """One engine step; False when nothing can ever happen again."""
@@ -318,7 +305,8 @@ class MpEngine:
         if kind == "deliver":
             src, dst = detail
             # ``_choose`` offers only a non-empty channel, so no second
-            # check; the pop still goes through the funnel and marks it.
+            # check; the pop still goes through the funnel, which writes
+            # whether the channel is still non-empty.
             message = channel._pop()
             self._fired[channel._slot] += 1
             clocks[dst].merge(clocks[src].value)

@@ -78,8 +78,9 @@ class WeaklyFairDaemon(Daemon):
     executes infinitely often, as the model requires.
 
     The rule is :class:`~repro.sim.fairness.FairSelector`'s; the daemon
-    numbers ``(p, a)`` as slot ``p * width + a`` and hands it the slots of
-    the processes in ``EnabledSet.changed`` (which it clears).
+    numbers ``(p, a)`` as slot ``p * width + a`` and writes the selector's
+    ``changes`` for the slots of the processes in ``EnabledSet.changed``
+    (which it clears).
     """
 
     #: The non-forced choice; ``None`` is the selector's uniform draw.
@@ -102,18 +103,17 @@ class WeaklyFairDaemon(Daemon):
         if enabled is not self._enabled:
             self._follow(enabled)
         bits, seen, width = enabled.bits, self._seen, self._width
-        # Every action a changed process lost (``~slot``) or has: one of
-        # them may have just fired, and is unborn until a selection sees it.
-        changes = []
-        for p in sorted(changed) if len(changed) > 1 else changed:
+        changes = self._selector.changes
+        # Every action a changed process lost or has: one of them may have
+        # just fired, and is unborn until a selection sees it.
+        for p in changed:
             new = bits[p]
             touched = seen[p] | new
             seen[p] = new
             base = p * width
             while touched:
                 low = touched & -touched
-                slot = base + low.bit_length() - 1
-                changes.append(slot if new & low else ~slot)
+                changes[base + low.bit_length() - 1] = new & low
                 touched ^= low
         changed.clear()
         prefer = None
@@ -124,7 +124,7 @@ class WeaklyFairDaemon(Daemon):
                 p, a = pick(system, enabled, step, rng)
                 return p * width + a
 
-        slot = self._selector.select(changes, rng, prefer)
+        slot = self._selector.select(rng, prefer)
         if slot is None:
             raise SchedulingError(NOTHING_ENABLED)
         p, a = divmod(slot, width)

@@ -35,7 +35,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
         "ClosureReport ConvergenceReport Counterexample check_all_states "
         "check_closure check_convergence check_monotone_set "
         "check_numeric_nonincreasing confirm_fair_livelock "
-        "convergence_distances optimal_recovery_diameter"
+        "convergence_distances optimal_recovery_diameter starving"
     ),
     # fastcore's one int-keyed explorer, under the name
     # benchmarks/e2e/offline.py imports

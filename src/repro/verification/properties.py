@@ -39,6 +39,8 @@ small instances:
   converges under weak fairness.  The check is sufficient, not necessary:
   a failure returns the offending SCC for inspection instead of claiming
   non-convergence.
+* :func:`starving` — Theorem 2's liveness, per live process: the weakly
+  fair computations in which it never eats, as SCCs and terminal states.
 """
 
 from __future__ import annotations
@@ -311,6 +313,41 @@ def check_convergence(
         stuck_scc=stuck,
         failure_kind=kind,
     )
+
+
+def starving(graph: Graph, q: Any, enter_label: Any) -> List[Tuple[State, ...]]:
+    """Where a weakly fair computation can keep live process ``q`` from
+    eating: ``[]`` when it cannot (``q`` is served), else the witnesses.
+
+    ``graph`` must be closed under its transitions (the full space of
+    :meth:`~repro.fastcore.explorer.FastTransitionSystem.enumerate_keys`,
+    dead processes pinned, is); ``(q, enter_label)`` labels ``q``'s
+    ``enter`` edges.  A witness is a maximal SCC of ``graph`` without those
+    edges that has an internal edge and in which every label enabled at all
+    of its states, read in ``graph``, labels one of its internal edges: a
+    tour of it is weakly fair and ``q`` never enters.  A terminal state is
+    a witness too, as a 1-tuple: ``q`` is not eating there, since an
+    eater's ``exit`` is always enabled.
+    """
+    pruned = {
+        state: [t for t in triples if t[0] != q or t[1] != enter_label]
+        for state, triples in graph.items()
+    }
+    witnesses: List[Tuple[State, ...]] = []
+    for scc in _tarjan_sccs(pruned):
+        members = set(scc)
+        internal = {
+            (pid, action)
+            for state in scc
+            for pid, action, target in pruned[state]
+            if target in members
+        }
+        if internal:
+            if _common_labels(scc, graph.__getitem__) <= internal:
+                witnesses.append(tuple(scc))
+        elif not graph[scc[0]]:
+            witnesses.append((scc[0],))
+    return witnesses
 
 
 def convergence_distances(

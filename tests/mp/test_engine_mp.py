@@ -5,7 +5,6 @@ from typing import Tuple
 import pytest
 
 from repro.mp import MpEngine, MpProcess, build_diners
-from repro.mp.channel import Channel
 from repro.sim import DeadProcessError, SchedulingError, SimulationError, line, ring
 
 
@@ -126,27 +125,24 @@ class TestSelectionCost:
     """Counted, not timed: what a selection reads must not grow with the
     network (a scan reads all 2n channels of ring(n) at every step)."""
 
-    def empty_reads_per_step(self, n, steps=10_000):
+    def entries_read_per_selection(self, n, steps=10_000):
         reads = [0]
 
-        class Counting(Channel):
-            @property
-            def empty(self):
-                reads[0] += 1
-                return not len(self)
+        class Counting(MpEngine):
+            def _choose(self):
+                reads[0] += len(self._selector.changes)
+                return super()._choose()
 
         topo = ring(n)
-        engine = MpEngine(
-            topo, build_diners(topo, seed=1), seed=2, channel_factory=Counting
-        )
+        engine = Counting(topo, build_diners(topo, seed=1), seed=2)
         assert engine.run(steps) == steps
-        return reads[0] / steps
+        return reads[0] / engine._selector.selections
 
-    def test_channel_reads_per_step_do_not_grow_with_the_ring(self):
-        small = self.empty_reads_per_step(8)
-        large = self.empty_reads_per_step(64)
-        # One read per slot written since the last selection — the channel
-        # just delivered from, the ones just sent on — whatever the size.
+    def test_entries_read_per_selection_do_not_grow_with_the_ring(self):
+        small = self.entries_read_per_selection(8)
+        large = self.entries_read_per_selection(64)
+        # One entry per slot written since the last selection — the one
+        # that fired, the channels just sent on — whatever the size.
         assert 0 < small <= 2 and 0 < large <= 2
 
 

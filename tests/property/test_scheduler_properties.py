@@ -10,10 +10,10 @@ the whole adversary subsystem builds on.
 
 The daemons read an :class:`~repro.sim.network.EnabledSet` and keep ages in
 a :class:`~repro.sim.fairness.FairSelector` (a birth per slot and a queue of
-births) that is told only what changed — the selector ``MpEngine`` selects
-through too.  The ledger it replaced — a dict of ages rebuilt from the whole
-enabled list every selection — is kept here as :class:`DictLedger`, the
-oracle: under random enable / disable / fire sequences both must name the
+births) whose ``changes`` they write only for what changed — the selector
+``MpEngine`` selects through too.  The ledger it replaced — a dict of ages
+rebuilt from the whole enabled list every selection — is kept here as
+:class:`DictLedger`, the oracle: under random enable / disable / fire sequences both must name the
 same oldest action at the same age, and a daemon built on either must make
 the same choices for the same seed.
 """
@@ -157,10 +157,16 @@ rounds = st.lists(
 )
 
 
+def oldest_entry(selector):
+    """``(born, slot)`` of the selector's oldest available slot: the least
+    live slot of the oldest birth group in its queue."""
+    return min((b, s) for b, s in selector.queue if selector.born[s] == b)
+
+
 class Probe(WeaklyFairDaemon):
     """A daemon whose selector is never forced, so every selection asks
     :meth:`_pick`, which notes the oldest enabled action and its age as the
-    selector holds them — the first live entry of its queue — and fires
+    selector holds them (:func:`oldest_entry`) and fires
     ``items()[draw % count]``, or that oldest action when ``draw`` is
     None."""
 
@@ -170,9 +176,7 @@ class Probe(WeaklyFairDaemon):
 
     def _pick(self, system, enabled, step, rng):
         selector = self._selector
-        born, slot = next(
-            (b, s) for b, s in selector.queue if selector.born[s] == b
-        )
+        born, slot = oldest_entry(selector)
         self.oldest = selector.selections - born, divmod(slot, len(enabled.actions))
         if self.draw is None:
             return self.oldest[1]
@@ -266,9 +270,10 @@ class TestFairnessLedger:
 
 #: One selector history over eight slots: per selection, the slots that
 #: were touched since the last one, each with one or two successive
-#: availabilities (a slot that went away and came back keeps its age; the
-#: selector is told only the last), and how the selection ends if nothing
-#: is overdue — a uniform draw (None) or the caller's preference.
+#: availabilities written to ``changes`` (a slot that went away and came
+#: back keeps its age; the selector reads only the last write), and how the
+#: selection ends if nothing is overdue — a uniform draw (None) or the
+#: caller's preference.
 SLOTS = 8
 slot_rounds = st.lists(
     st.tuples(
@@ -306,13 +311,11 @@ class TestFairSelector:
         selector, oracle = FairSelector(patience, SLOTS), DictLedger()
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         up = set()
-        fired = None
         for touched, draw in history:
             for slot, successive in touched.items():
                 for available in successive:
                     (up.add if available else up.discard)(slot)
-            marked = set(touched) | ({fired} if fired is not None else set())
-            changes = [slot if slot in up else ~slot for slot in sorted(marked)]
+                    selector.changes[slot] = available
             pairs = [(slot, SLOT) for slot in sorted(up)]
             oracle.observe(pairs)  # an empty selection resets every age
             asked = []
@@ -322,9 +325,7 @@ class TestFairSelector:
                 return pairs[draw % len(pairs)][0]
 
             before = selector.selections
-            fired = selector.select(
-                changes, rng, None if draw is None else prefer
-            )
+            fired = selector.select(rng, None if draw is None else prefer)
             if not pairs:
                 assert fired is None and selector.selections == before
                 continue
@@ -343,7 +344,53 @@ class TestFairSelector:
                     oracle.oldest([(slot, SLOT)])[0]
                 )
             assert selector.born[fired] == FIRED
+            assert selector.changes == {fired: True}  # looked at again
             oracle.fired((fired, SLOT))
+
+    @given(slot_rounds, st.integers(1, 8), seeds, seeds)
+    @settings(max_examples=200, deadline=None)
+    # Three slots born together at a forced selection: the least fires,
+    # however the writes were ordered.
+    @example(
+        history=[({0: [True], 1: [True], 2: [True]}, None)],
+        patience=1,
+        seed=0,
+        order=1,
+    )
+    def test_the_order_of_writes_changes_no_pick_and_no_age(
+        self, history, patience, seed, order
+    ):
+        """``changes`` is read in write order, unsorted: the same writes
+        in ascending and in shuffled slot order must pick the same slots and
+        leave the same births behind."""
+        ascending = FairSelector(patience, SLOTS)
+        shuffled = FairSelector(patience, SLOTS)
+        rngs = {ascending: random.Random(seed), shuffled: random.Random(seed)}
+        shuffle = random.Random(order).shuffle
+        up = set()
+        for touched, draw in history:
+            for slot, successive in touched.items():
+                for available in successive:
+                    (up.add if available else up.discard)(slot)
+                    ascending.changes[slot] = shuffled.changes[slot] = available
+            candidates = sorted(up)
+
+            def prefer():
+                return candidates[draw % len(candidates)]
+
+            picks = []
+            for selector, arrange in ((ascending, sorted), (shuffled, shuffle)):
+                writes = list(selector.changes.items())
+                arrange(writes)
+                selector.changes.clear()
+                selector.changes.update(writes)
+                picks.append(
+                    selector.select(rngs[selector], None if draw is None else prefer)
+                )
+            assert picks[0] == picks[1]
+            assert ascending.born == shuffled.born
+            assert ascending.available == shuffled.available
+            assert ascending.selections == shuffled.selections
 
     def test_patience_below_one_is_a_scheduling_error(self):
         with pytest.raises(SchedulingError):

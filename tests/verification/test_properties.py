@@ -184,6 +184,62 @@ class TestConfirmFairLivelock:
         assert not confirm_fair_livelock(ts, [config])
 
 
+class TestStarving:
+    """Theorem 2's liveness as :func:`starving` reads it: which live
+    process a weakly fair computation can keep from eating."""
+
+    def test_enter_enabled_throughout_a_cycle_is_fired(self):
+        from repro.verification import starving
+
+        # Other steps cycle 0 <-> 1; q = 9 may enter at both, and eats at 2.
+        graph = {
+            0: (("p", "go", 1), (9, "enter", 2)),
+            1: (("p", "go", 0), (9, "enter", 2)),
+            2: ((9, "exit", 0),),
+        }
+        assert starving(graph, 9, "enter") == []
+        # Enabled at 1 alone, enter is not owed to q: a tour keeps it out.
+        graph[0] = (("p", "go", 1),)
+        assert sorted(map(sorted, starving(graph, 9, "enter"))) == [[0, 1]]
+        # A state where nothing moves is a witness on its own.
+        graph[2] = ()
+        assert sorted(map(sorted, starving(graph, 9, "enter"))) == [[0, 1], [2]]
+
+    def test_a_label_enabled_throughout_and_leaving_breaks_the_witness(self):
+        from repro.verification import starving
+
+        # "r" is enabled at both states of the cycle and only leaves it:
+        # weak fairness fires it, so the cycle holds no fair computation.
+        graph = {
+            0: (("p", "go", 1), ("r", "out", 3)),
+            1: (("p", "go", 0), ("r", "out", 3)),
+            3: ((9, "enter", 3),),
+        }
+        assert starving(graph, 9, "enter") == []
+        # Without r's exits, only "go" is enabled throughout, and it stays
+        # inside: the cycle is a witness.
+        graph[0], graph[1] = (("p", "go", 1),), (("p", "go", 0),)
+        assert sorted(map(sorted, starving(graph, 9, "enter"))) == [[0, 1]]
+
+    def test_line3_with_an_end_dead_starves_distance_2_only_at_dead_ends(self):
+        """Node 0 dead on line(3): node 2, at distance 2, is kept from
+        eating only by the 5 states where nothing can move."""
+        from repro.fastcore import FastTransitionSystem
+        from repro.verification import starving
+        from repro.verification.explorer import reachable_graph
+
+        topo = line(3)
+        d = topo.diameter
+        fts = FastTransitionSystem(NADiners(depth_cap=d + 1, diameter_override=d), topo)
+        codec = fts.codec
+        graph = reachable_graph(fts.successors, fts.enumerate_keys(dead=[0]))
+        witnesses = starving(graph, codec.index[2], codec.table.names.index("enter"))
+        assert len(witnesses) == 5
+        for (state,) in witnesses:
+            assert not graph[state]
+            assert codec.unpack(codec.unkey(state)).local(2, "state") != "E"
+
+
 class TestProve:
     def test_graph_is_closed_under_successors(self):
         """``prove`` closes its seed states under reachability before the
